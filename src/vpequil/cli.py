@@ -43,6 +43,7 @@ from .distmodels import (
     DistributionModel,
     EvaluationError,
     ModelError,
+    Tabulated,
     eval_n,
     king_model,
     load_tabulated,
@@ -200,6 +201,19 @@ def _validate_run(block):
     return run
 
 
+def _check_table_range(model, run):
+    """A tabulated phi ends at its last energy: no amplitude may lie past it."""
+    if not isinstance(model.family, Tabulated):
+        return
+    end = float(model.family.energies[-1])
+    amplitudes = [(f"run.{key}", run[key]) for key in ("omega_c", "omega_0") if key in run]
+    amplitudes += [(f"run.omega_grid[{i}]", w) for i, w in enumerate(run.get("omega_grid", ()))]
+    for path, omega in amplitudes:
+        if omega > end:
+            raise ConfigError(f"{path} = {omega:g} lies past the end of the tabulated "
+                              f"phi grid (E = {end:g})")
+
+
 def parse_config(path) -> RunConfig:
     """Load and validate a JSON config; raise ConfigError with the key path."""
     try:
@@ -218,6 +232,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("model block is required")
     model, model_resolved = _build_model(data["model"], os.path.dirname(os.path.abspath(path)))
     run = _validate_run(data.get("run", {}))
+    _check_table_range(model, run)
 
     output = data.get("output", {})
     if not isinstance(output, dict):

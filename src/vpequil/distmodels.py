@@ -7,11 +7,15 @@ one-dimensional kernel integrals
     g_m(omega) = int_0^omega phi(E) (omega - E)^m dE,      m > -1,
 
 through which the mass density, the radial pressure, and the local
-polytropic index are computed.  After the substitution x = E/omega both
-endpoint singularities of the integrand are algebraic with exponents known
-from model metadata (x^k at 0 from the low-energy behaviour of phi, and
-(1-x)^m at 1), so g_m is evaluated with singularity-adapted Gaussian rules;
-derivatives use exact reduction identities, never finite differences.
+polytropic index are computed.  Every family evaluates g_m and dg_m/domega
+in closed form for all m > -1: a Beta function for polytropes, a regularized
+incomplete gamma function for the lowered exponentials, and incomplete Beta
+functions summed over the cubic pieces of a tabulated interpolant.
+
+Singularity-adapted Gauss-Jacobi quadrature of the same integrals
+(`eval_g_quadrature`, `eval_dg_quadrature`) and the direct double integral
+(`density_bruteforce`) are kept as independent oracles; no production path
+runs them.
 """
 
 from __future__ import annotations
@@ -22,12 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
-from scipy.special import gammainc, gammaln
+from scipy.special import beta, betainc, gammainc, gammaln, hyp1f1
 
 from ._quadrature import QuadratureError, integrate_weighted
 
 DEFAULT_QUAD_TOL = 1e-10
 _OMEGA_MIN = 1e-300   # below this the index n(omega) is refused, not extrapolated
+_LOG_MAX = math.log(np.finfo(float).max)
+_CLOSED_FORM_ERR = 1e-13   # relative error budget reported for the closed forms
 
 
 class ModelError(ValueError):
@@ -71,6 +77,15 @@ class Polytrope:
         # phi(E)/E^k is the constant amplitude
         return np.full_like(np.asarray(e, dtype=float), self.phi_minus)
 
+    def g(self, m, omega):
+        # int_0^omega E^(n-3/2) (omega-E)^m dE = omega^(n+m-1/2) B(n-1/2, m+1)
+        n = self.n
+        return self.phi_minus * omega ** (n + m - 0.5) * math.exp(
+            math.lgamma(n - 0.5) + math.lgamma(m + 1.0) - math.lgamma(n + m + 0.5))
+
+    def dg(self, m, omega):
+        return (self.n + m - 0.5) * self.g(m, omega) / omega
+
 
 @dataclass(frozen=True, eq=False)
 class TruncatedExponential:
@@ -95,20 +110,26 @@ class TruncatedExponential:
         return np.where(e > 0.0, np.exp(e) * gammainc(self.p + 1, np.maximum(e, 0.0)), 0.0)
 
     def phi_reduced(self, e):
-        """phi(E)/E^(p+1), stable down to E = 0 (limit 1/(p+1)!)."""
+        """phi(E)/E^(p+1) = 1F1(1; p+2; E)/(p+1)!, stable down to E = 0."""
         e = np.asarray(e, dtype=float)
-        out = np.empty_like(e)
-        small = e < 0.1
-        es = e[small]
-        term = np.full_like(es, 1.0 / math.factorial(self.p + 1))
-        acc = np.zeros_like(es)
-        for i in range(30):   # next-term ratio <= 0.1/(p+2): converges fast
-            acc += term
-            term = term * es / (self.p + 2 + i)
-        out[small] = acc
-        eb = e[~small]
-        out[~small] = np.exp(eb) * gammainc(self.p + 1, eb) / eb ** (self.p + 1)
-        return out
+        return hyp1f1(1.0, self.p + 2.0, e) / math.factorial(self.p + 1)
+
+    def g(self, m, omega):
+        """Gamma(m+1) e^omega P(p+m+2, omega), summing phi_p term by term."""
+        a = self.p + m + 2.0
+        log_scale = math.lgamma(m + 1.0) + omega
+        frac = float(gammainc(a, omega))
+        if log_scale <= _LOG_MAX:
+            return math.exp(log_scale) * frac   # frac <= 1: cannot overflow
+        if frac > 0.0 and log_scale + math.log(frac) <= _LOG_MAX:
+            return math.exp(log_scale + math.log(frac))
+        raise EvaluationError(f"g_{m:g}(omega={omega:g}) overflows double precision")
+
+    def dg(self, m, omega):
+        # d/domega [e^omega P(a, omega)] = e^omega P(a, omega) + omega^(a-1)/Gamma(a)
+        a = self.p + m + 2.0
+        return self.g(m, omega) + math.exp(
+            math.lgamma(m + 1.0) + (a - 1.0) * math.log(omega) - math.lgamma(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +155,20 @@ class Tabulated:
             raise ModelError("tabulated phi samples must be non-negative")
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_interp", PchipInterpolator(e, v, extrapolate=False))
+        interp = PchipInterpolator(e, v, extrapolate=False)
+        object.__setattr__(self, "_interp", interp)
+        # pieces phi = sum_j c_j (E - x0)^j on the cells reaching E > 0, the
+        # cell straddling E = 0 re-expanded about 0 so every piece starts at x0 >= 0
+        keep = interp.x[1:] > 0.0
+        x0 = interp.x[:-1][keep].copy()
+        coef = interp.c[::-1, keep].copy()
+        if x0.size and x0[0] < 0.0:
+            shift = -x0[0]
+            coef[:, 0] = [sum(math.comb(j, i) * coef[j, 0] * shift ** (j - i)
+                              for j in range(i, 4)) for i in range(4)]
+            x0[0] = 0.0
+        object.__setattr__(self, "_pieces", (x0, interp.x[1:][keep], coef,
+                                             coef[1:] * np.arange(1.0, 4.0)[:, None]))
 
     def validate(self):
         pass
@@ -156,6 +190,41 @@ class Tabulated:
 
     def phi_reduced(self, e):
         raise NotImplementedError   # handled by the model via declared k
+
+    def _check_range(self, omega):
+        hi = float(self.energies[-1])
+        if omega > hi:
+            raise EvaluationError(
+                f"tabulated phi queried at E={omega:g} beyond grid end {hi:g}")
+        if self.energies[0] > 0.0:
+            raise EvaluationError("tabulated phi queried below the grid start")
+
+    def g(self, m, omega):
+        self._check_range(omega)
+        x0, x1, coef, _ = self._pieces
+        return _piecewise_kernel(x0, x1, coef, m, omega)
+
+    def dg(self, m, omega):
+        # g_m(omega) = int_0^omega phi(omega - s) s^m ds: the jump of phi at
+        # E = 0 gives phi(0+) omega^m, the rest is phi' (piecewise quadratic)
+        self._check_range(omega)
+        x0, x1, coef, dcoef = self._pieces
+        return float(coef[0, 0]) * omega ** m + _piecewise_kernel(x0, x1, dcoef, m, omega)
+
+
+def _piecewise_kernel(x0, x1, coef, m, omega):
+    """Sum over pieces of int_x0^min(x1, omega) sum_j c_j (E-x0)^j (omega-E)^m dE.
+
+    With E = x0 + (omega - x0) t each monomial becomes an incomplete Beta
+    integral, (omega-x0)^(j+m+1) B(j+1, m+1) I_u(j+1, m+1), so no power of
+    (omega - E) is expanded and nothing cancels across pieces.
+    """
+    n = int(np.searchsorted(x0, omega))
+    span = omega - x0[:n]
+    u = np.minimum((x1[:n] - x0[:n]) / span, 1.0)
+    a = np.arange(1.0, coef.shape[0] + 1.0)[:, None]
+    terms = coef[:, :n] * span ** (a + m) * beta(a, m + 1.0) * betainc(a, m + 1.0, u)
+    return float(terms.sum())
 
 
 @dataclass(frozen=True)
@@ -253,7 +322,7 @@ def load_tabulated(path, l=0.0, k=None, k_prime=None, holder_index=None) -> Dist
 
 @dataclass
 class GEvaluation:
-    """One kernel-integral evaluation with its certified relative error."""
+    """One kernel-integral evaluation with its relative error estimate."""
 
     m: float
     omega: float
@@ -270,16 +339,14 @@ def eval_phi(model: DistributionModel, energy):
     return out
 
 
-def _closed_form_g(fam: Polytrope, m, omega):
-    # int_0^omega E^(n-3/2) (omega-E)^m dE = omega^(n+m-1/2) B(n-1/2, m+1)
-    n = fam.n
-    return fam.phi_minus * omega ** (n + m - 0.5) * math.exp(
-        gammaln(n - 0.5) + gammaln(m + 1.0) - gammaln(n + m + 0.5))
-
-
 def eval_g_quadrature(model: DistributionModel, m, omega,
                       rel_tol=DEFAULT_QUAD_TOL) -> GEvaluation:
-    """g_m(omega) by singularity-adapted quadrature (no closed-form shortcut)."""
+    """g_m(omega) by singularity-adapted quadrature (test oracle).
+
+    After x = E/omega both endpoint singularities are algebraic with exponents
+    known from model metadata (x^k at 0, (1-x)^m at 1), so Gauss-Jacobi rules
+    absorb them; the error estimate is certified by the N-vs-2N comparison.
+    """
     _check_gm_args(m, omega)
     if omega == 0.0:
         return GEvaluation(m=m, omega=omega, value=0.0, estimated_error=0.0)
@@ -297,20 +364,13 @@ def eval_g_quadrature(model: DistributionModel, m, omega,
     return GEvaluation(m=m, omega=omega, value=value, estimated_error=rel)
 
 
-def eval_g(model: DistributionModel, m, omega, rel_tol=DEFAULT_QUAD_TOL) -> GEvaluation:
-    """Kernel integral g_m(omega) = int_0^omega phi(E)(omega-E)^m dE.
-
-    Polytrope families short-circuit to the Beta-function closed form; other
-    families go through the weighted quadrature with certified error.
-    """
+def eval_g(model: DistributionModel, m, omega) -> GEvaluation:
+    """Kernel integral g_m(omega) = int_0^omega phi(E)(omega-E)^m dE, in closed form."""
     _check_gm_args(m, omega)
     if omega == 0.0:
         return GEvaluation(m=m, omega=omega, value=0.0, estimated_error=0.0)
-    if isinstance(model.family, Polytrope):
-        value = _closed_form_g(model.family, m, omega)
-        return GEvaluation(m=m, omega=omega, value=value,
-                           estimated_error=4 * np.finfo(float).eps)
-    return eval_g_quadrature(model, m, omega, rel_tol=rel_tol)
+    value = _finite(model.family.g(m, omega), f"g_{m:g}", omega)
+    return GEvaluation(m=m, omega=omega, value=value, estimated_error=_CLOSED_FORM_ERR)
 
 
 def _check_gm_args(m, omega):
@@ -320,25 +380,47 @@ def _check_gm_args(m, omega):
         raise ValueError(f"omega must be non-negative, got {omega}")
 
 
-def eval_dg(model: DistributionModel, m, omega, rel_tol=DEFAULT_QUAD_TOL) -> float:
-    """d g_m/d omega via the exact reduction identity for the sign of m.
-
-    m > 0 lowers the exponent (m * g_{m-1}); m = 0 returns phi(omega); for
-    -1 < m < 0 the difference-quotient identity is integrated against the
-    (1-x)^m endpoint weight, which requires Hölder metadata on E*phi(E).
-    """
+def _check_dg_args(model, m, omega):
     _check_gm_args(m, omega)
     if omega <= 0.0:
         raise ValueError("derivative requires omega > 0")
+    if m < 0.0:
+        holder = model.regularity.holder_index
+        if holder is None or not holder > -m:
+            raise EvaluationError(
+                f"derivative of g_{m:g} needs a Hölder index above {-m:g}; "
+                f"model declares {holder}")
+
+
+def _finite(value, what, omega):
+    if not math.isfinite(value):
+        raise EvaluationError(f"{what}(omega={omega:g}) is not finite in double precision")
+    return value
+
+
+def eval_dg(model: DistributionModel, m, omega) -> float:
+    """d g_m/d omega in closed form for every m > -1.
+
+    For -1 < m < 0 the derivative exists only when E*phi(E) is Hölder with
+    index above -m, so the model must declare that index.
+    """
+    _check_dg_args(model, m, omega)
+    return _finite(model.family.dg(m, omega), f"dg_{m:g}", omega)
+
+
+def eval_dg_quadrature(model: DistributionModel, m, omega,
+                       rel_tol=DEFAULT_QUAD_TOL) -> float:
+    """d g_m/d omega via the reduction identity for the sign of m (test oracle).
+
+    m > 0 lowers the exponent (m * g_{m-1} by quadrature); m = 0 returns
+    phi(omega); for -1 < m < 0 the difference-quotient identity is integrated
+    against the (1-x)^m endpoint weight.
+    """
+    _check_dg_args(model, m, omega)
     if m > 0.0:
-        return m * eval_g(model, m - 1.0, omega, rel_tol=rel_tol).value
+        return m * eval_g_quadrature(model, m - 1.0, omega, rel_tol=rel_tol).value
     if m == 0.0:
         return float(eval_phi(model, omega))
-    holder = model.regularity.holder_index
-    if holder is None or not holder > -m:
-        raise EvaluationError(
-            f"derivative of g_{m:g} needs a Hölder index above {-m:g}; "
-            f"model declares {holder}")
     phi_w = float(eval_phi(model, omega))
     k = model.regularity.k
     try:
@@ -358,15 +440,15 @@ def eval_dg(model: DistributionModel, m, omega, rel_tol=DEFAULT_QUAD_TOL) -> flo
     return omega ** m * phi_w - m * omega ** m * (piece_a + piece_b)
 
 
-def eval_n(model: DistributionModel, omega, rel_tol=DEFAULT_QUAD_TOL) -> float:
+def eval_n(model: DistributionModel, omega) -> float:
     """Local polytropic index n(omega) = -l + omega * g'/g at m = l + 1/2."""
     if omega < _OMEGA_MIN:
         raise EvaluationError(f"index n(omega) refused below omega={_OMEGA_MIN:g}")
     m = model.l + 0.5
-    g = eval_g(model, m, omega, rel_tol=rel_tol)
+    g = eval_g(model, m, omega)
     if not g.value > _OMEGA_MIN:
         raise EvaluationError(f"index undefined: g_{m:g}({omega:g}) at or below the floor")
-    dg = eval_dg(model, m, omega, rel_tol=rel_tol)
+    dg = eval_dg(model, m, omega)
     return -model.l + omega * dg / g.value
 
 
@@ -375,19 +457,19 @@ def density_prefactor(l) -> float:
     return 2.0 ** (l + 1.5) * math.pi ** 1.5 * math.exp(gammaln(l + 1.0) - gammaln(l + 1.5))
 
 
-def density(model: DistributionModel, r, omega, rel_tol=DEFAULT_QUAD_TOL) -> float:
+def density(model: DistributionModel, r, omega) -> float:
     """Mass density rho(r, omega) = C_l r^(2l) g_{l+1/2}(omega)."""
     if r <= 0.0:
         raise ValueError("density requires r > 0")
-    g = eval_g(model, model.l + 0.5, omega, rel_tol=rel_tol)
+    g = eval_g(model, model.l + 0.5, omega)
     return model._prefactor * r ** (2.0 * model.l) * g.value
 
 
-def radial_pressure(model: DistributionModel, r, omega, rel_tol=DEFAULT_QUAD_TOL) -> float:
+def radial_pressure(model: DistributionModel, r, omega) -> float:
     """Radial pressure p(r, omega) = C_l r^(2l) g_{l+3/2}(omega)/(l + 3/2)."""
     if r <= 0.0:
         raise ValueError("pressure requires r > 0")
-    g = eval_g(model, model.l + 1.5, omega, rel_tol=rel_tol)
+    g = eval_g(model, model.l + 1.5, omega)
     return model._prefactor * r ** (2.0 * model.l) * g.value / (model.l + 1.5)
 
 

@@ -118,10 +118,10 @@ def center_series(model: DistributionModel, omega_c: float, r):
     return m, omega
 
 
-def rhs_physical(model: DistributionModel, r: float, state, rel_tol: float = 1e-10):
+def rhs_physical(model: DistributionModel, r: float, state):
     """Right-hand side (dm/dr, domega/dr); omega is clamped at the vacuum."""
     m, omega = float(state[0]), float(state[1])
-    rho = density(model, r, max(omega, 0.0), rel_tol=rel_tol) if omega > 0.0 else 0.0
+    rho = density(model, r, omega) if omega > 0.0 else 0.0
     return 4.0 * math.pi * r * r * rho, -m / (r * r)
 
 
@@ -175,7 +175,7 @@ def integrate_physical(model: DistributionModel, omega_c: float,
         raise ValueError("startup radius too large: the series already crossed the floor")
 
     def rhs(r, y):
-        return rhs_physical(model, r, y, rel_tol=st.rel_tol)
+        return rhs_physical(model, r, y)
 
     def hit_floor(r, y):
         return y[1] - st.omega_floor

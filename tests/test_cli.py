@@ -78,6 +78,23 @@ def test_parse_rejects_tabulated_without_k(tmp_path):
         parse_config(path)
 
 
+def test_parse_rejects_amplitude_past_table_end(tmp_path, capsys):
+    table = tmp_path / "phi.csv"
+    table.write_text("0.0,0.0\n1.0,1.7\n2.0,6.4\n3.0,19.1\n")
+    model = {"family": "tabulated", "table": str(table), "k": 1.0}
+    ok = write_config(tmp_path, {"model": model, "run": {"omega_c": 3.0}}, name="ok.json")
+    assert parse_config(ok).run["omega_c"] == 3.0   # the grid end itself is allowed
+    for run, key in (({"omega_c": 4.98}, "run.omega_c"),
+                     ({"omega_grid": [0.5, 3.5]}, r"run.omega_grid\[1\]")):
+        path = write_config(tmp_path, {"model": model, "run": run})
+        with pytest.raises(ConfigError, match=key):
+            parse_config(path)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        assert "past the end of the tabulated phi grid" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+
 def test_parse_rejects_foreign_family_key(tmp_path):
     path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 1, "p": 0}})
     with pytest.raises(ConfigError, match="model.p"):

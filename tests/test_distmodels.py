@@ -2,16 +2,21 @@
 
 Oracles used here are independent of the library code paths under test:
 raw adaptive quadrature (QUADPACK) of the defining integrals, Beta-function
-closed forms evaluated inline, and direct Gauss-Jacobi sums at 10x the
-production node count.
+closed forms evaluated inline, direct Gauss-Jacobi sums at 10x the
+production node count, the library's own quadrature oracles
+(`eval_g_quadrature`, `eval_dg_quadrature`), and 50-digit mpmath quadrature.
 """
 
+import bisect
+import functools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln, roots_jacobi
 
 from vpequil.distmodels import (
@@ -26,12 +31,15 @@ from vpequil.distmodels import (
     density_bruteforce,
     density_prefactor,
     eval_dg,
+    eval_dg_quadrature,
     eval_g,
     eval_g_quadrature,
     eval_n,
     eval_phi,
+    king_model,
     polytrope,
     radial_pressure,
+    tabulated_model,
     truncated_exponential,
 )
 
@@ -126,6 +134,15 @@ def test_tabulated_requires_k_and_range():
         regularity=Regularity(k=1.0, k_prime=0.0))
     with pytest.raises(EvaluationError):
         eval_phi(model, 2.5)   # beyond the grid: no extrapolation
+    late = DistributionModel(l=0.0, family=Tabulated(es + 0.5, es.copy()),
+                             regularity=Regularity(k=1.0, k_prime=0.0))
+    with pytest.raises(EvaluationError, match="below the grid start"):
+        eval_phi(late, 0.2)
+    for fn in (eval_g, eval_dg):   # the kernels refuse the same queries
+        with pytest.raises(EvaluationError, match="beyond grid end"):
+            fn(model, 0.5, 2.5)
+        with pytest.raises(EvaluationError, match="below the grid start"):
+            fn(late, 0.5, 1.0)
 
 
 # ------------------------------------------------------------------ eval_g
@@ -197,7 +214,7 @@ def test_g_monotone_in_omega():
 
 def test_g_tabulated_linear_phi_matches_polytrope():
     # phi(E) = E sampled on a grid: monotone cubic interpolation reproduces it
-    # exactly, so g must match the n=5/2 closed form even through the fallback
+    # exactly, so the piecewise kernel must match the n=5/2 closed form
     es = np.linspace(0.0, 3.0, 41)
     model = DistributionModel(
         l=0.0, family=Tabulated(es, es.copy()),
@@ -238,8 +255,9 @@ def test_dg_holder_regime_needs_metadata():
     model = DistributionModel(
         l=0.0, family=Tabulated(es, es.copy()),
         regularity=Regularity(k=1.0, k_prime=0.0))  # no holder_index
-    with pytest.raises(EvaluationError):
-        eval_dg(model, -0.25, 1.0)
+    for fn in (eval_dg, eval_dg_quadrature):
+        with pytest.raises(EvaluationError, match="Hölder"):
+            fn(model, -0.25, 1.0)
 
 
 # ------------------------------------------------------------------ eval_n
@@ -306,3 +324,173 @@ def test_density_bruteforce_singular_polytrope():
     model = polytrope(n=1)
     assert density_bruteforce(model, 1.0, 0.5) == pytest.approx(
         density(model, 1.0, 0.5), rel=1e-6)
+
+
+# ------------------------------------------- closed forms against oracles
+#
+# The grid: p in {0, 1, 2}; l in {-0.8 (Hölder index declared), -0.4, 0, 1};
+# m in {l + 1/2, l + 3/2, 2.7, -0.3, -0.7}.  g depends on l only through m,
+# so the mpmath values are cached on (profile, m, omega).
+
+L_GRID = (-0.8, -0.4, 0.0, 1.0)
+M_KINDS = ("l+1/2", "l+3/2", 2.7, -0.3, -0.7)
+EXP_OMEGAS = (1e-6, 0.03, 0.8, 12.0, 45.0, 300.0)
+EXP_OMEGAS_MP = (1e-6, 0.8, 12.0, 300.0)
+
+
+def kernel_exponent(l, kind):
+    return {"l+1/2": l + 0.5, "l+3/2": l + 1.5}.get(kind, kind)
+
+
+def mp_kernel(f, m, omega, nodes=()):
+    """int_0^omega f(E) (omega-E)^m dE by mpmath quadrature at 50 digits.
+
+    The range is split at omega/2 and at every node below omega.  Only the
+    last piece touches the (omega-E)^m endpoint singularity and gets
+    tanh-sinh; the smooth pieces before it get Gauss-Legendre.  Both rules
+    stop at degree 4: over every point of this file's grids the result then
+    agrees to 2e-16 with 60-digit tanh-sinh run to convergence.
+    """
+    with mpmath.workdps(50):
+        w = mpmath.mpf(omega)
+        inner = sorted({mpmath.mpf(x) for x in nodes if 0.0 < x < omega} | {w / 2})
+        integrand = lambda e: f(e) * (w - e) ** m
+        smooth = mpmath.quad(integrand, [0, *inner], method="gauss-legendre", maxdegree=4)
+        return float(smooth + mpmath.quad(integrand, [inner[-1], w], maxdegree=4))
+
+
+def mp_phi_exp(q, e):
+    """phi_q(E) = e^E - sum_{j<=q} E^j/j!; q = -1 is e^E, the derivative of phi_0."""
+    return mpmath.exp(e) - sum(e ** j / mpmath.factorial(j) for j in range(q + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def mp_g_exp(q, m, omega):
+    return mp_kernel(lambda e: mp_phi_exp(q, e), m, omega)
+
+
+def assert_close(got, want, rel):
+    assert abs(got - want) <= rel * abs(want), (got, want, abs(got - want) / abs(want))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("l", L_GRID)
+@pytest.mark.parametrize("kind", M_KINDS)
+def test_truncated_exponential_closed_form_vs_oracles(p, l, kind):
+    model = truncated_exponential(p, l=l)
+    m = kernel_exponent(l, kind)
+    for omega in EXP_OMEGAS:
+        g = eval_g(model, m, omega).value
+        dg = eval_dg(model, m, omega)
+        assert_close(g, eval_g_quadrature(model, m, omega).value, 1e-10)
+        assert_close(dg, eval_dg_quadrature(model, m, omega), 1e-10)
+        if omega in EXP_OMEGAS_MP:
+            assert_close(g, mp_g_exp(p, m, omega), 1e-12)
+            # phi_p(0+) = 0 and phi_p' = phi_(p-1), so dg_m of phi_p is g_m of phi_(p-1)
+            assert_close(dg, mp_g_exp(p - 1, m, omega), 1e-12)
+
+
+TABLES = {
+    # name: (energies, values, k).  phi(0+) = 0 only on the first; on the
+    # second E = 0 falls inside the cell [-0.2, 0.1].
+    "expm1-from-0": (np.linspace(0.0, 3.0, 13), np.expm1(np.linspace(0.0, 3.0, 13)), 1.0),
+    "exp-from-below-0": (np.linspace(-0.5, 2.5, 11), np.exp(np.linspace(-0.5, 2.5, 11)), 0.0),
+    "plateau-from-0": (np.linspace(0.0, 2.0, 9), 0.5 + np.linspace(0.0, 2.0, 9) ** 2, 0.0),
+}
+TABLE_OMEGAS = {"expm1-from-0": (1e-6, 0.25, 1.37, 3.0),
+                "exp-from-below-0": (1e-6, 0.05, 1.0, 2.5),
+                "plateau-from-0": (1e-6, 0.3, 1.1, 2.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def mp_table(name):
+    """The PCHIP pieces of a table, evaluated in mpmath: phi and phi'."""
+    energies, values, _ = TABLES[name]
+    pp = PchipInterpolator(energies, values)
+    x = [mpmath.mpf(float(v)) for v in pp.x]
+    c = [[mpmath.mpf(float(v)) for v in col] for col in pp.c.T]   # descending powers
+
+    def piece(e):
+        i = min(bisect.bisect_right(pp.x, float(e)), len(x) - 1) - 1
+        return c[i], e - x[i]
+
+    def phi(e):
+        if e <= 0:
+            return mpmath.mpf(0)
+        ci, t = piece(e)
+        return ((ci[0] * t + ci[1]) * t + ci[2]) * t + ci[3]
+
+    def dphi(e):
+        if e <= 0:
+            return mpmath.mpf(0)
+        ci, t = piece(e)
+        return (3 * ci[0] * t + 2 * ci[1]) * t + ci[2]
+
+    return phi, dphi, [float(v) for v in pp.x]
+
+
+@functools.lru_cache(maxsize=None)
+def mp_g_table(name, m, omega, deriv):
+    phi, dphi, nodes = mp_table(name)
+    if not deriv:
+        return mp_kernel(phi, m, omega, nodes)
+    # d/domega int_0^omega phi(omega - s) s^m ds = phi(0+) omega^m + int phi'(E)(omega-E)^m dE
+    with mpmath.workdps(50):
+        phi0 = phi(mpmath.mpf(10) ** -40)
+        return float(phi0 * mpmath.mpf(omega) ** m) + mp_kernel(dphi, m, omega, nodes)
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@pytest.mark.parametrize("l", L_GRID)
+@pytest.mark.parametrize("kind", M_KINDS)
+def test_tabulated_closed_form_vs_oracles(name, l, kind):
+    energies, values, k = TABLES[name]
+    model = tabulated_model(energies, values, l=l, k=k, holder_index=1.0)
+    m = kernel_exponent(l, kind)
+    for omega in TABLE_OMEGAS[name]:
+        g = eval_g(model, m, omega).value
+        dg = eval_dg(model, m, omega)
+        assert_close(g, mp_g_table(name, m, omega, False), 1e-12)
+        assert_close(dg, mp_g_table(name, m, omega, True), 1e-12)
+        # the quadrature oracles run their adaptive fallback on the pieces, so
+        # they check one m per l; at omega = 1e-6 the difference-quotient part
+        # of eval_dg_quadrature is too small to certify when phi(0+) != 0
+        if kind == "l+1/2" and omega > 1e-3:
+            assert_close(g, eval_g_quadrature(model, m, omega).value, 1e-10)
+            assert_close(dg, eval_dg_quadrature(model, m, omega), 1e-10)
+
+
+def test_kernel_overflow_is_a_clean_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: eval_g(king_model(), 0.5, 800.0),
+                     lambda: eval_dg(king_model(), 0.5, 800.0),
+                     lambda: eval_n(king_model(), 800.0)):
+            with pytest.raises(EvaluationError, match="omega=800"):
+                call()
+
+
+def test_index_scan_limit_is_unchanged():
+    # omega_crit doubles omega from 1e-10 until evaluation fails: the last
+    # finite point stays 1e-10 * 2^42 and the next one fails cleanly
+    last = 1e-10 * 2.0 ** 42
+    for p in (0, 1):
+        model = truncated_exponential(p)
+        assert math.isfinite(eval_n(model, last))
+        with pytest.raises(EvaluationError):
+            eval_n(model, 2.0 * last)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_phi_reduced_matches_mpmath(p):
+    family = truncated_exponential(p).family
+    es = np.concatenate([[0.0, 1e-12, 1e-6], np.linspace(0.01, 50.0, 101)])
+    got = family.phi_reduced(es)
+    with mpmath.workdps(50):
+        for e, value in zip(es, got):
+            if e == 0.0:
+                want = 1 / mpmath.factorial(p + 1)
+            else:
+                x = mpmath.mpf(float(e))
+                want = mp_phi_exp(p, x) / x ** (p + 1)
+            assert_close(value, float(want), 1e-13)
