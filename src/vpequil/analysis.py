@@ -51,6 +51,7 @@ from .physical import (
     SolutionProfile,
     SolveSettings,
     integrate_physical,
+    write_csv,
 )
 
 GUARANTEED = "Guaranteed"
@@ -61,7 +62,7 @@ _SLACK = 1e-9
 # grid sizes tried while the per-cell variation bound still fails
 _GRID_LEVELS = (65, 129, 257, 513, 1025)
 # the checked interval reaches down ten decades below its top
-_SPAN_DECADES = 1e-10
+_SPAN_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def _grid_check(n_of, omega_hi: float, bound: float) -> dict:
     the slack, the per-cell excursion bound max(v_i, v_{i+1}) + |dv| does
     too, and the linear low-omega extrapolation confirms the trend.
     """
-    lo = omega_hi * _SPAN_DECADES
+    lo = omega_hi * _SPAN_RATIO
     vals = None
     for level in _GRID_LEVELS:
         omegas = np.geomspace(lo, omega_hi, level)
@@ -275,6 +276,9 @@ def classify_solution(model: DistributionModel, profile: SolutionProfile,
 # ------------------------------------------------------------------- sweeps
 
 _SPIKE_FACTOR = 1e3
+# numerical failures a sweep records and skips; programming errors such as
+# TypeError or AttributeError propagate
+_SOLVE_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
 def _bisect_transition(model, lo, hi, lo_is_finite, settings, solve,
@@ -285,7 +289,7 @@ def _bisect_transition(model, lo, hi, lo_is_finite, settings, solve,
             break
         try:
             prof = solve(model, mid, settings)
-        except Exception as exc:  # noqa: BLE001
+        except _SOLVE_ERRORS as exc:
             failures.append((mid, f"{type(exc).__name__}: {exc}"))
             return None
         if (prof.classification == FINITE_RADIUS) == lo_is_finite:
@@ -318,7 +322,7 @@ def _refine_spike(model, a, b, settings, solve, failures, rel_tol, threshold):
                 a = m1
             else:
                 b = m2
-    except Exception as exc:  # noqa: BLE001
+    except _SOLVE_ERRORS as exc:
         failures.append((0.5 * (a + b), f"{type(exc).__name__}: {exc}"))
         return None
     if best > threshold:
@@ -390,7 +394,7 @@ def sweep_omega_c(model: DistributionModel, omega_grid,
     def run_one(w):
         try:
             prof = solve(model, w, settings)
-        except Exception as exc:  # noqa: BLE001
+        except _SOLVE_ERRORS as exc:
             return None, (w, f"{type(exc).__name__}: {exc}")
         entry = SweepEntry(omega_c=w, radius=float(prof.radius),
                            total_mass=float(prof.total_mass),
@@ -412,21 +416,18 @@ def sweep_omega_c(model: DistributionModel, omega_grid,
                        failures=failures)
 
 
-def write_sweep_csv(result: SweepResult, path) -> None:
+def write_sweep_csv(result: SweepResult, path, precision: int = 17) -> None:
     """Deterministic five-column CSV of the sweep entries."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("omega_c,R,M,class,label\n")
-        for e in result.entries:
-            fh.write(f"{e.omega_c:.17g},{e.radius:.17g},{e.total_mass:.17g},"
-                     f"{e.classification},{e.limit_label}\n")
+    write_csv(path, "omega_c,R,M,class,label",
+              [(e.omega_c, e.radius, e.total_mass, e.classification, e.limit_label)
+               for e in result.entries], precision)
 
 
 # ------------------------------------------------- representation matching
 
 def compare_representations(model: DistributionModel, profile: SolutionProfile,
                             n_points: int = 100,
-                            settings: CompactSettings | None = None,
-                            index_table=None) -> dict:
+                            settings: CompactSettings | None = None) -> dict:
     """Componentwise mismatch between the solved profile and one compact
     orbit started from it, at log-spaced radii inside the solved window.
 
@@ -447,8 +448,7 @@ def compare_representations(model: DistributionModel, profile: SolutionProfile,
     m_lo, w_lo = profile.dense(r_lo)
     start = compactify(*to_dimensionless(
         model, PhysicalState(r=r_lo, m=m_lo, omega=w_lo)))
-    orbit = integrate_compact(model, start, settings or CompactSettings(),
-                              index_table=index_table)
+    orbit = integrate_compact(model, start, settings or CompactSettings())
     lam_a, lam_b = float(orbit.lam[0]), float(orbit.lam[-1])
     targets = np.log(radii / r_lo)
     if targets[-1] > float(orbit.xi[-1]) + 1e-12:

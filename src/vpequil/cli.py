@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .analysis import (
     classify_solution,
     omega_crit,
     sweep_omega_c,
+    write_sweep_csv,
 )
 from .compactsys import (
     CompactSettings,
@@ -51,7 +53,13 @@ from .distmodels import (
     truncated_exponential,
     wilson_model,
 )
-from .physical import SolveSettings, integrate_physical, natural_length
+from .physical import (
+    SolveSettings,
+    integrate_physical,
+    natural_length,
+    write_csv,
+    write_profile_csv,
+)
 
 
 class ConfigError(ValueError):
@@ -70,14 +78,14 @@ _RUN_KEYS = {"omega_c", "omega_grid", "rel_tol", "abs_tol", "r_max",
 _SETTINGS_KEYS = ("rel_tol", "abs_tol", "r_max", "omega_floor", "startup_radius")
 
 
+@dataclass
 class RunConfig:
     """Validated configuration: built model plus resolved key/value blocks."""
 
-    def __init__(self, model, run, output, resolved):
-        self.model = model
-        self.run = run
-        self.output = output
-        self.resolved = resolved
+    model: DistributionModel
+    run: dict
+    output: dict
+    resolved: dict
 
 
 def _require_number(value, path, integer=False, allow_none=False):
@@ -196,18 +204,26 @@ def _validate_run(block):
         for i, triple in enumerate(orbits):
             if not isinstance(triple, list) or len(triple) != 3:
                 raise ConfigError(f"run.orbits[{i}] must be a [U, Q, Omega] triple")
-            parsed.append([_require_number(x, f"run.orbits[{i}]") for x in triple])
+            point = [_require_number(x, f"run.orbits[{i}]") for x in triple]
+            try:
+                CompactState(*point)
+            except ValueError as exc:
+                raise ConfigError(f"run.orbits[{i}]: {exc}") from exc
+            parsed.append(point)
         run["orbits"] = parsed
     return run
 
 
 def _check_table_range(model, run):
-    """A tabulated phi ends at its last energy: no amplitude may lie past it."""
+    """A tabulated phi ends at its last energy: no amplitude and no orbit
+    start's potential Omega/(1-Omega) may lie past it."""
     if not isinstance(model.family, Tabulated):
         return
     end = float(model.family.energies[-1])
     amplitudes = [(f"run.{key}", run[key]) for key in ("omega_c", "omega_0") if key in run]
     amplitudes += [(f"run.omega_grid[{i}]", w) for i, w in enumerate(run.get("omega_grid", ()))]
+    amplitudes += [(f"run.orbits[{i}] omega", om / (1.0 - om))
+                   for i, (_, _, om) in enumerate(run.get("orbits", ()))]
     for path, omega in amplitudes:
         if omega > end:
             raise ConfigError(f"{path} = {omega:g} lies past the end of the tabulated "
@@ -282,18 +298,6 @@ def _write_summary(out_dir, config, results):
     os.replace(tmp, final)
 
 
-def _fmt(x, precision):
-    return f"{float(x):.{precision}g}"
-
-
-def _write_csv(path, header, rows, precision):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(field if isinstance(field, str)
-                              else _fmt(field, precision) for field in row) + "\n")
-
-
 def _solver_settings(run):
     kwargs = {k: run[k] for k in _SETTINGS_KEYS if k in run}
     return SolveSettings(**kwargs)
@@ -313,10 +317,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     _note(args, f"solving omega_c={omega_c:g}")
     profile = integrate_physical(cfg.model, omega_c, settings=_solver_settings(cfg.run))
     labels = classify_solution(cfg.model, profile)
-    prec = cfg.output["precision"]
-    s = profile.samples
-    _write_csv(os.path.join(args.out, "profile.csv"), "r,m,omega,rho,p_rad",
-               zip(s["r"], s["m"], s["omega"], s["rho"], s["p_rad"]), prec)
+    write_profile_csv(profile, os.path.join(args.out, "profile.csv"),
+                      cfg.output["precision"])
     results = {
         "omega_c": omega_c,
         "radius": profile.radius,
@@ -340,11 +342,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                 f"{threads} thread(s)")
     result = sweep_omega_c(cfg.model, cfg.run["omega_grid"],
                            settings=_solver_settings(cfg.run), threads=threads)
-    prec = cfg.output["precision"]
-    rows = [(e.omega_c, e.radius, e.total_mass, e.classification, e.limit_label)
-            for e in result.entries]
-    _write_csv(os.path.join(args.out, "sweep.csv"), "omega_c,R,M,class,label",
-               rows, prec)
+    write_sweep_csv(result, os.path.join(args.out, "sweep.csv"), cfg.output["precision"])
     results = {
         "n_entries": len(result.entries),
         "critical_values": list(result.critical_values),
@@ -365,24 +363,20 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
     backward = cfg.run.get("backward", False)
 
     lines = fixed_lines(cfg.model.l)
-    _write_csv(os.path.join(args.out, "fixed_lines.csv"),
-               "name,U,Q,eig1,eig2,eig3,kind",
-               [(line.name, line.U, line.Q, *line.eigenvalues, line.kind)
-                for line in lines], prec)
+    write_csv(os.path.join(args.out, "fixed_lines.csv"),
+              "name,U,Q,eig1,eig2,eig3,kind",
+              [(line.name, line.U, line.Q, *line.eigenvalues, line.kind)
+               for line in lines], prec)
 
     records = []
     for i, (u, q, om) in enumerate(cfg.run["orbits"]):
         _note(args, f"orbit {i}: start=({u:g}, {q:g}, {om:g})")
         orbit = integrate_compact(cfg.model, CompactState(U=u, Q=q, Omega=om),
                                   settings, backward=backward)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_z = orbit.log_Z
-            phi = orbit.Phi
-        s1 = orbit.S1.astype(int)
-        _write_csv(os.path.join(args.out, f"orbit_{i:03d}.csv"),
-                   "lambda,U,Q,Omega,xi,log_Z,Phi,S1",
-                   zip(orbit.lam, orbit.U, orbit.Q, orbit.Omega, orbit.xi,
-                       log_z, phi, (str(v) for v in s1)), prec)
+        write_csv(os.path.join(args.out, f"orbit_{i:03d}.csv"),
+                  "lambda,U,Q,Omega,xi,log_Z,Phi,S1",
+                  zip(orbit.lam, orbit.U, orbit.Q, orbit.Omega, orbit.xi,
+                      orbit.log_Z, orbit.Phi, (str(int(v)) for v in orbit.S1)), prec)
         records.append({"initial": [u, q, om], "termination": orbit.termination,
                         "limit_label": orbit.limit_label,
                         "n_samples": len(orbit.lam)})
@@ -455,8 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=out_default, help="output directory")
         sp.add_argument("--threads", type=int, default=None,
                         help="override run.threads for sweeps")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="reserved for future stochastic features")
         sp.add_argument("--verbose", action="store_true",
                         help="progress notes on stderr")
 

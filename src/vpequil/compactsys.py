@@ -25,11 +25,9 @@ from .distmodels import (
     EvaluationError,
     Polytrope,
     density,
-    density_prefactor,
-    eval_g,
     eval_n,
 )
-from .physical import PhysicalState, SolutionProfile
+from .physical import PhysicalState, SolutionProfile, density_scale
 
 TRANSVERSELY_HYPERBOLIC_SOURCE = "TransverselyHyperbolicSource"
 TRANSVERSELY_HYPERBOLIC_SADDLE = "TransverselyHyperbolicSaddle"
@@ -108,9 +106,7 @@ def from_compact(model: DistributionModel, state: CompactState) -> PhysicalState
     u = state.U / (1.0 - state.U)
     q = state.Q / (1.0 - state.Q)
     omega = state.omega
-    g = eval_g(model, model.l + 0.5, omega).value
-    denom = 4.0 * math.pi * density_prefactor(model.l) * g
-    r = (u * q * omega / denom) ** (1.0 / (2.0 + 2.0 * model.l))
+    r = (u * q * omega / density_scale(model, omega)) ** (1.0 / (2.0 + 2.0 * model.l))
     return PhysicalState(r=r, m=q * r * omega, omega=omega)
 
 
@@ -162,16 +158,15 @@ def fixed_lines(l: float):
     ]
 
 
-def jacobian_eigenvalues(model: DistributionModel, state, step: float = 1e-6,
-                         index_table=None):
+def jacobian_eigenvalues(model: DistributionModel, state, step: float = 1e-6):
     """Eigenvalues of the linearised flow by central differences."""
     base = np.array(_triple(state))
     jac = np.empty((3, 3))
     for j in range(3):
         offset = np.zeros(3)
         offset[j] = step
-        hi = rhs_compact(model, base + offset, index_table=index_table)
-        lo = rhs_compact(model, base - offset, index_table=index_table)
+        hi = rhs_compact(model, base + offset)
+        lo = rhs_compact(model, base - offset)
         jac[:, j] = (hi - lo) / (2.0 * step)
     return np.linalg.eigvals(jac)
 
@@ -185,17 +180,30 @@ def _log_ratio(x):
         return np.log(x) - np.log1p(-x)
 
 
-def monitor_log_Z(state, l: float) -> float:
-    U, Q, _ = _triple(state)
-    return float(_log_ratio(U) + (3.0 + 2.0 * l) * _log_ratio(Q))
+def _UQ(state):
+    """(U, Q) as float arrays from a CompactState, a triple, or a pair of
+    arrays such as (orbit.U, orbit.Q)."""
+    if isinstance(state, CompactState):
+        state = (state.U, state.Q)
+    return np.asarray(state[0], dtype=float), np.asarray(state[1], dtype=float)
 
 
-def monitor_Z(state, l: float) -> float:
+def _plain(x):
+    """A Python scalar for 0-d input, the array otherwise."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def monitor_log_Z(state, l: float):
+    """log Z, elementwise over a state or (U, Q) arrays."""
+    U, Q = _UQ(state)
+    return _plain(_log_ratio(U) + (3.0 + 2.0 * l) * _log_ratio(Q))
+
+
+def monitor_Z(state, l: float):
     """Z = u q^(3+2l); strictly increasing wherever the flow expands mass."""
-    U, Q, _ = _triple(state)
-    u = U / (1.0 - U)
-    q = Q / (1.0 - Q)
-    return u * q ** (3.0 + 2.0 * l)
+    U, Q = _UQ(state)
+    with np.errstate(divide="ignore"):
+        return _plain(U / (1.0 - U) * (Q / (1.0 - Q)) ** (3.0 + 2.0 * l))
 
 
 def monitor_dZ(model: DistributionModel, state, index_table=None) -> float:
@@ -208,22 +216,23 @@ def monitor_dZ(model: DistributionModel, state, index_table=None) -> float:
     return factor * monitor_Z(state, l)
 
 
-def monitor_Phi(state, l: float) -> float:
+def monitor_Phi(state, l: float):
     """First integral of the flow when n(omega) is identically 5 + 3l."""
-    U, Q, _ = _triple(state)
-    u = U / (1.0 - U)
-    q = Q / (1.0 - Q)
-    e = 2.0 * (1.0 + l)
-    return -0.5 * u ** (1.0 / e) * q ** ((3.0 + 2.0 * l) / e) \
-        * (1.0 - q - u / (3.0 + 2.0 * l))
+    U, Q = _UQ(state)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = U / (1.0 - U)
+        q = Q / (1.0 - Q)
+        e = 2.0 * (1.0 + l)
+        return _plain(-0.5 * u ** (1.0 / e) * q ** ((3.0 + 2.0 * l) / e)
+                      * (1.0 - q - u / (3.0 + 2.0 * l)))
 
 
 # -------------------------------------------------------------- trapped sets
 
-def in_S1(state) -> bool:
-    """Region where Q is expanding; future invariant."""
-    U, Q, _ = _triple(state)
-    return (2.0 * U - 1.0) * (1.0 - Q) + Q * (1.0 - U) > 0.0
+def in_S1(state):
+    """Region where Q is expanding; future invariant.  Elementwise."""
+    U, Q = _UQ(state)
+    return _plain((2.0 * U - 1.0) * (1.0 - Q) + Q * (1.0 - U) > 0.0)
 
 
 def in_S2(model: DistributionModel, state, omega_0: float | None = None,
@@ -236,11 +245,8 @@ def in_S2(model: DistributionModel, state, omega_0: float | None = None,
     if isinstance(model.family, Polytrope):
         sup_bound = a / (a + l + model.family.n)
     else:
-        grid = np.geomspace(omega0 * 1e-10, omega0, 129)
-        if index_table is not None:
-            ns = np.array([index_table(w) for w in grid])
-        else:
-            ns = np.array([eval_n(model, w) for w in grid])
+        n_of = index_table if index_table is not None else (lambda w: eval_n(model, w))
+        ns = np.array([n_of(w) for w in np.geomspace(omega0 * 1e-10, omega0, 129)])
         sup_bound = float(np.max(a / (a + l + ns)))
     return Q > max(0.5, sup_bound)
 
@@ -266,8 +272,11 @@ class PolytropicIndexTable:
 
     The grid is refined dyadically until the spline built on the coarser
     level matches direct evaluation at all midpoints to `tol`; the final
-    spline keeps the midpoints as extra nodes.  Queries off the range fall
-    back to direct evaluation, and power-law families collapse to a constant.
+    spline keeps the midpoints as extra nodes.  A grid that reaches
+    `max_nodes` uncertified raises EvaluationError.  Queries off the range
+    fall back to direct evaluation, and power-law families collapse to a
+    constant.  Nothing builds a table implicitly: callers pass one as
+    `index_table` where a spline lookup pays.
     """
 
     def __init__(self, model: DistributionModel, omega_lo: float, omega_hi: float,
@@ -296,8 +305,12 @@ class PolytropicIndexTable:
             merged_v = np.empty_like(merged_x)
             merged_v[0::2], merged_v[1::2] = v, mv
             x, v = merged_x, merged_v
-            if err <= tol or x.size >= max_nodes:
+            if err <= tol:
                 break
+            if x.size >= max_nodes:
+                raise EvaluationError(
+                    f"index table reached {x.size} nodes with error {err:.2e} "
+                    f"above tol={tol:g}")
         self._spline = make_interp_spline(x, v, k=5)
         self.certified_error = err
         self.n_nodes = int(x.size)
@@ -308,22 +321,6 @@ class PolytropicIndexTable:
         if self.omega_lo <= omega <= self.omega_hi:
             return float(self._spline(math.log(omega)))
         return eval_n(self.model, omega)
-
-
-_TABLE_CACHE: dict = {}
-
-
-def _table_for(model: DistributionModel, omega0: float, floor: float) -> PolytropicIndexTable:
-    if isinstance(model.family, Polytrope):
-        return PolytropicIndexTable(model, 1e-13, 1.0)
-    lo = min(1e-13, 0.5 * floor)
-    hi = 2.0 ** math.ceil(math.log2(max(4.0 * omega0, 4.0)))
-    key = (id(model), lo, hi)
-    cached = _TABLE_CACHE.get(key)
-    if cached is None or cached.model is not model:
-        cached = PolytropicIndexTable(model, lo, hi)
-        _TABLE_CACHE[key] = cached
-    return cached
 
 
 # ------------------------------------------------------------------- orbits
@@ -355,28 +352,22 @@ class CompactOrbit:
 
     @property
     def log_Z(self) -> np.ndarray:
-        l = self.model.l
-        return _log_ratio(self.U) + (3.0 + 2.0 * l) * _log_ratio(self.Q)
+        return monitor_log_Z((self.U, self.Q), self.model.l)
 
     @property
     def Phi(self) -> np.ndarray:
-        l = self.model.l
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = self.U / (1.0 - self.U)
-            q = self.Q / (1.0 - self.Q)
-            e = 2.0 * (1.0 + l)
-            return -0.5 * u ** (1.0 / e) * q ** ((3.0 + 2.0 * l) / e) \
-                * (1.0 - q - u / (3.0 + 2.0 * l))
+        return monitor_Phi((self.U, self.Q), self.model.l)
 
     @property
     def S1(self) -> np.ndarray:
-        return (2.0 * self.U - 1.0) * (1.0 - self.Q) + self.Q * (1.0 - self.U) > 0.0
+        return in_S1((self.U, self.Q))
 
 
 def integrate_compact(model: DistributionModel, state0, settings: CompactSettings | None = None,
                       backward: bool = False, index_table=None) -> CompactOrbit:
     """Follow the compact flow from state0 until a corner, the potential
-    floor, or the lambda budget; xi accumulates the logarithmic radius."""
+    floor, or the lambda budget; xi accumulates the logarithmic radius.
+    The index n(omega) comes from eval_n unless `index_table` is given."""
     st = settings or CompactSettings()
     if not st.lambda_max > 0.0:
         raise ValueError("lambda_max must be positive")
@@ -389,7 +380,6 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
     s0 = state0 if isinstance(state0, CompactState) else CompactState(*_triple(state0))
     if not st.omega_floor < s0.omega < st.omega_ceiling:
         raise ValueError("initial state outside the (floor, ceiling) potential window")
-    table = index_table if index_table is not None else _table_for(model, s0.omega, st.omega_floor)
     floor_c = st.omega_floor / (1.0 + st.omega_floor)
     roof_c = st.omega_ceiling / (1.0 + st.omega_ceiling)
     eps = st.attraction_eps
@@ -400,7 +390,7 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
 
     def rhs(lam, y):
         om_safe = min(max(y[2], 1e-300), om_hi)
-        du, dq, dom = rhs_compact(model, (y[0], y[1], om_safe), index_table=table)
+        du, dq, dom = rhs_compact(model, (y[0], y[1], om_safe), index_table=index_table)
         return [du, dq, dom, (1.0 - y[0]) * (1.0 - y[1])]
 
     def ev_floor(lam, y):
@@ -447,8 +437,8 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
     diagnostics = {
         "n_steps": int(len(sol.t) - 1),
         "n_rhs_evals": int(sol.nfev),
-        "index_table_nodes": getattr(table, "n_nodes", None),
-        "index_table_error": getattr(table, "certified_error", None),
+        "index_table_nodes": getattr(index_table, "n_nodes", None),
+        "index_table_error": getattr(index_table, "certified_error", None),
     }
     return CompactOrbit(model=model, initial=s0, lam=sol.t.copy(),
                         U=sol.y[0].copy(), Q=sol.y[1].copy(),

@@ -327,7 +327,6 @@ class GEvaluation:
     m: float
     omega: float
     value: float
-    derivative: float | None = None
     estimated_error: float = 0.0
 
 
@@ -441,15 +440,20 @@ def eval_dg_quadrature(model: DistributionModel, m, omega,
 
 
 def eval_n(model: DistributionModel, omega) -> float:
-    """Local polytropic index n(omega) = -l + omega * g'/g at m = l + 1/2."""
+    """Local polytropic index n(omega) = -l + omega * g'/g at m = l + 1/2.
+
+    Calls the family's closed forms directly: the argument checks of eval_g
+    and eval_dg cannot fail here, since m = l + 1/2 > -1/2 and the model
+    has already checked, for l < -1/2, the Hölder index the derivative needs.
+    """
     if omega < _OMEGA_MIN:
         raise EvaluationError(f"index n(omega) refused below omega={_OMEGA_MIN:g}")
     m = model.l + 0.5
-    g = eval_g(model, m, omega)
-    if not g.value > _OMEGA_MIN:
+    g = _finite(model.family.g(m, omega), f"g_{m:g}", omega)
+    if not g > _OMEGA_MIN:
         raise EvaluationError(f"index undefined: g_{m:g}({omega:g}) at or below the floor")
-    dg = eval_dg(model, m, omega)
-    return -model.l + omega * dg / g.value
+    dg = _finite(model.family.dg(m, omega), f"dg_{m:g}", omega)
+    return -model.l + omega * dg / g
 
 
 def density_prefactor(l) -> float:

@@ -25,7 +25,6 @@ from .distmodels import (
     DistributionModel,
     EvaluationError,
     density,
-    density_prefactor,
     eval_dg,
     eval_g,
     radial_pressure,
@@ -88,11 +87,14 @@ class SolveSettings:
         return replace(self, r_max=r_max, omega_floor=floor, startup_radius=start)
 
 
+def density_scale(model: DistributionModel, omega: float) -> float:
+    """4 pi C_l g_{l+1/2}(omega): 4 pi rho / r^(2l) at potential omega."""
+    return 4.0 * math.pi * model._prefactor * eval_g(model, model.l + 0.5, omega).value
+
+
 def natural_length(model: DistributionModel, omega_c: float) -> float:
     """Length scale on which the potential varies near the centre."""
-    g = eval_g(model, model.l + 0.5, omega_c).value
-    rho_scale = 4.0 * math.pi * density_prefactor(model.l) * g
-    return (omega_c / rho_scale) ** (1.0 / (2.0 + 2.0 * model.l))
+    return (omega_c / density_scale(model, omega_c)) ** (1.0 / (2.0 + 2.0 * model.l))
 
 
 def center_series(model: DistributionModel, omega_c: float, r):
@@ -102,7 +104,7 @@ def center_series(model: DistributionModel, omega_c: float, r):
     the coordinate singularity at r = 0.
     """
     l = model.l
-    c_l = density_prefactor(l)
+    c_l = model._prefactor
     m_exp = l + 0.5
     g0 = c_l * eval_g(model, m_exp, omega_c).value
     g1 = c_l * eval_dg(model, m_exp, omega_c)
@@ -229,11 +231,17 @@ def integrate_physical(model: DistributionModel, omega_c: float,
                            diagnostics=diagnostics, _dense=dense)
 
 
-def write_profile_csv(profile: SolutionProfile, path) -> None:
+def write_csv(path, header: str, rows, precision: int = 17) -> None:
+    """CSV with numbers at `precision` significant digits; strings pass through."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(x if isinstance(x, str) else f"{float(x):.{precision}g}"
+                              for x in row) + "\n")
+
+
+def write_profile_csv(profile: SolutionProfile, path, precision: int = 17) -> None:
     """Deterministic five-column CSV of the step points."""
     s = profile.samples
-    with open(path, "w", newline="\n") as fh:
-        fh.write("r,m,omega,rho,p_rad\n")
-        for i in range(len(s["r"])):
-            fh.write(",".join("%.17g" % s[c][i]
-                              for c in ("r", "m", "omega", "rho", "p_rad")) + "\n")
+    write_csv(path, "r,m,omega,rho,p_rad",
+              zip(s["r"], s["m"], s["omega"], s["rho"], s["p_rad"]), precision)

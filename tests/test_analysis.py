@@ -288,6 +288,30 @@ def test_sweep_records_failures_and_continues():
     assert "synthetic failure" in result.failures[0][1]
 
 
+@pytest.mark.parametrize("exc", [TypeError, AttributeError])
+def test_sweep_propagates_programming_errors(exc):
+    # only numerical failures are recorded; a bug in the solver surfaces
+    def broken(model, omega_c, settings):
+        raise exc("synthetic bug")
+    with pytest.raises(exc, match="synthetic bug"):
+        sweep_omega_c(polytrope(n=1), [0.5, 1.0, 1.5], solve_fn=broken)
+
+
+@pytest.mark.parametrize("make_solver, grid", [
+    (lambda: transition_solver(1.2345), list(np.linspace(0.5, 2.0, 7))),
+    (lambda: spike_solver(0.700001), list(np.linspace(0.3, 1.1, 9))),
+], ids=["bisection", "spike"])
+def test_refinement_probes_propagate_programming_errors(make_solver, grid):
+    solve = make_solver()
+
+    def probe_bug(model, omega_c, settings):
+        if omega_c not in grid:
+            raise TypeError("synthetic bug in a probe")
+        return solve(model, omega_c, settings)
+    with pytest.raises(TypeError, match="synthetic bug in a probe"):
+        sweep_omega_c(polytrope(n=1), grid, solve_fn=probe_bug)
+
+
 def test_sweep_threads_match_serial():
     solve = spike_solver(0.7077)
     grid = list(np.linspace(0.3, 1.1, 9))
@@ -310,6 +334,10 @@ def test_write_sweep_csv(tmp_path):
     assert fields[3] == INFINITE_UNDETERMINED
     write_sweep_csv(result, tmp_path / "sweep2.csv")
     assert (tmp_path / "sweep2.csv").read_bytes() == path.read_bytes()
+    write_sweep_csv(result, tmp_path / "sweep3.csv", precision=3)
+    row = (tmp_path / "sweep3.csv").read_text().splitlines()[2].split(",")
+    assert row[:3] == ["1", "inf", "inf"]
+    assert row[3] == INFINITE_UNDETERMINED
 
 
 # ------------------------------------------------- representation matching

@@ -95,6 +95,39 @@ def test_parse_rejects_amplitude_past_table_end(tmp_path, capsys):
         assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("triple, message", [
+    ([-0.1, 0.3, 0.3], "U must lie in [0, 1]"),
+    ([0.6, 1.2, 0.3], "Q must lie in [0, 1]"),
+    ([0.6, 0.3, 0.0], "Omega must lie strictly inside (0, 1)"),
+    ([0.6, 0.3, 1.0], "Omega must lie strictly inside (0, 1)"),
+])
+def test_parse_rejects_orbit_outside_cube(tmp_path, capsys, triple, message):
+    path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 2},
+                                   "run": {"orbits": [[0.6, 0.3, 0.3], triple]}})
+    with pytest.raises(ConfigError, match=r"run\.orbits\[1\]"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["portrait", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "run.orbits[1]" in err and message in err
+    assert not (out / "summary.json").exists()
+
+
+def test_parse_rejects_orbit_potential_past_table_end(tmp_path, capsys):
+    table = tmp_path / "phi.csv"
+    table.write_text("0.0,0.0\n1.0,1.7\n2.0,6.4\n3.0,19.1\n")
+    model = {"family": "tabulated", "table": str(table), "k": 1.0}
+    ok = write_config(tmp_path, {"model": model, "run": {"orbits": [[0.5, 0.5, 0.75]]}},
+                      name="ok.json")   # omega = 3: the grid end itself
+    assert parse_config(ok).run["orbits"] == [[0.5, 0.5, 0.75]]
+    path = write_config(tmp_path, {"model": model,
+                                   "run": {"orbits": [[0.5, 0.5, 0.3], [0.5, 0.5, 0.8]]}})
+    with pytest.raises(ConfigError, match=r"run\.orbits\[1\]"):
+        parse_config(path)
+    assert main(["portrait", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "past the end of the tabulated phi grid" in capsys.readouterr().err
+
+
 def test_parse_rejects_foreign_family_key(tmp_path):
     path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 1, "p": 0}})
     with pytest.raises(ConfigError, match="model.p"):
@@ -139,7 +172,7 @@ def solve_config(omega_c=1.0, **run_extra):
 def test_solve_linear_model(tmp_path):
     path = write_config(tmp_path, solve_config())
     out = tmp_path / "out"
-    assert main(["solve", "--config", path, "--out", str(out), "--seed", "7"]) == 0
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
     summary = load_summary(out)
     assert summary["tool_version"] == __version__
     assert summary["config"]["run"]["omega_c"] == 1.0
@@ -213,6 +246,20 @@ def test_sweep_command(tmp_path):
     assert (out2 / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
 
 
+def test_sweep_matches_library_writer(tmp_path):
+    from vpequil.analysis import sweep_omega_c, write_sweep_csv
+    from vpequil.distmodels import polytrope
+
+    cfg = {"model": {"family": "polytrope", "n": 1.0},
+           "run": {"omega_grid": [0.5, 1.25]}, "output": {"precision": 7}}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    ref = tmp_path / "ref.csv"
+    write_sweep_csv(sweep_omega_c(polytrope(n=1.0), [0.5, 1.25]), ref, precision=7)
+    assert (out / "sweep.csv").read_bytes() == ref.read_bytes()
+
+
 # ------------------------------------------------------------------- check
 
 def test_check_wilson(tmp_path):
@@ -264,6 +311,33 @@ def test_portrait_command(tmp_path):
     assert len(summary["results"]["orbits"]) == 2
     for rec in summary["results"]["orbits"]:
         assert "termination" in rec and "limit_label" in rec
+
+
+def test_portrait_outputs_deterministic(tmp_path):
+    # two runs in one process: nothing cached by the first may change the second
+    cfg = {"model": {"family": "truncated-exponential", "p": 0},
+           "run": {"orbits": [[0.6, 0.3, 0.3], [0.9, 0.8, 0.1]], "lambda_max": 30.0}}
+    path = write_config(tmp_path, cfg)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["portrait", "--config", path, "--out", str(out1)]) == 0
+    assert main(["portrait", "--config", path, "--out", str(out2)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert "orbit_001.csv" in names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_portrait_tabulated_grid_end_below_four(tmp_path):
+    table = tmp_path / "phi.csv"
+    table.write_text("".join(f"{0.1 * i!r},{math.expm1(0.1 * i)!r}\n" for i in range(31)))
+    cfg = {"model": {"family": "tabulated", "table": str(table), "k": 1.0},
+           "run": {"orbits": [[0.6, 0.3, 0.3]]}}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["portrait", "--config", path, "--out", str(out)]) == 0
+    record = load_summary(out)["results"]["orbits"][0]
+    assert record["limit_label"] == "(0,1,0)"
 
 
 # ------------------------------------------------------------------- models

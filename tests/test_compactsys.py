@@ -36,7 +36,13 @@ from vpequil.compactsys import (
     rhs_compact,
     to_dimensionless,
 )
-from vpequil.distmodels import eval_n, polytrope, truncated_exponential
+from vpequil.distmodels import (
+    EvaluationError,
+    eval_n,
+    polytrope,
+    tabulated_model,
+    truncated_exponential,
+)
 from vpequil.physical import PhysicalState, integrate_physical
 
 
@@ -251,6 +257,34 @@ def test_orbit_dense_matches_nodes(king_model, king_profile, king_table):
         orbit.dense(orbit.lam[-1] + 1.0)
 
 
+def test_default_orbit_uses_no_table(king_model):
+    # without an explicit table the index comes from eval_n on every call
+    orbit = integrate_compact(king_model, CompactState(0.6, 0.3, 0.3))
+    assert orbit.diagnostics["index_table_nodes"] is None
+    assert orbit.diagnostics["index_table_error"] is None
+
+
+def test_default_orbit_matches_explicit_table(king_model, king_table):
+    for start in ((0.6, 0.3, 0.3), (0.4, 0.2, 0.25), (0.9, 0.8, 0.1)):
+        direct = integrate_compact(king_model, CompactState(*start))
+        tabled = integrate_compact(king_model, CompactState(*start),
+                                   index_table=king_table)
+        assert direct.termination == tabled.termination
+        assert direct.limit_label == tabled.limit_label
+        lam = 0.5 * min(direct.lam[-1], tabled.lam[-1])
+        assert np.max(np.abs(direct.dense(lam) - tabled.dense(lam))) < 1e-8
+
+
+def test_tabulated_orbit_below_grid_end_four():
+    # a grid ending at E = 3 covers every potential a forward orbit from
+    # Omega = 0.3 (omega = 3/7) visits
+    energies = np.linspace(0.0, 3.0, 31)
+    model = tabulated_model(energies, np.expm1(energies), k=1.0)
+    orbit = integrate_compact(model, CompactState(0.6, 0.3, 0.3))
+    assert orbit.termination == "corner-(0,1,0)"
+    assert np.all(np.diff(orbit.Omega) <= 0.0)
+
+
 def test_settings_validation(king_model):
     with pytest.raises(ValueError):
         integrate_compact(king_model, CompactState(0.5, 0.2, 0.3),
@@ -271,6 +305,27 @@ def test_monitor_algebra():
     # Phi = -(1/2) u^(1/(2+2l)) q^((3+2l)/(2+2l)) (1 - q - u/(3+2l))
     want = -0.5 * 3.0 ** 0.5 * 2.0 ** 1.5 * (1.0 - 2.0 - 1.0)
     assert monitor_Phi(st, 0.0) == pytest.approx(want, rel=1e-13)
+
+
+def test_monitors_accept_states_and_arrays():
+    U = np.array([0.0, 0.2, 0.75, 0.9, 1.0])
+    Q = np.array([0.3, 0.1, 2.0 / 3.0, 0.5, 1.0])
+    for l in (-0.4, 0.0, 1.0):
+        log_z = monitor_log_Z((U, Q), l)
+        phi = monitor_Phi((U, Q), l)
+        s1 = in_S1((U, Q))
+        z = monitor_Z((U, Q), l)
+        assert log_z.shape == phi.shape == s1.shape == z.shape == U.shape
+        for i in range(1, 4):
+            st = CompactState(U[i], Q[i], 0.4)
+            assert isinstance(monitor_log_Z(st, l), float)
+            assert monitor_log_Z(st, l) == log_z[i]
+            # numpy's vectorised pow may differ from the scalar one by an ulp
+            assert monitor_Phi(st, l) == pytest.approx(phi[i], rel=1e-14)
+            assert monitor_Z((U[i], Q[i], 0.4), l) == pytest.approx(z[i], rel=1e-14)
+            assert in_S1(st) is bool(s1[i])
+        # the faces map to the infinities of log Z, without warnings
+        assert log_z[0] == -math.inf and log_z[-1] == math.inf
 
 
 def test_dZ_matches_flow_derivative(king_model, king_profile, king_table):
@@ -369,6 +424,11 @@ def test_index_table_falls_back_outside_range():
     model = truncated_exponential(1)
     table = PolytropicIndexTable(model, 1e-4, 1.0)
     assert table(50.0) == pytest.approx(eval_n(model, 50.0), rel=1e-12)
+
+
+def test_index_table_refuses_uncertified_spline(king_model):
+    with pytest.raises(EvaluationError, match="129 nodes"):
+        PolytropicIndexTable(king_model, 1e-13, 1.0, max_nodes=129)
 
 
 def test_index_table_constant_for_polytropes():

@@ -143,6 +143,10 @@ def test_tabulated_requires_k_and_range():
             fn(model, 0.5, 2.5)
         with pytest.raises(EvaluationError, match="below the grid start"):
             fn(late, 0.5, 1.0)
+    with pytest.raises(EvaluationError, match="beyond grid end"):
+        eval_n(model, 2.5)   # so does the index, which calls them directly
+    with pytest.raises(EvaluationError, match="below the grid start"):
+        eval_n(late, 1.0)
 
 
 # ------------------------------------------------------------------ eval_g
@@ -278,6 +282,20 @@ def test_n_low_omega_limits():
 def test_n_refuses_tiny_omega():
     with pytest.raises(EvaluationError):
         eval_n(polytrope(n=2), 1e-305)
+
+
+def test_n_equals_index_from_eval_g_and_eval_dg():
+    # eval_n calls the family kernels directly; the result must be the
+    # same double as the definition through the checked entry points
+    energies = np.linspace(0.0, 3.0, 31)
+    models = [polytrope(n=2.5), polytrope(n=1.2, l=-0.7), king_model(),
+              truncated_exponential(1, l=1.0), truncated_exponential(2, l=-0.8),
+              tabulated_model(energies, np.expm1(energies), k=1.0, l=-0.3)]
+    for model in models:
+        m = model.l + 0.5
+        for omega in (1e-9, 0.01, 0.7, 2.9):
+            want = -model.l + omega * eval_dg(model, m, omega) / eval_g(model, m, omega).value
+            assert eval_n(model, omega) == want
 
 
 # ------------------------------------------------- density and pressure

@@ -21,6 +21,7 @@ from vpequil.physical import (
     PhysicalState,
     SolveSettings,
     center_series,
+    density_scale,
     integrate_physical,
     natural_length,
     rhs_physical,
@@ -104,6 +105,16 @@ def test_rhs_physical_clamps_exhausted_potential():
     dm, domega = rhs_physical(model, 2.0, (0.5, -1e-15))
     assert dm == 0.0
     assert domega == pytest.approx(-0.125, rel=1e-15)
+
+
+def test_density_scale_is_4pi_rho_over_r2l():
+    for model in (polytrope(n=1.0), truncated_exponential(0, l=-0.4),
+                  polytrope(n=3.0, l=1.0)):
+        for omega in (0.2, 1.0, 3.0):
+            want = 4.0 * math.pi * density(model, 2.0, omega) / 2.0 ** (2.0 * model.l)
+            assert density_scale(model, omega) == pytest.approx(want, rel=1e-14)
+    # linear-density model: 4 pi rho_minus omega, so the natural length is 1/a
+    assert density_scale(polytrope(n=1.0), 1.0) == pytest.approx(A_N1 ** 2, rel=1e-14)
 
 
 def test_center_series_matches_sine_taylor():
@@ -276,3 +287,7 @@ def test_write_profile_csv(tmp_path, king_profile):
     path2 = tmp_path / "profile2.csv"
     write_profile_csv(king_profile, path2)
     assert path.read_bytes() == path2.read_bytes()
+    write_profile_csv(king_profile, path2, precision=6)
+    lines = path2.read_text().splitlines()
+    assert len(lines) == 1 + len(king_profile.r)
+    assert lines[5].split(",")[0] == f"{king_profile.r[4]:.6g}"
