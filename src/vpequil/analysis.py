@@ -238,9 +238,11 @@ def _forward_label(model: DistributionModel, profile) -> str:
 
 
 def _safe_forward_label(model: DistributionModel, profile) -> str:
+    """The forward label; a numerical failure leaves it "unresolved" (labels
+    are advisory), a programming error propagates."""
     try:
         return _forward_label(model, profile)
-    except Exception:  # noqa: BLE001 — labels are advisory, never fatal
+    except _SOLVE_ERRORS:
         return "unresolved"
 
 

@@ -310,6 +310,11 @@ def _note(args, message):
 
 # ------------------------------------------------------------- subcommands
 
+# deterministic solver counts reported in the solve summary; n_rhs_evals
+# includes the interpolant stages of the mass-decade query, if one ran
+_SOLVE_DIAGNOSTICS = ("n_steps", "n_rhs_evals", "termination", "decade_mass_ratio")
+
+
 def cmd_solve(cfg: RunConfig, args) -> int:
     if "omega_c" not in cfg.run:
         raise ConfigError("run.omega_c is required by the solve command")
@@ -329,6 +334,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         "mass_convergent": labels.mass_convergent,
         "natural_length": natural_length(cfg.model, omega_c),
         "n_profile_points": len(profile.r),
+        "diagnostics": {k: profile.diagnostics[k] for k in _SOLVE_DIAGNOSTICS},
     }
     _write_summary(args.out, cfg.resolved, results)
     return 0
@@ -379,7 +385,9 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
                       orbit.log_Z, orbit.Phi, (str(int(v)) for v in orbit.S1)), prec)
         records.append({"initial": [u, q, om], "termination": orbit.termination,
                         "limit_label": orbit.limit_label,
-                        "n_samples": len(orbit.lam)})
+                        "n_samples": len(orbit.lam),
+                        "n_steps": orbit.diagnostics["n_steps"],
+                        "n_rhs_evals": orbit.diagnostics["n_rhs_evals"]})
     _write_summary(args.out, cfg.resolved, {"orbits": records,
                                             "backward": backward})
     return 0

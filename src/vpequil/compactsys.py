@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import make_interp_spline
 
+from ._ode import dop853
 from .distmodels import (
     DistributionModel,
     EvaluationError,
@@ -363,6 +363,16 @@ class CompactOrbit:
         return in_S1((self.U, self.Q))
 
 
+# (termination, limit label) by the index of the terminal event that fired
+_TERMINATIONS = {
+    0: ("omega-floor", "unresolved"),
+    1: ("corner-(0,1,0)", "(0,1,0)"),
+    2: ("corner-(1,1,0)", "(1,1,0)"),
+    3: ("omega-ceiling", "unresolved"),
+    None: ("lambda-max", "unresolved"),
+}
+
+
 def integrate_compact(model: DistributionModel, state0, settings: CompactSettings | None = None,
                       backward: bool = False, index_table=None) -> CompactOrbit:
     """Follow the compact flow from state0 until a corner, the potential
@@ -390,7 +400,8 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
 
     def rhs(lam, y):
         om_safe = min(max(y[2], 1e-300), om_hi)
-        du, dq, dom = rhs_compact(model, (y[0], y[1], om_safe), index_table=index_table)
+        du, dq, dom = rhs_compact(model, (y[0], y[1], om_safe),
+                                  index_table=index_table).tolist()
         return [du, dq, dom, (1.0 - y[0]) * (1.0 - y[1])]
 
     def ev_floor(lam, y):
@@ -405,43 +416,21 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
     def ev_singular(lam, y):
         return math.hypot(y[0] - 1.0, y[1] - 1.0, y[2]) - eps
 
-    for ev in (ev_floor, ev_vacuum, ev_singular):
-        ev.terminal = True
-        ev.direction = -1
-    ev_roof.terminal = True
-    ev_roof.direction = 1
-
     lam_end = -st.lambda_max if backward else st.lambda_max
     # xi starts at exactly 0, where purely relative control would stall the
     # first steps; it is an O(1) log radius, so give it a real absolute floor
     atol = [st.abs_tol, st.abs_tol, st.abs_tol, max(st.abs_tol, 1e-14)]
-    sol = solve_ivp(rhs, (0.0, lam_end), [s0.U, s0.Q, s0.Omega, 0.0],
-                    method="DOP853", rtol=st.rel_tol, atol=atol,
-                    dense_output=True,
-                    events=[ev_floor, ev_vacuum, ev_singular, ev_roof])
-    if sol.status < 0:
-        raise EvaluationError(f"compact integration failed: {sol.message}")
-
-    if sol.status == 1:
-        if sol.t_events[1].size:
-            termination, label = "corner-(0,1,0)", "(0,1,0)"
-        elif sol.t_events[2].size:
-            termination, label = "corner-(1,1,0)", "(1,1,0)"
-        elif sol.t_events[3].size:
-            termination, label = "omega-ceiling", "unresolved"
-        else:
-            termination, label = "omega-floor", "unresolved"
-    else:
-        termination, label = "lambda-max", "unresolved"
-
+    sol = dop853(rhs, 0.0, (s0.U, s0.Q, s0.Omega, 0.0), lam_end, st.rel_tol, atol,
+                 events=[(ev_floor, -1), (ev_vacuum, -1), (ev_singular, -1),
+                         (ev_roof, 1)])
+    termination, label = _TERMINATIONS[sol.event]
     diagnostics = {
-        "n_steps": int(len(sol.t) - 1),
-        "n_rhs_evals": int(sol.nfev),
+        "n_steps": sol.n_steps,
+        "n_rhs_evals": sol.nfev,
         "index_table_nodes": getattr(index_table, "n_nodes", None),
         "index_table_error": getattr(index_table, "certified_error", None),
     }
-    return CompactOrbit(model=model, initial=s0, lam=sol.t.copy(),
-                        U=sol.y[0].copy(), Q=sol.y[1].copy(),
-                        Omega=sol.y[2].copy(), xi=sol.y[3].copy(),
-                        termination=termination, limit_label=label,
-                        settings=st, diagnostics=diagnostics, _dense=sol.sol)
+    U, Q, Omega, xi = sol.y
+    return CompactOrbit(model=model, initial=s0, lam=sol.t, U=U, Q=Q, Omega=Omega,
+                        xi=xi, termination=termination, limit_label=label,
+                        settings=st, diagnostics=diagnostics, _dense=sol)

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._ode import dop853
 from .distmodels import (
     DistributionModel,
-    EvaluationError,
     density,
     eval_dg,
     eval_g,
@@ -150,7 +149,7 @@ class SolutionProfile:
         if not lo * (1.0 - 1e-12) <= r <= hi * (1.0 + 1e-12):
             raise ValueError(f"r={r:g} outside the integrated range [{lo:g}, {hi:g}]")
         m, omega = self._dense(min(max(r, lo), hi))
-        return float(m), float(omega)
+        return m, omega
 
     @property
     def samples(self) -> dict:
@@ -182,32 +181,24 @@ def integrate_physical(model: DistributionModel, omega_c: float,
     def hit_floor(r, y):
         return y[1] - st.omega_floor
 
-    hit_floor.terminal = True
-    hit_floor.direction = -1
-
-    sol = solve_ivp(rhs, (r0, st.r_max), [m0, w0], method="DOP853",
-                    rtol=st.rel_tol, atol=st.abs_tol, dense_output=True,
-                    events=[hit_floor])
-    if sol.status < 0:
-        raise EvaluationError(f"integration failed at omega_c={omega_c:g}: {sol.message}")
-
+    sol = dop853(rhs, r0, (m0, w0), st.r_max, st.rel_tol, st.abs_tol,
+                 events=[(hit_floor, -1)])
     r_arr, m_arr, w_arr = sol.t, sol.y[0], sol.y[1]
     diagnostics = {
-        "n_steps": int(len(sol.t) - 1),
-        "n_rhs_evals": int(sol.nfev),
+        "n_steps": sol.n_steps,
         "omega_last": float(w_arr[-1]),
         "r_last": float(r_arr[-1]),
     }
 
-    if sol.status == 1:   # surface: the potential ran out at finite radius
-        radius = float(sol.t_events[0][0])
-        total_mass = float(sol.y_events[0][0][0])
+    if sol.event is not None:   # surface: the potential ran out at finite radius
+        radius = float(r_arr[-1])
+        total_mass = float(m_arr[-1])
         classification = FINITE_RADIUS
         diagnostics["termination"] = "surface"
         diagnostics["decade_mass_ratio"] = None
     else:
         m_end = float(m_arr[-1])
-        m_decade = float(sol.sol(r_arr[-1] / 10.0)[0])
+        m_decade = sol(r_arr[-1] / 10.0)[0]
         ratio = (m_end - m_decade) / m_end
         diagnostics["termination"] = "r_max"
         diagnostics["decade_mass_ratio"] = ratio
@@ -219,16 +210,15 @@ def integrate_physical(model: DistributionModel, omega_c: float,
             total_mass = math.inf
             classification = INFINITE_UNDETERMINED
             diagnostics["mass_at_cutoff"] = m_end
-
-    def dense(r):
-        y = sol.sol(r)
-        return y[0], y[1]
+    # counted after the decade query, so it includes every interpolant built
+    # so far; later dense() calls add three calls per newly used step
+    diagnostics["n_rhs_evals"] = sol.nfev
 
     return SolutionProfile(model=model, omega_c=omega_c,
-                           r=r_arr.copy(), m=m_arr.copy(), omega=w_arr.copy(),
+                           r=r_arr, m=m_arr, omega=w_arr,
                            radius=radius, total_mass=total_mass,
                            classification=classification, settings=st,
-                           diagnostics=diagnostics, _dense=dense)
+                           diagnostics=diagnostics, _dense=sol)
 
 
 def write_csv(path, header: str, rows, precision: int = 17) -> None:

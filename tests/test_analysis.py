@@ -9,11 +9,12 @@ come with a finite-radius profile.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
+from vpequil import analysis
 from vpequil.analysis import (
     GUARANTEED,
     INCONCLUSIVE,
@@ -220,6 +221,11 @@ class FakeProfile:
     radius: float
     total_mass: float
     classification: str
+    # the step samples the forward label maps: one point at
+    # (U, Q, Omega) = (0, 1/2, 1/2), away from both corners
+    samples: dict = field(default_factory=lambda: {
+        "r": np.array([1.0]), "m": np.array([1.0]),
+        "omega": np.array([1.0]), "rho": np.array([0.0])})
 
 
 def transition_solver(omega_star):
@@ -295,6 +301,25 @@ def test_sweep_propagates_programming_errors(exc):
         raise exc("synthetic bug")
     with pytest.raises(exc, match="synthetic bug"):
         sweep_omega_c(polytrope(n=1), [0.5, 1.0, 1.5], solve_fn=broken)
+
+
+@pytest.mark.parametrize("exc", [TypeError, AttributeError])
+def test_forward_label_propagates_programming_errors(monkeypatch, plummer_profile, exc):
+    def broken(model, profile):
+        raise exc("synthetic label bug")
+    monkeypatch.setattr(analysis, "_forward_label", broken)
+    with pytest.raises(exc, match="synthetic label bug"):
+        classify_solution(polytrope(n=5), plummer_profile)
+    with pytest.raises(exc, match="synthetic label bug"):
+        sweep_omega_c(polytrope(n=1), [0.5, 1.0],
+                      solve_fn=lambda m, w, st: FakeProfile(1.0, w, FINITE_RADIUS))
+
+
+def test_forward_label_numerical_failure_is_unresolved(monkeypatch, plummer_profile):
+    def failing(model, profile):
+        raise FloatingPointError("synthetic overflow")
+    monkeypatch.setattr(analysis, "_forward_label", failing)
+    assert classify_solution(polytrope(n=5), plummer_profile).forward_label == "unresolved"
 
 
 @pytest.mark.parametrize("make_solver, grid", [

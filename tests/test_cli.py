@@ -188,12 +188,22 @@ def test_solve_linear_model(tmp_path):
 
 
 def test_solve_outputs_deterministic(tmp_path):
-    path = write_config(tmp_path, solve_config())
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["solve", "--config", path, "--out", str(out1)]) == 0
-    assert main(["solve", "--config", path, "--out", str(out2)]) == 0
-    assert (out1 / "profile.csv").read_bytes() == (out2 / "profile.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+    # a compact ball ends at a surface event; the n = 6 halo runs to r_max
+    # and pays for the mass-decade query
+    for n, termination in ((1.0, "surface"), (6.0, "r_max")):
+        cfg = solve_config()
+        cfg["model"]["n"] = n
+        path = write_config(tmp_path, cfg, name=f"n{n}.json")
+        out1, out2 = tmp_path / f"a{n}", tmp_path / f"b{n}"
+        assert main(["solve", "--config", path, "--out", str(out1)]) == 0
+        assert main(["solve", "--config", path, "--out", str(out2)]) == 0
+        assert (out1 / "profile.csv").read_bytes() == (out2 / "profile.csv").read_bytes()
+        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+        diag = load_summary(out1)["results"]["diagnostics"]
+        assert set(diag) == {"n_steps", "n_rhs_evals", "termination", "decade_mass_ratio"}
+        assert diag["termination"] == termination
+        assert diag["n_rhs_evals"] >= 12 * diag["n_steps"] > 0
+        assert (diag["decade_mass_ratio"] is None) == (termination == "surface")
 
 
 def test_solve_profile_matches_library_writer(tmp_path):
@@ -326,6 +336,9 @@ def test_portrait_outputs_deterministic(tmp_path):
     assert "orbit_001.csv" in names
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for rec in load_summary(out1)["results"]["orbits"]:
+        assert rec["n_rhs_evals"] >= 12 * rec["n_steps"] > 0
+        assert rec["n_samples"] == rec["n_steps"] + 1
 
 
 def test_portrait_tabulated_grid_end_below_four(tmp_path):

@@ -1,0 +1,280 @@
+"""Tests for the float DOP853 integrator behind both flows.
+
+scipy's ``solve_ivp(method="DOP853")`` runs the same method on numpy
+arrays and serves as the oracle.  Roundoff in the first error estimates can
+move the step points, so event times, masses and end states are compared
+at 1e-9 to 1e-8 relative (the integration tolerance is 1e-10), while
+classifications and orbit terminations must be identical.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from vpequil import compactsys, physical
+from vpequil._ode import dop853
+from vpequil.compactsys import CompactSettings, CompactState, integrate_compact, rhs_compact
+from vpequil.distmodels import EvaluationError, king_model, polytrope, wilson_model
+from vpequil.physical import (
+    FINITE_RADIUS,
+    INFINITE_FINITE_MASS,
+    INFINITE_UNDETERMINED,
+    SolveSettings,
+    center_series,
+    integrate_physical,
+    rhs_physical,
+)
+
+A_N1 = math.sqrt(4.0 * math.pi * 2.0 ** 1.5 * math.pi ** 2)   # n=1, l=0, omega_c=1
+
+
+def scipy_physical(model, omega_c):
+    st = SolveSettings().resolved(model, omega_c)
+    m0, w0 = center_series(model, omega_c, st.startup_radius)
+
+    def floor(r, y):
+        return y[1] - st.omega_floor
+    floor.terminal, floor.direction = True, -1
+    return solve_ivp(lambda r, y: rhs_physical(model, r, y), (st.startup_radius, st.r_max),
+                     [m0, w0], method="DOP853", rtol=st.rel_tol, atol=st.abs_tol,
+                     events=[floor], dense_output=True)
+
+
+def scipy_compact(model, start, backward=False, st=CompactSettings()):
+    om_hi = math.nextafter(1.0, 0.0)
+    floor_c = st.omega_floor / (1.0 + st.omega_floor)
+    roof_c = st.omega_ceiling / (1.0 + st.omega_ceiling)
+    eps = st.attraction_eps
+
+    def rhs(lam, y):
+        du, dq, dom = rhs_compact(model, (y[0], y[1], min(max(y[2], 1e-300), om_hi)))
+        return [du, dq, dom, (1.0 - y[0]) * (1.0 - y[1])]
+
+    events = [lambda lam, y: y[2] - floor_c,
+              lambda lam, y: math.hypot(y[0], y[1] - 1.0, y[2]) - eps,
+              lambda lam, y: math.hypot(y[0] - 1.0, y[1] - 1.0, y[2]) - eps,
+              lambda lam, y: y[2] - roof_c]
+    for ev, direction in zip(events, (-1, -1, -1, 1)):
+        ev.terminal, ev.direction = True, direction
+    atol = [st.abs_tol] * 3 + [max(st.abs_tol, 1e-14)]
+    sol = solve_ivp(rhs, (0.0, -st.lambda_max if backward else st.lambda_max),
+                    [*start, 0.0], method="DOP853", rtol=st.rel_tol, atol=atol,
+                    events=events)
+    fired = [i for i, te in enumerate(sol.t_events) if te.size]
+    termination = {(): "lambda-max", (0,): "omega-floor", (1,): "corner-(0,1,0)",
+                   (2,): "corner-(1,1,0)", (3,): "omega-ceiling"}[tuple(fired)]
+    return sol, termination
+
+
+def cell_centres():
+    # one start per cell of a 2 x 3 x 4 grid over the criterion-7 box
+    box, cells = ((0.05, 0.95), (0.05, 0.95), (0.005, 0.5)), (2, 3, 4)
+    axes = [[lo + (hi - lo) * (i + 0.5) / k for i in range(k)]
+            for (lo, hi), k in zip(box, cells)]
+    return [(u, q, om) for u in axes[0] for q in axes[1] for om in axes[2]]
+
+
+# ------------------------------------------------------------ physical flow
+
+@pytest.mark.parametrize("model", [polytrope(n=n, l=l) for n in (1.0, 3.0, 4.5)
+                                   for l in (-0.4, 0.0, 1.0)]
+                         + [wilson_model(), king_model()],
+                         ids=lambda m: f"{m.family}-l{m.l}")
+def test_physical_matches_solve_ivp(model):
+    omega_c = 0.9
+    prof = integrate_physical(model, omega_c)
+    ref = scipy_physical(model, omega_c)
+    if ref.status == 1:
+        assert prof.classification == FINITE_RADIUS
+        assert prof.radius == pytest.approx(ref.t_events[0][0], rel=1e-9)
+        assert prof.r[-1] == prof.radius
+        assert prof.total_mass == pytest.approx(ref.y_events[0][0][0], rel=1e-9)
+    else:
+        assert prof.classification != FINITE_RADIUS
+        assert prof.r[-1] == ref.t[-1]
+        assert prof.m[-1] == pytest.approx(ref.y[0][-1], rel=1e-9)
+        assert prof.omega[-1] == pytest.approx(ref.y[1][-1], rel=1e-9)
+
+
+@pytest.mark.parametrize("n, expected", [(5.0, INFINITE_FINITE_MASS),
+                                         (6.0, INFINITE_UNDETERMINED)])
+def test_halo_classification_matches_solve_ivp(n, expected):
+    model = polytrope(n=n)
+    prof = integrate_physical(model, 1.0)
+    ref = scipy_physical(model, 1.0)
+    m_end = ref.y[0][-1]
+    ratio = (m_end - ref.sol(ref.t[-1] / 10.0)[0]) / m_end
+    ref_class = (INFINITE_FINITE_MASS if ratio < physical.MASS_DECADE_THRESHOLD
+                 else INFINITE_UNDETERMINED)
+    assert prof.classification == ref_class == expected
+    assert prof.diagnostics["decade_mass_ratio"] == pytest.approx(ratio, rel=1e-6)
+
+
+def test_linear_model_radius():
+    prof = integrate_physical(polytrope(n=1.0), 1.0)
+    assert prof.radius == pytest.approx(math.pi / A_N1, rel=1e-9)
+
+
+def test_physical_runs_are_bit_equal():
+    a = integrate_physical(wilson_model(), 1.3)
+    b = integrate_physical(wilson_model(), 1.3)
+    assert a.r.tobytes() == b.r.tobytes()
+    assert a.m.tobytes() == b.m.tobytes()
+    assert a.omega.tobytes() == b.omega.tobytes()
+    assert a.diagnostics == b.diagnostics
+    r = 0.37 * a.radius
+    assert a.dense(r) == b.dense(r)
+
+
+def test_rhs_calls_go_through_module_global(monkeypatch):
+    calls = []
+
+    def counting(model, r, state):
+        calls.append(r)
+        return rhs_physical(model, r, state)
+    monkeypatch.setattr(physical, "rhs_physical", counting)
+    prof = integrate_physical(polytrope(n=3.0), 1.0)
+    assert len(calls) == prof.diagnostics["n_rhs_evals"]
+
+
+# ------------------------------------------------------------- compact flow
+
+@pytest.mark.parametrize("model", [king_model(), polytrope(n=2.0)], ids=["king", "n2"])
+def test_compact_orbits_match_solve_ivp(model):
+    for start in cell_centres():
+        orbit = integrate_compact(model, CompactState(*start))
+        ref, termination = scipy_compact(model, start)
+        assert orbit.termination == termination, start
+        end = np.array([orbit.lam[-1], orbit.U[-1], orbit.Q[-1], orbit.Omega[-1], orbit.xi[-1]])
+        ref_end = np.array([ref.t[-1], *ref.y[:, -1]])
+        assert np.max(np.abs(end - ref_end) / np.maximum(np.abs(ref_end), 1.0)) < 1e-8, start
+
+
+def test_backward_orbit_matches_solve_ivp_labels():
+    model, start = polytrope(n=3.0), (0.5, 0.3, 0.4)
+    st = CompactSettings(lambda_max=80.0)
+    orbit = integrate_compact(model, CompactState(*start), st, backward=True)
+    _, termination = scipy_compact(model, start, backward=True, st=st)
+    assert orbit.termination == termination == "omega-ceiling"
+    assert orbit.limit_label == "unresolved"
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_dense_returns_nodes_on_both_directions(backward):
+    orbit = integrate_compact(king_model(), CompactState(0.6, 0.3, 0.3),
+                              CompactSettings(lambda_max=15.0), backward=backward)
+    assert len(orbit.lam) > 10
+    nodes = np.array([orbit.lam, orbit.U, orbit.Q, orbit.Omega, orbit.xi])
+    for i in (0, 1, len(orbit.lam) // 2, len(orbit.lam) - 1):
+        got = orbit.dense(orbit.lam[i])
+        assert got == pytest.approx(nodes[1:, i], rel=1e-13, abs=1e-15)
+
+
+def test_compact_runs_are_bit_equal():
+    a = integrate_compact(king_model(), CompactState(0.4, 0.2, 0.25))
+    b = integrate_compact(king_model(), CompactState(0.4, 0.2, 0.25))
+    for name in ("lam", "U", "Q", "Omega", "xi"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.diagnostics == b.diagnostics
+
+
+def test_compact_rhs_calls_counted(monkeypatch):
+    calls = []
+
+    def counting(model, state, index_table=None):
+        calls.append(state)
+        return rhs_compact(model, state, index_table)
+    monkeypatch.setattr(compactsys, "rhs_compact", counting)
+    orbit = integrate_compact(polytrope(n=2.0), CompactState(0.6, 0.3, 0.3))
+    assert len(calls) == orbit.diagnostics["n_rhs_evals"]
+
+
+# --------------------------------------------------------- integrator itself
+
+def oscillator(t, y):
+    return [y[1], -y[0]]
+
+
+def test_upward_event_ignores_downward_crossings():
+    # y = sin t from t = 2: falls through 1/2 at pi - pi/6, rises through it
+    # at 2 pi + pi/6
+    y0 = [math.sin(2.0), math.cos(2.0)]
+    up = dop853(oscillator, 2.0, y0, 20.0, 1e-10, 1e-12,
+                events=[(lambda t, y: y[0] - 0.5, 1)])
+    assert up.event == 0
+    assert up.t[-1] == pytest.approx(2.0 * math.pi + math.pi / 6.0, rel=1e-9)
+    down = dop853(oscillator, 2.0, y0, 20.0, 1e-10, 1e-12,
+                  events=[(lambda t, y: y[0] - 0.5, -1)])
+    assert down.t[-1] == pytest.approx(math.pi - math.pi / 6.0, rel=1e-9)
+
+
+def test_earliest_event_wins():
+    # both levels are crossed inside the same step; the earlier root ends the run
+    sol = dop853(oscillator, 0.0, [0.0, 1.0], 10.0, 1e-10, 1e-12,
+                 events=[(lambda t, y: y[0] - 0.500001, 1), (lambda t, y: y[0] - 0.5, 1)])
+    assert sol.event == 1
+    assert sol.t[-1] == pytest.approx(math.asin(0.5), rel=1e-9)
+    assert sol.y[0][-1] == pytest.approx(0.5, rel=1e-12)
+    back = dop853(oscillator, 0.0, [0.0, 1.0], -10.0, 1e-10, 1e-12,
+                  events=[(lambda t, y: y[0] + 0.500001, -1), (lambda t, y: y[0] + 0.5, -1)])
+    assert back.event == 1
+    assert back.t[-1] == pytest.approx(-math.asin(0.5), rel=1e-9)
+
+
+def test_interpolant_is_exact_for_degree_seven():
+    # the continuous extension has order 7, so it reproduces y = t^7 up to roundoff
+    sol = dop853(lambda t, y: [7.0 * t ** 6], 0.0, [0.0], 2.0, 1e-6, 1e-9)
+    assert sol.n_steps > 5
+    for t in np.linspace(0.05, 2.0, 40):
+        assert sol(t)[0] == pytest.approx(t ** 7, rel=1e-13)
+
+
+def test_backward_integration_hits_the_end():
+    sol = dop853(oscillator, 3.0, [math.sin(3.0), math.cos(3.0)], -1.0, 1e-10, 1e-12)
+    assert sol.event is None
+    assert sol.t[-1] == -1.0
+    assert sol.y[0][-1] == pytest.approx(math.sin(-1.0), rel=1e-8)
+    assert sol(0.5)[0] == pytest.approx(math.sin(0.5), rel=1e-8)
+
+
+def test_step_size_collapse_raises():
+    # y' = y^2 from y(0) = 1 blows up at t = 1
+    with pytest.raises(EvaluationError, match="step size collapsed"):
+        dop853(lambda t, y: [y[0] * y[0]], 0.0, [1.0], 2.0, 1e-10, 1e-30)
+
+
+def test_bad_event_direction_rejected():
+    with pytest.raises(ValueError, match="direction"):
+        dop853(oscillator, 0.0, [0.0, 1.0], 1.0, 1e-8, 1e-8,
+               events=[(lambda t, y: y[0], 0)])
+
+
+def test_dense_stages_are_lazy():
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return oscillator(t, y)
+    sol = dop853(counted, 0.0, [0.0, 1.0], 30.0, 1e-10, 1e-12)
+    accepted_and_rejected = 2 + 12 * (sol.n_steps + sol.n_rejected)
+    assert sol.n_interpolants == 0
+    assert sol.nfev == len(calls) == accepted_and_rejected
+    assert sol.nfev <= 13 * sol.n_steps + 12 * sol.n_rejected
+    for t in (1.0, 1.01, 17.0):
+        assert sol(t)[0] == pytest.approx(math.sin(t), rel=1e-8)
+    assert sol.nfev == len(calls) == accepted_and_rejected + 3 * sol.n_interpolants
+    assert 1 <= sol.n_interpolants <= 3
+
+
+@pytest.mark.parametrize("model, omega_c", [(polytrope(n=3.0), 1.0), (king_model(), 1.5),
+                                            (polytrope(n=6.0), 1.0)])
+def test_solve_pays_dense_stages_only_where_used(model, omega_c):
+    prof = integrate_physical(model, omega_c)
+    sol = prof._dense
+    # one interpolant: the surface step or the mass-decade query
+    assert sol.n_interpolants == 1
+    assert prof.diagnostics["n_rhs_evals"] == 2 + 12 * (sol.n_steps + sol.n_rejected) + 3
+    assert (prof.diagnostics["n_rhs_evals"]
+            <= 13 * sol.n_steps + 3 * sol.n_interpolants + 12 * sol.n_rejected)
