@@ -1,15 +1,17 @@
 """Dormand-Prince 8(5,3) on plain Python floats, with terminal events and
-lazy dense output.
+lazy dense output, and the Brent root finder it and the analysis layer use.
 
 The method is scipy's DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*,
-II.5-6): the same Butcher tableau, taken from
-``scipy.integrate._ivp.dop853_coefficients``, the same initial-step rule,
-error norm, step-size control and minimum step, the same 7th-order
-interpolant, and the same event rule (a sign change in the event's
-direction over an accepted step, then ``brentq`` on the interpolant with
-``xtol = rtol = 4 eps``).  The states here have two to four components, so
-numpy calls on arrays of that length cost more than the arithmetic; every
-step runs on floats and lists instead.
+II.5-6): the same Butcher tableau, written out below as the exact float
+values of ``scipy.integrate._ivp.dop853_coefficients`` (the tests compare
+them entry by entry), the same initial-step rule, error norm, step-size
+control and minimum step, the same 7th-order interpolant, and the same
+event rule (a sign change in the event's direction over an accepted step,
+then ``brentq`` on the interpolant with ``xtol = rtol = 4 eps``).
+``brentq`` is a port of scipy's, so roots agree to the bit; the module
+imports nothing from scipy.  The states here have two to four components,
+so numpy calls on arrays of that length cost more than the arithmetic;
+every step runs on floats and lists instead.
 
 The interpolant of a step needs three extra right-hand-side calls.  They
 are made only for a step that an event root or a ``dense`` query lands in;
@@ -25,27 +27,162 @@ from bisect import bisect_left
 from operator import mul
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _coef
-from scipy.optimize import brentq
 
 from .distmodels import EvaluationError
 
-_N_STAGES = _coef.N_STAGES                        # 12 stages per attempt
+_N_STAGES = 12                                    # stages per attempt
 _N_K = _N_STAGES + 1                              # plus f at the step end
-_C = _coef.C[:_N_STAGES].tolist()
-_A = [None] + [_coef.A[s, :s].tolist() for s in range(1, _N_STAGES)]
-_B = _coef.B.tolist()
-_E3 = _coef.E3.tolist()
-_E5 = _coef.E5.tolist()
-_C_EXTRA = _coef.C[_N_K:].tolist()
-_A_EXTRA = [_coef.A[s, :s].tolist() for s in range(_N_K, _coef.N_STAGES_EXTENDED)]
-_D = _coef.D.tolist()
+
+# The DOP853 tableau of scipy.integrate._ivp.dop853_coefficients, each value
+# written as its repr so the bits are exact: nodes and rows of the 12 stages,
+# the 8th-order weights, the 5th- and 3rd-order error weights, the 3 extra
+# stages of the interpolant, and the interpolant's coefficients.
+_C = [
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0
+]
+_A = [
+    None,
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636],
+]
+_B = [
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259
+]
+_E3 = [
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0
+]
+_E5 = [
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0
+]
+_C_EXTRA = [
+    0.1, 0.2, 0.7777777777777778
+]
+_A_EXTRA = [
+    [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298],
+    [0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+     0.1413124436746325],
+    [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987],
+]
+_D = [
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564],
+]
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / 8.0                      # error estimator of order 7
 _ROOT_TOL = 4.0 * np.finfo(float).eps
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=_ROOT_TOL, maxiter=100) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    A line-by-line port of scipy.optimize.brentq (Brent's method as in
+    scipy's Zeros/brentq.c), so it returns the same float: it stops once
+    the bracket half-width is below (xtol + rtol |x|) / 2.  Raises
+    ValueError for xtol <= 0, rtol < 4 eps, a bracket whose ends have the
+    same sign or a NaN value of f, and RuntimeError when maxiter iterations
+    do not converge.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _ROOT_TOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_ROOT_TOL:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                                  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                                             # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry                       # good short step
+            else:
+                spre = scur = sbis                            # bisect
+        else:
+            spre = scur = sbis                                # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def _rms(values) -> float:

@@ -29,8 +29,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._ode import brentq
 from .compactsys import (
     CompactSettings,
     compactify,

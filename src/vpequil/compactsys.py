@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from ._ode import dop853
 from .distmodels import (
@@ -293,6 +292,8 @@ class PolytropicIndexTable:
             self.certified_error = 0.0
             self.n_nodes = 0
             return
+        from scipy.interpolate import make_interp_spline   # loaded on first opt-in use
+
         self._const = None
         x = np.linspace(math.log(omega_lo), math.log(omega_hi), 65)
         v = np.array([eval_n(model, math.exp(t)) for t in x])

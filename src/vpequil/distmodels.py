@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 from scipy.special import beta, betainc, gammainc, gammaln, hyp1f1
 
 from ._quadrature import QuadratureError, integrate_weighted
@@ -155,7 +153,7 @@ class Tabulated:
             raise ModelError("tabulated phi samples must be non-negative")
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "values", v)
-        interp = PchipInterpolator(e, v, extrapolate=False)
+        interp = _Pchip(e, v)
         object.__setattr__(self, "_interp", interp)
         # pieces phi = sum_j c_j (E - x0)^j on the cells reaching E > 0, the
         # cell straddling E = 0 re-expanded about 0 so every piece starts at x0 >= 0
@@ -210,6 +208,50 @@ class Tabulated:
         self._check_range(omega)
         x0, x1, coef, dcoef = self._pieces
         return float(coef[0, 0]) * omega ** m + _piecewise_kernel(x0, x1, dcoef, m, omega)
+
+
+class _Pchip:
+    """Monotone piecewise-cubic (PCHIP) interpolant of samples y at x.
+
+    The same floating-point operations as scipy's PchipInterpolator, so
+    the numbers agree to the bit: Fritsch-Carlson weighted harmonic-mean
+    slopes inside, Moler's shape-preserving one-sided slopes at the ends,
+    and cubic Hermite coefficients ``c`` (shape (4, len(x) - 1), highest
+    power first, about each cell's left node ``x``).  Needs len(x) >= 3;
+    a query outside [x[0], x[-1]] extends the end cells.
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)
+        slope = np.diff(y) / h
+        sign = np.sign(slope)
+        flat = (sign[1:] != sign[:-1]) | (slope[1:] == 0) | (slope[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / slope[:-1] + w2 / slope[1:]) / (w1 + w2)
+            d = np.concatenate(([_pchip_end(h[0], h[1], slope[0], slope[1])],
+                                np.where(flat, 0.0, 1.0 / whmean),
+                                [_pchip_end(h[-1], h[-2], slope[-1], slope[-2])]))
+        t = (d[:-1] + d[1:] - 2 * slope) / h
+        self.x = x
+        self.c = np.array([t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+    def __call__(self, e):
+        i = np.clip(np.searchsorted(self.x, e, side="right") - 1, 0, self.x.size - 2)
+        s = e - self.x[i]
+        c0, c1, c2, c3 = self.c[:, i]
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """One-sided three-point end slope, zeroed or capped to keep the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def _piecewise_kernel(x0, x1, coef, m, omega):
@@ -487,6 +529,8 @@ def density_bruteforce(model: DistributionModel, r, omega) -> float:
     """
     if r <= 0.0 or omega <= 0.0:
         raise ValueError("brute-force density requires r > 0 and omega > 0")
+    from scipy import integrate   # loaded on first use: no run path needs it
+
     l = model.l
 
     def inner(e):

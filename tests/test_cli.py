@@ -8,9 +8,14 @@ frontend promises identical files for identical configs.
 
 import json
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import vpequil
 from vpequil import __version__
 from vpequil.cli import ConfigError, main, parse_config
 
@@ -365,3 +370,44 @@ def test_models_listing(tmp_path, capsys):
     listing = json.loads((out / "models.json").read_text())
     families = [row["family"] for row in listing["families"]]
     assert "polytrope" in families
+
+
+# ------------------------------------------------------------- import graph
+
+def test_run_path_loads_no_heavy_scipy_subpackage(tmp_path):
+    # a fresh interpreter: what the CLI imports, and what its subcommands
+    # load later on polytrope, King and tabulated models, leaves out the
+    # scipy subpackages only the test oracles and the opt-in spline use
+    table = tmp_path / "phi.csv"
+    table.write_text("".join(f"{0.1 * i!r},{math.expm1(0.1 * i)!r}\n" for i in range(31)))
+    models = [{"family": "polytrope", "n": 3.0},
+              {"family": "truncated-exponential", "p": 0, "l": 0.5},
+              {"family": "tabulated", "table": str(table), "k": 1.0}]
+    runs = []
+    for i, model in enumerate(models):
+        cfg = {"model": model,
+               "run": {"omega_c": 0.5, "omega_grid": [0.3, 0.6],
+                       "orbits": [[0.6, 0.3, 0.3]], "lambda_max": 20.0}}
+        path = write_config(tmp_path, cfg, name=f"cfg{i}.json")
+        runs += [[cmd, "--config", path, "--out", str(tmp_path / f"{cmd}{i}")]
+                 for cmd in ("solve", "check", "sweep", "portrait")]
+    script = textwrap.dedent(f"""
+        import json, sys
+        sys.path.insert(0, {str(Path(vpequil.__file__).parents[1])!r})
+        HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
+
+        def heavy():
+            return sorted(m for m in sys.modules
+                          if any(m == h or m.startswith(h + ".") for h in HEAVY))
+
+        import vpequil.cli
+        after_import = heavy()
+        codes = [vpequil.cli.main(argv) for argv in {runs!r}]
+        print(json.dumps({{"import": after_import, "codes": codes, "runs": heavy()}}))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["import"] == []
+    assert report["codes"] == [0] * len(runs)
+    assert report["runs"] == []

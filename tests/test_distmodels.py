@@ -42,6 +42,7 @@ from vpequil.distmodels import (
     tabulated_model,
     truncated_exponential,
 )
+from vpequil.distmodels import _Pchip
 
 
 def closed_form_g(n, m, omega, phi_minus=1.0):
@@ -96,6 +97,36 @@ def test_phi_vectorized():
     assert out[2] == pytest.approx(math.expm1(0.5))
     assert out[3] == pytest.approx(math.expm1(2.0))
 
+
+
+def _pchip_grids():
+    rng = np.random.default_rng(5)
+    grids = []
+    for _ in range(60):
+        n = int(rng.integers(4, 30))
+        x = np.cumsum(rng.uniform(0.01, 1.0, n)) - rng.uniform(0.0, 2.0)
+        y = rng.uniform(0.0, 3.0, n)
+        y[rng.random(n) < 0.25] = 0.0              # zeros and flat runs of zeros
+        if rng.random() < 0.5:
+            j = int(rng.integers(0, n - 2))
+            y[j:j + 3] = y[j]                        # a flat run of three
+        grids.append((x, y))
+    e = np.linspace(-0.5, 2.5, 11)
+    grids.append((e, np.exp(e)))                     # monotone, grid starts below 0
+    grids.append((np.array([0.0, 0.3, 1.0, 1.7]), np.array([0.0, 2.0, 1.0, 1.5])))
+    grids.append((np.linspace(0.0, 2.0, 9), np.sin(3.0 * np.linspace(0.0, 2.0, 9)) + 1.0))
+    grids.append((np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0, 1.0])))
+    return grids
+
+
+def test_pchip_equals_scipy_bit_for_bit():
+    for x, y in _pchip_grids():
+        ours, ref = _Pchip(x, y), PchipInterpolator(x, y)
+        assert np.array_equal(ours.c, ref.c)
+        mids = 0.5 * (x[:-1] + x[1:])
+        queries = np.concatenate([x, mids, np.linspace(x[0], x[-1], 97)])
+        assert np.array_equal(ours(queries), ref(queries))
+        assert ours(x[-1]) == ref(x[-1])
 
 # ------------------------------------------------------------- validation
 

@@ -4,17 +4,21 @@ scipy's ``solve_ivp(method="DOP853")`` runs the same method on numpy
 arrays and serves as the oracle.  Roundoff in the first error estimates can
 move the step points, so event times, masses and end states are compared
 at 1e-9 to 1e-8 relative (the integration tolerance is 1e-10), while
-classifications and orbit terminations must be identical.
+classifications and orbit terminations must be identical.  The inlined
+tableau and the ``brentq`` port must equal scipy's to the bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 from vpequil import compactsys, physical
-from vpequil._ode import dop853
+from vpequil import _ode
+from vpequil._ode import brentq, dop853
 from vpequil.compactsys import CompactSettings, CompactState, integrate_compact, rhs_compact
 from vpequil.distmodels import EvaluationError, king_model, polytrope, wilson_model
 from vpequil.physical import (
@@ -278,3 +282,60 @@ def test_solve_pays_dense_stages_only_where_used(model, omega_c):
     assert prof.diagnostics["n_rhs_evals"] == 2 + 12 * (sol.n_steps + sol.n_rejected) + 3
     assert (prof.diagnostics["n_rhs_evals"]
             <= 13 * sol.n_steps + 3 * sol.n_interpolants + 12 * sol.n_rejected)
+
+
+# ------------------------------------------------- scipy as the bit oracle
+
+def test_tableau_equals_scipy():
+    c = dop853_coefficients
+    n = c.N_STAGES
+    assert n == _ode._N_STAGES
+    assert _ode._C == c.C[:n].tolist()
+    assert _ode._A[0] is None
+    assert _ode._A[1:] == [c.A[s, :s].tolist() for s in range(1, n)]
+    assert _ode._B == c.B.tolist()
+    assert _ode._E3 == c.E3.tolist()
+    assert _ode._E5 == c.E5.tolist()
+    assert _ode._C_EXTRA == c.C[n + 1:].tolist()
+    assert _ode._A_EXTRA == [c.A[s, :s].tolist() for s in range(n + 1, c.N_STAGES_EXTENDED)]
+    assert _ode._D == c.D.tolist()
+
+
+def _brent_cases():
+    rng = np.random.default_rng(20041)
+    cases = []
+    for _ in range(150):
+        a, b = rng.uniform(-4.0, 0.0), rng.uniform(0.05, 4.0)
+        root = rng.uniform(a, b)
+        p = int(rng.integers(1, 6))
+        scale = rng.uniform(0.1, 3.0)
+        cases.append((lambda x, r=root, p=p, s=scale:
+                      (x - r) * (abs(x - r) ** (p - 1) + s * math.exp(-x * x)), a, b))
+    cases.append((math.cos, 0.0, 3.0))
+    cases.append((lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0))
+    cases.append((lambda x: math.tanh(40.0 * (x - 0.3)), -1.0, 2.0))
+    cases.append((lambda x: x - 1.0, 1.0, 3.0))        # root at the left end
+    cases.append((lambda x: x * x - 4.0, -1.0, 2.0))   # root at the right end
+    return cases
+
+
+@pytest.mark.parametrize("tols", [{}, {"xtol": 4 * np.finfo(float).eps,
+                                       "rtol": 4 * np.finfo(float).eps}])
+def test_brentq_equals_scipy(tols):
+    for f, a, b in _brent_cases():
+        for lo, hi in ((a, b), (b, a)):
+            assert brentq(f, lo, hi, **tols) == optimize.brentq(f, lo, hi, **tols)
+
+
+@pytest.mark.parametrize("f, a, b, kwargs, exc", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError),             # same sign
+    (lambda x: math.nan if x > 0.5 else x - 1.0, 0.0, 2.0, {}, ValueError),
+    (lambda x: math.copysign(1.0, x - math.pi), 0.0, 10.0, {"maxiter": 2}, RuntimeError),
+    (lambda x: x - 1.0, 0.0, 2.0, {"xtol": 0.0}, ValueError),
+    (lambda x: x - 1.0, 0.0, 2.0, {"rtol": 1e-17}, ValueError),
+])
+def test_brentq_raises_like_scipy(f, a, b, kwargs, exc):
+    with pytest.raises(exc):
+        optimize.brentq(f, a, b, **kwargs)
+    with pytest.raises(exc):
+        brentq(f, a, b, **kwargs)
