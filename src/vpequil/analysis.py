@@ -38,12 +38,7 @@ from .compactsys import (
     map_profile,
     to_dimensionless,
 )
-from .distmodels import (
-    DistributionModel,
-    EvaluationError,
-    Polytrope,
-    eval_n,
-)
+from .distmodels import DistributionModel, EvaluationError
 from .physical import (
     FINITE_RADIUS,
     INFINITE_FINITE_MASS,
@@ -106,9 +101,7 @@ class SweepResult:
 # ------------------------------------------------------------ index grids
 
 def _index_fn(model: DistributionModel, n_fn):
-    if n_fn is not None:
-        return n_fn
-    return lambda w: eval_n(model, w)
+    return n_fn if n_fn is not None else model._index
 
 
 def _grid_check(n_of, omega_hi: float, bound: float) -> dict:
@@ -157,25 +150,26 @@ def check_theorem1(model: DistributionModel, omega_0: float,
 def omega_crit(model: DistributionModel, n_fn=None) -> float:
     """Largest amplitude below which n(omega) stays under 5 + 3l.
 
-    Returns ``math.inf`` when the index never exceeds the bound anywhere
-    the scan can reach, and ``0.0`` when it exceeds the bound for every
+    The index is scanned at omega = 1e-10 * 2^k up to 1e12 (74 probes),
+    or up to the last point where it can be evaluated, such as the end of
+    a tabulated grid.  Returns ``math.inf`` when the index never exceeds
+    the bound on the scan, and ``0.0`` when it exceeds the bound for every
     positive amplitude, so no nontrivial range exists.  A multi-crossing
     index triggers a RuntimeWarning and the largest crossing is returned.
     """
     bound = 5.0 + 3.0 * model.l
-    if n_fn is None and isinstance(model.family, Polytrope):
-        return math.inf if model.family.n <= bound else 0.0
+    n_const = model.family.constant_index
+    if n_fn is None and n_const is not None:
+        return math.inf if n_const <= bound else 0.0
 
     n_of = _index_fn(model, n_fn)
     omegas, excess = [], []
     w = 1e-10
     while w <= 1e12:
-        # the scan deliberately probes until evaluation overflows
+        # the bound indices of the built-in families stay finite up to 1e12;
+        # a tabulated grid's end, or a failing n_fn, ends the scan early
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    val = float(n_of(w))
+            val = float(n_of(w))
         except (EvaluationError, OverflowError, ValueError):
             break
         if not math.isfinite(val):

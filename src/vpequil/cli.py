@@ -45,7 +45,6 @@ from .distmodels import (
     DistributionModel,
     EvaluationError,
     ModelError,
-    Tabulated,
     eval_n,
     king_model,
     load_tabulated,
@@ -215,11 +214,12 @@ def _validate_run(block):
 
 
 def _check_table_range(model, run):
-    """A tabulated phi ends at its last energy: no amplitude and no orbit
-    start's potential Omega/(1-Omega) may lie past it."""
-    if not isinstance(model.family, Tabulated):
+    """A family with a largest energy (a tabulated phi ends at its last
+    sample) admits no amplitude and no orbit start's potential
+    Omega/(1-Omega) past it."""
+    end = model.family.energy_max
+    if end is None:
         return
-    end = float(model.family.energies[-1])
     amplitudes = [(f"run.{key}", run[key]) for key in ("omega_c", "omega_0") if key in run]
     amplitudes += [(f"run.omega_grid[{i}]", w) for i, w in enumerate(run.get("omega_grid", ()))]
     amplitudes += [(f"run.orbits[{i}] omega", om / (1.0 - om))

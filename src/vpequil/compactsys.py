@@ -22,7 +22,6 @@ from ._ode import dop853
 from .distmodels import (
     DistributionModel,
     EvaluationError,
-    Polytrope,
     density,
     eval_n,
 )
@@ -121,10 +120,12 @@ def map_profile(model: DistributionModel, profile: SolutionProfile):
 # ------------------------------------------------------------ vector field
 
 def rhs_compact(model: DistributionModel, state, index_table=None):
-    """Compact flow (dU, dQ, dOmega)/dlambda.
+    """Compact flow (dU, dQ, dOmega)/dlambda, as a tuple of floats.
 
     Accepts U, Q slightly off the faces (the field is polynomial in them),
     which finite-difference Jacobians rely on; Omega must stay interior.
+    The index comes from the model's bound n(omega) unless `index_table`
+    is given.
     """
     U, Q, Om = float(state[0]), float(state[1]), float(state[2])
     if not 0.0 < Om < 1.0:
@@ -132,14 +133,14 @@ def rhs_compact(model: DistributionModel, state, index_table=None):
     l = model.l
     if Q != 0.0:
         omega = Om / (1.0 - Om)
-        n = index_table(omega) if index_table is not None else eval_n(model, omega)
+        n = index_table(omega) if index_table is not None else model._index(omega)
     else:
         n = 0.0   # multiplied by Q = 0 below
     du = U * (1.0 - U) * ((1.0 - Q) * (3.0 + 2.0 * l - (4.0 + 2.0 * l) * U)
                           - (n + l) * Q * (1.0 - U))
     dq = Q * (1.0 - Q) * ((2.0 * U - 1.0) * (1.0 - Q) + Q * (1.0 - U))
     dom = -Om * (1.0 - Om) * Q * (1.0 - U)
-    return np.array([du, dq, dom])
+    return du, dq, dom
 
 
 def fixed_lines(l: float):
@@ -164,8 +165,8 @@ def jacobian_eigenvalues(model: DistributionModel, state, step: float = 1e-6):
     for j in range(3):
         offset = np.zeros(3)
         offset[j] = step
-        hi = rhs_compact(model, base + offset)
-        lo = rhs_compact(model, base - offset)
+        hi = np.asarray(rhs_compact(model, base + offset))
+        lo = np.asarray(rhs_compact(model, base - offset))
         jac[:, j] = (hi - lo) / (2.0 * step)
     return np.linalg.eigvals(jac)
 
@@ -210,7 +211,7 @@ def monitor_dZ(model: DistributionModel, state, index_table=None) -> float:
     U, Q, Om = _triple(state)
     l = model.l
     omega = Om / (1.0 - Om)
-    n = index_table(omega) if index_table is not None else eval_n(model, omega)
+    n = index_table(omega) if index_table is not None else model._index(omega)
     factor = 2.0 * (l + 1.0) * U * (1.0 - Q) + (3.0 + l - n) * Q * (1.0 - U)
     return factor * monitor_Z(state, l)
 
@@ -241,10 +242,11 @@ def in_S2(model: DistributionModel, state, omega_0: float | None = None,
     l = model.l
     omega0 = omega_0 if omega_0 is not None else Om / (1.0 - Om)
     a = 3.0 + 2.0 * l
-    if isinstance(model.family, Polytrope):
-        sup_bound = a / (a + l + model.family.n)
+    n_const = model.family.constant_index
+    if n_const is not None:
+        sup_bound = a / (a + l + n_const)
     else:
-        n_of = index_table if index_table is not None else (lambda w: eval_n(model, w))
+        n_of = index_table if index_table is not None else model._index
         ns = np.array([n_of(w) for w in np.geomspace(omega0 * 1e-10, omega0, 129)])
         sup_bound = float(np.max(a / (a + l + ns)))
     return Q > max(0.5, sup_bound)
@@ -270,12 +272,14 @@ class PolytropicIndexTable:
     """Certified spline memo of n(omega) on a log grid.
 
     The grid is refined dyadically until the spline built on the coarser
-    level matches direct evaluation at all midpoints to `tol`; the final
-    spline keeps the midpoints as extra nodes.  A grid that reaches
-    `max_nodes` uncertified raises EvaluationError.  Queries off the range
-    fall back to direct evaluation, and power-law families collapse to a
-    constant.  Nothing builds a table implicitly: callers pass one as
-    `index_table` where a spline lookup pays.
+    level matches `eval_n` at all midpoints to `tol`; the final spline keeps
+    the midpoints as extra nodes.  A grid that reaches `max_nodes`
+    uncertified raises EvaluationError.  Queries off the range fall back to
+    `eval_n`, and a family with a constant index collapses to that constant.
+    Nothing builds a table implicitly: the model's bound index is already a
+    few float operations (a short series or continued fraction for the
+    lowered exponentials), so a caller passes a table as `index_table` only
+    where a spline lookup is worth its build.
     """
 
     def __init__(self, model: DistributionModel, omega_lo: float, omega_hi: float,
@@ -286,15 +290,14 @@ class PolytropicIndexTable:
         self.omega_lo = omega_lo
         self.omega_hi = omega_hi
         self.tol = tol
-        if isinstance(model.family, Polytrope):
-            self._const = float(model.family.n)
+        self._const = model.family.constant_index
+        if self._const is not None:
             self._spline = None
             self.certified_error = 0.0
             self.n_nodes = 0
             return
         from scipy.interpolate import make_interp_spline   # loaded on first opt-in use
 
-        self._const = None
         x = np.linspace(math.log(omega_lo), math.log(omega_hi), 65)
         v = np.array([eval_n(model, math.exp(t)) for t in x])
         while True:
@@ -378,7 +381,7 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
                       backward: bool = False, index_table=None) -> CompactOrbit:
     """Follow the compact flow from state0 until a corner, the potential
     floor, or the lambda budget; xi accumulates the logarithmic radius.
-    The index n(omega) comes from eval_n unless `index_table` is given."""
+    The index n(omega) is the model's bound one unless `index_table` is given."""
     st = settings or CompactSettings()
     if not st.lambda_max > 0.0:
         raise ValueError("lambda_max must be positive")
@@ -401,8 +404,7 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
 
     def rhs(lam, y):
         om_safe = min(max(y[2], 1e-300), om_hi)
-        du, dq, dom = rhs_compact(model, (y[0], y[1], om_safe),
-                                  index_table=index_table).tolist()
+        du, dq, dom = rhs_compact(model, (y[0], y[1], om_safe), index_table=index_table)
         return [du, dq, dom, (1.0 - y[0]) * (1.0 - y[1])]
 
     def ev_floor(lam, y):

@@ -12,6 +12,19 @@ in closed form for all m > -1: a Beta function for polytropes, a regularized
 incomplete gamma function for the lowered exponentials, and incomplete Beta
 functions summed over the cubic pieces of a tabulated interpolant.
 
+Each model binds two float functions of omega once, when it is built: the
+density kernel g_{l+1/2} and the local index n = -l + omega g'/g at
+m = l + 1/2.  Both flows and the criteria call these and nothing else per
+step.  A polytrope's index is the constant n.  A lowered exponential's index
+is taken in ratio form: with a = p + l + 5/2 and
+
+    S(omega) = sum_k omega^k / (a (a+1) ... (a+k))    (DLMF 8.7.1),
+
+g'/g = 1 + 1/(omega S), so n = -l + omega + 1/S.  Above omega = a + 1 the
+sum is replaced by the continued fraction for e^omega omega^-a Gamma(a, omega)
+(DLMF 8.9.2), so the index neither overflows nor needs the incomplete gamma
+function.  A tabulated model's index is the quotient of its two kernels.
+
 Singularity-adapted Gauss-Jacobi quadrature of the same integrals
 (`eval_g_quadrature`, `eval_dg_quadrature`) and the direct double integral
 (`density_bruteforce`) are kept as independent oracles; no production path
@@ -32,6 +45,8 @@ DEFAULT_QUAD_TOL = 1e-10
 _OMEGA_MIN = 1e-300   # below this the index n(omega) is refused, not extrapolated
 _LOG_MAX = math.log(np.finfo(float).max)
 _CLOSED_FORM_ERR = 1e-13   # relative error budget reported for the closed forms
+_TINY = 1e-300             # modified Lentz: stand-in for a vanishing denominator
+_LENTZ_MAX_TERMS = 1000    # the index's continued fraction needs < 100 above a + 1
 
 
 class ModelError(ValueError):
@@ -50,6 +65,13 @@ class Polytrope:
 
     n: float
     phi_minus: float = 1.0
+
+    energy_max = None   # the largest energy phi accepts; None: unbounded
+
+    @property
+    def constant_index(self):
+        """n(omega) when it is the same for every omega, else None."""
+        return self.n
 
     def validate(self):
         if not self.n > 0.5:
@@ -71,18 +93,27 @@ class Polytrope:
                            0.0)
         return out
 
-    def phi_reduced(self, e):
-        # phi(E)/E^k is the constant amplitude
+    def phi_reduced(self, e, k=None):
+        # phi(E)/E^k is the constant amplitude; the family fixes k = n - 3/2
         return np.full_like(np.asarray(e, dtype=float), self.phi_minus)
 
+    def kernel(self, m):
+        """omega -> g_m(omega) = omega^(n+m-1/2) phi_minus B(n-1/2, m+1)."""
+        n, phi_minus = self.n, self.phi_minus
+        power = n + m - 0.5
+        beta_nm = math.exp(math.lgamma(n - 0.5) + math.lgamma(m + 1.0)
+                           - math.lgamma(n + m + 0.5))
+        return lambda omega: phi_minus * omega ** power * beta_nm
+
     def g(self, m, omega):
-        # int_0^omega E^(n-3/2) (omega-E)^m dE = omega^(n+m-1/2) B(n-1/2, m+1)
-        n = self.n
-        return self.phi_minus * omega ** (n + m - 0.5) * math.exp(
-            math.lgamma(n - 0.5) + math.lgamma(m + 1.0) - math.lgamma(n + m + 0.5))
+        return self.kernel(m)(omega)
 
     def dg(self, m, omega):
         return (self.n + m - 0.5) * self.g(m, omega) / omega
+
+    def index(self, l):
+        n = self.n
+        return lambda omega: n
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +127,9 @@ class TruncatedExponential:
 
     p: int
 
+    energy_max = None
+    constant_index = None
+
     def validate(self):
         if self.p < 0 or int(self.p) != self.p:
             raise ModelError(f"truncation order p must be a non-negative integer, got {self.p}")
@@ -107,27 +141,74 @@ class TruncatedExponential:
         e = np.asarray(e, dtype=float)
         return np.where(e > 0.0, np.exp(e) * gammainc(self.p + 1, np.maximum(e, 0.0)), 0.0)
 
-    def phi_reduced(self, e):
+    def phi_reduced(self, e, k=None):
         """phi(E)/E^(p+1) = 1F1(1; p+2; E)/(p+1)!, stable down to E = 0."""
         e = np.asarray(e, dtype=float)
         return hyp1f1(1.0, self.p + 2.0, e) / math.factorial(self.p + 1)
 
-    def g(self, m, omega):
-        """Gamma(m+1) e^omega P(p+m+2, omega), summing phi_p term by term."""
+    def kernel(self, m):
+        """omega -> Gamma(m+1) e^omega P(p+m+2, omega), summing phi_p term by term."""
         a = self.p + m + 2.0
-        log_scale = math.lgamma(m + 1.0) + omega
-        frac = float(gammainc(a, omega))
-        if log_scale <= _LOG_MAX:
-            return math.exp(log_scale) * frac   # frac <= 1: cannot overflow
-        if frac > 0.0 and log_scale + math.log(frac) <= _LOG_MAX:
-            return math.exp(log_scale + math.log(frac))
-        raise EvaluationError(f"g_{m:g}(omega={omega:g}) overflows double precision")
+        log_gamma = math.lgamma(m + 1.0)
+
+        def g(omega):
+            log_scale = log_gamma + omega
+            frac = float(gammainc(a, omega))
+            if log_scale <= _LOG_MAX:
+                return math.exp(log_scale) * frac   # frac <= 1: cannot overflow
+            if frac > 0.0 and log_scale + math.log(frac) <= _LOG_MAX:
+                return math.exp(log_scale + math.log(frac))
+            raise EvaluationError(f"g_{m:g}(omega={omega:g}) overflows double precision")
+        return g
+
+    def g(self, m, omega):
+        return self.kernel(m)(omega)
 
     def dg(self, m, omega):
         # d/domega [e^omega P(a, omega)] = e^omega P(a, omega) + omega^(a-1)/Gamma(a)
         a = self.p + m + 2.0
         return self.g(m, omega) + math.exp(
             math.lgamma(m + 1.0) + (a - 1.0) * math.log(omega) - math.lgamma(a))
+
+    def index(self, l):
+        """omega -> -l + omega + 1/S(omega), S = e^omega omega^-a gamma(a, omega)."""
+        a = self.p + l + 2.5
+        log_gamma_a = math.lgamma(a)
+
+        def n(omega):
+            if omega <= a + 1.0:
+                # S = sum_k omega^k/(a)_{k+1}: positive terms, ratio below 1
+                term = total = 1.0 / a
+                ak = a
+                while term > total * 1e-17:
+                    ak += 1.0
+                    term *= omega / ak
+                    total += term
+                return -l + omega + 1.0 / total
+            # 1/S = E/(1 - E T) with E = omega^a e^-omega/Gamma(a) and
+            # T = e^omega omega^-a Gamma(a, omega) by modified Lentz; E
+            # underflows to 0 for large omega, where n = omega - l exactly
+            b = omega + 1.0 - a
+            c, d = 1.0 / _TINY, 1.0 / b
+            tail = d
+            for i in range(1, _LENTZ_MAX_TERMS):
+                an = -i * (i - a)
+                b += 2.0
+                d = an * d + b
+                d = 1.0 / (d if abs(d) > _TINY else _TINY)
+                c = b + an / c
+                if abs(c) < _TINY:
+                    c = _TINY
+                step = c * d
+                tail *= step
+                if abs(step - 1.0) <= 2.5e-16:   # one ulp of 1 from above
+                    break
+            else:
+                raise EvaluationError(f"index continued fraction did not converge "
+                                      f"at omega={omega:g}")
+            e = math.exp(a * math.log(omega) - omega - log_gamma_a)
+            return -l + omega + e / (1.0 - e * tail)
+        return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +222,8 @@ class Tabulated:
 
     energies: np.ndarray
     values: np.ndarray
+
+    constant_index = None
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
@@ -165,7 +248,8 @@ class Tabulated:
             coef[:, 0] = [sum(math.comb(j, i) * coef[j, 0] * shift ** (j - i)
                               for j in range(i, 4)) for i in range(4)]
             x0[0] = 0.0
-        object.__setattr__(self, "_pieces", (x0, interp.x[1:][keep], coef,
+        x1 = interp.x[1:][keep]
+        object.__setattr__(self, "_pieces", (x0, x1 - x0, coef,
                                              coef[1:] * np.arange(1.0, 4.0)[:, None]))
 
     def validate(self):
@@ -186,8 +270,15 @@ class Tabulated:
         out = np.where(e > 0.0, self._interp(np.clip(e, lo, hi)), 0.0)
         return np.maximum(np.nan_to_num(out, nan=0.0), 0.0)
 
-    def phi_reduced(self, e):
-        raise NotImplementedError   # handled by the model via declared k
+    @property
+    def energy_max(self):
+        return float(self.energies[-1])
+
+    def phi_reduced(self, e, k):
+        """phi(E)/E^k with the declared low-energy exponent k."""
+        e = np.asarray(e, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(e > 0.0, self.phi(e) / np.power(np.maximum(e, _OMEGA_MIN), k), 0.0)
 
     def _check_range(self, omega):
         hi = float(self.energies[-1])
@@ -197,17 +288,46 @@ class Tabulated:
         if self.energies[0] > 0.0:
             raise EvaluationError("tabulated phi queried below the grid start")
 
+    def kernel(self, m, derivative=False):
+        """omega -> g_m(omega), or dg_m/domega, with the Beta row computed once.
+
+        g_m(omega) = int_0^omega phi(omega - s) s^m ds, so the jump of phi at
+        E = 0 gives dg_m a term phi(0+) omega^m; the rest is phi' (piecewise
+        quadratic) against (omega - E)^m.
+        """
+        x0, width, coef, dcoef = self._pieces
+        beta_row = beta(np.arange(1.0, 5.0)[:, None], m + 1.0)
+        check = self._check_range
+        if not derivative:
+            def g(omega):
+                check(omega)
+                return _piecewise_kernel(x0, width, coef, beta_row, m, omega)
+            return g
+        phi0 = float(coef[0, 0])
+        beta_row = beta_row[:3]
+
+        def dg(omega):
+            check(omega)
+            return phi0 * omega ** m + _piecewise_kernel(x0, width, dcoef, beta_row, m, omega)
+        return dg
+
     def g(self, m, omega):
-        self._check_range(omega)
-        x0, x1, coef, _ = self._pieces
-        return _piecewise_kernel(x0, x1, coef, m, omega)
+        return self.kernel(m)(omega)
 
     def dg(self, m, omega):
-        # g_m(omega) = int_0^omega phi(omega - s) s^m ds: the jump of phi at
-        # E = 0 gives phi(0+) omega^m, the rest is phi' (piecewise quadratic)
-        self._check_range(omega)
-        x0, x1, coef, dcoef = self._pieces
-        return float(coef[0, 0]) * omega ** m + _piecewise_kernel(x0, x1, dcoef, m, omega)
+        return self.kernel(m, derivative=True)(omega)
+
+    def index(self, l):
+        m = l + 0.5
+        g, dg = self.kernel(m), self.kernel(m, derivative=True)
+
+        def n(omega):
+            gv = g(omega)
+            if not gv > _OMEGA_MIN:
+                raise EvaluationError(
+                    f"index undefined: g_{m:g}({omega:g}) at or below the floor")
+            return -l + omega * dg(omega) / gv
+        return n
 
 
 class _Pchip:
@@ -254,18 +374,19 @@ def _pchip_end(h0, h1, m0, m1):
     return d
 
 
-def _piecewise_kernel(x0, x1, coef, m, omega):
+def _piecewise_kernel(x0, width, coef, beta_row, m, omega):
     """Sum over pieces of int_x0^min(x1, omega) sum_j c_j (E-x0)^j (omega-E)^m dE.
 
     With E = x0 + (omega - x0) t each monomial becomes an incomplete Beta
     integral, (omega-x0)^(j+m+1) B(j+1, m+1) I_u(j+1, m+1), so no power of
-    (omega - E) is expanded and nothing cancels across pieces.
+    (omega - E) is expanded and nothing cancels across pieces.  ``width`` is
+    x1 - x0 per piece and ``beta_row`` the column B(j+1, m+1), j = 0, 1, ...
     """
     n = int(np.searchsorted(x0, omega))
     span = omega - x0[:n]
-    u = np.minimum((x1[:n] - x0[:n]) / span, 1.0)
+    u = np.minimum(width[:n] / span, 1.0)
     a = np.arange(1.0, coef.shape[0] + 1.0)[:, None]
-    terms = coef[:, :n] * span ** (a + m) * beta(a, m + 1.0) * betainc(a, m + 1.0, u)
+    terms = coef[:, :n] * span ** (a + m) * beta_row * betainc(a, m + 1.0, u)
     return float(terms.sum())
 
 
@@ -310,17 +431,13 @@ class DistributionModel:
                 raise ModelError(
                     f"Hölder index {h:g} insufficient: needs > {-self.l - 0.5:g} for l={self.l:g}")
         object.__setattr__(self, "_prefactor", density_prefactor(self.l))
+        # the per-step functions of omega, bound once: g_{l+1/2} and n
+        object.__setattr__(self, "_kernel", self.family.kernel(self.l + 0.5))
+        object.__setattr__(self, "_index", self.family.index(self.l))
 
     def phi_reduced(self, e):
         """phi(E) / E^k with the declared exponent k."""
-        fam = self.family
-        if isinstance(fam, Tabulated):
-            e = np.asarray(e, dtype=float)
-            k = self.regularity.k
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(e > 0.0, fam.phi(e) / np.power(np.maximum(e, _OMEGA_MIN), k), 0.0)
-            return out
-        return fam.phi_reduced(e)
+        return self.family.phi_reduced(e, self.regularity.k)
 
 
 def polytrope(n, l=0.0, phi_minus=1.0) -> DistributionModel:
@@ -484,18 +601,13 @@ def eval_dg_quadrature(model: DistributionModel, m, omega,
 def eval_n(model: DistributionModel, omega) -> float:
     """Local polytropic index n(omega) = -l + omega * g'/g at m = l + 1/2.
 
-    Calls the family's closed forms directly: the argument checks of eval_g
-    and eval_dg cannot fail here, since m = l + 1/2 > -1/2 and the model
-    has already checked, for l < -1/2, the Hölder index the derivative needs.
+    Calls the model's bound index; the argument checks of eval_g and eval_dg
+    cannot fail here, since m = l + 1/2 > -1/2 and the model has already
+    checked, for l < -1/2, the Hölder index the derivative needs.
     """
     if omega < _OMEGA_MIN:
         raise EvaluationError(f"index n(omega) refused below omega={_OMEGA_MIN:g}")
-    m = model.l + 0.5
-    g = _finite(model.family.g(m, omega), f"g_{m:g}", omega)
-    if not g > _OMEGA_MIN:
-        raise EvaluationError(f"index undefined: g_{m:g}({omega:g}) at or below the floor")
-    dg = _finite(model.family.dg(m, omega), f"dg_{m:g}", omega)
-    return -model.l + omega * dg / g
+    return model._index(omega)
 
 
 def density_prefactor(l) -> float:

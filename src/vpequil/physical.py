@@ -120,9 +120,14 @@ def center_series(model: DistributionModel, omega_c: float, r):
 
 
 def rhs_physical(model: DistributionModel, r: float, state):
-    """Right-hand side (dm/dr, domega/dr); omega is clamped at the vacuum."""
+    """Right-hand side (dm/dr, domega/dr); omega is clamped at the vacuum.
+
+    rho = C_l r^(2l) g_{l+1/2}(omega) through the model's bound kernel, the
+    same floats as `density`.
+    """
     m, omega = float(state[0]), float(state[1])
-    rho = density(model, r, omega) if omega > 0.0 else 0.0
+    rho = (model._prefactor * r ** (2.0 * model.l) * model._kernel(omega)
+           if omega > 0.0 else 0.0)
     return 4.0 * math.pi * r * r * rho, -m / (r * r)
 
 

@@ -11,6 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -92,6 +93,36 @@ def test_omega_crit_wilson():
     oc = omega_crit(model)
     assert oc == pytest.approx(WILSON_OMEGA_CRIT, rel=1e-7)
     assert eval_n(model, oc) == pytest.approx(5.0, abs=1e-8)
+
+
+def mp_omega_crit(p, l):
+    """Root of n(omega) = 5 + 3l for phi_p, in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        m = mpmath.mpf(l) + mpmath.mpf(1) / 2
+        a = p + m + 2
+
+        def excess(w):
+            s = mpmath.hyp1f1(1, a + 1, w) / a   # sum_k w^k/(a)_{k+1}
+            return -l + w + 1 / s - (5 + 3 * mpmath.mpf(l))
+        return float(mpmath.findroot(excess, 4.0))
+
+
+def test_omega_crit_scan_runs_to_1e12():
+    # the lowered-exponential index is finite up to 1e12, so the scan probes
+    # 1e-10 * 2^k for k = 0..73 (2^74 * 1e-10 > 1e12) and stops at no error
+    grid = [1e-10 * 2.0 ** k for k in range(74)]
+    recorded = {(0, 0.0): 4.622808966605007, (1, 0.0): 3.9023231626784103}
+    for p in (0, 1):
+        for l in (0.0, 0.5):
+            model = truncated_exponential(p, l=l)
+            probes = []
+            oc = omega_crit(model, n_fn=lambda w, f=model._index: probes.append(w) or f(w))
+            assert probes[:74] == grid
+            assert max(probes) == grid[-1]
+            assert omega_crit(model) == oc
+            assert oc == pytest.approx(mp_omega_crit(p, l), rel=1e-12, abs=0.0)
+            if (p, l) in recorded:
+                assert oc == pytest.approx(recorded[p, l], rel=1e-12, abs=0.0)
 
 
 def test_omega_crit_flags():

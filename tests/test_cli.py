@@ -346,6 +346,25 @@ def test_portrait_outputs_deterministic(tmp_path):
         assert rec["n_samples"] == rec["n_steps"] + 1
 
 
+@pytest.mark.parametrize("model", [
+    {"family": "truncated-exponential", "p": 0},
+    {"family": "polytrope", "n": 2.0},
+])
+def test_portrait_bound_index_outputs_deterministic(tmp_path, model):
+    # the flow reads the model's bound index; a second model built from the
+    # same config must reproduce every file byte for byte
+    orbits = [[0.6, 0.3, 0.3], [0.4, 0.2, 0.25], [0.9, 0.8, 0.1], [0.2, 0.7, 0.45]]
+    path = write_config(tmp_path, {"model": model, "run": {"orbits": orbits}})
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["portrait", "--config", path, "--out", str(out1)]) == 0
+    assert main(["portrait", "--config", path, "--out", str(out2)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert len([n for n in names if n.startswith("orbit_")]) == len(orbits)
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_portrait_tabulated_grid_end_below_four(tmp_path):
     table = tmp_path / "phi.csv"
     table.write_text("".join(f"{0.1 * i!r},{math.expm1(0.1 * i)!r}\n" for i in range(31)))

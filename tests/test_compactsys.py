@@ -165,7 +165,7 @@ def test_rhs_matches_physical_finite_differences(make, omega_c):
         lo = state_at(model, profile, r * math.exp(-h))
         fd = (np.array([hi.U, hi.Q, hi.Omega]) - np.array([lo.U, lo.Q, lo.Omega])) / (2 * h)
         st = state_at(model, profile, r)
-        rhs = rhs_compact(model, (st.U, st.Q, st.Omega))
+        rhs = np.asarray(rhs_compact(model, (st.U, st.Q, st.Omega)))
         predicted = rhs / ((1.0 - st.U) * (1.0 - st.Q))
         for a, b in zip(fd, predicted):
             assert a == pytest.approx(b, rel=1e-6, abs=1e-12)

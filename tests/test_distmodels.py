@@ -316,8 +316,12 @@ def test_n_refuses_tiny_omega():
 
 
 def test_n_equals_index_from_eval_g_and_eval_dg():
-    # eval_n calls the family kernels directly; the result must be the
-    # same double as the definition through the checked entry points
+    # the tabulated index is the quotient of the two kernels, so it is the
+    # same double as the definition through the checked entry points; a
+    # polytrope's is exactly n, and a lowered exponential's is the ratio
+    # form, which agrees with the quotient to the quotient's own rounding
+    # (the quotient is off by up to 6e-15 at omega = 1e-9, the ratio form
+    # by 6e-16: see test_lowered_index_matches_mpmath)
     energies = np.linspace(0.0, 3.0, 31)
     models = [polytrope(n=2.5), polytrope(n=1.2, l=-0.7), king_model(),
               truncated_exponential(1, l=1.0), truncated_exponential(2, l=-0.8),
@@ -326,7 +330,67 @@ def test_n_equals_index_from_eval_g_and_eval_dg():
         m = model.l + 0.5
         for omega in (1e-9, 0.01, 0.7, 2.9):
             want = -model.l + omega * eval_dg(model, m, omega) / eval_g(model, m, omega).value
-            assert eval_n(model, omega) == want
+            got = eval_n(model, omega)
+            if isinstance(model.family, Tabulated):
+                assert got == want
+            elif isinstance(model.family, Polytrope):
+                assert got == model.family.n
+                assert got == pytest.approx(want, rel=1e-15)
+            else:
+                assert got == pytest.approx(want, rel=1e-14)
+
+
+def mp_lowered_index(p, l, omega):
+    """omega g'/g - l at m = l + 1/2 for phi_p, from 50-digit mpmath."""
+    with mpmath.workdps(50):
+        m = mpmath.mpf(l) + mpmath.mpf(1) / 2
+        a = p + m + 2
+        w = mpmath.mpf(omega)
+        g = mpmath.gamma(m + 1) * mpmath.exp(w) * mpmath.gammainc(a, 0, w, regularized=True)
+        dg = g + w ** (a - 1) * mpmath.gamma(m + 1) / mpmath.gamma(a)
+        return w * dg / g - l
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_lowered_index_matches_mpmath(p):
+    # the series below a + 1, the continued fraction above it, and both
+    # sides of the switch
+    for l in (-0.8, -0.4, 0.0, 0.5, 1.0):
+        model = truncated_exponential(p, l=l)
+        a = p + l + 2.5
+        switch = [a + 1.0 - 1e-9, math.nextafter(a + 1.0, 0.0), a + 1.0,
+                  math.nextafter(a + 1.0, math.inf), a + 1.0 + 1e-9]
+        grid = [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0, 20.0, 100.0, 400.0,
+                800.0, 1e3, 1e4, 1e6, 1e9, 1e12]
+        for omega in switch + grid:
+            want = mp_lowered_index(p, l, omega)
+            got = eval_n(model, omega)
+            assert abs(got - want) <= 1e-13 * abs(want), (l, omega, got)
+
+
+def test_lowered_index_is_omega_minus_l_at_large_omega():
+    for l in (0.0, 0.5):
+        assert eval_n(king_model(l), 1e4) == pytest.approx(1e4 - l, rel=1e-15, abs=0.0)
+
+
+def test_bound_kernels_are_the_closed_forms_bit_for_bit():
+    energies = np.linspace(0.0, 3.0, 31)
+    models = [polytrope(n=3.0, l=0.5), polytrope(n=1.2, l=-0.7),
+              polytrope(n=4.5, phi_minus=2.5), king_model(),
+              truncated_exponential(1, l=1.0),
+              tabulated_model(energies, np.expm1(energies), k=1.0, l=-0.3)]
+    for model in models:
+        for omega in (1e-9, 0.01, 0.7, 2.9):
+            assert model._kernel(omega) == eval_g(model, model.l + 0.5, omega).value
+            if isinstance(model.family, Polytrope):
+                # the Beta closed form in its long-standing operation order
+                n, m = model.family.n, model.l + 0.5
+                assert model._kernel(omega) == model.family.phi_minus * omega ** (
+                    n + m - 0.5) * math.exp(math.lgamma(n - 0.5) + math.lgamma(m + 1.0)
+                                            - math.lgamma(n + m + 0.5))
+            for r in (1e-3, 0.4, 7.0):
+                bound = model._prefactor * r ** (2.0 * model.l) * model._kernel(omega)
+                assert bound == density(model, r, omega)
 
 
 # ------------------------------------------------- density and pressure
@@ -513,21 +577,15 @@ def test_kernel_overflow_is_a_clean_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: eval_g(king_model(), 0.5, 800.0),
-                     lambda: eval_dg(king_model(), 0.5, 800.0),
-                     lambda: eval_n(king_model(), 800.0)):
+                     lambda: eval_dg(king_model(), 0.5, 800.0)):
             with pytest.raises(EvaluationError, match="omega=800"):
                 call()
-
-
-def test_index_scan_limit_is_unchanged():
-    # omega_crit doubles omega from 1e-10 until evaluation fails: the last
-    # finite point stays 1e-10 * 2^42 and the next one fails cleanly
-    last = 1e-10 * 2.0 ** 42
-    for p in (0, 1):
-        model = truncated_exponential(p)
-        assert math.isfinite(eval_n(model, last))
-        with pytest.raises(EvaluationError):
-            eval_n(model, 2.0 * last)
+        # the ratio-form index needs neither kernel: omega - l + 1/S, where
+        # 1/S = omega^a e^-omega / gamma(a, omega) with a = 5/2 is far below
+        # one ulp of omega
+        with mpmath.workdps(50):
+            inv_s = mpmath.mpf(800) ** 2.5 * mpmath.exp(-800) / mpmath.gammainc(2.5, 0, 800)
+        assert eval_n(king_model(), 800.0) == float(800 + inv_s)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
