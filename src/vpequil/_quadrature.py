@@ -10,12 +10,14 @@ x=1 cost nothing in accuracy.  The error is estimated by comparing an N-point
 rule with a 2N-point rule; if the fast path fails to converge (non-smooth f,
 e.g. tabulated interpolants), an adaptive bisection fallback splits [0, 1]
 and applies endpoint-aware rules on each piece.
+
+The rules come from ``scipy.special.roots_jacobi``, imported on first use:
+the quadrature serves the test oracles only, so it needs the ``test`` extra.
 """
 
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 
 class QuadratureError(RuntimeError):
@@ -25,6 +27,8 @@ class QuadratureError(RuntimeError):
 @lru_cache(maxsize=512)
 def _rule(npts: int, alpha: float, beta: float):
     """Nodes/weights for int_0^1 (1-x)^alpha x^beta f(x) dx ~ sum w_i f(x_i)."""
+    from scipy.special import roots_jacobi   # loaded on first use: no run path needs it
+
     t, w = roots_jacobi(npts, alpha, beta)
     # map [-1,1] -> [0,1]: x=(t+1)/2 pulls out a factor 2^-(alpha+beta+1)
     return (t + 1.0) / 2.0, w * 0.5 ** (alpha + beta + 1.0)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import statistics
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -368,7 +367,7 @@ def _find_critical_values(model, entries, settings, solve, failures, rel_tol):
 
 
 def sweep_omega_c(model: DistributionModel, omega_grid,
-                  settings: SolveSettings | None = None, threads: int = 1,
+                  settings: SolveSettings | None = None,
                   solve_fn=None, bisect_rel_tol: float = 1e-6) -> SweepResult:
     """Solve the equilibrium over a grid of central amplitudes.
 
@@ -398,12 +397,7 @@ def sweep_omega_c(model: DistributionModel, omega_grid,
                            limit_label=_safe_forward_label(model, prof))
         return entry, None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_one, grid))
-    else:
-        outcomes = [run_one(w) for w in grid]
-
+    outcomes = [run_one(w) for w in grid]
     entries = [e for e, _ in outcomes if e is not None]
     failures = [f for _, f in outcomes if f is not None]
     criticals = _find_critical_values(model, entries, settings, solve,

@@ -72,7 +72,7 @@ _MODEL_KEYS = {
     "tabulated": {"family", "l", "table", "k", "k_prime", "holder_index"},
 }
 _RUN_KEYS = {"omega_c", "omega_grid", "rel_tol", "abs_tol", "r_max",
-             "omega_floor", "startup_radius", "threads", "omega_0",
+             "omega_floor", "startup_radius", "omega_0",
              "orbits", "lambda_max", "backward"}
 _SETTINGS_KEYS = ("rel_tol", "abs_tol", "r_max", "omega_floor", "startup_radius")
 
@@ -189,10 +189,6 @@ def _validate_run(block):
             run[key] = val
     if "omega_grid" in run:
         run["omega_grid"] = _expand_grid(run["omega_grid"])
-    run["threads"] = _require_number(run.get("threads", 1), "run.threads",
-                                     integer=True)
-    if run["threads"] < 1:
-        raise ConfigError(f"run.threads must be at least 1, got {run['threads']}")
     if "backward" in run and not isinstance(run["backward"], bool):
         raise ConfigError("run.backward must be true or false")
     if "orbits" in run:
@@ -343,11 +339,9 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if "omega_grid" not in cfg.run:
         raise ConfigError("run.omega_grid is required by the sweep command")
-    threads = args.threads if args.threads is not None else cfg.run["threads"]
-    _note(args, f"sweeping {len(cfg.run['omega_grid'])} amplitudes on "
-                f"{threads} thread(s)")
+    _note(args, f"sweeping {len(cfg.run['omega_grid'])} amplitudes")
     result = sweep_omega_c(cfg.model, cfg.run["omega_grid"],
-                           settings=_solver_settings(cfg.run), threads=threads)
+                           settings=_solver_settings(cfg.run))
     write_sweep_csv(result, os.path.join(args.out, "sweep.csv"), cfg.output["precision"])
     results = {
         "n_entries": len(result.entries),
@@ -455,8 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=config_required, default=None,
                         help="path to the JSON run configuration")
         sp.add_argument("--out", default=out_default, help="output directory")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="override run.threads for sweeps")
         sp.add_argument("--verbose", action="store_true",
                         help="progress notes on stderr")
 

@@ -279,7 +279,8 @@ class PolytropicIndexTable:
     Nothing builds a table implicitly: the model's bound index is already a
     few float operations (a short series or continued fraction for the
     lowered exponentials), so a caller passes a table as `index_table` only
-    where a spline lookup is worth its build.
+    where a spline lookup is worth its build.  A non-constant index builds
+    its spline with scipy, loaded on first use: that needs the `test` extra.
     """
 
     def __init__(self, model: DistributionModel, omega_lo: float, omega_hi: float,

@@ -8,27 +8,38 @@ one-dimensional kernel integrals
 
 through which the mass density, the radial pressure, and the local
 polytropic index are computed.  Every family evaluates g_m and dg_m/domega
-in closed form for all m > -1: a Beta function for polytropes, a regularized
-incomplete gamma function for the lowered exponentials, and incomplete Beta
-functions summed over the cubic pieces of a tabulated interpolant.
+in closed form for all m > -1, with numpy and the standard library only:
+a Beta function for polytropes, e^omega P(a, omega) (P the regularized
+lower incomplete gamma function, a = p + m + 2) for the lowered
+exponentials, and incomplete Beta integrals summed over the cubic pieces of
+a tabulated interpolant.
+
+The lowered exponentials share two helpers with a = p + l + 5/2 or
+a = p + m + 2:
+
+    S(omega) = sum_k omega^k / (a (a+1) ... (a+k))    (DLMF 8.7.1),
+    T(omega) = e^omega omega^-a Gamma(a, omega)        (continued fraction, DLMF 8.9.2),
+
+S below omega = a + 1 and T above it.  With them e^omega P(a, omega) is
+omega^a S/Gamma(a), or e^omega - omega^a T/Gamma(a); the kernels sum S by
+Horner's rule on coefficients fixed when they are built.  Which form runs
+above the series depends on a only: when 2a is an integer (isotropic King
+and Wilson models among others) it is e^omega, or e^omega erf(sqrt(omega)),
+minus a finite sum, and the series gives way to it well below a + 1, where
+the difference stops cancelling.  phi itself is the kernel at a = p + 1.
 
 Each model binds two float functions of omega once, when it is built: the
 density kernel g_{l+1/2} and the local index n = -l + omega g'/g at
 m = l + 1/2.  Both flows and the criteria call these and nothing else per
 step.  A polytrope's index is the constant n.  A lowered exponential's index
-is taken in ratio form: with a = p + l + 5/2 and
-
-    S(omega) = sum_k omega^k / (a (a+1) ... (a+k))    (DLMF 8.7.1),
-
-g'/g = 1 + 1/(omega S), so n = -l + omega + 1/S.  Above omega = a + 1 the
-sum is replaced by the continued fraction for e^omega omega^-a Gamma(a, omega)
-(DLMF 8.9.2), so the index neither overflows nor needs the incomplete gamma
-function.  A tabulated model's index is the quotient of its two kernels.
+is taken in ratio form, g'/g = 1 + 1/(omega S), so n = -l + omega + 1/S, and
+T replaces S above a + 1: the index neither overflows nor needs P.  A
+tabulated model's index is the quotient of its two kernels.
 
 Singularity-adapted Gauss-Jacobi quadrature of the same integrals
 (`eval_g_quadrature`, `eval_dg_quadrature`) and the direct double integral
 (`density_bruteforce`) are kept as independent oracles; no production path
-runs them.
+runs them.  They load scipy on first use, so they need the `test` extra.
 """
 
 from __future__ import annotations
@@ -37,7 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta, betainc, gammainc, gammaln, hyp1f1
 
 from ._quadrature import QuadratureError, integrate_weighted
 
@@ -46,7 +56,7 @@ _OMEGA_MIN = 1e-300   # below this the index n(omega) is refused, not extrapolat
 _LOG_MAX = math.log(np.finfo(float).max)
 _CLOSED_FORM_ERR = 1e-13   # relative error budget reported for the closed forms
 _TINY = 1e-300             # modified Lentz: stand-in for a vanishing denominator
-_LENTZ_MAX_TERMS = 1000    # the index's continued fraction needs < 100 above a + 1
+_LENTZ_MAX_TERMS = 1000    # the continued fraction T needs < 100 terms above a + 1
 
 
 class ModelError(ValueError):
@@ -120,15 +130,21 @@ class Polytrope:
 class TruncatedExponential:
     """phi_p(E) = e^E - sum_{j<=p} E^j/j!  (p=0: King-type; p=1: Wilson).
 
-    Evaluated as e^E * P(p+1, E) with the regularized lower incomplete gamma
-    function, which is exact and free of the catastrophic cancellation the
-    literal difference suffers at small E.
+    Evaluated as e^E P(p+1, E), with P the regularized lower incomplete
+    gamma function in the elementary form of `_lowered_kernel`, which is
+    free of the catastrophic cancellation the literal difference suffers
+    at small E.
     """
 
     p: int
 
     energy_max = None
     constant_index = None
+
+    def __post_init__(self):
+        self.validate()
+        object.__setattr__(self, "_phi", _lowered_kernel(self.p + 1.0, 1.0, "phi"))
+        object.__setattr__(self, "_kernels", {})   # m -> kernel, built on first use
 
     def validate(self):
         if self.p < 0 or int(self.p) != self.p:
@@ -139,27 +155,22 @@ class TruncatedExponential:
 
     def phi(self, e):
         e = np.asarray(e, dtype=float)
-        return np.where(e > 0.0, np.exp(e) * gammainc(self.p + 1, np.maximum(e, 0.0)), 0.0)
+        return np.array([self._phi(x) if x > 0.0 else 0.0
+                         for x in e.ravel().tolist()]).reshape(e.shape)
 
     def phi_reduced(self, e, k=None):
-        """phi(E)/E^(p+1) = 1F1(1; p+2; E)/(p+1)!, stable down to E = 0."""
+        """phi(E)/E^(p+1) = S(E)/p!, stable down to E = 0."""
+        a, fact = self.p + 1.0, math.factorial(self.p)
         e = np.asarray(e, dtype=float)
-        return hyp1f1(1.0, self.p + 2.0, e) / math.factorial(self.p + 1)
+        return np.array([_series(a, x) / fact if x <= a + 1.0 else self._phi(x) / x ** a
+                         for x in e.ravel().tolist()]).reshape(e.shape)
 
     def kernel(self, m):
         """omega -> Gamma(m+1) e^omega P(p+m+2, omega), summing phi_p term by term."""
-        a = self.p + m + 2.0
-        log_gamma = math.lgamma(m + 1.0)
-
-        def g(omega):
-            log_scale = log_gamma + omega
-            frac = float(gammainc(a, omega))
-            if log_scale <= _LOG_MAX:
-                return math.exp(log_scale) * frac   # frac <= 1: cannot overflow
-            if frac > 0.0 and log_scale + math.log(frac) <= _LOG_MAX:
-                return math.exp(log_scale + math.log(frac))
-            raise EvaluationError(f"g_{m:g}(omega={omega:g}) overflows double precision")
-        return g
+        if m not in self._kernels:
+            self._kernels[m] = _lowered_kernel(self.p + m + 2.0, math.gamma(m + 1.0),
+                                               f"g_{m:g}")
+        return self._kernels[m]
 
     def g(self, m, omega):
         return self.kernel(m)(omega)
@@ -177,38 +188,111 @@ class TruncatedExponential:
 
         def n(omega):
             if omega <= a + 1.0:
-                # S = sum_k omega^k/(a)_{k+1}: positive terms, ratio below 1
-                term = total = 1.0 / a
-                ak = a
-                while term > total * 1e-17:
-                    ak += 1.0
-                    term *= omega / ak
-                    total += term
-                return -l + omega + 1.0 / total
-            # 1/S = E/(1 - E T) with E = omega^a e^-omega/Gamma(a) and
-            # T = e^omega omega^-a Gamma(a, omega) by modified Lentz; E
+                return -l + omega + 1.0 / _series(a, omega)
+            # 1/S = E/(1 - E T) with E = omega^a e^-omega/Gamma(a); E
             # underflows to 0 for large omega, where n = omega - l exactly
-            b = omega + 1.0 - a
-            c, d = 1.0 / _TINY, 1.0 / b
-            tail = d
-            for i in range(1, _LENTZ_MAX_TERMS):
-                an = -i * (i - a)
-                b += 2.0
-                d = an * d + b
-                d = 1.0 / (d if abs(d) > _TINY else _TINY)
-                c = b + an / c
-                if abs(c) < _TINY:
-                    c = _TINY
-                step = c * d
-                tail *= step
-                if abs(step - 1.0) <= 2.5e-16:   # one ulp of 1 from above
-                    break
-            else:
-                raise EvaluationError(f"index continued fraction did not converge "
-                                      f"at omega={omega:g}")
             e = math.exp(a * math.log(omega) - omega - log_gamma_a)
-            return -l + omega + e / (1.0 - e * tail)
+            return -l + omega + e / (1.0 - e * _fraction(a, omega))
         return n
+
+
+def _series(a, x):
+    """S(x) = sum_k x^k / (a (a+1) ... (a+k)), for 0 <= x <= a + 1 (DLMF 8.7.1).
+
+    e^x P(a, x) = x^a S(x) / Gamma(a).  The terms are positive and their
+    ratio x/(a+k) stays below 1.
+    """
+    term = total = 1.0 / a
+    ak = a
+    while term > total * 1e-17:
+        ak += 1.0
+        term *= x / ak
+        total += term
+    return total
+
+
+def _fraction(a, x):
+    """T(x) = e^x x^-a Gamma(a, x), for x > a + 1, by modified Lentz (DLMF 8.9.2).
+
+    e^x P(a, x) = e^x - x^a T(x) / Gamma(a).
+    """
+    b = x + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / b
+    tail = d
+    for i in range(1, _LENTZ_MAX_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        step = c * d
+        tail *= step
+        if abs(step - 1.0) <= 2.5e-16:   # one ulp of 1 from above
+            return tail
+    raise EvaluationError(f"continued fraction for Gamma({a:g}, x) did not converge "
+                          f"at x={x:g}")
+
+
+def _lowered_kernel(a, scale, what):
+    """x -> scale * e^x P(a, x) for x > 0, P the regularized lower incomplete gamma.
+
+    Below a switch point the positive series x^a S(x)/Gamma(a) =
+    x^a sum_j x^j/Gamma(a+j+1) runs, by Horner's rule on coefficients fixed
+    here.  Above it, when 2a is an integer (every lowered exponential with
+    2l an integer, isotropic King and Wilson models among them), the kernel
+    is elementary (DLMF 8.4, 8.8.1):
+
+        e^x P(n, x)     = e^x        - sum_{k<n} x^k / k!,
+        e^x P(n+1/2, x) = e^x erf(x^(1/2)) - x^(1/2) sum_{k<n} x^k / Gamma(k+3/2),
+
+    and the switch sits near the 10% quantile of the Gamma(a) distribution
+    (Wilson-Hilferty), below which the difference would cost more than a
+    digit.  For any other a the switch is a + 1, and above it
+    e^x P = e^x (1 - x^a e^-x T(x)/Gamma(a)); that form also takes over
+    where e^x overflows.  `what` names the kernel in the overflow error.
+    """
+    log_scale, log_gamma_a = math.log(scale), math.lgamma(a)
+    big = _LOG_MAX - max(log_scale, 0.0)   # e^x and scale e^x are finite up to here
+    elementary = (2.0 * a).is_integer()
+    if elementary:
+        switch = a * (1.0 - 1.0 / (9.0 * a) - 1.2816 / (3.0 * math.sqrt(a))) ** 3
+    else:
+        switch = a + 1.0
+    coef, ratio, k = scale / math.gamma(a + 1.0), 1.0, 1.0
+    series = [coef]
+    while ratio > 1e-17:   # a term against the first, at the switch
+        coef /= a + k
+        ratio *= switch / (a + k)
+        series.append(coef)
+        k += 1.0
+    series = tuple(reversed(series))
+    half = a != int(a)
+    finite = tuple(1.0 / math.gamma(k + (1.5 if half else 1.0))
+                   for k in range(int(a) - 1, -1, -1))
+
+    def g(x):
+        if x <= switch:
+            s = 0.0
+            for c in series:
+                s = s * x + c
+            return x ** a * s
+        if elementary and x <= big:
+            s = 0.0
+            for c in finite:
+                s = s * x + c
+            if half:
+                r = math.sqrt(x)
+                return scale * (math.exp(x) * math.erf(r) - r * s)
+            return scale * (math.exp(x) - s)
+        frac = 1.0 - math.exp(a * math.log(x) - x - log_gamma_a) * _fraction(a, x)
+        if x <= big:
+            return scale * math.exp(x) * frac   # frac <= 1: cannot overflow
+        if x + log_scale + math.log(frac) <= _LOG_MAX:
+            return math.exp(x + log_scale + math.log(frac))
+        raise EvaluationError(f"{what}(omega={x:g}) overflows double precision")
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +333,9 @@ class Tabulated:
                               for j in range(i, 4)) for i in range(4)]
             x0[0] = 0.0
         x1 = interp.x[1:][keep]
-        object.__setattr__(self, "_pieces", (x0, x1 - x0, coef,
+        object.__setattr__(self, "_pieces", (x0, x1, coef,
                                              coef[1:] * np.arange(1.0, 4.0)[:, None]))
+        object.__setattr__(self, "_kernels", {})   # (m, derivative) -> kernel
 
     def validate(self):
         pass
@@ -289,27 +374,32 @@ class Tabulated:
             raise EvaluationError("tabulated phi queried below the grid start")
 
     def kernel(self, m, derivative=False):
-        """omega -> g_m(omega), or dg_m/domega, with the Beta row computed once.
+        """omega -> g_m(omega), or dg_m/domega, with the per-piece constants fixed once.
 
         g_m(omega) = int_0^omega phi(omega - s) s^m ds, so the jump of phi at
         E = 0 gives dg_m a term phi(0+) omega^m; the rest is phi' (piecewise
         quadratic) against (omega - E)^m.
         """
-        x0, width, coef, dcoef = self._pieces
-        beta_row = beta(np.arange(1.0, 5.0)[:, None], m + 1.0)
+        key = (m, derivative)
+        if key in self._kernels:
+            return self._kernels[key]
+        x0, x1, coef, dcoef = self._pieces
         check = self._check_range
         if not derivative:
+            pieces = _piecewise_kernel(x0, x1, coef, m)
+
             def g(omega):
                 check(omega)
-                return _piecewise_kernel(x0, width, coef, beta_row, m, omega)
-            return g
-        phi0 = float(coef[0, 0])
-        beta_row = beta_row[:3]
+                return pieces(omega)
+        else:
+            phi0 = float(coef[0, 0])
+            pieces = _piecewise_kernel(x0, x1, dcoef, m)
 
-        def dg(omega):
-            check(omega)
-            return phi0 * omega ** m + _piecewise_kernel(x0, width, dcoef, beta_row, m, omega)
-        return dg
+            def g(omega):
+                check(omega)
+                return phi0 * omega ** m + pieces(omega)
+        self._kernels[key] = g
+        return g
 
     def g(self, m, omega):
         return self.kernel(m)(omega)
@@ -374,20 +464,74 @@ def _pchip_end(h0, h1, m0, m1):
     return d
 
 
-def _piecewise_kernel(x0, width, coef, beta_row, m, omega):
-    """Sum over pieces of int_x0^min(x1, omega) sum_j c_j (E-x0)^j (omega-E)^m dE.
+def _piecewise_kernel(x0, x1, coef, m):
+    """omega -> sum over pieces of int_x0^min(x1, omega) sum_j c_j (E-x0)^j (omega-E)^m dE.
 
-    With E = x0 + (omega - x0) t each monomial becomes an incomplete Beta
-    integral, (omega-x0)^(j+m+1) B(j+1, m+1) I_u(j+1, m+1), so no power of
-    (omega - E) is expanded and nothing cancels across pieces.  ``width`` is
-    x1 - x0 per piece and ``beta_row`` the column B(j+1, m+1), j = 0, 1, ...
+    With E = x0 + (omega - x0) t each monomial is (omega - x0)^(j+m+1) times
+    the incomplete Beta integral B_u(j+1, m+1) = int_0^u t^j (1-t)^m dt with
+    u = min(1, (x1 - x0)/(omega - x0)), so no power of (omega - E) is
+    expanded.  The first Beta parameter is an integer, and B_u takes one of
+    three forms, none of which cancels:
+
+    * the piece holding omega (u = 1): the complete B(j+1, m+1) =
+      j!/((m+1)(m+2)...(m+j+1));
+    * u <= 1/2 (pieces at least two widths below omega): the positive series
+      u^(j+1) (1-u)^(m+1)/(j+1) sum_k (j+m+2)_k/(j+2)_k u^k (DLMF 8.17.8).
+      Summed over j, a piece contributes (omega - x1)^(m+1)/(omega - x0)
+      times a polynomial in u whose coefficients are fixed here;
+    * 1/2 < u < 1: B_u(1, m+1) = -expm1((m+1) log(1-u))/(m+1) and the upward
+      recurrence (j+m+1) B_u(j+1, m+1) = j B_u(j, m+1) - u^j (1-u)^(m+1),
+      from integration by parts, whose subtracted term is the smaller one.
+
+    ``coef`` holds c_j, j = 0, 1, ..., one column per piece.
     """
-    n = int(np.searchsorted(x0, omega))
-    span = omega - x0[:n]
-    u = np.minimum(width[:n] / span, 1.0)
-    a = np.arange(1.0, coef.shape[0] + 1.0)[:, None]
-    terms = coef[:, :n] * span ** (a + m) * beta_row * betainc(a, m + 1.0, u)
-    return float(terms.sum())
+    rows = coef.shape[0]
+    width = x1 - x0
+    b = m + 1.0
+    full = [math.factorial(j) / math.prod(b + i for i in range(j + 1)) for j in range(rows)]
+    series = []
+    for j in range(rows):
+        c, row = 1.0 / (j + 1.0), []
+        while not row or c * (j + 1.0) * 0.5 ** len(row) > 1e-17:   # against the first term
+            row.append(c)
+            c *= (j + b + len(row)) / (j + 1.0 + len(row))
+        series.append(row)
+    terms = max(map(len, series))
+    series = np.array([row + [0.0] * (terms - len(row)) for row in series])
+    # per piece, sum_j c_j width^(j+1) times row j of the series
+    far_coef = np.einsum("ji,ji,jk->ik", coef, width ** np.arange(1.0, rows + 1.0)[:, None],
+                         series)
+    k_pow = np.arange(float(terms))
+    near_coef = coef.T.tolist()
+    held_coef = (coef.T * full).tolist()
+    starts, ends = x0.tolist(), x1.tolist()
+
+    def kernel(omega):
+        n = int(np.searchsorted(x0, omega))   # the pieces that start below omega
+        total = 0.0
+        if n and omega <= ends[n - 1]:
+            n -= 1
+            s = omega - starts[n]
+            total = sum(h * s ** (b + j) for j, h in enumerate(held_coef[n]))
+        span = omega - x0[:n]
+        u = width[:n] / span
+        far = u <= 0.5
+        vals = np.einsum("ik,ik->i", far_coef[:n], np.power.outer(u, k_pow))
+        total += float(np.dot((omega - x1[:n]) ** b / span * vals, far))
+        for i in np.flatnonzero(~far).tolist():
+            s = omega - starts[i]
+            u_i = (ends[i] - starts[i]) / s
+            log_v = math.log((omega - ends[i]) / s)
+            v_b = math.exp(b * log_v)
+            beta_u = -math.expm1(b * log_v) / b
+            total += near_coef[i][0] * s ** b * beta_u
+            u_j = 1.0
+            for j in range(1, rows):
+                u_j *= u_i
+                beta_u = (j * beta_u - u_j * v_b) / (j + b)
+                total += near_coef[i][j] * s ** (j + b) * beta_u
+        return total
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -499,7 +643,7 @@ def eval_phi(model: DistributionModel, energy):
 
 def eval_g_quadrature(model: DistributionModel, m, omega,
                       rel_tol=DEFAULT_QUAD_TOL) -> GEvaluation:
-    """g_m(omega) by singularity-adapted quadrature (test oracle).
+    """g_m(omega) by singularity-adapted quadrature (test oracle; needs scipy).
 
     After x = E/omega both endpoint singularities are algebraic with exponents
     known from model metadata (x^k at 0, (1-x)^m at 1), so Gauss-Jacobi rules
@@ -568,7 +712,7 @@ def eval_dg(model: DistributionModel, m, omega) -> float:
 
 def eval_dg_quadrature(model: DistributionModel, m, omega,
                        rel_tol=DEFAULT_QUAD_TOL) -> float:
-    """d g_m/d omega via the reduction identity for the sign of m (test oracle).
+    """d g_m/d omega via the reduction identity for the sign of m (test oracle; needs scipy).
 
     m > 0 lowers the exponent (m * g_{m-1} by quadrature); m = 0 returns
     phi(omega); for -1 < m < 0 the difference-quotient identity is integrated
@@ -611,8 +755,14 @@ def eval_n(model: DistributionModel, omega) -> float:
 
 
 def density_prefactor(l) -> float:
-    """Angular-integration constant 2^(l+3/2) pi^(3/2) Gamma(l+1)/Gamma(l+3/2)."""
-    return 2.0 ** (l + 1.5) * math.pi ** 1.5 * math.exp(gammaln(l + 1.0) - gammaln(l + 1.5))
+    """Angular-integration constant 2^(l+3/2) pi^(3/2) Gamma(l+1)/Gamma(l+3/2).
+
+    The gamma quotient is taken directly while Gamma(l+3/2) is finite: it is
+    within an ulp or two of exact, where exp(lgamma - lgamma) can be off by six.
+    """
+    ratio = (math.gamma(l + 1.0) / math.gamma(l + 1.5) if l < 170.0
+             else math.exp(math.lgamma(l + 1.0) - math.lgamma(l + 1.5)))
+    return 2.0 ** (l + 1.5) * math.pi ** 1.5 * ratio
 
 
 def density(model: DistributionModel, r, omega) -> float:
@@ -632,7 +782,7 @@ def radial_pressure(model: DistributionModel, r, omega) -> float:
 
 
 def density_bruteforce(model: DistributionModel, r, omega) -> float:
-    """Mass density by direct 2-d integration over (E, L^2) — test oracle.
+    """Mass density by direct 2-d integration over (E, L^2) — test oracle; needs scipy.
 
     Integrates phi(E) L^(2l) / |v_r| over the support with
     |v_r| = sqrt(2(omega-E) - L^2/r^2), using nested QUADPACK rules (the

@@ -368,15 +368,6 @@ def test_refinement_probes_propagate_programming_errors(make_solver, grid):
         sweep_omega_c(polytrope(n=1), grid, solve_fn=probe_bug)
 
 
-def test_sweep_threads_match_serial():
-    solve = spike_solver(0.7077)
-    grid = list(np.linspace(0.3, 1.1, 9))
-    serial = sweep_omega_c(polytrope(n=1), grid, solve_fn=solve, threads=1)
-    threaded = sweep_omega_c(polytrope(n=1), grid, solve_fn=solve, threads=4)
-    assert [e.radius for e in serial.entries] == [e.radius for e in threaded.entries]
-    assert serial.critical_values == pytest.approx(threaded.critical_values)
-
-
 def test_write_sweep_csv(tmp_path):
     result = sweep_omega_c(polytrope(n=6), [0.5, 1.0])
     path = tmp_path / "sweep.csv"

@@ -43,7 +43,6 @@ def test_parse_minimal_polytrope(tmp_path):
     assert cfg.model.l == 0.0
     assert cfg.model.family.n == 1.0
     assert cfg.output["precision"] == 17
-    assert cfg.run["threads"] == 1
 
 
 def test_parse_rejects_unknown_top_key(tmp_path):
@@ -63,6 +62,16 @@ def test_parse_rejects_unknown_run_key(tmp_path):
                                    "run": {"omega_sea": 1.0}})
     with pytest.raises(ConfigError, match="run.omega_sea"):
         parse_config(path)
+
+
+def test_parse_rejects_threads_key(tmp_path, capsys):
+    # sweeps run serially; an old config that still sets run.threads is refused
+    path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 1},
+                                   "run": {"omega_grid": [0.5, 1.0], "threads": 2}})
+    with pytest.raises(ConfigError, match="run.threads"):
+        parse_config(path)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "run.threads" in capsys.readouterr().err
 
 
 def test_parse_rejects_shallow_anisotropy(tmp_path, capsys):
@@ -256,9 +265,6 @@ def test_sweep_command(tmp_path):
     summary = load_summary(out)
     assert summary["results"]["critical_values"] == []
     assert summary["results"]["n_entries"] == 4
-    out2 = tmp_path / "out2"
-    assert main(["sweep", "--config", path, "--out", str(out2), "--threads", "2"]) == 0
-    assert (out2 / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
 
 
 def test_sweep_matches_library_writer(tmp_path):
@@ -393,15 +399,16 @@ def test_models_listing(tmp_path, capsys):
 
 # ------------------------------------------------------------- import graph
 
-def test_run_path_loads_no_heavy_scipy_subpackage(tmp_path):
-    # a fresh interpreter: what the CLI imports, and what its subcommands
-    # load later on polytrope, King and tabulated models, leaves out the
-    # scipy subpackages only the test oracles and the opt-in spline use
+def test_run_path_loads_no_scipy(tmp_path):
+    # a fresh interpreter: importing the CLI, and running every subcommand on
+    # King l=0 and Wilson l=-0.4 (the elementary and the general incomplete
+    # gamma kernel), a tabulated table and a polytrope, loads no scipy module
     table = tmp_path / "phi.csv"
     table.write_text("".join(f"{0.1 * i!r},{math.expm1(0.1 * i)!r}\n" for i in range(31)))
-    models = [{"family": "polytrope", "n": 3.0},
-              {"family": "truncated-exponential", "p": 0, "l": 0.5},
-              {"family": "tabulated", "table": str(table), "k": 1.0}]
+    models = [{"family": "truncated-exponential", "p": 0, "l": 0.0},
+              {"family": "truncated-exponential", "p": 1, "l": -0.4},
+              {"family": "tabulated", "table": str(table), "k": 1.0},
+              {"family": "polytrope", "n": 3.0}]
     runs = []
     for i, model in enumerate(models):
         cfg = {"model": model,
@@ -413,16 +420,14 @@ def test_run_path_loads_no_heavy_scipy_subpackage(tmp_path):
     script = textwrap.dedent(f"""
         import json, sys
         sys.path.insert(0, {str(Path(vpequil.__file__).parents[1])!r})
-        HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
 
-        def heavy():
-            return sorted(m for m in sys.modules
-                          if any(m == h or m.startswith(h + ".") for h in HEAVY))
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
         import vpequil.cli
-        after_import = heavy()
+        after_import = scipy_modules()
         codes = [vpequil.cli.main(argv) for argv in {runs!r}]
-        print(json.dumps({{"import": after_import, "codes": codes, "runs": heavy()}}))
+        print(json.dumps({{"import": after_import, "codes": codes, "runs": scipy_modules()}}))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True)
