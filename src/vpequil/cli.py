@@ -69,7 +69,7 @@ _FAMILIES = ("polytrope", "truncated-exponential", "tabulated")
 _MODEL_KEYS = {
     "polytrope": {"family", "l", "n", "phi_minus"},
     "truncated-exponential": {"family", "l", "p"},
-    "tabulated": {"family", "l", "table", "k", "k_prime", "holder_index"},
+    "tabulated": {"family", "l", "table", "k", "holder_index"},
 }
 _RUN_KEYS = {"omega_c", "omega_grid", "rel_tol", "abs_tol", "r_max",
              "omega_floor", "startup_radius", "omega_0",
@@ -138,14 +138,11 @@ def _build_model(block, base_dir):
                 raise ConfigError(f"model.table must be a path string, got {table!r}")
             table_path = table if os.path.isabs(table) else os.path.join(base_dir, table)
             k = _require_number(block["k"], "model.k")
-            k_prime = _require_number(block.get("k_prime"), "model.k_prime",
-                                      allow_none=True)
             holder = _require_number(block.get("holder_index"), "model.holder_index",
                                      allow_none=True)
-            model = load_tabulated(table_path, l=l, k=k, k_prime=k_prime,
-                                   holder_index=holder)
+            model = load_tabulated(table_path, l=l, k=k, holder_index=holder)
             resolved = {"family": family, "l": l, "table": table_path, "k": k,
-                        "k_prime": k_prime, "holder_index": holder}
+                        "holder_index": holder}
     except ModelError as exc:
         raise ConfigError(f"model: {exc}") from exc
     return model, resolved
@@ -283,15 +280,19 @@ def _jsonable(obj):
     return obj
 
 
-def _write_summary(out_dir, config, results):
-    payload = {"tool_version": __version__, "config": config, "results": results}
+def _write_json(path, payload):
+    """Write sorted, indented JSON through a tmp file, so no partial file is left."""
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
-    final = os.path.join(out_dir, "summary.json")
-    tmp = final + ".tmp"
+    tmp = path + ".tmp"
     with open(tmp, "w", newline="\n") as fh:
         fh.write(text)
-    os.replace(tmp, final)
+    os.replace(tmp, path)
+
+
+def _write_summary(out_dir, config, results):
+    _write_json(os.path.join(out_dir, "summary.json"),
+                {"tool_version": __version__, "config": config, "results": results})
 
 
 def _solver_settings(run):
@@ -427,11 +428,8 @@ def cmd_models(args) -> int:
           "config keys model.table and model.k")
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        payload = json.dumps(_jsonable({"tool_version": __version__,
-                                        "families": rows}),
-                             sort_keys=True, indent=2, allow_nan=False) + "\n"
-        with open(os.path.join(args.out, "models.json"), "w", newline="\n") as fh:
-            fh.write(payload)
+        _write_json(os.path.join(args.out, "models.json"),
+                    {"tool_version": __version__, "families": rows})
     return 0
 
 

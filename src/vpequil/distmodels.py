@@ -28,13 +28,18 @@ and Wilson models among others) it is e^omega, or e^omega erf(sqrt(omega)),
 minus a finite sum, and the series gives way to it well below a + 1, where
 the difference stops cancelling.  phi itself is the kernel at a = p + 1.
 
-Each model binds two float functions of omega once, when it is built: the
-density kernel g_{l+1/2} and the local index n = -l + omega g'/g at
-m = l + 1/2.  Both flows and the criteria call these and nothing else per
-step.  A polytrope's index is the constant n.  A lowered exponential's index
-is taken in ratio form, g'/g = 1 + 1/(omega S), so n = -l + omega + 1/S, and
-T replaces S above a + 1: the index neither overflows nor needs P.  A
-tabulated model's index is the quotient of its two kernels.
+A family is a kernel builder: `kernel(m, derivative=False)` returns the
+float function omega -> g_m(omega), or dg_m/domega, and `index(l)` the local
+index n = -l + omega g'/g at m = l + 1/2.  Each family checks its own
+parameters when it is built and keeps no cache.  The model holds the one
+memo, a kernel per (m, derivative) built on first use, and binds two float
+functions when it is built: the density kernel g_{l+1/2} (the memo's entry
+at m = l + 1/2) and the family's index.  Both flows and the criteria call
+these and nothing else per step.  A polytrope's index is the constant n.  A
+lowered exponential's index is taken in ratio form, g'/g = 1 + 1/(omega S),
+so n = -l + omega + 1/S, and T replaces S above a + 1: the index neither
+overflows nor needs P.  A tabulated model's index is the quotient of its two
+kernels.
 
 Singularity-adapted Gauss-Jacobi quadrature of the same integrals
 (`eval_g_quadrature`, `eval_dg_quadrature`) and the direct double integral
@@ -78,21 +83,19 @@ class Polytrope:
 
     energy_max = None   # the largest energy phi accepts; None: unbounded
 
-    @property
-    def constant_index(self):
-        """n(omega) when it is the same for every omega, else None."""
-        return self.n
-
-    def validate(self):
+    def __post_init__(self):
         if not self.n > 0.5:
             raise ModelError(f"polytrope exponent n must exceed 1/2, got {self.n}")
         if not self.phi_minus > 0:
             raise ModelError("polytrope amplitude phi_minus must be positive")
 
+    @property
+    def constant_index(self):
+        """n(omega) when it is the same for every omega, else None."""
+        return self.n
+
     def default_regularity(self):
-        k = self.n - 1.5
-        return Regularity(k=k, k_prime=self.n - 2.5,
-                          holder_index=min(1.0, self.n - 0.5))
+        return Regularity(k=self.n - 1.5, holder_index=min(1.0, self.n - 0.5))
 
     def phi(self, e):
         e = np.asarray(e, dtype=float)
@@ -107,19 +110,18 @@ class Polytrope:
         # phi(E)/E^k is the constant amplitude; the family fixes k = n - 3/2
         return np.full_like(np.asarray(e, dtype=float), self.phi_minus)
 
-    def kernel(self, m):
-        """omega -> g_m(omega) = omega^(n+m-1/2) phi_minus B(n-1/2, m+1)."""
+    def kernel(self, m, derivative=False):
+        """omega -> g_m(omega) = omega^(n+m-1/2) phi_minus B(n-1/2, m+1), or dg_m/domega."""
         n, phi_minus = self.n, self.phi_minus
         power = n + m - 0.5
         beta_nm = math.exp(math.lgamma(n - 0.5) + math.lgamma(m + 1.0)
                            - math.lgamma(n + m + 0.5))
-        return lambda omega: phi_minus * omega ** power * beta_nm
 
-    def g(self, m, omega):
-        return self.kernel(m)(omega)
-
-    def dg(self, m, omega):
-        return (self.n + m - 0.5) * self.g(m, omega) / omega
+        def g_m(omega):
+            return phi_minus * omega ** power * beta_nm
+        if derivative:
+            return lambda omega: power * g_m(omega) / omega
+        return g_m
 
     def index(self, l):
         n = self.n
@@ -142,16 +144,12 @@ class TruncatedExponential:
     constant_index = None
 
     def __post_init__(self):
-        self.validate()
-        object.__setattr__(self, "_phi", _lowered_kernel(self.p + 1.0, 1.0, "phi"))
-        object.__setattr__(self, "_kernels", {})   # m -> kernel, built on first use
-
-    def validate(self):
         if self.p < 0 or int(self.p) != self.p:
             raise ModelError(f"truncation order p must be a non-negative integer, got {self.p}")
+        object.__setattr__(self, "_phi", _lowered_kernel(self.p + 1.0, 1.0, "phi"))
 
     def default_regularity(self):
-        return Regularity(k=self.p + 1.0, k_prime=float(self.p), holder_index=1.0)
+        return Regularity(k=self.p + 1.0, holder_index=1.0)
 
     def phi(self, e):
         e = np.asarray(e, dtype=float)
@@ -165,21 +163,16 @@ class TruncatedExponential:
         return np.array([_series(a, x) / fact if x <= a + 1.0 else self._phi(x) / x ** a
                          for x in e.ravel().tolist()]).reshape(e.shape)
 
-    def kernel(self, m):
-        """omega -> Gamma(m+1) e^omega P(p+m+2, omega), summing phi_p term by term."""
-        if m not in self._kernels:
-            self._kernels[m] = _lowered_kernel(self.p + m + 2.0, math.gamma(m + 1.0),
-                                               f"g_{m:g}")
-        return self._kernels[m]
-
-    def g(self, m, omega):
-        return self.kernel(m)(omega)
-
-    def dg(self, m, omega):
-        # d/domega [e^omega P(a, omega)] = e^omega P(a, omega) + omega^(a-1)/Gamma(a)
+    def kernel(self, m, derivative=False):
+        """omega -> g_m(omega) = Gamma(m+1) e^omega P(p+m+2, omega), or dg_m/domega."""
         a = self.p + m + 2.0
-        return self.g(m, omega) + math.exp(
-            math.lgamma(m + 1.0) + (a - 1.0) * math.log(omega) - math.lgamma(a))
+        g = _lowered_kernel(a, math.gamma(m + 1.0), f"g_{m:g}")
+        if not derivative:
+            return g
+        # d/domega [e^omega P(a, omega)] = e^omega P(a, omega) + omega^(a-1)/Gamma(a)
+        log_gamma_m, log_gamma_a = math.lgamma(m + 1.0), math.lgamma(a)
+        return lambda omega: g(omega) + math.exp(
+            log_gamma_m + (a - 1.0) * math.log(omega) - log_gamma_a)
 
     def index(self, l):
         """omega -> -l + omega + 1/S(omega), S = e^omega omega^-a gamma(a, omega)."""
@@ -272,7 +265,7 @@ def _lowered_kernel(a, scale, what):
     finite = tuple(1.0 / math.gamma(k + (1.5 if half else 1.0))
                    for k in range(int(a) - 1, -1, -1))
 
-    def g(x):
+    def lowered(x):
         if x <= switch:
             s = 0.0
             for c in series:
@@ -292,7 +285,7 @@ def _lowered_kernel(a, scale, what):
         if x + log_scale + math.log(frac) <= _LOG_MAX:
             return math.exp(x + log_scale + math.log(frac))
         raise EvaluationError(f"{what}(omega={x:g}) overflows double precision")
-    return g
+    return lowered
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,8 +293,9 @@ class Tabulated:
     """phi given as (E, phi) samples, interpolated monotone piecewise-cubic.
 
     The low-energy exponent k is user-declared metadata (through the model's
-    Regularity record), never inferred from the data.  Queries beyond the
-    grid raise instead of extrapolating; values are clamped at zero.
+    Regularity record), never inferred from the data.  The grid must start
+    at or below E = 0; queries beyond its end raise instead of
+    extrapolating; values are clamped at zero.
     """
 
     energies: np.ndarray
@@ -318,6 +312,9 @@ class Tabulated:
             raise ModelError("tabulated energy grid must be strictly increasing")
         if np.any(v < 0):
             raise ModelError("tabulated phi samples must be non-negative")
+        if e[0] > 0.0:
+            raise ModelError(f"tabulated energy grid must start at or below E = 0, "
+                             f"got first energy {e[0]:g}")
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "values", v)
         interp = _Pchip(e, v)
@@ -335,10 +332,6 @@ class Tabulated:
         x1 = interp.x[1:][keep]
         object.__setattr__(self, "_pieces", (x0, x1, coef,
                                              coef[1:] * np.arange(1.0, 4.0)[:, None]))
-        object.__setattr__(self, "_kernels", {})   # (m, derivative) -> kernel
-
-    def validate(self):
-        pass
 
     def default_regularity(self):
         return None   # k is declarative: the caller must supply it
@@ -349,10 +342,7 @@ class Tabulated:
         if np.any(e > hi):
             raise EvaluationError(
                 f"tabulated phi queried at E={float(np.max(e)):g} beyond grid end {hi:g}")
-        lo = float(self.energies[0])
-        if lo > 0.0 and np.any((e > 0.0) & (e < lo)):
-            raise EvaluationError("tabulated phi queried below the grid start")
-        out = np.where(e > 0.0, self._interp(np.clip(e, lo, hi)), 0.0)
+        out = np.where(e > 0.0, self._interp(np.clip(e, float(self.energies[0]), hi)), 0.0)
         return np.maximum(np.nan_to_num(out, nan=0.0), 0.0)
 
     @property
@@ -370,8 +360,6 @@ class Tabulated:
         if omega > hi:
             raise EvaluationError(
                 f"tabulated phi queried at E={omega:g} beyond grid end {hi:g}")
-        if self.energies[0] > 0.0:
-            raise EvaluationError("tabulated phi queried below the grid start")
 
     def kernel(self, m, derivative=False):
         """omega -> g_m(omega), or dg_m/domega, with the per-piece constants fixed once.
@@ -380,32 +368,22 @@ class Tabulated:
         E = 0 gives dg_m a term phi(0+) omega^m; the rest is phi' (piecewise
         quadratic) against (omega - E)^m.
         """
-        key = (m, derivative)
-        if key in self._kernels:
-            return self._kernels[key]
         x0, x1, coef, dcoef = self._pieces
         check = self._check_range
         if not derivative:
             pieces = _piecewise_kernel(x0, x1, coef, m)
 
-            def g(omega):
+            def g_m(omega):
                 check(omega)
                 return pieces(omega)
-        else:
-            phi0 = float(coef[0, 0])
-            pieces = _piecewise_kernel(x0, x1, dcoef, m)
+            return g_m
+        phi0 = float(coef[0, 0])
+        pieces = _piecewise_kernel(x0, x1, dcoef, m)
 
-            def g(omega):
-                check(omega)
-                return phi0 * omega ** m + pieces(omega)
-        self._kernels[key] = g
-        return g
-
-    def g(self, m, omega):
-        return self.kernel(m)(omega)
-
-    def dg(self, m, omega):
-        return self.kernel(m, derivative=True)(omega)
+        def dg_m(omega):
+            check(omega)
+            return phi0 * omega ** m + pieces(omega)
+        return dg_m
 
     def index(self, l):
         m = l + 0.5
@@ -536,17 +514,14 @@ def _piecewise_kernel(x0, x1, coef, m):
 
 @dataclass(frozen=True)
 class Regularity:
-    """Low-energy behaviour metadata: phi ~ E^k, phi' ~ E^k', Hölder index of E*phi."""
+    """Low-energy behaviour metadata: phi ~ E^k, Hölder index of E*phi."""
 
     k: float
-    k_prime: float
     holder_index: float | None = None
 
     def __post_init__(self):
         if not self.k > -1.0:
             raise ModelError(f"low-energy exponent k must exceed -1, got {self.k}")
-        if not self.k_prime > -2.0:
-            raise ModelError(f"derivative exponent k' must exceed -2, got {self.k_prime}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -560,7 +535,6 @@ class DistributionModel:
     def __post_init__(self):
         if not self.l > -1.0:
             raise ModelError(f"anisotropy exponent l must exceed -1, got {self.l}")
-        self.family.validate()
         if self.regularity is None:
             reg = self.family.default_regularity()
             if reg is None:
@@ -575,9 +549,17 @@ class DistributionModel:
                 raise ModelError(
                     f"Hölder index {h:g} insufficient: needs > {-self.l - 0.5:g} for l={self.l:g}")
         object.__setattr__(self, "_prefactor", density_prefactor(self.l))
+        object.__setattr__(self, "_kernels", {})   # (m, derivative) -> kernel
         # the per-step functions of omega, bound once: g_{l+1/2} and n
-        object.__setattr__(self, "_kernel", self.family.kernel(self.l + 0.5))
+        object.__setattr__(self, "_kernel", self.kernel(self.l + 0.5))
         object.__setattr__(self, "_index", self.family.index(self.l))
+
+    def kernel(self, m, derivative=False):
+        """omega -> g_m(omega), or dg_m/domega; the family builds each once per model."""
+        key = (m, derivative)
+        if key not in self._kernels:
+            self._kernels[key] = self.family.kernel(m, derivative)
+        return self._kernels[key]
 
     def phi_reduced(self, e):
         """phi(E) / E^k with the declared exponent k."""
@@ -602,23 +584,19 @@ def wilson_model(l=0.0) -> DistributionModel:
     return truncated_exponential(1, l=l)
 
 
-def tabulated_model(energies, values, l=0.0, k=None, k_prime=None,
-                    holder_index=None) -> DistributionModel:
+def tabulated_model(energies, values, l=0.0, k=None, holder_index=None) -> DistributionModel:
     if k is None:
         raise ModelError("tabulated models require the declared low-energy exponent k")
-    kp = k_prime if k_prime is not None else k - 1.0
     return DistributionModel(l=float(l), family=Tabulated(np.asarray(energies), np.asarray(values)),
-                             regularity=Regularity(k=float(k), k_prime=float(kp),
-                                                   holder_index=holder_index))
+                             regularity=Regularity(k=float(k), holder_index=holder_index))
 
 
-def load_tabulated(path, l=0.0, k=None, k_prime=None, holder_index=None) -> DistributionModel:
+def load_tabulated(path, l=0.0, k=None, holder_index=None) -> DistributionModel:
     """Build a tabulated model from a two-column (E, phi) CSV file."""
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     if data.shape[1] != 2:
         raise ModelError(f"expected two columns (E, phi) in {path}, got {data.shape[1]}")
-    return tabulated_model(data[:, 0], data[:, 1], l=l, k=k, k_prime=k_prime,
-                           holder_index=holder_index)
+    return tabulated_model(data[:, 0], data[:, 1], l=l, k=k, holder_index=holder_index)
 
 
 # ----------------------------------------------------------- evaluations
@@ -671,7 +649,7 @@ def eval_g(model: DistributionModel, m, omega) -> GEvaluation:
     _check_gm_args(m, omega)
     if omega == 0.0:
         return GEvaluation(m=m, omega=omega, value=0.0, estimated_error=0.0)
-    value = _finite(model.family.g(m, omega), f"g_{m:g}", omega)
+    value = _finite(model.kernel(m)(omega), f"g_{m:g}", omega)
     return GEvaluation(m=m, omega=omega, value=value, estimated_error=_CLOSED_FORM_ERR)
 
 
@@ -707,7 +685,7 @@ def eval_dg(model: DistributionModel, m, omega) -> float:
     index above -m, so the model must declare that index.
     """
     _check_dg_args(model, m, omega)
-    return _finite(model.family.dg(m, omega), f"dg_{m:g}", omega)
+    return _finite(model.kernel(m, derivative=True)(omega), f"dg_{m:g}", omega)
 
 
 def eval_dg_quadrature(model: DistributionModel, m, omega,

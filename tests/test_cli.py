@@ -74,6 +74,20 @@ def test_parse_rejects_threads_key(tmp_path, capsys):
     assert "run.threads" in capsys.readouterr().err
 
 
+def test_parse_rejects_k_prime_key(tmp_path, capsys):
+    # nothing reads a derivative exponent; an old config that still sets
+    # model.k_prime is refused
+    table = tmp_path / "phi.csv"
+    table.write_text("0.0,0.0\n1.0,1.7\n2.0,6.4\n3.0,19.1\n")
+    path = write_config(tmp_path, {"model": {"family": "tabulated", "table": str(table),
+                                             "k": 1.0, "k_prime": 0.0},
+                                   "run": {"omega_c": 1.0}})
+    with pytest.raises(ConfigError, match="model.k_prime"):
+        parse_config(path)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "model.k_prime" in capsys.readouterr().err
+
+
 def test_parse_rejects_shallow_anisotropy(tmp_path, capsys):
     path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 1, "l": -1.5},
                                    "run": {"omega_c": 1.0}})
@@ -107,6 +121,24 @@ def test_parse_rejects_amplitude_past_table_end(tmp_path, capsys):
         assert main(["solve", "--config", path, "--out", str(out)]) == 2
         assert "past the end of the tabulated phi grid" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+
+def test_parse_rejects_table_starting_above_zero(tmp_path, capsys):
+    # phi is undefined between E = 0 and the first sample: the model is
+    # refused when it is built, before any output exists
+    table = tmp_path / "phi.csv"
+    energies = [0.5 + 2.5 * i / 9 for i in range(10)]
+    table.write_text("".join(f"{e!r},{math.expm1(e)!r}\n" for e in energies))
+    path = write_config(tmp_path, {"model": {"family": "tabulated", "table": str(table),
+                                             "k": 1.0},
+                                   "run": {"omega_c": 1.0}})
+    with pytest.raises(ConfigError, match="first energy 0.5"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert "config error: model: tabulated energy grid must start at or below E = 0" \
+        in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("triple, message", [

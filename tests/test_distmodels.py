@@ -142,6 +142,15 @@ def test_polytrope_rejects_bad_parameters():
         polytrope(n=0.5)
     with pytest.raises(ModelError):
         polytrope(n=1, phi_minus=0.0)
+    # each family checks its own parameters when it is built, so a family
+    # made directly cannot yield kernels (n = 0.3 would give g_0.5(1) ~ 5.75,
+    # a negative amplitude a negative g)
+    with pytest.raises(ModelError, match="n must exceed 1/2"):
+        Polytrope(n=0.3)
+    with pytest.raises(ModelError, match="phi_minus must be positive"):
+        Polytrope(n=2.0, phi_minus=-1.0)
+    with pytest.raises(ModelError, match="non-negative integer"):
+        TruncatedExponential(p=1.5)
 
 
 def test_holder_metadata_required_for_anisotropic_l():
@@ -151,8 +160,7 @@ def test_holder_metadata_required_for_anisotropic_l():
     assert model.regularity.holder_index > 0.2
     with pytest.raises(ModelError):
         DistributionModel(l=-0.7, family=Polytrope(n=2.0),
-                          regularity=Regularity(k=0.5, k_prime=-0.5,
-                                                holder_index=0.1))
+                          regularity=Regularity(k=0.5, holder_index=0.1))
 
 
 def test_tabulated_requires_k_and_range():
@@ -162,22 +170,18 @@ def test_tabulated_requires_k_and_range():
                           regularity=None)
     model = DistributionModel(
         l=0.0, family=Tabulated(es, es.copy()),
-        regularity=Regularity(k=1.0, k_prime=0.0))
+        regularity=Regularity(k=1.0))
     with pytest.raises(EvaluationError):
         eval_phi(model, 2.5)   # beyond the grid: no extrapolation
-    late = DistributionModel(l=0.0, family=Tabulated(es + 0.5, es.copy()),
-                             regularity=Regularity(k=1.0, k_prime=0.0))
-    with pytest.raises(EvaluationError, match="below the grid start"):
-        eval_phi(late, 0.2)
     for fn in (eval_g, eval_dg):   # the kernels refuse the same queries
         with pytest.raises(EvaluationError, match="beyond grid end"):
             fn(model, 0.5, 2.5)
-        with pytest.raises(EvaluationError, match="below the grid start"):
-            fn(late, 0.5, 1.0)
     with pytest.raises(EvaluationError, match="beyond grid end"):
         eval_n(model, 2.5)   # so does the index, which calls them directly
-    with pytest.raises(EvaluationError, match="below the grid start"):
-        eval_n(late, 1.0)
+    # a grid that starts above E = 0 leaves phi undefined on (0, E_0): the
+    # family refuses it when it is built, naming the first energy
+    with pytest.raises(ModelError, match="first energy 0.5"):
+        Tabulated(es + 0.5, es.copy())
 
 
 # ------------------------------------------------------------------ eval_g
@@ -253,7 +257,7 @@ def test_g_tabulated_linear_phi_matches_polytrope():
     es = np.linspace(0.0, 3.0, 41)
     model = DistributionModel(
         l=0.0, family=Tabulated(es, es.copy()),
-        regularity=Regularity(k=1.0, k_prime=0.0))
+        regularity=Regularity(k=1.0))
     got = eval_g(model, 0.5, 2.0).value
     assert got == pytest.approx(closed_form_g(2.5, 0.5, 2.0), rel=1e-9)
 
@@ -289,7 +293,7 @@ def test_dg_holder_regime_needs_metadata():
     es = np.linspace(0.0, 2.0, 30)
     model = DistributionModel(
         l=0.0, family=Tabulated(es, es.copy()),
-        regularity=Regularity(k=1.0, k_prime=0.0))  # no holder_index
+        regularity=Regularity(k=1.0))  # no holder_index
     for fn in (eval_dg, eval_dg_quadrature):
         with pytest.raises(EvaluationError, match="Hölder"):
             fn(model, -0.25, 1.0)

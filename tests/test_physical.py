@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from vpequil.distmodels import density, polytrope, truncated_exponential
@@ -167,6 +169,27 @@ def test_homology_scaling(n, l):
     for rr, mm in invariants[1:]:
         assert rr == pytest.approx(base_r, rel=1e-8)
         assert mm == pytest.approx(base_m, rel=1e-8)
+
+
+@st.composite
+def polytrope_draws(draw):
+    l = draw(st.floats(-0.45, 1.0))
+    n = draw(st.floats(0.8, 4.6 + 3.0 * l))
+    return n, l, draw(st.floats(0.2, 5.0))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(polytrope_draws())
+def test_homology_scaling_property(draw):
+    """g_{l+1/2} ~ omega^(n+l), so omega(r) = omega_c w(omega_c^e r) with
+    e = (n+l-1)/(2+2l): R ~ omega_c^-e and M ~ omega_c^(1-e)."""
+    n, l, omega_c = draw
+    e = (n + l - 1.0) / (2.0 + 2.0 * l)
+    model = polytrope(n=n, l=l)
+    scaled, unit = integrate_physical(model, omega_c), integrate_physical(model, 1.0)
+    assert scaled.classification == unit.classification == FINITE_RADIUS
+    assert scaled.radius * omega_c ** e == pytest.approx(unit.radius, rel=1e-7)
+    assert scaled.total_mass * omega_c ** (e - 1.0) == pytest.approx(unit.total_mass, rel=1e-7)
 
 
 def test_king_finite_radius(king_profile):
