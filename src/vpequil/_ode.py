@@ -17,14 +17,28 @@ The interpolant of a step needs three extra right-hand-side calls.  They
 are made only for a step that an event root or a ``dense`` query lands in;
 every accepted step keeps its node and its 13 stages in one packed float
 buffer, so any step can build its interpolant later.
+
+One step attempt and one interpolant are straight-line code, generated
+from the tableau for a state of n components and compiled by
+``_compiled(n)`` on the first solve of that size (a few milliseconds;
+the cache holds the two functions, no results).  Each stage of each
+component is a local name and each coefficient a literal, so a step
+indexes no list and calls no ``sum()``, and zero entries of the tableau are
+left out.  Every weighted sum of stages is written ``0.0 + c0*k0 + c1*k1 +
+...``, left to right, the order in which Python 3.11's ``sum()`` adds the
+products; so the floats are those of a loop over the tableau, bit for bit
+for finite stages, on any Python version (3.12 made ``sum()`` of floats
+compensated).  The code is specialized to n because code generic in n
+(one comprehension over the components per stage) keeps most of the
+per-component overhead that the specialization removes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from bisect import bisect_left
-from operator import mul
 
 import numpy as np
 
@@ -186,7 +200,10 @@ def brentq(f, a, b, xtol=2e-12, rtol=_ROOT_TOL, maxiter=100) -> float:
 
 
 def _rms(values) -> float:
-    return math.sqrt(sum(v * v for v in values)) / math.sqrt(len(values))
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total) / math.sqrt(len(values))
 
 
 def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol) -> float:
@@ -207,25 +224,90 @@ def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol) -> float:
     return min(100.0 * h0, h1, interval)
 
 
-def _interpolant(fun, t_old, h, y_old, y_new, K):
-    """Coefficients of the 7th-order interpolant of one step.
+def _dot(coefs, j):
+    """``0.0 + c0*k0_j + c1*k1_j + ...`` over the nonzero coefficients.
 
-    K holds the 13 stages of each component (K[j][0] is f at the step start,
-    K[j][12] f at its end); the three extra stages are appended to K.
+    The products are added left to right from 0.0, as ``sum()`` adds a
+    sequence of floats on 3.11; a dropped ``0.0*k`` adds a zero, which
+    changes no partial sum of finite stages (none is -0.0).
     """
-    n = len(y_old)
-    for a, c in zip(_A_EXTRA, _C_EXTRA):
-        f = fun(t_old + c * h, [y_old[j] + sum(map(mul, a, K[j])) * h
-                                for j in range(n)])
-        for j in range(n):
-            K[j].append(f[j])
-    F = []
-    for j in range(n):
-        Kj = K[j]
-        delta = y_new[j] - y_old[j]
-        F.append((delta, h * Kj[0] - delta, 2.0 * delta - h * (Kj[12] + Kj[0]),
-                  *(h * sum(map(mul, d, Kj)) for d in _D)))
-    return t_old, h, y_old, F
+    return " + ".join(["0.0", *(f"{c!r} * k{i}_{j}" for i, c in enumerate(coefs) if c != 0.0)])
+
+
+def _names(prefix, n):
+    """``prefix_0, prefix_1, ..., `` as an unpacking target or tuple items."""
+    return "".join(f"{prefix}_{j}, " for j in range(n))
+
+
+def _stage(s, t, c, a, n):
+    """The line that evaluates stage s of every component at t + c h."""
+    args = ", ".join(f"y_{j} + ({_dot(a, j)}) * h" for j in range(n))
+    return f"    {_names(f'k{s}', n)}= fun({t} + {c!r} * h, [{args}])"
+
+
+def _source(n):
+    """Python source of ``attempt`` and of ``interpolant`` for n components.
+
+    ``attempt(fun, t, h, t_new, y, f, atol, rtol)`` runs the 12 stages of
+    one step from (t, y) with f = fun(t, y) and returns ``y_new``, ``f_new``,
+    the 13 stages of each component in turn (K, as the buffer stores them)
+    and the sums of squares of the scaled 5th- and 3rd-order error
+    estimates.  ``interpolant(fun, t_old, h, y_old, y_new, K)`` makes the
+    three extra stages and returns the piece ``_evaluate`` reads.
+    """
+    rng = range(n)
+    stages = "".join(f"k{s}_{j}, " for j in rng for s in range(_N_K))   # K's order
+    attempt = [
+        "def attempt(fun, t, h, t_new, y, f, atol, rtol):",
+        f"    {_names('y', n)}= y",
+        f"    {_names('k0', n)}= f",
+        *(_stage(s, "t", _C[s], _A[s], n) for s in range(1, _N_STAGES)),
+        *(f"    yn_{j} = y_{j} + h * ({_dot(_B, j)})" for j in rng),
+        f"    y_new = [{_names('yn', n)}]",
+        "    f_new = fun(t_new, y_new)",
+        f"    {_names('k12', n)}= f_new",
+        f"    {_names('a', n)}= atol",
+    ]
+    for j in rng:
+        attempt += [
+            f"    sc_{j} = a_{j} + max(abs(y_{j}), abs(yn_{j})) * rtol",
+            f"    e5_{j} = ({_dot(_E5, j)}) / sc_{j}",
+            f"    e3_{j} = ({_dot(_E3, j)}) / sc_{j}",
+        ]
+    attempt += [
+        f"    err5 = 0.0 + {' + '.join(f'e5_{j} * e5_{j}' for j in rng)}",
+        f"    err3 = 0.0 + {' + '.join(f'e3_{j} * e3_{j}' for j in rng)}",
+        f"    return y_new, f_new, ({stages}), err5, err3",
+    ]
+    interpolant = [
+        "def interpolant(fun, t_old, h, y_old, y_new, K):",
+        f"    {_names('y', n)}= y_old",
+        f"    {stages}= K",
+        *(_stage(s, "t_old", c, a, n)
+          for s, (c, a) in enumerate(zip(_C_EXTRA, _A_EXTRA), start=_N_K)),
+        f"    {_names('yn', n)}= y_new",
+        *(f"    d_{j} = yn_{j} - y_{j}" for j in rng),
+        "    return t_old, h, y_old, [",
+        *(f"        (d_{j}, h * k0_{j} - d_{j}, 2.0 * d_{j} - h * (k12_{j} + k0_{j}), "
+          + ", ".join(f"h * ({_dot(d, j)})" for d in _D) + ")," for j in rng),
+        "    ]",
+    ]
+    return "\n".join(attempt) + "\n", "\n".join(interpolant) + "\n"
+
+
+@functools.cache
+def _compiled(n):
+    """The functions ``attempt`` and ``interpolant`` of ``_source(n)``.
+
+    Compiled once per n, one at a time, so the compiler's peak memory is
+    that of the larger function (about 0.7 MB at n = 4), not of both.
+    """
+    functions = []
+    for name, source in zip(("attempt", "interpolant"), _source(n)):
+        namespace = {}
+        exec(compile(source, f"<dop853 {name}, n={n}>", "exec"), namespace)
+        functions.append(namespace[name])
+    return tuple(functions)
 
 
 def _evaluate(piece, t):
@@ -280,11 +362,11 @@ class Trajectory:
             base = i * stride
             t_old = buf[base]
             y_old = buf[base + 1:base + 1 + n].tolist()
-            y_new = buf[base + stride + 1:base + stride + 1 + n].tolist()
+            y_new = buf[base + stride + 1:base + stride + 1 + n]
             k0 = base + 1 + n
-            K = [buf[k0 + j * _N_K:k0 + (j + 1) * _N_K].tolist() for j in range(n)]
-            piece = _interpolant(self._fun, t_old, buf[base + stride] - t_old,
-                                 y_old, y_new, K)
+            interpolant = _compiled(n)[1]
+            piece = interpolant(self._fun, t_old, buf[base + stride] - t_old,
+                                y_old, y_new, buf[k0:k0 + _N_K * n])
             self.nfev += 3
             self._pieces[i] = piece
         return piece
@@ -320,8 +402,7 @@ def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol, events=()) -> Tr
     pieces = {}
     step = 0
     event = None
-    K = [[0.0] * _N_K for _ in range(n)]
-    rng = range(n)
+    attempt, interpolant = _compiled(n)
 
     while True:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -337,25 +418,8 @@ def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol, events=()) -> Tr
             h = t_new - t
             h_abs = abs(h)
 
-            for j in rng:
-                K[j][0] = f[j]
-            for s in range(1, _N_STAGES):
-                a = _A[s]
-                fs = fun(t + _C[s] * h, [y[j] + sum(map(mul, a, K[j])) * h for j in rng])
-                for j in rng:
-                    K[j][s] = fs[j]
-            y_new = [y[j] + h * sum(map(mul, _B, K[j])) for j in rng]
-            f_new = fun(t_new, y_new)
+            y_new, f_new, K, err5, err3 = attempt(fun, t, h, t_new, y, f, atol, rtol)
             nfev += _N_STAGES
-            err5 = err3 = 0.0
-            for j in rng:
-                Kj = K[j]
-                Kj[_N_STAGES] = f_new[j]
-                scale = atol[j] + max(abs(y[j]), abs(y_new[j])) * rtol
-                e5 = sum(map(mul, _E5, Kj)) / scale
-                e3 = sum(map(mul, _E3, Kj)) / scale
-                err5 += e5 * e5
-                err3 += e3 * e3
             if err5 == 0.0 and err3 == 0.0:
                 error_norm = 0.0
             else:
@@ -372,14 +436,13 @@ def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol, events=()) -> Tr
             rejected = True
             n_rejected += 1
 
-        for Kj in K:
-            buf.extend(Kj)
+        buf.extend(K)
         finished = direction * (t_new - t_end) >= 0.0
         g_new = [fn(t_new, y_new) for fn, _ in events]
         hits = [i for i, (_, d) in enumerate(events)
                 if (g[i] <= 0.0 <= g_new[i] if d > 0 else g[i] >= 0.0 >= g_new[i])]
         if hits:
-            piece = _interpolant(fun, t, h, y, y_new, K)
+            piece = interpolant(fun, t, h, y, y_new, K)
             nfev += 3
             pieces[step] = piece
             roots = [brentq(lambda s, fn=events[i][0]: fn(s, _evaluate(piece, s)),

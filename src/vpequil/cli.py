@@ -309,7 +309,8 @@ def _note(args, message):
 
 # deterministic solver counts reported in the solve summary; n_rhs_evals
 # includes the interpolant stages of the mass-decade query, if one ran
-_SOLVE_DIAGNOSTICS = ("n_steps", "n_rhs_evals", "termination", "decade_mass_ratio")
+_SOLVE_DIAGNOSTICS = ("n_steps", "n_rejected", "n_rhs_evals", "termination",
+                      "decade_mass_ratio")
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
@@ -382,6 +383,7 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
                         "limit_label": orbit.limit_label,
                         "n_samples": len(orbit.lam),
                         "n_steps": orbit.diagnostics["n_steps"],
+                        "n_rejected": orbit.diagnostics["n_rejected"],
                         "n_rhs_evals": orbit.diagnostics["n_rhs_evals"]})
     _write_summary(args.out, cfg.resolved, {"orbits": records,
                                             "backward": backward})

@@ -430,6 +430,7 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
     termination, label = _TERMINATIONS[sol.event]
     diagnostics = {
         "n_steps": sol.n_steps,
+        "n_rejected": sol.n_rejected,
         "n_rhs_evals": sol.nfev,
         "index_table_nodes": getattr(index_table, "n_nodes", None),
         "index_table_error": getattr(index_table, "certified_error", None),

@@ -29,8 +29,10 @@ minus a finite sum, and the series gives way to it well below a + 1, where
 the difference stops cancelling.  phi itself is the kernel at a = p + 1.
 
 A family is a kernel builder: `kernel(m, derivative=False)` returns the
-float function omega -> g_m(omega), or dg_m/domega, and `index(l)` the local
-index n = -l + omega g'/g at m = l + 1/2.  Each family checks its own
+float function omega -> g_m(omega), or dg_m/domega, and `index(l, kernel)`
+the local index n = -l + omega g'/g at m = l + 1/2, where `kernel` is the
+model's memoized `kernel` (a family that needs kernels for its index takes
+them from there, so none is built twice).  Each family checks its own
 parameters when it is built and keeps no cache.  The model holds the one
 memo, a kernel per (m, derivative) built on first use, and binds two float
 functions when it is built: the density kernel g_{l+1/2} (the memo's entry
@@ -123,7 +125,7 @@ class Polytrope:
             return lambda omega: power * g_m(omega) / omega
         return g_m
 
-    def index(self, l):
+    def index(self, l, kernel):
         n = self.n
         return lambda omega: n
 
@@ -174,7 +176,7 @@ class TruncatedExponential:
         return lambda omega: g(omega) + math.exp(
             log_gamma_m + (a - 1.0) * math.log(omega) - log_gamma_a)
 
-    def index(self, l):
+    def index(self, l, kernel):
         """omega -> -l + omega + 1/S(omega), S = e^omega omega^-a gamma(a, omega)."""
         a = self.p + l + 2.5
         log_gamma_a = math.lgamma(a)
@@ -385,9 +387,10 @@ class Tabulated:
             return phi0 * omega ** m + pieces(omega)
         return dg_m
 
-    def index(self, l):
+    def index(self, l, kernel):
+        """omega -> -l + omega dg_m/g_m at m = l + 1/2, from the model's memoized kernels."""
         m = l + 0.5
-        g, dg = self.kernel(m), self.kernel(m, derivative=True)
+        g, dg = kernel(m), kernel(m, derivative=True)
 
         def n(omega):
             gv = g(omega)
@@ -552,7 +555,7 @@ class DistributionModel:
         object.__setattr__(self, "_kernels", {})   # (m, derivative) -> kernel
         # the per-step functions of omega, bound once: g_{l+1/2} and n
         object.__setattr__(self, "_kernel", self.kernel(self.l + 0.5))
-        object.__setattr__(self, "_index", self.family.index(self.l))
+        object.__setattr__(self, "_index", self.family.index(self.l, self.kernel))
 
     def kernel(self, m, derivative=False):
         """omega -> g_m(omega), or dg_m/domega; the family builds each once per model."""

@@ -191,6 +191,7 @@ def integrate_physical(model: DistributionModel, omega_c: float,
     r_arr, m_arr, w_arr = sol.t, sol.y[0], sol.y[1]
     diagnostics = {
         "n_steps": sol.n_steps,
+        "n_rejected": sol.n_rejected,
         "omega_last": float(w_arr[-1]),
         "r_last": float(r_arr[-1]),
     }

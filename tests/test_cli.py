@@ -246,9 +246,12 @@ def test_solve_outputs_deterministic(tmp_path):
         assert (out1 / "profile.csv").read_bytes() == (out2 / "profile.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
         diag = load_summary(out1)["results"]["diagnostics"]
-        assert set(diag) == {"n_steps", "n_rhs_evals", "termination", "decade_mass_ratio"}
+        assert set(diag) == {"n_steps", "n_rejected", "n_rhs_evals", "termination",
+                             "decade_mass_ratio"}
         assert diag["termination"] == termination
         assert diag["n_rhs_evals"] >= 12 * diag["n_steps"] > 0
+        # one interpolant: the surface step, or the step of the mass-decade query
+        assert diag["n_rhs_evals"] == 2 + 12 * (diag["n_steps"] + diag["n_rejected"]) + 3
         assert (diag["decade_mass_ratio"] is None) == (termination == "surface")
 
 
@@ -382,6 +385,8 @@ def test_portrait_outputs_deterministic(tmp_path):
     for rec in load_summary(out1)["results"]["orbits"]:
         assert rec["n_rhs_evals"] >= 12 * rec["n_steps"] > 0
         assert rec["n_samples"] == rec["n_steps"] + 1
+        built = 0 if rec["termination"] == "lambda-max" else 1   # the event step's interpolant
+        assert rec["n_rhs_evals"] == 2 + 12 * (rec["n_steps"] + rec["n_rejected"]) + 3 * built
 
 
 @pytest.mark.parametrize("model", [

@@ -344,6 +344,34 @@ def test_n_equals_index_from_eval_g_and_eval_dg():
                 assert got == pytest.approx(want, rel=1e-14)
 
 
+def test_tabulated_model_builds_each_kernel_once(monkeypatch):
+    # the density kernel g_{l+1/2} and the index share the model's memo:
+    # one build of g_{l+1/2} and one of its derivative per model
+    from vpequil import distmodels
+
+    builds = []
+    original = distmodels._piecewise_kernel
+
+    def counting(x0, x1, coef, m):
+        builds.append(m)
+        return original(x0, x1, coef, m)
+    monkeypatch.setattr(distmodels, "_piecewise_kernel", counting)
+    energies = np.linspace(0.0, 3.0, 61)
+    # eval_n of e^E - 1 on 61 nodes, as written before the index shared the memo
+    expected = {
+        0.0: (2.500307906243567, 2.5743355273790103, 2.834467505280776, 3.779739039777171),
+        -0.4: (2.5003476002018195, 2.5840438071772844, 2.8792694292863747, 3.943568510005924),
+        1.0: (2.5002395273580134, 2.557594975045401, 2.7563852882862974, 3.474587045345211),
+    }
+    for l, values in expected.items():
+        builds.clear()
+        model = tabulated_model(energies, np.expm1(energies), l=l, k=1.0)
+        assert builds == [l + 0.5, l + 0.5]
+        got = tuple(eval_n(model, w) for w in (1e-3, 0.25, 1.0, 2.9))
+        assert got == values
+        assert len(builds) == 2
+
+
 def mp_lowered_index(p, l, omega):
     """omega g'/g - l at m = l + 1/2 for phi_p, from 50-digit mpmath."""
     with mpmath.workdps(50):

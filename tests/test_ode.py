@@ -5,13 +5,17 @@ arrays and serves as the oracle.  Roundoff in the first error estimates can
 move the step points, so event times, masses and end states are compared
 at 1e-9 to 1e-8 relative (the integration tolerance is 1e-10), while
 classifications and orbit terminations must be identical.  The inlined
-tableau and the ``brentq`` port must equal scipy's to the bit.
+tableau and the ``brentq`` port must equal scipy's to the bit, and so must
+the generated step and interpolant code equal a plain loop over that
+tableau.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
@@ -195,6 +199,22 @@ def test_compact_rhs_calls_counted(monkeypatch):
     assert len(calls) == orbit.diagnostics["n_rhs_evals"]
 
 
+def test_rejections_close_the_rhs_count():
+    # 12 calls per attempt, accepted or rejected, 2 to start, and 3 for the
+    # interpolant of the surface step; a lambda-max orbit builds none
+    prof = integrate_physical(polytrope(n=1.0), 1.5)
+    d = prof.diagnostics
+    assert d["termination"] == "surface"
+    assert d["n_rejected"] > 0
+    assert d["n_rhs_evals"] == 2 + 12 * (d["n_steps"] + d["n_rejected"]) + 3 * 1
+    orbit = integrate_compact(king_model(), CompactState(0.6, 0.3, 0.3),
+                              CompactSettings(lambda_max=10.0))
+    d = orbit.diagnostics
+    assert orbit.termination == "lambda-max"
+    assert d["n_rejected"] > 0
+    assert d["n_rhs_evals"] == 2 + 12 * (d["n_steps"] + d["n_rejected"]) + 3 * 0
+
+
 # --------------------------------------------------------- integrator itself
 
 def oscillator(t, y):
@@ -299,6 +319,89 @@ def test_tableau_equals_scipy():
     assert _ode._C_EXTRA == c.C[n + 1:].tolist()
     assert _ode._A_EXTRA == [c.A[s, :s].tolist() for s in range(n + 1, c.N_STAGES_EXTENDED)]
     assert _ode._D == c.D.tolist()
+
+
+def _weighted(coefs, stages):
+    acc = 0.0
+    for c, k in zip(coefs, stages):
+        acc += c * k
+    return acc
+
+
+def _reference_stages(fun, t, h, y, K, rows):
+    """Append to each K[j] the stages of the given tableau rows, as loops."""
+    n, C, A = len(y), dop853_coefficients.C, dop853_coefficients.A
+    for s in rows:
+        a = A[s, :s].tolist()
+        fs = fun(t + float(C[s]) * h, [y[j] + _weighted(a, K[j]) * h for j in range(n)])
+        for j in range(n):
+            K[j].append(fs[j])
+
+
+def reference_attempt(fun, t, h, t_new, y, f, atol, rtol):
+    c = dop853_coefficients
+    n = len(y)
+    K = [[f[j]] for j in range(n)]
+    _reference_stages(fun, t, h, y, K, range(1, c.N_STAGES))
+    y_new = [y[j] + h * _weighted(c.B.tolist(), K[j]) for j in range(n)]
+    f_new = fun(t_new, y_new)
+    err5 = err3 = 0.0
+    for j in range(n):
+        K[j].append(f_new[j])
+        scale = atol[j] + max(abs(y[j]), abs(y_new[j])) * rtol
+        e5 = _weighted(c.E5.tolist(), K[j]) / scale
+        e3 = _weighted(c.E3.tolist(), K[j]) / scale
+        err5 += e5 * e5
+        err3 += e3 * e3
+    return y_new, f_new, K, err5, err3
+
+
+def reference_interpolant(fun, t, h, y, y_new, K):
+    c = dop853_coefficients
+    n = len(y)
+    K = [list(Kj) for Kj in K]
+    _reference_stages(fun, t, h, y, K, range(c.N_STAGES + 1, c.N_STAGES_EXTENDED))
+    F = []
+    for j in range(n):
+        delta = y_new[j] - y[j]
+        F.append((delta, h * K[j][0] - delta, 2.0 * delta - h * (K[j][12] + K[j][0]),
+                  *(h * _weighted(d, K[j]) for d in c.D.tolist())))
+    return F
+
+
+@st.composite
+def polynomial_problems(draw):
+    n = draw(st.integers(1, 4))
+    unit = st.floats(-2.0, 2.0)
+    coef = [draw(st.lists(unit, min_size=n + 3, max_size=n + 3)) for _ in range(n)]
+
+    def fun(t, y):
+        # constant, linear in t and y, and one quadratic cross term
+        return [c[0] + c[1] * t + sum(c[2 + j] * y[j] for j in range(n))
+                + c[n + 2] * y[i] * y[(i + 1) % n] for i, c in enumerate(coef)]
+    y = draw(st.lists(unit, min_size=n, max_size=n))
+    h = draw(st.floats(1e-4, 0.3)) * draw(st.sampled_from([1.0, -1.0]))
+    atol = draw(st.lists(st.floats(1e-12, 1e-6), min_size=n, max_size=n))
+    return fun, draw(st.floats(-5.0, 5.0)), h, y, atol, draw(st.floats(1e-12, 1e-6))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(problem=polynomial_problems())
+def test_generated_step_equals_tableau_loops(problem):
+    fun, t, h, y, atol, rtol = problem
+    t_new = t + h
+    f = fun(t, y)
+    attempt, interpolant = _ode._compiled(len(y))
+    y_new, f_new, K, err5, err3 = attempt(fun, t, h, t_new, y, f, atol, rtol)
+    ref_y, ref_f, ref_K, ref_err5, ref_err3 = reference_attempt(fun, t, h, t_new, y, f,
+                                                                atol, rtol)
+    assert y_new == ref_y
+    assert f_new == ref_f
+    assert list(K) == [k for Kj in ref_K for k in Kj]    # stages, component by component
+    assert (err5, err3) == (ref_err5, ref_err3)
+    t_old, h_old, y_old, F = interpolant(fun, t, h, y, y_new, K)
+    assert (t_old, h_old, y_old) == (t, h, y)
+    assert F == reference_interpolant(fun, t, h, y, y_new, ref_K)
 
 
 def _brent_cases():
