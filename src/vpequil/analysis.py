@@ -15,6 +15,10 @@ observed cell-to-cell variation bounds the possible excursion between
 samples.  Anything else is reported as ``Inconclusive``, never as a
 refutation.
 
+A solved profile is labelled from its first and last step points alone:
+whether its compact orbit starts on the line L2 of regular centres, and
+which corner it ends at ((0,1,0) for finite radius and mass).
+
 The sweep driver maps a grid of central amplitudes to radii and masses,
 flags finite/infinite transitions and isolated radius spikes, and refines
 each candidate critical amplitude by bisection.
@@ -34,7 +38,6 @@ from .compactsys import (
     CompactSettings,
     compactify,
     integrate_compact,
-    map_profile,
     to_dimensionless,
 )
 from .distmodels import DistributionModel, EvaluationError
@@ -221,66 +224,60 @@ _CORNERS = (((0.0, 1.0, 0.0), "(0,1,0)"), ((1.0, 1.0, 0.0), "(1,1,0)"))
 _CORNER_RADIUS = 0.05
 
 
-def _forward_label(model: DistributionModel, profile) -> str:
-    U, Q, Om = map_profile(model, profile)
-    end = np.array([U[-1], Q[-1], Om[-1]])
-    for corner, label in _CORNERS:
-        if np.linalg.norm(end - np.asarray(corner)) < _CORNER_RADIUS:
-            return label
-    return "unresolved"
+def _end_labels(model: DistributionModel, profile) -> tuple:
+    """(forward, backward) labels from the first and last step points.
 
-
-def _safe_forward_label(model: DistributionModel, profile) -> str:
-    """The forward label; a numerical failure leaves it "unresolved" (labels
-    are advisory), a programming error propagates."""
-    try:
-        return _forward_label(model, profile)
-    except _SOLVE_ERRORS:
-        return "unresolved"
-
-
-def classify_solution(model: DistributionModel, profile: SolutionProfile,
-                      orbit=None) -> SolutionLabels:
-    """Label a solved profile by its end behaviour.
-
-    The forward label names the limit point of the compact representation
-    (from an explicitly integrated orbit when one is supplied, otherwise
-    from the final profile sample); the backward label is ``"L2"`` when the
-    startup point sits on the attracting line of regular centres.
+    Each point goes through `to_dimensionless` and x -> x/(1+x), the floats
+    of `compactify` without its range check (Omega rounds to 1 past
+    omega = 2^53, where the backward label still holds).  A numerical
+    failure maps a point to NaN, which matches no label; a programming
+    error propagates.
     """
-    classification = profile.classification
-    forward = None
-    if orbit is not None:
-        label = getattr(orbit, "limit_label", None)
-        if label not in (None, "unresolved"):
-            forward = label
-    U, Q, _ = map_profile(model, profile)
-    if forward is None:
-        forward = _safe_forward_label(model, profile)
+    ends = []
+    for i in (0, -1):
+        try:
+            state = PhysicalState(r=float(profile.r[i]), m=float(profile.m[i]),
+                                  omega=float(profile.omega[i]))
+            ends.append([x / (1.0 + x) for x in to_dimensionless(model, state)])
+        except _SOLVE_ERRORS:
+            ends.append([math.nan] * 3)
+    (U0, Q0, _), last = ends
+    forward = next((label for corner, label in _CORNERS
+                    if math.dist(last, corner) < _CORNER_RADIUS), "unresolved")
     u_center = (3.0 + 2.0 * model.l) / (4.0 + 2.0 * model.l)
-    backward = ("L2" if abs(float(U[0]) - u_center) < _CORNER_RADIUS
-                and float(Q[0]) < _CORNER_RADIUS else "unresolved")
-    return SolutionLabels(
-        classification=classification,
-        forward_label=forward,
-        backward_label=backward,
-        mass_convergent=classification in (FINITE_RADIUS, INFINITE_FINITE_MASS),
-    )
+    backward = ("L2" if abs(U0 - u_center) < _CORNER_RADIUS and Q0 < _CORNER_RADIUS
+                else "unresolved")
+    return forward, backward
+
+
+def classify_solution(model: DistributionModel, profile: SolutionProfile) -> SolutionLabels:
+    """Label a solved profile by the two ends of its compact orbit.
+
+    The forward label names the corner the last step point has reached:
+    ``"(0,1,0)"`` (vacuum: finite radius and mass) or ``"(1,1,0)"``.  The
+    backward label is ``"L2"`` when the first step point sits on the line
+    of regular centres.  Anything else is ``"unresolved"``.
+    """
+    forward, backward = _end_labels(model, profile)
+    kind = profile.classification
+    return SolutionLabels(classification=kind, forward_label=forward, backward_label=backward,
+                          mass_convergent=kind in (FINITE_RADIUS, INFINITE_FINITE_MASS))
 
 
 # ------------------------------------------------------------------- sweeps
 
 _SPIKE_FACTOR = 1e3
+# relative width at which the refinement of a critical amplitude stops
+_BISECT_REL_TOL = 1e-6
 # numerical failures a sweep records and skips; programming errors such as
 # TypeError or AttributeError propagate
 _SOLVE_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
-def _bisect_transition(model, lo, hi, lo_is_finite, settings, solve,
-                       failures, rel_tol):
+def _bisect_transition(model, lo, hi, lo_is_finite, settings, solve, failures):
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * mid:
+        if hi - lo <= _BISECT_REL_TOL * mid:
             break
         try:
             prof = solve(model, mid, settings)
@@ -294,7 +291,7 @@ def _bisect_transition(model, lo, hi, lo_is_finite, settings, solve,
     return 0.5 * (lo + hi)
 
 
-def _refine_spike(model, a, b, settings, solve, failures, rel_tol, threshold):
+def _refine_spike(model, a, b, settings, solve, failures, threshold):
     """Golden-section style maximisation of R(omega_c) between the grid
     neighbours of a spike; the spike counts as critical only when the
     refined radius keeps growing past the detection threshold."""
@@ -310,7 +307,7 @@ def _refine_spike(model, a, b, settings, solve, failures, rel_tol, threshold):
         return r
 
     try:
-        while b - a > rel_tol * 0.5 * (a + b):
+        while b - a > _BISECT_REL_TOL * 0.5 * (a + b):
             m1 = a + (b - a) / 3.0
             m2 = b - (b - a) / 3.0
             if radius_at(m1) < radius_at(m2):
@@ -325,7 +322,7 @@ def _refine_spike(model, a, b, settings, solve, failures, rel_tol, threshold):
     return None
 
 
-def _find_critical_values(model, entries, settings, solve, failures, rel_tol):
+def _find_critical_values(model, entries, settings, solve, failures):
     candidates = []
     for a, b in zip(entries, entries[1:]):
         fa = a.classification == FINITE_RADIUS
@@ -333,7 +330,7 @@ def _find_critical_values(model, entries, settings, solve, failures, rel_tol):
         if fa == fb:
             continue
         value = _bisect_transition(model, a.omega_c, b.omega_c, fa,
-                                   settings, solve, failures, rel_tol)
+                                   settings, solve, failures)
         if value is not None:
             candidates.append(value)
 
@@ -352,29 +349,26 @@ def _find_critical_values(model, entries, settings, solve, failures, rel_tol):
             continue
         value = _refine_spike(model, entries[i - 1].omega_c,
                               entries[i + 1].omega_c, settings, solve,
-                              failures, rel_tol,
-                              threshold=_SPIKE_FACTOR * med)
+                              failures, threshold=_SPIKE_FACTOR * med)
         if value is not None:
             candidates.append(value)
 
-    candidates.sort()
     merged = []
-    for v in candidates:
-        if merged and abs(v - merged[-1]) <= 1e-4 * v:
-            continue
-        merged.append(v)
+    for v in sorted(candidates):
+        if not merged or abs(v - merged[-1]) > 1e-4 * v:
+            merged.append(v)
     return merged
 
 
 def sweep_omega_c(model: DistributionModel, omega_grid,
                   settings: SolveSettings | None = None,
-                  solve_fn=None, bisect_rel_tol: float = 1e-6) -> SweepResult:
+                  solve_fn=None) -> SweepResult:
     """Solve the equilibrium over a grid of central amplitudes.
 
     Individual failures are recorded and skipped, never fatal.  Adjacent
     finite/infinite pairs and confirmed radius spikes are refined into
-    critical amplitude estimates by bisection with relative tolerance
-    ``bisect_rel_tol``.  ``solve_fn(model, omega_c, settings)`` may replace
+    critical amplitude estimates by bisection to a relative width of
+    ``_BISECT_REL_TOL``.  ``solve_fn(model, omega_c, settings)`` may replace
     the default solver (used by the refinement probes as well).
     """
     grid = [float(w) for w in omega_grid]
@@ -386,22 +380,18 @@ def sweep_omega_c(model: DistributionModel, omega_grid,
         raise ValueError("omega_c grid must be strictly increasing")
     solve = solve_fn or (lambda mdl, w, st: integrate_physical(mdl, w, settings=st))
 
-    def run_one(w):
+    entries, failures = [], []
+    for w in grid:
         try:
             prof = solve(model, w, settings)
         except _SOLVE_ERRORS as exc:
-            return None, (w, f"{type(exc).__name__}: {exc}")
-        entry = SweepEntry(omega_c=w, radius=float(prof.radius),
-                           total_mass=float(prof.total_mass),
-                           classification=prof.classification,
-                           limit_label=_safe_forward_label(model, prof))
-        return entry, None
-
-    outcomes = [run_one(w) for w in grid]
-    entries = [e for e, _ in outcomes if e is not None]
-    failures = [f for _, f in outcomes if f is not None]
-    criticals = _find_critical_values(model, entries, settings, solve,
-                                      failures, bisect_rel_tol)
+            failures.append((w, f"{type(exc).__name__}: {exc}"))
+            continue
+        entries.append(SweepEntry(omega_c=w, radius=float(prof.radius),
+                                  total_mass=float(prof.total_mass),
+                                  classification=prof.classification,
+                                  limit_label=_end_labels(model, prof)[0]))
+    criticals = _find_critical_values(model, entries, settings, solve, failures)
     return SweepResult(entries=entries, critical_values=criticals,
                        failures=failures)
 

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -208,19 +208,21 @@ def _validate_run(block):
 
 def _check_table_range(model, run):
     """A family with a largest energy (a tabulated phi ends at its last
-    sample) admits no amplitude and no orbit start's potential
-    Omega/(1-Omega) past it."""
+    sample) admits no amplitude past it, and no orbit start's potential
+    Omega/(1-Omega) at or past it: an orbit stops where it reaches the end."""
     end = model.family.energy_max
     if end is None:
         return
     amplitudes = [(f"run.{key}", run[key]) for key in ("omega_c", "omega_0") if key in run]
     amplitudes += [(f"run.omega_grid[{i}]", w) for i, w in enumerate(run.get("omega_grid", ()))]
-    amplitudes += [(f"run.orbits[{i}] omega", om / (1.0 - om))
-                   for i, (_, _, om) in enumerate(run.get("orbits", ()))]
     for path, omega in amplitudes:
         if omega > end:
             raise ConfigError(f"{path} = {omega:g} lies past the end of the tabulated "
                               f"phi grid (E = {end:g})")
+    for i, (_, _, om) in enumerate(run.get("orbits", ())):
+        if om / (1.0 - om) >= end:
+            raise ConfigError(f"run.orbits[{i}] omega = {om / (1.0 - om):g} lies at or "
+                              f"past the end of the tabulated phi grid (E = {end:g})")
 
 
 def parse_config(path) -> RunConfig:
@@ -395,16 +397,13 @@ def cmd_check(cfg: RunConfig, args) -> int:
     omega_0 = cfg.run.get("omega_0", omega_c)
     if omega_0 is None:
         raise ConfigError("run.omega_c or run.omega_0 is required by the check command")
+    verdicts = [check_theorem1(cfg.model, omega_0)]
     _note(args, "computing critical amplitude")
-    oc = omega_crit(cfg.model)
-    results = {"omega_crit": oc}
-    verdict1 = check_theorem1(cfg.model, omega_0)
-    results["T1"] = {"theorem": verdict1.theorem, "holds": verdict1.holds,
-                     "witness": verdict1.witness}
-    if omega_c is not None:
-        verdict2 = check_theorem2(cfg.model, omega_c)
-        results["T2"] = {"theorem": verdict2.theorem, "holds": verdict2.holds,
-                         "witness": verdict2.witness}
+    if omega_c is not None:   # T2 keeps the critical amplitude in its witness
+        verdicts.append(check_theorem2(cfg.model, omega_c))
+    results = {v.theorem: asdict(v) for v in verdicts}
+    results["omega_crit"] = (verdicts[1].witness["omega_crit"] if omega_c is not None
+                             else omega_crit(cfg.model))
     _write_summary(args.out, cfg.resolved, results)
     return 0
 

@@ -380,8 +380,8 @@ _TERMINATIONS = {
 
 def integrate_compact(model: DistributionModel, state0, settings: CompactSettings | None = None,
                       backward: bool = False, index_table=None) -> CompactOrbit:
-    """Follow the compact flow from state0 until a corner, the potential
-    floor, or the lambda budget; xi accumulates the logarithmic radius.
+    """Follow the compact flow from state0 until a corner, the potential floor,
+    ceiling or end of phi, or the lambda budget; xi accumulates the log radius.
     The index n(omega) is the model's bound one unless `index_table` is given."""
     st = settings or CompactSettings()
     if not st.lambda_max > 0.0:
@@ -392,16 +392,25 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
         raise ValueError("omega_floor and tolerances must be positive")
     if not st.omega_ceiling > st.omega_floor:
         raise ValueError("omega_ceiling must exceed omega_floor")
+    end = model.family.energy_max   # where a tabulated phi ends, None otherwise
+    ceiling = st.omega_ceiling if end is None else min(st.omega_ceiling, end)
     s0 = state0 if isinstance(state0, CompactState) else CompactState(*_triple(state0))
-    if not st.omega_floor < s0.omega < st.omega_ceiling:
+    if not st.omega_floor < s0.omega < ceiling:
         raise ValueError("initial state outside the (floor, ceiling) potential window")
     floor_c = st.omega_floor / (1.0 + st.omega_floor)
-    roof_c = st.omega_ceiling / (1.0 + st.omega_ceiling)
+    roof_c = ceiling / (1.0 + ceiling)
     eps = st.attraction_eps
 
     # Runge-Kutta stages may probe slightly past Omega = 1 (or 0) before the
-    # terminal events truncate the step; clamp only the stage argument
+    # terminal events truncate the step; clamp only the stage argument, and
+    # where phi ends to the largest Omega with Omega/(1-Omega) <= end
     om_hi = math.nextafter(1.0, 0.0)
+    if end is not None:
+        om_hi = min(end / (1.0 + end), om_hi)
+        while om_hi / (1.0 - om_hi) > end:
+            om_hi = math.nextafter(om_hi, 0.0)
+        while (up := math.nextafter(om_hi, 1.0)) < 1.0 and up / (1.0 - up) <= end:
+            om_hi = up
 
     def rhs(lam, y):
         om_safe = min(max(y[2], 1e-300), om_hi)

@@ -28,7 +28,8 @@ from vpequil.analysis import (
     sweep_omega_c,
     write_sweep_csv,
 )
-from vpequil.distmodels import eval_n, polytrope, truncated_exponential
+from vpequil.compactsys import map_profile
+from vpequil.distmodels import eval_n, polytrope, tabulated_model, truncated_exponential
 from vpequil.physical import (
     FINITE_RADIUS,
     INFINITE_FINITE_MASS,
@@ -206,14 +207,41 @@ def test_classify_infinite_mass():
     assert not labels.mass_convergent
 
 
-def test_classify_uses_orbit_label_when_given(king_profile):
-    model = truncated_exponential(0)
+def reference_labels(model, profile):
+    """The labels as read from every compactified step point by map_profile."""
+    U, Q, Om = map_profile(model, profile)
+    end = np.array([U[-1], Q[-1], Om[-1]])
+    forward = "unresolved"
+    for corner, label in (((0.0, 1.0, 0.0), "(0,1,0)"), ((1.0, 1.0, 0.0), "(1,1,0)")):
+        if np.linalg.norm(end - np.asarray(corner)) < 0.05:
+            forward = label
+            break
+    u_center = (3.0 + 2.0 * model.l) / (4.0 + 2.0 * model.l)
+    backward = ("L2" if abs(float(U[0]) - u_center) < 0.05 and float(Q[0]) < 0.05
+                else "unresolved")
+    return forward, backward
 
-    class Stub:
-        limit_label = "(1,1,0)"
 
-    labels = classify_solution(model, king_profile, orbit=Stub())
-    assert labels.forward_label == "(1,1,0)"
+@pytest.mark.parametrize("make_model, omega_c", [
+    (lambda: truncated_exponential(0), 0.5),
+    (lambda: polytrope(n=5), 1.0),
+    (lambda: polytrope(n=6), 1.0),
+    (lambda: truncated_exponential(1, l=-0.4), 0.5),
+    (lambda: tabulated_model(np.linspace(0.0, 3.0, 61), np.expm1(np.linspace(0.0, 3.0, 61)),
+                             k=1.0), 2.0),
+    (lambda: polytrope(n=3, l=1.0), 1.0),
+    # past omega = 2^53 the first point's Omega rounds to 1; it still starts on L2
+    (lambda: polytrope(n=3), 1e17),
+], ids=["king", "plummer", "n6", "wilson-l-0.4", "tabulated-61", "n3-l1", "n3-omega-1e17"])
+def test_labels_read_first_and_last_step_points(make_model, omega_c):
+    model = make_model()
+    profile = integrate_physical(model, omega_c)
+    labels = classify_solution(model, profile)
+    assert profile._samples is None   # no density or pressure sample was built
+    assert (labels.forward_label, labels.backward_label) == reference_labels(model, profile)
+    assert labels.backward_label == "L2"
+    sweep = sweep_omega_c(model, [omega_c])
+    assert [e.limit_label for e in sweep.entries] == [labels.forward_label]
 
 
 # ------------------------------------------------------------------ sweeps
@@ -252,11 +280,11 @@ class FakeProfile:
     radius: float
     total_mass: float
     classification: str
-    # the step samples the forward label maps: one point at
-    # (U, Q, Omega) = (0, 1/2, 1/2), away from both corners
-    samples: dict = field(default_factory=lambda: {
-        "r": np.array([1.0]), "m": np.array([1.0]),
-        "omega": np.array([1.0]), "rho": np.array([0.0])})
+    # the one step point the labels map, at (Q, Omega) = (1/2, 1/2): away
+    # from both corners and from the line of regular centres
+    r: np.ndarray = field(default_factory=lambda: np.array([1.0]))
+    m: np.ndarray = field(default_factory=lambda: np.array([1.0]))
+    omega: np.ndarray = field(default_factory=lambda: np.array([1.0]))
 
 
 def transition_solver(omega_star):
@@ -336,9 +364,9 @@ def test_sweep_propagates_programming_errors(exc):
 
 @pytest.mark.parametrize("exc", [TypeError, AttributeError])
 def test_forward_label_propagates_programming_errors(monkeypatch, plummer_profile, exc):
-    def broken(model, profile):
+    def broken(model, state):
         raise exc("synthetic label bug")
-    monkeypatch.setattr(analysis, "_forward_label", broken)
+    monkeypatch.setattr(analysis, "to_dimensionless", broken)
     with pytest.raises(exc, match="synthetic label bug"):
         classify_solution(polytrope(n=5), plummer_profile)
     with pytest.raises(exc, match="synthetic label bug"):
@@ -346,11 +374,25 @@ def test_forward_label_propagates_programming_errors(monkeypatch, plummer_profil
                       solve_fn=lambda m, w, st: FakeProfile(1.0, w, FINITE_RADIUS))
 
 
-def test_forward_label_numerical_failure_is_unresolved(monkeypatch, plummer_profile):
-    def failing(model, profile):
-        raise FloatingPointError("synthetic overflow")
-    monkeypatch.setattr(analysis, "_forward_label", failing)
-    assert classify_solution(polytrope(n=5), plummer_profile).forward_label == "unresolved"
+def test_forward_label_numerical_failure_is_unresolved(monkeypatch, king_profile):
+    model = truncated_exponential(0)
+    real = analysis.to_dimensionless
+
+    def failing_at(radius):
+        def mapped(model, state):
+            if state.r == radius:
+                raise FloatingPointError("synthetic overflow")
+            return real(model, state)
+        return mapped
+    # a failure at one end leaves that label unresolved and the other intact
+    monkeypatch.setattr(analysis, "to_dimensionless", failing_at(king_profile.r[-1]))
+    labels = classify_solution(model, king_profile)
+    assert (labels.forward_label, labels.backward_label) == ("unresolved", "L2")
+    monkeypatch.setattr(analysis, "to_dimensionless", failing_at(king_profile.r[0]))
+    labels = classify_solution(model, king_profile)
+    assert (labels.forward_label, labels.backward_label) == ("(0,1,0)", "unresolved")
+    sweep = sweep_omega_c(model, [0.5], solve_fn=lambda m, w, st: king_profile)
+    assert sweep.entries[0].limit_label == "(0,1,0)"
 
 
 @pytest.mark.parametrize("make_solver, grid", [

@@ -163,15 +163,17 @@ def test_parse_rejects_orbit_potential_past_table_end(tmp_path, capsys):
     table = tmp_path / "phi.csv"
     table.write_text("0.0,0.0\n1.0,1.7\n2.0,6.4\n3.0,19.1\n")
     model = {"family": "tabulated", "table": str(table), "k": 1.0}
-    ok = write_config(tmp_path, {"model": model, "run": {"orbits": [[0.5, 0.5, 0.75]]}},
-                      name="ok.json")   # omega = 3: the grid end itself
-    assert parse_config(ok).run["orbits"] == [[0.5, 0.5, 0.75]]
-    path = write_config(tmp_path, {"model": model,
-                                   "run": {"orbits": [[0.5, 0.5, 0.3], [0.5, 0.5, 0.8]]}})
-    with pytest.raises(ConfigError, match=r"run\.orbits\[1\]"):
-        parse_config(path)
-    assert main(["portrait", "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert "past the end of the tabulated phi grid" in capsys.readouterr().err
+    ok = write_config(tmp_path, {"model": model, "run": {"orbits": [[0.5, 0.5, 0.7]]}},
+                      name="ok.json")   # omega = 7/3, below the grid end
+    assert parse_config(ok).run["orbits"] == [[0.5, 0.5, 0.7]]
+    # an orbit stops at the grid end, so none starts at it (omega = 3) or past it
+    for far in (0.75, 0.8):
+        path = write_config(tmp_path, {"model": model,
+                                       "run": {"orbits": [[0.5, 0.5, 0.3], [0.5, 0.5, far]]}})
+        with pytest.raises(ConfigError, match=r"run\.orbits\[1\]"):
+            parse_config(path)
+        assert main(["portrait", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "past the end of the tabulated phi grid" in capsys.readouterr().err
 
 
 def test_parse_rejects_foreign_family_key(tmp_path):
@@ -331,6 +333,27 @@ def test_check_wilson(tmp_path):
     assert res["T1"]["holds"] == "Inconclusive"
 
 
+@pytest.mark.parametrize("run", [{"omega_c": WILSON_OMEGA_CRIT / 2}, {"omega_0": 0.1}],
+                         ids=["omega_c", "omega_0"])
+def test_check_computes_omega_crit_once(tmp_path, monkeypatch, run):
+    # check_theorem2 finds omega_crit for its witness; the summary reuses it
+    from vpequil import analysis, cli
+    real, calls = analysis.omega_crit, []
+
+    def counted(model, n_fn=None):
+        calls.append(model)
+        return real(model, n_fn=n_fn)
+    monkeypatch.setattr(analysis, "omega_crit", counted)
+    monkeypatch.setattr(cli, "omega_crit", counted)
+    path = write_config(tmp_path, {"model": {"family": "truncated-exponential", "p": 1},
+                                   "run": run})
+    out = tmp_path / "out"
+    assert main(["check", "--config", path, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert load_summary(out)["results"]["omega_crit"] == pytest.approx(WILSON_OMEGA_CRIT,
+                                                                       rel=1e-6)
+
+
 def test_check_scale_free_model(tmp_path):
     cfg = {"model": {"family": "polytrope", "n": 3.0}, "run": {"omega_c": 1.0}}
     path = write_config(tmp_path, cfg)
@@ -418,6 +441,28 @@ def test_portrait_tabulated_grid_end_below_four(tmp_path):
     assert main(["portrait", "--config", path, "--out", str(out)]) == 0
     record = load_summary(out)["results"]["orbits"][0]
     assert record["limit_label"] == "(0,1,0)"
+
+
+def test_portrait_tabulated_backward_stops_at_grid_end(tmp_path):
+    # a backward orbit drives Omega up; on a table ending at E = 3 it stops
+    # at Omega = 3/4 instead of querying phi past the end
+    table = tmp_path / "phi.csv"
+    energies = [3.0 * i / 60 for i in range(61)]
+    table.write_text("".join(f"{e!r},{math.expm1(e)!r}\n" for e in energies))
+    orbits = [[0.6, 0.3, 0.3], [0.5, 0.3, 0.4], [0.9, 0.8, 0.1]]
+    cfg = {"model": {"family": "tabulated", "table": str(table), "k": 1.0},
+           "run": {"orbits": orbits, "lambda_max": 30.0, "backward": True}}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["portrait", "--config", path, "--out", str(out)]) == 0
+    records = load_summary(out)["results"]["orbits"]
+    assert [r["initial"] for r in records] == orbits
+    for i, record in enumerate(records):
+        assert record["termination"] in ("omega-ceiling", "lambda-max")
+        lines = (out / f"orbit_{i:03d}.csv").read_text().splitlines()[1:]
+        assert len(lines) == record["n_samples"]
+        assert max(float(line.split(",")[3]) for line in lines) <= 0.75
+    assert "omega-ceiling" in {r["termination"] for r in records}
 
 
 # ------------------------------------------------------------------- models
