@@ -379,8 +379,10 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
                                   settings, backward=backward)
         write_csv(os.path.join(args.out, f"orbit_{i:03d}.csv"),
                   "lambda,U,Q,Omega,xi,log_Z,Phi,S1",
-                  zip(orbit.lam, orbit.U, orbit.Q, orbit.Omega, orbit.xi,
-                      orbit.log_Z, orbit.Phi, (str(int(v)) for v in orbit.S1)), prec)
+                  zip(orbit.lam.tolist(), orbit.U.tolist(), orbit.Q.tolist(),
+                      orbit.Omega.tolist(), orbit.xi.tolist(), orbit.log_Z.tolist(),
+                      orbit.Phi.tolist(), ["1" if v else "0" for v in orbit.S1.tolist()]),
+                  prec)
         records.append({"initial": [u, q, om], "termination": orbit.termination,
                         "limit_label": orbit.limit_label,
                         "n_samples": len(orbit.lam),

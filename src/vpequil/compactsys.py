@@ -119,28 +119,47 @@ def map_profile(model: DistributionModel, profile: SolutionProfile):
 
 # ------------------------------------------------------------ vector field
 
+def _compact_field(model: DistributionModel, index_table=None,
+                   om_lo: float = 0.0, om_hi: float = 1.0):
+    """(lambda, [U, Q, Omega, xi]) -> the four derivatives, constants bound once.
+
+    One closure per orbit: `integrate_compact` hands it to the integrator
+    directly.  Omega is clamped into [om_lo, om_hi] before it enters the
+    field; xi' = (1 - U)(1 - Q) is the log-radius rate.  The index is the
+    model's bound n(omega) unless `index_table` is given.
+    """
+    l = model.l
+    index = index_table if index_table is not None else model._index
+    a1, a2 = 3.0 + 2.0 * l, 4.0 + 2.0 * l
+
+    def field(lam, y):
+        U, Q, Om, _ = y
+        if Om < om_lo:
+            Om = om_lo
+        elif Om > om_hi:
+            Om = om_hi
+        n = index(Om / (1.0 - Om)) if Q != 0.0 else 0.0   # n is multiplied by Q
+        du = U * (1.0 - U) * ((1.0 - Q) * (a1 - a2 * U) - (n + l) * Q * (1.0 - U))
+        dq = Q * (1.0 - Q) * ((2.0 * U - 1.0) * (1.0 - Q) + Q * (1.0 - U))
+        dom = -Om * (1.0 - Om) * Q * (1.0 - U)
+        return du, dq, dom, (1.0 - U) * (1.0 - Q)
+    return field
+
+
 def rhs_compact(model: DistributionModel, state, index_table=None):
     """Compact flow (dU, dQ, dOmega)/dlambda, as a tuple of floats.
 
     Accepts U, Q slightly off the faces (the field is polynomial in them),
     which finite-difference Jacobians rely on; Omega must stay interior.
     The index comes from the model's bound n(omega) unless `index_table`
-    is given.
+    is given.  The reference field, for the Jacobian, oracles and tests:
+    the same factory, and so the same floats, as the closure
+    `integrate_compact` integrates.
     """
     U, Q, Om = float(state[0]), float(state[1]), float(state[2])
     if not 0.0 < Om < 1.0:
         raise ValueError(f"Omega must lie strictly inside (0, 1), got {Om}")
-    l = model.l
-    if Q != 0.0:
-        omega = Om / (1.0 - Om)
-        n = index_table(omega) if index_table is not None else model._index(omega)
-    else:
-        n = 0.0   # multiplied by Q = 0 below
-    du = U * (1.0 - U) * ((1.0 - Q) * (3.0 + 2.0 * l - (4.0 + 2.0 * l) * U)
-                          - (n + l) * Q * (1.0 - U))
-    dq = Q * (1.0 - Q) * ((2.0 * U - 1.0) * (1.0 - Q) + Q * (1.0 - U))
-    dom = -Om * (1.0 - Om) * Q * (1.0 - U)
-    return du, dq, dom
+    return _compact_field(model, index_table)(0.0, (U, Q, Om, 0.0))[:3]
 
 
 def fixed_lines(l: float):
@@ -382,7 +401,10 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
                       backward: bool = False, index_table=None) -> CompactOrbit:
     """Follow the compact flow from state0 until a corner, the potential floor,
     ceiling or end of phi, or the lambda budget; xi accumulates the log radius.
-    The index n(omega) is the model's bound one unless `index_table` is given."""
+    The index n(omega) is the model's bound one unless `index_table` is given.
+    The integrator calls one fused closure per orbit, from the factory behind
+    `rhs_compact`, so its flow components are rhs_compact's floats at the
+    clamped stage Omega."""
     st = settings or CompactSettings()
     if not st.lambda_max > 0.0:
         raise ValueError("lambda_max must be positive")
@@ -412,11 +434,6 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
         while (up := math.nextafter(om_hi, 1.0)) < 1.0 and up / (1.0 - up) <= end:
             om_hi = up
 
-    def rhs(lam, y):
-        om_safe = min(max(y[2], 1e-300), om_hi)
-        du, dq, dom = rhs_compact(model, (y[0], y[1], om_safe), index_table=index_table)
-        return [du, dq, dom, (1.0 - y[0]) * (1.0 - y[1])]
-
     def ev_floor(lam, y):
         return y[2] - floor_c
 
@@ -433,7 +450,8 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
     # xi starts at exactly 0, where purely relative control would stall the
     # first steps; it is an O(1) log radius, so give it a real absolute floor
     atol = [st.abs_tol, st.abs_tol, st.abs_tol, max(st.abs_tol, 1e-14)]
-    sol = dop853(rhs, 0.0, (s0.U, s0.Q, s0.Omega, 0.0), lam_end, st.rel_tol, atol,
+    sol = dop853(_compact_field(model, index_table, 1e-300, om_hi), 0.0,
+                 (s0.U, s0.Q, s0.Omega, 0.0), lam_end, st.rel_tol, atol,
                  events=[(ev_floor, -1), (ev_vacuum, -1), (ev_singular, -1),
                          (ev_roof, 1)])
     termination, label = _TERMINATIONS[sol.event]

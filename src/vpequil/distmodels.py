@@ -40,7 +40,9 @@ at m = l + 1/2) and the family's index.  Both flows and the criteria call
 these and nothing else per step.  A polytrope's index is the constant n.  A
 lowered exponential's index is taken in ratio form, g'/g = 1 + 1/(omega S),
 so n = -l + omega + 1/S, and T replaces S above a + 1: the index neither
-overflows nor needs P.  A tabulated model's index is the quotient of its two
+overflows nor needs P.  Below a + 1 it reads S off the memoized g_{l+1/2}
+(the same a): the kernel's Horner polynomial below its switch, its
+elementary form above.  A tabulated model's index is the quotient of its two
 kernels.
 
 Singularity-adapted Gauss-Jacobi quadrature of the same integrals
@@ -177,13 +179,31 @@ class TruncatedExponential:
             log_gamma_m + (a - 1.0) * math.log(omega) - log_gamma_a)
 
     def index(self, l, kernel):
-        """omega -> -l + omega + 1/S(omega), S = e^omega omega^-a gamma(a, omega)."""
+        """omega -> -l + omega + 1/S(omega), S = e^omega omega^-a gamma(a, omega).
+
+        Up to a + 1 the numbers come from the model's memoized g_{l+1/2}
+        (the same a, and scale = Gamma(l+3/2)): below its switch
+        g = omega^a H(omega), so 1/S = scale/(Gamma(a) H) needs no power of
+        omega, and between the switch and a + 1 (2a an integer)
+        1/S = scale omega^a/(Gamma(a) g).  scale/Gamma(a) is taken as a times
+        H's constant term scale/Gamma(a+1), whose rounding every coefficient
+        of H shares, so n tends to a - l as omega -> 0 up to one rounding.
+        """
         a = self.p + l + 2.5
+        g = kernel(l + 0.5)
+        switch, horner = g.switch, g.horner
+        ratio = a * horner[-1]
         log_gamma_a = math.lgamma(a)
+        top = a + 1.0
 
         def n(omega):
-            if omega <= a + 1.0:
-                return -l + omega + 1.0 / _series(a, omega)
+            if omega <= switch:
+                h = 0.0
+                for c in horner:
+                    h = h * omega + c
+                return -l + omega + ratio / h
+            if omega <= top:
+                return -l + omega + ratio * omega ** a / g(omega)
             # 1/S = E/(1 - E T) with E = omega^a e^-omega/Gamma(a); E
             # underflows to 0 for large omega, where n = omega - l exactly
             e = math.exp(a * math.log(omega) - omega - log_gamma_a)
@@ -287,6 +307,9 @@ def _lowered_kernel(a, scale, what):
         if x + log_scale + math.log(frac) <= _LOG_MAX:
             return math.exp(x + log_scale + math.log(frac))
         raise EvaluationError(f"{what}(omega={x:g}) overflows double precision")
+    # what the index reads: below the switch the kernel is x^a H(x), with H
+    # the polynomial of these coefficients (highest power first)
+    lowered.switch, lowered.horner = switch, series
     return lowered
 
 

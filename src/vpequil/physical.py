@@ -119,16 +119,30 @@ def center_series(model: DistributionModel, omega_c: float, r):
     return m, omega
 
 
+def _physical_field(model: DistributionModel):
+    """(r, [m, omega]) -> (dm/dr, domega/dr), the model's constants bound once.
+
+    One closure per solve: `integrate_physical` hands it to the integrator
+    directly.  The operations are those of `density`, in the same order, so
+    the floats are too; rho is 0 for omega <= 0.
+    """
+    c, two_l, kernel = model._prefactor, 2.0 * model.l, model._kernel
+    four_pi = 4.0 * math.pi
+
+    def field(r, y):
+        m, omega = y
+        rho = c * r ** two_l * kernel(omega) if omega > 0.0 else 0.0
+        return four_pi * r * r * rho, -m / (r * r)
+    return field
+
+
 def rhs_physical(model: DistributionModel, r: float, state):
     """Right-hand side (dm/dr, domega/dr); omega is clamped at the vacuum.
 
-    rho = C_l r^(2l) g_{l+1/2}(omega) through the model's bound kernel, the
-    same floats as `density`.
+    The reference field, for oracles and tests: the same factory, and so the
+    same floats, as the closure `integrate_physical` integrates.
     """
-    m, omega = float(state[0]), float(state[1])
-    rho = (model._prefactor * r ** (2.0 * model.l) * model._kernel(omega)
-           if omega > 0.0 else 0.0)
-    return 4.0 * math.pi * r * r * rho, -m / (r * r)
+    return _physical_field(model)(r, (float(state[0]), float(state[1])))
 
 
 @dataclass
@@ -180,13 +194,10 @@ def integrate_physical(model: DistributionModel, omega_c: float,
     if not w0 > st.omega_floor:
         raise ValueError("startup radius too large: the series already crossed the floor")
 
-    def rhs(r, y):
-        return rhs_physical(model, r, y)
-
     def hit_floor(r, y):
         return y[1] - st.omega_floor
 
-    sol = dop853(rhs, r0, (m0, w0), st.r_max, st.rel_tol, st.abs_tol,
+    sol = dop853(_physical_field(model), r0, (m0, w0), st.r_max, st.rel_tol, st.abs_tol,
                  events=[(hit_floor, -1)])
     r_arr, m_arr, w_arr = sol.t, sol.y[0], sol.y[1]
     diagnostics = {
@@ -228,16 +239,24 @@ def integrate_physical(model: DistributionModel, omega_c: float,
 
 
 def write_csv(path, header: str, rows, precision: int = 17) -> None:
-    """CSV with numbers at `precision` significant digits; strings pass through."""
+    """CSV with numbers at `precision` significant digits; strings pass through.
+
+    The first row's column types fix one %-template for the whole file, so
+    every row must hold a string where the first one does.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    lines = [header]
+    if first is not None:
+        template = ",".join("%s" if isinstance(x, str) else f"%.{precision}g" for x in first)
+        lines.append(template % tuple(first))
+        lines += [template % tuple(row) for row in rows]
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(x if isinstance(x, str) else f"{float(x):.{precision}g}"
-                              for x in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_profile_csv(profile: SolutionProfile, path, precision: int = 17) -> None:
     """Deterministic five-column CSV of the step points."""
     s = profile.samples
     write_csv(path, "r,m,omega,rho,p_rad",
-              zip(s["r"], s["m"], s["omega"], s["rho"], s["p_rad"]), precision)
+              zip(*(s[k].tolist() for k in ("r", "m", "omega", "rho", "p_rad"))), precision)

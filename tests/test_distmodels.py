@@ -385,15 +385,19 @@ def mp_lowered_index(p, l, omega):
 
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_lowered_index_matches_mpmath(p):
-    # the series below a + 1, the continued fraction above it, and both
-    # sides of the switch
+    # the kernel's Horner polynomial below its switch, its elementary form
+    # from there to a + 1 (2a an integer), the continued fraction above, and
+    # both sides of each switch, down to the 1e-300 stage floor
     for l in (-0.8, -0.4, 0.0, 0.5, 1.0):
         model = truncated_exponential(p, l=l)
         a = p + l + 2.5
+        horner_end = model.kernel(l + 0.5).switch
         switch = [a + 1.0 - 1e-9, math.nextafter(a + 1.0, 0.0), a + 1.0,
-                  math.nextafter(a + 1.0, math.inf), a + 1.0 + 1e-9]
-        grid = [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0, 20.0, 100.0, 400.0,
-                800.0, 1e3, 1e4, 1e6, 1e9, 1e12]
+                  math.nextafter(a + 1.0, math.inf), a + 1.0 + 1e-9,
+                  math.nextafter(horner_end, 0.0), horner_end,
+                  math.nextafter(horner_end, math.inf)]
+        grid = [1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0, 20.0, 100.0,
+                400.0, 800.0, 1e3, 1e4, 1e6, 1e9, 1e12]
         for omega in switch + grid:
             want = mp_lowered_index(p, l, omega)
             got = eval_n(model, omega)

@@ -11,6 +11,7 @@ tableau.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from vpequil import compactsys, physical
 from vpequil import _ode
 from vpequil._ode import brentq, dop853
 from vpequil.compactsys import CompactSettings, CompactState, integrate_compact, rhs_compact
-from vpequil.distmodels import EvaluationError, king_model, polytrope, wilson_model
+from vpequil.distmodels import (
+    EvaluationError,
+    king_model,
+    polytrope,
+    tabulated_model,
+    wilson_model,
+)
 from vpequil.physical import (
     FINITE_RADIUS,
     INFINITE_FINITE_MASS,
@@ -136,15 +143,104 @@ def test_physical_runs_are_bit_equal():
     assert a.dense(r) == b.dense(r)
 
 
-def test_rhs_calls_go_through_module_global(monkeypatch):
+def counting_dop853(monkeypatch, module):
+    """Wrap the `fun` that `module`'s integrator hands to dop853; returns the calls."""
     calls = []
 
-    def counting(model, r, state):
-        calls.append(r)
-        return rhs_physical(model, r, state)
-    monkeypatch.setattr(physical, "rhs_physical", counting)
+    def wrapped(fun, *args, **kwargs):
+        def counted(t, y):
+            calls.append(t)
+            return fun(t, y)
+        return dop853(counted, *args, **kwargs)
+    monkeypatch.setattr(module, "dop853", wrapped)
+    return calls
+
+
+def test_physical_rhs_calls_counted(monkeypatch):
+    calls = counting_dop853(monkeypatch, physical)
     prof = integrate_physical(polytrope(n=3.0), 1.0)
     assert len(calls) == prof.diagnostics["n_rhs_evals"]
+
+
+# ------------------------------------------------------ fused right-hand sides
+
+TABLE_ENERGIES = np.linspace(0.0, 3.0, 61)
+FIELD_MODELS = {
+    "n3": polytrope(n=3.0),
+    "king": king_model(),
+    "wilson-l-0.4": wilson_model(l=-0.4),
+    "table61": tabulated_model(TABLE_ENERGIES, np.expm1(TABLE_ENERGIES), k=1.0),
+}
+FIELD_SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+def field_given_to_dop853(module, run):
+    """The right-hand side that `module`'s integrator hands to dop853 in `run()`."""
+    funs = []
+
+    def spy(fun, *args, **kwargs):
+        funs.append(fun)
+        return dop853(fun, *args, **kwargs)
+    with mock.patch.object(module, "dop853", spy):
+        run()
+    assert len(funs) == 1
+    return funs[0]
+
+
+PHYSICAL_FIELDS = {name: field_given_to_dop853(
+    physical, lambda m=model: integrate_physical(m, 0.5, SolveSettings(r_max=1.0)))
+    for name, model in FIELD_MODELS.items()}
+COMPACT_FIELDS = {name: field_given_to_dop853(
+    compactsys, lambda m=model: integrate_compact(m, CompactState(0.6, 0.3, 0.3),
+                                                  CompactSettings(lambda_max=0.1)))
+    for name, model in FIELD_MODELS.items()}
+
+
+# the stage clamp's upper end: the largest double below 1 whose
+# Omega/(1 - Omega) does not pass the end of phi (3/(1 + 3) for the table)
+STAGE_OMEGA_MAX = {"table61": 0.75}
+
+
+def outcome(fn, *args):
+    """fn(*args) as a tuple, or the EvaluationError it raises as (type, message)."""
+    try:
+        return tuple(fn(*args))
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+
+
+@FIELD_SETTINGS
+@given(name=st.sampled_from(sorted(FIELD_MODELS)),
+       r=st.floats(1e-6, 1e3),
+       m=st.floats(0.0, 10.0),
+       omega=st.one_of(st.floats(-1.0, 0.0), st.just(0.0), st.floats(1e-12, 2.9)))
+def test_fused_physical_field_is_rhs_physical(name, r, m, omega):
+    # omega <= 0 takes the vacuum branch, rho = 0
+    assert (outcome(PHYSICAL_FIELDS[name], r, [m, omega])
+            == outcome(rhs_physical, FIELD_MODELS[name], r, (m, omega)))
+
+
+@FIELD_SETTINGS
+@given(name=st.sampled_from(sorted(FIELD_MODELS)),
+       U=st.floats(0.0, 1.0),
+       Q=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       Omega=st.one_of(st.floats(-1e-3, 1e-300),          # below the stage floor
+                       st.floats(1e-12, 0.74),
+                       st.floats(0.74, 1.001),             # at and past the table end
+                       st.sampled_from([0.75, math.nextafter(0.75, 1.0),
+                                        math.nextafter(1.0, 0.0), 1.0])),
+       xi=st.floats(-5.0, 5.0))
+def test_fused_compact_field_is_rhs_compact(name, U, Q, Omega, xi):
+    # the integrator clamps the stage Omega into [1e-300, STAGE_OMEGA_MAX]
+    # and adds xi' = (1 - U)(1 - Q); the three flow components are rhs_compact's,
+    # or the same error (a table's index is undefined at the 1e-300 floor)
+    model = FIELD_MODELS[name]
+    clamped = min(max(Omega, 1e-300),
+                  STAGE_OMEGA_MAX.get(name, math.nextafter(1.0, 0.0)))
+
+    def reference():
+        return (*rhs_compact(model, (U, Q, clamped)), (1.0 - U) * (1.0 - Q))
+    assert outcome(COMPACT_FIELDS[name], 0.0, [U, Q, Omega, xi]) == outcome(reference)
 
 
 # ------------------------------------------------------------- compact flow
@@ -189,12 +285,7 @@ def test_compact_runs_are_bit_equal():
 
 
 def test_compact_rhs_calls_counted(monkeypatch):
-    calls = []
-
-    def counting(model, state, index_table=None):
-        calls.append(state)
-        return rhs_compact(model, state, index_table)
-    monkeypatch.setattr(compactsys, "rhs_compact", counting)
+    calls = counting_dop853(monkeypatch, compactsys)
     orbit = integrate_compact(polytrope(n=2.0), CompactState(0.6, 0.3, 0.3))
     assert len(calls) == orbit.diagnostics["n_rhs_evals"]
 

@@ -1,12 +1,12 @@
 """Property tests of the special-function ports on the run path.
 
-The lowered-exponential kernels, the tabulated incomplete-Beta sums and the
-density prefactor are evaluated without scipy.  Each is held here to 1e-13
-relative against ``scipy.special`` (the functions they replace) and against
-50-digit mpmath, over each family's domain: p in {0, 1, 2}, l in (-1, 3]
-with 2l an integer as well as general l, omega in [1e-8, 700], random
-monotone tables (some starting below E = 0), and l in (-1, 5] for the
-prefactor.
+The lowered-exponential kernels and index, the tabulated incomplete-Beta
+sums and the density prefactor are evaluated without scipy.  Each is held
+here to 1e-13 relative against 50-digit mpmath, and all but the index
+against ``scipy.special`` (the functions they replace), over each family's
+domain: p in {0, 1, 2}, l in (-1, 3] with 2l an integer as well as
+general l, omega in [1e-8, 700], random monotone tables (some starting
+below E = 0), and l in (-1, 5] for the prefactor.
 """
 
 import math
@@ -22,7 +22,9 @@ from vpequil.distmodels import (
     TruncatedExponential,
     _piecewise_kernel,
     density_prefactor,
+    eval_n,
     tabulated_model,
+    truncated_exponential,
 )
 
 REL = 1e-13
@@ -75,6 +77,24 @@ def test_lowered_kernel_across_its_switch_points(p, l):
         assert_rel(kernel(omega), mp_lowered(p, m, float(omega)))
     for omega in (a + 1.0, math.nextafter(a + 1.0, 0.0), math.nextafter(a + 1.0, 9.0)):
         assert_rel(kernel(omega), mp_lowered(p, m, omega))
+
+
+def mp_lowered_index(p, l, omega):
+    """-l + omega + omega^a e^-omega / gamma(a, omega), a = p + l + 5/2, at 50 digits."""
+    with mpmath.workdps(50):
+        a, w = p + mpmath.mpf(l) + mpmath.mpf(5) / 2, mpmath.mpf(omega)
+        return float(-mpmath.mpf(l) + w + w ** a * mpmath.exp(-w) / mpmath.gammainc(a, 0, w))
+
+
+@SETTINGS
+@given(p=st.sampled_from([0, 1, 2]),
+       l=st.one_of(st.sampled_from(HALF_INTEGER_L), st.floats(-0.999, 3.0)),
+       log_omega=st.floats(-8.0, math.log10(700.0)))
+def test_lowered_index_over_its_domain(p, l, log_omega):
+    # the ratio form n = -l + omega + 1/S on the kernel's Horner polynomial,
+    # its elementary form and the continued fraction
+    omega = 10.0 ** log_omega
+    assert_rel(eval_n(truncated_exponential(p, l=l), omega), mp_lowered_index(p, l, omega))
 
 
 def test_lowered_kernel_near_overflow():
