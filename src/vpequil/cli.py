@@ -92,6 +92,8 @@ def _require_number(value, path, integer=False, allow_none=False):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
+    if not math.isfinite(value):   # json reads NaN and Infinity
+        raise ConfigError(f"{path} must be finite, got {value!r}")
     if integer:
         if int(value) != value:
             raise ConfigError(f"{path} must be an integer, got {value!r}")

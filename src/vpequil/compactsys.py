@@ -8,11 +8,17 @@ polytropic index n(omega) entering one coefficient, every face of the cube
 is invariant, and the equilibria form four lines parametrised by Omega whose
 transverse eigenvalues decide where solutions can begin and end.  Finiteness
 of radius and mass translate into which invariant corner an orbit reaches.
+
+Orbits are integrated in (U, Q, log omega, xi): dOmega/dlambda factorises as
+-Omega (1 - Omega) Q (1 - U), so log omega has the clamp-free rate -Q (1 - U)
+and the potential floor and ceiling are linear in it.  Omega = omega/(1 +
+omega) is formed on output; `rhs_compact` is the (U, Q, Omega) field.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,6 +39,10 @@ DEGENERATE_TRIPLE_ZERO = "DegenerateTripleZero"
 
 VACUUM_CORNER = (0.0, 1.0, 0.0)      # finite-radius terminus
 SINGULAR_CORNER = (1.0, 1.0, 0.0)    # self-similar singular terminus
+
+# absolute error floor of log omega and xi: O(1) logs that pass through 0
+# (xi starts there, log omega at Omega = 1/2), where relative control stalls
+_LOG_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -119,47 +129,47 @@ def map_profile(model: DistributionModel, profile: SolutionProfile):
 
 # ------------------------------------------------------------ vector field
 
-def _compact_field(model: DistributionModel, index_table=None,
-                   om_lo: float = 0.0, om_hi: float = 1.0):
-    """(lambda, [U, Q, Omega, xi]) -> the four derivatives, constants bound once.
+def _omega_cap(model: DistributionModel):
+    """(x_hi, w_hi): omega is e^x below x_hi = log(w_hi), else w_hi, the end of
+    phi or the largest double; e^x then neither overflows nor passes the end."""
+    w_hi = model.family.energy_max
+    if w_hi is None:
+        w_hi = sys.float_info.max
+    return math.log(w_hi), w_hi
 
-    One closure per orbit: `integrate_compact` hands it to the integrator
-    directly.  Omega is clamped into [om_lo, om_hi] before it enters the
-    field; xi' = (1 - U)(1 - Q) is the log-radius rate.  The index is the
-    model's bound n(omega) unless `index_table` is given.
-    """
+
+def _compact_field(model: DistributionModel):
+    """(lambda, [U, Q, x = log omega, xi]) -> the four derivatives, constants
+    bound once; one closure per orbit, handed to the integrator directly."""
     l = model.l
-    index = index_table if index_table is not None else model._index
+    index = model._index
     a1, a2 = 3.0 + 2.0 * l, 4.0 + 2.0 * l
+    x_hi, w_hi = _omega_cap(model)
+    exp = math.exp
 
     def field(lam, y):
-        U, Q, Om, _ = y
-        if Om < om_lo:
-            Om = om_lo
-        elif Om > om_hi:
-            Om = om_hi
-        n = index(Om / (1.0 - Om)) if Q != 0.0 else 0.0   # n is multiplied by Q
+        U, Q, x, _ = y
+        n = index(exp(x) if x < x_hi else w_hi) if Q != 0.0 else 0.0   # n is multiplied by Q
         du = U * (1.0 - U) * ((1.0 - Q) * (a1 - a2 * U) - (n + l) * Q * (1.0 - U))
         dq = Q * (1.0 - Q) * ((2.0 * U - 1.0) * (1.0 - Q) + Q * (1.0 - U))
-        dom = -Om * (1.0 - Om) * Q * (1.0 - U)
-        return du, dq, dom, (1.0 - U) * (1.0 - Q)
+        return du, dq, -Q * (1.0 - U), (1.0 - U) * (1.0 - Q)
     return field
 
 
-def rhs_compact(model: DistributionModel, state, index_table=None):
+def rhs_compact(model: DistributionModel, state):
     """Compact flow (dU, dQ, dOmega)/dlambda, as a tuple of floats.
 
     Accepts U, Q slightly off the faces (the field is polynomial in them),
     which finite-difference Jacobians rely on; Omega must stay interior.
-    The index comes from the model's bound n(omega) unless `index_table`
-    is given.  The reference field, for the Jacobian, oracles and tests:
-    the same factory, and so the same floats, as the closure
-    `integrate_compact` integrates.
+    The reference field, for the Jacobian, oracles and tests: the closure
+    `integrate_compact` integrates, at x = log(Omega/(1 - Omega)), with
+    dOmega = Omega (1 - Omega) dx.
     """
     U, Q, Om = float(state[0]), float(state[1]), float(state[2])
     if not 0.0 < Om < 1.0:
         raise ValueError(f"Omega must lie strictly inside (0, 1), got {Om}")
-    return _compact_field(model, index_table)(0.0, (U, Q, Om, 0.0))[:3]
+    du, dq, dx, _ = _compact_field(model)(0.0, (U, Q, math.log(Om / (1.0 - Om)), 0.0))
+    return du, dq, Om * (1.0 - Om) * dx
 
 
 def fixed_lines(l: float):
@@ -225,12 +235,11 @@ def monitor_Z(state, l: float):
         return _plain(U / (1.0 - U) * (Q / (1.0 - Q)) ** (3.0 + 2.0 * l))
 
 
-def monitor_dZ(model: DistributionModel, state, index_table=None) -> float:
+def monitor_dZ(model: DistributionModel, state) -> float:
     """Exact lambda-derivative of Z along the flow."""
     U, Q, Om = _triple(state)
     l = model.l
-    omega = Om / (1.0 - Om)
-    n = index_table(omega) if index_table is not None else model._index(omega)
+    n = model._index(Om / (1.0 - Om))
     factor = 2.0 * (l + 1.0) * U * (1.0 - Q) + (3.0 + l - n) * Q * (1.0 - U)
     return factor * monitor_Z(state, l)
 
@@ -254,8 +263,7 @@ def in_S1(state):
     return _plain((2.0 * U - 1.0) * (1.0 - Q) + Q * (1.0 - U) > 0.0)
 
 
-def in_S2(model: DistributionModel, state, omega_0: float | None = None,
-          index_table=None) -> bool:
+def in_S2(model: DistributionModel, state, omega_0: float | None = None) -> bool:
     """Q above every mass-shedding threshold reachable below omega_0."""
     U, Q, Om = _triple(state)
     l = model.l
@@ -265,8 +273,7 @@ def in_S2(model: DistributionModel, state, omega_0: float | None = None,
     if n_const is not None:
         sup_bound = a / (a + l + n_const)
     else:
-        n_of = index_table if index_table is not None else model._index
-        ns = np.array([n_of(w) for w in np.geomspace(omega0 * 1e-10, omega0, 129)])
+        ns = np.array([model._index(w) for w in np.geomspace(omega0 * 1e-10, omega0, 129)])
         sup_bound = float(np.max(a / (a + l + ns)))
     return Q > max(0.5, sup_bound)
 
@@ -295,10 +302,8 @@ class PolytropicIndexTable:
     the midpoints as extra nodes.  A grid that reaches `max_nodes`
     uncertified raises EvaluationError.  Queries off the range fall back to
     `eval_n`, and a family with a constant index collapses to that constant.
-    Nothing builds a table implicitly: the model's bound index is already a
-    few float operations (a short series or continued fraction for the
-    lowered exponentials), so a caller passes a table as `index_table` only
-    where a spline lookup is worth its build.  A non-constant index builds
+    No flow or monitor reads a table: they call the model's bound index,
+    which is already a few float operations.  A non-constant index builds
     its spline with scipy, loaded on first use: that needs the `test` extra.
     """
 
@@ -367,7 +372,9 @@ class CompactOrbit:
     _dense: Callable = None
 
     def dense(self, lam: float) -> np.ndarray:
-        """(U, Q, Omega, xi) anywhere on the integrated lambda range."""
+        """(U, Q, Omega, xi) anywhere on the integrated lambda range: the
+        interpolant of the integrated (U, Q, log omega, xi), with Omega
+        formed from log omega as at the step points."""
         lo = min(self.lam[0], self.lam[-1])
         hi = max(self.lam[0], self.lam[-1])
         if not lo <= lam <= hi:
@@ -398,13 +405,12 @@ _TERMINATIONS = {
 
 
 def integrate_compact(model: DistributionModel, state0, settings: CompactSettings | None = None,
-                      backward: bool = False, index_table=None) -> CompactOrbit:
+                      backward: bool = False) -> CompactOrbit:
     """Follow the compact flow from state0 until a corner, the potential floor,
     ceiling or end of phi, or the lambda budget; xi accumulates the log radius.
-    The index n(omega) is the model's bound one unless `index_table` is given.
-    The integrator calls one fused closure per orbit, from the factory behind
-    `rhs_compact`, so its flow components are rhs_compact's floats at the
-    clamped stage Omega."""
+    DOP853 integrates (U, Q, x = log omega, xi) on the fused closure behind
+    `rhs_compact`, with the model's bound index.  The floor and ceiling are
+    linear in x; the corners and the returned orbit use Omega(x)."""
     st = settings or CompactSettings()
     if not st.lambda_max > 0.0:
         raise ValueError("lambda_max must be positive")
@@ -414,55 +420,43 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
         raise ValueError("omega_floor and tolerances must be positive")
     if not st.omega_ceiling > st.omega_floor:
         raise ValueError("omega_ceiling must exceed omega_floor")
-    end = model.family.energy_max   # where a tabulated phi ends, None otherwise
-    ceiling = st.omega_ceiling if end is None else min(st.omega_ceiling, end)
+    x_hi, w_hi = _omega_cap(model)   # w_hi: where a tabulated phi ends, if it does
+    ceiling = min(st.omega_ceiling, w_hi)
     s0 = state0 if isinstance(state0, CompactState) else CompactState(*_triple(state0))
     if not st.omega_floor < s0.omega < ceiling:
         raise ValueError("initial state outside the (floor, ceiling) potential window")
-    floor_c = st.omega_floor / (1.0 + st.omega_floor)
-    roof_c = ceiling / (1.0 + ceiling)
+    x_floor = math.log(st.omega_floor)
+    x_roof = math.log(ceiling)
     eps = st.attraction_eps
 
-    # Runge-Kutta stages may probe slightly past Omega = 1 (or 0) before the
-    # terminal events truncate the step; clamp only the stage argument, and
-    # where phi ends to the largest Omega with Omega/(1-Omega) <= end
-    om_hi = math.nextafter(1.0, 0.0)
-    if end is not None:
-        om_hi = min(end / (1.0 + end), om_hi)
-        while om_hi / (1.0 - om_hi) > end:
-            om_hi = math.nextafter(om_hi, 0.0)
-        while (up := math.nextafter(om_hi, 1.0)) < 1.0 and up / (1.0 - up) <= end:
-            om_hi = up
+    def Omega_of(x):
+        w = math.exp(x) if x < x_hi else w_hi
+        return w / (1.0 + w)
 
-    def ev_floor(lam, y):
-        return y[2] - floor_c
+    def corner(c):   # distance to a corner of the cube, less eps
+        return lambda lam, y: math.hypot(y[0] - c[0], y[1] - c[1],
+                                         Omega_of(y[2]) - c[2]) - eps
 
-    def ev_roof(lam, y):
-        return y[2] - roof_c
-
-    def ev_vacuum(lam, y):
-        return math.hypot(y[0], y[1] - 1.0, y[2]) - eps
-
-    def ev_singular(lam, y):
-        return math.hypot(y[0] - 1.0, y[1] - 1.0, y[2]) - eps
-
+    events = [(lambda lam, y: y[2] - x_floor, -1), (corner(VACUUM_CORNER), -1),
+              (corner(SINGULAR_CORNER), -1), (lambda lam, y: y[2] - x_roof, 1)]
     lam_end = -st.lambda_max if backward else st.lambda_max
-    # xi starts at exactly 0, where purely relative control would stall the
-    # first steps; it is an O(1) log radius, so give it a real absolute floor
-    atol = [st.abs_tol, st.abs_tol, st.abs_tol, max(st.abs_tol, 1e-14)]
-    sol = dop853(_compact_field(model, index_table, 1e-300, om_hi), 0.0,
-                 (s0.U, s0.Q, s0.Omega, 0.0), lam_end, st.rel_tol, atol,
-                 events=[(ev_floor, -1), (ev_vacuum, -1), (ev_singular, -1),
-                         (ev_roof, 1)])
+    log_atol = max(st.abs_tol, _LOG_ATOL)
+    sol = dop853(_compact_field(model), 0.0, (s0.U, s0.Q, math.log(s0.omega), 0.0),
+                 lam_end, st.rel_tol, [st.abs_tol, st.abs_tol, log_atol, log_atol],
+                 events=events)
+
+    def dense(lam):
+        U, Q, x, xi = sol(lam)
+        return U, Q, Omega_of(x), xi
+
     termination, label = _TERMINATIONS[sol.event]
     diagnostics = {
         "n_steps": sol.n_steps,
         "n_rejected": sol.n_rejected,
         "n_rhs_evals": sol.nfev,
-        "index_table_nodes": getattr(index_table, "n_nodes", None),
-        "index_table_error": getattr(index_table, "certified_error", None),
     }
-    U, Q, Omega, xi = sol.y
+    U, Q, x, xi = sol.y
+    Omega = np.array([Omega_of(v) for v in x.tolist()])
     return CompactOrbit(model=model, initial=s0, lam=sol.t, U=U, Q=Q, Omega=Omega,
                         xi=xi, termination=termination, limit_label=label,
-                        settings=st, diagnostics=diagnostics, _dense=sol)
+                        settings=st, diagnostics=diagnostics, _dense=dense)

@@ -16,7 +16,6 @@ from vpequil.analysis import compare_representations, omega_crit, sweep_omega_c
 from vpequil.compactsys import (
     CompactSettings,
     CompactState,
-    PolytropicIndexTable,
     fixed_lines,
     integrate_compact,
     jacobian_eigenvalues,
@@ -130,16 +129,13 @@ def test_criterion_06_fixed_line_spectra():
 def test_criterion_07_monotone_monitors():
     rng = np.random.default_rng(20240817)
     settings = CompactSettings()
-    king = king_model()
-    king_table = PolytropicIndexTable(king, 1e-13, 1.0)
-    cases = ((polytrope(n=2), None), (king, king_table))
     worst_up, worst_down, s1_ok, orbits = 0.0, 0.0, True, 0
-    for model, table in cases:
+    for model in (polytrope(n=2), king_model()):
         for _ in range(50):
             state = CompactState(U=rng.uniform(0.05, 0.95),
                                  Q=rng.uniform(0.05, 0.95),
                                  Omega=rng.uniform(0.005, 0.5))
-            orbit = integrate_compact(model, state, settings, index_table=table)
+            orbit = integrate_compact(model, state, settings)
             orbits += 1
             allow = 10.0 * (settings.rel_tol * np.abs(orbit.Omega[:-1]) + 1e-14)
             worst_up = max(worst_up, float(np.max(np.diff(orbit.Omega) + 0.0)))

@@ -176,6 +176,26 @@ def test_parse_rejects_orbit_potential_past_table_end(tmp_path, capsys):
         assert "past the end of the tabulated phi grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({"model": {"family": "polytrope", "n": 1.0}, "output": {"precision": math.inf}},
+     "output.precision"),
+    ({"model": {"family": "truncated-exponential", "p": math.nan}}, "model.p"),
+    ({"model": {"family": "polytrope", "n": math.inf}}, "model.n"),
+    ({"model": {"family": "polytrope", "n": 1.0}, "run": {"omega_c": math.inf}},
+     "run.omega_c"),
+])
+def test_parse_rejects_non_finite_numbers(tmp_path, capsys, cfg, key):
+    # json reads the literals NaN and Infinity as floats
+    path = write_config(tmp_path, cfg)
+    assert "NaN" in Path(path).read_text() or "Infinity" in Path(path).read_text()
+    with pytest.raises(ConfigError, match=rf"{key} must be finite"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_parse_rejects_foreign_family_key(tmp_path):
     path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 1, "p": 0}})
     with pytest.raises(ConfigError, match="model.p"):

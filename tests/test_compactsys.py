@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from vpequil.compactsys import (
@@ -20,6 +22,7 @@ from vpequil.compactsys import (
     CompactSettings,
     CompactState,
     PolytropicIndexTable,
+    _compact_field,
     compactify,
     fixed_lines,
     from_compact,
@@ -42,6 +45,7 @@ from vpequil.distmodels import (
     polytrope,
     tabulated_model,
     truncated_exponential,
+    wilson_model,
 )
 from vpequil.physical import PhysicalState, integrate_physical
 
@@ -54,11 +58,6 @@ def king_model():
 @pytest.fixture(scope="module")
 def king_profile(king_model):
     return integrate_physical(king_model, omega_c=0.5)
-
-
-@pytest.fixture(scope="module")
-def king_table(king_model):
-    return PolytropicIndexTable(king_model, 1e-13, 1.0)
 
 
 def state_at(model, profile, r):
@@ -171,12 +170,12 @@ def test_rhs_matches_physical_finite_differences(make, omega_c):
             assert a == pytest.approx(b, rel=1e-6, abs=1e-12)
 
 
-def test_representations_agree_along_king(king_model, king_profile, king_table):
+def test_representations_agree_along_king(king_model, king_profile):
     """Integrating the compact flow reproduces the mapped physical curve."""
     r_lo = 0.05 * king_profile.radius
     r_hi = 0.90 * king_profile.radius
     start = state_at(king_model, king_profile, r_lo)
-    orbit = integrate_compact(king_model, start, index_table=king_table)
+    orbit = integrate_compact(king_model, start)
     lam_hi = orbit.lam[-1]
     worst = 0.0
     for r in np.geomspace(r_lo * 1.0001, r_hi, 20):
@@ -190,9 +189,9 @@ def test_representations_agree_along_king(king_model, king_profile, king_table):
 
 # ------------------------------------------------------------ integration
 
-def test_king_orbit_terminates_at_vacuum_corner(king_model, king_profile, king_table):
+def test_king_orbit_terminates_at_vacuum_corner(king_model, king_profile):
     start = state_at(king_model, king_profile, 0.05 * king_profile.radius)
-    orbit = integrate_compact(king_model, start, index_table=king_table)
+    orbit = integrate_compact(king_model, start)
     assert orbit.limit_label == "(0,1,0)"
     assert orbit.termination == "corner-(0,1,0)"
     end = np.array([orbit.U[-1], orbit.Q[-1] - 1.0, orbit.Omega[-1]])
@@ -218,13 +217,13 @@ def test_halo_orbit_exhausts_potential_without_corner():
     assert np.min(np.abs(orbit.Q - 0.5)) < 1e-6
 
 
-def test_backward_orbit_shadows_regular_center_line(king_model, king_profile, king_table):
+def test_backward_orbit_shadows_regular_center_line(king_model, king_profile):
     # the regular solution runs backward into the saddle line at
     # U = (3+2l)/(4+2l); the connection can only be shadowed for a
     # window ~ ln(1/rtol) before the transverse instability takes over
     start = state_at(king_model, king_profile, 0.3 * king_profile.radius)
     orbit = integrate_compact(king_model, start, CompactSettings(lambda_max=10.0),
-                              backward=True, index_table=king_table)
+                              backward=True)
     assert orbit.termination == "lambda-max"
     assert orbit.lam[-1] == pytest.approx(-10.0)
     assert abs(orbit.U[-1] - 0.75) < 1e-3                    # (3+2l)/(4+2l), l=0
@@ -244,9 +243,48 @@ def test_backward_orbit_generic_history_blows_up_potential():
     assert np.all(orbit.Omega < 1.0)
 
 
-def test_orbit_dense_matches_nodes(king_model, king_profile, king_table):
+def test_backward_ceiling_end_is_stable_under_ulp_perturbation():
+    # the ceiling is linear in log omega, so the lambda at which an orbit
+    # reaches it is well conditioned: moving the start U by an ulp or two
+    # moves the end by far less than 1e-6 (in the Omega form it moved by ~1)
+    ends = []
+    for ulps in (0, 1, -1, 2):
+        U = 0.5
+        for _ in range(abs(ulps)):
+            U = math.nextafter(U, math.copysign(math.inf, ulps))
+        orbit = integrate_compact(polytrope(n=3), CompactState(U, 0.3, 0.4),
+                                  CompactSettings(lambda_max=80.0), backward=True)
+        assert orbit.termination == "omega-ceiling"
+        ends.append(orbit.lam[-1])
+    assert max(ends) - min(ends) < 1e-6
+    # the same orbit at rel_tol 1e-13 ends at -59.8702745232
+    assert ends[0] == pytest.approx(-59.8702745232, abs=1e-6)
+
+
+def test_start_at_half_omega_costs_no_extra_steps(king_model):
+    # Omega = 1/2 is log omega = 0, where error control relative to the
+    # value alone would force tiny first steps
+    steps = [integrate_compact(king_model, CompactState(0.6, 0.3, om)).diagnostics["n_steps"]
+             for om in (0.5, 0.4999)]
+    assert steps[0] <= steps[1] + 1
+
+
+def test_field_caps_omega_at_end_of_phi_and_before_overflow():
+    energies = np.linspace(0.0, 3.0, 31)
+    table = tabulated_model(energies, np.expm1(energies), k=1.0)
+    # e^(log 3) rounds above 3; the field reads phi at its end, not past it
+    assert math.exp(math.log(3.0)) > 3.0
+    at_end = _compact_field(table)(0.0, (0.4, 0.3, math.log(3.0), 0.0))
+    assert at_end == _compact_field(table)(0.0, (0.4, 0.3, 50.0, 0.0))
+    assert at_end[0] == rhs_compact(table, (0.4, 0.3, 0.75))[0]
+    # an unbounded family reads the largest double past log(DBL_MAX)
+    far = _compact_field(truncated_exponential(0))(0.0, (0.4, 0.3, 1000.0, 0.0))
+    assert all(math.isfinite(v) for v in far)
+
+
+def test_orbit_dense_matches_nodes(king_model, king_profile):
     start = state_at(king_model, king_profile, 0.1 * king_profile.radius)
-    orbit = integrate_compact(king_model, start, index_table=king_table)
+    orbit = integrate_compact(king_model, start)
     i = len(orbit.lam) // 2
     y = orbit.dense(orbit.lam[i])
     assert y[0] == pytest.approx(orbit.U[i], rel=1e-12)
@@ -255,24 +293,6 @@ def test_orbit_dense_matches_nodes(king_model, king_profile, king_table):
     assert y[3] == pytest.approx(orbit.xi[i], rel=1e-12, abs=1e-15)
     with pytest.raises(ValueError):
         orbit.dense(orbit.lam[-1] + 1.0)
-
-
-def test_default_orbit_uses_no_table(king_model):
-    # without an explicit table the index comes from eval_n on every call
-    orbit = integrate_compact(king_model, CompactState(0.6, 0.3, 0.3))
-    assert orbit.diagnostics["index_table_nodes"] is None
-    assert orbit.diagnostics["index_table_error"] is None
-
-
-def test_default_orbit_matches_explicit_table(king_model, king_table):
-    for start in ((0.6, 0.3, 0.3), (0.4, 0.2, 0.25), (0.9, 0.8, 0.1)):
-        direct = integrate_compact(king_model, CompactState(*start))
-        tabled = integrate_compact(king_model, CompactState(*start),
-                                   index_table=king_table)
-        assert direct.termination == tabled.termination
-        assert direct.limit_label == tabled.limit_label
-        lam = 0.5 * min(direct.lam[-1], tabled.lam[-1])
-        assert np.max(np.abs(direct.dense(lam) - tabled.dense(lam))) < 1e-8
 
 
 def test_tabulated_orbit_below_grid_end_four():
@@ -328,25 +348,56 @@ def test_monitors_accept_states_and_arrays():
         assert log_z[0] == -math.inf and log_z[-1] == math.inf
 
 
-def test_dZ_matches_flow_derivative(king_model, king_profile, king_table):
+def test_dZ_matches_flow_derivative(king_model, king_profile):
     start = state_at(king_model, king_profile, 0.1 * king_profile.radius)
-    orbit = integrate_compact(king_model, start, index_table=king_table)
+    orbit = integrate_compact(king_model, start)
     for lam in (0.5, 1.5, 2.5):
         h = 1e-3
         z_hi = monitor_Z(orbit.dense(lam + h)[:3], 0.0)
         z_lo = monitor_Z(orbit.dense(lam - h)[:3], 0.0)
         fd = (z_hi - z_lo) / (2 * h)
-        got = monitor_dZ(king_model, orbit.dense(lam)[:3], index_table=king_table)
+        got = monitor_dZ(king_model, orbit.dense(lam)[:3])
         assert got == pytest.approx(fd, rel=1e-5)
 
 
-def test_log_Z_strictly_increasing_along_king(king_model, king_profile, king_table):
+def test_log_Z_strictly_increasing_along_king(king_model, king_profile):
     # every term of dZ is positive while n(omega) < 3 + l, as here
     start = state_at(king_model, king_profile, 0.05 * king_profile.radius)
-    orbit = integrate_compact(king_model, start, index_table=king_table)
+    orbit = integrate_compact(king_model, start)
     z = orbit.log_Z
     assert np.all(np.isfinite(z))
     assert np.all(np.diff(z) > 0)
+
+
+# (name, model).  King's index stays below 3 + l on the box's potentials and
+# so does every drawn polytrope's, so dZ > 0 and Z must not fall.  Wilson
+# l = 1/2 starts at n(0) = k + 3/2 = 3 + l and grows, so the (3 + l - n)
+# term of dZ is negative and Z falls into the vacuum corner; the same sign
+# turns the flow out of S1 on its boundary, but only where U < 0.07.
+MONITOR_MODELS = st.one_of(
+    st.sampled_from([("king", truncated_exponential(0)), ("wilson", wilson_model(l=0.5))]),
+    st.floats(0.6, 3.0).map(lambda n: (f"n={n!r}", polytrope(n=n))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=MONITOR_MODELS, U=st.floats(0.05, 0.95), Q=st.floats(0.05, 0.95),
+       Omega=st.floats(0.005, 0.5))
+def test_forward_orbits_keep_the_monitors_monotone(case, U, Q, Omega):
+    # criterion 7 over random starts in its box: Omega never increases, log Z
+    # never decreases (where dZ > 0), within 10x the tolerance, and S1 is
+    # future invariant
+    name, model = case
+    orbit = integrate_compact(model, CompactState(U, Q, Omega))
+    rel_tol = orbit.settings.rel_tol
+    allow = 10.0 * (rel_tol * np.abs(orbit.Omega[:-1]) + 1e-14)
+    assert np.all(np.diff(orbit.Omega) <= allow), name
+    if name != "wilson":
+        log_z = orbit.log_Z
+        allow_z = 10.0 * (rel_tol * np.abs(log_z[:-1]) + 1e-12)
+        assert np.all(np.diff(log_z) >= -allow_z), name
+    flags = orbit.S1
+    if np.any(flags):
+        assert np.all(flags[int(np.argmax(flags)):]), name
 
 
 @pytest.mark.parametrize("l", [0.0, 0.5])
@@ -390,16 +441,15 @@ def test_in_S3_set_algebra():
     assert not in_S3(shallow, l=0.0, eps=0.01, delta=0.5)
 
 
-def test_trapping_sets_future_invariant_along_king(king_model, king_profile, king_table):
+def test_trapping_sets_future_invariant_along_king(king_model, king_profile):
     start = state_at(king_model, king_profile, 0.05 * king_profile.radius)
-    orbit = integrate_compact(king_model, start, index_table=king_table)
+    orbit = integrate_compact(king_model, start)
     states = [CompactState(u, q, o) for u, q, o
               in zip(orbit.U, orbit.Q, orbit.Omega)]
     omega0 = orbit.initial.omega
     flag_sets = {
         "S1": [in_S1(s) for s in states],
-        "S2": [in_S2(king_model, s, omega_0=omega0, index_table=king_table)
-               for s in states],
+        "S2": [in_S2(king_model, s, omega_0=omega0) for s in states],
         "S3": [in_S3(s, l=0.0, eps=0.5, delta=0.49) for s in states],
     }
     for name, flags in flag_sets.items():

@@ -196,11 +196,6 @@ COMPACT_FIELDS = {name: field_given_to_dop853(
     for name, model in FIELD_MODELS.items()}
 
 
-# the stage clamp's upper end: the largest double below 1 whose
-# Omega/(1 - Omega) does not pass the end of phi (3/(1 + 3) for the table)
-STAGE_OMEGA_MAX = {"table61": 0.75}
-
-
 def outcome(fn, *args):
     """fn(*args) as a tuple, or the EvaluationError it raises as (type, message)."""
     try:
@@ -224,23 +219,24 @@ def test_fused_physical_field_is_rhs_physical(name, r, m, omega):
 @given(name=st.sampled_from(sorted(FIELD_MODELS)),
        U=st.floats(0.0, 1.0),
        Q=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-       Omega=st.one_of(st.floats(-1e-3, 1e-300),          # below the stage floor
+       Omega=st.one_of(st.floats(0.0, 1e-12, exclude_min=True),
                        st.floats(1e-12, 0.74),
-                       st.floats(0.74, 1.001),             # at and past the table end
+                       st.floats(0.74, 1.0, exclude_max=True),   # at and past the table end
                        st.sampled_from([0.75, math.nextafter(0.75, 1.0),
-                                        math.nextafter(1.0, 0.0), 1.0])),
+                                        math.nextafter(1.0, 0.0)])),
        xi=st.floats(-5.0, 5.0))
 def test_fused_compact_field_is_rhs_compact(name, U, Q, Omega, xi):
-    # the integrator clamps the stage Omega into [1e-300, STAGE_OMEGA_MAX]
-    # and adds xi' = (1 - U)(1 - Q); the three flow components are rhs_compact's,
-    # or the same error (a table's index is undefined at the 1e-300 floor)
-    model = FIELD_MODELS[name]
-    clamped = min(max(Omega, 1e-300),
-                  STAGE_OMEGA_MAX.get(name, math.nextafter(1.0, 0.0)))
-
-    def reference():
-        return (*rhs_compact(model, (U, Q, clamped)), (1.0 - U) * (1.0 - Q))
-    assert outcome(COMPACT_FIELDS[name], 0.0, [U, Q, Omega, xi]) == outcome(reference)
+    # the integrator's closure carries x = log omega; at x = log(Omega/(1 - Omega))
+    # its dU and dQ are rhs_compact's, rhs_compact's dOmega is Omega (1 - Omega) dx,
+    # and xi' = (1 - U)(1 - Q); or both raise the same error (a table's index
+    # is undefined below omega = 1e-300)
+    x = math.log(Omega / (1.0 - Omega))
+    fused = outcome(COMPACT_FIELDS[name], 0.0, [U, Q, x, xi])
+    if len(fused) == 4:
+        du, dq, dx, dxi = fused
+        assert dxi == (1.0 - U) * (1.0 - Q)
+        fused = (du, dq, Omega * (1.0 - Omega) * dx)
+    assert fused == outcome(rhs_compact, FIELD_MODELS[name], (U, Q, Omega))
 
 
 # ------------------------------------------------------------- compact flow
