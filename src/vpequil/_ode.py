@@ -18,27 +18,30 @@ are made only for a step that an event root or a ``dense`` query lands in;
 every accepted step keeps its node and its 13 stages in one packed float
 buffer, so any step can build its interpolant later.
 
-One step attempt and one interpolant are straight-line code, generated
-from the tableau for a state of n components and compiled by
-``_compiled(n)`` on the first solve of that size (a few milliseconds;
-the cache holds the two functions, no results).  Each stage of each
-component is a local name and each coefficient a literal, so a step
-indexes no list and calls no ``sum()``, and zero entries of the tableau are
-left out.  Every weighted sum of stages is written ``0.0 + c0*k0 + c1*k1 +
-...``, left to right, the order in which Python 3.11's ``sum()`` adds the
-products; so the floats are those of a loop over the tableau, bit for bit
+A step attempt and an interpolant are straight-line code generated from
+the tableau and from a `Field`, the source of a right-hand side.  `bind`
+compiles a flow's field from its source, and `dop853` steps it with an
+attempt that has the body written into every stage; any other callable is
+the field ``return fun(t, [...])``.  Each function is compiled on the first
+solve that needs it (milliseconds; the cache holds functions, no results).
+Each stage of each component is a local name and each coefficient a
+literal, so a step makes no call or list of its own, indexes no list and
+calls no ``sum()``, and zero entries of the tableau are left out.  Every
+weighted sum of stages is written ``0.0 + c0*k0 + c1*k1 + ...``, left to
+right, the order in which Python 3.11's ``sum()`` adds the products; so the
+floats are those of a loop over the tableau calling the field, bit for bit
 for finite stages, on any Python version (3.12 made ``sum()`` of floats
-compensated).  The code is specialized to n because code generic in n
-(one comprehension over the components per stage) keeps most of the
-per-component overhead that the specialization removes.
+compensated).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from array import array
 from bisect import bisect_left
+from collections import namedtuple
 
 import numpy as np
 
@@ -136,7 +139,7 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / 8.0                      # error estimator of order 7
-_ROOT_TOL = 4.0 * np.finfo(float).eps
+_ROOT_TOL = 4.0 * sys.float_info.epsilon
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=_ROOT_TOL, maxiter=100) -> float:
@@ -239,75 +242,101 @@ def _names(prefix, n):
     return "".join(f"{prefix}_{j}, " for j in range(n))
 
 
-def _stage(s, t, c, a, n):
-    """The line that evaluates stage s of every component at t + c h."""
-    args = ", ".join(f"y_{j} + ({_dot(a, j)}) * h" for j in range(n))
-    return f"    {_names(f'k{s}', n)}= fun({t} + {c!r} * h, [{args}])"
+# A right-hand side as source: ``def f(var, y)``, ``y`` unpacked to
+# ``states``, then ``body``, whose last line returns the n derivatives;
+# ``consts`` name the values `bind` gives.  A variable the body does not read
+# is named ``_``, and no stage computes it.  The body must not use the step's
+# names: ``t``, ``h``, ``y``, ``f``, ``fun``, ``K``, ``atol``, ``rtol``,
+# ``err5``, ``err3`` and names ending in ``_new``, ``_old`` or ``_<j>``.
+Field = namedtuple("Field", "var states body consts")
 
 
-def _source(n):
-    """Python source of ``attempt`` and of ``interpolant`` for n components.
+def _generic(n):
+    """The field of a plain callable ``fun``: one call per stage."""
+    z = tuple(f"z{j}" for j in range(n))
+    return Field("tau", z, (f"return fun(tau, [{', '.join(z)}])",), ("fun",))
 
-    ``attempt(fun, t, h, t_new, y, f, atol, rtol)`` runs the 12 stages of
-    one step from (t, y) with f = fun(t, y) and returns ``y_new``, ``f_new``,
-    the 13 stages of each component in turn (K, as the buffer stores them)
-    and the sums of squares of the scaled 5th- and 3rd-order error
-    estimates.  ``interpolant(fun, t_old, h, y_old, y_new, K)`` makes the
-    three extra stages and returns the piece ``_evaluate`` reads.
-    """
+
+def _stage(s, t, field, a=None):
+    """The field's body at t and at the state of tableau row a (y_new for
+    None), its return bound to ``k{s}_0, k{s}_1, ...``."""
+    *body, ret = field.body
+    n = len(field.states)
+    args = [f"yn_{j}" if a is None else f"y_{j} + ({_dot(a, j)}) * h" for j in range(n)]
+    return [*(f"    {name} = {arg}" for name, arg in zip((field.var, *field.states), (t, *args))
+              if name != "_"),
+            *(f"    {line}" for line in body),
+            f"    {_names(f'k{s}', n)}= {ret.removeprefix('return ')}"]
+
+
+def _source(field, name):
+    """Source of ``bind(*field.consts)``, which returns ``name`` bound:
+    ``field(var, y)``; ``attempt(t, h, t_new, y, f, atol, rtol)``, the 12
+    stages of a step from (t, y), f the field there, giving ``y_new``,
+    ``f_new``, the 13 stages of each component in turn (K, as the buffer
+    stores them) and the sums of squares of the scaled 5th- and 3rd-order
+    error estimates; or ``interpolant(t_old, h, y_old, y_new, K)``, the
+    three extra stages, giving the piece ``_evaluate`` reads."""
+    n = len(field.states)
     rng = range(n)
     stages = "".join(f"k{s}_{j}, " for j in rng for s in range(_N_K))   # K's order
-    attempt = [
-        "def attempt(fun, t, h, t_new, y, f, atol, rtol):",
-        f"    {_names('y', n)}= y",
-        f"    {_names('k0', n)}= f",
-        *(_stage(s, "t", _C[s], _A[s], n) for s in range(1, _N_STAGES)),
-        *(f"    yn_{j} = y_{j} + h * ({_dot(_B, j)})" for j in rng),
-        f"    y_new = [{_names('yn', n)}]",
-        "    f_new = fun(t_new, y_new)",
-        f"    {_names('k12', n)}= f_new",
-        f"    {_names('a', n)}= atol",
-    ]
-    for j in rng:
-        attempt += [
-            f"    sc_{j} = a_{j} + max(abs(y_{j}), abs(yn_{j})) * rtol",
-            f"    e5_{j} = ({_dot(_E5, j)}) / sc_{j}",
-            f"    e3_{j} = ({_dot(_E3, j)}) / sc_{j}",
+    if name == "field":
+        lines = [f"def field({field.var}, y):", f"    {', '.join(field.states)}, = y",
+                 *(f"    {line}" for line in field.body)]
+    elif name == "attempt":
+        lines = [
+            "def attempt(t, h, t_new, y, f, atol, rtol):",
+            f"    {_names('y', n)}= y",
+            f"    {_names('k0', n)}= f",
+            *(line for s in range(1, _N_STAGES)
+              for line in _stage(s, f"t + {_C[s]!r} * h", field, _A[s])),
+            *(f"    yn_{j} = y_{j} + h * ({_dot(_B, j)})" for j in rng),
+            f"    y_new = [{_names('yn', n)}]",
+            *_stage(12, "t_new", field),
+            f"    f_new = ({_names('k12', n)})",
+            f"    {_names('a', n)}= atol",
+            *(line for j in rng for line in (
+                f"    sc_{j} = a_{j} + max(abs(y_{j}), abs(yn_{j})) * rtol",
+                f"    e5_{j} = ({_dot(_E5, j)}) / sc_{j}",
+                f"    e3_{j} = ({_dot(_E3, j)}) / sc_{j}")),
+            f"    err5 = 0.0 + {' + '.join(f'e5_{j} * e5_{j}' for j in rng)}",
+            f"    err3 = 0.0 + {' + '.join(f'e3_{j} * e3_{j}' for j in rng)}",
+            f"    return y_new, f_new, ({stages}), err5, err3",
         ]
-    attempt += [
-        f"    err5 = 0.0 + {' + '.join(f'e5_{j} * e5_{j}' for j in rng)}",
-        f"    err3 = 0.0 + {' + '.join(f'e3_{j} * e3_{j}' for j in rng)}",
-        f"    return y_new, f_new, ({stages}), err5, err3",
-    ]
-    interpolant = [
-        "def interpolant(fun, t_old, h, y_old, y_new, K):",
-        f"    {_names('y', n)}= y_old",
-        f"    {stages}= K",
-        *(_stage(s, "t_old", c, a, n)
-          for s, (c, a) in enumerate(zip(_C_EXTRA, _A_EXTRA), start=_N_K)),
-        f"    {_names('yn', n)}= y_new",
-        *(f"    d_{j} = yn_{j} - y_{j}" for j in rng),
-        "    return t_old, h, y_old, [",
-        *(f"        (d_{j}, h * k0_{j} - d_{j}, 2.0 * d_{j} - h * (k12_{j} + k0_{j}), "
-          + ", ".join(f"h * ({_dot(d, j)})" for d in _D) + ")," for j in rng),
-        "    ]",
-    ]
-    return "\n".join(attempt) + "\n", "\n".join(interpolant) + "\n"
+    else:
+        lines = [
+            "def interpolant(t_old, h, y_old, y_new, K):",
+            f"    {_names('y', n)}= y_old",
+            f"    {stages}= K",
+            *(line for s, (c, a) in enumerate(zip(_C_EXTRA, _A_EXTRA), start=_N_K)
+              for line in _stage(s, f"t_old + {c!r} * h", field, a)),
+            f"    {_names('yn', n)}= y_new",
+            *(f"    d_{j} = yn_{j} - y_{j}" for j in rng),
+            "    return t_old, h, y_old, [",
+            *(f"        (d_{j}, h * k0_{j} - d_{j}, 2.0 * d_{j} - h * (k12_{j} + k0_{j}), "
+              + ", ".join(f"h * ({_dot(d, j)})" for d in _D) + ")," for j in rng),
+            "    ]",
+        ]
+    return "\n    ".join([f"def bind({', '.join(field.consts)}):", *lines,
+                           f"return {name}"]) + "\n"
 
 
 @functools.cache
-def _compiled(n):
-    """The functions ``attempt`` and ``interpolant`` of ``_source(n)``.
+def _compiled(field, name):
+    """``bind`` of ``_source(field, name)``, compiled on first use and on its
+    own, so the compiler's peak memory is that of one function (about 1 MB
+    for the compact flow's attempt)."""
+    namespace = {}
+    exec(compile(_source(field, name), f"<dop853 {name}>", "exec"), namespace)
+    return namespace["bind"]
 
-    Compiled once per n, one at a time, so the compiler's peak memory is
-    that of the larger function (about 0.7 MB at n = 4), not of both.
-    """
-    functions = []
-    for name, source in zip(("attempt", "interpolant"), _source(n)):
-        namespace = {}
-        exec(compile(source, f"<dop853 {name}, n={n}>", "exec"), namespace)
-        functions.append(namespace[name])
-    return tuple(functions)
+
+def bind(field, *values):
+    """The field's function with its constants bound to values; `dop853`
+    steps it with the attempt that inlines the same source."""
+    fun = _compiled(field, "field")(*values)
+    fun.field = field, values
+    return fun
 
 
 def _evaluate(piece, t):
@@ -330,8 +359,8 @@ class Trajectory:
     interpolated state as a list; at a node the step ending there is used.
     """
 
-    def __init__(self, fun, n, buf, pieces, nfev, n_rejected, event):
-        self._fun = fun
+    def __init__(self, interpolant, n, buf, pieces, nfev, n_rejected, event):
+        self._interpolant = interpolant
         self._n = n
         self._stride = 1 + n + _N_K * n
         self._buf = buf
@@ -364,9 +393,8 @@ class Trajectory:
             y_old = buf[base + 1:base + 1 + n].tolist()
             y_new = buf[base + stride + 1:base + stride + 1 + n]
             k0 = base + 1 + n
-            interpolant = _compiled(n)[1]
-            piece = interpolant(self._fun, t_old, buf[base + stride] - t_old,
-                                y_old, y_new, buf[k0:k0 + _N_K * n])
+            piece = self._interpolant(t_old, buf[base + stride] - t_old,
+                                      y_old, y_new, buf[k0:k0 + _N_K * n])
             self.nfev += 3
             self._pieces[i] = piece
         return piece
@@ -381,7 +409,9 @@ def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol, events=()) -> Tr
     """Integrate y' = fun(t, y) from t0 towards t_end.
 
     ``fun`` takes a float and a list of floats and returns a sequence of
-    floats; ``atol`` is a float or one per component.  ``events`` is a
+    floats; a ``fun`` made by `bind` is stepped with the attempt that
+    inlines its field, any other with one ``fun`` call per stage.  ``atol``
+    is a float or a sequence of one or n floats.  ``events`` is a
     sequence of ``(fn, direction)`` pairs with direction +1 (upward
     crossings of ``fn(t, y) = 0``) or -1 (downward); every event is
     terminal.  Raises EvaluationError when the step size falls below ten
@@ -389,7 +419,13 @@ def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol, events=()) -> Tr
     """
     y = [float(v) for v in y0]
     n = len(y)
-    atol = np.broadcast_to(np.asarray(atol, dtype=float), (n,)).tolist()
+    try:
+        atol = [float(a) for a in atol]
+    except TypeError:                                   # a scalar
+        atol = [float(atol)]
+    if len(atol) not in (1, n):
+        raise ValueError(f"atol has {len(atol)} entries for {n} components")
+    atol *= n // len(atol)
     if any(d not in (1, -1) for _, d in events):
         raise ValueError("event directions must be +1 or -1")
     direction = 1.0 if t_end > t0 else -1.0
@@ -402,7 +438,9 @@ def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol, events=()) -> Tr
     pieces = {}
     step = 0
     event = None
-    attempt, interpolant = _compiled(n)
+    field, values = getattr(fun, "field", None) or (_generic(n), (fun,))
+    attempt = _compiled(field, "attempt")(*values)
+    interpolant = _compiled(_generic(n), "interpolant")(fun)
 
     while True:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -418,7 +456,7 @@ def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol, events=()) -> Tr
             h = t_new - t
             h_abs = abs(h)
 
-            y_new, f_new, K, err5, err3 = attempt(fun, t, h, t_new, y, f, atol, rtol)
+            y_new, f_new, K, err5, err3 = attempt(t, h, t_new, y, f, atol, rtol)
             nfev += _N_STAGES
             if err5 == 0.0 and err3 == 0.0:
                 error_norm = 0.0
@@ -442,7 +480,7 @@ def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol, events=()) -> Tr
         hits = [i for i, (_, d) in enumerate(events)
                 if (g[i] <= 0.0 <= g_new[i] if d > 0 else g[i] >= 0.0 >= g_new[i])]
         if hits:
-            piece = interpolant(fun, t, h, y, y_new, K)
+            piece = interpolant(t, h, y, y_new, K)
             nfev += 3
             pieces[step] = piece
             roots = [brentq(lambda s, fn=events[i][0]: fn(s, _evaluate(piece, s)),
@@ -460,4 +498,4 @@ def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol, events=()) -> Tr
         step += 1
 
     buf.extend([0.0] * (_N_K * n))   # the last node starts no step
-    return Trajectory(fun, n, buf, pieces, nfev, n_rejected, event)
+    return Trajectory(interpolant, n, buf, pieces, nfev, n_rejected, event)

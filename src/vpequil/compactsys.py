@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._ode import dop853
+from ._ode import Field, bind, dop853
 from .distmodels import (
     DistributionModel,
     EvaluationError,
@@ -138,22 +138,22 @@ def _omega_cap(model: DistributionModel):
     return math.log(w_hi), w_hi
 
 
-def _compact_field(model: DistributionModel):
-    """(lambda, [U, Q, x = log omega, xi]) -> the four derivatives, constants
-    bound once; one closure per orbit, handed to the integrator directly."""
-    l = model.l
-    index = model._index
-    a1, a2 = 3.0 + 2.0 * l, 4.0 + 2.0 * l
-    x_hi, w_hi = _omega_cap(model)
-    exp = math.exp
+# (lambda, [U, Q, x = log omega, xi]) -> the four derivatives; neither lambda
+# nor xi is read, and n is multiplied by Q
+_FIELD = Field("_", ("U", "Q", "x", "_"), (
+    "n = index(exp(x) if x < x_hi else w_hi) if Q != 0.0 else 0.0",
+    "v = 1.0 - U",
+    "p = 1.0 - Q",
+    "return (U * v * (p * (a1 - a2 * U) - (n + l) * Q * v),"
+    " Q * p * ((2.0 * U - 1.0) * p + Q * v), -Q * v, v * p)",
+), ("l", "index", "a1", "a2", "x_hi", "w_hi", "exp"))
 
-    def field(lam, y):
-        U, Q, x, _ = y
-        n = index(exp(x) if x < x_hi else w_hi) if Q != 0.0 else 0.0   # n is multiplied by Q
-        du = U * (1.0 - U) * ((1.0 - Q) * (a1 - a2 * U) - (n + l) * Q * (1.0 - U))
-        dq = Q * (1.0 - Q) * ((2.0 * U - 1.0) * (1.0 - Q) + Q * (1.0 - U))
-        return du, dq, -Q * (1.0 - U), (1.0 - U) * (1.0 - Q)
-    return field
+
+def _compact_field(model: DistributionModel):
+    """The compact field with the model's constants bound: one closure per
+    orbit, which `integrate_compact` hands to the integrator directly."""
+    return bind(_FIELD, model.l, model._index, 3.0 + 2.0 * model.l, 4.0 + 2.0 * model.l,
+                *_omega_cap(model), math.exp)
 
 
 def rhs_compact(model: DistributionModel, state):
@@ -258,7 +258,12 @@ def monitor_Phi(state, l: float):
 # -------------------------------------------------------------- trapped sets
 
 def in_S1(state):
-    """Region where Q is expanding; future invariant.  Elementwise."""
+    """Region where Q is expanding.  Elementwise.
+
+    On its boundary dS/dlambda has the sign of (3 + l - n) - U (4 - 2n), so
+    S1 is future invariant while n(omega) <= 3 + l; beyond, an orbit can
+    leave it near U = 0.
+    """
     U, Q = _UQ(state)
     return _plain((2.0 * U - 1.0) * (1.0 - Q) + Q * (1.0 - U) > 0.0)
 
@@ -408,8 +413,8 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
                       backward: bool = False) -> CompactOrbit:
     """Follow the compact flow from state0 until a corner, the potential floor,
     ceiling or end of phi, or the lambda budget; xi accumulates the log radius.
-    DOP853 integrates (U, Q, x = log omega, xi) on the fused closure behind
-    `rhs_compact`, with the model's bound index.  The floor and ceiling are
+    DOP853 integrates (U, Q, x = log omega, xi) on the closure behind
+    `rhs_compact`, its body inlined in each stage.  The floor and ceiling are
     linear in x; the corners and the returned orbit use Omega(x)."""
     st = settings or CompactSettings()
     if not st.lambda_max > 0.0:

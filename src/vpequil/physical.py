@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._ode import dop853
+from ._ode import Field, bind, dop853
 from .distmodels import (
     DistributionModel,
     density,
@@ -119,21 +119,18 @@ def center_series(model: DistributionModel, omega_c: float, r):
     return m, omega
 
 
+# (r, [m, omega]) -> (dm/dr, domega/dr): the operations of `density`, in the
+# same order, so the floats are too; rho is 0 for omega <= 0
+_FIELD = Field("r", ("m", "omega"), (
+    "rho = c * r ** two_l * kernel(omega) if omega > 0.0 else 0.0",
+    "return four_pi * r * r * rho, -m / (r * r)",
+), ("c", "two_l", "kernel", "four_pi"))
+
+
 def _physical_field(model: DistributionModel):
-    """(r, [m, omega]) -> (dm/dr, domega/dr), the model's constants bound once.
-
-    One closure per solve: `integrate_physical` hands it to the integrator
-    directly.  The operations are those of `density`, in the same order, so
-    the floats are too; rho is 0 for omega <= 0.
-    """
-    c, two_l, kernel = model._prefactor, 2.0 * model.l, model._kernel
-    four_pi = 4.0 * math.pi
-
-    def field(r, y):
-        m, omega = y
-        rho = c * r ** two_l * kernel(omega) if omega > 0.0 else 0.0
-        return four_pi * r * r * rho, -m / (r * r)
-    return field
+    """The physical field with the model's constants bound: one closure per
+    solve, which `integrate_physical` hands to the integrator directly."""
+    return bind(_FIELD, model._prefactor, 2.0 * model.l, model._kernel, 4.0 * math.pi)
 
 
 def rhs_physical(model: DistributionModel, r: float, state):

@@ -424,6 +424,27 @@ def test_in_S1_hand_values():
     assert not in_S1(CompactState(0.2, 0.1, 0.3))   # -0.6*0.9 + 0.1*0.8 < 0
 
 
+@pytest.mark.parametrize("model, signs", [
+    (polytrope(n=4.5), {-1.0, 1.0}), (polytrope(n=2.0, l=0.5), {1.0}),
+    (truncated_exponential(0), {-1.0, 1.0}), (wilson_model(l=0.5), {-1.0, 1.0}),
+], ids=["n4.5", "n2-l0.5", "king", "wilson-l0.5"])
+def test_S1_boundary_flux_has_the_sign_of_its_formula(model, signs):
+    # on the boundary of S1, Q = (1 - 2U)/(2 - 3U) with 0 < U < 1/2, dQ = 0
+    # and dS/dlambda = (2 - 3Q) U (1 - U)(1 - Q) [(3 + l - n) - U (4 - 2n)]:
+    # inward while n(omega) <= 3 + l, outward near U = 0 once n > 3 + l (King
+    # passes 3 near omega = 1.6)
+    rng = np.random.default_rng(4012)
+    l, seen = model.l, set()
+    for U, omega in zip(rng.uniform(0.0, 0.5, 2000), 10.0 ** rng.uniform(-3.0, 3.0, 2000)):
+        Q = (1.0 - 2.0 * U) / (2.0 - 3.0 * U)
+        du, dq, _ = rhs_compact(model, (U, Q, omega / (1.0 + omega)))
+        n = model._index(omega)
+        sign = np.sign((3.0 + l - n) - U * (4.0 - 2.0 * n))
+        assert np.sign((2.0 - 3.0 * Q) * du + (2.0 - 3.0 * U) * dq) == sign, (U, omega)
+        seen.add(sign)
+    assert seen == signs
+
+
 def test_in_S2_polytrope_bounds():
     # constant index: threshold is max(1/2, (3+2l)/(3+3l+n))
     assert not in_S2(polytrope(n=2), CompactState(0.5, 0.55, 0.4))   # needs Q > 0.6

@@ -11,6 +11,9 @@ tableau.
 """
 
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -239,6 +242,39 @@ def test_fused_compact_field_is_rhs_compact(name, U, Q, Omega, xi):
     assert fused == outcome(rhs_compact, FIELD_MODELS[name], (U, Q, Omega))
 
 
+def plain_dop853(fun, *args, **kwargs):
+    """dop853 on the same closure wrapped in a plain lambda: one call per stage."""
+    return dop853(lambda t, y: fun(t, y), *args, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_MODELS))
+def test_fused_solve_equals_generic_solve(name):
+    # the attempt with the field inlined takes the steps, rejections, event
+    # and dense values of the one that calls the closure 12 times
+    runs = []
+    for integrator in (dop853, plain_dop853):
+        with mock.patch.object(physical, "dop853", integrator):
+            prof = integrate_physical(FIELD_MODELS[name], 0.5)
+        dense = [prof.dense(r) for r in np.linspace(prof.r[0], prof.r[-1], 7)]
+        runs.append((prof.r.tolist(), prof.m.tolist(), prof.omega.tolist(), dense,
+                     prof.diagnostics, prof._dense.nfev, prof._dense.event))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("name", sorted(FIELD_MODELS))
+def test_fused_orbit_equals_generic_orbit(name, backward):
+    runs = []
+    for integrator in (dop853, plain_dop853):
+        with mock.patch.object(compactsys, "dop853", integrator):
+            orbit = integrate_compact(FIELD_MODELS[name], CompactState(0.6, 0.3, 0.3),
+                                      CompactSettings(lambda_max=30.0), backward=backward)
+        dense = [orbit.dense(v).tolist() for v in np.linspace(orbit.lam[0], orbit.lam[-1], 7)]
+        runs.append(([getattr(orbit, k).tolist() for k in ("lam", "U", "Q", "Omega", "xi")],
+                     dense, orbit.diagnostics, orbit.termination))
+    assert runs[0] == runs[1]
+
+
 # ------------------------------------------------------------- compact flow
 
 @pytest.mark.parametrize("model", [king_model(), polytrope(n=2.0)], ids=["king", "n2"])
@@ -362,6 +398,21 @@ def test_bad_event_direction_rejected():
                events=[(lambda t, y: y[0], 0)])
 
 
+@pytest.mark.parametrize("atol", [1e-12, np.float64(1e-12), np.array(1e-12), [1e-12],
+                                  (1e-12, 1e-12), np.array([1e-12, 1e-12])],
+                         ids=["float", "numpy-scalar", "0-d", "one", "n", "array-n"])
+def test_atol_is_a_scalar_or_one_or_n_values(atol):
+    sol = dop853(oscillator, 0.0, [0.0, 1.0], 5.0, 1e-10, atol)
+    ref = dop853(oscillator, 0.0, [0.0, 1.0], 5.0, 1e-10, [1e-12, 1e-12])
+    assert (sol.t.tolist(), sol.y.tolist()) == (ref.t.tolist(), ref.y.tolist())
+
+
+@pytest.mark.parametrize("atol", [[], [1e-12] * 3], ids=["none", "three"])
+def test_atol_of_another_length_rejected(atol):
+    with pytest.raises(ValueError, match="atol has"):
+        dop853(oscillator, 0.0, [0.0, 1.0], 5.0, 1e-10, atol)
+
+
 def test_dense_stages_are_lazy():
     calls = []
 
@@ -456,16 +507,23 @@ def reference_interpolant(fun, t, h, y, y_new, K):
     return F
 
 
+def polynomial_field(n, read):
+    """A field source for n states of which the first `read` are read: a
+    constant, linear in t, in w = their sum and in one of them times w."""
+    u = [f"u{j}" for j in range(read)]
+    rows = [f"c[{i}][0] + c[{i}][1] * tau + c[{i}][2] * w + c[{i}][3] * u{i % read} * w"
+            for i in range(n)]
+    return _ode.Field("tau", (*u, *["_"] * (n - read)),
+                      (f"w = 0.0 + {' + '.join(u)}", f"return {', '.join(rows)},"), ("c",))
+
+
 @st.composite
 def polynomial_problems(draw):
     n = draw(st.integers(1, 4))
+    read = n - draw(st.integers(0, n - 1))           # states past `read` go unread
     unit = st.floats(-2.0, 2.0)
-    coef = [draw(st.lists(unit, min_size=n + 3, max_size=n + 3)) for _ in range(n)]
-
-    def fun(t, y):
-        # constant, linear in t and y, and one quadratic cross term
-        return [c[0] + c[1] * t + sum(c[2 + j] * y[j] for j in range(n))
-                + c[n + 2] * y[i] * y[(i + 1) % n] for i, c in enumerate(coef)]
+    coef = [draw(st.lists(unit, min_size=4, max_size=4)) for _ in range(n)]
+    fun = _ode.bind(polynomial_field(n, read), coef)
     y = draw(st.lists(unit, min_size=n, max_size=n))
     h = draw(st.floats(1e-4, 0.3)) * draw(st.sampled_from([1.0, -1.0]))
     atol = draw(st.lists(st.floats(1e-12, 1e-6), min_size=n, max_size=n))
@@ -475,20 +533,53 @@ def polynomial_problems(draw):
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(problem=polynomial_problems())
 def test_generated_step_equals_tableau_loops(problem):
+    # both attempts, one fun call per stage and the field's body inlined,
+    # and the interpolant give the floats of plain loops over the tableau
     fun, t, h, y, atol, rtol = problem
     t_new = t + h
     f = fun(t, y)
-    attempt, interpolant = _ode._compiled(len(y))
-    y_new, f_new, K, err5, err3 = attempt(fun, t, h, t_new, y, f, atol, rtol)
+    generic = _ode._generic(len(y))
+    field, values = fun.field
     ref_y, ref_f, ref_K, ref_err5, ref_err3 = reference_attempt(fun, t, h, t_new, y, f,
                                                                 atol, rtol)
-    assert y_new == ref_y
-    assert f_new == ref_f
-    assert list(K) == [k for Kj in ref_K for k in Kj]    # stages, component by component
-    assert (err5, err3) == (ref_err5, ref_err3)
-    t_old, h_old, y_old, F = interpolant(fun, t, h, y, y_new, K)
+    for attempt in (_ode._compiled(generic, "attempt")(fun),
+                    _ode._compiled(field, "attempt")(*values)):
+        y_new, f_new, K, err5, err3 = attempt(t, h, t_new, y, f, atol, rtol)
+        assert y_new == ref_y
+        assert tuple(f_new) == tuple(ref_f)
+        assert list(K) == [k for Kj in ref_K for k in Kj]    # stages, component by component
+        assert (err5, err3) == (ref_err5, ref_err3)
+    t_old, h_old, y_old, F = _ode._compiled(generic, "interpolant")(fun)(t, h, y, y_new, K)
     assert (t_old, h_old, y_old) == (t, h, y)
     assert F == reference_interpolant(fun, t, h, y, y_new, ref_K)
+
+
+def test_bound_field_is_stepped_inline():
+    # dop853 runs the attempts of a field made by `bind` with its body inlined:
+    # the closure is called only to start (f0 and the initial-step probe) and
+    # for the three extra stages of each interpolant
+    fun = _ode.bind(polynomial_field(2, 2), [[0.0, 0.0, 0.1, -0.2]] * 2)
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return fun(t, y)
+    counted.field = fun.field
+    sol = dop853(counted, 0.0, [0.1, 0.2], 3.0, 1e-12, 1e-14)
+    sol(1.5)
+    assert sol.n_steps > 3 and sol.n_interpolants == 1
+    assert len(calls) == 2 + 3 * sol.n_interpolants
+    assert sol.nfev == 2 + 12 * (sol.n_steps + sol.n_rejected) + 3 * sol.n_interpolants
+
+
+def test_cli_import_compiles_no_step():
+    # the generated functions compile on a flow's first solve, never at import
+    src = os.path.dirname(os.path.dirname(_ode.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import vpequil.cli; "
+            "print(sys.modules['vpequil._ode']._compiled.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "0\n"
 
 
 def _brent_cases():
