@@ -35,6 +35,7 @@ import numpy as np
 
 from ._ode import brentq
 from .compactsys import (
+    CORNERS,
     CompactSettings,
     compactify,
     integrate_compact,
@@ -160,10 +161,6 @@ def omega_crit(model: DistributionModel, n_fn=None) -> float:
     index triggers a RuntimeWarning and the largest crossing is returned.
     """
     bound = 5.0 + 3.0 * model.l
-    n_const = model.family.constant_index
-    if n_fn is None and n_const is not None:
-        return math.inf if n_const <= bound else 0.0
-
     n_of = _index_fn(model, n_fn)
     omegas, excess = [], []
     w = 1e-10
@@ -220,7 +217,6 @@ def check_theorem2(model: DistributionModel, omega_c: float,
 
 # ------------------------------------------------------------ classification
 
-_CORNERS = (((0.0, 1.0, 0.0), "(0,1,0)"), ((1.0, 1.0, 0.0), "(1,1,0)"))
 _CORNER_RADIUS = 0.05
 
 
@@ -242,7 +238,7 @@ def _end_labels(model: DistributionModel, profile) -> tuple:
         except _SOLVE_ERRORS:
             ends.append([math.nan] * 3)
     (U0, Q0, _), last = ends
-    forward = next((label for corner, label in _CORNERS
+    forward = next((label for corner, label in CORNERS
                     if math.dist(last, corner) < _CORNER_RADIUS), "unresolved")
     u_center = (3.0 + 2.0 * model.l) / (4.0 + 2.0 * model.l)
     backward = ("L2" if abs(U0 - u_center) < _CORNER_RADIUS and Q0 < _CORNER_RADIUS

@@ -39,6 +39,14 @@ DEGENERATE_TRIPLE_ZERO = "DegenerateTripleZero"
 
 VACUUM_CORNER = (0.0, 1.0, 0.0)      # finite-radius terminus
 SINGULAR_CORNER = (1.0, 1.0, 0.0)    # self-similar singular terminus
+# the corners an orbit can end at, with their limit labels
+CORNERS = ((VACUUM_CORNER, "(0,1,0)"), (SINGULAR_CORNER, "(1,1,0)"))
+
+# an orbit stops where omega leaves [floor, ceiling] (backward runs can blow
+# the potential up) or within this distance of a corner
+_OMEGA_FLOOR = 1e-12
+_OMEGA_CEILING = 1e12
+_ATTRACTION_EPS = 1e-4
 
 # absolute error floor of log omega and xi: O(1) logs that pass through 0
 # (xi starts there, log omega at Omega = 1/2), where relative control stalls
@@ -71,9 +79,6 @@ class CompactSettings:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-30
     lambda_max: float = 200.0
-    omega_floor: float = 1e-12
-    omega_ceiling: float = 1e12    # backward runs can blow the potential up
-    attraction_eps: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -274,13 +279,8 @@ def in_S2(model: DistributionModel, state, omega_0: float | None = None) -> bool
     l = model.l
     omega0 = omega_0 if omega_0 is not None else Om / (1.0 - Om)
     a = 3.0 + 2.0 * l
-    n_const = model.family.constant_index
-    if n_const is not None:
-        sup_bound = a / (a + l + n_const)
-    else:
-        ns = np.array([model._index(w) for w in np.geomspace(omega0 * 1e-10, omega0, 129)])
-        sup_bound = float(np.max(a / (a + l + ns)))
-    return Q > max(0.5, sup_bound)
+    ns = np.array([model._index(w) for w in np.geomspace(omega0 * 1e-10, omega0, 129)])
+    return Q > max(0.5, float(np.max(a / (a + l + ns))))
 
 
 def in_S3(state, l: float, eps: float, delta: float) -> bool:
@@ -399,12 +399,12 @@ class CompactOrbit:
         return in_S1((self.U, self.Q))
 
 
-# (termination, limit label) by the index of the terminal event that fired
+# (termination, limit label) by the index of the terminal event that fired:
+# the floor, the corners in order, the ceiling
 _TERMINATIONS = {
     0: ("omega-floor", "unresolved"),
-    1: ("corner-(0,1,0)", "(0,1,0)"),
-    2: ("corner-(1,1,0)", "(1,1,0)"),
-    3: ("omega-ceiling", "unresolved"),
+    **{i: (f"corner-{label}", label) for i, (_, label) in enumerate(CORNERS, 1)},
+    len(CORNERS) + 1: ("omega-ceiling", "unresolved"),
     None: ("lambda-max", "unresolved"),
 }
 
@@ -419,31 +419,26 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
     st = settings or CompactSettings()
     if not st.lambda_max > 0.0:
         raise ValueError("lambda_max must be positive")
-    if not 0.0 < st.attraction_eps <= 0.5:
-        raise ValueError("attraction_eps must lie in (0, 1/2]")
-    if not (st.omega_floor > 0.0 and st.rel_tol > 0.0 and st.abs_tol > 0.0):
-        raise ValueError("omega_floor and tolerances must be positive")
-    if not st.omega_ceiling > st.omega_floor:
-        raise ValueError("omega_ceiling must exceed omega_floor")
+    if not (st.rel_tol > 0.0 and st.abs_tol > 0.0):
+        raise ValueError("tolerances must be positive")
     x_hi, w_hi = _omega_cap(model)   # w_hi: where a tabulated phi ends, if it does
-    ceiling = min(st.omega_ceiling, w_hi)
+    ceiling = min(_OMEGA_CEILING, w_hi)
     s0 = state0 if isinstance(state0, CompactState) else CompactState(*_triple(state0))
-    if not st.omega_floor < s0.omega < ceiling:
+    if not _OMEGA_FLOOR < s0.omega < ceiling:
         raise ValueError("initial state outside the (floor, ceiling) potential window")
-    x_floor = math.log(st.omega_floor)
+    x_floor = math.log(_OMEGA_FLOOR)
     x_roof = math.log(ceiling)
-    eps = st.attraction_eps
 
     def Omega_of(x):
         w = math.exp(x) if x < x_hi else w_hi
         return w / (1.0 + w)
 
-    def corner(c):   # distance to a corner of the cube, less eps
+    def corner(c):   # distance to a corner of the cube, less the attraction radius
         return lambda lam, y: math.hypot(y[0] - c[0], y[1] - c[1],
-                                         Omega_of(y[2]) - c[2]) - eps
+                                         Omega_of(y[2]) - c[2]) - _ATTRACTION_EPS
 
-    events = [(lambda lam, y: y[2] - x_floor, -1), (corner(VACUUM_CORNER), -1),
-              (corner(SINGULAR_CORNER), -1), (lambda lam, y: y[2] - x_roof, 1)]
+    events = [(lambda lam, y: y[2] - x_floor, -1), *[(corner(c), -1) for c, _ in CORNERS],
+              (lambda lam, y: y[2] - x_roof, 1)]
     lam_end = -st.lambda_max if backward else st.lambda_max
     log_atol = max(st.abs_tol, _LOG_ATOL)
     sol = dop853(_compact_field(model), 0.0, (s0.U, s0.Q, math.log(s0.omega), 0.0),

@@ -14,15 +14,15 @@ lower incomplete gamma function, a = p + m + 2) for the lowered
 exponentials, and incomplete Beta integrals summed over the cubic pieces of
 a tabulated interpolant.
 
-The lowered exponentials share two helpers with a = p + l + 5/2 or
+The lowered exponentials rest on two functions, with a = p + l + 5/2 or
 a = p + m + 2:
 
     S(omega) = sum_k omega^k / (a (a+1) ... (a+k))    (DLMF 8.7.1),
     T(omega) = e^omega omega^-a Gamma(a, omega)        (continued fraction, DLMF 8.9.2),
 
 S below omega = a + 1 and T above it.  With them e^omega P(a, omega) is
-omega^a S/Gamma(a), or e^omega - omega^a T/Gamma(a); the kernels sum S by
-Horner's rule on coefficients fixed when they are built.  Which form runs
+omega^a S/Gamma(a), or e^omega - omega^a T/Gamma(a); S is summed by
+Horner's rule on coefficients fixed when a kernel is built.  Which form runs
 above the series depends on a only: when 2a is an integer (isotropic King
 and Wilson models among others) it is e^omega, or e^omega erf(sqrt(omega)),
 minus a finite sum, and the series gives way to it well below a + 1, where
@@ -45,10 +45,11 @@ overflows nor needs P.  Below a + 1 it reads S off the memoized g_{l+1/2}
 elementary form above.  A tabulated model's index is the quotient of its two
 kernels.
 
-Singularity-adapted Gauss-Jacobi quadrature of the same integrals
+Gauss-Jacobi quadrature of phi(E)/E^k against the endpoint weights
 (`eval_g_quadrature`, `eval_dg_quadrature`) and the direct double integral
 (`density_bruteforce`) are kept as independent oracles; no production path
-runs them.  They load scipy on first use, so they need the `test` extra.
+runs them.  They load the quadrature module and scipy on first use, so they
+need the `test` extra.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._quadrature import QuadratureError, integrate_weighted
 
 DEFAULT_QUAD_TOL = 1e-10
 _OMEGA_MIN = 1e-300   # below this the index n(omega) is refused, not extrapolated
@@ -110,10 +109,6 @@ class Polytrope:
                            0.0)
         return out
 
-    def phi_reduced(self, e, k=None):
-        # phi(E)/E^k is the constant amplitude; the family fixes k = n - 3/2
-        return np.full_like(np.asarray(e, dtype=float), self.phi_minus)
-
     def kernel(self, m, derivative=False):
         """omega -> g_m(omega) = omega^(n+m-1/2) phi_minus B(n-1/2, m+1), or dg_m/domega."""
         n, phi_minus = self.n, self.phi_minus
@@ -160,13 +155,6 @@ class TruncatedExponential:
         return np.array([self._phi(x) if x > 0.0 else 0.0
                          for x in e.ravel().tolist()]).reshape(e.shape)
 
-    def phi_reduced(self, e, k=None):
-        """phi(E)/E^(p+1) = S(E)/p!, stable down to E = 0."""
-        a, fact = self.p + 1.0, math.factorial(self.p)
-        e = np.asarray(e, dtype=float)
-        return np.array([_series(a, x) / fact if x <= a + 1.0 else self._phi(x) / x ** a
-                         for x in e.ravel().tolist()]).reshape(e.shape)
-
     def kernel(self, m, derivative=False):
         """omega -> g_m(omega) = Gamma(m+1) e^omega P(p+m+2, omega), or dg_m/domega."""
         a = self.p + m + 2.0
@@ -209,21 +197,6 @@ class TruncatedExponential:
             e = math.exp(a * math.log(omega) - omega - log_gamma_a)
             return -l + omega + e / (1.0 - e * _fraction(a, omega))
         return n
-
-
-def _series(a, x):
-    """S(x) = sum_k x^k / (a (a+1) ... (a+k)), for 0 <= x <= a + 1 (DLMF 8.7.1).
-
-    e^x P(a, x) = x^a S(x) / Gamma(a).  The terms are positive and their
-    ratio x/(a+k) stays below 1.
-    """
-    term = total = 1.0 / a
-    ak = a
-    while term > total * 1e-17:
-        ak += 1.0
-        term *= x / ak
-        total += term
-    return total
 
 
 def _fraction(a, x):
@@ -373,12 +346,6 @@ class Tabulated:
     @property
     def energy_max(self):
         return float(self.energies[-1])
-
-    def phi_reduced(self, e, k):
-        """phi(E)/E^k with the declared low-energy exponent k."""
-        e = np.asarray(e, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(e > 0.0, self.phi(e) / np.power(np.maximum(e, _OMEGA_MIN), k), 0.0)
 
     def _check_range(self, omega):
         hi = float(self.energies[-1])
@@ -587,10 +554,6 @@ class DistributionModel:
             self._kernels[key] = self.family.kernel(m, derivative)
         return self._kernels[key]
 
-    def phi_reduced(self, e):
-        """phi(E) / E^k with the declared exponent k."""
-        return self.family.phi_reduced(e, self.regularity.k)
-
 
 def polytrope(n, l=0.0, phi_minus=1.0) -> DistributionModel:
     return DistributionModel(l=float(l), family=Polytrope(n=float(n), phi_minus=float(phi_minus)))
@@ -656,9 +619,11 @@ def eval_g_quadrature(model: DistributionModel, m, omega,
     _check_gm_args(m, omega)
     if omega == 0.0:
         return GEvaluation(m=m, omega=omega, value=0.0, estimated_error=0.0)
+    from ._quadrature import QuadratureError, integrate_weighted   # loaded on first use
+
     k = model.regularity.k
     try:
-        raw, err = integrate_weighted(lambda x: model.phi_reduced(omega * x),
+        raw, err = integrate_weighted(lambda x: _reduced(model, omega * x),
                                       m, k, rel_tol=rel_tol)
     except QuadratureError as exc:
         raise EvaluationError(f"g_{m:g}({omega:g}) quadrature failed: {exc}") from exc
@@ -727,12 +692,14 @@ def eval_dg_quadrature(model: DistributionModel, m, omega,
         return m * eval_g_quadrature(model, m - 1.0, omega, rel_tol=rel_tol).value
     if m == 0.0:
         return float(eval_phi(model, omega))
+    from ._quadrature import QuadratureError, integrate_weighted   # loaded on first use
+
     phi_w = float(eval_phi(model, omega))
     k = model.regularity.k
     try:
         # [0, 1/2]: phi(omega*x)(1-x)^(m-1) keeps only the x^k endpoint weight
         inner_a, _ = integrate_weighted(
-            lambda t: model.phi_reduced(omega * t / 2.0) * (1.0 - t / 2.0) ** (m - 1.0),
+            lambda t: _reduced(model, omega * t / 2.0) * (1.0 - t / 2.0) ** (m - 1.0),
             0.0, k, rel_tol=rel_tol)
         piece_a = phi_w * (1.0 - 2.0 ** (-m)) / m - 0.5 ** (k + 1.0) * omega ** k * inner_a
         # [1/2, 1]: difference quotient against the (1-x)^m weight
@@ -744,6 +711,12 @@ def eval_dg_quadrature(model: DistributionModel, m, omega,
     except QuadratureError as exc:
         raise EvaluationError(f"dg_{m:g}({omega:g}) quadrature failed: {exc}") from exc
     return omega ** m * phi_w - m * omega ** m * (piece_a + piece_b)
+
+
+def _reduced(model: DistributionModel, e):
+    """phi(E)/E^k, k the declared exponent: the oracles' integrand (E > 0)."""
+    e = np.asarray(e, dtype=float)
+    return model.family.phi(e) / e ** model.regularity.k
 
 
 def eval_n(model: DistributionModel, omega) -> float:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpequil import analysis
 from vpequil.analysis import (
@@ -180,6 +182,26 @@ def test_theorem2_guaranteed_implies_finite_radius():
     omega_c = WILSON_OMEGA_CRIT / 2
     assert check_theorem2(model, omega_c).holds == GUARANTEED
     assert integrate_physical(model, omega_c).classification == FINITE_RADIUS
+
+
+@st.composite
+def theorem_models(draw):
+    """A polytrope below the critical index 5 + 3l, or a lowered exponential,
+    with l in (-0.45, 2] and omega_c log-uniform in [0.05, 20]."""
+    l = draw(st.floats(-0.45, 2.0, exclude_min=True))
+    model = draw(st.one_of(
+        st.floats(0.6, 5.0 + 3.0 * l - 0.02, exclude_min=True).map(lambda n: polytrope(n, l=l)),
+        st.sampled_from([0, 1, 2]).map(lambda p: truncated_exponential(p, l=l))))
+    return model, math.exp(draw(st.floats(math.log(0.05), math.log(20.0))))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=theorem_models())
+def test_guaranteed_verdict_implies_finite_radius(case):
+    model, omega_c = case
+    verdicts = (check_theorem1(model, omega_c).holds, check_theorem2(model, omega_c).holds)
+    if GUARANTEED in verdicts:
+        assert integrate_physical(model, omega_c).classification == FINITE_RADIUS, verdicts
 
 
 # ---------------------------------------------------------- classification

@@ -311,7 +311,7 @@ def test_settings_validation(king_model):
                           CompactSettings(lambda_max=-1.0))
     with pytest.raises(ValueError):
         integrate_compact(king_model, CompactState(0.5, 0.2, 0.3),
-                          CompactSettings(attraction_eps=0.7))
+                          CompactSettings(rel_tol=0.0))
 
 
 # --------------------------------------------------------------- monitors

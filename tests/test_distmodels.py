@@ -42,7 +42,7 @@ from vpequil.distmodels import (
     tabulated_model,
     truncated_exponential,
 )
-from vpequil.distmodels import _Pchip
+from vpequil.distmodels import _Pchip, _reduced
 
 
 def closed_form_g(n, m, omega, phi_minus=1.0):
@@ -626,14 +626,13 @@ def test_kernel_overflow_is_a_clean_error():
 
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_phi_reduced_matches_mpmath(p):
-    family = truncated_exponential(p).family
-    es = np.concatenate([[0.0, 1e-12, 1e-6], np.linspace(0.01, 50.0, 101)])
-    got = family.phi_reduced(es)
-    with mpmath.workdps(50):
+    # the integrand of the quadrature oracles, phi(E)/E^k with k = p + 1
+    model = truncated_exponential(p)
+    es = np.concatenate([[1e-100, 1e-50, 1e-12, 1e-6], np.linspace(0.01, 50.0, 101)])
+    got = _reduced(model, es)
+    # e^E minus its first p + 1 terms cancels about 100 (p + 1) digits at
+    # E = 1e-100: 400 digits leave the reference 50 good ones
+    with mpmath.workdps(400):
         for e, value in zip(es, got):
-            if e == 0.0:
-                want = 1 / mpmath.factorial(p + 1)
-            else:
-                x = mpmath.mpf(float(e))
-                want = mp_phi_exp(p, x) / x ** (p + 1)
-            assert_close(value, float(want), 1e-13)
+            x = mpmath.mpf(float(e))
+            assert_close(value, float(mp_phi_exp(p, x) / x ** (p + 1)), 1e-13)

@@ -62,9 +62,9 @@ def scipy_physical(model, omega_c):
 
 def scipy_compact(model, start, backward=False, st=CompactSettings()):
     om_hi = math.nextafter(1.0, 0.0)
-    floor_c = st.omega_floor / (1.0 + st.omega_floor)
-    roof_c = st.omega_ceiling / (1.0 + st.omega_ceiling)
-    eps = st.attraction_eps
+    floor_c = compactsys._OMEGA_FLOOR / (1.0 + compactsys._OMEGA_FLOOR)
+    roof_c = compactsys._OMEGA_CEILING / (1.0 + compactsys._OMEGA_CEILING)
+    eps = compactsys._ATTRACTION_EPS
 
     def rhs(lam, y):
         du, dq, dom = rhs_compact(model, (y[0], y[1], min(max(y[2], 1e-300), om_hi)))
