@@ -18,18 +18,24 @@ are made only for a step that an event root or a ``dense`` query lands in;
 every accepted step keeps its node and its 13 stages in one packed float
 buffer, so any step can build its interpolant later.
 
-A step attempt and an interpolant are straight-line code generated from
-the tableau and from a `Field`, the source of a right-hand side.  `bind`
-compiles a flow's field from its source, and `dop853` steps it with an
-attempt that has the body written into every stage; any other callable is
-the field ``return fun(t, [...])``.  Each function is compiled on the first
-solve that needs it (milliseconds; the cache holds functions, no results).
-Each stage of each component is a local name and each coefficient a
-literal, so a step makes no call or list of its own, indexes no list and
-calls no ``sum()``, and zero entries of the tableau are left out.  Every
-weighted sum of stages is written ``0.0 + c0*k0 + c1*k1 + ...``, left to
-right, the order in which Python 3.11's ``sum()`` adds the products; so the
-floats are those of a loop over the tableau calling the field, bit for bit
+One step loop per flow and one interpolant are straight-line code generated
+from the tableau, from a `Field`, the source of a right-hand side, and from
+an `Events` source, the terminal events' values.  `bind` compiles a flow's
+field or events from its source, and `dop853` runs the loop with both
+bodies written in: the field's into each of the 12 stages of an attempt,
+the events' once after each accepted step, with the step-size control, the
+minimum step and the node buffer, so a step calls no Python function.  Any
+other callable is the field ``return fun(t, [...])``, any ``(fn,
+direction)`` events ``return (e0(t, [...]), ...)``: the same generator, one
+call per stage or step.  Each function is compiled on the first solve that
+needs it (milliseconds; the cache holds functions, no results).  Each stage
+of each component is a local name and each coefficient a literal, so a step
+makes no call or list of its own, indexes no list and calls no ``sum()``,
+and zero entries of the tableau are left out.  Every weighted sum of stages
+is written ``0.0 + c0*k0 + c1*k1 + ...``, left to right, the order in which
+Python 3.11's ``sum()`` adds the products, and each ``max()`` or ``min()``
+of the step control as the comparison it makes; so the floats, steps and
+roots are those of a loop over the tableau calling the field, bit for bit
 for finite stages, on any Python version (3.12 made ``sum()`` of floats
 compensated).
 """
@@ -245,10 +251,18 @@ def _names(prefix, n):
 # A right-hand side as source: ``def f(var, y)``, ``y`` unpacked to
 # ``states``, then ``body``, whose last line returns the n derivatives;
 # ``consts`` name the values `bind` gives.  A variable the body does not read
-# is named ``_``, and no stage computes it.  The body must not use the step's
-# names: ``t``, ``h``, ``y``, ``f``, ``fun``, ``K``, ``atol``, ``rtol``,
-# ``err5``, ``err3`` and names ending in ``_new``, ``_old`` or ``_<j>``.
+# is named ``_``, and no stage computes it.  The body must not use the loop's
+# names: ``t``, ``h``, ``y``, ``f``, ``g``, ``buf``, ``atol``, ``rtol``,
+# ``direction``, ``toward``, ``rejected``, ``factor``, ``inf``, ``sqrt``,
+# ``nextafter``, ``EvaluationError`` and names that start with ``h_``, ``t_``,
+# ``n_``, ``min_``, ``err`` or end in ``_new``, ``_old`` or ``_<j>``.
 Field = namedtuple("Field", "var states body consts")
+
+# Terminal events as source: a `Field` whose body returns one value per
+# event, and ``directions``, +1 (the event fires on an upward crossing of 0)
+# or -1 (downward) for each.  A const it shares with the field is bound once
+# in the loop, so both must give it the same value.
+Events = namedtuple("Events", "var states body consts directions")
 
 
 def _generic(n):
@@ -257,58 +271,140 @@ def _generic(n):
     return Field("tau", z, (f"return fun(tau, [{', '.join(z)}])",), ("fun",))
 
 
+def _generic_events(n, directions):
+    """The events of plain callables ``e0, e1, ...``: one call each."""
+    z = tuple(f"z{j}" for j in range(n))
+    calls = "".join(f"e{i}(tau, [{', '.join(z)}]), " for i in range(len(directions)))
+    return Events("tau", z, (f"return ({calls})",),
+                  tuple(f"e{i}" for i in range(len(directions))), directions)
+
+
+def _inline(source, var, args, targets):
+    """Lines of ``source``'s body at var and the states args, its return
+    bound to ``targets``."""
+    *body, ret = source.body
+    return [*(f"{name} = {arg}" for name, arg in zip((source.var, *source.states), (var, *args))
+              if name != "_"),
+            *body, f"{targets}= {ret.removeprefix('return ')}"]
+
+
 def _stage(s, t, field, a=None):
     """The field's body at t and at the state of tableau row a (y_new for
     None), its return bound to ``k{s}_0, k{s}_1, ...``."""
-    *body, ret = field.body
     n = len(field.states)
     args = [f"yn_{j}" if a is None else f"y_{j} + ({_dot(a, j)}) * h" for j in range(n)]
-    return [*(f"    {name} = {arg}" for name, arg in zip((field.var, *field.states), (t, *args))
-              if name != "_"),
-            *(f"    {line}" for line in body),
-            f"    {_names(f'k{s}', n)}= {ret.removeprefix('return ')}"]
+    return _inline(field, t, args, _names(f"k{s}", n))
 
 
-def _source(field, name):
-    """Source of ``bind(*field.consts)``, which returns ``name`` bound:
-    ``field(var, y)``; ``attempt(t, h, t_new, y, f, atol, rtol)``, the 12
-    stages of a step from (t, y), f the field there, giving ``y_new``,
-    ``f_new``, the 13 stages of each component in turn (K, as the buffer
-    stores them) and the sums of squares of the scaled 5th- and 3rd-order
-    error estimates; or ``interpolant(t_old, h, y_old, y_new, K)``, the
-    three extra stages, giving the piece ``_evaluate`` reads."""
+def _indent(depth, lines):
+    return [" " * (4 * depth) + line for line in lines]
+
+
+def _source(field, name, events=None):
+    """Source of ``bind(*consts)``, which returns ``name`` bound.
+
+    ``field(var, y)`` is the field (or the events) itself, with consts
+    ``field.consts``.  ``loop(t, y, f, g, h_abs, t_end, direction, atol,
+    rtol, buf)`` binds the field's consts, then those of ``events`` the
+    field does not bind.  It takes accepted steps from (t, y), f the field
+    and g the event values there, and appends to ``buf`` the 13 stages of
+    each step (component by component) and the node it ends at.  It
+    returns at the step that reaches t_end or on which an event fires, with
+    that step's stages appended and its node not: ``(t, h, t_new, y, y_new,
+    hits, n_rejected)``, hits the indices of the events that fired.  It
+    raises EvaluationError when the step size falls below ten spacings of
+    floating-point numbers at t.  ``interpolant(t_old, h, y_old, y_new, K)``
+    gives the three extra stages of a step and the piece ``_evaluate``
+    reads.
+    """
     n = len(field.states)
     rng = range(n)
-    stages = "".join(f"k{s}_{j}, " for j in rng for s in range(_N_K))   # K's order
+    stages = "".join(f"k{s}_{j}, " for j in rng for s in range(_N_K))   # buf's order
+    consts = field.consts
     if name == "field":
         lines = [f"def field({field.var}, y):", f"    {', '.join(field.states)}, = y",
                  *(f"    {line}" for line in field.body)]
-    elif name == "attempt":
-        lines = [
-            "def attempt(t, h, t_new, y, f, atol, rtol):",
-            f"    {_names('y', n)}= y",
-            f"    {_names('k0', n)}= f",
+    elif name == "loop":
+        consts = tuple(dict.fromkeys((*field.consts, *events.consts)))   # each name once
+        m = len(events.directions)
+        # the event rule: a sign change in the event's direction over the step
+        fired = [f"g_{i} <= 0.0 <= gn_{i}" if d > 0 else f"g_{i} >= 0.0 >= gn_{i}"
+                 for i, d in enumerate(events.directions)]
+        attempt = [
+            "if h_abs < min_step:",
+            "    raise EvaluationError(",
+            '        f"step size collapsed below {min_step:.3g} at t={t:.17g}")',
+            "t_new = t + h_abs * direction",
+            "if direction * (t_new - t_end) > 0.0:",
+            "    t_new = t_end",
+            "h = t_new - t",
+            "h_abs = abs(h)",
             *(line for s in range(1, _N_STAGES)
               for line in _stage(s, f"t + {_C[s]!r} * h", field, _A[s])),
-            *(f"    yn_{j} = y_{j} + h * ({_dot(_B, j)})" for j in rng),
-            f"    y_new = [{_names('yn', n)}]",
+            *(f"yn_{j} = y_{j} + h * ({_dot(_B, j)})" for j in rng),
             *_stage(12, "t_new", field),
-            f"    f_new = ({_names('k12', n)})",
-            f"    {_names('a', n)}= atol",
             *(line for j in rng for line in (
-                f"    sc_{j} = a_{j} + max(abs(y_{j}), abs(yn_{j})) * rtol",
-                f"    e5_{j} = ({_dot(_E5, j)}) / sc_{j}",
-                f"    e3_{j} = ({_dot(_E3, j)}) / sc_{j}")),
-            f"    err5 = 0.0 + {' + '.join(f'e5_{j} * e5_{j}' for j in rng)}",
-            f"    err3 = 0.0 + {' + '.join(f'e3_{j} * e3_{j}' for j in rng)}",
-            f"    return y_new, f_new, ({stages}), err5, err3",
+                f"sc_{j} = a_{j} + max(abs(y_{j}), abs(yn_{j})) * rtol",
+                f"e5_{j} = ({_dot(_E5, j)}) / sc_{j}",
+                f"e3_{j} = ({_dot(_E3, j)}) / sc_{j}")),
+            f"err5 = 0.0 + {' + '.join(f'e5_{j} * e5_{j}' for j in rng)}",
+            f"err3 = 0.0 + {' + '.join(f'e3_{j} * e3_{j}' for j in rng)}",
+            # the step-size control of scipy's DOP853, with max() and min()
+            # written as the comparisons they make
+            "if err5 == 0.0 and err3 == 0.0:",
+            "    err_norm = 0.0",
+            "else:",
+            f"    err_norm = h_abs * err5 / sqrt((err5 + 0.01 * err3) * {n})",
+            "if err_norm < 1.0:",
+            "    if err_norm == 0.0:",
+            f"        factor = {MAX_FACTOR!r}",
+            "    else:",
+            f"        factor = {SAFETY!r} * err_norm ** {_ERROR_EXPONENT!r}",
+            f"        if not factor < {MAX_FACTOR!r}:",
+            f"            factor = {MAX_FACTOR!r}",
+            "    if rejected and not factor < 1.0:",
+            "        factor = 1.0",
+            "    h_abs *= factor",
+            "    break",
+            f"factor = {SAFETY!r} * err_norm ** {_ERROR_EXPONENT!r}",
+            f"h_abs *= factor if factor > {MIN_FACTOR!r} else {MIN_FACTOR!r}",
+            "rejected = True",
+            "n_rejected += 1",
+        ]
+        lines = [
+            "def loop(t, y, f, g, h_abs, t_end, direction, atol, rtol, buf):",
+            f"    {_names('y', n)}= y",
+            f"    {_names('k0', n)}= f",
+            *([f"    {_names('g', m)}= g"] if m else []),
+            f"    {_names('a', n)}= atol",
+            "    toward = direction * inf",
+            "    n_rejected = 0",
+            "    while True:",
+            "        min_step = 10.0 * abs(nextafter(t, toward) - t)",
+            "        if min_step > h_abs:",
+            "            h_abs = min_step",
+            "        rejected = False",
+            "        while True:",
+            *_indent(3, attempt),
+            *(_indent(2, _inline(events, "t_new", [f"yn_{j}" for j in rng], _names("gn", m)))
+              if m else []),
+            f"        if {' or '.join(['direction * (t_new - t_end) >= 0.0', *fired])}:",
+            f"            buf.extend(({stages}))",
+            f"            return (t, h, t_new, [{_names('y', n)}], [{_names('yn', n)}], "
+            f"[i for i, hit in enumerate(({''.join(f'{c}, ' for c in fired)})) if hit], "
+            "n_rejected)",
+            f"        buf.extend(({stages}t_new, {_names('yn', n)}))",
+            "        t = t_new",
+            *(f"        y_{j} = yn_{j}" for j in rng),
+            *(f"        k0_{j} = k12_{j}" for j in rng),
+            *(f"        g_{i} = gn_{i}" for i in range(m)),
         ]
     else:
         lines = [
             "def interpolant(t_old, h, y_old, y_new, K):",
             f"    {_names('y', n)}= y_old",
             f"    {stages}= K",
-            *(line for s, (c, a) in enumerate(zip(_C_EXTRA, _A_EXTRA), start=_N_K)
+            *(f"    {line}" for s, (c, a) in enumerate(zip(_C_EXTRA, _A_EXTRA), start=_N_K)
               for line in _stage(s, f"t_old + {c!r} * h", field, a)),
             f"    {_names('yn', n)}= y_new",
             *(f"    d_{j} = yn_{j} - y_{j}" for j in rng),
@@ -317,23 +413,28 @@ def _source(field, name):
               + ", ".join(f"h * ({_dot(d, j)})" for d in _D) + ")," for j in rng),
             "    ]",
         ]
-    return "\n    ".join([f"def bind({', '.join(field.consts)}):", *lines,
+    return "\n    ".join([f"def bind({', '.join(consts)}):", *lines,
                            f"return {name}"]) + "\n"
 
 
+# the loop's own names beside its consts
+_LOOP_GLOBALS = {"inf": math.inf, "nextafter": math.nextafter, "sqrt": math.sqrt,
+                 "EvaluationError": EvaluationError}
+
+
 @functools.cache
-def _compiled(field, name):
-    """``bind`` of ``_source(field, name)``, compiled on first use and on its
-    own, so the compiler's peak memory is that of one function (about 1 MB
-    for the compact flow's attempt)."""
-    namespace = {}
-    exec(compile(_source(field, name), f"<dop853 {name}>", "exec"), namespace)
+def _compiled(field, name, events=None):
+    """``bind`` of ``_source(field, name, events)``, compiled on first use
+    and on its own, so the compiler's peak memory is that of one function
+    (about 1.2 MB for the compact flow's loop)."""
+    namespace = dict(_LOOP_GLOBALS)
+    exec(compile(_source(field, name, events), f"<dop853 {name}>", "exec"), namespace)
     return namespace["bind"]
 
 
 def bind(field, *values):
-    """The field's function with its constants bound to values; `dop853`
-    steps it with the attempt that inlines the same source."""
+    """The function of a `Field` or `Events` source with its constants bound
+    to values; `dop853` writes the same source into its loop."""
     fun = _compiled(field, "field")(*values)
     fun.field = field, values
     return fun
@@ -409,13 +510,15 @@ def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol, events=()) -> Tr
     """Integrate y' = fun(t, y) from t0 towards t_end.
 
     ``fun`` takes a float and a list of floats and returns a sequence of
-    floats; a ``fun`` made by `bind` is stepped with the attempt that
-    inlines its field, any other with one ``fun`` call per stage.  ``atol``
-    is a float or a sequence of one or n floats.  ``events`` is a
+    floats.  ``atol`` is a float or a sequence of one or n floats.
+    ``events`` is a function made by `bind` from an `Events` source, or a
     sequence of ``(fn, direction)`` pairs with direction +1 (upward
     crossings of ``fn(t, y) = 0``) or -1 (downward); every event is
-    terminal.  Raises EvaluationError when the step size falls below ten
-    spacings of floating-point numbers at t.
+    terminal.  The accepted steps are taken by one generated loop per field
+    and events: a ``fun`` and ``events`` made by `bind` have their bodies
+    written into it, any other callable is called once per stage or step.
+    Raises EvaluationError when the step size falls below ten spacings of
+    floating-point numbers at t.
     """
     y = [float(v) for v in y0]
     n = len(y)
@@ -426,76 +529,42 @@ def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol, events=()) -> Tr
     if len(atol) not in (1, n):
         raise ValueError(f"atol has {len(atol)} entries for {n} components")
     atol *= n // len(atol)
-    if any(d not in (1, -1) for _, d in events):
+    if not callable(events):
+        events = bind(_generic_events(n, tuple(d for _, d in events)),
+                      *(fn for fn, _ in events))
+    field, values = getattr(fun, "field", None) or (_generic(n), (fun,))
+    source, event_values = events.field
+    if any(d not in (1, -1) for d in source.directions):
         raise ValueError("event directions must be +1 or -1")
+    consts = dict(zip(field.consts, values))
+    for name, value in zip(source.consts, event_values):
+        if consts.setdefault(name, value) is not value and consts[name] != value:
+            raise ValueError(f"the field and the events bind {name} to different values")
+
     direction = 1.0 if t_end > t0 else -1.0
     t = float(t0)
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_end, direction, rtol, atol)
-    nfev, n_rejected = 2, 0
-    g = [fn(t, y) for fn, _ in events]
     buf = array("d", [t, *y])
-    pieces = {}
-    step = 0
-    event = None
-    field, values = getattr(fun, "field", None) or (_generic(n), (fun,))
-    attempt = _compiled(field, "attempt")(*values)
+    loop = _compiled(field, "loop", source)(*consts.values())
+    t, h, t_new, y, y_new, hits, n_rejected = loop(
+        t, y, f, events(t, y), h_abs, t_end, direction, atol, rtol, buf)
+    step = len(buf) // (1 + n + _N_K * n) - 1          # accepted steps before the last
+    nfev = 2 + _N_STAGES * (step + 1 + n_rejected)
     interpolant = _compiled(_generic(n), "interpolant")(fun)
-
-    while True:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise EvaluationError(
-                    f"step size collapsed below {min_step:.3g} at t={t:.17g}")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0.0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = abs(h)
-
-            y_new, f_new, K, err5, err3 = attempt(t, h, t_new, y, f, atol, rtol)
-            nfev += _N_STAGES
-            if err5 == 0.0 and err3 == 0.0:
-                error_norm = 0.0
-            else:
-                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * n)
-
-            if error_norm < 1.0:
-                factor = (MAX_FACTOR if error_norm == 0.0
-                          else min(MAX_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT))
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
-            rejected = True
-            n_rejected += 1
-
-        buf.extend(K)
-        finished = direction * (t_new - t_end) >= 0.0
-        g_new = [fn(t_new, y_new) for fn, _ in events]
-        hits = [i for i, (_, d) in enumerate(events)
-                if (g[i] <= 0.0 <= g_new[i] if d > 0 else g[i] >= 0.0 >= g_new[i])]
-        if hits:
-            piece = interpolant(t, h, y, y_new, K)
-            nfev += 3
-            pieces[step] = piece
-            roots = [brentq(lambda s, fn=events[i][0]: fn(s, _evaluate(piece, s)),
-                            t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in hits]
-            first = min(range(len(hits)), key=lambda k: direction * roots[k])
-            event = hits[first]
-            t_new = roots[first]
-            y_new = _evaluate(piece, t_new)
-            finished = True
-        buf.append(t_new)
-        buf.extend(y_new)
-        if finished:
-            break
-        t, y, f, g = t_new, y_new, f_new, g_new
-        step += 1
-
+    pieces = {}
+    event = None
+    if hits:
+        piece = interpolant(t, h, y, y_new, buf[-_N_K * n:])
+        nfev += 3
+        pieces[step] = piece
+        roots = [brentq(lambda s, i=i: events(s, _evaluate(piece, s))[i],
+                        t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in hits]
+        first = min(range(len(hits)), key=lambda k: direction * roots[k])
+        event = hits[first]
+        t_new = roots[first]
+        y_new = _evaluate(piece, t_new)
+    buf.append(t_new)
+    buf.extend(y_new)
     buf.extend([0.0] * (_N_K * n))   # the last node starts no step
     return Trajectory(interpolant, n, buf, pieces, nfev, n_rejected, event)

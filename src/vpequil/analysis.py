@@ -27,7 +27,6 @@ each candidate critical amplitude by bisection.
 from __future__ import annotations
 
 import math
-import statistics
 import warnings
 from dataclasses import dataclass, field
 
@@ -318,6 +317,14 @@ def _refine_spike(model, a, b, settings, solve, failures, threshold):
     return None
 
 
+def _median(values):
+    """The median of values, as statistics.median takes it: the middle item
+    of the sorted values, or the mean of the two middle ones."""
+    s = sorted(values)
+    half = len(s) // 2
+    return s[half] if len(s) % 2 else (s[half - 1] + s[half]) / 2
+
+
 def _find_critical_values(model, entries, settings, solve, failures):
     candidates = []
     for a, b in zip(entries, entries[1:]):
@@ -340,7 +347,7 @@ def _find_critical_values(model, entries, settings, solve, failures):
                       and math.isfinite(x.radius)]
         if len(neighbours) < 2:
             continue
-        med = statistics.median(neighbours)
+        med = _median(neighbours)
         if not e.radius > _SPIKE_FACTOR * med:
             continue
         value = _refine_spike(model, entries[i - 1].omega_c,

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._ode import Field, bind, dop853
+from ._ode import Events, Field, bind, dop853
 from .distmodels import (
     DistributionModel,
     EvaluationError,
@@ -154,6 +154,19 @@ _FIELD = Field("_", ("U", "Q", "x", "_"), (
 ), ("l", "index", "a1", "a2", "x_hi", "w_hi", "exp"))
 
 
+# the terminal events of an orbit, in the order of `_TERMINATIONS`: x falls
+# through the floor, (U, Q, Omega) comes within the attraction radius of a
+# corner, x rises through the roof
+_EVENTS = Events("_", ("U", "Q", "x", "_"), (
+    "w = exp(x) if x < x_hi else w_hi",
+    "Om = w / (1.0 + w)",
+    "return (x - x_floor, "
+    + "".join(f"hypot(U - {c[0]!r}, Q - {c[1]!r}, Om - {c[2]!r}) - eps, " for c, _ in CORNERS)
+    + "x - x_roof)",
+), ("x_floor", "x_roof", "eps", "x_hi", "w_hi", "exp", "hypot"),
+    (-1, *(-1 for _ in CORNERS), 1))
+
+
 def _compact_field(model: DistributionModel):
     """The compact field with the model's constants bound: one closure per
     orbit, which `integrate_compact` hands to the integrator directly."""
@@ -161,20 +174,25 @@ def _compact_field(model: DistributionModel):
                 *_omega_cap(model), math.exp)
 
 
+def _flow(field, state):
+    """(dU, dQ, dOmega) of a bound compact field at (U, Q, Omega): the field at
+    x = log(Omega/(1 - Omega)), with dOmega = Omega (1 - Omega) dx."""
+    U, Q, Om = float(state[0]), float(state[1]), float(state[2])
+    if not 0.0 < Om < 1.0:
+        raise ValueError(f"Omega must lie strictly inside (0, 1), got {Om}")
+    du, dq, dx, _ = field(0.0, (U, Q, math.log(Om / (1.0 - Om)), 0.0))
+    return du, dq, Om * (1.0 - Om) * dx
+
+
 def rhs_compact(model: DistributionModel, state):
     """Compact flow (dU, dQ, dOmega)/dlambda, as a tuple of floats.
 
     Accepts U, Q slightly off the faces (the field is polynomial in them),
     which finite-difference Jacobians rely on; Omega must stay interior.
-    The reference field, for the Jacobian, oracles and tests: the closure
-    `integrate_compact` integrates, at x = log(Omega/(1 - Omega)), with
-    dOmega = Omega (1 - Omega) dx.
+    The reference field, for oracles and tests: the closure
+    `integrate_compact` integrates, through `_flow`.
     """
-    U, Q, Om = float(state[0]), float(state[1]), float(state[2])
-    if not 0.0 < Om < 1.0:
-        raise ValueError(f"Omega must lie strictly inside (0, 1), got {Om}")
-    du, dq, dx, _ = _compact_field(model)(0.0, (U, Q, math.log(Om / (1.0 - Om)), 0.0))
-    return du, dq, Om * (1.0 - Om) * dx
+    return _flow(_compact_field(model), state)
 
 
 def fixed_lines(l: float):
@@ -194,13 +212,14 @@ def fixed_lines(l: float):
 
 def jacobian_eigenvalues(model: DistributionModel, state, step: float = 1e-6):
     """Eigenvalues of the linearised flow by central differences."""
+    field = _compact_field(model)
     base = np.array(_triple(state))
     jac = np.empty((3, 3))
     for j in range(3):
         offset = np.zeros(3)
         offset[j] = step
-        hi = np.asarray(rhs_compact(model, base + offset))
-        lo = np.asarray(rhs_compact(model, base - offset))
+        hi = np.asarray(_flow(field, base + offset))
+        lo = np.asarray(_flow(field, base - offset))
         jac[:, j] = (hi - lo) / (2.0 * step)
     return np.linalg.eigvals(jac)
 
@@ -414,8 +433,9 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
     """Follow the compact flow from state0 until a corner, the potential floor,
     ceiling or end of phi, or the lambda budget; xi accumulates the log radius.
     DOP853 integrates (U, Q, x = log omega, xi) on the closure behind
-    `rhs_compact`, its body inlined in each stage.  The floor and ceiling are
-    linear in x; the corners and the returned orbit use Omega(x)."""
+    `rhs_compact` with the events `_EVENTS`, both written into its generated
+    step loop.  The floor and ceiling are linear in x; the corners and the
+    returned orbit use Omega(x)."""
     st = settings or CompactSettings()
     if not st.lambda_max > 0.0:
         raise ValueError("lambda_max must be positive")
@@ -426,19 +446,13 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
     s0 = state0 if isinstance(state0, CompactState) else CompactState(*_triple(state0))
     if not _OMEGA_FLOOR < s0.omega < ceiling:
         raise ValueError("initial state outside the (floor, ceiling) potential window")
-    x_floor = math.log(_OMEGA_FLOOR)
-    x_roof = math.log(ceiling)
 
     def Omega_of(x):
         w = math.exp(x) if x < x_hi else w_hi
         return w / (1.0 + w)
 
-    def corner(c):   # distance to a corner of the cube, less the attraction radius
-        return lambda lam, y: math.hypot(y[0] - c[0], y[1] - c[1],
-                                         Omega_of(y[2]) - c[2]) - _ATTRACTION_EPS
-
-    events = [(lambda lam, y: y[2] - x_floor, -1), *[(corner(c), -1) for c, _ in CORNERS],
-              (lambda lam, y: y[2] - x_roof, 1)]
+    events = bind(_EVENTS, math.log(_OMEGA_FLOOR), math.log(ceiling), _ATTRACTION_EPS,
+                  x_hi, w_hi, math.exp, math.hypot)
     lam_end = -st.lambda_max if backward else st.lambda_max
     log_atol = max(st.abs_tol, _LOG_ATOL)
     sol = dop853(_compact_field(model), 0.0, (s0.U, s0.Q, math.log(s0.omega), 0.0),

@@ -37,10 +37,13 @@ parameters when it is built and keeps no cache.  The model holds the one
 memo, a kernel per (m, derivative) built on first use, and binds two float
 functions when it is built: the density kernel g_{l+1/2} (the memo's entry
 at m = l + 1/2) and the family's index.  Both flows and the criteria call
-these and nothing else per step.  A polytrope's index is the constant n.  A
-lowered exponential's index is taken in ratio form, g'/g = 1 + 1/(omega S),
-so n = -l + omega + 1/S, and T replaces S above a + 1: the index neither
-overflows nor needs P.  Below a + 1 it reads S off the memoized g_{l+1/2}
+these and nothing else per step.  A polytrope's kernel is compiled from
+one expression, `_POLYTROPE_KERNEL`, and carries it as ``kernel.source``
+(the expression, the names it reads and their values), so the physical
+flow writes the same closed form into its step loop.  A polytrope's index
+is the constant n.  A lowered exponential's index is taken in ratio form,
+g'/g = 1 + 1/(omega S), so n = -l + omega + 1/S, and T replaces S above
+a + 1: the index neither overflows nor needs P.  Below a + 1 it reads S off the memoized g_{l+1/2}
 (the same a): the kernel's Horner polynomial below its switch, its
 elementary form above.  A tabulated model's index is the quotient of its two
 kernels.
@@ -65,6 +68,12 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _CLOSED_FORM_ERR = 1e-13   # relative error budget reported for the closed forms
 _TINY = 1e-300             # modified Lentz: stand-in for a vanishing denominator
 _LENTZ_MAX_TERMS = 1000    # the continued fraction T needs < 100 terms above a + 1
+
+# g_m(omega) of a polytrope: the expression in omega and the names it reads,
+# compiled once into the factory of the bound kernel
+_POLYTROPE_KERNEL = "phi_minus * omega ** power * beta_nm", ("phi_minus", "power", "beta_nm")
+_polytrope_kernel = eval(f"lambda {', '.join(_POLYTROPE_KERNEL[1])}: "
+                         f"lambda omega: {_POLYTROPE_KERNEL[0]}")
 
 
 class ModelError(ValueError):
@@ -115,9 +124,9 @@ class Polytrope:
         power = n + m - 0.5
         beta_nm = math.exp(math.lgamma(n - 0.5) + math.lgamma(m + 1.0)
                            - math.lgamma(n + m + 0.5))
-
-        def g_m(omega):
-            return phi_minus * omega ** power * beta_nm
+        values = phi_minus, power, beta_nm
+        g_m = _polytrope_kernel(*values)
+        g_m.source = *_POLYTROPE_KERNEL, values
         if derivative:
             return lambda omega: power * g_m(omega) / omega
         return g_m

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._ode import Field, bind, dop853
+from ._ode import Events, Field, bind, dop853
 from .distmodels import (
     DistributionModel,
     density,
@@ -119,18 +119,30 @@ def center_series(model: DistributionModel, omega_c: float, r):
     return m, omega
 
 
-# (r, [m, omega]) -> (dm/dr, domega/dr): the operations of `density`, in the
-# same order, so the floats are too; rho is 0 for omega <= 0
-_FIELD = Field("r", ("m", "omega"), (
-    "rho = c * r ** two_l * kernel(omega) if omega > 0.0 else 0.0",
-    "return four_pi * r * r * rho, -m / (r * r)",
-), ("c", "two_l", "kernel", "four_pi"))
+def _field(kernel, names):
+    """(r, [m, omega]) -> (dm/dr, domega/dr) with g_{l+1/2}(omega) the
+    expression ``kernel`` of the bound ``names``: the operations of
+    `density`, in the same order, so the floats are too; rho is 0 for
+    omega <= 0.  One source per family shape, not per model."""
+    return Field("r", ("m", "omega"), (
+        f"rho = c * r ** two_l * ({kernel}) if omega > 0.0 else 0.0",
+        "return four_pi * r * r * rho, -m / (r * r)",
+    ), ("c", "two_l", *names, "four_pi"))
+
+
+# the surface: omega falls through the floor
+_FLOOR = Events("r", ("_", "omega"), ("return omega - floor,",), ("floor",), (-1,))
 
 
 def _physical_field(model: DistributionModel):
     """The physical field with the model's constants bound: one closure per
-    solve, which `integrate_physical` hands to the integrator directly."""
-    return bind(_FIELD, model._prefactor, 2.0 * model.l, model._kernel, 4.0 * math.pi)
+    solve, which `integrate_physical` hands to the integrator directly.  A
+    kernel with a closed form (``kernel.source``) is written into the field;
+    any other is called."""
+    kernel = model._kernel
+    expr, names, values = getattr(kernel, "source", None) or ("kernel(omega)", ("kernel",),
+                                                              (kernel,))
+    return bind(_field(expr, names), model._prefactor, 2.0 * model.l, *values, 4.0 * math.pi)
 
 
 def rhs_physical(model: DistributionModel, r: float, state):
@@ -191,11 +203,8 @@ def integrate_physical(model: DistributionModel, omega_c: float,
     if not w0 > st.omega_floor:
         raise ValueError("startup radius too large: the series already crossed the floor")
 
-    def hit_floor(r, y):
-        return y[1] - st.omega_floor
-
     sol = dop853(_physical_field(model), r0, (m0, w0), st.r_max, st.rel_tol, st.abs_tol,
-                 events=[(hit_floor, -1)])
+                 events=bind(_FLOOR, st.omega_floor))
     r_arr, m_arr, w_arr = sol.t, sol.y[0], sol.y[1]
     diagnostics = {
         "n_steps": sol.n_steps,

@@ -504,8 +504,9 @@ def test_models_listing(tmp_path, capsys):
 def test_run_path_loads_no_scipy(tmp_path):
     # a fresh interpreter: importing the CLI, and running every subcommand on
     # King l=0 and Wilson l=-0.4 (the elementary and the general incomplete
-    # gamma kernel), a tabulated table and a polytrope, loads no scipy module
-    # and not the oracles' quadrature
+    # gamma kernel), a tabulated table and a polytrope, loads no scipy module,
+    # not the oracles' quadrature and not `statistics` (which loads
+    # `fractions` and `decimal`)
     table = tmp_path / "phi.csv"
     table.write_text("".join(f"{0.1 * i!r},{math.expm1(0.1 * i)!r}\n" for i in range(31)))
     models = [{"family": "truncated-exponential", "p": 0, "l": 0.0},
@@ -524,14 +525,14 @@ def test_run_path_loads_no_scipy(tmp_path):
         import json, sys
         sys.path.insert(0, {str(Path(vpequil.__file__).parents[1])!r})
 
-        def oracle_modules():
+        def unwanted_modules():
             return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
-                          or m == "vpequil._quadrature")
+                          or m in ("vpequil._quadrature", "statistics"))
 
         import vpequil.cli
-        after_import = oracle_modules()
+        after_import = unwanted_modules()
         codes = [vpequil.cli.main(argv) for argv in {runs!r}]
-        print(json.dumps({{"import": after_import, "codes": codes, "runs": oracle_modules()}}))
+        print(json.dumps({{"import": after_import, "codes": codes, "runs": unwanted_modules()}}))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True)

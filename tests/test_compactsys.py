@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from vpequil import compactsys
 from vpequil.compactsys import (
     DEGENERATE_TRIPLE_ZERO,
     TRANSVERSELY_HYPERBOLIC_SADDLE,
@@ -145,6 +146,37 @@ def test_jacobian_eigenvalues_match_closed_forms(l, omega0):
     fl = lines["L4"]
     got = np.sort(jacobian_eigenvalues(model, (fl.U, fl.Q, omega0 / (1 + omega0))).real)
     assert got == pytest.approx([0.0, 0.0, 0.0], abs=1e-6)
+
+
+def jacobian_by_rhs_compact(model, state, step=1e-6):
+    """Eigenvalues of the central-difference Jacobian, each column from two
+    `rhs_compact` calls (the field bound afresh on every call)."""
+    base = np.array(state)
+    jac = np.empty((3, 3))
+    for j in range(3):
+        offset = np.zeros(3)
+        offset[j] = step
+        jac[:, j] = (np.asarray(rhs_compact(model, base + offset))
+                     - np.asarray(rhs_compact(model, base - offset))) / (2.0 * step)
+    return np.linalg.eigvals(jac)
+
+
+@pytest.mark.parametrize("model", [truncated_exponential(0), polytrope(n=2.0)],
+                         ids=["king", "n2"])
+def test_jacobian_binds_the_field_once(model, monkeypatch):
+    # one bound field per Jacobian, and the eigenvalues of six rhs_compact
+    # calls to the bit, at interior states
+    bound = []
+
+    def counted(m):
+        bound.append(m)
+        return _compact_field(m)
+    monkeypatch.setattr(compactsys, "_compact_field", counted)
+    for state in [(0.3, 0.4, 0.2), (0.6, 0.3, 0.3), (0.5, 0.7, 0.6), (0.9, 0.2, 0.05)]:
+        del bound[:]
+        got = jacobian_eigenvalues(model, state)
+        assert bound == [model]
+        assert got.tolist() == jacobian_by_rhs_compact(model, state).tolist()
 
 
 # ----------------------------------------------- vector field vs profiles

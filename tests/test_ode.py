@@ -6,8 +6,8 @@ move the step points, so event times, masses and end states are compared
 at 1e-9 to 1e-8 relative (the integration tolerance is 1e-10), while
 classifications and orbit terminations must be identical.  The inlined
 tableau and the ``brentq`` port must equal scipy's to the bit, and so must
-the generated step and interpolant code equal a plain loop over that
-tableau.
+the generated step loop and interpolant equal a plain Python integrator over
+that tableau.
 """
 
 import math
@@ -517,45 +517,165 @@ def polynomial_field(n, read):
                       (f"w = 0.0 + {' + '.join(u)}", f"return {', '.join(rows)},"), ("c",))
 
 
+def reference_evaluate(piece, t):
+    """A piece at t as scipy's Dop853DenseOutput sums it, as a loop."""
+    t_old, h, y_old, F = piece
+    x = (t - t_old) / h
+    out = []
+    for y0, row in zip(y_old, F):
+        acc = 0.0
+        for i, f in enumerate(reversed(row)):
+            acc = (acc + f) * (x if i % 2 == 0 else 1.0 - x)
+        out.append(acc + y0)
+    return out
+
+
+def reference_dop853(fun, t0, y0, t_end, rtol, atol, events):
+    """A plain Python DOP853 integrator on `reference_attempt`: scipy's step
+    control and minimum step, event pairs checked after each accepted step,
+    `brentq` on `reference_interpolant` for a hit.  Returns the trajectory's
+    packed buffer, nfev, n_rejected, the event and the dense-output pieces it
+    built, or the EvaluationError it raised."""
+    y, n = list(y0), len(y0)
+    direction = 1.0 if t_end > t0 else -1.0
+    t = t0
+    f = fun(t, y)
+    h_abs = _ode._initial_step(fun, t, y, f, t_end, direction, rtol, atol)
+    nfev, n_rejected = 2, 0
+    g = [fn(t, y) for fn, _ in events]
+    buf, pieces, event = [t, *y], {}, None
+    while True:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return EvaluationError, f"step size collapsed below {min_step:.3g} at t={t:.17g}"
+            t_new = min(t + h_abs, t_end) if direction > 0 else max(t - h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, K, err5, err3 = reference_attempt(fun, t, h, t_new, y, f, atol, rtol)
+            nfev += 12
+            norm = (0.0 if err5 == 0.0 and err3 == 0.0
+                    else h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * n))
+            if norm < 1.0:
+                factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm ** (-1.0 / 8.0))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * norm ** (-1.0 / 8.0))
+            rejected = True
+            n_rejected += 1
+        buf += [k for Kj in K for k in Kj]
+        g_new = [fn(t_new, y_new) for fn, _ in events]
+        hits = [i for i, (_, d) in enumerate(events)
+                if (g[i] <= 0.0 <= g_new[i] if d > 0 else g[i] >= 0.0 >= g_new[i])]
+        if hits:
+            piece = (t, h, y, reference_interpolant(fun, t, h, y, y_new, K))
+            nfev += 3
+            pieces[len(buf) // (1 + 14 * n) - 1] = piece
+            roots = [brentq(lambda s, fn=events[i][0]: fn(s, reference_evaluate(piece, s)),
+                            t, t_new, xtol=_ode._ROOT_TOL, rtol=_ode._ROOT_TOL) for i in hits]
+            first = min(range(len(hits)), key=lambda k: direction * roots[k])
+            event = hits[first]
+            buf += [roots[first], *reference_evaluate(piece, roots[first])]
+            break
+        buf += [t_new, *y_new]
+        if direction * (t_new - t_end) >= 0.0:
+            break
+        t, y, f, g = t_new, y_new, f_new, g_new
+    buf += [0.0] * (13 * n)
+    return buf, nfev, n_rejected, event, pieces
+
+
 @st.composite
-def polynomial_problems(draw):
+def polynomial_solves(draw):
+    """A solve of a polynomial field with 0-2 level events, forward or
+    backward, as (fun, t0, y0, t_end, rtol, atol, event pairs, the events as
+    one bound source)."""
     n = draw(st.integers(1, 4))
     read = n - draw(st.integers(0, n - 1))           # states past `read` go unread
     unit = st.floats(-2.0, 2.0)
     coef = [draw(st.lists(unit, min_size=4, max_size=4)) for _ in range(n)]
     fun = _ode.bind(polynomial_field(n, read), coef)
-    y = draw(st.lists(unit, min_size=n, max_size=n))
-    h = draw(st.floats(1e-4, 0.3)) * draw(st.sampled_from([1.0, -1.0]))
+    y0 = draw(st.lists(unit, min_size=n, max_size=n))
     atol = draw(st.lists(st.floats(1e-12, 1e-6), min_size=n, max_size=n))
-    return fun, draw(st.floats(-5.0, 5.0)), h, y, atol, draw(st.floats(1e-12, 1e-6))
+    t0 = draw(st.floats(-5.0, 5.0))
+    t_end = t0 + draw(st.floats(0.05, 1.5)) * draw(st.sampled_from([1.0, -1.0]))
+    rtol = draw(st.floats(1e-11, 1e-5))
+    crossings = draw(st.lists(st.tuples(st.integers(0, n - 1), st.floats(-0.05, 0.05),
+                                        st.sampled_from([1, -1])), max_size=2))
+    levels = [y0[j] + dy for j, dy, _ in crossings]
+    pairs = [(lambda t, y, j=j, c=c: y[j] - c, d) for (j, _, d), c in zip(crossings, levels)]
+    v = tuple(f"v{j}" for j in range(n))
+    source = _ode.Events("tau", v, ("return (" + "".join(
+        f"v{j} - lv[{i}], " for i, (j, _, _) in enumerate(crossings)) + ")",), ("lv",),
+        tuple(d for _, _, d in crossings))
+    return fun, t0, y0, t_end, rtol, atol, pairs, _ode.bind(source, levels)
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(problem=polynomial_problems())
-def test_generated_step_equals_tableau_loops(problem):
-    # both attempts, one fun call per stage and the field's body inlined,
-    # and the interpolant give the floats of plain loops over the tableau
-    fun, t, h, y, atol, rtol = problem
-    t_new = t + h
-    f = fun(t, y)
-    generic = _ode._generic(len(y))
-    field, values = fun.field
-    ref_y, ref_f, ref_K, ref_err5, ref_err3 = reference_attempt(fun, t, h, t_new, y, f,
-                                                                atol, rtol)
-    for attempt in (_ode._compiled(generic, "attempt")(fun),
-                    _ode._compiled(field, "attempt")(*values)):
-        y_new, f_new, K, err5, err3 = attempt(t, h, t_new, y, f, atol, rtol)
-        assert y_new == ref_y
-        assert tuple(f_new) == tuple(ref_f)
-        assert list(K) == [k for Kj in ref_K for k in Kj]    # stages, component by component
-        assert (err5, err3) == (ref_err5, ref_err3)
-    t_old, h_old, y_old, F = _ode._compiled(generic, "interpolant")(fun)(t, h, y, y_new, K)
-    assert (t_old, h_old, y_old) == (t, h, y)
-    assert F == reference_interpolant(fun, t, h, y, y_new, ref_K)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(problem=polynomial_solves(), plain=st.booleans(), bound_events=st.booleans())
+def test_generated_loop_equals_reference_integrator(problem, plain, bound_events):
+    # the generated loop, with the field's body inlined or one call per
+    # stage and the events inlined or called, gives the nodes, the packed
+    # stages, nfev, n_rejected, event, root and dense output of a plain
+    # Python integrator on loops over the tableau
+    fun, t0, y0, t_end, rtol, atol, pairs, events = problem
+    ref = reference_dop853(fun, t0, y0, t_end, rtol, atol, pairs)
+    try:
+        sol = dop853((lambda t, y: fun(t, y)) if plain else fun, t0, y0, t_end, rtol, atol,
+                     events=events if bound_events else pairs)
+    except EvaluationError as exc:
+        assert ref == (EvaluationError, str(exc))
+        return
+    buf, nfev, n_rejected, event, pieces = ref
+    assert sol._buf.tolist() == buf
+    assert (sol.nfev, sol.n_rejected, sol.event) == (nfev, n_rejected, event)
+    assert sol.t[-1] == buf[-1 - 14 * len(y0)]                # the root when an event fired
+    i = sol.n_steps // 2
+    mid = 0.5 * (sol.t[i] + sol.t[i + 1])
+    if i not in pieces:
+        stride = 1 + 14 * len(y0)
+        row = buf[i * stride:(i + 2) * stride]
+        n = len(y0)
+        K = [row[1 + n + 13 * j:1 + n + 13 * (j + 1)] for j in range(n)]
+        pieces[i] = (row[0], row[stride] - row[0], row[1:1 + n],
+                     reference_interpolant(fun, row[0], row[stride] - row[0], row[1:1 + n],
+                                           row[stride + 1:stride + 1 + n], K))
+    assert sol(mid) == reference_evaluate(pieces[i], mid)
+
+
+@pytest.mark.parametrize("flow", ["physical", "compact", "compact-backward"])
+def test_flows_equal_reference_integrator(flow):
+    # the loops of both flows, with rejected steps and a terminal event,
+    # against the plain integrator on their own field and events
+    if flow == "physical":
+        module, run = physical, lambda: integrate_physical(king_model(), 0.5)
+    else:
+        module, run = compactsys, lambda: integrate_compact(
+            FIELD_MODELS["n3"], CompactState(0.5, 0.3, 0.4), CompactSettings(lambda_max=80.0),
+            backward=flow == "compact-backward")
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs["events"]))
+        return dop853(*args, **kwargs)
+    with mock.patch.object(module, "dop853", spy):
+        run()
+    (fun, t0, y0, t_end, rtol, atol), events = calls[0]
+    atol = [float(a) for a in atol] if isinstance(atol, list) else [atol] * len(y0)
+    pairs = [(lambda t, y, i=i: events(t, y)[i], d)
+             for i, d in enumerate(events.field[0].directions)]
+    sol = dop853(fun, t0, y0, t_end, rtol, atol, events=events)
+    buf, nfev, n_rejected, event, _ = reference_dop853(fun, t0, list(y0), t_end, rtol, atol,
+                                                       pairs)
+    assert sol.n_rejected == n_rejected > 0
+    assert sol.event == event is not None
+    assert (sol._buf.tolist(), sol.nfev) == (buf, nfev)
 
 
 def test_bound_field_is_stepped_inline():
-    # dop853 runs the attempts of a field made by `bind` with its body inlined:
+    # dop853 runs a field made by `bind` with its body inlined in the loop:
     # the closure is called only to start (f0 and the initial-step probe) and
     # for the three extra stages of each interpolant
     fun = _ode.bind(polynomial_field(2, 2), [[0.0, 0.0, 0.1, -0.2]] * 2)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from vpequil import _ode, physical
 from vpequil.distmodels import density, polytrope, truncated_exponential
 from vpequil.physical import (
     FINITE_RADIUS,
@@ -107,6 +108,32 @@ def test_rhs_physical_clamps_exhausted_potential():
     dm, domega = rhs_physical(model, 2.0, (0.5, -1e-15))
     assert dm == 0.0
     assert domega == pytest.approx(-0.125, rel=1e-15)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.floats(0.55, 8.0), l=st.floats(-0.45, 3.0), phi_minus=st.floats(1e-3, 1e3),
+       r=st.floats(1e-6, 1e3), m=st.floats(0.0, 10.0),
+       omega=st.one_of(st.floats(-1.0, 0.0), st.floats(1e-12, 50.0)))
+def test_inlined_polytrope_kernel_is_density(n, l, phi_minus, r, m, omega):
+    # the physical field writes the polytrope's closed form into its source;
+    # its floats are those of 4 pi r^2 density(...), with rho = 0 for omega <= 0
+    model = polytrope(n=n, l=l, phi_minus=phi_minus)
+    rho = density(model, r, omega) if omega > 0.0 else 0.0
+    assert rhs_physical(model, r, (m, omega)) == (4.0 * math.pi * r * r * rho, -m / (r * r))
+
+
+def test_polytrope_solves_share_one_physical_loop():
+    # the polytrope's constants are bound, not written as literals: solves at
+    # three n compile the field, the floor event, the loop and the
+    # interpolant once, not once per model
+    assert "kernel(" not in "".join(physical._physical_field(polytrope(n=3.0)).field[0].body)
+    _ode._compiled.cache_clear()
+    sizes = []
+    for n in (1.5, 3.0, 4.5):
+        integrate_physical(polytrope(n=n), 1.0)
+        sizes.append(_ode._compiled.cache_info().currsize)
+    assert sizes == [4, 4, 4]
+    assert _ode._compiled.cache_info().misses == 4
 
 
 def test_density_scale_is_4pi_rho_over_r2l():
