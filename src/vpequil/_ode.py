@@ -15,8 +15,10 @@ every step runs on floats and lists instead.
 
 The interpolant of a step needs three extra right-hand-side calls.  They
 are made only for a step that an event root or a ``dense`` query lands in;
-every accepted step keeps its node and its 13 stages in one packed float
-buffer, so any step can build its interpolant later.
+every accepted step writes its 13 stages and its node into one packed float
+buffer, in one packed write (a ``struct`` pack, then ``array.frombytes``:
+the same 8 bytes per float as ``array('d')``), so any step can build its
+interpolant later.
 
 One step loop per flow and one interpolant are straight-line code generated
 from the tableau, from a `Field`, the source of a right-hand side, and from
@@ -24,8 +26,9 @@ an `Events` source, the terminal events' values.  `bind` compiles a flow's
 field or events from its source, and `dop853` runs the loop with both
 bodies written in: the field's into each of the 12 stages of an attempt,
 the events' once after each accepted step, with the step-size control, the
-minimum step and the node buffer, so a step calls no Python function.  Any
-other callable is the field ``return fun(t, [...])``, any ``(fn,
+minimum step and the node buffer, so a step calls no Python function and
+no builtin: its own calls are ``nextafter``, the pack and ``frombytes``.
+Any other callable is the field ``return fun(t, [...])``, any ``(fn,
 direction)`` events ``return (e0(t, [...]), ...)``: the same generator, one
 call per stage or step.  Each function is compiled on the first solve that
 needs it (milliseconds; the cache holds functions, no results).  Each stage
@@ -33,17 +36,18 @@ of each component is a local name and each coefficient a literal, so a step
 makes no call or list of its own, indexes no list and calls no ``sum()``,
 and zero entries of the tableau are left out.  Every weighted sum of stages
 is written ``0.0 + c0*k0 + c1*k1 + ...``, left to right, the order in which
-Python 3.11's ``sum()`` adds the products, and each ``max()`` or ``min()``
-of the step control as the comparison it makes; so the floats, steps and
-roots are those of a loop over the tableau calling the field, bit for bit
-for finite stages, on any Python version (3.12 made ``sum()`` of floats
-compensated).
+Python 3.11's ``sum()`` adds the products, and each ``abs()``, ``max()``
+or ``min()`` of the error scale and the step control as the comparison it
+makes; so the floats, steps and roots are those of a loop over the tableau
+calling the field, bit for bit for finite stages, on any Python version
+(3.12 made ``sum()`` of floats compensated).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 import sys
 from array import array
 from bisect import bisect_left
@@ -243,6 +247,16 @@ def _dot(coefs, j):
     return " + ".join(["0.0", *(f"{c!r} * k{i}_{j}" for i, c in enumerate(coefs) if c != 0.0)])
 
 
+def _scale(j):
+    """``sc_j = a_j + max(abs(y_j), abs(yn_j)) * rtol`` as two sign tests,
+    then one comparison.  ``v if v > 0.0 else 0.0 - v`` is ``abs(v)``, -0.0
+    included; the comparison keeps the first argument unless the second is
+    greater, as ``max`` does, nan included."""
+    return [f"sc_{j} = y_{j} if y_{j} > 0.0 else 0.0 - y_{j}",
+            f"sn_{j} = yn_{j} if yn_{j} > 0.0 else 0.0 - yn_{j}",
+            f"sc_{j} = a_{j} + (sn_{j} if sn_{j} > sc_{j} else sc_{j}) * rtol"]
+
+
 def _names(prefix, n):
     """``prefix_0, prefix_1, ..., `` as an unpacking target or tuple items."""
     return "".join(f"{prefix}_{j}, " for j in range(n))
@@ -251,11 +265,15 @@ def _names(prefix, n):
 # A right-hand side as source: ``def f(var, y)``, ``y`` unpacked to
 # ``states``, then ``body``, whose last line returns the n derivatives;
 # ``consts`` name the values `bind` gives.  A variable the body does not read
-# is named ``_``, and no stage computes it.  The body must not use the loop's
-# names: ``t``, ``h``, ``y``, ``f``, ``g``, ``buf``, ``atol``, ``rtol``,
-# ``direction``, ``toward``, ``rejected``, ``factor``, ``inf``, ``sqrt``,
-# ``nextafter``, ``EvaluationError`` and names that start with ``h_``, ``t_``,
-# ``n_``, ``min_``, ``err`` or end in ``_new``, ``_old`` or ``_<j>``.
+# is named ``_``, and no stage computes it.  The var, the states, the consts
+# and the names the body assigns must not be the loop's own names: ``t``,
+# ``h``, ``y``, ``f``, ``g``, ``buf``, ``atol``, ``rtol``, ``direction``,
+# ``toward``, ``rejected``, ``factor``, ``enumerate``, ``field``, ``loop``,
+# ``interpolant``, ``inf``, ``sqrt``, ``nextafter``, ``EvaluationError``,
+# ``pack_step``, ``pack_last`` and names that start with ``h_``, ``t_``,
+# ``n_``, ``min_``, ``err`` or end in ``_new``, ``_old`` or ``_<j>``; and a
+# name the field or the events assign must not be a const of either.
+# Generating the loop raises ValueError naming the clash (`_check_names`).
 Field = namedtuple("Field", "var states body consts")
 
 # Terminal events as source: a `Field` whose body returns one value per
@@ -277,6 +295,35 @@ def _generic_events(n, directions):
     calls = "".join(f"e{i}(tau, [{', '.join(z)}]), " for i in range(len(directions)))
     return Events("tau", z, (f"return ({calls})",),
                   tuple(f"e{i}" for i in range(len(directions))), directions)
+
+
+_LOOP_NAMES = frozenset((
+    "t", "h", "y", "f", "g", "buf", "atol", "rtol", "direction", "toward", "rejected",
+    "factor", "enumerate", "field", "loop", "interpolant", "inf", "sqrt", "nextafter",
+    "EvaluationError", "pack_step", "pack_last"))
+
+
+def _reserved(name):
+    return (name in _LOOP_NAMES or name.startswith(("h_", "t_", "n_", "min_", "err"))
+            or name.endswith(("_new", "_old")) or name.rpartition("_")[2].isdigit())
+
+
+def _check_names(*sources):
+    """Raise ValueError when a source's var, a state, a const or a name its
+    body assigns is one of the loop's own names (see `Field`), or when a name
+    one source assigns is a const of either: written into the loop, it would
+    silently replace the loop's value."""
+    consts = {name for source in sources for name in source.consts}
+    for source in sources:
+        code = _compiled(source, "field")(*[None] * len(source.consts)).__code__
+        body = {*code.co_varnames[2:], *code.co_cellvars} - {*source.states}
+        for role, names in (("variable", (source.var,)), ("state", source.states),
+                            ("const", source.consts), ("body name", body)):
+            for name in names:
+                if name != "_" and _reserved(name):
+                    raise ValueError(f"{role} {name!r} is one of the step loop's own names")
+                if role != "const" and name in consts:
+                    raise ValueError(f"{role} {name!r} is also a bound const")
 
 
 def _inline(source, var, args, targets):
@@ -306,12 +353,15 @@ def _source(field, name, events=None):
     ``field(var, y)`` is the field (or the events) itself, with consts
     ``field.consts``.  ``loop(t, y, f, g, h_abs, t_end, direction, atol,
     rtol, buf)`` binds the field's consts, then those of ``events`` the
-    field does not bind.  It takes accepted steps from (t, y), f the field
-    and g the event values there, and appends to ``buf`` the 13 stages of
-    each step (component by component) and the node it ends at.  It
-    returns at the step that reaches t_end or on which an event fires, with
-    that step's stages appended and its node not: ``(t, h, t_new, y, y_new,
-    hits, n_rejected)``, hits the indices of the events that fired.  It
+    field does not bind (ValueError here when a name of either clashes
+    with the loop's own, see `Field`).  It takes accepted steps from (t,
+    y), f the field and g the event values there, and writes to ``buf`` the
+    13 stages of each step (component by component) and the node it ends
+    at, in one packed write per step (``buf.frombytes(pack_step(...))``).
+    It returns at the step that reaches t_end or on which an event fires,
+    with that step's stages written (``pack_last``) and its node not:
+    ``(t, h, t_new, y, y_new, hits, n_rejected)``, hits the indices of the
+    events that fired.  It
     raises EvaluationError when the step size falls below ten spacings of
     floating-point numbers at t.  ``interpolant(t_old, h, y_old, y_new, K)``
     gives the three extra stages of a step and the piece ``_evaluate``
@@ -325,6 +375,7 @@ def _source(field, name, events=None):
         lines = [f"def field({field.var}, y):", f"    {', '.join(field.states)}, = y",
                  *(f"    {line}" for line in field.body)]
     elif name == "loop":
+        _check_names(field, events)
         consts = tuple(dict.fromkeys((*field.consts, *events.consts)))   # each name once
         m = len(events.directions)
         # the event rule: a sign change in the event's direction over the step
@@ -338,13 +389,13 @@ def _source(field, name, events=None):
             "if direction * (t_new - t_end) > 0.0:",
             "    t_new = t_end",
             "h = t_new - t",
-            "h_abs = abs(h)",
+            "h_abs = h * direction",                    # h has the sign of direction
             *(line for s in range(1, _N_STAGES)
               for line in _stage(s, f"t + {_C[s]!r} * h", field, _A[s])),
             *(f"yn_{j} = y_{j} + h * ({_dot(_B, j)})" for j in rng),
             *_stage(12, "t_new", field),
             *(line for j in rng for line in (
-                f"sc_{j} = a_{j} + max(abs(y_{j}), abs(yn_{j})) * rtol",
+                *_scale(j),
                 f"e5_{j} = ({_dot(_E5, j)}) / sc_{j}",
                 f"e3_{j} = ({_dot(_E3, j)}) / sc_{j}")),
             f"err5 = 0.0 + {' + '.join(f'e5_{j} * e5_{j}' for j in rng)}",
@@ -380,7 +431,8 @@ def _source(field, name, events=None):
             "    toward = direction * inf",
             "    n_rejected = 0",
             "    while True:",
-            "        min_step = 10.0 * abs(nextafter(t, toward) - t)",
+            # the spacing has the sign of direction: times it, its abs()
+            "        min_step = 10.0 * (direction * (nextafter(t, toward) - t))",
             "        if min_step > h_abs:",
             "            h_abs = min_step",
             "        rejected = False",
@@ -389,11 +441,11 @@ def _source(field, name, events=None):
             *(_indent(2, _inline(events, "t_new", [f"yn_{j}" for j in rng], _names("gn", m)))
               if m else []),
             f"        if {' or '.join(['direction * (t_new - t_end) >= 0.0', *fired])}:",
-            f"            buf.extend(({stages}))",
+            f"            buf.frombytes(pack_last({stages}))",
             f"            return (t, h, t_new, [{_names('y', n)}], [{_names('yn', n)}], "
             f"[i for i, hit in enumerate(({''.join(f'{c}, ' for c in fired)})) if hit], "
             "n_rejected)",
-            f"        buf.extend(({stages}t_new, {_names('yn', n)}))",
+            f"        buf.frombytes(pack_step({stages}t_new, {_names('yn', n)}))",
             "        t = t_new",
             *(f"        y_{j} = yn_{j}" for j in rng),
             *(f"        k0_{j} = k12_{j}" for j in rng),
@@ -426,8 +478,14 @@ _LOOP_GLOBALS = {"inf": math.inf, "nextafter": math.nextafter, "sqrt": math.sqrt
 def _compiled(field, name, events=None):
     """``bind`` of ``_source(field, name, events)``, compiled on first use
     and on its own, so the compiler's peak memory is that of one function
-    (about 1.2 MB for the compact flow's loop)."""
+    (about 1.2 MB for the compact flow's loop).  A loop gets the packs of
+    its state size n: 14n + 1 native doubles for a step's stages and node,
+    13n for the stages of the step it returns on."""
     namespace = dict(_LOOP_GLOBALS)
+    if name == "loop":
+        n = len(field.states)
+        namespace["pack_step"] = struct.Struct(f"{(_N_K + 1) * n + 1}d").pack
+        namespace["pack_last"] = struct.Struct(f"{_N_K * n}d").pack
     exec(compile(_source(field, name, events), f"<dop853 {name}>", "exec"), namespace)
     return namespace["bind"]
 

@@ -12,8 +12,10 @@ that tableau.
 
 import math
 import os
+import struct
 import subprocess
 import sys
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -630,6 +632,7 @@ def test_generated_loop_equals_reference_integrator(problem, plain, bound_events
         return
     buf, nfev, n_rejected, event, pieces = ref
     assert sol._buf.tolist() == buf
+    assert sol._buf.tobytes() == array("d", buf).tobytes()     # signs of zero too
     assert (sol.nfev, sol.n_rejected, sol.event) == (nfev, n_rejected, event)
     assert sol.t[-1] == buf[-1 - 14 * len(y0)]                # the root when an event fired
     i = sol.n_steps // 2
@@ -672,6 +675,7 @@ def test_flows_equal_reference_integrator(flow):
     assert sol.n_rejected == n_rejected > 0
     assert sol.event == event is not None
     assert (sol._buf.tolist(), sol.nfev) == (buf, nfev)
+    assert sol._buf.tobytes() == array("d", buf).tobytes()
 
 
 def test_bound_field_is_stepped_inline():
@@ -690,6 +694,93 @@ def test_bound_field_is_stepped_inline():
     assert sol.n_steps > 3 and sol.n_interpolants == 1
     assert len(calls) == 2 + 3 * sol.n_interpolants
     assert sol.nfev == 2 + 12 * (sol.n_steps + sol.n_rejected) + 3 * sol.n_interpolants
+
+
+def scale_function():
+    """The loop's error-scale lines for one component as a function."""
+    lines = "".join(f"    {line}\n" for line in _ode._scale(0))
+    namespace = {}
+    exec(f"def scale(a_0, y_0, yn_0, rtol):\n{lines}    return sc_0\n", namespace)
+    return namespace["scale"]
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, -1e-310,
+                  math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0]
+
+
+def same_float(x, y):
+    return math.isnan(x) and math.isnan(y) or struct.pack("d", x) == struct.pack("d", y)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(a=st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+       y=st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+       yn=st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+       rtol=st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)))
+def test_scale_line_is_max_of_abs(a, y, yn, rtol):
+    # the comparison form of the error scale gives the bits of the builtin
+    # form, in both argument orders: -0.0, subnormals, infinities and nan
+    scale = scale_function()
+    for u, v in ((y, yn), (yn, y)):
+        assert same_float(scale(a, u, v, rtol), a + max(abs(u), abs(v)) * rtol)
+
+
+def test_scale_line_on_special_pairs():
+    scale = scale_function()
+    for u in SPECIAL_FLOATS:
+        for v in SPECIAL_FLOATS:
+            for a in (0.0, -0.0, 1e-12):
+                assert same_float(scale(a, u, v, 1e-10), a + max(abs(u), abs(v)) * 1e-10)
+
+
+SHIPPED_SOURCES = {
+    "physical polytrope": (physical._physical_field(polytrope(n=3.0)).field[0], physical._FLOOR),
+    "physical kernel(omega)": (physical._physical_field(king_model()).field[0], physical._FLOOR),
+    "compact": (compactsys._FIELD, compactsys._EVENTS),
+    **{f"generic n={n}": (_ode._generic(n), _ode._generic_events(n, (1, -1)))
+       for n in range(1, 5)},
+    **{f"polynomial n={n}": (polynomial_field(n, max(n - 1, 1)), _ode._generic_events(n, (1,)))
+       for n in range(1, 5)},
+}
+
+
+def test_flow_loops_call_no_builtin():
+    # the loops of both flows, the physical one with the polytrope's kernel
+    # written in and with the call kernel(omega): the loop's own calls are
+    # nextafter, the packs and frombytes
+    assert "kernel(omega)" in "".join(SHIPPED_SOURCES["physical kernel(omega)"][0].body)
+    for name in ("physical polytrope", "physical kernel(omega)", "compact"):
+        field, events = SHIPPED_SOURCES[name]
+        consts = dict.fromkeys((*field.consts, *events.consts))
+        names = set(_ode._compiled(field, "loop", events)(*consts).__code__.co_names)
+        assert not names & {"abs", "max", "min", "sum", "len", "extend"}, name
+        assert {"nextafter", "pack_step", "pack_last", "frombytes"} <= names, name
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SOURCES))
+def test_shipped_sources_compile(name):
+    field, events = SHIPPED_SOURCES[name]
+    for source in (_ode._source(field, "loop", events), _ode._source(field, "interpolant")):
+        compile(source, name, "exec")
+
+
+def one_state(var="tau", states=("z",), body=("return 2.0 * z,",), consts=()):
+    return _ode.Field(var, states, body, consts)
+
+
+@pytest.mark.parametrize("field, events, clash", [
+    (one_state(consts=("buf",), body=("return buf * z,",)), None, "buf"),
+    (one_state(states=("y_0",), body=("return 2.0 * y_0,",)), None, "y_0"),
+    (one_state(body=("h_x = 2.0 * z", "return h_x,")), None, "h_x"),
+    (one_state(var="t"), None, "t"),
+    (one_state(consts=("pack_step",), body=("return pack_step * z,",)), None, "pack_step"),
+    (one_state(body=("w = 2.0 * z", "return w,")),
+     _ode.Events("tau", ("z",), ("return z - w,",), ("w",), (1,)), "w"),
+])
+def test_loop_name_clash_raises(field, events, clash):
+    events = events or _ode._generic_events(1, (1,))
+    with pytest.raises(ValueError, match=f"'{clash}'"):
+        _ode._source(field, "loop", events)
 
 
 def test_cli_import_compiles_no_step():
