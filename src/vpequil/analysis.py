@@ -102,10 +102,6 @@ class SweepResult:
 
 # ------------------------------------------------------------ index grids
 
-def _index_fn(model: DistributionModel, n_fn):
-    return n_fn if n_fn is not None else model._index
-
-
 def _grid_check(n_of, omega_hi: float, bound: float) -> dict:
     """Sample n(omega) on refining log grids over ten decades below omega_hi.
 
@@ -135,13 +131,12 @@ def _grid_check(n_of, omega_hi: float, bound: float) -> dict:
     }
 
 
-def check_theorem1(model: DistributionModel, omega_0: float,
-                   n_fn=None) -> TheoremVerdict:
+def check_theorem1(model: DistributionModel, omega_0: float) -> TheoremVerdict:
     """Finite radius and mass when n(omega) <= 3 + l up to omega_0."""
     if not omega_0 > 0.0:
         raise ValueError(f"omega_0 must be positive, got {omega_0!r}")
     bound = 3.0 + model.l
-    report = _grid_check(_index_fn(model, n_fn), omega_0, bound)
+    report = _grid_check(model._index, omega_0, bound)
     holds = GUARANTEED if report.pop("verified") else INCONCLUSIVE
     report["bound"] = bound
     return TheoremVerdict(theorem="T1", holds=holds, witness=report)
@@ -149,7 +144,7 @@ def check_theorem1(model: DistributionModel, omega_0: float,
 
 # ------------------------------------------------------- critical amplitude
 
-def omega_crit(model: DistributionModel, n_fn=None) -> float:
+def omega_crit(model: DistributionModel) -> float:
     """Largest amplitude below which n(omega) stays under 5 + 3l.
 
     The index is scanned at omega = 1e-10 * 2^k up to 1e12 (74 probes),
@@ -160,12 +155,12 @@ def omega_crit(model: DistributionModel, n_fn=None) -> float:
     index triggers a RuntimeWarning and the largest crossing is returned.
     """
     bound = 5.0 + 3.0 * model.l
-    n_of = _index_fn(model, n_fn)
+    n_of = model._index
     omegas, excess = [], []
     w = 1e-10
     while w <= 1e12:
         # the bound indices of the built-in families stay finite up to 1e12;
-        # a tabulated grid's end, or a failing n_fn, ends the scan early
+        # a tabulated grid's end ends the scan early
         try:
             val = float(n_of(w))
         except (EvaluationError, OverflowError, ValueError):
@@ -196,18 +191,17 @@ def omega_crit(model: DistributionModel, n_fn=None) -> float:
     return float(oc)
 
 
-def check_theorem2(model: DistributionModel, omega_c: float,
-                   n_fn=None) -> TheoremVerdict:
+def check_theorem2(model: DistributionModel, omega_c: float) -> TheoremVerdict:
     """Finite radius and mass when omega_c <= omega_crit and the index
     stays strictly below 5 + 3l at small amplitudes."""
     if not omega_c > 0.0:
         raise ValueError(f"omega_c must be positive, got {omega_c!r}")
     bound = 5.0 + 3.0 * model.l
-    oc = omega_crit(model, n_fn=n_fn)
+    oc = omega_crit(model)
     witness = {"omega_c": omega_c, "omega_crit": oc, "bound": bound}
     if not omega_c <= oc:
         return TheoremVerdict(theorem="T2", holds=INCONCLUSIVE, witness=witness)
-    report = _grid_check(_index_fn(model, n_fn), omega_c, bound)
+    report = _grid_check(model._index, omega_c, bound)
     verified = report.pop("verified") and not report["identically_critical"]
     witness.update(report)
     holds = GUARANTEED if verified else INCONCLUSIVE
@@ -269,13 +263,13 @@ _BISECT_REL_TOL = 1e-6
 _SOLVE_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
-def _bisect_transition(model, lo, hi, lo_is_finite, settings, solve, failures):
+def _bisect_transition(model, lo, hi, lo_is_finite, settings, failures):
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if hi - lo <= _BISECT_REL_TOL * mid:
             break
         try:
-            prof = solve(model, mid, settings)
+            prof = integrate_physical(model, mid, settings=settings)
         except _SOLVE_ERRORS as exc:
             failures.append((mid, f"{type(exc).__name__}: {exc}"))
             return None
@@ -286,7 +280,7 @@ def _bisect_transition(model, lo, hi, lo_is_finite, settings, solve, failures):
     return 0.5 * (lo + hi)
 
 
-def _refine_spike(model, a, b, settings, solve, failures, threshold):
+def _refine_spike(model, a, b, settings, failures, threshold):
     """Golden-section style maximisation of R(omega_c) between the grid
     neighbours of a spike; the spike counts as critical only when the
     refined radius keeps growing past the detection threshold."""
@@ -294,7 +288,7 @@ def _refine_spike(model, a, b, settings, solve, failures, threshold):
 
     def radius_at(w):
         nonlocal best
-        prof = solve(model, w, settings)
+        prof = integrate_physical(model, w, settings=settings)
         r = float(prof.radius)
         if prof.classification != FINITE_RADIUS:
             r = math.inf
@@ -325,7 +319,7 @@ def _median(values):
     return s[half] if len(s) % 2 else (s[half - 1] + s[half]) / 2
 
 
-def _find_critical_values(model, entries, settings, solve, failures):
+def _find_critical_values(model, entries, settings, failures):
     candidates = []
     for a, b in zip(entries, entries[1:]):
         fa = a.classification == FINITE_RADIUS
@@ -333,7 +327,7 @@ def _find_critical_values(model, entries, settings, solve, failures):
         if fa == fb:
             continue
         value = _bisect_transition(model, a.omega_c, b.omega_c, fa,
-                                   settings, solve, failures)
+                                   settings, failures)
         if value is not None:
             candidates.append(value)
 
@@ -351,7 +345,7 @@ def _find_critical_values(model, entries, settings, solve, failures):
         if not e.radius > _SPIKE_FACTOR * med:
             continue
         value = _refine_spike(model, entries[i - 1].omega_c,
-                              entries[i + 1].omega_c, settings, solve,
+                              entries[i + 1].omega_c, settings,
                               failures, threshold=_SPIKE_FACTOR * med)
         if value is not None:
             candidates.append(value)
@@ -364,15 +358,14 @@ def _find_critical_values(model, entries, settings, solve, failures):
 
 
 def sweep_omega_c(model: DistributionModel, omega_grid,
-                  settings: SolveSettings | None = None,
-                  solve_fn=None) -> SweepResult:
+                  settings: SolveSettings | None = None) -> SweepResult:
     """Solve the equilibrium over a grid of central amplitudes.
 
-    Individual failures are recorded and skipped, never fatal.  Adjacent
-    finite/infinite pairs and confirmed radius spikes are refined into
-    critical amplitude estimates by bisection to a relative width of
-    ``_BISECT_REL_TOL``.  ``solve_fn(model, omega_c, settings)`` may replace
-    the default solver (used by the refinement probes as well).
+    Each grid point and each refinement probe is one `integrate_physical`
+    call with ``settings``.  Individual failures are recorded and skipped,
+    never fatal.  Adjacent finite/infinite pairs and confirmed radius spikes
+    are refined into critical amplitude estimates by bisection to a relative
+    width of ``_BISECT_REL_TOL``.
     """
     grid = [float(w) for w in omega_grid]
     if not grid:
@@ -381,12 +374,11 @@ def sweep_omega_c(model: DistributionModel, omega_grid,
         raise ValueError("omega_c values must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("omega_c grid must be strictly increasing")
-    solve = solve_fn or (lambda mdl, w, st: integrate_physical(mdl, w, settings=st))
 
     entries, failures = [], []
     for w in grid:
         try:
-            prof = solve(model, w, settings)
+            prof = integrate_physical(model, w, settings=settings)
         except _SOLVE_ERRORS as exc:
             failures.append((w, f"{type(exc).__name__}: {exc}"))
             continue
@@ -394,7 +386,7 @@ def sweep_omega_c(model: DistributionModel, omega_grid,
                                   total_mass=float(prof.total_mass),
                                   classification=prof.classification,
                                   limit_label=_end_labels(model, prof)[0]))
-    criticals = _find_critical_values(model, entries, settings, solve, failures)
+    criticals = _find_critical_values(model, entries, settings, failures)
     return SweepResult(entries=entries, critical_values=criticals,
                        failures=failures)
 
@@ -409,8 +401,7 @@ def write_sweep_csv(result: SweepResult, path, precision: int = 17) -> None:
 # ------------------------------------------------- representation matching
 
 def compare_representations(model: DistributionModel, profile: SolutionProfile,
-                            n_points: int = 100,
-                            settings: CompactSettings | None = None) -> dict:
+                            n_points: int = 100) -> dict:
     """Componentwise mismatch between the solved profile and one compact
     orbit started from it, at log-spaced radii inside the solved window.
 
@@ -431,7 +422,7 @@ def compare_representations(model: DistributionModel, profile: SolutionProfile,
     m_lo, w_lo = profile.dense(r_lo)
     start = compactify(*to_dimensionless(
         model, PhysicalState(r=r_lo, m=m_lo, omega=w_lo)))
-    orbit = integrate_compact(model, start, settings or CompactSettings())
+    orbit = integrate_compact(model, start, CompactSettings())
     lam_a, lam_b = float(orbit.lam[0]), float(orbit.lam[-1])
     targets = np.log(radii / r_lo)
     if targets[-1] > float(orbit.xi[-1]) + 1e-12:

@@ -151,6 +151,9 @@ def _build_model(block, base_dir):
 
 
 def _expand_grid(value):
+    """The sweep grid from a list or a start/stop/count mapping: non-empty,
+    positive and strictly increasing, else a ConfigError naming the first
+    offending element (an index into the expanded grid for a mapping)."""
     if isinstance(value, dict):
         extra = set(value) - {"start", "stop", "count"}
         if extra:
@@ -165,11 +168,24 @@ def _expand_grid(value):
             raise ConfigError(f"run.omega_grid.count must be at least 2, got {count}")
         if not 0.0 < start < stop:
             raise ConfigError("run.omega_grid needs 0 < start < stop")
-        return [float(w) for w in np.linspace(start, stop, count)]
-    if isinstance(value, list):
-        return [_require_number(w, "run.omega_grid[]") for w in value]
-    raise ConfigError(f"run.omega_grid must be a list or start/stop/count mapping, "
-                      f"got {value!r}")
+        grid = [float(w) for w in np.linspace(start, stop, count)]
+        expanded = " in the grid expanded from start/stop/count"
+    elif isinstance(value, list):
+        grid = [_require_number(w, f"run.omega_grid[{i}]") for i, w in enumerate(value)]
+        expanded = ""
+    else:
+        raise ConfigError(f"run.omega_grid must be a list or start/stop/count mapping, "
+                          f"got {value!r}")
+    if not grid:
+        raise ConfigError("run.omega_grid must not be empty")
+    for i, w in enumerate(grid):
+        if not w > 0.0:
+            raise ConfigError(f"run.omega_grid[{i}] must be positive, got {w!r}")
+        if i and not w > grid[i - 1]:
+            raise ConfigError(f"run.omega_grid[{i}] = {w!r} must exceed "
+                              f"run.omega_grid[{i - 1}] = {grid[i - 1]!r}{expanded}: "
+                              f"the grid must be strictly increasing")
+    return grid
 
 
 def _validate_run(block):
@@ -473,6 +489,9 @@ def main(argv=None) -> int:
         return 2
     except (ModelError, EvaluationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:   # an overflow, say, in building a model or in a step
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -28,6 +28,7 @@ from ._ode import Events, Field, bind, dop853
 from .distmodels import (
     DistributionModel,
     EvaluationError,
+    Polytrope,
     density,
     eval_n,
 )
@@ -210,17 +211,20 @@ def fixed_lines(l: float):
     ]
 
 
-def jacobian_eigenvalues(model: DistributionModel, state, step: float = 1e-6):
+_JACOBIAN_STEP = 1e-6
+
+
+def jacobian_eigenvalues(model: DistributionModel, state):
     """Eigenvalues of the linearised flow by central differences."""
     field = _compact_field(model)
     base = np.array(_triple(state))
     jac = np.empty((3, 3))
     for j in range(3):
         offset = np.zeros(3)
-        offset[j] = step
+        offset[j] = _JACOBIAN_STEP
         hi = np.asarray(_flow(field, base + offset))
         lo = np.asarray(_flow(field, base - offset))
-        jac[:, j] = (hi - lo) / (2.0 * step)
+        jac[:, j] = (hi - lo) / (2.0 * _JACOBIAN_STEP)
     return np.linalg.eigvals(jac)
 
 
@@ -325,10 +329,10 @@ class PolytropicIndexTable:
     level matches `eval_n` at all midpoints to `tol`; the final spline keeps
     the midpoints as extra nodes.  A grid that reaches `max_nodes`
     uncertified raises EvaluationError.  Queries off the range fall back to
-    `eval_n`, and a family with a constant index collapses to that constant.
+    `eval_n`, and a polytrope's table collapses to its constant index n.
     No flow or monitor reads a table: they call the model's bound index,
-    which is already a few float operations.  A non-constant index builds
-    its spline with scipy, loaded on first use: that needs the `test` extra.
+    which is already a few float operations.  Any other family builds its
+    spline with scipy, loaded on first use: that needs the `test` extra.
     """
 
     def __init__(self, model: DistributionModel, omega_lo: float, omega_hi: float,
@@ -339,7 +343,7 @@ class PolytropicIndexTable:
         self.omega_lo = omega_lo
         self.omega_hi = omega_hi
         self.tol = tol
-        self._const = model.family.constant_index
+        self._const = model.family.n if isinstance(model.family, Polytrope) else None
         if self._const is not None:
             self._spline = None
             self.certified_error = 0.0

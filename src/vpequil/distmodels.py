@@ -48,11 +48,13 @@ a + 1: the index neither overflows nor needs P.  Below a + 1 it reads S off the 
 elementary form above.  A tabulated model's index is the quotient of its two
 kernels.
 
-Gauss-Jacobi quadrature of phi(E)/E^k against the endpoint weights
-(`eval_g_quadrature`, `eval_dg_quadrature`) and the direct double integral
-(`density_bruteforce`) are kept as independent oracles; no production path
-runs them.  They load the quadrature module and scipy on first use, so they
-need the `test` extra.
+`eval_g` and `eval_dg` check their arguments and return the float of the
+model's memoized kernel.  Gauss-Jacobi quadrature of phi(E)/E^k against the
+endpoint weights (`eval_g_quadrature`, which returns the value with its
+relative error estimate, and `eval_dg_quadrature`) and the direct double
+integral (`density_bruteforce`) are kept as independent oracles; no
+production path runs them.  They load the quadrature module and scipy on
+first use, so they need the `test` extra.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ import numpy as np
 DEFAULT_QUAD_TOL = 1e-10
 _OMEGA_MIN = 1e-300   # below this the index n(omega) is refused, not extrapolated
 _LOG_MAX = math.log(np.finfo(float).max)
-_CLOSED_FORM_ERR = 1e-13   # relative error budget reported for the closed forms
 _TINY = 1e-300             # modified Lentz: stand-in for a vanishing denominator
 _LENTZ_MAX_TERMS = 1000    # the continued fraction T needs < 100 terms above a + 1
 
@@ -100,11 +101,6 @@ class Polytrope:
             raise ModelError(f"polytrope exponent n must exceed 1/2, got {self.n}")
         if not self.phi_minus > 0:
             raise ModelError("polytrope amplitude phi_minus must be positive")
-
-    @property
-    def constant_index(self):
-        """n(omega) when it is the same for every omega, else None."""
-        return self.n
 
     def default_regularity(self):
         return Regularity(k=self.n - 1.5, holder_index=min(1.0, self.n - 0.5))
@@ -149,7 +145,6 @@ class TruncatedExponential:
     p: int
 
     energy_max = None
-    constant_index = None
 
     def __post_init__(self):
         if self.p < 0 or int(self.p) != self.p:
@@ -307,8 +302,6 @@ class Tabulated:
 
     energies: np.ndarray
     values: np.ndarray
-
-    constant_index = None
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
@@ -599,16 +592,6 @@ def load_tabulated(path, l=0.0, k=None, holder_index=None) -> DistributionModel:
 
 # ----------------------------------------------------------- evaluations
 
-@dataclass
-class GEvaluation:
-    """One kernel-integral evaluation with its relative error estimate."""
-
-    m: float
-    omega: float
-    value: float
-    estimated_error: float = 0.0
-
-
 def eval_phi(model: DistributionModel, energy):
     """phi(E); exactly 0 for E <= 0.  Vectorized over `energy`."""
     out = model.family.phi(energy)
@@ -618,8 +601,9 @@ def eval_phi(model: DistributionModel, energy):
 
 
 def eval_g_quadrature(model: DistributionModel, m, omega,
-                      rel_tol=DEFAULT_QUAD_TOL) -> GEvaluation:
-    """g_m(omega) by singularity-adapted quadrature (test oracle; needs scipy).
+                      rel_tol=DEFAULT_QUAD_TOL) -> tuple:
+    """(g_m(omega), relative error estimate) by singularity-adapted quadrature
+    (test oracle; needs scipy).
 
     After x = E/omega both endpoint singularities are algebraic with exponents
     known from model metadata (x^k at 0, (1-x)^m at 1), so Gauss-Jacobi rules
@@ -627,7 +611,7 @@ def eval_g_quadrature(model: DistributionModel, m, omega,
     """
     _check_gm_args(m, omega)
     if omega == 0.0:
-        return GEvaluation(m=m, omega=omega, value=0.0, estimated_error=0.0)
+        return 0.0, 0.0
     from ._quadrature import QuadratureError, integrate_weighted   # loaded on first use
 
     k = model.regularity.k
@@ -640,17 +624,15 @@ def eval_g_quadrature(model: DistributionModel, m, omega,
     value = scale * raw
     if not math.isfinite(value):
         raise EvaluationError(f"g_{m:g}({omega:g}) overflowed")
-    rel = err / max(abs(raw), np.finfo(float).tiny)
-    return GEvaluation(m=m, omega=omega, value=value, estimated_error=rel)
+    return value, err / max(abs(raw), np.finfo(float).tiny)
 
 
-def eval_g(model: DistributionModel, m, omega) -> GEvaluation:
+def eval_g(model: DistributionModel, m, omega) -> float:
     """Kernel integral g_m(omega) = int_0^omega phi(E)(omega-E)^m dE, in closed form."""
     _check_gm_args(m, omega)
     if omega == 0.0:
-        return GEvaluation(m=m, omega=omega, value=0.0, estimated_error=0.0)
-    value = _finite(model.kernel(m)(omega), f"g_{m:g}", omega)
-    return GEvaluation(m=m, omega=omega, value=value, estimated_error=_CLOSED_FORM_ERR)
+        return 0.0
+    return _finite(model.kernel(m)(omega), f"g_{m:g}", omega)
 
 
 def _check_gm_args(m, omega):
@@ -698,7 +680,7 @@ def eval_dg_quadrature(model: DistributionModel, m, omega,
     """
     _check_dg_args(model, m, omega)
     if m > 0.0:
-        return m * eval_g_quadrature(model, m - 1.0, omega, rel_tol=rel_tol).value
+        return m * eval_g_quadrature(model, m - 1.0, omega, rel_tol=rel_tol)[0]
     if m == 0.0:
         return float(eval_phi(model, omega))
     from ._quadrature import QuadratureError, integrate_weighted   # loaded on first use
@@ -756,7 +738,7 @@ def density(model: DistributionModel, r, omega) -> float:
     if r <= 0.0:
         raise ValueError("density requires r > 0")
     g = eval_g(model, model.l + 0.5, omega)
-    return model._prefactor * r ** (2.0 * model.l) * g.value
+    return model._prefactor * r ** (2.0 * model.l) * g
 
 
 def radial_pressure(model: DistributionModel, r, omega) -> float:
@@ -764,7 +746,7 @@ def radial_pressure(model: DistributionModel, r, omega) -> float:
     if r <= 0.0:
         raise ValueError("pressure requires r > 0")
     g = eval_g(model, model.l + 1.5, omega)
-    return model._prefactor * r ** (2.0 * model.l) * g.value / (model.l + 1.5)
+    return model._prefactor * r ** (2.0 * model.l) * g / (model.l + 1.5)
 
 
 def density_bruteforce(model: DistributionModel, r, omega) -> float:

@@ -88,7 +88,7 @@ class SolveSettings:
 
 def density_scale(model: DistributionModel, omega: float) -> float:
     """4 pi C_l g_{l+1/2}(omega): 4 pi rho / r^(2l) at potential omega."""
-    return 4.0 * math.pi * model._prefactor * eval_g(model, model.l + 0.5, omega).value
+    return 4.0 * math.pi * model._prefactor * eval_g(model, model.l + 0.5, omega)
 
 
 def natural_length(model: DistributionModel, omega_c: float) -> float:
@@ -96,27 +96,26 @@ def natural_length(model: DistributionModel, omega_c: float) -> float:
     return (omega_c / density_scale(model, omega_c)) ** (1.0 / (2.0 + 2.0 * model.l))
 
 
-def center_series(model: DistributionModel, omega_c: float, r):
-    """Two-term expansion of (m, omega) about the regular centre.
+def center_series(model: DistributionModel, omega_c: float, r: float):
+    """Two-term expansion (m, omega) about the regular centre, at radius r.
 
     Valid while the second-order correction is small; used only to step off
-    the coordinate singularity at r = 0.
+    the coordinate singularity at r = 0.  The powers of r are numpy's
+    ``power``: on a CPU with AVX-512 it rounds some results differently from
+    ``math.pow``, and these two floats fix every float of a solve.
     """
     l = model.l
     c_l = model._prefactor
     m_exp = l + 0.5
-    g0 = c_l * eval_g(model, m_exp, omega_c).value
+    g0 = c_l * eval_g(model, m_exp, omega_c)
     g1 = c_l * eval_dg(model, m_exp, omega_c)
     four_pi = 4.0 * math.pi
     a, b = 3.0 + 2.0 * l, 2.0 + 2.0 * l
-    r = np.asarray(r, dtype=float)
-    m = (four_pi * g0 * r ** a / a
-         - four_pi ** 2 * g0 * g1 * r ** (a + b) / (a * b * (a + b)))
-    omega = (omega_c - four_pi * g0 * r ** b / (a * b)
-             + four_pi ** 2 * g0 * g1 * r ** (2.0 * b) / (a * b * (a + b) * 2.0 * b))
-    if r.ndim == 0:
-        return float(m), float(omega)
-    return m, omega
+    m = (four_pi * g0 * np.power(r, a) / a
+         - four_pi ** 2 * g0 * g1 * np.power(r, a + b) / (a * b * (a + b)))
+    omega = (omega_c - four_pi * g0 * np.power(r, b) / (a * b)
+             + four_pi ** 2 * g0 * g1 * np.power(r, 2.0 * b) / (a * b * (a + b) * 2.0 * b))
+    return float(m), float(omega)
 
 
 def _field(kernel, names):
@@ -206,12 +205,7 @@ def integrate_physical(model: DistributionModel, omega_c: float,
     sol = dop853(_physical_field(model), r0, (m0, w0), st.r_max, st.rel_tol, st.abs_tol,
                  events=bind(_FLOOR, st.omega_floor))
     r_arr, m_arr, w_arr = sol.t, sol.y[0], sol.y[1]
-    diagnostics = {
-        "n_steps": sol.n_steps,
-        "n_rejected": sol.n_rejected,
-        "omega_last": float(w_arr[-1]),
-        "r_last": float(r_arr[-1]),
-    }
+    diagnostics = {"n_steps": sol.n_steps, "n_rejected": sol.n_rejected}
 
     if sol.event is not None:   # surface: the potential ran out at finite radius
         radius = float(r_arr[-1])
@@ -232,7 +226,6 @@ def integrate_physical(model: DistributionModel, omega_c: float,
         else:
             total_mass = math.inf
             classification = INFINITE_UNDETERMINED
-            diagnostics["mass_at_cutoff"] = m_end
     # counted after the decade query, so it includes every interpolant built
     # so far; later dense() calls add three calls per newly used step
     diagnostics["n_rhs_evals"] = sol.nfev

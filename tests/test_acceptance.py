@@ -74,7 +74,7 @@ def test_criterion_03_quadrature_vs_closed_form():
         model = polytrope(n=n)
         for m in (-0.25, 0.0, 0.5, 1.5):
             for omega in (1e-3, 1.0, 1e3):
-                got = eval_g_quadrature(model, m, omega).value
+                got = eval_g_quadrature(model, m, omega)[0]
                 exact = omega ** (n + m - 0.5) * math.exp(
                     gammaln(n - 0.5) + gammaln(m + 1.0) - gammaln(n + m + 0.5))
                 worst = max(worst, abs(got - exact) / exact)
@@ -88,10 +88,10 @@ def test_criterion_04_derivative_identities():
         for m in (1.5, 0.0, -0.25):
             for omega in (0.9, 2.3):
                 h = 1e-3 * omega
-                stencil = (eval_g(model, m, omega - 2 * h).value
-                           - 8.0 * eval_g(model, m, omega - h).value
-                           + 8.0 * eval_g(model, m, omega + h).value
-                           - eval_g(model, m, omega + 2 * h).value) / (12.0 * h)
+                stencil = (eval_g(model, m, omega - 2 * h)
+                           - 8.0 * eval_g(model, m, omega - h)
+                           + 8.0 * eval_g(model, m, omega + h)
+                           - eval_g(model, m, omega + 2 * h)) / (12.0 * h)
                 got = eval_dg(model, m, omega)
                 worst = max(worst, abs(got - stencil) / abs(stencil))
     _report(4, worst < 1e-6, f"max rel err vs finite differences {worst:.2e} "

@@ -1,10 +1,11 @@
 """Tests for finiteness criteria, critical potentials, and sweeps.
 
 The theorem checkers are exercised on models whose index behaviour is known
-in closed form (power laws, lowered exponentials), on synthetic index
-functions engineered to hit the edge cases (boundary equality, multiple
-crossings), and cross-checked against the solver: a Guaranteed verdict must
-come with a finite-radius profile.
+in closed form (power laws, lowered exponentials), on models of a stub
+family whose index is a synthetic function engineered to hit the edge cases
+(boundary equality, multiple crossings), and cross-checked against the
+solver: a Guaranteed verdict must come with a finite-radius profile.  The
+sweep tests replace `analysis.integrate_physical` with fake solvers.
 """
 
 import math
@@ -31,7 +32,14 @@ from vpequil.analysis import (
     write_sweep_csv,
 )
 from vpequil.compactsys import map_profile
-from vpequil.distmodels import eval_n, polytrope, tabulated_model, truncated_exponential
+from vpequil.distmodels import (
+    DistributionModel,
+    Regularity,
+    eval_n,
+    polytrope,
+    tabulated_model,
+    truncated_exponential,
+)
 from vpequil.physical import (
     FINITE_RADIUS,
     INFINITE_FINITE_MASS,
@@ -41,6 +49,31 @@ from vpequil.physical import (
 )
 
 WILSON_OMEGA_CRIT = 3.9023231626784796   # regression pin for p=1, l=0
+
+
+@dataclass(frozen=True, eq=False)
+class IndexFamily:
+    """A stub family whose local index is the function ``n_of``: the
+    criteria read nothing else of a model."""
+
+    n_of: object
+
+    energy_max = None
+
+    def default_regularity(self):
+        return Regularity(k=0.0, holder_index=1.0)
+
+    def kernel(self, m, derivative=False):
+        def unused(omega):
+            raise AssertionError("the criteria read only the index")
+        return unused
+
+    def index(self, l, kernel):
+        return self.n_of
+
+
+def index_model(n_of, l=0.0):
+    return DistributionModel(l=l, family=IndexFamily(n_of))
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +109,7 @@ def test_theorem1_polytrope_outside_bound():
 def test_theorem1_boundary_equality_is_inconclusive():
     # the hypothesis check runs with a strict numerical slack
     assert check_theorem1(polytrope(n=3), omega_0=1.0).holds == INCONCLUSIVE
-    verdict = check_theorem1(polytrope(n=2), omega_0=1.0,
-                             n_fn=lambda w: 3.0)
+    verdict = check_theorem1(index_model(lambda w: 3.0), omega_0=1.0)
     assert verdict.holds == INCONCLUSIVE
 
 
@@ -119,7 +151,8 @@ def test_omega_crit_scan_runs_to_1e12():
         for l in (0.0, 0.5):
             model = truncated_exponential(p, l=l)
             probes = []
-            oc = omega_crit(model, n_fn=lambda w, f=model._index: probes.append(w) or f(w))
+            probed = index_model(lambda w, f=model._index: probes.append(w) or f(w), l=l)
+            oc = omega_crit(probed)
             assert probes[:74] == grid
             assert max(probes) == grid[-1]
             assert omega_crit(model) == oc
@@ -135,18 +168,15 @@ def test_omega_crit_flags():
 
 def test_omega_crit_synthetic_multiple_crossings():
     # two upward crossings of the bound: the supremum (largest) wins
-    model = polytrope(n=2)   # carrier for l only; n_fn overrides the index
-    crossings = lambda w: 5.0 + math.sin(math.log(w))          # noqa: E731
     with pytest.warns(RuntimeWarning):
-        oc = omega_crit(model, n_fn=crossings)
+        oc = omega_crit(index_model(lambda w: 5.0 + math.sin(math.log(w))))
     assert math.sin(math.log(oc)) == pytest.approx(0.0, abs=1e-9)
-    bigger = omega_crit(model, n_fn=lambda w: 5.0 + math.sin(math.log(w)) - 2.0)
+    bigger = omega_crit(index_model(lambda w: 5.0 + math.sin(math.log(w)) - 2.0))
     assert bigger == math.inf
 
 
 def test_omega_crit_synthetic_never_below_bound():
-    model = polytrope(n=2)
-    oc = omega_crit(model, n_fn=lambda w: 6.0 + w)
+    oc = omega_crit(index_model(lambda w: 6.0 + w))
     assert oc == 0.0
 
 
@@ -310,7 +340,7 @@ class FakeProfile:
 
 
 def transition_solver(omega_star):
-    def solve(model, omega_c, settings):
+    def solve(model, omega_c, settings=None):
         if omega_c > omega_star:
             return FakeProfile(math.inf, math.inf, INFINITE_UNDETERMINED)
         return FakeProfile(1.0 + omega_c, omega_c, FINITE_RADIUS)
@@ -318,56 +348,56 @@ def transition_solver(omega_star):
 
 
 def spike_solver(omega_star, cap=1e7):
-    def solve(model, omega_c, settings):
+    def solve(model, omega_c, settings=None):
         r = min(1.0 / abs(omega_c - omega_star), cap)
         return FakeProfile(r, omega_c, FINITE_RADIUS)
     return solve
 
 
-def test_sweep_locates_transition_by_bisection():
+def test_sweep_locates_transition_by_bisection(monkeypatch):
     omega_star = 1.2345
     grid = list(np.linspace(0.5, 2.0, 7))
-    result = sweep_omega_c(polytrope(n=1), grid,
-                           solve_fn=transition_solver(omega_star))
+    monkeypatch.setattr(analysis, "integrate_physical", transition_solver(omega_star))
+    result = sweep_omega_c(polytrope(n=1), grid)
     assert len(result.critical_values) == 1
     assert result.critical_values[0] == pytest.approx(omega_star, rel=1e-5)
 
 
-def test_sweep_critical_values_stable_under_refinement():
+def test_sweep_critical_values_stable_under_refinement(monkeypatch):
     omega_star = 1.2345
-    solve = transition_solver(omega_star)
-    coarse = sweep_omega_c(polytrope(n=1), list(np.linspace(0.5, 2.0, 7)),
-                           solve_fn=solve)
-    fine = sweep_omega_c(polytrope(n=1), list(np.linspace(0.5, 2.0, 13)),
-                         solve_fn=solve)
+    monkeypatch.setattr(analysis, "integrate_physical", transition_solver(omega_star))
+    coarse = sweep_omega_c(polytrope(n=1), list(np.linspace(0.5, 2.0, 7)))
+    fine = sweep_omega_c(polytrope(n=1), list(np.linspace(0.5, 2.0, 13)))
     assert fine.critical_values[0] == pytest.approx(coarse.critical_values[0],
                                                     rel=1e-5)
 
 
-def test_sweep_detects_radius_spike():
+def test_sweep_detects_radius_spike(monkeypatch):
     # spike visible only as a huge but finite radius at one grid node
     omega_star = 0.700001
     grid = list(np.linspace(0.3, 1.1, 9))
-    result = sweep_omega_c(polytrope(n=1), grid, solve_fn=spike_solver(omega_star))
+    monkeypatch.setattr(analysis, "integrate_physical", spike_solver(omega_star))
+    result = sweep_omega_c(polytrope(n=1), grid)
     assert len(result.critical_values) == 1
     assert result.critical_values[0] == pytest.approx(omega_star, rel=1e-4)
 
 
-def test_sweep_ignores_modest_bumps():
-    def bumpy(model, omega_c, settings):
+def test_sweep_ignores_modest_bumps(monkeypatch):
+    def bumpy(model, omega_c, settings=None):
         r = 1.0 + (50.0 if abs(omega_c - 0.7) < 0.05 else 0.0)
         return FakeProfile(r, omega_c, FINITE_RADIUS)
-    result = sweep_omega_c(polytrope(n=1), list(np.linspace(0.3, 1.1, 9)),
-                           solve_fn=bumpy)
+    monkeypatch.setattr(analysis, "integrate_physical", bumpy)
+    result = sweep_omega_c(polytrope(n=1), list(np.linspace(0.3, 1.1, 9)))
     assert result.critical_values == []
 
 
-def test_sweep_records_failures_and_continues():
-    def flaky(model, omega_c, settings):
+def test_sweep_records_failures_and_continues(monkeypatch):
+    def flaky(model, omega_c, settings=None):
         if abs(omega_c - 1.0) < 1e-12:
             raise RuntimeError("synthetic failure")
         return FakeProfile(1.0, omega_c, FINITE_RADIUS)
-    result = sweep_omega_c(polytrope(n=1), [0.5, 1.0, 1.5], solve_fn=flaky)
+    monkeypatch.setattr(analysis, "integrate_physical", flaky)
+    result = sweep_omega_c(polytrope(n=1), [0.5, 1.0, 1.5])
     assert len(result.entries) == 2
     assert [e.omega_c for e in result.entries] == [0.5, 1.5]
     assert len(result.failures) == 1
@@ -376,12 +406,13 @@ def test_sweep_records_failures_and_continues():
 
 
 @pytest.mark.parametrize("exc", [TypeError, AttributeError])
-def test_sweep_propagates_programming_errors(exc):
+def test_sweep_propagates_programming_errors(monkeypatch, exc):
     # only numerical failures are recorded; a bug in the solver surfaces
-    def broken(model, omega_c, settings):
+    def broken(model, omega_c, settings=None):
         raise exc("synthetic bug")
+    monkeypatch.setattr(analysis, "integrate_physical", broken)
     with pytest.raises(exc, match="synthetic bug"):
-        sweep_omega_c(polytrope(n=1), [0.5, 1.0, 1.5], solve_fn=broken)
+        sweep_omega_c(polytrope(n=1), [0.5, 1.0, 1.5])
 
 
 @pytest.mark.parametrize("exc", [TypeError, AttributeError])
@@ -391,9 +422,10 @@ def test_forward_label_propagates_programming_errors(monkeypatch, plummer_profil
     monkeypatch.setattr(analysis, "to_dimensionless", broken)
     with pytest.raises(exc, match="synthetic label bug"):
         classify_solution(polytrope(n=5), plummer_profile)
+    monkeypatch.setattr(analysis, "integrate_physical",
+                        lambda m, w, settings=None: FakeProfile(1.0, w, FINITE_RADIUS))
     with pytest.raises(exc, match="synthetic label bug"):
-        sweep_omega_c(polytrope(n=1), [0.5, 1.0],
-                      solve_fn=lambda m, w, st: FakeProfile(1.0, w, FINITE_RADIUS))
+        sweep_omega_c(polytrope(n=1), [0.5, 1.0])
 
 
 def test_forward_label_numerical_failure_is_unresolved(monkeypatch, king_profile):
@@ -413,7 +445,9 @@ def test_forward_label_numerical_failure_is_unresolved(monkeypatch, king_profile
     monkeypatch.setattr(analysis, "to_dimensionless", failing_at(king_profile.r[0]))
     labels = classify_solution(model, king_profile)
     assert (labels.forward_label, labels.backward_label) == ("(0,1,0)", "unresolved")
-    sweep = sweep_omega_c(model, [0.5], solve_fn=lambda m, w, st: king_profile)
+    monkeypatch.setattr(analysis, "integrate_physical",
+                        lambda m, w, settings=None: king_profile)
+    sweep = sweep_omega_c(model, [0.5])
     assert sweep.entries[0].limit_label == "(0,1,0)"
 
 
@@ -421,15 +455,16 @@ def test_forward_label_numerical_failure_is_unresolved(monkeypatch, king_profile
     (lambda: transition_solver(1.2345), list(np.linspace(0.5, 2.0, 7))),
     (lambda: spike_solver(0.700001), list(np.linspace(0.3, 1.1, 9))),
 ], ids=["bisection", "spike"])
-def test_refinement_probes_propagate_programming_errors(make_solver, grid):
+def test_refinement_probes_propagate_programming_errors(monkeypatch, make_solver, grid):
     solve = make_solver()
 
-    def probe_bug(model, omega_c, settings):
+    def probe_bug(model, omega_c, settings=None):
         if omega_c not in grid:
             raise TypeError("synthetic bug in a probe")
         return solve(model, omega_c, settings)
+    monkeypatch.setattr(analysis, "integrate_physical", probe_bug)
     with pytest.raises(TypeError, match="synthetic bug in a probe"):
-        sweep_omega_c(polytrope(n=1), grid, solve_fn=probe_bug)
+        sweep_omega_c(polytrope(n=1), grid)
 
 
 def test_write_sweep_csv(tmp_path):

@@ -8,6 +8,7 @@ frontend promises identical files for identical configs.
 
 import json
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -216,6 +217,42 @@ def test_parse_omega_grid_forms(tmp_path):
             name="c.json"))
 
 
+
+def test_readme_run_schema_is_accepted():
+    # the README's config schema, comments stripped, passes the run checks and
+    # names every run key the CLI knows
+    from vpequil import cli
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema", 1)[1].split("\n### ", 1)[0]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    schema = json.loads(re.sub(r"//.*", "", block))
+    run = cli._validate_run(schema["run"])
+    assert set(run) == set(schema["run"])
+    missing = [key for key in sorted(cli._RUN_KEYS) if f'"{key}"' not in section]
+    assert not missing
+
+
+@pytest.mark.parametrize("grid, key", [
+    ([], r"run.omega_grid must not be empty"),
+    ([-1.0, 0.5], r"run.omega_grid\[0\] must be positive"),
+    ([0.5, 0.3], r"run.omega_grid\[1\] = 0.3 must exceed run.omega_grid\[0\]"),
+    ([0.5, 0.5], r"run.omega_grid\[1\] = 0.5 must exceed run.omega_grid\[0\]"),
+    ({"start": 1.0, "stop": 1.0000000000000002, "count": 3},
+     r"run.omega_grid\[1\] = 1.0 must exceed run.omega_grid\[0\] = 1.0 in the grid "
+     r"expanded from start/stop/count"),
+    ([0.5, "x"], r"run.omega_grid\[1\] must be a number"),
+], ids=["empty", "negative", "decreasing", "repeated", "mapping-repeated", "element"])
+def test_invalid_omega_grid_exits_2_with_key_path(tmp_path, capsys, grid, key):
+    path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 1},
+                                   "run": {"omega_grid": grid}})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: run.omega_grid") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
@@ -307,6 +344,20 @@ def test_solve_failure_leaves_no_summary(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+
+@pytest.mark.parametrize("model", [
+    {"family": "truncated-exponential", "p": 170},   # Gamma overflows building the model
+    {"family": "polytrope", "n": 3.0, "l": 300},       # a step of the solve overflows
+], ids=["p170", "l300"])
+def test_arithmetic_error_exits_1_without_traceback(tmp_path, capsys, model):
+    path = write_config(tmp_path, {"model": model, "run": {"omega_c": 0.5}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_command(tmp_path):
@@ -360,9 +411,9 @@ def test_check_computes_omega_crit_once(tmp_path, monkeypatch, run):
     from vpequil import analysis, cli
     real, calls = analysis.omega_crit, []
 
-    def counted(model, n_fn=None):
+    def counted(model):
         calls.append(model)
-        return real(model, n_fn=n_fn)
+        return real(model)
     monkeypatch.setattr(analysis, "omega_crit", counted)
     monkeypatch.setattr(cli, "omega_crit", counted)
     path = write_config(tmp_path, {"model": {"family": "truncated-exponential", "p": 1},

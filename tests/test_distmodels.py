@@ -188,14 +188,14 @@ def test_tabulated_requires_k_and_range():
 
 def test_g_closed_form_examples():
     model = polytrope(n=1)
-    assert eval_g(model, 0.5, 2.0).value == pytest.approx(math.pi, rel=1e-13)
-    assert eval_g(model, 1.5, 1.0).value == pytest.approx(3 * math.pi / 8, rel=1e-13)
+    assert eval_g(model, 0.5, 2.0) == pytest.approx(math.pi, rel=1e-13)
+    assert eval_g(model, 1.5, 1.0) == pytest.approx(3 * math.pi / 8, rel=1e-13)
 
 
 def test_g_zero_omega_is_zero():
     for model in (polytrope(n=2), truncated_exponential(1)):
         out = eval_g(model, 0.5, 0.0)
-        assert out.value == 0.0
+        assert out == 0.0
 
 
 def test_g_rejects_bad_exponent():
@@ -210,10 +210,10 @@ def test_g_rejects_bad_exponent():
 @pytest.mark.parametrize("omega", [1e-3, 1.0, 1e3])
 def test_g_quadrature_matches_closed_form(n, m, omega):
     model = polytrope(n=n)
-    got = eval_g_quadrature(model, m, omega)
-    assert got.value == pytest.approx(closed_form_g(n, m, omega), rel=1e-10)
+    got, estimated_error = eval_g_quadrature(model, m, omega)
+    assert got == pytest.approx(closed_form_g(n, m, omega), rel=1e-10)
     # the certified relative error must sit below the requested tolerance
-    assert got.estimated_error <= 1e-10
+    assert estimated_error <= 1e-10
 
 
 def test_g_reference_quadrature_wilson():
@@ -225,7 +225,7 @@ def test_g_reference_quadrature_wilson():
     w = w * 0.5 ** (m + k + 1.0)
     reference = omega ** (m + 1.0 + k) * (
         w @ (eval_phi(model, omega * x) / x ** k))
-    got = eval_g(model, m, omega).value
+    got = eval_g(model, m, omega)
     assert got == pytest.approx(reference, rel=1e-10)
     assert got == pytest.approx(raw_g(model, m, omega), rel=1e-10)
 
@@ -235,7 +235,7 @@ def test_g_reference_quadrature_wilson():
 @pytest.mark.parametrize("omega", [1e-6, 0.3, 5.0])
 def test_g_truncated_exponential_grid(p, m, omega):
     model = truncated_exponential(p)
-    got = eval_g(model, m, omega).value
+    got = eval_g(model, m, omega)
     # small-omega leading asymptotics: phi ~ E^(p+1)/(p+1)!
     if omega <= 1e-6:
         lead = omega ** (m + p + 2.0) * math.exp(
@@ -247,7 +247,7 @@ def test_g_truncated_exponential_grid(p, m, omega):
 
 def test_g_monotone_in_omega():
     for model in (truncated_exponential(0), polytrope(n=2, l=1.0)):
-        vals = [eval_g(model, 0.5, om).value for om in np.geomspace(1e-3, 10, 40)]
+        vals = [eval_g(model, 0.5, om) for om in np.geomspace(1e-3, 10, 40)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -258,7 +258,7 @@ def test_g_tabulated_linear_phi_matches_polytrope():
     model = DistributionModel(
         l=0.0, family=Tabulated(es, es.copy()),
         regularity=Regularity(k=1.0))
-    got = eval_g(model, 0.5, 2.0).value
+    got = eval_g(model, 0.5, 2.0)
     assert got == pytest.approx(closed_form_g(2.5, 0.5, 2.0), rel=1e-9)
 
 
@@ -284,8 +284,8 @@ def test_dg_zero_exponent_returns_phi():
 def test_dg_matches_finite_differences(model_fn, m, omega):
     model = model_fn()
     h = omega * 1e-6
-    fd = (eval_g(model, m, omega + h).value
-          - eval_g(model, m, omega - h).value) / (2 * h)
+    fd = (eval_g(model, m, omega + h)
+          - eval_g(model, m, omega - h)) / (2 * h)
     assert eval_dg(model, m, omega) == pytest.approx(fd, rel=1e-6)
 
 
@@ -333,7 +333,7 @@ def test_n_equals_index_from_eval_g_and_eval_dg():
     for model in models:
         m = model.l + 0.5
         for omega in (1e-9, 0.01, 0.7, 2.9):
-            want = -model.l + omega * eval_dg(model, m, omega) / eval_g(model, m, omega).value
+            want = -model.l + omega * eval_dg(model, m, omega) / eval_g(model, m, omega)
             got = eval_n(model, omega)
             if isinstance(model.family, Tabulated):
                 assert got == want
@@ -417,7 +417,7 @@ def test_bound_kernels_are_the_closed_forms_bit_for_bit():
               tabulated_model(energies, np.expm1(energies), k=1.0, l=-0.3)]
     for model in models:
         for omega in (1e-9, 0.01, 0.7, 2.9):
-            assert model._kernel(omega) == eval_g(model, model.l + 0.5, omega).value
+            assert model._kernel(omega) == eval_g(model, model.l + 0.5, omega)
             if isinstance(model.family, Polytrope):
                 # the Beta closed form in its long-standing operation order
                 n, m = model.family.n, model.l + 0.5
@@ -529,9 +529,9 @@ def test_truncated_exponential_closed_form_vs_oracles(p, l, kind):
     model = truncated_exponential(p, l=l)
     m = kernel_exponent(l, kind)
     for omega in EXP_OMEGAS:
-        g = eval_g(model, m, omega).value
+        g = eval_g(model, m, omega)
         dg = eval_dg(model, m, omega)
-        assert_close(g, eval_g_quadrature(model, m, omega).value, 1e-10)
+        assert_close(g, eval_g_quadrature(model, m, omega)[0], 1e-10)
         assert_close(dg, eval_dg_quadrature(model, m, omega), 1e-10)
         if omega in EXP_OMEGAS_MP:
             assert_close(g, mp_g_exp(p, m, omega), 1e-12)
@@ -597,7 +597,7 @@ def test_tabulated_closed_form_vs_oracles(name, l, kind):
     model = tabulated_model(energies, values, l=l, k=k, holder_index=1.0)
     m = kernel_exponent(l, kind)
     for omega in TABLE_OMEGAS[name]:
-        g = eval_g(model, m, omega).value
+        g = eval_g(model, m, omega)
         dg = eval_dg(model, m, omega)
         assert_close(g, mp_g_table(name, m, omega, False), 1e-12)
         assert_close(dg, mp_g_table(name, m, omega, True), 1e-12)
@@ -605,7 +605,7 @@ def test_tabulated_closed_form_vs_oracles(name, l, kind):
         # they check one m per l; at omega = 1e-6 the difference-quotient part
         # of eval_dg_quadrature is too small to certify when phi(0+) != 0
         if kind == "l+1/2" and omega > 1e-3:
-            assert_close(g, eval_g_quadrature(model, m, omega).value, 1e-10)
+            assert_close(g, eval_g_quadrature(model, m, omega)[0], 1e-10)
             assert_close(dg, eval_dg_quadrature(model, m, omega), 1e-10)
 
 

@@ -155,15 +155,6 @@ def test_center_series_matches_sine_taylor():
     assert m == pytest.approx(sine_mass(1.0, r), rel=1e-9)
 
 
-def test_center_series_vectorized():
-    model = polytrope(n=1.5)
-    r = np.array([1e-4, 1e-3, 1e-2])
-    m, omega = center_series(model, 0.7, r)
-    assert m.shape == (3,)
-    assert np.all(np.diff(omega) < 0)
-    assert np.all(m > 0)
-
-
 # ----------------------------------------------------- closed-form solves
 
 def test_linear_model_radius_and_mass():
