@@ -128,7 +128,10 @@ def _build_model(block, base_dir):
             if "p" not in block:
                 raise ConfigError("model.p is required for truncated-exponential models")
             p = _require_number(block["p"], "model.p", integer=True)
-            model = truncated_exponential(p, l=l)
+            try:
+                model = truncated_exponential(p, l=l)
+            except OverflowError as exc:   # a Gamma function of p and l
+                raise OverflowError(f"model.p = {p}, model.l = {l:g}: {exc}") from None
             resolved = {"family": family, "l": l, "p": p}
         else:
             if "table" not in block:

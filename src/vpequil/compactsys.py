@@ -9,10 +9,16 @@ is invariant, and the equilibria form four lines parametrised by Omega whose
 transverse eigenvalues decide where solutions can begin and end.  Finiteness
 of radius and mass translate into which invariant corner an orbit reaches.
 
-Orbits are integrated in (U, Q, log omega, xi): dOmega/dlambda factorises as
--Omega (1 - Omega) Q (1 - U), so log omega has the clamp-free rate -Q (1 - U)
-and the potential floor and ceiling are linear in it.  Omega = omega/(1 +
-omega) is formed on output; `rhs_compact` is the (U, Q, Omega) field.
+`rhs_compact` and `jacobian_eigenvalues` use that polynomial (U, Q, Omega)
+field, which they difference across the faces.  Orbits are integrated in
+(log u, log q, log omega, xi) instead: the field divided by U (1 - U),
+Q (1 - Q) and Omega (1 - Omega).  Near the corners and the lines of
+equilibria U, 1 - Q and Omega decay exponentially in lambda, so their logs
+move linearly and the steps stay long; u, q and omega stay positive, so no
+sample leaves the cube, and a face is log u or log q = -+DBL_MAX, which
+every step keeps.  The potential floor and ceiling are linear in log omega.
+U, Q and Omega are formed on output, and the monitors from the logs, on
+floats with `math`, so the orbit files do not depend on numpy's SIMD loops.
 """
 
 from __future__ import annotations
@@ -49,8 +55,8 @@ _OMEGA_FLOOR = 1e-12
 _OMEGA_CEILING = 1e12
 _ATTRACTION_EPS = 1e-4
 
-# absolute error floor of log omega and xi: O(1) logs that pass through 0
-# (xi starts there, log omega at Omega = 1/2), where relative control stalls
+# absolute error floor of the four orbit components: O(1) logs that pass
+# through 0 (xi starts there, log u at U = 1/2), where relative control stalls
 _LOG_ATOL = 1e-14
 
 
@@ -145,7 +151,9 @@ def _omega_cap(model: DistributionModel):
 
 
 # (lambda, [U, Q, x = log omega, xi]) -> the four derivatives; neither lambda
-# nor xi is read, and n is multiplied by Q
+# nor xi is read, and n is multiplied by Q.  `rhs_compact` and the Jacobian
+# difference this polynomial form across the faces; orbits integrate
+# `_ORBIT_FIELD`
 _FIELD = Field("_", ("U", "Q", "x", "_"), (
     "n = index(exp(x) if x < x_hi else w_hi) if Q != 0.0 else 0.0",
     "v = 1.0 - U",
@@ -155,24 +163,49 @@ _FIELD = Field("_", ("U", "Q", "x", "_"), (
 ), ("l", "index", "a1", "a2", "x_hi", "w_hi", "exp"))
 
 
+# the same flow in (log u, log q, x, xi): `_FIELD`'s dU and dQ divided by
+# U (1 - U) and Q (1 - Q).  In v = 1 - U, p = 1 - Q (and a2 = 4 + 2l) it reads
+#   d log u = (a2 + n + l) p v - p - (n + l) v,  d log q = p + v - 3 p v,
+# dx = p v - v and dxi = p v: sums of terms of order one, so v and p need
+# only absolute accuracy, which 1/2 - tanh(log(u)/2)/2 gives without
+# overflow, exactly 0 or 1 on a face.  n is read at every stage, Q = 0 too
+# (a branch around it in each of the 12 stages adds 40 kB to the compile peak)
+_ORBIT_FIELD = Field("_", ("lu", "lq", "x", "_"), (
+    "v = 0.5 - 0.5 * tanh(0.5 * lu)",
+    "p = 0.5 - 0.5 * tanh(0.5 * lq)",
+    "nl = index(exp(x) if x < x_hi else w_hi) + l",
+    "pv = p * v",
+    "return (a2 * pv - p + nl * (pv - v), p + v - 3.0 * pv, pv - v, pv)",
+), ("l", "index", "a2", "x_hi", "w_hi", "exp", "tanh"))
+
+
 # the terminal events of an orbit, in the order of `_TERMINATIONS`: x falls
-# through the floor, (U, Q, Omega) comes within the attraction radius of a
-# corner, x rises through the roof
-_EVENTS = Events("_", ("U", "Q", "x", "_"), (
+# through the floor, (U, Q, Omega) = (1 - v, 1 - p, Omega) comes within the
+# attraction radius of a corner, x rises through the roof
+_ORBIT_EVENTS = Events("_", ("lu", "lq", "x", "_"), (
+    "v = 0.5 - 0.5 * tanh(0.5 * lu)",
+    "p = 0.5 - 0.5 * tanh(0.5 * lq)",
     "w = exp(x) if x < x_hi else w_hi",
     "Om = w / (1.0 + w)",
     "return (x - x_floor, "
-    + "".join(f"hypot(U - {c[0]!r}, Q - {c[1]!r}, Om - {c[2]!r}) - eps, " for c, _ in CORNERS)
+    + "".join(f"hypot({1.0 - c[0]!r} - v, {1.0 - c[1]!r} - p, Om - {c[2]!r}) - eps, "
+              for c, _ in CORNERS)
     + "x - x_roof)",
-), ("x_floor", "x_roof", "eps", "x_hi", "w_hi", "exp", "hypot"),
+), ("x_floor", "x_roof", "eps", "x_hi", "w_hi", "exp", "hypot", "tanh"),
     (-1, *(-1 for _ in CORNERS), 1))
 
 
 def _compact_field(model: DistributionModel):
-    """The compact field with the model's constants bound: one closure per
-    orbit, which `integrate_compact` hands to the integrator directly."""
+    """The polynomial compact field with the model's constants bound."""
     return bind(_FIELD, model.l, model._index, 3.0 + 2.0 * model.l, 4.0 + 2.0 * model.l,
                 *_omega_cap(model), math.exp)
+
+
+def _orbit_field(model: DistributionModel):
+    """The field in (log u, log q, x, xi) with the model's constants bound: one
+    closure per orbit, which `integrate_compact` hands to the integrator."""
+    return bind(_ORBIT_FIELD, model.l, model._index, 4.0 + 2.0 * model.l,
+                *_omega_cap(model), math.exp, math.tanh)
 
 
 def _flow(field, state):
@@ -190,8 +223,8 @@ def rhs_compact(model: DistributionModel, state):
 
     Accepts U, Q slightly off the faces (the field is polynomial in them),
     which finite-difference Jacobians rely on; Omega must stay interior.
-    The reference field, for oracles and tests: the closure
-    `integrate_compact` integrates, through `_flow`.
+    The reference field, for oracles and tests: `integrate_compact`
+    integrates the same flow divided by U (1 - U) and Q (1 - Q).
     """
     return _flow(_compact_field(model), state)
 
@@ -229,38 +262,69 @@ def jacobian_eigenvalues(model: DistributionModel, state):
 
 
 # ----------------------------------------------------------------- monitors
+#
+# Each monitor is computed point by point on floats with `math`, never by a
+# numpy ufunc, so an orbit's monitor columns do not depend on the SIMD loops
+# numpy picks for the CPU it runs on.
 
-def _log_ratio(x):
-    """log(x/(1-x)), elementwise, -inf at 0 and +inf at 1."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.log(x) - np.log1p(-x)
+_LOG_MAX = math.log(sys.float_info.max)   # e^x is finite up to here
 
 
-def _UQ(state):
-    """(U, Q) as float arrays from a CompactState, a triple, or a pair of
-    arrays such as (orbit.U, orbit.Q)."""
+def _exp(x: float) -> float:
+    """e^x, +inf past the largest double; nan stays nan."""
+    return math.inf if x > _LOG_MAX else math.exp(x)
+
+
+def _log_ratio(x: float, face: float = math.inf) -> float:
+    """log(x/(1-x)): log u of U, log q of Q; -face at 0 and +face at 1."""
+    if x == 0.0:
+        return -face
+    if x == 1.0:
+        return face
+    return math.log(x / (1.0 - x))
+
+
+def _logistic(v: float) -> float:
+    """e^v/(1 + e^v), the inverse of `_log_ratio`, without overflow: U of
+    log u, Q of log q; exactly 0 below about -745 and 1 above about 37."""
+    if v < 0.0:
+        e = math.exp(v)
+        return e / (1.0 + e)
+    return 1.0 / (1.0 + math.exp(-v))
+
+
+def _log_Z(lu: float, lq: float, l: float) -> float:
+    return lu + (3.0 + 2.0 * l) * lq
+
+
+def _Phi(lu: float, lq: float, l: float) -> float:
+    return (-0.5 * _exp(_log_Z(lu, lq, l) / (2.0 + 2.0 * l))
+            * (1.0 - _exp(lq) - _exp(lu) / (3.0 + 2.0 * l)))
+
+
+def _S1(U: float, Q: float) -> bool:
+    return (2.0 * U - 1.0) * (1.0 - Q) + Q * (1.0 - U) > 0.0
+
+
+def _pointwise(fn, state):
+    """fn(U, Q) at a CompactState or a triple, or at each point of a pair of
+    arrays such as (orbit.U, orbit.Q), as an array."""
     if isinstance(state, CompactState):
-        state = (state.U, state.Q)
-    return np.asarray(state[0], dtype=float), np.asarray(state[1], dtype=float)
-
-
-def _plain(x):
-    """A Python scalar for 0-d input, the array otherwise."""
-    return x.item() if np.ndim(x) == 0 else x
+        return fn(float(state.U), float(state.Q))
+    U, Q = np.asarray(state[0], dtype=float), np.asarray(state[1], dtype=float)
+    if U.ndim == 0:
+        return fn(U.item(), Q.item())
+    return np.array([fn(u, q) for u, q in zip(U.tolist(), Q.tolist())])
 
 
 def monitor_log_Z(state, l: float):
-    """log Z, elementwise over a state or (U, Q) arrays."""
-    U, Q = _UQ(state)
-    return _plain(_log_ratio(U) + (3.0 + 2.0 * l) * _log_ratio(Q))
+    """log Z = log u + (3 + 2l) log q, pointwise over a state or (U, Q) arrays."""
+    return _pointwise(lambda U, Q: _log_Z(_log_ratio(U), _log_ratio(Q), l), state)
 
 
 def monitor_Z(state, l: float):
     """Z = u q^(3+2l); strictly increasing wherever the flow expands mass."""
-    U, Q = _UQ(state)
-    with np.errstate(divide="ignore"):
-        return _plain(U / (1.0 - U) * (Q / (1.0 - Q)) ** (3.0 + 2.0 * l))
+    return _pointwise(lambda U, Q: _exp(_log_Z(_log_ratio(U), _log_ratio(Q), l)), state)
 
 
 def monitor_dZ(model: DistributionModel, state) -> float:
@@ -273,14 +337,9 @@ def monitor_dZ(model: DistributionModel, state) -> float:
 
 
 def monitor_Phi(state, l: float):
-    """First integral of the flow when n(omega) is identically 5 + 3l."""
-    U, Q = _UQ(state)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = U / (1.0 - U)
-        q = Q / (1.0 - Q)
-        e = 2.0 * (1.0 + l)
-        return _plain(-0.5 * u ** (1.0 / e) * q ** ((3.0 + 2.0 * l) / e)
-                      * (1.0 - q - u / (3.0 + 2.0 * l)))
+    """First integral of the flow when n(omega) is identically 5 + 3l:
+    -(1/2) u^(1/(2+2l)) q^((3+2l)/(2+2l)) (1 - q - u/(3+2l))."""
+    return _pointwise(lambda U, Q: _Phi(_log_ratio(U), _log_ratio(Q), l), state)
 
 
 # -------------------------------------------------------------- trapped sets
@@ -292,8 +351,7 @@ def in_S1(state):
     S1 is future invariant while n(omega) <= 3 + l; beyond, an orbit can
     leave it near U = 0.
     """
-    U, Q = _UQ(state)
-    return _plain((2.0 * U - 1.0) * (1.0 - Q) + Q * (1.0 - U) > 0.0)
+    return _pointwise(_S1, state)
 
 
 def in_S2(model: DistributionModel, state, omega_0: float | None = None) -> bool:
@@ -384,7 +442,12 @@ class PolytropicIndexTable:
 
 @dataclass
 class CompactOrbit:
-    """One integrated orbit with monitors and its asymptotic label."""
+    """One integrated orbit with monitors and its asymptotic label.
+
+    ``log_u`` and ``log_q`` are the integrated logs of the homology
+    variables, -inf or +inf on a face; U, Q and the monitors are formed
+    from them on floats.
+    """
 
     model: DistributionModel
     initial: CompactState
@@ -393,6 +456,8 @@ class CompactOrbit:
     Q: np.ndarray
     Omega: np.ndarray
     xi: np.ndarray
+    log_u: np.ndarray
+    log_q: np.ndarray
     termination: str
     limit_label: str
     settings: CompactSettings
@@ -401,21 +466,25 @@ class CompactOrbit:
 
     def dense(self, lam: float) -> np.ndarray:
         """(U, Q, Omega, xi) anywhere on the integrated lambda range: the
-        interpolant of the integrated (U, Q, log omega, xi), with Omega
-        formed from log omega as at the step points."""
+        interpolant of the integrated (log u, log q, log omega, xi), with U,
+        Q and Omega formed from the logs as at the step points."""
         lo = min(self.lam[0], self.lam[-1])
         hi = max(self.lam[0], self.lam[-1])
         if not lo <= lam <= hi:
             raise ValueError(f"lambda={lam:g} outside the integrated range [{lo:g}, {hi:g}]")
         return np.asarray(self._dense(lam))
 
+    def _logs(self, fn):
+        l = self.model.l
+        return np.array([fn(a, b, l) for a, b in zip(self.log_u.tolist(), self.log_q.tolist())])
+
     @property
     def log_Z(self) -> np.ndarray:
-        return monitor_log_Z((self.U, self.Q), self.model.l)
+        return self._logs(_log_Z)
 
     @property
     def Phi(self) -> np.ndarray:
-        return monitor_Phi((self.U, self.Q), self.model.l)
+        return self._logs(_Phi)
 
     @property
     def S1(self) -> np.ndarray:
@@ -431,15 +500,24 @@ _TERMINATIONS = {
     None: ("lambda-max", "unresolved"),
 }
 
+# log u or log q of a start on a face: +-DBL_MAX stays put under every step
+# (its spacing is 2^971), tanh(DBL_MAX/2) is exactly 1, and its error scale
+# rtol * DBL_MAX takes it out of the step-size control
+_FACE = sys.float_info.max
+
+
+def _integrated_log(v: float) -> float:
+    """A face's +-DBL_MAX as the +-inf it stands for."""
+    return math.copysign(math.inf, v) if abs(v) == _FACE else v
+
 
 def integrate_compact(model: DistributionModel, state0, settings: CompactSettings | None = None,
                       backward: bool = False) -> CompactOrbit:
     """Follow the compact flow from state0 until a corner, the potential floor,
     ceiling or end of phi, or the lambda budget; xi accumulates the log radius.
-    DOP853 integrates (U, Q, x = log omega, xi) on the closure behind
-    `rhs_compact` with the events `_EVENTS`, both written into its generated
-    step loop.  The floor and ceiling are linear in x; the corners and the
-    returned orbit use Omega(x)."""
+    DOP853 integrates (log u, log q, x = log omega, xi) on `_ORBIT_FIELD`
+    with the events `_ORBIT_EVENTS`, both written into its generated step
+    loop, and one absolute error floor for all four components."""
     st = settings or CompactSettings()
     if not st.lambda_max > 0.0:
         raise ValueError("lambda_max must be positive")
@@ -455,17 +533,16 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
         w = math.exp(x) if x < x_hi else w_hi
         return w / (1.0 + w)
 
-    events = bind(_EVENTS, math.log(_OMEGA_FLOOR), math.log(ceiling), _ATTRACTION_EPS,
-                  x_hi, w_hi, math.exp, math.hypot)
+    events = bind(_ORBIT_EVENTS, math.log(_OMEGA_FLOOR), math.log(ceiling), _ATTRACTION_EPS,
+                  x_hi, w_hi, math.exp, math.hypot, math.tanh)
     lam_end = -st.lambda_max if backward else st.lambda_max
-    log_atol = max(st.abs_tol, _LOG_ATOL)
-    sol = dop853(_compact_field(model), 0.0, (s0.U, s0.Q, math.log(s0.omega), 0.0),
-                 lam_end, st.rel_tol, [st.abs_tol, st.abs_tol, log_atol, log_atol],
-                 events=events)
+    y0 = (_log_ratio(s0.U, _FACE), _log_ratio(s0.Q, _FACE), math.log(s0.omega), 0.0)
+    sol = dop853(_orbit_field(model), 0.0, y0, lam_end, st.rel_tol,
+                 max(st.abs_tol, _LOG_ATOL), events=events)
 
     def dense(lam):
-        U, Q, x, xi = sol(lam)
-        return U, Q, Omega_of(x), xi
+        lu, lq, x, xi = sol(lam)
+        return _logistic(lu), _logistic(lq), Omega_of(x), xi
 
     termination, label = _TERMINATIONS[sol.event]
     diagnostics = {
@@ -473,8 +550,12 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
         "n_rejected": sol.n_rejected,
         "n_rhs_evals": sol.nfev,
     }
-    U, Q, x, xi = sol.y
-    Omega = np.array([Omega_of(v) for v in x.tolist()])
-    return CompactOrbit(model=model, initial=s0, lam=sol.t, U=U, Q=Q, Omega=Omega,
-                        xi=xi, termination=termination, limit_label=label,
+    lu, lq, x, _ = sol.y.tolist()
+    return CompactOrbit(model=model, initial=s0, lam=sol.t,
+                        U=np.fromiter(map(_logistic, lu), float),
+                        Q=np.fromiter(map(_logistic, lq), float),
+                        Omega=np.fromiter(map(Omega_of, x), float), xi=sol.y[3],
+                        log_u=np.fromiter(map(_integrated_log, lu), float),
+                        log_q=np.fromiter(map(_integrated_log, lq), float),
+                        termination=termination, limit_label=label,
                         settings=st, diagnostics=diagnostics, _dense=dense)

@@ -243,7 +243,7 @@ def _lowered_kernel(a, scale, what):
     (Wilson-Hilferty), below which the difference would cost more than a
     digit.  For any other a the switch is a + 1, and above it
     e^x P = e^x (1 - x^a e^-x T(x)/Gamma(a)); that form also takes over
-    where e^x overflows.  `what` names the kernel in the overflow error.
+    where e^x overflows.  `what` names the kernel in the overflow errors.
     """
     log_scale, log_gamma_a = math.log(scale), math.lgamma(a)
     big = _LOG_MAX - max(log_scale, 0.0)   # e^x and scale e^x are finite up to here
@@ -252,7 +252,11 @@ def _lowered_kernel(a, scale, what):
         switch = a * (1.0 - 1.0 / (9.0 * a) - 1.2816 / (3.0 * math.sqrt(a))) ** 3
     else:
         switch = a + 1.0
-    coef, ratio, k = scale / math.gamma(a + 1.0), 1.0, 1.0
+    try:
+        coef, ratio, k = scale / math.gamma(a + 1.0), 1.0, 1.0
+    except OverflowError:
+        raise OverflowError(f"Gamma({a + 1.0:g}) of the {what} kernel overflows double "
+                            "precision") from None
     series = [coef]
     while ratio > 1e-17:   # a term against the first, at the switch
         coef /= a + k

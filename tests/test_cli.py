@@ -358,6 +358,18 @@ def test_arithmetic_error_exits_1_without_traceback(tmp_path, capsys, model):
     assert "Traceback" not in err
     assert not (out / "summary.json").exists()
 
+
+@pytest.mark.parametrize("model, message", [
+    ({"family": "truncated-exponential", "p": 170},
+     "model.p = 170, model.l = 0: Gamma(172) of the phi kernel overflows"),
+    ({"family": "truncated-exponential", "p": 0, "l": 200},   # Gamma(l + 3/2) of g
+     "model.p = 0, model.l = 200: "),
+], ids=["p170", "l200"])
+def test_model_overflow_names_the_keys_and_the_kernel(tmp_path, capsys, model, message):
+    path = write_config(tmp_path, {"model": model, "run": {"omega_c": 0.5}})
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: OverflowError: " + message)
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_command(tmp_path):

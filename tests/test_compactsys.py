@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from vpequil import compactsys
@@ -325,6 +326,116 @@ def test_orbit_dense_matches_nodes(king_model, king_profile):
     assert y[3] == pytest.approx(orbit.xi[i], rel=1e-12, abs=1e-15)
     with pytest.raises(ValueError):
         orbit.dense(orbit.lam[-1] + 1.0)
+
+
+def reference_orbit(model, start, backward, lambda_max):
+    """rhs_compact integrated by scipy's DOP853 at rel_tol 1e-13 in (U, Q,
+    log omega, xi), with the floor, corner and ceiling events written out
+    from the module's constants: (termination, end lambda, end xi)."""
+    x_hi, w_hi = compactsys._omega_cap(model)
+
+    def Omega(x):
+        w = math.exp(x) if x < x_hi else w_hi
+        return w / (1.0 + w)
+
+    def rhs(lam, y):
+        om = Omega(y[2])
+        du, dq, dom = rhs_compact(model, (y[0], y[1], om))
+        return [du, dq, dom / (om * (1.0 - om)), (1.0 - y[0]) * (1.0 - y[1])]
+    eps = compactsys._ATTRACTION_EPS
+    events = [lambda lam, y: y[2] - math.log(compactsys._OMEGA_FLOOR),
+              *(lambda lam, y, c=c: math.hypot(y[0] - c[0], y[1] - c[1], Omega(y[2]) - c[2])
+                - eps for c, _ in compactsys.CORNERS),
+              lambda lam, y: y[2] - math.log(min(compactsys._OMEGA_CEILING, w_hi))]
+    for ev, direction in zip(events, (-1, -1, -1, 1)):
+        ev.terminal, ev.direction = True, direction
+    U, Q, Om = start
+    sol = solve_ivp(rhs, (0.0, -lambda_max if backward else lambda_max),
+                    [U, Q, math.log(Om / (1.0 - Om)), 0.0], method="DOP853", rtol=1e-13,
+                    atol=[1e-30, 1e-30, 1e-14, 1e-14], events=events)
+    fired = [i for i, te in enumerate(sol.t_events) if te.size]
+    termination = {(): "lambda-max", (0,): "omega-floor", (1,): "corner-(0,1,0)",
+                   (2,): "corner-(1,1,0)", (3,): "omega-ceiling"}[tuple(fired)]
+    return termination, sol.t[-1], sol.y[3, -1]
+
+
+TABLE31 = np.linspace(0.0, 3.0, 31)
+# (model, tolerance on the end lambda and xi).  A table's index has unbounded
+# curvature at each node (a cubic phi under a half-integer power kernel), so
+# an orbit loses accuracy at every node it crosses: over 40 random starts
+# each way the ends of the (U, Q) integration were off by up to 1.2e-7 and
+# those of the log integration by up to 7.4e-8, where the reference itself
+# moves by 5e-10 between rel_tol 1e-13 and 3e-14
+REFERENCE_MODELS = {
+    "king": (truncated_exponential(0), 1e-8),
+    "wilson-l-0.4": (wilson_model(l=-0.4), 1e-8),
+    "n2": (polytrope(n=2.0), 1e-8),
+    "n6": (polytrope(n=6.0), 1e-8),
+    "table31": (tabulated_model(TABLE31, np.expm1(TABLE31), k=1.0), 2e-7),
+}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(REFERENCE_MODELS)), U=st.floats(0.05, 0.95),
+       Q=st.floats(0.05, 0.95), Omega=st.floats(0.005, 0.5), backward=st.booleans())
+def test_orbits_match_an_independent_rhs_compact_integration(name, U, Q, Omega, backward):
+    # the log-homology integration at the default rel_tol against the
+    # polynomial field at rel_tol 1e-13: the same end, at the same lambda and
+    # xi, with every sample inside the cube
+    model, tol = REFERENCE_MODELS[name]
+    orbit = integrate_compact(model, CompactState(U, Q, Omega),
+                              CompactSettings(lambda_max=80.0), backward=backward)
+    termination, lam_end, xi_end = reference_orbit(model, (U, Q, Omega), backward, 80.0)
+    assert orbit.termination == termination
+    assert abs(orbit.lam[-1] - lam_end) <= tol
+    assert abs(orbit.xi[-1] - xi_end) <= tol
+    for values in (orbit.U, orbit.Q):
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
+
+# (start, backward, face that stays exact, termination, end lambda, end xi):
+# the ends a (U, Q) integration reached
+FACE_STARTS = [
+    ((0.5, 0.0, 0.2), True, "Q", "lambda-max", -200.0, -199.59453489188869),
+    ((1.0, 0.5, 0.2), True, "U", "lambda-max", -200.0, 0.0),
+    ((0.0, 0.5, 0.2), False, "U", "omega-floor", 52.48945350961729, 26.244726754808653),
+    ((0.5, 1.0, 0.2), False, "Q", "corner-(0,1,0)", 8.215662267642331, 0.0),
+    ((0.0, 1.0, 0.2), True, "UQ", "omega-ceiling", -29.017315477048463, 0.0),
+    ((1.0, 0.0, 0.2), False, "UQ", "lambda-max", 200.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("start, backward, faces, termination, lam_end, xi_end", FACE_STARTS)
+def test_face_start_stays_on_its_face(king_model, start, backward, faces, termination,
+                                      lam_end, xi_end):
+    # log u or log q at -+DBL_MAX: every step and the dense output keep it
+    # there, so U or Q stays exactly 0 or 1, and the orbit ends as before.
+    # Every sample stays in the cube, where a (U, Q) integration left it: U
+    # reached -2.7e-30 from (0.5, 0, 0.2) and Q -2.4e-30 from (1, 0.5, 0.2)
+    orbit = integrate_compact(king_model, CompactState(*start), backward=backward)
+    for values in (orbit.U, orbit.Q):
+        assert np.all((values >= 0.0) & (values <= 1.0))
+    for face in faces:
+        value = start["UQ".index(face)]
+        assert np.all(getattr(orbit, face) == value)
+        mid = 0.5 * (orbit.lam[0] + orbit.lam[-1])
+        assert orbit.dense(mid)["UQ".index(face)] == value
+        assert getattr(orbit, "log_" + face.lower())[0] == (math.inf if value else -math.inf)
+    assert orbit.termination == termination
+    assert orbit.lam[-1] == pytest.approx(lam_end, abs=1e-8)
+    assert orbit.xi[-1] == pytest.approx(xi_end, abs=1e-8)
+
+
+@pytest.mark.parametrize("model, steps_before", [(truncated_exponential(0), 72),
+                                                 (polytrope(n=3.0), 85)],
+                         ids=["king", "n3"])
+def test_portrait_orbit_takes_half_the_steps(model, steps_before):
+    # the King and polytrope portraits of the CI configs: the (U, Q)
+    # integration took 72 and 85 accepted steps to the vacuum corner
+    orbit = integrate_compact(model, CompactState(0.6, 0.3, 0.3),
+                              CompactSettings(lambda_max=20.0))
+    assert orbit.termination == "corner-(0,1,0)"
+    assert orbit.diagnostics["n_steps"] <= steps_before // 2
 
 
 def test_tabulated_orbit_below_grid_end_four():

@@ -231,17 +231,35 @@ def test_fused_physical_field_is_rhs_physical(name, r, m, omega):
                                         math.nextafter(1.0, 0.0)])),
        xi=st.floats(-5.0, 5.0))
 def test_fused_compact_field_is_rhs_compact(name, U, Q, Omega, xi):
-    # the integrator's closure carries x = log omega; at x = log(Omega/(1 - Omega))
-    # its dU and dQ are rhs_compact's, rhs_compact's dOmega is Omega (1 - Omega) dx,
-    # and xi' = (1 - U)(1 - Q); or both raise the same error (a table's index
-    # is undefined below omega = 1e-300)
+    # the integrator's closure carries (log u, log q, x = log omega, xi), a
+    # face as -+DBL_MAX.  By the chain rule its derivatives times U (1 - U),
+    # Q (1 - Q) and Omega (1 - Omega) are rhs_compact's dU, dQ and dOmega, and
+    # xi' = (1 - U)(1 - Q).  Both sides form U, 1 - U, Q and 1 - Q to within
+    # a few ulps of 1 and add terms no larger than size = 1 + a1 + a2 +
+    # |n + l|, so each rounds by about eps * size times the factor; 4 eps
+    # bounds the difference, plus one rounding each in the subnormal range.
+    # Where rhs_compact raises (a table's index is undefined below omega =
+    # 1e-300) the closure raises the same error; at Q = 0, where rhs_compact
+    # skips n and the closure reads it, the closure may raise alone
+    model = FIELD_MODELS[name]
+    logs = [compactsys._log_ratio(v, sys.float_info.max) for v in (U, Q)]
     x = math.log(Omega / (1.0 - Omega))
-    fused = outcome(COMPACT_FIELDS[name], 0.0, [U, Q, x, xi])
-    if len(fused) == 4:
-        du, dq, dx, dxi = fused
-        assert dxi == (1.0 - U) * (1.0 - Q)
-        fused = (du, dq, Omega * (1.0 - Omega) * dx)
-    assert fused == outcome(rhs_compact, FIELD_MODELS[name], (U, Q, Omega))
+    fused = outcome(COMPACT_FIELDS[name], 0.0, [*logs, x, xi])
+    want = outcome(rhs_compact, model, (U, Q, Omega))
+    if len(fused) != 4 or len(want) != 3:
+        assert fused == want or Q == 0.0 and len(want) == 3
+        return
+    x_hi, w_hi = compactsys._omega_cap(model)
+    l = model.l
+    size = 1.0 + (3.0 + 2.0 * l) + (4.0 + 2.0 * l) + abs(
+        model._index(math.exp(x) if x < x_hi else w_hi) + l)
+    bound = 4.0 * sys.float_info.epsilon * size
+    dlu, dlq, dx, dxi = fused
+    for factor, chained, direct in ((U * (1.0 - U), dlu, want[0]),
+                                    (Q * (1.0 - Q), dlq, want[1]),
+                                    (Omega * (1.0 - Omega), dx, want[2]),
+                                    (1.0, dxi, (1.0 - U) * (1.0 - Q))):
+        assert abs(factor * chained - direct) <= bound * factor + 2.0 * math.ulp(0.0)
 
 
 def plain_dop853(fun, *args, **kwargs):
@@ -736,7 +754,7 @@ def test_scale_line_on_special_pairs():
 SHIPPED_SOURCES = {
     "physical polytrope": (physical._physical_field(polytrope(n=3.0)).field[0], physical._FLOOR),
     "physical kernel(omega)": (physical._physical_field(king_model()).field[0], physical._FLOOR),
-    "compact": (compactsys._FIELD, compactsys._EVENTS),
+    "compact": (compactsys._ORBIT_FIELD, compactsys._ORBIT_EVENTS),
     **{f"generic n={n}": (_ode._generic(n), _ode._generic_events(n, (1, -1)))
        for n in range(1, 5)},
     **{f"polynomial n={n}": (polynomial_field(n, max(n - 1, 1)), _ode._generic_events(n, (1,)))
