@@ -335,7 +335,10 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         raise ConfigError("run.omega_c is required by the solve command")
     omega_c = cfg.run["omega_c"]
     _note(args, f"solving omega_c={omega_c:g}")
-    profile = integrate_physical(cfg.model, omega_c, settings=_solver_settings(cfg.run))
+    try:
+        profile = integrate_physical(cfg.model, omega_c, settings=_solver_settings(cfg.run))
+    except OverflowError as exc:   # a power of r or omega in a step, at large l
+        raise OverflowError(f"model.l = {cfg.model.l:g}: {exc}") from None
     labels = classify_solution(cfg.model, profile)
     write_profile_csv(profile, os.path.join(args.out, "profile.csv"),
                       cfg.output["precision"])

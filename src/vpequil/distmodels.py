@@ -8,11 +8,12 @@ one-dimensional kernel integrals
 
 through which the mass density, the radial pressure, and the local
 polytropic index are computed.  Every family evaluates g_m and dg_m/domega
-in closed form for all m > -1, with numpy and the standard library only:
-a Beta function for polytropes, e^omega P(a, omega) (P the regularized
-lower incomplete gamma function, a = p + m + 2) for the lowered
-exponentials, and incomplete Beta integrals summed over the cubic pieces of
-a tabulated interpolant.
+in closed form for all m > -1, on floats with the standard library: a Beta
+function for polytropes, e^omega P(a, omega) (P the regularized lower
+incomplete gamma function, a = p + m + 2) for the lowered exponentials, and
+incomplete Beta integrals summed over the cubic pieces of a tabulated
+interpolant.  No kernel call runs a numpy loop, so no value depends on
+numpy's SIMD dispatch; numpy builds a tabulated interpolant, elementwise.
 
 The lowered exponentials rest on two functions, with a = p + l + 5/2 or
 a = p + m + 2:
@@ -22,7 +23,8 @@ a = p + m + 2:
 
 S below omega = a + 1 and T above it.  With them e^omega P(a, omega) is
 omega^a S/Gamma(a), or e^omega - omega^a T/Gamma(a); S is summed by
-Horner's rule on coefficients fixed when a kernel is built.  Which form runs
+Horner's rule on coefficients fixed when a kernel is built, written out as
+literals in the kernel's generated source.  Which form runs
 above the series depends on a only: when 2a is an integer (isotropic King
 and Wilson models among others) it is e^omega, or e^omega erf(sqrt(omega)),
 minus a finite sum, and the series gives way to it well below a + 1, where
@@ -33,7 +35,8 @@ float function omega -> g_m(omega), or dg_m/domega, and `index(l, kernel)`
 the local index n = -l + omega g'/g at m = l + 1/2, where `kernel` is the
 model's memoized `kernel` (a family that needs kernels for its index takes
 them from there, so none is built twice).  Each family checks its own
-parameters when it is built and keeps no cache.  The model holds the one
+parameters when it is built and keeps no cache but a lowered exponential's
+phi kernel, built on first use.  The model holds the one
 memo, a kernel per (m, derivative) built on first use, and binds two float
 functions when it is built: the density kernel g_{l+1/2} (the memo's entry
 at m = l + 1/2) and the family's index.  Both flows and the criteria call
@@ -59,7 +62,10 @@ first use, so they need the `test` extra.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,10 +155,15 @@ class TruncatedExponential:
     def __post_init__(self):
         if self.p < 0 or int(self.p) != self.p:
             raise ModelError(f"truncation order p must be a non-negative integer, got {self.p}")
-        object.__setattr__(self, "_phi", _lowered_kernel(self.p + 1.0, 1.0, "phi"))
+        _series_head(self.p + 1.0, 1.0, "phi")   # the kernel `phi` builds must exist
 
     def default_regularity(self):
         return Regularity(k=self.p + 1.0, holder_index=1.0)
+
+    @functools.cached_property
+    def _phi(self):
+        """phi's own kernel, built on the first `phi` call: no run path needs it."""
+        return _lowered_kernel(self.p + 1.0, 1.0, "phi")
 
     def phi(self, e):
         e = np.asarray(e, dtype=float)
@@ -180,27 +191,25 @@ class TruncatedExponential:
         1/S = scale omega^a/(Gamma(a) g).  scale/Gamma(a) is taken as a times
         H's constant term scale/Gamma(a+1), whose rounding every coefficient
         of H shares, so n tends to a - l as omega -> 0 up to one rounding.
+        Generated like the kernel: H is written out as the kernel's literal
+        polynomial, and every other number of the index is a literal too.
         """
         a = self.p + l + 2.5
         g = kernel(l + 0.5)
-        switch, horner = g.switch, g.horner
-        ratio = a * horner[-1]
-        log_gamma_a = math.lgamma(a)
-        top = a + 1.0
-
-        def n(omega):
-            if omega <= switch:
-                h = 0.0
-                for c in horner:
-                    h = h * omega + c
-                return -l + omega + ratio / h
-            if omega <= top:
-                return -l + omega + ratio * omega ** a / g(omega)
-            # 1/S = E/(1 - E T) with E = omega^a e^-omega/Gamma(a); E
-            # underflows to 0 for large omega, where n = omega - l exactly
-            e = math.exp(a * math.log(omega) - omega - log_gamma_a)
-            return -l + omega + e / (1.0 - e * _fraction(a, omega))
-        return n
+        ratio = a * g.horner[-1]
+        source = f"""def bind(g):
+    def n(omega):
+        if omega <= {g.switch!r}:
+            return {-l!r} + omega + {ratio!r} / ({_horner(g.horner, "omega")})
+        if omega <= {a + 1.0!r}:
+            return {-l!r} + omega + {ratio!r} * omega ** {a!r} / g(omega)
+        # 1/S = E/(1 - E T) with E = omega^a e^-omega/Gamma(a); E
+        # underflows to 0 for large omega, where n = omega - l exactly
+        e = exp({a!r} * log(omega) - omega - {math.lgamma(a)!r})
+        return {-l!r} + omega + e / (1.0 - e * fraction({a!r}, omega))
+    return n
+"""
+        return _compiled(source)(g)
 
 
 def _fraction(a, x):
@@ -227,6 +236,37 @@ def _fraction(a, x):
                           f"at x={x:g}")
 
 
+def _horner(coefs, var):
+    """Horner's rule on ``coefs`` (highest power first) in ``var`` as one
+    expression, with the operations of ``s = 0.0; for c in coefs: s = s*var + c``
+    (0.0 * var + c is c).  A kernel's series has at most about 130 terms
+    (Gamma(a+1) overflows above a = 170), within the parser's nesting limit."""
+    if not coefs:
+        return "0.0"
+    expr = repr(coefs[0])
+    for c in coefs[1:]:
+        expr = f"({expr}) * {var} + {c!r}"
+    return expr
+
+
+@functools.cache
+def _compiled(source):
+    """The factory ``bind`` of a generated kernel or index, compiled once per source."""
+    namespace = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt, "erf": math.erf,
+                 "fraction": _fraction, "EvaluationError": EvaluationError}
+    exec(compile(source, "<lowered kernel>", "exec"), namespace)
+    return namespace["bind"]
+
+
+def _series_head(a, scale, what):
+    """scale/Gamma(a+1), the first coefficient of a lowered kernel's series."""
+    try:
+        return scale / math.gamma(a + 1.0)
+    except OverflowError:
+        raise OverflowError(f"Gamma({a + 1.0:g}) of the {what} kernel overflows double "
+                            "precision") from None
+
+
 def _lowered_kernel(a, scale, what):
     """x -> scale * e^x P(a, x) for x > 0, P the regularized lower incomplete gamma.
 
@@ -244,6 +284,11 @@ def _lowered_kernel(a, scale, what):
     digit.  For any other a the switch is a + 1, and above it
     e^x P = e^x (1 - x^a e^-x T(x)/Gamma(a)); that form also takes over
     where e^x overflows.  `what` names the kernel in the overflow errors.
+
+    The kernel is generated as straight-line source: both polynomials are
+    written out by `_horner` with their coefficients as literals, as are the
+    switch, the scale and every other constant, so a call runs no loop but
+    the continued fraction's.  Each distinct source is compiled once.
     """
     log_scale, log_gamma_a = math.log(scale), math.lgamma(a)
     big = _LOG_MAX - max(log_scale, 0.0)   # e^x and scale e^x are finite up to here
@@ -252,11 +297,7 @@ def _lowered_kernel(a, scale, what):
         switch = a * (1.0 - 1.0 / (9.0 * a) - 1.2816 / (3.0 * math.sqrt(a))) ** 3
     else:
         switch = a + 1.0
-    try:
-        coef, ratio, k = scale / math.gamma(a + 1.0), 1.0, 1.0
-    except OverflowError:
-        raise OverflowError(f"Gamma({a + 1.0:g}) of the {what} kernel overflows double "
-                            "precision") from None
+    coef, ratio, k = _series_head(a, scale, what), 1.0, 1.0
     series = [coef]
     while ratio > 1e-17:   # a term against the first, at the switch
         coef /= a + k
@@ -264,30 +305,26 @@ def _lowered_kernel(a, scale, what):
         series.append(coef)
         k += 1.0
     series = tuple(reversed(series))
-    half = a != int(a)
-    finite = tuple(1.0 / math.gamma(k + (1.5 if half else 1.0))
-                   for k in range(int(a) - 1, -1, -1))
-
-    def lowered(x):
-        if x <= switch:
-            s = 0.0
-            for c in series:
-                s = s * x + c
-            return x ** a * s
-        if elementary and x <= big:
-            s = 0.0
-            for c in finite:
-                s = s * x + c
-            if half:
-                r = math.sqrt(x)
-                return scale * (math.exp(x) * math.erf(r) - r * s)
-            return scale * (math.exp(x) - s)
-        frac = 1.0 - math.exp(a * math.log(x) - x - log_gamma_a) * _fraction(a, x)
-        if x <= big:
-            return scale * math.exp(x) * frac   # frac <= 1: cannot overflow
-        if x + log_scale + math.log(frac) <= _LOG_MAX:
-            return math.exp(x + log_scale + math.log(frac))
-        raise EvaluationError(f"{what}(omega={x:g}) overflows double precision")
+    lines = [f"if x <= {switch!r}:",
+             f"    return x ** {a!r} * ({_horner(series, 'x')})"]
+    if elementary:
+        half = a != int(a)
+        finite = _horner([1.0 / math.gamma(k + (1.5 if half else 1.0))
+                          for k in range(int(a) - 1, -1, -1)], "x")
+        lines.append(f"if x <= {big!r}:")
+        if half:
+            lines += ["    r = sqrt(x)",
+                      f"    return {scale!r} * (exp(x) * erf(r) - r * ({finite}))"]
+        else:
+            lines.append(f"    return {scale!r} * (exp(x) - ({finite}))")
+    lines += [f"frac = 1.0 - exp({a!r} * log(x) - x - {log_gamma_a!r}) * fraction({a!r}, x)",
+              f"if x <= {big!r}:",
+              f"    return {scale!r} * exp(x) * frac   # frac <= 1: cannot overflow",
+              f"if x + {log_scale!r} + log(frac) <= {_LOG_MAX!r}:",
+              f"    return exp(x + {log_scale!r} + log(frac))",
+              f"raise EvaluationError('%s(omega=%g) overflows double precision' % ({what!r}, x))"]
+    lowered = _compiled("def bind():\n    def lowered(x):\n        "
+                        + "\n        ".join(lines) + "\n    return lowered\n")()
     # what the index reads: below the switch the kernel is x^a H(x), with H
     # the polynomial of these coefficients (highest power first)
     lowered.switch, lowered.horner = switch, series
@@ -323,19 +360,22 @@ class Tabulated:
         object.__setattr__(self, "values", v)
         interp = _Pchip(e, v)
         object.__setattr__(self, "_interp", interp)
-        # pieces phi = sum_j c_j (E - x0)^j on the cells reaching E > 0, the
-        # cell straddling E = 0 re-expanded about 0 so every piece starts at x0 >= 0
-        keep = interp.x[1:] > 0.0
-        x0 = interp.x[:-1][keep].copy()
-        coef = interp.c[::-1, keep].copy()
-        if x0.size and x0[0] < 0.0:
-            shift = -x0[0]
-            coef[:, 0] = [sum(math.comb(j, i) * coef[j, 0] * shift ** (j - i)
-                              for j in range(i, 4)) for i in range(4)]
-            x0[0] = 0.0
-        x1 = interp.x[1:][keep]
-        object.__setattr__(self, "_pieces", (x0, x1, coef,
-                                             coef[1:] * np.arange(1.0, 4.0)[:, None]))
+        # pieces phi = sum_j c_j (E - x0)^j on the cells reaching E > 0, on
+        # floats: the cell straddling E = 0 re-expanded about 0 so every
+        # piece starts at x0 >= 0
+        cells = [(x0, x1, (c0, c1, c2, c3)) for x0, x1, (c3, c2, c1, c0)
+                 in zip(e.tolist(), e[1:].tolist(), interp.c.T.tolist()) if x1 > 0.0]
+        x0, x1, coef = cells[0]
+        if x0 < 0.0:   # summed left to right: sum() of floats is compensated from 3.12
+            shifted = [0.0] * 4
+            for i in range(4):
+                for j in range(i, 4):
+                    shifted[i] += math.comb(j, i) * coef[j] * (-x0) ** (j - i)
+            cells[0] = 0.0, x1, tuple(shifted)
+        starts, ends, coefs = zip(*cells)
+        dcoefs = tuple((c1, 2.0 * c2, 3.0 * c3) for _, c1, c2, c3 in coefs)
+        object.__setattr__(self, "_pieces", (starts, ends, coefs, dcoefs))
+        object.__setattr__(self, "_energy_max", float(e[-1]))
 
     def default_regularity(self):
         return None   # k is declarative: the caller must supply it
@@ -351,13 +391,12 @@ class Tabulated:
 
     @property
     def energy_max(self):
-        return float(self.energies[-1])
+        return self._energy_max
 
     def _check_range(self, omega):
-        hi = float(self.energies[-1])
-        if omega > hi:
-            raise EvaluationError(
-                f"tabulated phi queried at E={omega:g} beyond grid end {hi:g}")
+        if omega > self._energy_max:
+            raise EvaluationError(f"tabulated phi queried at E={omega:g} beyond grid end "
+                                  f"{self._energy_max:g}")
 
     def kernel(self, m, derivative=False):
         """omega -> g_m(omega), or dg_m/domega, with the per-piece constants fixed once.
@@ -366,17 +405,17 @@ class Tabulated:
         E = 0 gives dg_m a term phi(0+) omega^m; the rest is phi' (piecewise
         quadratic) against (omega - E)^m.
         """
-        x0, x1, coef, dcoef = self._pieces
+        starts, ends, coefs, dcoefs = self._pieces
         check = self._check_range
         if not derivative:
-            pieces = _piecewise_kernel(x0, x1, coef, m)
+            pieces = _piecewise_kernel(starts, ends, coefs, m)
 
             def g_m(omega):
                 check(omega)
                 return pieces(omega)
             return g_m
-        phi0 = float(coef[0, 0])
-        pieces = _piecewise_kernel(x0, x1, dcoef, m)
+        phi0 = coefs[0][0]
+        pieces = _piecewise_kernel(starts, ends, dcoefs, m)
 
         def dg_m(omega):
             check(omega)
@@ -441,74 +480,185 @@ def _pchip_end(h0, h1, m0, m1):
     return d
 
 
-def _piecewise_kernel(x0, x1, coef, m):
+def _piecewise_kernel(starts, ends, coefs, m):
     """omega -> sum over pieces of int_x0^min(x1, omega) sum_j c_j (E-x0)^j (omega-E)^m dE.
 
-    With E = x0 + (omega - x0) t each monomial is (omega - x0)^(j+m+1) times
-    the incomplete Beta integral B_u(j+1, m+1) = int_0^u t^j (1-t)^m dt with
-    u = min(1, (x1 - x0)/(omega - x0)), so no power of (omega - E) is
-    expanded.  The first Beta parameter is an integer, and B_u takes one of
-    three forms, none of which cancels:
+    ``coefs`` holds one tuple (c_0, c_1, ...) per piece [x0, x1) of
+    ``starts`` and ``ends``.  With E = x0 + (omega - x0) t each monomial is
+    (omega - x0)^(j+m+1) times the incomplete Beta integral
+    B_u(j+1, m+1) = int_0^u t^j (1-t)^m dt, u = min(1, (x1 - x0)/(omega - x0)),
+    so no power of (omega - E) is expanded.  The first Beta parameter is an
+    integer, and the sum takes one of three forms, none of which cancels:
 
     * the piece holding omega (u = 1): the complete B(j+1, m+1) =
-      j!/((m+1)(m+2)...(m+j+1));
-    * u <= 1/2 (pieces at least two widths below omega): the positive series
-      u^(j+1) (1-u)^(m+1)/(j+1) sum_k (j+m+2)_k/(j+2)_k u^k (DLMF 8.17.8).
-      Summed over j, a piece contributes (omega - x1)^(m+1)/(omega - x0)
-      times a polynomial in u whose coefficients are fixed here;
-    * 1/2 < u < 1: B_u(1, m+1) = -expm1((m+1) log(1-u))/(m+1) and the upward
-      recurrence (j+m+1) B_u(j+1, m+1) = j B_u(j, m+1) - u^j (1-u)^(m+1),
-      from integration by parts, whose subtracted term is the smaller one.
+      j!/((m+1)(m+2)...(m+j+1)), so the piece is (omega - x0)^(m+1) times a
+      polynomial in omega - x0;
+    * u above a cut, 1/4 (4/(m+1) for m > 15): B_u(1, m+1) =
+      -expm1((m+1) log(1-u))/(m+1) and the upward recurrence
+      (j+m+1) B_u(j+1, m+1) = j B_u(j, m+1) - u^j (1-u)^(m+1), from
+      integration by parts, whose subtracted term is the smaller one there
+      (at u = 1/8 and m = -1/2 it would cost 2.8e-13);
+    * u at or below the cut, pieces alone or in blocks: a piece or a block
+      of half-width H, whose width is at most the cut times omega minus
+      its start, is d^m sum_k (-1)^k binom(m, k) mu_k/d^k, with d = omega
+      minus its centre and mu_k its moments about the centre
+      (`_block_series`): a series in z = H/d <= cut/(2 - cut), 1/7 at most.
+      Its terms cancel by at most ((1 + z)/(1 - z))^m, which the smaller
+      cut of large m keeps near e^4.
 
-    ``coef`` holds c_j, j = 0, 1, ..., one column per piece.
+    A call finds the pieces below omega with one ``bisect``, and their
+    count fixes its plan, made on first use: from the first piece up, the
+    largest aligned block of 1, 2, 4, ... pieces that ends below the last
+    piece and is far enough for the lowest omega of that count.  So about
+    ten blocks cover any number of pieces, and only the last few pieces
+    are classed per call.  A call runs on floats and makes no numpy call,
+    and every coefficient is built on floats in a fixed order, so no value
+    depends on numpy's SIMD loops.
     """
-    rows = coef.shape[0]
-    width = x1 - x0
     b = m + 1.0
-    full = [math.factorial(j) / math.prod(b + i for i in range(j + 1)) for j in range(rows)]
-    series = []
-    for j in range(rows):
-        c, row = 1.0 / (j + 1.0), []
-        while not row or c * (j + 1.0) * 0.5 ** len(row) > 1e-17:   # against the first term
-            row.append(c)
-            c *= (j + b + len(row)) / (j + 1.0 + len(row))
-        series.append(row)
-    terms = max(map(len, series))
-    series = np.array([row + [0.0] * (terms - len(row)) for row in series])
-    # per piece, sum_j c_j width^(j+1) times row j of the series
-    far_coef = np.einsum("ji,ji,jk->ik", coef, width ** np.arange(1.0, rows + 1.0)[:, None],
-                         series)
-    k_pow = np.arange(float(terms))
-    near_coef = coef.T.tolist()
-    held_coef = (coef.T * full).tolist()
-    starts, ends = x0.tolist(), x1.tolist()
+    full = [math.factorial(j) / math.prod(b + i for i in range(j + 1))
+            for j in range(len(coefs[0]))]
+    held = [tuple(reversed([c * f for c, f in zip(row, full)])) for row in coefs]
+    cut = min(0.25, 4.0 / b)
+    series = _block_series(starts, ends, coefs, m, cut / (2.0 - cut))
+    plans = {}
+
+    def plan(n):
+        """The blocks of pieces 0 .. n-2 that are far enough for every omega
+        above starts[n-1], and the pieces left, n - 1 among them."""
+        low = starts[n - 1]
+        far, near = [], []
+        i = 0
+        while i < n - 1:
+            level = min((i & -i or n).bit_length(), (n - 1 - i).bit_length()) - 1
+            while level >= 0 and ends[i + (1 << level) - 1] - starts[i] > cut * (low - starts[i]):
+                level -= 1
+            if level < 0:
+                near.append(i)
+                i += 1
+            else:
+                far.append(series(level, i))
+                i += 1 << level
+        near.append(n - 1)
+        plans[n] = far, near = tuple(far), tuple(near)
+        return far, near
 
     def kernel(omega):
-        n = int(np.searchsorted(x0, omega))   # the pieces that start below omega
+        n = bisect_left(starts, omega)   # the pieces that start below omega
+        if not n:
+            return 0.0
+        far, near = plans.get(n) or plan(n)
         total = 0.0
-        if n and omega <= ends[n - 1]:
-            n -= 1
-            s = omega - starts[n]
-            total = sum(h * s ** (b + j) for j, h in enumerate(held_coef[n]))
-        span = omega - x0[:n]
-        u = width[:n] / span
-        far = u <= 0.5
-        vals = np.einsum("ik,ik->i", far_coef[:n], np.power.outer(u, k_pow))
-        total += float(np.dot((omega - x1[:n]) ** b / span * vals, far))
-        for i in np.flatnonzero(~far).tolist():
-            s = omega - starts[i]
-            u_i = (ends[i] - starts[i]) / s
-            log_v = math.log((omega - ends[i]) / s)
-            v_b = math.exp(b * log_v)
-            beta_u = -math.expm1(b * log_v) / b
-            total += near_coef[i][0] * s ** b * beta_u
-            u_j = 1.0
-            for j in range(1, rows):
-                u_j *= u_i
-                beta_u = (j * beta_u - u_j * v_b) / (j + b)
-                total += near_coef[i][j] * s ** (j + b) * beta_u
+        for start, half, coef in far:
+            d = omega - start - half
+            z = half / d
+            h = 0.0
+            for c in coef:
+                h = h * z + c
+            total += h * d ** m
+        for i in near:
+            start, end = starts[i], ends[i]
+            s = omega - start
+            if omega <= end:   # the piece holding omega
+                h = 0.0
+                for c in held[i]:
+                    h = h * s + c
+                total += h * s ** b
+            elif end - start <= cut * s:   # far enough for its series
+                _, half, coef = series(0, i)
+                d = s - half
+                z = half / d
+                h = 0.0
+                for c in coef:
+                    h = h * z + c
+                total += h * d ** m
+            else:   # the upward recurrence
+                u = (end - start) / s
+                log_v = math.log((omega - end) / s)
+                v_b = math.exp(b * log_v)
+                beta_u = -math.expm1(b * log_v) / b
+                row = coefs[i]
+                h, u_j, s_j = row[0] * beta_u, 1.0, 1.0
+                for j in range(1, len(row)):
+                    u_j *= u
+                    s_j *= s
+                    beta_u = (j * beta_u - u_j * v_b) / (j + b)
+                    h += row[j] * s_j * beta_u
+                total += h * s ** b
         return total
     return kernel
+
+
+def _block_series(starts, ends, coefs, m, z):
+    """(L, i) -> (start, H, a) of the 2^L pieces from piece i (i a multiple
+    of 2^L), built on the first call and kept: H the block's half-width and
+    a_k = (-1)^k binom(m, k) mu_k/H^k, highest k first, mu_k its moments
+    about its centre, for as many k as the worst z needs.  Only the blocks
+    that some call takes are ever built.
+
+    A piece's moments come from its polynomial about its centre, scaled by
+    its half-width h, q_i = sum_j binom(j, i) c_j h^j: mu_k/h^k =
+    2h sum_{i + k even} q_i/(i + k + 1).  A block's come from its two halves,
+    each normalized moment nu_i of a half (centre c, half-width h) entering
+    nu_k = sum_i binom(k, i) (h/H)^i ((c - C)/H)^(k-i) nu_i of the block
+    (centre C).  h/H + |c - C|/H <= 1, so no sum cancels more than the
+    moments themselves.
+    """
+    weights = _binomial_weights(m, z)
+    terms = len(weights)
+    moments, built = {}, {}
+
+    def normalized(level, i):
+        nu = moments.get((level, i))
+        if nu is not None:
+            return nu
+        half = 0.5 * (ends[i + (1 << level) - 1] - starts[i])
+        if not level:
+            c0, c1, c2, c3 = coefs[i] + (0.0,) * (4 - len(coefs[i]))
+            s1, s2, s3 = c1 * half, c2 * half * half, c3 * half * half * half
+            q0, q1, q2, q3 = c0 + s1 + s2 + s3, s1 + 2.0 * s2 + 3.0 * s3, s2 + 3.0 * s3, s3
+            nu = [2.0 * half * (q0 / (k + 1) + q2 / (k + 3)) if k % 2 == 0 else
+                  2.0 * half * (q1 / (k + 2) + q3 / (k + 4)) for k in range(terms)]
+        else:
+            mid = i + (1 << (level - 1))
+            nu = [0.0] * terms
+            for j in (i, mid):
+                h = 0.5 * (ends[j + (1 << (level - 1)) - 1] - starts[j])
+                alpha, beta = h / half, ((starts[j] - starts[i]) + h - half) / half
+                w, p = [], 1.0
+                for v in normalized(level - 1, j):
+                    w.append(v * p)
+                    p *= alpha
+                # sum_r binom(k, r) beta^(k-r) w_r for every k, in place by Pascal's rule
+                for r in range(1, terms):
+                    for k in range(terms - 1, r - 1, -1):
+                        w[k] += beta * w[k - 1]
+                nu = [x + y for x, y in zip(nu, w)]
+        moments[level, i] = nu = array("d", nu)
+        return nu
+
+    def series(level, i):
+        block = built.get((level, i))
+        if block is None:
+            half = 0.5 * (ends[i + (1 << level) - 1] - starts[i])
+            coef = array("d", reversed([w * v for w, v in zip(weights, normalized(level, i))]))
+            built[level, i] = block = starts[i], half, coef
+        return block
+    return series
+
+
+def _binomial_weights(m, z):
+    """(-1)^k binom(m, k) for k = 0, 1, ...: as many as the series
+    sum_k (-1)^k binom(m, k) x^k, |x| <= z, needs for a relative 1e-17 of
+    its sum, which is at least (1 - z)^m for m > 0 and (1 + z)^m otherwise."""
+    floor = 1e-17 * (1.0 - z) * ((1.0 - z) ** m if m > 0.0 else (1.0 + z) ** m)
+    weights, w, k = [1.0], 1.0, 0
+    while True:
+        w *= (k - m) / (k + 1.0)
+        k += 1
+        if k > m and abs(w) * z ** k <= floor:
+            return weights
+        weights.append(w)
 
 
 @dataclass(frozen=True)

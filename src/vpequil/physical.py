@@ -100,9 +100,10 @@ def center_series(model: DistributionModel, omega_c: float, r: float):
     """Two-term expansion (m, omega) about the regular centre, at radius r.
 
     Valid while the second-order correction is small; used only to step off
-    the coordinate singularity at r = 0.  The powers of r are numpy's
-    ``power``: on a CPU with AVX-512 it rounds some results differently from
-    ``math.pow``, and these two floats fix every float of a solve.
+    the coordinate singularity at r = 0.  The powers of r are Python's
+    ``**`` (libm's ``pow``): these two floats fix every float of a solve,
+    and numpy's ``power`` rounds some results differently on a CPU with
+    AVX-512.
     """
     l = model.l
     c_l = model._prefactor
@@ -111,10 +112,10 @@ def center_series(model: DistributionModel, omega_c: float, r: float):
     g1 = c_l * eval_dg(model, m_exp, omega_c)
     four_pi = 4.0 * math.pi
     a, b = 3.0 + 2.0 * l, 2.0 + 2.0 * l
-    m = (four_pi * g0 * np.power(r, a) / a
-         - four_pi ** 2 * g0 * g1 * np.power(r, a + b) / (a * b * (a + b)))
-    omega = (omega_c - four_pi * g0 * np.power(r, b) / (a * b)
-             + four_pi ** 2 * g0 * g1 * np.power(r, 2.0 * b) / (a * b * (a + b) * 2.0 * b))
+    m = (four_pi * g0 * r ** a / a
+         - four_pi ** 2 * g0 * g1 * r ** (a + b) / (a * b * (a + b)))
+    omega = (omega_c - four_pi * g0 * r ** b / (a * b)
+             + four_pi ** 2 * g0 * g1 * r ** (2.0 * b) / (a * b * (a + b) * 2.0 * b))
     return float(m), float(omega)
 
 
@@ -202,8 +203,19 @@ def integrate_physical(model: DistributionModel, omega_c: float,
     if not w0 > st.omega_floor:
         raise ValueError("startup radius too large: the series already crossed the floor")
 
-    sol = dop853(_physical_field(model), r0, (m0, w0), st.r_max, st.rel_tol, st.abs_tol,
-                 events=bind(_FLOOR, st.omega_floor))
+    try:
+        sol = dop853(_physical_field(model), r0, (m0, w0), st.r_max, st.rel_tol, st.abs_tol,
+                     events=bind(_FLOOR, st.omega_floor))
+    except OverflowError:
+        # a float ``**`` of the step loop; for large l it is the density's
+        # r ** (2 l), which is named here, so the loop carries no check
+        try:
+            st.r_max ** (2.0 * model.l)
+        except OverflowError:
+            raise OverflowError(f"r ** (2 l) = r ** {2.0 * model.l:g} of the density "
+                                f"overflows double precision below r_max = {st.r_max:g}"
+                                ) from None
+        raise
     r_arr, m_arr, w_arr = sol.t, sol.y[0], sol.y[1]
     diagnostics = {"n_steps": sol.n_steps, "n_rejected": sol.n_rejected}
 

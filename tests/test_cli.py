@@ -370,6 +370,19 @@ def test_model_overflow_names_the_keys_and_the_kernel(tmp_path, capsys, model, m
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: OverflowError: " + message)
 
+
+def test_step_overflow_names_l_and_the_term(tmp_path, capsys):
+    # r ** (2 l) overflows inside the step loop; the solve names the key and the term
+    path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 3, "l": 300},
+                                   "run": {"omega_c": 0.5}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError: model.l = 300: r ** (2 l) = r ** 600 of the "
+                          "density overflows double precision below r_max = ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_command(tmp_path):

@@ -42,6 +42,7 @@ from vpequil.distmodels import (
     tabulated_model,
     truncated_exponential,
 )
+from vpequil import distmodels
 from vpequil.distmodels import _Pchip, _reduced
 
 
@@ -347,8 +348,6 @@ def test_n_equals_index_from_eval_g_and_eval_dg():
 def test_tabulated_model_builds_each_kernel_once(monkeypatch):
     # the density kernel g_{l+1/2} and the index share the model's memo:
     # one build of g_{l+1/2} and one of its derivative per model
-    from vpequil import distmodels
-
     builds = []
     original = distmodels._piecewise_kernel
 
@@ -357,8 +356,17 @@ def test_tabulated_model_builds_each_kernel_once(monkeypatch):
         return original(x0, x1, coef, m)
     monkeypatch.setattr(distmodels, "_piecewise_kernel", counting)
     energies = np.linspace(0.0, 3.0, 61)
-    # eval_n of e^E - 1 on 61 nodes, as written before the index shared the memo
+    # eval_n of e^E - 1 on 61 nodes, from the kernels on floats
     expected = {
+        0.0: (2.5003079062435667, 2.5743355273790107, 2.8344675052807755, 3.779739039777171),
+        -0.4: (2.500347600201819, 2.584043807177285, 2.8792694292863747, 3.9435685100059255),
+        1.0: (2.500239527358013, 2.557594975045398, 2.7563852882862974, 3.47458704534521),
+    }
+    # as pinned when the kernels ran numpy's einsum: the floats moved by at
+    # most 3 ulps.  The largest move, 1.04e-15 at l = 1 and omega = 0.25, is
+    # the old value's own error: it was 9.2e-16 from the 50-digit index of
+    # the same interpolant, the new one is 1.2e-16 from it
+    einsum_pins = {
         0.0: (2.500307906243567, 2.5743355273790103, 2.834467505280776, 3.779739039777171),
         -0.4: (2.5003476002018195, 2.5840438071772844, 2.8792694292863747, 3.943568510005924),
         1.0: (2.5002395273580134, 2.557594975045401, 2.7563852882862974, 3.474587045345211),
@@ -369,6 +377,7 @@ def test_tabulated_model_builds_each_kernel_once(monkeypatch):
         assert builds == [l + 0.5, l + 0.5]
         got = tuple(eval_n(model, w) for w in (1e-3, 0.25, 1.0, 2.9))
         assert got == values
+        assert got == pytest.approx(einsum_pins[l], rel=1.05e-15, abs=0.0)
         assert len(builds) == 2
 
 
@@ -407,6 +416,85 @@ def test_lowered_index_matches_mpmath(p):
 def test_lowered_index_is_omega_minus_l_at_large_omega():
     for l in (0.0, 0.5):
         assert eval_n(king_model(l), 1e4) == pytest.approx(1e4 - l, rel=1e-15, abs=0.0)
+
+
+def loop_lowered_kernel(a, scale):
+    """scale e^x P(a, x) with its polynomials summed by loops over their
+    coefficients: the kernel as written before it was generated as source.
+    Returns the kernel, its switch and its series (highest power first)."""
+    log_scale, log_gamma_a = math.log(scale), math.lgamma(a)
+    big = math.log(np.finfo(float).max) - max(log_scale, 0.0)
+    elementary = (2.0 * a).is_integer()
+    if elementary:
+        switch = a * (1.0 - 1.0 / (9.0 * a) - 1.2816 / (3.0 * math.sqrt(a))) ** 3
+    else:
+        switch = a + 1.0
+    coef, ratio, k = scale / math.gamma(a + 1.0), 1.0, 1.0
+    series = [coef]
+    while ratio > 1e-17:
+        coef /= a + k
+        ratio *= switch / (a + k)
+        series.append(coef)
+        k += 1.0
+    series = tuple(reversed(series))
+    half = a != int(a)
+    finite = tuple(1.0 / math.gamma(k + (1.5 if half else 1.0))
+                   for k in range(int(a) - 1, -1, -1))
+
+    def lowered(x):
+        if x <= switch:
+            s = 0.0
+            for c in series:
+                s = s * x + c
+            return x ** a * s
+        if elementary and x <= big:
+            s = 0.0
+            for c in finite:
+                s = s * x + c
+            if half:
+                r = math.sqrt(x)
+                return scale * (math.exp(x) * math.erf(r) - r * s)
+            return scale * (math.exp(x) - s)
+        frac = 1.0 - math.exp(a * math.log(x) - x - log_gamma_a) * distmodels._fraction(a, x)
+        return scale * math.exp(x) * frac
+    return lowered, switch, series
+
+
+def loop_lowered_index(p, l):
+    """n(omega) on the loop kernel of m = l + 1/2, as written before it was generated."""
+    a = p + l + 2.5
+    g, switch, horner = loop_lowered_kernel(a, math.gamma(l + 1.5))
+    ratio = a * horner[-1]
+    log_gamma_a = math.lgamma(a)
+
+    def n(omega):
+        if omega <= switch:
+            h = 0.0
+            for c in horner:
+                h = h * omega + c
+            return -l + omega + ratio / h
+        if omega <= a + 1.0:
+            return -l + omega + ratio * omega ** a / g(omega)
+        e = math.exp(a * math.log(omega) - omega - log_gamma_a)
+        return -l + omega + e / (1.0 - e * distmodels._fraction(a, omega))
+    return n
+
+
+@pytest.mark.parametrize("p, l", [(0, 0.0), (1, 0.0), (0, -0.4), (2, 1.0)],
+                         ids=["king", "wilson", "king-l-0.4", "p2-l1"])
+def test_generated_lowered_kernels_equal_the_loops_bit_for_bit(p, l):
+    # the kernels of phi and of g_{l+1/2} and the index, each straight-line
+    # source with its polynomials written out, against the coefficient loops
+    model = truncated_exponential(p, l=l)
+    want_phi = loop_lowered_kernel(p + 1.0, 1.0)[0]
+    want_g = loop_lowered_kernel(p + l + 2.5, math.gamma(l + 1.5))[0]
+    want_n = loop_lowered_index(p, l)
+    rng = np.random.default_rng(20)
+    omegas = [10.0 ** t for t in rng.uniform(-12.0, math.log10(700.0), 20_000).tolist()]
+    for omega in omegas:
+        assert eval_phi(model, omega).hex() == want_phi(omega).hex(), omega
+        assert model._kernel(omega).hex() == want_g(omega).hex(), omega
+        assert model._index(omega).hex() == want_n(omega).hex(), omega
 
 
 def test_bound_kernels_are_the_closed_forms_bit_for_bit():

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from vpequil import _ode, physical
-from vpequil.distmodels import density, polytrope, truncated_exponential
+from vpequil.distmodels import (
+    density,
+    eval_n,
+    polytrope,
+    tabulated_model,
+    truncated_exponential,
+)
 from vpequil.physical import (
     FINITE_RADIUS,
     INFINITE_FINITE_MASS,
@@ -144,6 +150,26 @@ def test_density_scale_is_4pi_rho_over_r2l():
             assert density_scale(model, omega) == pytest.approx(want, rel=1e-14)
     # linear-density model: 4 pi rho_minus omega, so the natural length is 1/a
     assert density_scale(polytrope(n=1.0), 1.0) == pytest.approx(A_N1 ** 2, rel=1e-14)
+
+
+def test_tabulated_solve_runs_no_numpy_kernel_loop(monkeypatch):
+    # once the step loop starts, the tabulated kernels run on floats: no
+    # einsum, searchsorted or power, whose SIMD loops could move a float
+    energies = np.linspace(0.0, 3.0, 61)
+    model = tabulated_model(energies, np.expm1(energies), k=1.0)
+    solve = physical.dop853
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy loop ran in the step loop")
+
+    def guarded(*args, **kwargs):
+        for name in ("einsum", "searchsorted", "power"):
+            monkeypatch.setattr(np, name, refuse)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(physical, "dop853", guarded)
+    profile = integrate_physical(model, 0.6)
+    assert profile.classification == FINITE_RADIUS
+    assert all(math.isfinite(eval_n(model, w)) for w in (1e-6, 0.3, 2.9))
 
 
 def test_center_series_matches_sine_taylor():

@@ -14,7 +14,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import beta, betainc, gammainc, gammaln
 
@@ -146,14 +146,36 @@ def reference_sums(x0, x1, coef, m, omega):
     return by_scipy, float(by_mpmath)
 
 
+# 17 nodes 1/8 apart on [0, 2], so omega = 2 where exactly: piece i has
+# u = 1/2 at omega = i/8 + 1/4 and u = 1/4 at i/8 + 1/2, the pieces a call
+# classes change at every node, and from just above omega = 1 pieces 0 and 1
+# are one block
+EIGHTHS = (np.linspace(0.0, 2.0, 17), np.expm1(np.linspace(0.0, 2.0, 17)))
+FORM_SWITCHES = [0.25, 0.375, 0.5, 0.625, 0.75, 1.0, 1.5]
+
+
+def around(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, 2.0)]
+
+
+def tabulated_examples(test):
+    for omega in FORM_SWITCHES:
+        for w in around(omega / 2.0):
+            for l in (-0.5, 1.0):
+                test = example(table=EIGHTHS, l=l, where=w)(test)
+    return test
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(table=monotone_tables(), l=st.floats(-0.999, 3.0), where=st.floats(1e-3, 1.0))
+@tabulated_examples
 def test_tabulated_kernels_match_scipy_and_mpmath(table, l, where):
     energies, values = table
     model = tabulated_model(energies, values, l=l, k=0.0, holder_index=1.0)
     family, m = model.family, model.l + 0.5
     omega = where * float(energies[-1])
-    x0, x1, coef, dcoef = family._pieces
+    x0, x1 = np.array(family._pieces[0]), np.array(family._pieces[1])
+    coef, dcoef = (np.array(rows).T for rows in family._pieces[2:])
     got = family.kernel(m)(omega)
     got_d = family.kernel(m, derivative=True)(omega)
     by_scipy, by_mpmath = reference_sums(x0, x1, coef, m, omega)
@@ -166,18 +188,28 @@ def test_tabulated_kernels_match_scipy_and_mpmath(table, l, where):
     assert_rel(got_d, jump + d_scipy)
 
 
+def single_piece_examples(test):
+    # both sides of the recurrence / series cut at u = 1/4 (4/(m+1) for
+    # m > 15, past this range), and of the old one at u = 1/2; the
+    # recurrence at u = 10^-0.875 < 1/4 would be 2.8e-13 off for m = -1/2
+    for u in around(0.25) + around(0.5):
+        for m in (-0.999, -0.5, 0.5, 3.0, 10.0):
+            test = example(m=m, u=u)(test)
+    return example(m=-0.5, u=10.0 ** -0.875)(test)
+
+
 @SETTINGS
 @given(m=st.floats(-0.999, 10.0),
        u=st.one_of(st.floats(-6.0, 0.0).map(lambda t: 10.0 ** t), st.floats(0.5, 1.0)))
+@single_piece_examples
 def test_single_piece_beta_integrals(m, u):
     # omega = 1 against the piece [0, u]: the piece sum of the monomial t^j is
     # B_u(j+1, m+1), and against the piece [0, 1], which holds omega, the
     # complete Beta column B(j+1, m+1)
     for j in range(4):
-        coef = np.zeros((4, 1))
-        coef[j, 0] = 1.0
-        full = _piecewise_kernel(np.array([0.0]), np.array([1.0]), coef, m)(1.0)
-        got = _piecewise_kernel(np.array([0.0]), np.array([u]), coef, m)(1.0)
+        coef = ((0.0,) * j + (1.0,) + (0.0,) * (3 - j),)
+        full = _piecewise_kernel((0.0,), (1.0,), coef, m)(1.0)
+        got = _piecewise_kernel((0.0,), (u,), coef, m)(1.0)
         with mpmath.workdps(50):
             mm = mpmath.mpf(m)
             assert_rel(full, float(mpmath.beta(j + 1, mm + 1)))
