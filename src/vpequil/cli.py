@@ -379,9 +379,7 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
     if "orbits" not in cfg.run:
         raise ConfigError("run.orbits is required by the portrait command")
     prec = cfg.output["precision"]
-    settings_kwargs = {k: cfg.run[k] for k in ("rel_tol", "abs_tol", "lambda_max")
-                       if k in cfg.run}
-    settings = CompactSettings(**settings_kwargs)
+    settings = CompactSettings(**{k: cfg.run[k] for k in ("rel_tol", "lambda_max") if k in cfg.run})
     backward = cfg.run.get("backward", False)
 
     lines = fixed_lines(cfg.model.l)

@@ -32,6 +32,7 @@ import numpy as np
 
 from ._ode import Events, Field, bind, dop853
 from .distmodels import (
+    _LOG_MAX,
     DistributionModel,
     EvaluationError,
     Polytrope,
@@ -54,10 +55,6 @@ CORNERS = ((VACUUM_CORNER, "(0,1,0)"), (SINGULAR_CORNER, "(1,1,0)"))
 _OMEGA_FLOOR = 1e-12
 _OMEGA_CEILING = 1e12
 _ATTRACTION_EPS = 1e-4
-
-# absolute error floor of the four orbit components: O(1) logs that pass
-# through 0 (xi starts there, log u at U = 1/2), where relative control stalls
-_LOG_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,6 @@ class CompactState:
 @dataclass(frozen=True)
 class CompactSettings:
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-30
     lambda_max: float = 200.0
 
 
@@ -266,9 +262,6 @@ def jacobian_eigenvalues(model: DistributionModel, state):
 # Each monitor is computed point by point on floats with `math`, never by a
 # numpy ufunc, so an orbit's monitor columns do not depend on the SIMD loops
 # numpy picks for the CPU it runs on.
-
-_LOG_MAX = math.log(sys.float_info.max)   # e^x is finite up to here
-
 
 def _exp(x: float) -> float:
     """e^x, +inf past the largest double; nan stays nan."""
@@ -517,12 +510,11 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
     ceiling or end of phi, or the lambda budget; xi accumulates the log radius.
     DOP853 integrates (log u, log q, x = log omega, xi) on `_ORBIT_FIELD`
     with the events `_ORBIT_EVENTS`, both written into its generated step
-    loop, and one absolute error floor for all four components."""
+    loop, with rel_tol as each component's absolute tolerance: u, q, omega
+    and r are each held to relative accuracy rel_tol."""
     st = settings or CompactSettings()
-    if not st.lambda_max > 0.0:
-        raise ValueError("lambda_max must be positive")
-    if not (st.rel_tol > 0.0 and st.abs_tol > 0.0):
-        raise ValueError("tolerances must be positive")
+    if not (st.rel_tol > 0.0 and st.lambda_max > 0.0):
+        raise ValueError("rel_tol and lambda_max must be positive")
     x_hi, w_hi = _omega_cap(model)   # w_hi: where a tabulated phi ends, if it does
     ceiling = min(_OMEGA_CEILING, w_hi)
     s0 = state0 if isinstance(state0, CompactState) else CompactState(*_triple(state0))
@@ -537,8 +529,7 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
                   x_hi, w_hi, math.exp, math.hypot, math.tanh)
     lam_end = -st.lambda_max if backward else st.lambda_max
     y0 = (_log_ratio(s0.U, _FACE), _log_ratio(s0.Q, _FACE), math.log(s0.omega), 0.0)
-    sol = dop853(_orbit_field(model), 0.0, y0, lam_end, st.rel_tol,
-                 max(st.abs_tol, _LOG_ATOL), events=events)
+    sol = dop853(_orbit_field(model), 0.0, y0, lam_end, st.rel_tol, st.rel_tol, events=events)
 
     def dense(lam):
         lu, lq, x, xi = sol(lam)

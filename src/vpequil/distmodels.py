@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -72,7 +73,7 @@ import numpy as np
 
 DEFAULT_QUAD_TOL = 1e-10
 _OMEGA_MIN = 1e-300   # below this the index n(omega) is refused, not extrapolated
-_LOG_MAX = math.log(np.finfo(float).max)
+_LOG_MAX = math.log(sys.float_info.max)   # e^x is finite up to here
 _TINY = 1e-300             # modified Lentz: stand-in for a vanishing denominator
 _LENTZ_MAX_TERMS = 1000    # the continued fraction T needs < 100 terms above a + 1
 
@@ -786,7 +787,7 @@ def eval_g(model: DistributionModel, m, omega) -> float:
     _check_gm_args(m, omega)
     if omega == 0.0:
         return 0.0
-    return _finite(model.kernel(m)(omega), f"g_{m:g}", omega)
+    return _kernel_value(model, m, False, omega)
 
 
 def _check_gm_args(m, omega):
@@ -808,7 +809,16 @@ def _check_dg_args(model, m, omega):
                 f"model declares {holder}")
 
 
-def _finite(value, what, omega):
+def _kernel_value(model, m, derivative, omega):
+    """g_m(omega) or dg_m/domega, finite; names a polytrope's omega ** (n + m - 1/2) overflow."""
+    what = f"{'dg' if derivative else 'g'}_{m:g}"
+    try:
+        value = model.kernel(m, derivative)(omega)
+    except OverflowError:
+        if not isinstance(model.family, Polytrope):
+            raise
+        raise OverflowError(f"omega ** {model.family.n + m - 0.5:g} of the polytrope kernel {what} "
+                            f"overflows double precision at omega = {omega:g}") from None
     if not math.isfinite(value):
         raise EvaluationError(f"{what}(omega={omega:g}) is not finite in double precision")
     return value
@@ -821,7 +831,7 @@ def eval_dg(model: DistributionModel, m, omega) -> float:
     index above -m, so the model must declare that index.
     """
     _check_dg_args(model, m, omega)
-    return _finite(model.kernel(m, derivative=True)(omega), f"dg_{m:g}", omega)
+    return _kernel_value(model, m, True, omega)
 
 
 def eval_dg_quadrature(model: DistributionModel, m, omega,

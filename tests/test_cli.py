@@ -383,6 +383,19 @@ def test_step_overflow_names_l_and_the_term(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "summary.json").exists()
 
+
+def test_kernel_overflow_names_l_and_the_term(tmp_path, capsys):
+    # at omega_c 20 the polytrope kernel's omega ** (n + l) overflows in the
+    # natural length, before the step loop; the solve names the key and the term
+    path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 3, "l": 300},
+                                   "run": {"omega_c": 20}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: OverflowError: model.l = 300: omega ** 303 of the polytrope kernel g_300.5 "
+        "overflows double precision at omega = 20\n")
+    assert not (out / "summary.json").exists()
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_command(tmp_path):

@@ -274,6 +274,9 @@ def test_backward_orbit_generic_history_blows_up_potential():
     assert orbit.limit_label == "unresolved"
     assert orbit.Omega[-1] > 1.0 - 1e-11
     assert np.all(orbit.Omega < 1.0)
+    # Q sits near 1/2, so log q passes near 0: an absolute floor of 1e-14
+    # there took 65 steps, rel_tol as the only tolerance takes 42
+    assert orbit.diagnostics["n_steps"] <= 45
 
 
 def test_backward_ceiling_end_is_stable_under_ulp_perturbation():
@@ -391,6 +394,26 @@ def test_orbits_match_an_independent_rhs_compact_integration(name, U, Q, Omega, 
     assert abs(orbit.xi[-1] - xi_end) <= tol
     for values in (orbit.U, orbit.Q):
         assert np.all((values >= 0.0) & (values <= 1.0))
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+@pytest.mark.parametrize("name", ["king", "wilson-l-0.4", "n2", "n6"])
+def test_orbits_match_the_same_integration_at_rel_tol_1e13(name, backward):
+    # rel_tol is the one tolerance of (log u, log q, log omega, xi): over
+    # seeded starts in the criterion-7 box each orbit ends as the rel_tol
+    # 1e-13 orbit does, its end lambda and xi within 2e-9 relative to
+    # max(1, |value|) (at most 1.1e-10 and 7.6e-10 here)
+    model = REFERENCE_MODELS[name][0]
+    rng = np.random.default_rng(11)
+    for U, Q, Omega in rng.uniform((0.05, 0.05, 0.005), (0.95, 0.95, 0.5), (24, 3)).tolist():
+        start = CompactState(U, Q, Omega)
+        orbit = integrate_compact(model, start, CompactSettings(lambda_max=80.0),
+                                  backward=backward)
+        ref = integrate_compact(model, start, CompactSettings(rel_tol=1e-13, lambda_max=80.0),
+                                backward=backward)
+        assert orbit.termination == ref.termination, start
+        for got, want in ((orbit.lam[-1], ref.lam[-1]), (orbit.xi[-1], ref.xi[-1])):
+            assert abs(got - want) <= 2e-9 * max(1.0, abs(want)), start
 
 
 # (start, backward, face that stays exact, termination, end lambda, end xi):

@@ -712,6 +712,15 @@ def test_kernel_overflow_is_a_clean_error():
         assert eval_n(king_model(), 800.0) == float(800 + inv_s)
 
 
+def test_polytrope_power_overflow_names_the_power():
+    # a float ** raises rather than overflow to inf; the error says which power
+    model = polytrope(n=3.0, l=300.0)
+    for call, what in ((eval_g, "g_300.5"), (eval_dg, "dg_300.5")):
+        with pytest.raises(OverflowError, match=rf"^omega \*\* 303 of the polytrope kernel "
+                                                rf"{what} overflows double precision"):
+            call(model, 300.5, 20.0)
+
+
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_phi_reduced_matches_mpmath(p):
     # the integrand of the quadrature oracles, phi(E)/E^k with k = p + 1

@@ -78,7 +78,7 @@ def scipy_compact(model, start, backward=False, st=CompactSettings()):
               lambda lam, y: y[2] - roof_c]
     for ev, direction in zip(events, (-1, -1, -1, 1)):
         ev.terminal, ev.direction = True, direction
-    atol = [st.abs_tol] * 3 + [max(st.abs_tol, 1e-14)]
+    atol = [1e-30] * 3 + [1e-14]
     sol = solve_ivp(rhs, (0.0, -st.lambda_max if backward else st.lambda_max),
                     [*start, 0.0], method="DOP853", rtol=st.rel_tol, atol=atol,
                     events=events)
