@@ -12,7 +12,9 @@ e.g. tabulated interpolants), an adaptive bisection fallback splits [0, 1]
 and applies endpoint-aware rules on each piece.
 
 The rules come from ``scipy.special.roots_jacobi``, imported on first use:
-the quadrature serves the test oracles only, so it needs the ``test`` extra.
+the quadrature serves the kernel oracles of ``tests/oracles.py`` only, so it
+needs the ``test`` extra.  It stays in the package because the benchmark's
+tracer (``perfbench/tracing.py``) imports it and wraps ``_adaptive``.
 """
 
 from functools import lru_cache

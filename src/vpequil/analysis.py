@@ -33,13 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._ode import brentq
-from .compactsys import (
-    CORNERS,
-    CompactSettings,
-    compactify,
-    integrate_compact,
-    to_dimensionless,
-)
+from .compactsys import CORNERS, to_dimensionless
 from .distmodels import DistributionModel, EvaluationError
 from .physical import (
     FINITE_RADIUS,
@@ -216,11 +210,10 @@ _CORNER_RADIUS = 0.05
 def _end_labels(model: DistributionModel, profile) -> tuple:
     """(forward, backward) labels from the first and last step points.
 
-    Each point goes through `to_dimensionless` and x -> x/(1+x), the floats
-    of `compactify` without its range check (Omega rounds to 1 past
-    omega = 2^53, where the backward label still holds).  A numerical
-    failure maps a point to NaN, which matches no label; a programming
-    error propagates.
+    Each point goes through `to_dimensionless` and x -> x/(1+x), with no
+    `CompactState` range check (Omega rounds to 1 past omega = 2^53, where
+    the backward label still holds).  A numerical failure maps a point to
+    NaN, which matches no label; a programming error propagates.
     """
     ends = []
     for i in (0, -1):
@@ -396,50 +389,3 @@ def write_sweep_csv(result: SweepResult, path, precision: int = 17) -> None:
     write_csv(path, "omega_c,R,M,class,label",
               [(e.omega_c, e.radius, e.total_mass, e.classification, e.limit_label)
                for e in result.entries], precision)
-
-
-# ------------------------------------------------- representation matching
-
-def compare_representations(model: DistributionModel, profile: SolutionProfile,
-                            n_points: int = 100) -> dict:
-    """Componentwise mismatch between the solved profile and one compact
-    orbit started from it, at log-spaced radii inside the solved window.
-
-    Matching uses the carried logarithmic radius: each target radius is
-    located on the orbit by root finding, and the orbit point is compared
-    with the compactified profile point.
-    """
-    if profile is None:
-        raise ValueError("a solved profile is required")
-    r0 = float(profile.r[0])
-    r_end = profile.radius if math.isfinite(profile.radius) else float(profile.r[-1])
-    r_lo = 1.5 * r0
-    r_hi = 0.99 * r_end
-    if not r_hi > r_lo:
-        raise ValueError("profile window too narrow to compare")
-    radii = np.geomspace(r_lo, r_hi, n_points)
-
-    m_lo, w_lo = profile.dense(r_lo)
-    start = compactify(*to_dimensionless(
-        model, PhysicalState(r=r_lo, m=m_lo, omega=w_lo)))
-    orbit = integrate_compact(model, start, CompactSettings())
-    lam_a, lam_b = float(orbit.lam[0]), float(orbit.lam[-1])
-    targets = np.log(radii / r_lo)
-    if targets[-1] > float(orbit.xi[-1]) + 1e-12:
-        raise EvaluationError("compact orbit terminated before covering the "
-                              "comparison window")
-
-    errors = np.empty(n_points)
-    for i, (r, xi_t) in enumerate(zip(radii, targets)):
-        if xi_t <= float(orbit.xi[0]):
-            lam_t = lam_a
-        else:
-            lam_t = brentq(lambda s: orbit.dense(s)[3] - xi_t, lam_a, lam_b)
-        point = orbit.dense(lam_t)
-        m_r, w_r = profile.dense(float(r))
-        cp = compactify(*to_dimensionless(
-            model, PhysicalState(r=float(r), m=m_r, omega=w_r)))
-        errors[i] = max(abs(point[0] - cp.U), abs(point[1] - cp.Q),
-                        abs(point[2] - cp.Omega))
-    return {"n_points": int(n_points), "radii": radii, "errors": errors,
-            "max_abs_error": float(errors.max())}

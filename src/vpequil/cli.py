@@ -71,10 +71,17 @@ _MODEL_KEYS = {
     "truncated-exponential": {"family", "l", "p"},
     "tabulated": {"family", "l", "table", "k", "holder_index"},
 }
-_RUN_KEYS = {"omega_c", "omega_grid", "rel_tol", "abs_tol", "r_max",
-             "omega_floor", "startup_radius", "omega_0",
-             "orbits", "lambda_max", "backward"}
 _SETTINGS_KEYS = ("rel_tol", "abs_tol", "r_max", "omega_floor", "startup_radius")
+# the run keys each command reads.  A config may hold the keys of every
+# command, and all are validated; a command sees, and its summary records,
+# only its own
+_COMMAND_KEYS = {
+    "solve": {"omega_c", *_SETTINGS_KEYS},
+    "sweep": {"omega_grid", *_SETTINGS_KEYS},
+    "portrait": {"orbits", "rel_tol", "lambda_max", "backward"},
+    "check": {"omega_c", "omega_0"},
+}
+_RUN_KEYS = set().union(*_COMMAND_KEYS.values())
 
 
 @dataclass
@@ -484,6 +491,8 @@ def main(argv=None) -> int:
         if args.command == "models":
             return cmd_models(args)
         cfg = parse_config(args.config)
+        cfg.run = {k: v for k, v in cfg.run.items() if k in _COMMAND_KEYS[args.command]}
+        cfg.resolved["run"] = cfg.run
         os.makedirs(args.out, exist_ok=True)
         handler = {"solve": cmd_solve, "sweep": cmd_sweep,
                    "portrait": cmd_portrait, "check": cmd_check}[args.command]

@@ -9,14 +9,12 @@ is invariant, and the equilibria form four lines parametrised by Omega whose
 transverse eigenvalues decide where solutions can begin and end.  Finiteness
 of radius and mass translate into which invariant corner an orbit reaches.
 
-`rhs_compact` and `jacobian_eigenvalues` use that polynomial (U, Q, Omega)
-field, which they difference across the faces.  Orbits are integrated in
-(log u, log q, log omega, xi) instead: the field divided by U (1 - U),
-Q (1 - Q) and Omega (1 - Omega).  Near the corners and the lines of
-equilibria U, 1 - Q and Omega decay exponentially in lambda, so their logs
-move linearly and the steps stay long; u, q and omega stay positive, so no
-sample leaves the cube, and a face is log u or log q = -+DBL_MAX, which
-every step keeps.  The potential floor and ceiling are linear in log omega.
+Orbits are integrated in (log u, log q, log omega, xi): that field divided
+by U (1 - U), Q (1 - Q) and Omega (1 - Omega).  Near the corners and the
+lines of equilibria U, 1 - Q and Omega decay exponentially in lambda, so
+their logs move linearly and the steps stay long; u, q and omega stay
+positive, so no sample leaves the cube, and a face is log u or log q =
+-+DBL_MAX, which every step keeps.  The potential floor and ceiling are linear in log omega.
 U, Q and Omega are formed on output, and the monitors from the logs, on
 floats with `math`, so the orbit files do not depend on numpy's SIMD loops.
 """
@@ -39,7 +37,7 @@ from .distmodels import (
     density,
     eval_n,
 )
-from .physical import PhysicalState, SolutionProfile, density_scale
+from .physical import PhysicalState
 
 TRANSVERSELY_HYPERBOLIC_SOURCE = "TransverselyHyperbolicSource"
 TRANSVERSELY_HYPERBOLIC_SADDLE = "TransverselyHyperbolicSaddle"
@@ -95,12 +93,6 @@ class FixedLine:
     kind: str
 
 
-def _triple(state):
-    if isinstance(state, CompactState):
-        return state.U, state.Q, state.Omega
-    return float(state[0]), float(state[1]), float(state[2])
-
-
 # ------------------------------------------------------------- coordinates
 
 def to_dimensionless(model: DistributionModel, state: PhysicalState):
@@ -111,28 +103,6 @@ def to_dimensionless(model: DistributionModel, state: PhysicalState):
     u = 4.0 * math.pi * state.r ** 3 * rho / state.m
     q = state.m / (state.r * state.omega)
     return u, q, state.omega
-
-
-def compactify(u: float, q: float, omega: float) -> CompactState:
-    return CompactState(U=u / (1.0 + u), Q=q / (1.0 + q), Omega=omega / (1.0 + omega))
-
-
-def from_compact(model: DistributionModel, state: CompactState) -> PhysicalState:
-    """Invert the homology map; well defined off the faces."""
-    u = state.U / (1.0 - state.U)
-    q = state.Q / (1.0 - state.Q)
-    omega = state.omega
-    r = (u * q * omega / density_scale(model, omega)) ** (1.0 / (2.0 + 2.0 * model.l))
-    return PhysicalState(r=r, m=q * r * omega, omega=omega)
-
-
-def map_profile(model: DistributionModel, profile: SolutionProfile):
-    """Compact coordinates of every step point of a physical profile."""
-    s = profile.samples
-    with np.errstate(divide="ignore"):
-        u = 4.0 * math.pi * s["r"] ** 3 * s["rho"] / s["m"]
-        q = s["m"] / (s["r"] * s["omega"])
-    return u / (1.0 + u), q / (1.0 + q), s["omega"] / (1.0 + s["omega"])
 
 
 # ------------------------------------------------------------ vector field
@@ -146,21 +116,10 @@ def _omega_cap(model: DistributionModel):
     return math.log(w_hi), w_hi
 
 
-# (lambda, [U, Q, x = log omega, xi]) -> the four derivatives; neither lambda
-# nor xi is read, and n is multiplied by Q.  `rhs_compact` and the Jacobian
-# difference this polynomial form across the faces; orbits integrate
-# `_ORBIT_FIELD`
-_FIELD = Field("_", ("U", "Q", "x", "_"), (
-    "n = index(exp(x) if x < x_hi else w_hi) if Q != 0.0 else 0.0",
-    "v = 1.0 - U",
-    "p = 1.0 - Q",
-    "return (U * v * (p * (a1 - a2 * U) - (n + l) * Q * v),"
-    " Q * p * ((2.0 * U - 1.0) * p + Q * v), -Q * v, v * p)",
-), ("l", "index", "a1", "a2", "x_hi", "w_hi", "exp"))
-
-
-# the same flow in (log u, log q, x, xi): `_FIELD`'s dU and dQ divided by
-# U (1 - U) and Q (1 - Q).  In v = 1 - U, p = 1 - Q (and a2 = 4 + 2l) it reads
+# (lambda, [log u, log q, x = log omega, xi]) -> the four derivatives.  In
+# v = 1 - U, p = 1 - Q and a2 = 4 + 2l the polynomial field is
+#   dU = U v (p (3 + 2l - a2 U) - (n + l) Q v),  dQ = Q p ((2U - 1) p + Q v),
+# dx = -Q v and dxi = v p; divided by U v and Q p it reads
 #   d log u = (a2 + n + l) p v - p - (n + l) v,  d log q = p + v - 3 p v,
 # dx = p v - v and dxi = p v: sums of terms of order one, so v and p need
 # only absolute accuracy, which 1/2 - tanh(log(u)/2)/2 gives without
@@ -191,38 +150,11 @@ _ORBIT_EVENTS = Events("_", ("lu", "lq", "x", "_"), (
     (-1, *(-1 for _ in CORNERS), 1))
 
 
-def _compact_field(model: DistributionModel):
-    """The polynomial compact field with the model's constants bound."""
-    return bind(_FIELD, model.l, model._index, 3.0 + 2.0 * model.l, 4.0 + 2.0 * model.l,
-                *_omega_cap(model), math.exp)
-
-
 def _orbit_field(model: DistributionModel):
     """The field in (log u, log q, x, xi) with the model's constants bound: one
     closure per orbit, which `integrate_compact` hands to the integrator."""
     return bind(_ORBIT_FIELD, model.l, model._index, 4.0 + 2.0 * model.l,
                 *_omega_cap(model), math.exp, math.tanh)
-
-
-def _flow(field, state):
-    """(dU, dQ, dOmega) of a bound compact field at (U, Q, Omega): the field at
-    x = log(Omega/(1 - Omega)), with dOmega = Omega (1 - Omega) dx."""
-    U, Q, Om = float(state[0]), float(state[1]), float(state[2])
-    if not 0.0 < Om < 1.0:
-        raise ValueError(f"Omega must lie strictly inside (0, 1), got {Om}")
-    du, dq, dx, _ = field(0.0, (U, Q, math.log(Om / (1.0 - Om)), 0.0))
-    return du, dq, Om * (1.0 - Om) * dx
-
-
-def rhs_compact(model: DistributionModel, state):
-    """Compact flow (dU, dQ, dOmega)/dlambda, as a tuple of floats.
-
-    Accepts U, Q slightly off the faces (the field is polynomial in them),
-    which finite-difference Jacobians rely on; Omega must stay interior.
-    The reference field, for oracles and tests: `integrate_compact`
-    integrates the same flow divided by U (1 - U) and Q (1 - Q).
-    """
-    return _flow(_compact_field(model), state)
 
 
 def fixed_lines(l: float):
@@ -240,27 +172,10 @@ def fixed_lines(l: float):
     ]
 
 
-_JACOBIAN_STEP = 1e-6
-
-
-def jacobian_eigenvalues(model: DistributionModel, state):
-    """Eigenvalues of the linearised flow by central differences."""
-    field = _compact_field(model)
-    base = np.array(_triple(state))
-    jac = np.empty((3, 3))
-    for j in range(3):
-        offset = np.zeros(3)
-        offset[j] = _JACOBIAN_STEP
-        hi = np.asarray(_flow(field, base + offset))
-        lo = np.asarray(_flow(field, base - offset))
-        jac[:, j] = (hi - lo) / (2.0 * _JACOBIAN_STEP)
-    return np.linalg.eigvals(jac)
-
-
 # ----------------------------------------------------------------- monitors
 #
-# Each monitor is computed point by point on floats with `math`, never by a
-# numpy ufunc, so an orbit's monitor columns do not depend on the SIMD loops
+# An orbit's monitor columns are computed point by point on floats with
+# `math`, never by a numpy ufunc, so they do not depend on the SIMD loops
 # numpy picks for the CPU it runs on.
 
 def _exp(x: float) -> float:
@@ -310,31 +225,6 @@ def _pointwise(fn, state):
     return np.array([fn(u, q) for u, q in zip(U.tolist(), Q.tolist())])
 
 
-def monitor_log_Z(state, l: float):
-    """log Z = log u + (3 + 2l) log q, pointwise over a state or (U, Q) arrays."""
-    return _pointwise(lambda U, Q: _log_Z(_log_ratio(U), _log_ratio(Q), l), state)
-
-
-def monitor_Z(state, l: float):
-    """Z = u q^(3+2l); strictly increasing wherever the flow expands mass."""
-    return _pointwise(lambda U, Q: _exp(_log_Z(_log_ratio(U), _log_ratio(Q), l)), state)
-
-
-def monitor_dZ(model: DistributionModel, state) -> float:
-    """Exact lambda-derivative of Z along the flow."""
-    U, Q, Om = _triple(state)
-    l = model.l
-    n = model._index(Om / (1.0 - Om))
-    factor = 2.0 * (l + 1.0) * U * (1.0 - Q) + (3.0 + l - n) * Q * (1.0 - U)
-    return factor * monitor_Z(state, l)
-
-
-def monitor_Phi(state, l: float):
-    """First integral of the flow when n(omega) is identically 5 + 3l:
-    -(1/2) u^(1/(2+2l)) q^((3+2l)/(2+2l)) (1 - q - u/(3+2l))."""
-    return _pointwise(lambda U, Q: _Phi(_log_ratio(U), _log_ratio(Q), l), state)
-
-
 # -------------------------------------------------------------- trapped sets
 
 def in_S1(state):
@@ -345,30 +235,6 @@ def in_S1(state):
     leave it near U = 0.
     """
     return _pointwise(_S1, state)
-
-
-def in_S2(model: DistributionModel, state, omega_0: float | None = None) -> bool:
-    """Q above every mass-shedding threshold reachable below omega_0."""
-    U, Q, Om = _triple(state)
-    l = model.l
-    omega0 = omega_0 if omega_0 is not None else Om / (1.0 - Om)
-    a = 3.0 + 2.0 * l
-    ns = np.array([model._index(w) for w in np.geomspace(omega0 * 1e-10, omega0, 129)])
-    return Q > max(0.5, float(np.max(a / (a + l + ns))))
-
-
-def in_S3(state, l: float, eps: float, delta: float) -> bool:
-    """Deep-potential wedge {u + eps q > 3 + 2l} inside {Q > 1 - delta}."""
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
-    U, Q, _ = _triple(state)
-    if not Q > 1.0 - delta:
-        return False
-    u = math.inf if U == 1.0 else U / (1.0 - U)
-    q = math.inf if Q == 1.0 else Q / (1.0 - Q)
-    return u + eps * q > 3.0 + 2.0 * l
 
 
 # ---------------------------------------------------------- index memoisation
@@ -384,6 +250,8 @@ class PolytropicIndexTable:
     No flow or monitor reads a table: they call the model's bound index,
     which is already a few float operations.  Any other family builds its
     spline with scipy, loaded on first use: that needs the `test` extra.
+    It stays in the package because the benchmark's tracer
+    (``perfbench/tracing.py``) patches its ``__init__``.
     """
 
     def __init__(self, model: DistributionModel, omega_lo: float, omega_hi: float,
@@ -504,7 +372,8 @@ def _integrated_log(v: float) -> float:
     return math.copysign(math.inf, v) if abs(v) == _FACE else v
 
 
-def integrate_compact(model: DistributionModel, state0, settings: CompactSettings | None = None,
+def integrate_compact(model: DistributionModel, state0: CompactState,
+                      settings: CompactSettings | None = None,
                       backward: bool = False) -> CompactOrbit:
     """Follow the compact flow from state0 until a corner, the potential floor,
     ceiling or end of phi, or the lambda budget; xi accumulates the log radius.
@@ -517,8 +386,7 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
         raise ValueError("rel_tol and lambda_max must be positive")
     x_hi, w_hi = _omega_cap(model)   # w_hi: where a tabulated phi ends, if it does
     ceiling = min(_OMEGA_CEILING, w_hi)
-    s0 = state0 if isinstance(state0, CompactState) else CompactState(*_triple(state0))
-    if not _OMEGA_FLOOR < s0.omega < ceiling:
+    if not _OMEGA_FLOOR < state0.omega < ceiling:
         raise ValueError("initial state outside the (floor, ceiling) potential window")
 
     def Omega_of(x):
@@ -528,7 +396,8 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
     events = bind(_ORBIT_EVENTS, math.log(_OMEGA_FLOOR), math.log(ceiling), _ATTRACTION_EPS,
                   x_hi, w_hi, math.exp, math.hypot, math.tanh)
     lam_end = -st.lambda_max if backward else st.lambda_max
-    y0 = (_log_ratio(s0.U, _FACE), _log_ratio(s0.Q, _FACE), math.log(s0.omega), 0.0)
+    y0 = (_log_ratio(state0.U, _FACE), _log_ratio(state0.Q, _FACE), math.log(state0.omega),
+          0.0)
     sol = dop853(_orbit_field(model), 0.0, y0, lam_end, st.rel_tol, st.rel_tol, events=events)
 
     def dense(lam):
@@ -542,7 +411,7 @@ def integrate_compact(model: DistributionModel, state0, settings: CompactSetting
         "n_rhs_evals": sol.nfev,
     }
     lu, lq, x, _ = sol.y.tolist()
-    return CompactOrbit(model=model, initial=s0, lam=sol.t,
+    return CompactOrbit(model=model, initial=state0, lam=sol.t,
                         U=np.fromiter(map(_logistic, lu), float),
                         Q=np.fromiter(map(_logistic, lq), float),
                         Omega=np.fromiter(map(Omega_of, x), float), xi=sol.y[3],

@@ -52,12 +52,7 @@ elementary form above.  A tabulated model's index is the quotient of its two
 kernels.
 
 `eval_g` and `eval_dg` check their arguments and return the float of the
-model's memoized kernel.  Gauss-Jacobi quadrature of phi(E)/E^k against the
-endpoint weights (`eval_g_quadrature`, which returns the value with its
-relative error estimate, and `eval_dg_quadrature`) and the direct double
-integral (`density_bruteforce`) are kept as independent oracles; no
-production path runs them.  They load the quadrature module and scipy on
-first use, so they need the `test` extra.
+model's memoized kernel.
 """
 
 from __future__ import annotations
@@ -71,7 +66,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_QUAD_TOL = 1e-10
 _OMEGA_MIN = 1e-300   # below this the index n(omega) is refused, not extrapolated
 _LOG_MAX = math.log(sys.float_info.max)   # e^x is finite up to here
 _TINY = 1e-300             # modified Lentz: stand-in for a vanishing denominator
@@ -755,33 +749,6 @@ def eval_phi(model: DistributionModel, energy):
     return out
 
 
-def eval_g_quadrature(model: DistributionModel, m, omega,
-                      rel_tol=DEFAULT_QUAD_TOL) -> tuple:
-    """(g_m(omega), relative error estimate) by singularity-adapted quadrature
-    (test oracle; needs scipy).
-
-    After x = E/omega both endpoint singularities are algebraic with exponents
-    known from model metadata (x^k at 0, (1-x)^m at 1), so Gauss-Jacobi rules
-    absorb them; the error estimate is certified by the N-vs-2N comparison.
-    """
-    _check_gm_args(m, omega)
-    if omega == 0.0:
-        return 0.0, 0.0
-    from ._quadrature import QuadratureError, integrate_weighted   # loaded on first use
-
-    k = model.regularity.k
-    try:
-        raw, err = integrate_weighted(lambda x: _reduced(model, omega * x),
-                                      m, k, rel_tol=rel_tol)
-    except QuadratureError as exc:
-        raise EvaluationError(f"g_{m:g}({omega:g}) quadrature failed: {exc}") from exc
-    scale = omega ** (m + 1.0 + k)
-    value = scale * raw
-    if not math.isfinite(value):
-        raise EvaluationError(f"g_{m:g}({omega:g}) overflowed")
-    return value, err / max(abs(raw), np.finfo(float).tiny)
-
-
 def eval_g(model: DistributionModel, m, omega) -> float:
     """Kernel integral g_m(omega) = int_0^omega phi(E)(omega-E)^m dE, in closed form."""
     _check_gm_args(m, omega)
@@ -834,46 +801,6 @@ def eval_dg(model: DistributionModel, m, omega) -> float:
     return _kernel_value(model, m, True, omega)
 
 
-def eval_dg_quadrature(model: DistributionModel, m, omega,
-                       rel_tol=DEFAULT_QUAD_TOL) -> float:
-    """d g_m/d omega via the reduction identity for the sign of m (test oracle; needs scipy).
-
-    m > 0 lowers the exponent (m * g_{m-1} by quadrature); m = 0 returns
-    phi(omega); for -1 < m < 0 the difference-quotient identity is integrated
-    against the (1-x)^m endpoint weight.
-    """
-    _check_dg_args(model, m, omega)
-    if m > 0.0:
-        return m * eval_g_quadrature(model, m - 1.0, omega, rel_tol=rel_tol)[0]
-    if m == 0.0:
-        return float(eval_phi(model, omega))
-    from ._quadrature import QuadratureError, integrate_weighted   # loaded on first use
-
-    phi_w = float(eval_phi(model, omega))
-    k = model.regularity.k
-    try:
-        # [0, 1/2]: phi(omega*x)(1-x)^(m-1) keeps only the x^k endpoint weight
-        inner_a, _ = integrate_weighted(
-            lambda t: _reduced(model, omega * t / 2.0) * (1.0 - t / 2.0) ** (m - 1.0),
-            0.0, k, rel_tol=rel_tol)
-        piece_a = phi_w * (1.0 - 2.0 ** (-m)) / m - 0.5 ** (k + 1.0) * omega ** k * inner_a
-        # [1/2, 1]: difference quotient against the (1-x)^m weight
-        def diff_quot(t):
-            x = 0.5 * (1.0 + t)
-            return (phi_w - model.family.phi(omega * x)) / (1.0 - x)
-        inner_b, _ = integrate_weighted(diff_quot, m, 0.0, rel_tol=rel_tol)
-        piece_b = 0.5 ** (m + 1.0) * inner_b
-    except QuadratureError as exc:
-        raise EvaluationError(f"dg_{m:g}({omega:g}) quadrature failed: {exc}") from exc
-    return omega ** m * phi_w - m * omega ** m * (piece_a + piece_b)
-
-
-def _reduced(model: DistributionModel, e):
-    """phi(E)/E^k, k the declared exponent: the oracles' integrand (E > 0)."""
-    e = np.asarray(e, dtype=float)
-    return model.family.phi(e) / e ** model.regularity.k
-
-
 def eval_n(model: DistributionModel, omega) -> float:
     """Local polytropic index n(omega) = -l + omega * g'/g at m = l + 1/2.
 
@@ -911,31 +838,3 @@ def radial_pressure(model: DistributionModel, r, omega) -> float:
         raise ValueError("pressure requires r > 0")
     g = eval_g(model, model.l + 1.5, omega)
     return model._prefactor * r ** (2.0 * model.l) * g / (model.l + 1.5)
-
-
-def density_bruteforce(model: DistributionModel, r, omega) -> float:
-    """Mass density by direct 2-d integration over (E, L^2) — test oracle; needs scipy.
-
-    Integrates phi(E) L^(2l) / |v_r| over the support with
-    |v_r| = sqrt(2(omega-E) - L^2/r^2), using nested QUADPACK rules (the
-    inner one with the exact algebraic endpoint weights), deliberately
-    independent of the Gauss-Jacobi reduction path.
-    """
-    if r <= 0.0 or omega <= 0.0:
-        raise ValueError("brute-force density requires r > 0 and omega > 0")
-    from scipy import integrate   # loaded on first use: no run path needs it
-
-    l = model.l
-
-    def inner(e):
-        l2max = 2.0 * r * r * (omega - e)
-        if l2max <= 0.0:
-            return 0.0
-        # int_0^l2max (L2)^l (l2max - L2)^(-1/2) dL2, weights handled by QAWS
-        val, _ = integrate.quad(lambda _: 1.0, 0.0, l2max,
-                                weight="alg", wvar=(l, -0.5))
-        return val * r
-
-    outer, _ = integrate.quad(lambda e: float(eval_phi(model, e)) * inner(e),
-                              0.0, omega, epsabs=1e-300, epsrel=1e-9, limit=400)
-    return 2.0 * math.pi / (r * r) * outer

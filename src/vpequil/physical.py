@@ -145,15 +145,6 @@ def _physical_field(model: DistributionModel):
     return bind(_field(expr, names), model._prefactor, 2.0 * model.l, *values, 4.0 * math.pi)
 
 
-def rhs_physical(model: DistributionModel, r: float, state):
-    """Right-hand side (dm/dr, domega/dr); omega is clamped at the vacuum.
-
-    The reference field, for oracles and tests: the same factory, and so the
-    same floats, as the closure `integrate_physical` integrates.
-    """
-    return _physical_field(model)(r, (float(state[0]), float(state[1])))
-
-
 @dataclass
 class SolutionProfile:
     """An integrated equilibrium with its classification and diagnostics."""

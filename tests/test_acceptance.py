@@ -12,27 +12,26 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from vpequil.analysis import compare_representations, omega_crit, sweep_omega_c
+from vpequil.analysis import omega_crit, sweep_omega_c
 from vpequil.compactsys import (
     CompactSettings,
     CompactState,
     fixed_lines,
     integrate_compact,
-    jacobian_eigenvalues,
-    map_profile,
 )
 from vpequil.distmodels import (
     density,
-    density_bruteforce,
     eval_dg,
     eval_g,
-    eval_g_quadrature,
     king_model,
     polytrope,
     truncated_exponential,
     wilson_model,
 )
 from vpequil.physical import FINITE_RADIUS, INFINITE_FINITE_MASS, integrate_physical
+
+from oracles import (compare_representations, density_bruteforce, eval_g_quadrature,
+                     jacobian_eigenvalues, map_profile)
 
 RHO_MINUS_N1 = 2.0 ** 1.5 * math.pi ** 2
 A_N1 = math.sqrt(4.0 * math.pi * RHO_MINUS_N1)

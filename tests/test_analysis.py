@@ -26,12 +26,10 @@ from vpequil.analysis import (
     check_theorem1,
     check_theorem2,
     classify_solution,
-    compare_representations,
     omega_crit,
     sweep_omega_c,
     write_sweep_csv,
 )
-from vpequil.compactsys import map_profile
 from vpequil.distmodels import (
     DistributionModel,
     Regularity,
@@ -47,6 +45,8 @@ from vpequil.physical import (
     SolveSettings,
     integrate_physical,
 )
+
+from oracles import compare_representations, map_profile
 
 WILSON_OMEGA_CRIT = 3.9023231626784796   # regression pin for p=1, l=0
 

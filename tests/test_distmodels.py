@@ -3,7 +3,7 @@
 Oracles used here are independent of the library code paths under test:
 raw adaptive quadrature (QUADPACK) of the defining integrals, Beta-function
 closed forms evaluated inline, direct Gauss-Jacobi sums at 10x the
-production node count, the library's own quadrature oracles
+production node count, the Gauss-Jacobi oracles of `oracles.py`
 (`eval_g_quadrature`, `eval_dg_quadrature`), and 50-digit mpmath quadrature.
 """
 
@@ -28,12 +28,9 @@ from vpequil.distmodels import (
     Tabulated,
     TruncatedExponential,
     density,
-    density_bruteforce,
     density_prefactor,
     eval_dg,
-    eval_dg_quadrature,
     eval_g,
-    eval_g_quadrature,
     eval_n,
     eval_phi,
     king_model,
@@ -43,7 +40,9 @@ from vpequil.distmodels import (
     truncated_exponential,
 )
 from vpequil import distmodels
-from vpequil.distmodels import _Pchip, _reduced
+from vpequil.distmodels import _Pchip
+
+from oracles import _reduced, density_bruteforce, eval_dg_quadrature, eval_g_quadrature
 
 
 def closed_form_g(n, m, omega, phi_minus=1.0):

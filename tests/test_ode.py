@@ -29,7 +29,7 @@ from scipy.integrate._ivp import dop853_coefficients
 from vpequil import compactsys, physical
 from vpequil import _ode
 from vpequil._ode import brentq, dop853
-from vpequil.compactsys import CompactSettings, CompactState, integrate_compact, rhs_compact
+from vpequil.compactsys import CompactSettings, CompactState, integrate_compact
 from vpequil.distmodels import (
     EvaluationError,
     king_model,
@@ -44,8 +44,9 @@ from vpequil.physical import (
     SolveSettings,
     center_series,
     integrate_physical,
-    rhs_physical,
 )
+
+from oracles import rhs_compact, rhs_physical
 
 A_N1 = math.sqrt(4.0 * math.pi * 2.0 ** 1.5 * math.pi ** 2)   # n=1, l=0, omega_c=1
 

@@ -33,9 +33,10 @@ from vpequil.physical import (
     density_scale,
     integrate_physical,
     natural_length,
-    rhs_physical,
     write_profile_csv,
 )
+
+from oracles import rhs_physical
 
 # linear-density model: rho = rho_minus * omega with rho_minus = 2^(3/2) pi^2,
 # hence omega(r) = omega_c sin(ar)/(ar) with a = sqrt(4 pi rho_minus)

@@ -7,9 +7,15 @@ against ``scipy.special`` (the functions they replace), over each family's
 domain: p in {0, 1, 2}, l in (-1, 3] with 2l an integer as well as
 general l, omega in [1e-8, 700], random monotone tables (some starting
 below E = 0), and l in (-1, 5] for the prefactor.
+
+The benchmark's tracer (``perfbench/tracing.py``) patches names of the
+package; one test installs it and checks that it finds and restores them.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -230,3 +236,48 @@ def test_density_prefactor_matches_scipy_and_mpmath(l):
         lm = mpmath.mpf(l)
         want = 2 ** (lm + 1.5) * mpmath.pi ** 1.5 * mpmath.gamma(lm + 1) / mpmath.gamma(lm + 1.5)
     assert_rel(got, float(want))
+
+
+# ------------------------------------------------------ benchmark tracer
+
+def test_benchmark_tracer_patches_and_restores_its_hooks(monkeypatch):
+    # perfbench/tracing.py wraps the layers' public functions and patches
+    # PolytropicIndexTable.__init__, SolutionProfile.samples and
+    # vpequil._quadrature._adaptive by name: installing it must find every
+    # one, trace a call, and uninstalling it must put every original back
+    import vpequil.cli  # noqa: F401  (the tracer patches the loaded layers)
+    from vpequil import _quadrature, compactsys, physical
+    from vpequil.compactsys import CompactSettings, CompactState
+
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ as it is
+    spec.loader.exec_module(tracing)
+
+    def snapshot():
+        owners = [mod for name, mod in sys.modules.items() if name.startswith("vpequil")]
+        owners += [compactsys.PolytropicIndexTable, physical.SolutionProfile]
+        return {id(owner): (owner, dict(vars(owner))) for owner in owners}
+
+    model, start = truncated_exponential(0), CompactState(0.6, 0.3, 0.3)
+    before = snapshot()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        compactsys.integrate_compact(model, start, CompactSettings(lambda_max=5.0))
+        assert [s[0] for s in tracer.spans] == ["compactsys.integrate_compact"]
+        patched = {(id(owner), attr) for owner, attr, _ in tracer._patches}
+    finally:
+        tracer.uninstall()
+    for key in [(id(compactsys.PolytropicIndexTable), "__init__"),
+                (id(physical.SolutionProfile), "samples"),
+                (id(compactsys), "integrate_compact"), (id(vpequil.cli), "integrate_compact"),
+                (id(_quadrature), "_adaptive")]:
+        assert key in patched
+    after = snapshot()
+    assert after.keys() == before.keys()
+    for key, (owner, attrs) in before.items():
+        now = after[key][1]
+        assert now.keys() == attrs.keys(), owner
+        assert all(now[name] is value for name, value in attrs.items()), owner
