@@ -9,9 +9,9 @@ control and minimum step, the same 7th-order interpolant, and the same
 event rule (a sign change in the event's direction over an accepted step,
 then ``brentq`` on the interpolant with ``xtol = rtol = 4 eps``).
 ``brentq`` is a port of scipy's, so roots agree to the bit; the module
-imports nothing from scipy.  The states here have two to four components,
-so numpy calls on arrays of that length cost more than the arithmetic;
-every step runs on floats and lists instead.
+imports nothing from scipy, nor numpy.  The states here have two to four
+components, so every step runs on floats and lists, and a solve's nodes
+come back as ``array('d')`` columns of its packed buffer.
 
 The interpolant of a step needs three extra right-hand-side calls.  They
 are made only for a step that an event root or a ``dense`` query lands in;
@@ -52,8 +52,6 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import namedtuple
-
-import numpy as np
 
 from .distmodels import EvaluationError
 
@@ -510,7 +508,8 @@ def _evaluate(piece, t):
 class Trajectory:
     """Accepted-step nodes of one solve and its dense output.
 
-    ``t`` and ``y`` (shape (n, len(t))) are the nodes; the last one is the
+    ``t`` and the n columns of ``y`` are the nodes, each an ``array('d')``
+    sliced out of the packed buffer; the last node is the
     event point when ``event`` (the index of the terminal event that fired)
     is not None.  ``nfev`` counts right-hand-side calls so far, including
     the extra stages of every interpolant built, ``n_rejected`` the
@@ -524,11 +523,10 @@ class Trajectory:
         self._stride = 1 + n + _N_K * n
         self._buf = buf
         self._pieces = pieces
-        rows = np.frombuffer(buf, dtype=float).reshape(-1, self._stride)
-        self.t = rows[:, 0].copy()
-        self.y = rows[:, 1:1 + n].T.copy()
+        self.t = buf[::self._stride]
+        self.y = [buf[j::self._stride] for j in range(1, 1 + n)]
         sign = 1.0 if self.t[-1] >= self.t[0] else -1.0
-        self._keys = array("d", (sign * v for v in self.t.tolist()))
+        self._keys = array("d", (sign * v for v in self.t))
         self._sign = sign
         self.nfev = nfev
         self.n_rejected = n_rejected

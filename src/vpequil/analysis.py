@@ -30,8 +30,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._ode import brentq
 from .compactsys import CORNERS, to_dimensionless
 from .distmodels import DistributionModel, EvaluationError
@@ -96,6 +94,24 @@ class SweepResult:
 
 # ------------------------------------------------------------ index grids
 
+def _linspace(start: float, stop: float, num: int) -> list:
+    """numpy's ``linspace(start, stop, num)`` for num >= 2, to the bit while
+    the step (stop - start)/(num - 1) is not 0: node i is i * step + start,
+    and the last node is stop."""
+    step = (stop - start) / (num - 1)
+    nodes = [i * step + start for i in range(num)]
+    nodes[-1] = stop
+    return nodes
+
+
+def _geomspace(start: float, stop: float, num: int) -> list:
+    """numpy's ``geomspace(start, stop, num)`` for 0 < start and num >= 2:
+    10.0 ** x over the linspace of the ends' log10, with both ends exact."""
+    nodes = [10.0 ** x for x in _linspace(math.log10(start), math.log10(stop), num)]
+    nodes[0], nodes[-1] = start, stop
+    return nodes
+
+
 def _grid_check(n_of, omega_hi: float, bound: float) -> dict:
     """Sample n(omega) on refining log grids over ten decades below omega_hi.
 
@@ -106,21 +122,20 @@ def _grid_check(n_of, omega_hi: float, bound: float) -> dict:
     lo = omega_hi * _SPAN_RATIO
     vals = None
     for level in _GRID_LEVELS:
-        omegas = np.geomspace(lo, omega_hi, level)
-        vals = np.array([float(n_of(w)) for w in omegas])
-        nodes_ok = bool(np.all(vals <= bound - _SLACK))
-        cell_bound = np.maximum(vals[:-1], vals[1:]) + np.abs(np.diff(vals))
-        cells_ok = bool(np.all(cell_bound <= bound - _SLACK))
+        vals = [n_of(w) for w in _geomspace(lo, omega_hi, level)]
+        nodes_ok = all(v <= bound - _SLACK for v in vals)
+        cells_ok = all(max(a, b) + abs(b - a) <= bound - _SLACK
+                       for a, b in zip(vals, vals[1:]))
         if not nodes_ok or cells_ok:
             break
-    low_estimate = float(vals[0] - (vals[1] - vals[0]))
+    low_estimate = vals[0] - (vals[1] - vals[0])
     trend_ok = low_estimate <= bound - _SLACK
     return {
         "omega_interval": (lo, omega_hi),
-        "sup_excess": float(np.max(vals) - bound),
-        "grid_nodes": int(len(vals)),
+        "sup_excess": max(vals) - bound,
+        "grid_nodes": len(vals),
         "low_omega_estimate": low_estimate,
-        "identically_critical": bool(np.max(np.abs(vals - bound)) < 1e-9),
+        "identically_critical": max(abs(v - bound) for v in vals) < 1e-9,
         "verified": nodes_ok and cells_ok and trend_ok,
     }
 
@@ -218,8 +233,7 @@ def _end_labels(model: DistributionModel, profile) -> tuple:
     ends = []
     for i in (0, -1):
         try:
-            state = PhysicalState(r=float(profile.r[i]), m=float(profile.m[i]),
-                                  omega=float(profile.omega[i]))
+            state = PhysicalState(r=profile.r[i], m=profile.m[i], omega=profile.omega[i])
             ends.append([x / (1.0 + x) for x in to_dimensionless(model, state)])
         except _SOLVE_ERRORS:
             ends.append([math.nan] * 3)

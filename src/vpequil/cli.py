@@ -24,10 +24,9 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
+    _linspace,
     check_theorem1,
     check_theorem2,
     classify_solution,
@@ -153,7 +152,7 @@ def _build_model(block, base_dir):
             holder = _require_number(block.get("holder_index"), "model.holder_index",
                                      allow_none=True)
             model = load_tabulated(table_path, l=l, k=k, holder_index=holder)
-            resolved = {"family": family, "l": l, "table": table_path, "k": k,
+            resolved = {"family": family, "l": l, "table": table, "k": k,
                         "holder_index": holder}
     except ModelError as exc:
         raise ConfigError(f"model: {exc}") from exc
@@ -178,7 +177,7 @@ def _expand_grid(value):
             raise ConfigError(f"run.omega_grid.count must be at least 2, got {count}")
         if not 0.0 < start < stop:
             raise ConfigError("run.omega_grid needs 0 < start < stop")
-        grid = [float(w) for w in np.linspace(start, stop, count)]
+        grid = _linspace(start, stop, count)
         expanded = " in the grid expanded from start/stop/count"
     elif isinstance(value, list):
         grid = [_require_number(w, f"run.omega_grid[{i}]") for i, w in enumerate(value)]
@@ -402,9 +401,8 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
                                   settings, backward=backward)
         write_csv(os.path.join(args.out, f"orbit_{i:03d}.csv"),
                   "lambda,U,Q,Omega,xi,log_Z,Phi,S1",
-                  zip(orbit.lam.tolist(), orbit.U.tolist(), orbit.Q.tolist(),
-                      orbit.Omega.tolist(), orbit.xi.tolist(), orbit.log_Z.tolist(),
-                      orbit.Phi.tolist(), ["1" if v else "0" for v in orbit.S1.tolist()]),
+                  zip(orbit.lam, orbit.U, orbit.Q, orbit.Omega, orbit.xi, orbit.log_Z,
+                      orbit.Phi, ["1" if v else "0" for v in orbit.S1]),
                   prec)
         records.append({"initial": [u, q, om], "termination": orbit.termination,
                         "limit_label": orbit.limit_label,

@@ -16,17 +16,16 @@ their logs move linearly and the steps stay long; u, q and omega stay
 positive, so no sample leaves the cube, and a face is log u or log q =
 -+DBL_MAX, which every step keeps.  The potential floor and ceiling are linear in log omega.
 U, Q and Omega are formed on output, and the monitors from the logs, on
-floats with `math`, so the orbit files do not depend on numpy's SIMD loops.
+floats with `math`, into ``array('d')`` columns.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from ._ode import Events, Field, bind, dop853
 from .distmodels import (
@@ -173,10 +172,6 @@ def fixed_lines(l: float):
 
 
 # ----------------------------------------------------------------- monitors
-#
-# An orbit's monitor columns are computed point by point on floats with
-# `math`, never by a numpy ufunc, so they do not depend on the SIMD loops
-# numpy picks for the CPU it runs on.
 
 def _exp(x: float) -> float:
     """e^x, +inf past the largest double; nan stays nan."""
@@ -215,20 +210,21 @@ def _S1(U: float, Q: float) -> bool:
 
 
 def _pointwise(fn, state):
-    """fn(U, Q) at a CompactState or a triple, or at each point of a pair of
-    arrays such as (orbit.U, orbit.Q), as an array."""
+    """fn(U, Q) at a CompactState or a triple of numbers, or a list of fn at
+    each point of a pair of sequences such as (orbit.U, orbit.Q)."""
     if isinstance(state, CompactState):
         return fn(float(state.U), float(state.Q))
-    U, Q = np.asarray(state[0], dtype=float), np.asarray(state[1], dtype=float)
-    if U.ndim == 0:
-        return fn(U.item(), Q.item())
-    return np.array([fn(u, q) for u, q in zip(U.tolist(), Q.tolist())])
+    try:
+        points = zip(state[0], state[1])
+    except TypeError:   # one point
+        return fn(float(state[0]), float(state[1]))
+    return [fn(float(u), float(q)) for u, q in points]
 
 
 # -------------------------------------------------------------- trapped sets
 
 def in_S1(state):
-    """Region where Q is expanding.  Elementwise.
+    """Region where Q is expanding: a bool, or a list of them over sequences.
 
     On its boundary dS/dlambda has the sign of (3 + l - n) - U (4 - 2n), so
     S1 is future invariant while n(omega) <= 3 + l; beyond, an orbit can
@@ -250,8 +246,9 @@ class PolytropicIndexTable:
     No flow or monitor reads a table: they call the model's bound index,
     which is already a few float operations.  Any other family builds its
     spline with scipy, loaded on first use: that needs the `test` extra.
-    It stays in the package because the benchmark's tracer
-    (``perfbench/tracing.py``) patches its ``__init__``.
+    It stays in the package, with its numpy import beside that of scipy,
+    because the benchmark's tracer (``perfbench/tracing.py``) patches its
+    ``__init__``.
     """
 
     def __init__(self, model: DistributionModel, omega_lo: float, omega_hi: float,
@@ -268,7 +265,8 @@ class PolytropicIndexTable:
             self.certified_error = 0.0
             self.n_nodes = 0
             return
-        from scipy.interpolate import make_interp_spline   # loaded on first opt-in use
+        import numpy as np   # loaded on first opt-in use, as scipy is
+        from scipy.interpolate import make_interp_spline
 
         x = np.linspace(math.log(omega_lo), math.log(omega_hi), 65)
         v = np.array([eval_n(model, math.exp(t)) for t in x])
@@ -307,25 +305,26 @@ class CompactOrbit:
 
     ``log_u`` and ``log_q`` are the integrated logs of the homology
     variables, -inf or +inf on a face; U, Q and the monitors are formed
-    from them on floats.
+    from them on floats.  Each column is an ``array('d')``, which
+    ``np.asarray`` views as a numpy array; ``S1`` is a list of bools.
     """
 
     model: DistributionModel
     initial: CompactState
-    lam: np.ndarray
-    U: np.ndarray
-    Q: np.ndarray
-    Omega: np.ndarray
-    xi: np.ndarray
-    log_u: np.ndarray
-    log_q: np.ndarray
+    lam: array
+    U: array
+    Q: array
+    Omega: array
+    xi: array
+    log_u: array
+    log_q: array
     termination: str
     limit_label: str
     settings: CompactSettings
     diagnostics: dict = field(default_factory=dict)
     _dense: Callable = None
 
-    def dense(self, lam: float) -> np.ndarray:
+    def dense(self, lam: float) -> tuple:
         """(U, Q, Omega, xi) anywhere on the integrated lambda range: the
         interpolant of the integrated (log u, log q, log omega, xi), with U,
         Q and Omega formed from the logs as at the step points."""
@@ -333,22 +332,22 @@ class CompactOrbit:
         hi = max(self.lam[0], self.lam[-1])
         if not lo <= lam <= hi:
             raise ValueError(f"lambda={lam:g} outside the integrated range [{lo:g}, {hi:g}]")
-        return np.asarray(self._dense(lam))
+        return self._dense(lam)
 
     def _logs(self, fn):
         l = self.model.l
-        return np.array([fn(a, b, l) for a, b in zip(self.log_u.tolist(), self.log_q.tolist())])
+        return array("d", [fn(a, b, l) for a, b in zip(self.log_u, self.log_q)])
 
     @property
-    def log_Z(self) -> np.ndarray:
+    def log_Z(self) -> array:
         return self._logs(_log_Z)
 
     @property
-    def Phi(self) -> np.ndarray:
+    def Phi(self) -> array:
         return self._logs(_Phi)
 
     @property
-    def S1(self) -> np.ndarray:
+    def S1(self) -> list:
         return in_S1((self.U, self.Q))
 
 
@@ -410,12 +409,12 @@ def integrate_compact(model: DistributionModel, state0: CompactState,
         "n_rejected": sol.n_rejected,
         "n_rhs_evals": sol.nfev,
     }
-    lu, lq, x, _ = sol.y.tolist()
+    lu, lq, x, xi = sol.y
     return CompactOrbit(model=model, initial=state0, lam=sol.t,
-                        U=np.fromiter(map(_logistic, lu), float),
-                        Q=np.fromiter(map(_logistic, lq), float),
-                        Omega=np.fromiter(map(Omega_of, x), float), xi=sol.y[3],
-                        log_u=np.fromiter(map(_integrated_log, lu), float),
-                        log_q=np.fromiter(map(_integrated_log, lq), float),
+                        U=array("d", map(_logistic, lu)),
+                        Q=array("d", map(_logistic, lq)),
+                        Omega=array("d", map(Omega_of, x)), xi=xi,
+                        log_u=array("d", map(_integrated_log, lu)),
+                        log_q=array("d", map(_integrated_log, lq)),
                         termination=termination, limit_label=label,
                         settings=st, diagnostics=diagnostics, _dense=dense)

@@ -12,8 +12,9 @@ in closed form for all m > -1, on floats with the standard library: a Beta
 function for polytropes, e^omega P(a, omega) (P the regularized lower
 incomplete gamma function, a = p + m + 2) for the lowered exponentials, and
 incomplete Beta integrals summed over the cubic pieces of a tabulated
-interpolant.  No kernel call runs a numpy loop, so no value depends on
-numpy's SIMD dispatch; numpy builds a tabulated interpolant, elementwise.
+interpolant.  The module runs on floats and imports no numpy: the kernels,
+phi and a tabulated interpolant's build alike; `eval_phi` imports numpy
+only when it is given an array.
 
 The lowered exponentials rest on two functions, with a = p + l + 5/2 or
 a = p + m + 2:
@@ -61,10 +62,8 @@ import functools
 import math
 import sys
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 _OMEGA_MIN = 1e-300   # below this the index n(omega) is refused, not extrapolated
 _LOG_MAX = math.log(sys.float_info.max)   # e^x is finite up to here
@@ -107,13 +106,7 @@ class Polytrope:
         return Regularity(k=self.n - 1.5, holder_index=min(1.0, self.n - 0.5))
 
     def phi(self, e):
-        e = np.asarray(e, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.where(e > 0.0,
-                           self.phi_minus * np.power(np.maximum(e, _OMEGA_MIN),
-                                                     self.n - 1.5),
-                           0.0)
-        return out
+        return self.phi_minus * max(e, _OMEGA_MIN) ** (self.n - 1.5) if e > 0.0 else 0.0
 
     def kernel(self, m, derivative=False):
         """omega -> g_m(omega) = omega^(n+m-1/2) phi_minus B(n-1/2, m+1), or dg_m/domega."""
@@ -161,9 +154,7 @@ class TruncatedExponential:
         return _lowered_kernel(self.p + 1.0, 1.0, "phi")
 
     def phi(self, e):
-        e = np.asarray(e, dtype=float)
-        return np.array([self._phi(x) if x > 0.0 else 0.0
-                         for x in e.ravel().tolist()]).reshape(e.shape)
+        return self._phi(e) if e > 0.0 else 0.0
 
     def kernel(self, m, derivative=False):
         """omega -> g_m(omega) = Gamma(m+1) e^omega P(p+m+2, omega), or dg_m/domega."""
@@ -333,20 +324,25 @@ class Tabulated:
     The low-energy exponent k is user-declared metadata (through the model's
     Regularity record), never inferred from the data.  The grid must start
     at or below E = 0; queries beyond its end raise instead of
-    extrapolating; values are clamped at zero.
+    extrapolating; values are clamped at zero.  Every sample must be finite;
+    both grids are kept as ``array('d')``.
     """
 
-    energies: np.ndarray
-    values: np.ndarray
+    energies: array
+    values: array
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if e.ndim != 1 or e.shape != v.shape or e.size < 4:
+        try:
+            e, v = array("d", self.energies), array("d", self.values)
+        except TypeError:   # not a flat sequence of numbers
+            e = v = ()
+        if len(e) != len(v) or len(e) < 4:
             raise ModelError("tabulated family needs matching 1-d grids with >= 4 samples")
-        if not np.all(np.diff(e) > 0):
+        if not all(map(math.isfinite, e + v)):
+            raise ModelError("tabulated energies and phi samples must be finite")
+        if not all(a < b for a, b in zip(e, e[1:])):
             raise ModelError("tabulated energy grid must be strictly increasing")
-        if np.any(v < 0):
+        if any(x < 0.0 for x in v):
             raise ModelError("tabulated phi samples must be non-negative")
         if e[0] > 0.0:
             raise ModelError(f"tabulated energy grid must start at or below E = 0, "
@@ -358,8 +354,8 @@ class Tabulated:
         # pieces phi = sum_j c_j (E - x0)^j on the cells reaching E > 0, on
         # floats: the cell straddling E = 0 re-expanded about 0 so every
         # piece starts at x0 >= 0
-        cells = [(x0, x1, (c0, c1, c2, c3)) for x0, x1, (c3, c2, c1, c0)
-                 in zip(e.tolist(), e[1:].tolist(), interp.c.T.tolist()) if x1 > 0.0]
+        cells = [(x0, x1, (c0, c1, c2, c3)) for x0, x1, c3, c2, c1, c0
+                 in zip(e, e[1:], *interp.c) if x1 > 0.0]
         x0, x1, coef = cells[0]
         if x0 < 0.0:   # summed left to right: sum() of floats is compensated from 3.12
             shifted = [0.0] * 4
@@ -370,19 +366,15 @@ class Tabulated:
         starts, ends, coefs = zip(*cells)
         dcoefs = tuple((c1, 2.0 * c2, 3.0 * c3) for _, c1, c2, c3 in coefs)
         object.__setattr__(self, "_pieces", (starts, ends, coefs, dcoefs))
-        object.__setattr__(self, "_energy_max", float(e[-1]))
+        object.__setattr__(self, "_energy_max", e[-1])
 
     def default_regularity(self):
         return None   # k is declarative: the caller must supply it
 
     def phi(self, e):
-        e = np.asarray(e, dtype=float)
-        hi = float(self.energies[-1])
-        if np.any(e > hi):
-            raise EvaluationError(
-                f"tabulated phi queried at E={float(np.max(e)):g} beyond grid end {hi:g}")
-        out = np.where(e > 0.0, self._interp(np.clip(e, float(self.energies[0]), hi)), 0.0)
-        return np.maximum(np.nan_to_num(out, nan=0.0), 0.0)
+        self._check_range(e)
+        value = self._interp(e) if e > 0.0 else 0.0
+        return value if value > 0.0 else 0.0
 
     @property
     def energy_max(self):
@@ -437,40 +429,47 @@ class _Pchip:
     The same floating-point operations as scipy's PchipInterpolator, so
     the numbers agree to the bit: Fritsch-Carlson weighted harmonic-mean
     slopes inside, Moler's shape-preserving one-sided slopes at the ends,
-    and cubic Hermite coefficients ``c`` (shape (4, len(x) - 1), highest
-    power first, about each cell's left node ``x``).  Needs len(x) >= 3;
-    a query outside [x[0], x[-1]] extends the end cells.
+    and cubic Hermite coefficients ``c``: four rows of len(x) - 1 floats,
+    scipy's layout, highest power first, about each cell's left node ``x``.
+    Built and called on floats.  Needs len(x) >= 3; a query outside
+    [x[0], x[-1]] extends the end cells.
     """
 
     def __init__(self, x, y):
-        h = np.diff(x)
-        slope = np.diff(y) / h
-        sign = np.sign(slope)
-        flat = (sign[1:] != sign[:-1]) | (slope[1:] == 0) | (slope[:-1] == 0)
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / slope[:-1] + w2 / slope[1:]) / (w1 + w2)
-            d = np.concatenate(([_pchip_end(h[0], h[1], slope[0], slope[1])],
-                                np.where(flat, 0.0, 1.0 / whmean),
-                                [_pchip_end(h[-1], h[-2], slope[-1], slope[-2])]))
-        t = (d[:-1] + d[1:] - 2 * slope) / h
+        x, y = [float(v) for v in x], [float(v) for v in y]
+        h = [b - a for a, b in zip(x, x[1:])]
+        slope = [(b - a) / w for a, b, w in zip(y, y[1:], h)]
+        d = [_pchip_end(h[0], h[1], slope[0], slope[1])]
+        for h0, h1, m0, m1 in zip(h, h[1:], slope, slope[1:]):
+            if _sign(m0) * _sign(m1) <= 0:   # flat or an extremum
+                d.append(0.0)
+            else:   # the reciprocal of the weighted harmonic mean of the slopes
+                w1, w2 = 2.0 * h1 + h0, h1 + 2.0 * h0
+                d.append(1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+        d.append(_pchip_end(h[-1], h[-2], slope[-1], slope[-2]))
+        t = [(d0 + d1 - 2.0 * m) / w for d0, d1, m, w in zip(d, d[1:], slope, h)]
         self.x = x
-        self.c = np.array([t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1]])
+        self.c = ([ti / w for ti, w in zip(t, h)],
+                  [(m - d0) / w - ti for m, d0, w, ti in zip(slope, d, h, t)],
+                  d[:-1], y[:-1])
 
     def __call__(self, e):
-        i = np.clip(np.searchsorted(self.x, e, side="right") - 1, 0, self.x.size - 2)
+        i = min(max(bisect_right(self.x, e) - 1, 0), len(self.x) - 2)
         s = e - self.x[i]
-        c0, c1, c2, c3 = self.c[:, i]
+        c0, c1, c2, c3 = (row[i] for row in self.c)
         return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
+def _sign(x):
+    return (x > 0.0) - (x < 0.0)
 
 
 def _pchip_end(h0, h1, m0, m1):
     """One-sided three-point end slope, zeroed or capped to keep the shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
         return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
         return 3.0 * m0
     return d
 
@@ -506,9 +505,8 @@ def _piecewise_kernel(starts, ends, coefs, m):
     largest aligned block of 1, 2, 4, ... pieces that ends below the last
     piece and is far enough for the lowest omega of that count.  So about
     ten blocks cover any number of pieces, and only the last few pieces
-    are classed per call.  A call runs on floats and makes no numpy call,
-    and every coefficient is built on floats in a fixed order, so no value
-    depends on numpy's SIMD loops.
+    are classed per call.  A call runs on floats, and every coefficient is
+    built on floats in a fixed order.
     """
     b = m + 1.0
     full = [math.factorial(j) / math.prod(b + i for i in range(j + 1))
@@ -727,26 +725,53 @@ def wilson_model(l=0.0) -> DistributionModel:
 def tabulated_model(energies, values, l=0.0, k=None, holder_index=None) -> DistributionModel:
     if k is None:
         raise ModelError("tabulated models require the declared low-energy exponent k")
-    return DistributionModel(l=float(l), family=Tabulated(np.asarray(energies), np.asarray(values)),
+    return DistributionModel(l=float(l), family=Tabulated(energies, values),
                              regularity=Regularity(k=float(k), holder_index=holder_index))
 
 
 def load_tabulated(path, l=0.0, k=None, holder_index=None) -> DistributionModel:
-    """Build a tabulated model from a two-column (E, phi) CSV file."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    if data.shape[1] != 2:
-        raise ModelError(f"expected two columns (E, phi) in {path}, got {data.shape[1]}")
-    return tabulated_model(data[:, 0], data[:, 1], l=l, k=k, holder_index=holder_index)
+    """Build a tabulated model from a two-column (E, phi) CSV file.
+
+    As numpy's ``loadtxt`` reads it, ``#`` starts a comment and blank lines
+    are skipped.  A row that is not two finite numbers, a header row among
+    them, raises ModelError naming the file and the line.
+    """
+    import csv   # read with the first table: no other model needs the module
+
+    energies, values = [], []
+    with open(path, newline="") as fh:
+        rows = csv.reader(line.partition("#")[0] for line in fh)
+        for row in rows:
+            if len(row) < 2 and not "".join(row).strip():   # blank
+                continue
+            where = f"{path}, line {rows.line_num}"
+            if len(row) != 2:
+                raise ModelError(f"{where}: expected two columns (E, phi), got {len(row)}")
+            try:
+                e, v = float(row[0]), float(row[1])
+            except ValueError:
+                raise ModelError(f"{where}: {','.join(row)!r} is not two numbers") from None
+            if not (math.isfinite(e) and math.isfinite(v)):
+                raise ModelError(f"{where}: E and phi must be finite, got {e!r}, {v!r}")
+            energies.append(e)
+            values.append(v)
+    return tabulated_model(energies, values, l=l, k=k, holder_index=holder_index)
 
 
 # ----------------------------------------------------------- evaluations
 
 def eval_phi(model: DistributionModel, energy):
-    """phi(E); exactly 0 for E <= 0.  Vectorized over `energy`."""
-    out = model.family.phi(energy)
-    if np.isscalar(energy) or np.ndim(energy) == 0:
-        return float(out)
-    return out
+    """phi(E); exactly 0 for E <= 0.  A number gives a float.  An array or
+    a sequence gives a numpy array of its shape, phi taken elementwise: only
+    then is numpy imported."""
+    if isinstance(energy, (int, float)):
+        return model.family.phi(float(energy))
+    import numpy as np
+
+    e = np.asarray(energy, dtype=float)
+    if e.ndim == 0:
+        return model.family.phi(float(e))
+    return np.array([model.family.phi(x) for x in e.ravel().tolist()]).reshape(e.shape)
 
 
 def eval_g(model: DistributionModel, m, omega) -> float:

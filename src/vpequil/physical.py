@@ -15,10 +15,9 @@ mass) extended state.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable
-
-import numpy as np
 
 from ._ode import Events, Field, bind, dop853
 from .distmodels import (
@@ -100,10 +99,8 @@ def center_series(model: DistributionModel, omega_c: float, r: float):
     """Two-term expansion (m, omega) about the regular centre, at radius r.
 
     Valid while the second-order correction is small; used only to step off
-    the coordinate singularity at r = 0.  The powers of r are Python's
-    ``**`` (libm's ``pow``): these two floats fix every float of a solve,
-    and numpy's ``power`` rounds some results differently on a CPU with
-    AVX-512.
+    the coordinate singularity at r = 0.  These two floats fix every float
+    of a solve.
     """
     l = model.l
     c_l = model._prefactor
@@ -116,7 +113,7 @@ def center_series(model: DistributionModel, omega_c: float, r: float):
          - four_pi ** 2 * g0 * g1 * r ** (a + b) / (a * b * (a + b)))
     omega = (omega_c - four_pi * g0 * r ** b / (a * b)
              + four_pi ** 2 * g0 * g1 * r ** (2.0 * b) / (a * b * (a + b) * 2.0 * b))
-    return float(m), float(omega)
+    return m, omega
 
 
 def _field(kernel, names):
@@ -147,13 +144,17 @@ def _physical_field(model: DistributionModel):
 
 @dataclass
 class SolutionProfile:
-    """An integrated equilibrium with its classification and diagnostics."""
+    """An integrated equilibrium with its classification and diagnostics.
+
+    ``r``, ``m`` and ``omega`` are the step points, as ``array('d')``
+    columns; ``np.asarray(profile.r)`` views one as a numpy array.
+    """
 
     model: DistributionModel
     omega_c: float
-    r: np.ndarray
-    m: np.ndarray
-    omega: np.ndarray
+    r: array
+    m: array
+    omega: array
     radius: float
     total_mass: float
     classification: str
@@ -172,14 +173,13 @@ class SolutionProfile:
 
     @property
     def samples(self) -> dict:
-        """Step-point arrays including density and radial pressure."""
+        """Step-point columns including density and radial pressure."""
         if self._samples is None:
-            rho = np.empty_like(self.r)
-            p = np.empty_like(self.r)
-            for i, (ri, wi) in enumerate(zip(self.r, self.omega)):
-                w = max(float(wi), 0.0)
-                rho[i] = density(self.model, float(ri), w)
-                p[i] = radial_pressure(self.model, float(ri), w)
+            rho, p = array("d"), array("d")
+            for ri, wi in zip(self.r, self.omega):
+                w = max(wi, 0.0)
+                rho.append(density(self.model, ri, w))
+                p.append(radial_pressure(self.model, ri, w))
             self._samples = {"r": self.r, "m": self.m, "omega": self.omega,
                              "rho": rho, "p_rad": p}
         return self._samples
@@ -211,13 +211,13 @@ def integrate_physical(model: DistributionModel, omega_c: float,
     diagnostics = {"n_steps": sol.n_steps, "n_rejected": sol.n_rejected}
 
     if sol.event is not None:   # surface: the potential ran out at finite radius
-        radius = float(r_arr[-1])
-        total_mass = float(m_arr[-1])
+        radius = r_arr[-1]
+        total_mass = m_arr[-1]
         classification = FINITE_RADIUS
         diagnostics["termination"] = "surface"
         diagnostics["decade_mass_ratio"] = None
     else:
-        m_end = float(m_arr[-1])
+        m_end = m_arr[-1]
         m_decade = sol(r_arr[-1] / 10.0)[0]
         ratio = (m_end - m_decade) / m_end
         diagnostics["termination"] = "r_max"
@@ -261,4 +261,4 @@ def write_profile_csv(profile: SolutionProfile, path, precision: int = 17) -> No
     """Deterministic five-column CSV of the step points."""
     s = profile.samples
     write_csv(path, "r,m,omega,rho,p_rad",
-              zip(*(s[k].tolist() for k in ("r", "m", "omega", "rho", "p_rad"))), precision)
+              zip(*(s[k] for k in ("r", "m", "omega", "rho", "p_rad"))), precision)

@@ -66,7 +66,7 @@ def eval_dg_quadrature(model: DistributionModel, m, omega,
         # [1/2, 1]: difference quotient against the (1-x)^m weight
         def diff_quot(t):
             x = 0.5 * (1.0 + t)
-            return (phi_w - model.family.phi(omega * x)) / (1.0 - x)
+            return (phi_w - eval_phi(model, omega * x)) / (1.0 - x)
         inner_b, _ = integrate_weighted(diff_quot, m, 0.0, rel_tol=rel_tol)
         piece_b = 0.5 ** (m + 1.0) * inner_b
     except QuadratureError as exc:
@@ -77,7 +77,7 @@ def eval_dg_quadrature(model: DistributionModel, m, omega,
 def _reduced(model: DistributionModel, e):
     """phi(E)/E^k, k the declared exponent: the oracles' integrand (E > 0)."""
     e = np.asarray(e, dtype=float)
-    return model.family.phi(e) / e ** model.regularity.k
+    return eval_phi(model, e) / e ** model.regularity.k
 
 
 def density_bruteforce(model: DistributionModel, r, omega) -> float:
@@ -134,11 +134,11 @@ def from_compact(model: DistributionModel, state: CompactState) -> PhysicalState
 
 def map_profile(model: DistributionModel, profile: SolutionProfile):
     """Compact coordinates of every step point of a physical profile."""
-    s = profile.samples
+    r, m, omega, rho = (np.asarray(profile.samples[k]) for k in ("r", "m", "omega", "rho"))
     with np.errstate(divide="ignore"):
-        u = 4.0 * math.pi * s["r"] ** 3 * s["rho"] / s["m"]
-        q = s["m"] / (s["r"] * s["omega"])
-    return u / (1.0 + u), q / (1.0 + q), s["omega"] / (1.0 + s["omega"])
+        u = 4.0 * math.pi * r ** 3 * rho / m
+        q = m / (r * omega)
+    return u / (1.0 + u), q / (1.0 + q), omega / (1.0 + omega)
 
 
 # (lambda, [U, Q, x = log omega, xi]) -> the four derivatives; neither lambda

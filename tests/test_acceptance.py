@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.special import gammaln
 
 from vpequil.analysis import omega_crit, sweep_omega_c

@@ -9,8 +9,12 @@ sweep tests replace `analysis.integrate_physical` with fake solvers.
 """
 
 import math
-import warnings
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -22,7 +26,7 @@ from vpequil import analysis
 from vpequil.analysis import (
     GUARANTEED,
     INCONCLUSIVE,
-    SweepResult,
+    _geomspace,
     check_theorem1,
     check_theorem2,
     classify_solution,
@@ -42,7 +46,6 @@ from vpequil.physical import (
     FINITE_RADIUS,
     INFINITE_FINITE_MASS,
     INFINITE_UNDETERMINED,
-    SolveSettings,
     integrate_physical,
 )
 
@@ -119,6 +122,44 @@ def test_theorem1_guaranteed_implies_finite_radius():
         assert check_theorem1(model, omega_c).holds == GUARANTEED
         profile = integrate_physical(model, omega_c)
         assert profile.classification == FINITE_RADIUS
+
+
+# ----------------------------------------------------------- index grids
+
+def test_geomspace_port_is_numpy_geomspace_bit_for_bit_without_avx512():
+    # with numpy's AVX-512 loops switched off np.geomspace is libm's 10.0 ** x
+    # over a linspace of log10, and the port makes the same floats.  On a CPU
+    # without AVX-512 numpy warns that there is nothing to switch off
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(Path(analysis.__file__).parents[1])!r})
+        import numpy as np
+        from vpequil.analysis import _geomspace
+
+        rng = np.random.default_rng(26)
+        n = 15_000
+        starts = (10.0 ** rng.uniform(-12.0, 6.0, n)).tolist()
+        spans = (10.0 ** rng.uniform(0.01, 12.0, n)).tolist()
+        counts = rng.integers(2, 130, n).tolist()
+        print(sum(_geomspace(a, a * s, k) != np.geomspace(a, a * s, k).tolist()
+                  for a, s, k in zip(starts, spans, counts)))
+    """)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["0"]
+
+
+def test_geomspace_port_is_near_numpy_geomspace_with_its_ends_exact():
+    # with numpy's own dispatch its power may differ from libm's by some ulps
+    rng = np.random.default_rng(27)
+    n = 2_000
+    starts = (10.0 ** rng.uniform(-12.0, 6.0, n)).tolist()
+    spans = (10.0 ** rng.uniform(0.01, 12.0, n)).tolist()
+    for a, s, k in zip(starts, spans, rng.integers(2, 1100, n).tolist()):
+        got, want = _geomspace(a, a * s, k), np.geomspace(a, a * s, k)
+        assert got[0] == want[0] == a and got[-1] == want[-1] == a * s
+        assert np.max(np.abs(np.asarray(got) - want) / want) <= 1e-13
 
 
 # ----------------------------------------------------------- omega_crit

@@ -15,11 +15,12 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vpequil
 from vpequil import __version__
-from vpequil.cli import ConfigError, main, parse_config
+from vpequil.cli import ConfigError, _expand_grid, main, parse_config
 
 RHO_MINUS_N1 = 2.0 ** 1.5 * math.pi ** 2
 A_N1 = math.sqrt(4.0 * math.pi * RHO_MINUS_N1)
@@ -141,6 +142,51 @@ def test_parse_rejects_table_starting_above_zero(tmp_path, capsys):
     assert "config error: model: tabulated energy grid must start at or below E = 0" \
         in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def table31_rows():
+    """The 31-node e^E - 1 table of the CI configs, one row per line."""
+    return [f"{0.1 * i!r},{math.expm1(0.1 * i)!r}" for i in range(31)]
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda rows: ["E,phi", *rows], 1, "'E,phi' is not two numbers"),
+    (lambda rows: rows[:4] + ["0.4,x"] + rows[5:], 5, "'0.4,x' is not two numbers"),
+    (lambda rows: rows[:4] + [rows[4] + ",1.0"] + rows[5:], 5,
+     "expected two columns (E, phi), got 3"),
+    (lambda rows: rows[:7] + ["nan,1.0"] + rows[8:], 8, "E and phi must be finite"),
+    (lambda rows: rows[:7] + [f"{0.1 * 7!r},nan"] + rows[8:], 8, "E and phi must be finite"),
+    (lambda rows: rows[:7] + [f"{0.1 * 7!r},inf"] + rows[8:], 8, "E and phi must be finite"),
+], ids=["header", "not-a-number", "three-columns", "nan-energy", "nan-sample", "inf-sample"])
+def test_malformed_table_exits_2_naming_file_and_line(tmp_path, capsys, edit, line, message):
+    # a row that is not two finite numbers is a config error, found when the
+    # model is built: exit 2 before any output exists, naming file and line
+    table = tmp_path / "phi.csv"
+    table.write_text("\n".join(edit(table31_rows())) + "\n")
+    path = write_config(tmp_path, {"model": {"family": "tabulated", "table": str(table),
+                                             "k": 1.0},
+                                   "run": {"omega_c": 0.5}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: model: {table}, line {line}: {message}"), err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+def test_table_comments_and_blank_lines_are_skipped(tmp_path):
+    # numpy's loadtxt rules: `#` starts a comment, blank lines are skipped
+    plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+    rows = table31_rows()
+    plain.write_text("\n".join(rows) + "\n")
+    commented.write_text("# E, phi = e^E - 1\n\n" + "\n".join(rows[:5]) + "  # five rows\n  \n"
+                         + "\n".join(rows[5:]) + "\n")
+    models = [parse_config(write_config(tmp_path, {"model": {"family": "tabulated",
+                                                             "table": str(table), "k": 1.0}},
+                                        name=f"{table.stem}.json")).model
+              for table in (plain, commented)]
+    assert models[0].family.energies == models[1].family.energies
+    assert models[0].family.values == models[1].family.values
 
 
 @pytest.mark.parametrize("triple, message", [
@@ -607,6 +653,35 @@ def test_portrait_tabulated_backward_stops_at_grid_end(tmp_path):
     assert "omega-ceiling" in {r["termination"] for r in records}
 
 
+def test_summary_records_the_table_as_written(tmp_path):
+    # the same config and table copied into two directories write
+    # byte-identical summaries: model.table is recorded as the config wrote
+    # it, and the file is read from the config's directory
+    summaries = []
+    for name in ("a", "b"):
+        folder = tmp_path / name
+        folder.mkdir()
+        (folder / "phi.csv").write_text("\n".join(table31_rows()) + "\n")
+        path = write_config(folder, {"model": {"family": "tabulated", "table": "phi.csv",
+                                               "k": 1.0},
+                                     "run": {"omega_c": 0.5}})
+        assert main(["solve", "--config", path, "--out", str(folder / "out")]) == 0
+        summaries.append((folder / "out" / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert json.loads(summaries[0])["config"]["model"]["table"] == "phi.csv"
+
+
+def test_expand_grid_is_numpy_linspace_bit_for_bit():
+    rng = np.random.default_rng(25)
+    n = 10_000
+    starts = (10.0 ** rng.uniform(-12.0, 6.0, n)).tolist()
+    ratios = (10.0 ** rng.uniform(-6.0, 8.0, n)).tolist()
+    for start, ratio, count in zip(starts, ratios, rng.integers(2, 100, n).tolist()):
+        stop = start * (1.0 + ratio)
+        grid = _expand_grid({"start": start, "stop": stop, "count": count})
+        assert grid == np.linspace(start, stop, count).tolist(), (start, stop, count)
+
+
 # ------------------------------------------------------------------- models
 
 def test_models_listing(tmp_path, capsys):
@@ -624,11 +699,11 @@ def test_models_listing(tmp_path, capsys):
 # ------------------------------------------------------------- import graph
 
 def test_run_path_loads_no_scipy(tmp_path):
-    # a fresh interpreter: importing the CLI, and running every subcommand on
-    # King l=0 and Wilson l=-0.4 (the elementary and the general incomplete
-    # gamma kernel), a tabulated table and a polytrope, loads no scipy module,
-    # not the oracles' quadrature and not `statistics` (which loads
-    # `fractions` and `decimal`)
+    # a fresh interpreter: importing the CLI, and running every subcommand,
+    # and a backward portrait, on King l=0 and Wilson l=-0.4 (the elementary
+    # and the general incomplete gamma kernel), a tabulated table and a
+    # polytrope, loads no numpy and no scipy module, not the oracles'
+    # quadrature and not `statistics` (which loads `fractions` and `decimal`)
     table = tmp_path / "phi.csv"
     table.write_text("".join(f"{0.1 * i!r},{math.expm1(0.1 * i)!r}\n" for i in range(31)))
     models = [{"family": "truncated-exponential", "p": 0, "l": 0.0},
@@ -643,12 +718,17 @@ def test_run_path_loads_no_scipy(tmp_path):
         path = write_config(tmp_path, cfg, name=f"cfg{i}.json")
         runs += [[cmd, "--config", path, "--out", str(tmp_path / f"{cmd}{i}")]
                  for cmd in ("solve", "check", "sweep", "portrait")]
+        back = {"model": model, "run": {"orbits": [[0.5, 0.3, 0.4]], "lambda_max": 30.0,
+                                        "backward": True}}
+        path = write_config(tmp_path, back, name=f"back{i}.json")
+        runs.append(["portrait", "--config", path, "--out", str(tmp_path / f"back{i}")])
     script = textwrap.dedent(f"""
         import json, sys
         sys.path.insert(0, {str(Path(vpequil.__file__).parents[1])!r})
 
         def unwanted_modules():
-            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+            return sorted(m for m in sys.modules
+                          if m.partition(".")[0] in ("numpy", "scipy")
                           or m in ("vpequil._quadrature", "statistics"))
 
         import vpequil.cli
@@ -687,3 +767,25 @@ def test_every_definition_in_the_package_is_reached():
                  and not any(name == top.name and (m, o) != (module, top.name)
                              for m, o, name in uses)]
     assert unreached == ["compactsys.PolytropicIndexTable"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # each name that a module of src/vpequil or tests imports is read in it;
+    # exempt are the re-exports of vpequil/__init__.py and `from __future__`
+    root = Path(vpequil.__file__).parents[2]
+    paths = [p for p in sorted((root / "src" / "vpequil").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((root / "tests").glob("*.py"))
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        imported = {}   # bound name -> line
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name.partition(".")[0]): node.lineno
+                                 for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({(a.asname or a.name): node.lineno for a in node.names})
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.relative_to(root)}:{line}: {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unread == []

@@ -237,10 +237,10 @@ def test_halo_orbit_exhausts_potential_without_corner():
     orbit = integrate_compact(model, start)
     assert orbit.termination == "omega-floor"
     assert orbit.limit_label == "unresolved"
-    mid = int(np.argmax(orbit.Omega < 1e-4))
+    mid = int(np.argmax(np.asarray(orbit.Omega) < 1e-4))
     assert abs(orbit.Q[mid] - 0.5) < 1e-3
     assert orbit.U[mid] < 1e-3
-    assert np.min(np.abs(orbit.Q - 0.5)) < 1e-6
+    assert np.min(np.abs(np.asarray(orbit.Q) - 0.5)) < 1e-6
 
 
 def test_backward_orbit_shadows_regular_center_line(king_model, king_profile):
@@ -266,7 +266,7 @@ def test_backward_orbit_generic_history_blows_up_potential():
     assert orbit.termination == "omega-ceiling"
     assert orbit.limit_label == "unresolved"
     assert orbit.Omega[-1] > 1.0 - 1e-11
-    assert np.all(orbit.Omega < 1.0)
+    assert np.all(np.asarray(orbit.Omega) < 1.0)
     # Q sits near 1/2, so log q passes near 0: an absolute floor of 1e-14
     # there took 65 steps, rel_tol as the only tolerance takes 42
     assert orbit.diagnostics["n_steps"] <= 45
@@ -385,7 +385,7 @@ def test_orbits_match_an_independent_rhs_compact_integration(name, U, Q, Omega, 
     assert orbit.termination == termination
     assert abs(orbit.lam[-1] - lam_end) <= tol
     assert abs(orbit.xi[-1] - xi_end) <= tol
-    for values in (orbit.U, orbit.Q):
+    for values in (np.asarray(orbit.U), np.asarray(orbit.Q)):
         assert np.all((values >= 0.0) & (values <= 1.0))
 
 
@@ -429,11 +429,11 @@ def test_face_start_stays_on_its_face(king_model, start, backward, faces, termin
     # Every sample stays in the cube, where a (U, Q) integration left it: U
     # reached -2.7e-30 from (0.5, 0, 0.2) and Q -2.4e-30 from (1, 0.5, 0.2)
     orbit = integrate_compact(king_model, CompactState(*start), backward=backward)
-    for values in (orbit.U, orbit.Q):
+    for values in (np.asarray(orbit.U), np.asarray(orbit.Q)):
         assert np.all((values >= 0.0) & (values <= 1.0))
     for face in faces:
         value = start["UQ".index(face)]
-        assert np.all(getattr(orbit, face) == value)
+        assert np.all(np.asarray(getattr(orbit, face)) == value)
         mid = 0.5 * (orbit.lam[0] + orbit.lam[-1])
         assert orbit.dense(mid)["UQ".index(face)] == value
         assert getattr(orbit, "log_" + face.lower())[0] == (math.inf if value else -math.inf)
@@ -490,10 +490,10 @@ def test_monitors_accept_states_and_arrays():
     U = np.array([0.0, 0.2, 0.75, 0.9, 1.0])
     Q = np.array([0.3, 0.1, 2.0 / 3.0, 0.5, 1.0])
     for l in (-0.4, 0.0, 1.0):
-        log_z = monitor_log_Z((U, Q), l)
-        phi = monitor_Phi((U, Q), l)
-        s1 = in_S1((U, Q))
-        z = monitor_Z((U, Q), l)
+        log_z = np.asarray(monitor_log_Z((U, Q), l))
+        phi = np.asarray(monitor_Phi((U, Q), l))
+        s1 = np.asarray(in_S1((U, Q)))
+        z = np.asarray(monitor_Z((U, Q), l))
         assert log_z.shape == phi.shape == s1.shape == z.shape == U.shape
         for i in range(1, 4):
             st = CompactState(U[i], Q[i], 0.4)
@@ -564,7 +564,7 @@ def test_Phi_conserved_on_critical_index_family(l):
     model = polytrope(n=5 + 3 * l, l=l)
     orbit = integrate_compact(model, CompactState(0.6, 0.2, 0.4),
                               CompactSettings(lambda_max=12.0))
-    phi = orbit.Phi
+    phi = np.asarray(orbit.Phi)
     drift = np.max(np.abs(phi - phi[0])) / abs(phi[0])
     assert drift < 1e-8
 
@@ -572,7 +572,7 @@ def test_Phi_conserved_on_critical_index_family(l):
 def test_Phi_varies_off_critical_index():
     orbit = integrate_compact(polytrope(n=3), CompactState(0.6, 0.2, 0.4),
                               CompactSettings(lambda_max=12.0))
-    phi = orbit.Phi
+    phi = np.asarray(orbit.Phi)
     assert np.max(np.abs(phi - phi[0])) / abs(phi[0]) > 1e-2
 
 
@@ -636,7 +636,7 @@ def test_trapping_sets_future_invariant_along_king(king_model, king_profile):
         assert any(flags), name
         first = flags.index(True)
         assert all(flags[first:]), f"{name} exited after entry"
-    assert orbit.S1.tolist() == flag_sets["S1"]
+    assert orbit.S1 == flag_sets["S1"]
 
 
 # ------------------------------------------------------------ index table

@@ -125,7 +125,7 @@ def test_pchip_equals_scipy_bit_for_bit():
         assert np.array_equal(ours.c, ref.c)
         mids = 0.5 * (x[:-1] + x[1:])
         queries = np.concatenate([x, mids, np.linspace(x[0], x[-1], 97)])
-        assert np.array_equal(ours(queries), ref(queries))
+        assert [ours(e) for e in queries.tolist()] == ref(queries).tolist()
         assert ours(x[-1]) == ref(x[-1])
 
 # ------------------------------------------------------------- validation
@@ -182,6 +182,16 @@ def test_tabulated_requires_k_and_range():
     # family refuses it when it is built, naming the first energy
     with pytest.raises(ModelError, match="first energy 0.5"):
         Tabulated(es + 0.5, es.copy())
+
+
+@pytest.mark.parametrize("grid, value", [(0, math.nan), (0, math.inf), (1, math.nan),
+                                         (1, math.inf)],
+                         ids=["nan-energy", "inf-energy", "nan-sample", "inf-sample"])
+def test_tabulated_model_refuses_non_finite_samples(grid, value):
+    grids = [[0.0, 0.5, 1.0, 2.0], [0.0, 0.3, 1.0, 4.0]]
+    grids[grid][2] = value
+    with pytest.raises(ModelError, match="must be finite"):
+        tabulated_model(*grids, k=1.0)
 
 
 # ------------------------------------------------------------------ eval_g

@@ -290,7 +290,7 @@ def test_fused_orbit_equals_generic_orbit(name, backward):
         with mock.patch.object(compactsys, "dop853", integrator):
             orbit = integrate_compact(FIELD_MODELS[name], CompactState(0.6, 0.3, 0.3),
                                       CompactSettings(lambda_max=30.0), backward=backward)
-        dense = [orbit.dense(v).tolist() for v in np.linspace(orbit.lam[0], orbit.lam[-1], 7)]
+        dense = [orbit.dense(v) for v in np.linspace(orbit.lam[0], orbit.lam[-1], 7)]
         runs.append(([getattr(orbit, k).tolist() for k in ("lam", "U", "Q", "Omega", "xi")],
                      dense, orbit.diagnostics, orbit.termination))
     assert runs[0] == runs[1]
@@ -425,7 +425,7 @@ def test_bad_event_direction_rejected():
 def test_atol_is_a_scalar_or_one_or_n_values(atol):
     sol = dop853(oscillator, 0.0, [0.0, 1.0], 5.0, 1e-10, atol)
     ref = dop853(oscillator, 0.0, [0.0, 1.0], 5.0, 1e-10, [1e-12, 1e-12])
-    assert (sol.t.tolist(), sol.y.tolist()) == (ref.t.tolist(), ref.y.tolist())
+    assert (sol.t, sol.y) == (ref.t, ref.y)
 
 
 @pytest.mark.parametrize("atol", [[], [1e-12] * 3], ids=["none", "three"])

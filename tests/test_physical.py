@@ -335,8 +335,8 @@ def test_dense_rejects_out_of_domain(king_profile):
 def test_samples_expose_density_and_pressure(king_profile):
     s = king_profile.samples
     assert set(s) == {"r", "m", "omega", "rho", "p_rad"}
-    assert np.all(s["rho"] >= 0)
-    assert np.all(s["p_rad"] >= 0)
+    assert np.all(np.asarray(s["rho"]) >= 0)
+    assert np.all(np.asarray(s["p_rad"]) >= 0)
     i = len(s["r"]) // 3
     direct = density(king_profile.model, s["r"][i], s["omega"][i])
     assert s["rho"][i] == pytest.approx(direct, rel=1e-12)
