@@ -28,13 +28,12 @@ bodies written in: the field's into each of the 12 stages of an attempt,
 the events' once after each accepted step, with the step-size control, the
 minimum step and the node buffer, so a step calls no Python function and
 no builtin: its own calls are ``nextafter``, the pack and ``frombytes``.
-Any other callable is the field ``return fun(t, [...])``, any ``(fn,
-direction)`` events ``return (e0(t, [...]), ...)``: the same generator, one
-call per stage or step.  Each function is compiled on the first solve that
-needs it (milliseconds; the cache holds functions, no results).  Each stage
-of each component is a local name and each coefficient a literal, so a step
-makes no call or list of its own, indexes no list and calls no ``sum()``,
-and zero entries of the tableau are left out.  Every weighted sum of stages
+A field that is any other callable is ``return fun(t, [...])``: the same
+generator, one call per stage.  Each function is compiled on the first
+solve that needs it (milliseconds; the cache holds functions, no results).
+Each stage of each component is a local name and each coefficient a
+literal, so a step makes no call or list of its own, indexes no list and
+calls no ``sum()``, and zero entries of the tableau are left out.  Every weighted sum of stages
 is written ``0.0 + c0*k0 + c1*k1 + ...``, left to right, the order in which
 Python 3.11's ``sum()`` adds the products, and each ``abs()``, ``max()``
 or ``min()`` of the error scale and the step control as the comparison it
@@ -220,7 +219,7 @@ def _rms(values) -> float:
 def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol) -> float:
     """Hairer-Norsett-Wanner starting step, as scipy's select_initial_step."""
     interval = abs(t_end - t0)
-    scale = [a + abs(v) * rtol for v, a in zip(y0, atol)]
+    scale = [atol + abs(v) * rtol for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([f / s for f, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -246,13 +245,13 @@ def _dot(coefs, j):
 
 
 def _scale(j):
-    """``sc_j = a_j + max(abs(y_j), abs(yn_j)) * rtol`` as two sign tests,
+    """``sc_j = atol + max(abs(y_j), abs(yn_j)) * rtol`` as two sign tests,
     then one comparison.  ``v if v > 0.0 else 0.0 - v`` is ``abs(v)``, -0.0
     included; the comparison keeps the first argument unless the second is
     greater, as ``max`` does, nan included."""
     return [f"sc_{j} = y_{j} if y_{j} > 0.0 else 0.0 - y_{j}",
             f"sn_{j} = yn_{j} if yn_{j} > 0.0 else 0.0 - yn_{j}",
-            f"sc_{j} = a_{j} + (sn_{j} if sn_{j} > sc_{j} else sc_{j}) * rtol"]
+            f"sc_{j} = atol + (sn_{j} if sn_{j} > sc_{j} else sc_{j}) * rtol"]
 
 
 def _names(prefix, n):
@@ -285,14 +284,6 @@ def _generic(n):
     """The field of a plain callable ``fun``: one call per stage."""
     z = tuple(f"z{j}" for j in range(n))
     return Field("tau", z, (f"return fun(tau, [{', '.join(z)}])",), ("fun",))
-
-
-def _generic_events(n, directions):
-    """The events of plain callables ``e0, e1, ...``: one call each."""
-    z = tuple(f"z{j}" for j in range(n))
-    calls = "".join(f"e{i}(tau, [{', '.join(z)}]), " for i in range(len(directions)))
-    return Events("tau", z, (f"return ({calls})",),
-                  tuple(f"e{i}" for i in range(len(directions))), directions)
 
 
 _LOOP_NAMES = frozenset((
@@ -425,7 +416,6 @@ def _source(field, name, events=None):
             f"    {_names('y', n)}= y",
             f"    {_names('k0', n)}= f",
             *([f"    {_names('g', m)}= g"] if m else []),
-            f"    {_names('a', n)}= atol",
             "    toward = direction * inf",
             "    n_rejected = 0",
             "    while True:",
@@ -562,32 +552,21 @@ class Trajectory:
         return _evaluate(self._piece(min(max(i - 1, 0), len(self._keys) - 2)), t)
 
 
-def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol, events=()) -> Trajectory:
+def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol: float,
+           events) -> Trajectory:
     """Integrate y' = fun(t, y) from t0 towards t_end.
 
     ``fun`` takes a float and a list of floats and returns a sequence of
-    floats.  ``atol`` is a float or a sequence of one or n floats.
-    ``events`` is a function made by `bind` from an `Events` source, or a
-    sequence of ``(fn, direction)`` pairs with direction +1 (upward
-    crossings of ``fn(t, y) = 0``) or -1 (downward); every event is
-    terminal.  The accepted steps are taken by one generated loop per field
-    and events: a ``fun`` and ``events`` made by `bind` have their bodies
-    written into it, any other callable is called once per stage or step.
-    Raises EvaluationError when the step size falls below ten spacings of
-    floating-point numbers at t.
+    floats; ``atol`` is one float for every component.  ``events`` is the
+    function `bind` makes of an `Events` source; every event is terminal.
+    The accepted steps are taken by one generated loop per field and
+    events, with the events' body written into it, and the field's too
+    when ``fun`` is made by `bind`; any other ``fun`` is called once per
+    stage.  Raises EvaluationError when the step size falls below ten
+    spacings of floating-point numbers at t.
     """
     y = [float(v) for v in y0]
     n = len(y)
-    try:
-        atol = [float(a) for a in atol]
-    except TypeError:                                   # a scalar
-        atol = [float(atol)]
-    if len(atol) not in (1, n):
-        raise ValueError(f"atol has {len(atol)} entries for {n} components")
-    atol *= n // len(atol)
-    if not callable(events):
-        events = bind(_generic_events(n, tuple(d for _, d in events)),
-                      *(fn for fn, _ in events))
     field, values = getattr(fun, "field", None) or (_generic(n), (fun,))
     source, event_values = events.field
     if any(d not in (1, -1) for d in source.directions):

@@ -70,7 +70,7 @@ _MODEL_KEYS = {
     "truncated-exponential": {"family", "l", "p"},
     "tabulated": {"family", "l", "table", "k", "holder_index"},
 }
-_SETTINGS_KEYS = ("rel_tol", "abs_tol", "r_max", "omega_floor", "startup_radius")
+_SETTINGS_KEYS = ("rel_tol", "abs_tol", "r_max")
 # the run keys each command reads.  A config may hold the keys of every
 # command, and all are validated; a command sees, and its summary records,
 # only its own
@@ -204,8 +204,7 @@ def _validate_run(block):
         if key not in _RUN_KEYS:
             raise ConfigError(f"run.{key} is not a recognised key")
     run = dict(block)
-    for key in ("omega_c", "omega_0", "rel_tol", "abs_tol", "r_max",
-                "omega_floor", "startup_radius", "lambda_max"):
+    for key in ("omega_c", "omega_0", "rel_tol", "abs_tol", "r_max", "lambda_max"):
         if key in run:
             val = _require_number(run[key], f"run.{key}")
             if not val > 0.0:

@@ -22,6 +22,7 @@ from typing import Callable
 from ._ode import Events, Field, bind, dop853
 from .distmodels import (
     DistributionModel,
+    EvaluationError,
     density,
     eval_dg,
     eval_g,
@@ -58,31 +59,28 @@ class PhysicalState:
 
 @dataclass(frozen=True)
 class SolveSettings:
-    """Integration controls; None fields are resolved from the model scale."""
+    """Integration controls; an r_max of None is resolved from the model scale.
+
+    A solve starts at `_STARTUP_FRACTION` natural lengths and stops at the
+    surface where omega falls to `_FLOOR_FRACTION` omega_c, or at r_max.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-30
     r_max: float | None = None
-    omega_floor: float | None = None
-    startup_radius: float | None = None
 
     def resolved(self, model: DistributionModel, omega_c: float) -> "SolveSettings":
-        """Fill the scale-dependent fields for a concrete (model, omega_c)."""
+        """Fill r_max for a concrete (model, omega_c)."""
         if not omega_c > 0.0:
             raise ValueError(f"central potential must be positive, got {omega_c}")
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
         length = natural_length(model, omega_c)
         r_max = self.r_max if self.r_max is not None else _CUTOFF_FRACTION * length
-        floor = (self.omega_floor if self.omega_floor is not None
-                 else _FLOOR_FRACTION * omega_c)
-        start = (self.startup_radius if self.startup_radius is not None
-                 else _STARTUP_FRACTION * length)
-        if not 0.0 < floor < omega_c:
-            raise ValueError(f"omega floor {floor:g} must lie in (0, omega_c)")
+        start = _STARTUP_FRACTION * length
         if not 0.0 < start < r_max:
-            raise ValueError("startup radius must lie inside (0, r_max)")
-        return replace(self, r_max=r_max, omega_floor=floor, startup_radius=start)
+            raise ValueError(f"the startup radius {start:g} must lie in (0, r_max = {r_max:g})")
+        return replace(self, r_max=r_max)
 
 
 def density_scale(model: DistributionModel, omega: float) -> float:
@@ -91,8 +89,17 @@ def density_scale(model: DistributionModel, omega: float) -> float:
 
 
 def natural_length(model: DistributionModel, omega_c: float) -> float:
-    """Length scale on which the potential varies near the centre."""
-    return (omega_c / density_scale(model, omega_c)) ** (1.0 / (2.0 + 2.0 * model.l))
+    """Length scale on which the potential varies near the centre; raises
+    EvaluationError when it is not a finite positive double."""
+    scale = density_scale(model, omega_c)
+    try:
+        length = (omega_c / scale) ** (1.0 / (2.0 + 2.0 * model.l))
+    except (ZeroDivisionError, OverflowError):   # the scale underflows, or the power overflows
+        length = math.inf
+    if not 0.0 < length < math.inf:
+        raise EvaluationError(f"natural_length at omega_c = {omega_c:g} is {length:g}, "
+                              "not a finite positive double")
+    return length
 
 
 def center_series(model: DistributionModel, omega_c: float, r: float):
@@ -189,14 +196,15 @@ def integrate_physical(model: DistributionModel, omega_c: float,
                        settings: SolveSettings | None = None) -> SolutionProfile:
     """Construct the equilibrium with central potential depth omega_c."""
     st = (settings or SolveSettings()).resolved(model, omega_c)
-    r0 = st.startup_radius
+    r0 = _STARTUP_FRACTION * natural_length(model, omega_c)
+    floor = _FLOOR_FRACTION * omega_c
     m0, w0 = center_series(model, omega_c, r0)
-    if not w0 > st.omega_floor:
+    if not w0 > floor:
         raise ValueError("startup radius too large: the series already crossed the floor")
 
     try:
         sol = dop853(_physical_field(model), r0, (m0, w0), st.r_max, st.rel_tol, st.abs_tol,
-                     events=bind(_FLOOR, st.omega_floor))
+                     events=bind(_FLOOR, floor))
     except OverflowError:
         # a float ``**`` of the step loop; for large l it is the density's
         # r ** (2 l), which is named here, so the loop carries no check

@@ -77,6 +77,28 @@ def test_parse_rejects_threads_key(tmp_path, capsys):
     assert "run.threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("omega_floor", 1e-9), ("startup_radius", 1e-5)])
+def test_parse_rejects_removed_solve_overrides(tmp_path, capsys, key, value):
+    # the start and the surface floor scale with the model; a config that
+    # still sets either is refused, and no summary is written
+    path = write_config(tmp_path, solve_config(**{key: value}))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: run.{key} is not a recognised key\n"
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("precision, code", [(17, 0), (18, 2), (0, 2)])
+def test_precision_bounds(tmp_path, capsys, precision, code):
+    cfg = solve_config()
+    cfg["output"] = {"precision": precision}
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == code
+    if code:
+        assert "output.precision must be in [1, 17]" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+
 def test_parse_rejects_k_prime_key(tmp_path, capsys):
     # nothing reads a derivative exponent; an old config that still sets
     # model.k_prime is refused
@@ -384,10 +406,28 @@ def test_solve_honors_precision(tmp_path):
 
 
 def test_solve_failure_leaves_no_summary(tmp_path, capsys):
-    path = write_config(tmp_path, solve_config(startup_radius=10.0, r_max=1.0))
+    # r_max inside the startup radius, 1e-6 natural lengths (1e-6 / A_N1 here)
+    path = write_config(tmp_path, solve_config(r_max=1e-9))
     out = tmp_path / "out"
     assert main(["solve", "--config", path, "--out", str(out)]) == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: the startup radius {1e-6 / A_N1:g} must lie "
+                                       "in (0, r_max = 1e-09)\n")
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    # the density scale underflows to 0
+    {"model": {"family": "truncated-exponential", "p": 0}, "run": {"omega_c": 5e-324}},
+    # the length is a power 1/(2 + 2l) = 50, which overflows
+    {"model": {"family": "polytrope", "n": 100, "l": -0.99, "phi_minus": 1e6},
+     "run": {"omega_c": 0.01}},
+], ids=["omega_c-5e-324", "n100-l-0.99"])
+def test_natural_length_out_of_range_exits_1(tmp_path, capsys, cfg):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: natural_length at omega_c = {cfg['run']['omega_c']:g} is inf, "
+                   "not a finite positive double\n")
     assert not (out / "summary.json").exists()
 
 

@@ -80,17 +80,22 @@ def test_settings_resolution_defaults():
     model = polytrope(n=1)
     st = SolveSettings().resolved(model, omega_c=2.0)
     length = natural_length(model, 2.0)
-    assert st.startup_radius == pytest.approx(1e-6 * length, rel=1e-14)
     assert st.r_max == pytest.approx(1e6 * length, rel=1e-14)
-    assert st.omega_floor == pytest.approx(2e-12, rel=1e-14)
     assert st.rel_tol == 1e-10
     assert st.abs_tol == 1e-30
+    # the solve starts at 1e-6 natural lengths and ends where omega falls
+    # through 1e-12 omega_c
+    prof = integrate_physical(model, 2.0)
+    assert prof.r[0] == 1e-6 * length
+    assert prof.omega[-1] == pytest.approx(2e-12, abs=1e-14)
 
 
-def test_settings_resolution_rejects_bad_floor():
+def test_settings_resolution_rejects_r_max_inside_the_start():
     model = polytrope(n=1)
-    with pytest.raises(ValueError):
-        SolveSettings(omega_floor=3.0).resolved(model, omega_c=1.0)
+    start = 1e-6 * natural_length(model, 1.0)
+    with pytest.raises(ValueError, match=r"r_max = "):
+        SolveSettings(r_max=0.5 * start).resolved(model, omega_c=1.0)
+    assert SolveSettings(r_max=2.0 * start).resolved(model, omega_c=1.0).r_max == 2.0 * start
 
 
 def test_physical_state_record():
@@ -261,10 +266,11 @@ def test_king_mass_quadrature_consistency(king_profile):
     assert quad_mass + m0 == pytest.approx(king_profile.total_mass, rel=1e-7)
 
 
-def test_surface_location_insensitive_to_floor():
+def test_surface_location_insensitive_to_floor(monkeypatch):
     model = truncated_exponential(0)
-    tight = integrate_physical(model, 0.5, SolveSettings(omega_floor=1e-12 * 0.5))
-    loose = integrate_physical(model, 0.5, SolveSettings(omega_floor=1e-9 * 0.5))
+    tight = integrate_physical(model, 0.5)
+    monkeypatch.setattr(physical, "_FLOOR_FRACTION", 1e-9)
+    loose = integrate_physical(model, 0.5)
     assert tight.radius == pytest.approx(loose.radius, rel=1e-8)
     assert tight.total_mass == pytest.approx(loose.total_mass, rel=1e-10)
 
@@ -328,8 +334,13 @@ def test_dense_matches_stored_nodes(king_profile):
 
 
 def test_dense_rejects_out_of_domain(king_profile):
-    with pytest.raises(ValueError):
-        king_profile.dense(king_profile.r[-1] * 2.0)
+    # the range check forgives a rounding of the end points, no more
+    lo, hi = king_profile.r[0], king_profile.r[-1]
+    assert king_profile.dense(hi * (1.0 + 1e-13)) == king_profile.dense(hi)
+    assert king_profile.dense(lo * (1.0 - 1e-13)) == king_profile.dense(lo)
+    for r in (hi * 2.0, hi * (1.0 + 1e-9), lo * (1.0 - 1e-9)):
+        with pytest.raises(ValueError, match="outside the integrated range"):
+            king_profile.dense(r)
 
 
 def test_samples_expose_density_and_pressure(king_profile):
