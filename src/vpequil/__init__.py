@@ -13,6 +13,7 @@ from .distmodels import (  # noqa: F401
     ModelError,
     Polytrope,
     Regularity,
+    SettingError,
     Tabulated,
     TruncatedExponential,
     density,

@@ -224,6 +224,9 @@ def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol) -> float:
     d1 = _rms([f / s for f, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
+    if not h0 > 0.0:   # d1 overflowed
+        raise EvaluationError(f"the derivatives at t = {t0:g} are too large for the step "
+                              "control in double precision")
     step = h0 * direction
     f1 = fun(t0 + step, [v + step * f for v, f in zip(y0, f0)])
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
@@ -390,8 +393,10 @@ def _source(field, name, events=None):
             f"err5 = 0.0 + {' + '.join(f'e5_{j} * e5_{j}' for j in rng)}",
             f"err3 = 0.0 + {' + '.join(f'e3_{j} * e3_{j}' for j in rng)}",
             # the step-size control of scipy's DOP853, with max() and min()
-            # written as the comparisons they make
-            "if err5 == 0.0 and err3 == 0.0:",
+            # written as the comparisons they make.  err5 = 0 gives the norm 0
+            # whatever err3 is: where 0.01 err3 underflows, scipy divides 0 by
+            # 0 (nan, a rejection), and a float division would raise
+            "if err5 == 0.0:",
             "    err_norm = 0.0",
             "else:",
             f"    err_norm = h_abs * err5 / sqrt((err5 + 0.01 * err3) * {n})",

@@ -32,13 +32,14 @@ from dataclasses import dataclass, field
 
 from ._ode import brentq
 from .compactsys import CORNERS, to_dimensionless
-from .distmodels import DistributionModel, EvaluationError
+from .distmodels import DistributionModel, EvaluationError, SettingError
 from .physical import (
     FINITE_RADIUS,
     INFINITE_FINITE_MASS,
     PhysicalState,
     SolutionProfile,
     SolveSettings,
+    _check_amplitude,
     integrate_physical,
     write_csv,
 )
@@ -142,8 +143,7 @@ def _grid_check(n_of, omega_hi: float, bound: float) -> dict:
 
 def check_theorem1(model: DistributionModel, omega_0: float) -> TheoremVerdict:
     """Finite radius and mass when n(omega) <= 3 + l up to omega_0."""
-    if not omega_0 > 0.0:
-        raise ValueError(f"omega_0 must be positive, got {omega_0!r}")
+    _check_amplitude(model, "omega_0", omega_0, _SPAN_RATIO)
     bound = 3.0 + model.l
     report = _grid_check(model._index, omega_0, bound)
     holds = GUARANTEED if report.pop("verified") else INCONCLUSIVE
@@ -203,8 +203,7 @@ def omega_crit(model: DistributionModel) -> float:
 def check_theorem2(model: DistributionModel, omega_c: float) -> TheoremVerdict:
     """Finite radius and mass when omega_c <= omega_crit and the index
     stays strictly below 5 + 3l at small amplitudes."""
-    if not omega_c > 0.0:
-        raise ValueError(f"omega_c must be positive, got {omega_c!r}")
+    _check_amplitude(model, "omega_c", omega_c, _SPAN_RATIO)
     bound = 5.0 + 3.0 * model.l
     oc = omega_crit(model)
     witness = {"omega_c": omega_c, "omega_crit": oc, "bound": bound}
@@ -364,6 +363,21 @@ def _find_critical_values(model, entries, settings, failures):
     return merged
 
 
+def _checked_grid(model: DistributionModel, omega_grid) -> list:
+    """The grid as floats: non-empty, and each node a central amplitude of
+    the model above the one before it, else a SettingError naming the
+    first node at fault."""
+    grid = [float(w) for w in omega_grid]
+    if not grid:
+        raise SettingError("omega_grid", "must not be empty")
+    for i, w in enumerate(grid):
+        _check_amplitude(model, f"omega_grid[{i}]", w)
+        if i and not w > grid[i - 1]:
+            raise SettingError(f"omega_grid[{i}]", f"= {w!r} must exceed "
+                               f"omega_grid[{i - 1}] = {grid[i - 1]!r}")
+    return grid
+
+
 def sweep_omega_c(model: DistributionModel, omega_grid,
                   settings: SolveSettings | None = None) -> SweepResult:
     """Solve the equilibrium over a grid of central amplitudes.
@@ -374,14 +388,7 @@ def sweep_omega_c(model: DistributionModel, omega_grid,
     are refined into critical amplitude estimates by bisection to a relative
     width of ``_BISECT_REL_TOL``.
     """
-    grid = [float(w) for w in omega_grid]
-    if not grid:
-        raise ValueError("omega_c grid is empty")
-    if any(w <= 0.0 for w in grid):
-        raise ValueError("omega_c values must be positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("omega_c grid must be strictly increasing")
-
+    grid = _checked_grid(model, omega_grid)
     entries, failures = [], []
     for w in grid:
         try:

@@ -21,11 +21,13 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
 from .analysis import (
+    _checked_grid,
     _linspace,
     check_theorem1,
     check_theorem2,
@@ -37,6 +39,7 @@ from .analysis import (
 from .compactsys import (
     CompactSettings,
     CompactState,
+    _check_start,
     fixed_lines,
     integrate_compact,
 )
@@ -44,6 +47,7 @@ from .distmodels import (
     DistributionModel,
     EvaluationError,
     ModelError,
+    SettingError,
     eval_n,
     king_model,
     load_tabulated,
@@ -53,6 +57,7 @@ from .distmodels import (
 )
 from .physical import (
     SolveSettings,
+    _check_amplitude,
     integrate_physical,
     natural_length,
     write_csv,
@@ -64,11 +69,11 @@ class ConfigError(ValueError):
     """Config file violates the schema; diagnostics name the offending key."""
 
 
-_FAMILIES = ("polytrope", "truncated-exponential", "tabulated")
+# each family's keys besides "family", with their defaults; ... marks a required key
 _MODEL_KEYS = {
-    "polytrope": {"family", "l", "n", "phi_minus"},
-    "truncated-exponential": {"family", "l", "p"},
-    "tabulated": {"family", "l", "table", "k", "holder_index"},
+    "polytrope": {"l": 0.0, "n": ..., "phi_minus": 1.0},
+    "truncated-exponential": {"l": 0.0, "p": ...},
+    "tabulated": {"l": 0.0, "table": ..., "k": ..., "holder_index": None},
 }
 _SETTINGS_KEYS = ("rel_tol", "abs_tol", "r_max")
 # the run keys each command reads.  A config may hold the keys of every
@@ -81,6 +86,13 @@ _COMMAND_KEYS = {
     "check": {"omega_c", "omega_0"},
 }
 _RUN_KEYS = set().union(*_COMMAND_KEYS.values())
+_RUN_KEY = re.compile(r"\b(%s)\b" % "|".join(sorted(_RUN_KEYS)))
+
+
+def _run_error(exc: SettingError, suffix="") -> ConfigError:
+    """The library's SettingError as a config error, every run key it names
+    given its path: ``omega_grid[1] = ...`` reads ``run.omega_grid[1] = ...``."""
+    return ConfigError(_RUN_KEY.sub(r"run.\1", str(exc)) + suffix)
 
 
 @dataclass
@@ -93,9 +105,7 @@ class RunConfig:
     resolved: dict
 
 
-def _require_number(value, path, integer=False, allow_none=False):
-    if value is None and allow_none:
-        return None
+def _require_number(value, path, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
     if not math.isfinite(value):   # json reads NaN and Infinity
@@ -111,93 +121,67 @@ def _build_model(block, base_dir):
     if not isinstance(block, dict):
         raise ConfigError("model block must be a mapping")
     family = block.get("family")
-    if family not in _FAMILIES:
-        raise ConfigError(f"model.family must be one of {', '.join(_FAMILIES)}, "
+    if not isinstance(family, str) or family not in _MODEL_KEYS:
+        raise ConfigError(f"model.family must be one of {', '.join(_MODEL_KEYS)}, "
                           f"got {family!r}")
-    allowed = _MODEL_KEYS[family]
+    keys = _MODEL_KEYS[family]
     for key in block:
-        if key not in allowed:
+        if key != "family" and key not in keys:
             raise ConfigError(f"model.{key} is not valid for family '{family}'")
-    l = _require_number(block.get("l", 0.0), "model.l")
-    if not l > -1.0:
-        raise ConfigError(f"model.l: anisotropy exponent l must exceed -1, got {l}")
-
+    resolved = {"family": family}
+    for key, default in keys.items():
+        if default is ... and key not in block:
+            raise ConfigError(f"model.{key} is required for {family} models")
+        value = block.get(key, default)
+        if key == "table" and not isinstance(value, str):
+            raise ConfigError(f"model.table must be a path string, got {value!r}")
+        if key != "table" and value is not None:
+            value = _require_number(value, f"model.{key}", integer=key == "p")
+        resolved[key] = value
+    r = resolved
     try:
         if family == "polytrope":
-            if "n" not in block:
-                raise ConfigError("model.n is required for polytrope models")
-            n = _require_number(block["n"], "model.n")
-            phi_minus = _require_number(block.get("phi_minus", 1.0), "model.phi_minus")
-            model = polytrope(n, l=l, phi_minus=phi_minus)
-            resolved = {"family": family, "l": l, "n": n, "phi_minus": phi_minus}
+            model = polytrope(r["n"], l=r["l"], phi_minus=r["phi_minus"])
         elif family == "truncated-exponential":
-            if "p" not in block:
-                raise ConfigError("model.p is required for truncated-exponential models")
-            p = _require_number(block["p"], "model.p", integer=True)
             try:
-                model = truncated_exponential(p, l=l)
+                model = truncated_exponential(r["p"], l=r["l"])
             except OverflowError as exc:   # a Gamma function of p and l
-                raise OverflowError(f"model.p = {p}, model.l = {l:g}: {exc}") from None
-            resolved = {"family": family, "l": l, "p": p}
+                raise OverflowError(f"model.p = {r['p']}, model.l = {r['l']:g}: {exc}") from None
         else:
-            if "table" not in block:
-                raise ConfigError("model.table is required for tabulated models")
-            if "k" not in block:
-                raise ConfigError("model.k is required for tabulated models")
-            table = block["table"]
-            if not isinstance(table, str):
-                raise ConfigError(f"model.table must be a path string, got {table!r}")
-            table_path = table if os.path.isabs(table) else os.path.join(base_dir, table)
-            k = _require_number(block["k"], "model.k")
-            holder = _require_number(block.get("holder_index"), "model.holder_index",
-                                     allow_none=True)
-            model = load_tabulated(table_path, l=l, k=k, holder_index=holder)
-            resolved = {"family": family, "l": l, "table": table, "k": k,
-                        "holder_index": holder}
-    except ModelError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+            model = load_tabulated(os.path.join(base_dir, r["table"]), l=r["l"], k=r["k"],
+                                   holder_index=r["holder_index"])
+    except ModelError as exc:   # a table's own data has no key: its file and line
+        raise ConfigError(f"model{'.' + exc.key if exc.key else ''}: {exc}") from exc
     return model, resolved
 
 
 def _expand_grid(value):
-    """The sweep grid from a list or a start/stop/count mapping: non-empty,
-    positive and strictly increasing, else a ConfigError naming the first
-    offending element (an index into the expanded grid for a mapping)."""
-    if isinstance(value, dict):
-        extra = set(value) - {"start", "stop", "count"}
-        if extra:
-            raise ConfigError(f"run.omega_grid.{sorted(extra)[0]} is not recognised")
-        for key in ("start", "stop", "count"):
-            if key not in value:
-                raise ConfigError(f"run.omega_grid.{key} is required")
-        start = _require_number(value["start"], "run.omega_grid.start")
-        stop = _require_number(value["stop"], "run.omega_grid.stop")
-        count = _require_number(value["count"], "run.omega_grid.count", integer=True)
-        if count < 2:
-            raise ConfigError(f"run.omega_grid.count must be at least 2, got {count}")
-        if not 0.0 < start < stop:
-            raise ConfigError("run.omega_grid needs 0 < start < stop")
-        grid = _linspace(start, stop, count)
-        expanded = " in the grid expanded from start/stop/count"
-    elif isinstance(value, list):
-        grid = [_require_number(w, f"run.omega_grid[{i}]") for i, w in enumerate(value)]
-        expanded = ""
-    else:
+    """The sweep grid from a list of numbers or a start/stop/count mapping;
+    `analysis._checked_grid` checks its nodes."""
+    if isinstance(value, list):
+        return [_require_number(w, f"run.omega_grid[{i}]") for i, w in enumerate(value)]
+    if not isinstance(value, dict):
         raise ConfigError(f"run.omega_grid must be a list or start/stop/count mapping, "
                           f"got {value!r}")
-    if not grid:
-        raise ConfigError("run.omega_grid must not be empty")
-    for i, w in enumerate(grid):
-        if not w > 0.0:
-            raise ConfigError(f"run.omega_grid[{i}] must be positive, got {w!r}")
-        if i and not w > grid[i - 1]:
-            raise ConfigError(f"run.omega_grid[{i}] = {w!r} must exceed "
-                              f"run.omega_grid[{i - 1}] = {grid[i - 1]!r}{expanded}: "
-                              f"the grid must be strictly increasing")
-    return grid
+    wrong = sorted(set(value) ^ {"start", "stop", "count"})
+    if wrong:
+        raise ConfigError(f"run.omega_grid.{wrong[0]} is "
+                          + ("not recognised" if wrong[0] in value else "required"))
+    start = _require_number(value["start"], "run.omega_grid.start")
+    stop = _require_number(value["stop"], "run.omega_grid.stop")
+    count = _require_number(value["count"], "run.omega_grid.count", integer=True)
+    if count < 2:
+        raise ConfigError(f"run.omega_grid.count must be at least 2, got {count}")
+    if not 0.0 < start < stop:
+        raise ConfigError("run.omega_grid needs 0 < start < stop")
+    return _linspace(start, stop, count)
 
 
-def _validate_run(block):
+def _validate_run(block, model):
+    """The run block: its form here (known keys, numbers where numbers go,
+    orbit triples inside the cube), then each value through the library
+    code that reads it, for every key present, so the keys of other
+    commands are checked too; a SettingError becomes a config error."""
     if not isinstance(block, dict):
         raise ConfigError("run block must be a mapping")
     for key in block:
@@ -206,49 +190,34 @@ def _validate_run(block):
     run = dict(block)
     for key in ("omega_c", "omega_0", "rel_tol", "abs_tol", "r_max", "lambda_max"):
         if key in run:
-            val = _require_number(run[key], f"run.{key}")
-            if not val > 0.0:
-                raise ConfigError(f"run.{key} must be positive, got {val}")
-            run[key] = val
-    if "omega_grid" in run:
-        run["omega_grid"] = _expand_grid(run["omega_grid"])
+            run[key] = _require_number(run[key], f"run.{key}")
     if "backward" in run and not isinstance(run["backward"], bool):
         raise ConfigError("run.backward must be true or false")
-    if "orbits" in run:
-        orbits = run["orbits"]
-        if not isinstance(orbits, list) or not orbits:
-            raise ConfigError("run.orbits must be a non-empty list of [U, Q, Omega] triples")
-        parsed = []
-        for i, triple in enumerate(orbits):
-            if not isinstance(triple, list) or len(triple) != 3:
-                raise ConfigError(f"run.orbits[{i}] must be a [U, Q, Omega] triple")
-            point = [_require_number(x, f"run.orbits[{i}]") for x in triple]
-            try:
-                CompactState(*point)
-            except ValueError as exc:
-                raise ConfigError(f"run.orbits[{i}]: {exc}") from exc
-            parsed.append(point)
-        run["orbits"] = parsed
+    orbits, starts = run.get("orbits", []), []
+    if "orbits" in run and (not isinstance(orbits, list) or not orbits):
+        raise ConfigError("run.orbits must be a non-empty list of [U, Q, Omega] triples")
+    for i, triple in enumerate(orbits):
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise ConfigError(f"run.orbits[{i}] must be a [U, Q, Omega] triple")
+        orbits[i] = [_require_number(x, f"run.orbits[{i}]") for x in triple]
+        try:
+            starts.append(CompactState(*orbits[i]))
+        except ValueError as exc:
+            raise ConfigError(f"run.orbits[{i}]: {exc}") from exc
+    try:
+        for key in ("omega_c", "omega_0"):
+            if key in run:
+                _check_amplitude(model, key, run[key])
+        if "omega_grid" in run:
+            run["omega_grid"] = _checked_grid(model, _expand_grid(run["omega_grid"]))
+        for cls in (SolveSettings, CompactSettings):   # each checks its fields when built
+            _settings(cls, run)
+        for i, start in enumerate(starts):
+            _check_start(model, start, f"orbits[{i}]")
+    except SettingError as exc:
+        mapped = exc.key.startswith("omega_grid") and isinstance(block["omega_grid"], dict)
+        raise _run_error(exc, " in the grid expanded from start/stop/count" * mapped) from exc
     return run
-
-
-def _check_table_range(model, run):
-    """A family with a largest energy (a tabulated phi ends at its last
-    sample) admits no amplitude past it, and no orbit start's potential
-    Omega/(1-Omega) at or past it: an orbit stops where it reaches the end."""
-    end = model.family.energy_max
-    if end is None:
-        return
-    amplitudes = [(f"run.{key}", run[key]) for key in ("omega_c", "omega_0") if key in run]
-    amplitudes += [(f"run.omega_grid[{i}]", w) for i, w in enumerate(run.get("omega_grid", ()))]
-    for path, omega in amplitudes:
-        if omega > end:
-            raise ConfigError(f"{path} = {omega:g} lies past the end of the tabulated "
-                              f"phi grid (E = {end:g})")
-    for i, (_, _, om) in enumerate(run.get("orbits", ())):
-        if om / (1.0 - om) >= end:
-            raise ConfigError(f"run.orbits[{i}] omega = {om / (1.0 - om):g} lies at or "
-                              f"past the end of the tabulated phi grid (E = {end:g})")
 
 
 def parse_config(path) -> RunConfig:
@@ -268,8 +237,7 @@ def parse_config(path) -> RunConfig:
     if "model" not in data:
         raise ConfigError("model block is required")
     model, model_resolved = _build_model(data["model"], os.path.dirname(os.path.abspath(path)))
-    run = _validate_run(data.get("run", {}))
-    _check_table_range(model, run)
+    run = _validate_run(data.get("run", {}), model)
 
     output = data.get("output", {})
     if not isinstance(output, dict):
@@ -317,9 +285,9 @@ def _write_summary(out_dir, config, results):
                 {"tool_version": __version__, "config": config, "results": results})
 
 
-def _solver_settings(run):
-    kwargs = {k: run[k] for k in _SETTINGS_KEYS if k in run}
-    return SolveSettings(**kwargs)
+def _settings(cls, run):
+    """SolveSettings or CompactSettings from the run keys that set its fields."""
+    return cls(**{k: run[k] for k in cls.__dataclass_fields__ if k in run})
 
 
 def _note(args, message):
@@ -341,7 +309,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     omega_c = cfg.run["omega_c"]
     _note(args, f"solving omega_c={omega_c:g}")
     try:
-        profile = integrate_physical(cfg.model, omega_c, settings=_solver_settings(cfg.run))
+        profile = integrate_physical(cfg.model, omega_c, settings=_settings(SolveSettings, cfg.run))
     except OverflowError as exc:   # a power of r or omega in a step, at large l
         raise OverflowError(f"model.l = {cfg.model.l:g}: {exc}") from None
     labels = classify_solution(cfg.model, profile)
@@ -368,7 +336,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError("run.omega_grid is required by the sweep command")
     _note(args, f"sweeping {len(cfg.run['omega_grid'])} amplitudes")
     result = sweep_omega_c(cfg.model, cfg.run["omega_grid"],
-                           settings=_solver_settings(cfg.run))
+                           settings=_settings(SolveSettings, cfg.run))
     write_sweep_csv(result, os.path.join(args.out, "sweep.csv"), cfg.output["precision"])
     results = {
         "n_entries": len(result.entries),
@@ -384,7 +352,7 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
     if "orbits" not in cfg.run:
         raise ConfigError("run.orbits is required by the portrait command")
     prec = cfg.output["precision"]
-    settings = CompactSettings(**{k: cfg.run[k] for k in ("rel_tol", "lambda_max") if k in cfg.run})
+    settings = _settings(CompactSettings, cfg.run)
     backward = cfg.run.get("backward", False)
 
     lines = fixed_lines(cfg.model.l)
@@ -419,13 +387,14 @@ def cmd_check(cfg: RunConfig, args) -> int:
     omega_0 = cfg.run.get("omega_0", omega_c)
     if omega_0 is None:
         raise ConfigError("run.omega_c or run.omega_0 is required by the check command")
-    verdicts = [check_theorem1(cfg.model, omega_0)]
     _note(args, "computing critical amplitude")
-    if omega_c is not None:   # T2 keeps the critical amplitude in its witness
-        verdicts.append(check_theorem2(cfg.model, omega_c))
-    results = {v.theorem: asdict(v) for v in verdicts}
-    results["omega_crit"] = (verdicts[1].witness["omega_crit"] if omega_c is not None
-                             else omega_crit(cfg.model))
+    # T2 first: it checks omega_c, which T1 reads when omega_0 is unset; its
+    # witness keeps the critical amplitude
+    t2 = check_theorem2(cfg.model, omega_c) if omega_c is not None else None
+    results = {"T1": asdict(check_theorem1(cfg.model, omega_0)),
+               "omega_crit": t2.witness["omega_crit"] if t2 else omega_crit(cfg.model)}
+    if t2:
+        results["T2"] = asdict(t2)
     _write_summary(args.out, cfg.resolved, results)
     return 0
 
@@ -494,8 +463,9 @@ def main(argv=None) -> int:
         handler = {"solve": cmd_solve, "sweep": cmd_sweep,
                    "portrait": cmd_portrait, "check": cmd_check}[args.command]
         return handler(cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, SettingError) as exc:   # a SettingError: a relation a command checks
+        print(f"config error: {_run_error(exc) if isinstance(exc, SettingError) else exc}",
+              file=sys.stderr)
         return 2
     except (ModelError, EvaluationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

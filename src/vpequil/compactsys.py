@@ -33,10 +33,11 @@ from .distmodels import (
     DistributionModel,
     EvaluationError,
     Polytrope,
+    SettingError,
     density,
     eval_n,
 )
-from .physical import PhysicalState
+from .physical import PhysicalState, _check_settings
 
 TRANSVERSELY_HYPERBOLIC_SOURCE = "TransverselyHyperbolicSource"
 TRANSVERSELY_HYPERBOLIC_SADDLE = "TransverselyHyperbolicSaddle"
@@ -79,6 +80,9 @@ class CompactState:
 class CompactSettings:
     rel_tol: float = 1e-10
     lambda_max: float = 200.0
+
+    def __post_init__(self):
+        _check_settings(self, ("lambda_max",))
 
 
 @dataclass(frozen=True)
@@ -157,9 +161,8 @@ def _orbit_field(model: DistributionModel):
 
 
 def fixed_lines(l: float):
-    """The four lines of equilibria with closed-form transverse spectra."""
-    if not l > -1.0:
-        raise ValueError(f"anisotropy exponent l must exceed -1, got {l}")
+    """The four lines of equilibria with closed-form transverse spectra, for
+    the l of a model (which checks l > -1)."""
     u2 = (3.0 + 2.0 * l) / (4.0 + 2.0 * l)
     return [
         FixedLine("L1", 1.0, 0.0, (1.0, 1.0, 0.0), TRANSVERSELY_HYPERBOLIC_SOURCE),
@@ -371,6 +374,19 @@ def _integrated_log(v: float) -> float:
     return math.copysign(math.inf, v) if abs(v) == _FACE else v
 
 
+def _check_start(model: DistributionModel, state: CompactState, key: str = "state0") -> float:
+    """The ceiling of an orbit: _OMEGA_CEILING, or the end of a tabulated phi
+    below it.  A start outside (_OMEGA_FLOOR, ceiling) would stop where it
+    starts: it is refused, naming ``key``."""
+    end = _omega_cap(model)[1]
+    ceiling, omega = min(_OMEGA_CEILING, end), state.omega
+    if not _OMEGA_FLOOR < omega < ceiling:
+        raise SettingError(key, f"omega = {omega:g} lies " + (
+            f"at or past the end of the tabulated phi grid (E = {end:g})" if omega >= end
+            else f"outside the potential window ({_OMEGA_FLOOR:g}, {ceiling:g})"))
+    return ceiling
+
+
 def integrate_compact(model: DistributionModel, state0: CompactState,
                       settings: CompactSettings | None = None,
                       backward: bool = False) -> CompactOrbit:
@@ -383,12 +399,8 @@ def integrate_compact(model: DistributionModel, state0: CompactState,
     and the tolerance widens only slowly as an orbit runs deep into a
     corner."""
     st = settings or CompactSettings()
-    if not (st.rel_tol > 0.0 and st.lambda_max > 0.0):
-        raise ValueError("rel_tol and lambda_max must be positive")
     x_hi, w_hi = _omega_cap(model)   # w_hi: where a tabulated phi ends, if it does
-    ceiling = min(_OMEGA_CEILING, w_hi)
-    if not _OMEGA_FLOOR < state0.omega < ceiling:
-        raise ValueError("initial state outside the (floor, ceiling) potential window")
+    ceiling = _check_start(model, state0)
 
     def Omega_of(x):
         w = math.exp(x) if x < x_hi else w_hi

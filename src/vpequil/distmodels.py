@@ -31,11 +31,12 @@ and Wilson models among others) it is e^omega, or e^omega erf(sqrt(omega)),
 minus a finite sum, and the series gives way to it well below a + 1, where
 the difference stops cancelling.  phi itself is the kernel at a = p + 1.
 
-A family is a kernel builder: `kernel(m, derivative=False)` returns the
+A family is a kernel builder: `kernel(m, derivative, memo)` returns the
 float function omega -> g_m(omega), or dg_m/domega, and `index(l, kernel)`
-the local index n = -l + omega g'/g at m = l + 1/2, where `kernel` is the
-model's memoized `kernel` (a family that needs kernels for its index takes
-them from there, so none is built twice).  Each family checks its own
+the local index n = -l + omega g'/g at m = l + 1/2; `memo` and `kernel`
+are the model's memoized `kernel` (a family that needs a kernel for a
+derivative or its index takes it from there, so none is built twice).
+Each family checks its own
 parameters when it is built and keeps no cache but a lowered exponential's
 phi kernel, built on first use.  The model holds the one
 memo, a kernel per (m, derivative) built on first use, and binds two float
@@ -78,7 +79,21 @@ _polytrope_kernel = eval(f"lambda {', '.join(_POLYTROPE_KERNEL[1])}: "
 
 
 class ModelError(ValueError):
-    """Invalid model construction or parameters."""
+    """Invalid model construction or parameters; ``key`` names the parameter
+    at fault (``n``, ``l``, ...), None for the data of a table."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
+
+
+class SettingError(ValueError):
+    """A run setting outside its range; ``key`` names it (``rel_tol``,
+    ``omega_grid[3]``, ...), and the message reads on from the key."""
+
+    def __init__(self, key, message):
+        super().__init__(f"{key} {message}")
+        self.key = key
 
 
 class EvaluationError(RuntimeError):
@@ -98,9 +113,9 @@ class Polytrope:
 
     def __post_init__(self):
         if not self.n > 0.5:
-            raise ModelError(f"polytrope exponent n must exceed 1/2, got {self.n}")
+            raise ModelError(f"polytrope exponent n must exceed 1/2, got {self.n}", "n")
         if not self.phi_minus > 0:
-            raise ModelError("polytrope amplitude phi_minus must be positive")
+            raise ModelError("polytrope amplitude phi_minus must be positive", "phi_minus")
 
     def default_regularity(self):
         return Regularity(k=self.n - 1.5, holder_index=min(1.0, self.n - 0.5))
@@ -108,7 +123,7 @@ class Polytrope:
     def phi(self, e):
         return self.phi_minus * max(e, _OMEGA_MIN) ** (self.n - 1.5) if e > 0.0 else 0.0
 
-    def kernel(self, m, derivative=False):
+    def kernel(self, m, derivative=False, memo=None):
         """omega -> g_m(omega) = omega^(n+m-1/2) phi_minus B(n-1/2, m+1), or dg_m/domega."""
         n, phi_minus = self.n, self.phi_minus
         power = n + m - 0.5
@@ -142,7 +157,8 @@ class TruncatedExponential:
 
     def __post_init__(self):
         if self.p < 0 or int(self.p) != self.p:
-            raise ModelError(f"truncation order p must be a non-negative integer, got {self.p}")
+            raise ModelError(f"truncation order p must be a non-negative integer, got {self.p}",
+                             "p")
         _series_head(self.p + 1.0, 1.0, "phi")   # the kernel `phi` builds must exist
 
     def default_regularity(self):
@@ -156,12 +172,13 @@ class TruncatedExponential:
     def phi(self, e):
         return self._phi(e) if e > 0.0 else 0.0
 
-    def kernel(self, m, derivative=False):
-        """omega -> g_m(omega) = Gamma(m+1) e^omega P(p+m+2, omega), or dg_m/domega."""
+    def kernel(self, m, derivative=False, memo=None):
+        """omega -> g_m(omega) = Gamma(m+1) e^omega P(p+m+2, omega), or dg_m/domega,
+        which reads g_m from ``memo``, the model's memoized `kernel`, if given."""
         a = self.p + m + 2.0
-        g = _lowered_kernel(a, math.gamma(m + 1.0), f"g_{m:g}")
         if not derivative:
-            return g
+            return _lowered_kernel(a, math.gamma(m + 1.0), f"g_{m:g}")
+        g = (memo or self.kernel)(m)
         # d/domega [e^omega P(a, omega)] = e^omega P(a, omega) + omega^(a-1)/Gamma(a)
         log_gamma_m, log_gamma_a = math.lgamma(m + 1.0), math.lgamma(a)
         return lambda omega: g(omega) + math.exp(
@@ -235,9 +252,10 @@ def _horner(coefs, var):
     return expr
 
 
-@functools.cache
 def _compiled(source):
-    """The factory ``bind`` of a generated kernel or index, compiled once per source."""
+    """The factory ``bind`` of a generated kernel or index.  Nothing keeps it:
+    the source holds the model's own coefficients, so a cache of sources
+    would grow with every model built."""
     namespace = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt, "erf": math.erf,
                  "fraction": _fraction, "EvaluationError": EvaluationError}
     exec(compile(source, "<lowered kernel>", "exec"), namespace)
@@ -274,7 +292,7 @@ def _lowered_kernel(a, scale, what):
     The kernel is generated as straight-line source: both polynomials are
     written out by `_horner` with their coefficients as literals, as are the
     switch, the scale and every other constant, so a call runs no loop but
-    the continued fraction's.  Each distinct source is compiled once.
+    the continued fraction's.  The model's memo keeps the compiled kernel.
     """
     log_scale, log_gamma_a = math.log(scale), math.lgamma(a)
     big = _LOG_MAX - max(log_scale, 0.0)   # e^x and scale e^x are finite up to here
@@ -385,7 +403,7 @@ class Tabulated:
             raise EvaluationError(f"tabulated phi queried at E={omega:g} beyond grid end "
                                   f"{self._energy_max:g}")
 
-    def kernel(self, m, derivative=False):
+    def kernel(self, m, derivative=False, memo=None):
         """omega -> g_m(omega), or dg_m/domega, with the per-piece constants fixed once.
 
         g_m(omega) = int_0^omega phi(omega - s) s^m ds, so the jump of phi at
@@ -663,7 +681,7 @@ class Regularity:
 
     def __post_init__(self):
         if not self.k > -1.0:
-            raise ModelError(f"low-energy exponent k must exceed -1, got {self.k}")
+            raise ModelError(f"low-energy exponent k must exceed -1, got {self.k}", "k")
 
 
 @dataclass(frozen=True, eq=False)
@@ -676,20 +694,21 @@ class DistributionModel:
 
     def __post_init__(self):
         if not self.l > -1.0:
-            raise ModelError(f"anisotropy exponent l must exceed -1, got {self.l}")
+            raise ModelError(f"anisotropy exponent l must exceed -1, got {self.l}", "l")
         if self.regularity is None:
             reg = self.family.default_regularity()
             if reg is None:
                 raise ModelError("tabulated models require an explicit Regularity record "
-                                 "(the low-energy exponent k is declared, not inferred)")
+                                 "(the low-energy exponent k is declared, not inferred)", "k")
             object.__setattr__(self, "regularity", reg)
         if self.l < -0.5:
             h = self.regularity.holder_index
             if h is None:
-                raise ModelError("models with l < -1/2 require a Hölder index for E*phi(E)")
+                raise ModelError("models with l < -1/2 require a Hölder index for E*phi(E)",
+                                 "holder_index")
             if not h > -self.l - 0.5:
-                raise ModelError(
-                    f"Hölder index {h:g} insufficient: needs > {-self.l - 0.5:g} for l={self.l:g}")
+                raise ModelError(f"Hölder index {h:g} insufficient: needs > {-self.l - 0.5:g} "
+                                 f"for l={self.l:g}", "holder_index")
         object.__setattr__(self, "_prefactor", density_prefactor(self.l))
         object.__setattr__(self, "_kernels", {})   # (m, derivative) -> kernel
         # the per-step functions of omega, bound once: g_{l+1/2} and n
@@ -700,7 +719,7 @@ class DistributionModel:
         """omega -> g_m(omega), or dg_m/domega; the family builds each once per model."""
         key = (m, derivative)
         if key not in self._kernels:
-            self._kernels[key] = self.family.kernel(m, derivative)
+            self._kernels[key] = self.family.kernel(m, derivative, self.kernel)
         return self._kernels[key]
 
 
@@ -724,7 +743,7 @@ def wilson_model(l=0.0) -> DistributionModel:
 
 def tabulated_model(energies, values, l=0.0, k=None, holder_index=None) -> DistributionModel:
     if k is None:
-        raise ModelError("tabulated models require the declared low-energy exponent k")
+        raise ModelError("tabulated models require the declared low-energy exponent k", "k")
     return DistributionModel(l=float(l), family=Tabulated(energies, values),
                              regularity=Regularity(k=float(k), holder_index=holder_index))
 
@@ -846,7 +865,11 @@ def density_prefactor(l) -> float:
     """
     ratio = (math.gamma(l + 1.0) / math.gamma(l + 1.5) if l < 170.0
              else math.exp(math.lgamma(l + 1.0) - math.lgamma(l + 1.5)))
-    return 2.0 ** (l + 1.5) * math.pi ** 1.5 * ratio
+    try:
+        return 2.0 ** (l + 1.5) * math.pi ** 1.5 * ratio
+    except OverflowError:
+        raise OverflowError(f"2 ** (l + 3/2) of the density prefactor overflows double "
+                            f"precision at l = {l:g}") from None
 
 
 def density(model: DistributionModel, r, omega) -> float:

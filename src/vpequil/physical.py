@@ -15,14 +15,17 @@ mass) extended state.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from ._ode import Events, Field, bind, dop853
 from .distmodels import (
+    _OMEGA_MIN,
     DistributionModel,
     EvaluationError,
+    SettingError,
     density,
     eval_dg,
     eval_g,
@@ -37,9 +40,12 @@ INFINITE_UNDETERMINED = "InfiniteUndetermined"
 # unbounded state is declared to have converged total mass
 MASS_DECADE_THRESHOLD = 1e-3
 
-_STARTUP_FRACTION = 1e-6      # startup radius in units of the natural length
+_STARTUP_FRACTION = 1e-6      # startup radius in units of the natural length, l >= -1/2
 _CUTOFF_FRACTION = 1e6        # default outer radius in the same units
 _FLOOR_FRACTION = 1e-12       # omega floor in units of the central value
+# rel_tol of both flows: below 100 eps (scipy's solve_ivp floor) a step asks
+# for digits a double does not hold, above 1e-2 for none
+_REL_TOL_RANGE = (100.0 * sys.float_info.epsilon, 1e-2)
 
 
 @dataclass(frozen=True)
@@ -57,30 +63,67 @@ class PhysicalState:
             raise ValueError(f"enclosed mass must be non-negative, got {self.m}")
 
 
+def _check_settings(settings, positive):
+    """Name the field of a settings record whose rel_tol lies outside
+    `_REL_TOL_RANGE`, or which of ``positive`` is not positive (None passes)."""
+    lo, hi = _REL_TOL_RANGE
+    if not lo <= settings.rel_tol <= hi:
+        raise SettingError("rel_tol", f"must lie in [{lo:g}, {hi:g}], got {settings.rel_tol!r}")
+    for name in positive:
+        value = getattr(settings, name)
+        if value is not None and not value > 0.0:
+            raise SettingError(name, f"must be positive, got {value!r}")
+
+
+def _check_amplitude(model: DistributionModel, key: str, omega: float, span=None):
+    """Name ``key`` if omega is no central amplitude of the model: not
+    positive, past the end of a tabulated phi, or, for a caller that reads
+    the index down to span * omega, with that below `_OMEGA_MIN`."""
+    end = model.family.energy_max
+    if not omega > 0.0:
+        problem = f"must be positive, got {omega!r}"
+    elif end is not None and omega > end:
+        problem = f"= {omega:g} lies past the end of the tabulated phi grid (E = {end:g})"
+    elif span is not None and not span * omega >= _OMEGA_MIN:
+        problem = (f"= {omega:g} puts the low end of the checked interval, {span:g} times "
+                   f"it, below the index floor {_OMEGA_MIN:g}")
+    else:
+        return
+    raise SettingError(key, problem)
+
+
 @dataclass(frozen=True)
 class SolveSettings:
     """Integration controls; an r_max of None is resolved from the model scale.
 
-    A solve starts at `_STARTUP_FRACTION` natural lengths and stops at the
-    surface where omega falls to `_FLOOR_FRACTION` omega_c, or at r_max.
+    A solve starts at `_STARTUP_FRACTION` natural lengths (less for
+    l < -1/2, see `_radii`) and stops at the surface where omega falls to
+    `_FLOOR_FRACTION` omega_c, or at r_max.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-30
     r_max: float | None = None
 
+    def __post_init__(self):
+        _check_settings(self, ("abs_tol", "r_max"))
+
+    def _radii(self, model: DistributionModel, omega_c: float) -> tuple:
+        """(start radius, r_max): L _STARTUP_FRACTION ** max(1, 1/(2 + 2l)), L
+        the natural length, so the series' first correction, of order
+        (r/L)^(2 + 2l), stays near _STARTUP_FRACTION as l nears -1; and
+        r_max, by default _CUTOFF_FRACTION L."""
+        length, l = natural_length(model, omega_c), model.l
+        start = length * (_STARTUP_FRACTION ** (1.0 / (2.0 + 2.0 * l)) if l < -0.5
+                          else _STARTUP_FRACTION)
+        r_max = self.r_max if self.r_max is not None else _CUTOFF_FRACTION * length
+        if not start < r_max:
+            raise SettingError("r_max", f"= {r_max:g} must exceed the startup radius {start:g}")
+        return start, r_max
+
     def resolved(self, model: DistributionModel, omega_c: float) -> "SolveSettings":
         """Fill r_max for a concrete (model, omega_c)."""
-        if not omega_c > 0.0:
-            raise ValueError(f"central potential must be positive, got {omega_c}")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        length = natural_length(model, omega_c)
-        r_max = self.r_max if self.r_max is not None else _CUTOFF_FRACTION * length
-        start = _STARTUP_FRACTION * length
-        if not 0.0 < start < r_max:
-            raise ValueError(f"the startup radius {start:g} must lie in (0, r_max = {r_max:g})")
-        return replace(self, r_max=r_max)
+        return replace(self, r_max=self._radii(model, omega_c)[1])
 
 
 def density_scale(model: DistributionModel, omega: float) -> float:
@@ -195,12 +238,21 @@ class SolutionProfile:
 def integrate_physical(model: DistributionModel, omega_c: float,
                        settings: SolveSettings | None = None) -> SolutionProfile:
     """Construct the equilibrium with central potential depth omega_c."""
-    st = (settings or SolveSettings()).resolved(model, omega_c)
-    r0 = _STARTUP_FRACTION * natural_length(model, omega_c)
+    _check_amplitude(model, "omega_c", omega_c)
+    st = settings or SolveSettings()
+    r0, r_max = st._radii(model, omega_c)
+    st = replace(st, r_max=r_max)
     floor = _FLOOR_FRACTION * omega_c
-    m0, w0 = center_series(model, omega_c, r0)
-    if not w0 > floor:
-        raise ValueError("startup radius too large: the series already crossed the floor")
+    # a finite start lies far above the floor: the series' first correction
+    # is at most about 1e-6 omega_c / ((3 + 2l)(2 + 2l)), its second positive
+    try:   # the powers of r0, the density's r0 ** (2 l) too, and g g'
+        m0, w0 = center_series(model, omega_c, r0)
+        r0 ** (2.0 * model.l)
+    except (OverflowError, ZeroDivisionError):   # 0 ** (2 l): r0 underflowed
+        m0 = w0 = math.nan
+    if not (r0 > 0.0 and math.isfinite(m0 + w0)):
+        raise EvaluationError(f"l = {model.l:g}, omega_c = {omega_c:g}: the start leaves double "
+                              f"precision: (r, m, omega) = ({r0:g}, {m0:g}, {w0:g})")
 
     try:
         sol = dop853(_physical_field(model), r0, (m0, w0), st.r_max, st.rel_tol, st.abs_tol,

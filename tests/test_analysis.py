@@ -66,7 +66,7 @@ class IndexFamily:
     def default_regularity(self):
         return Regularity(k=0.0, holder_index=1.0)
 
-    def kernel(self, m, derivative=False):
+    def kernel(self, m, derivative=False, memo=None):
         def unused(omega):
             raise AssertionError("the criteria read only the index")
         return unused

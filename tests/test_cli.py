@@ -9,6 +9,7 @@ frontend promises identical files for identical configs.
 import ast
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -21,6 +22,7 @@ import pytest
 import vpequil
 from vpequil import __version__
 from vpequil.cli import ConfigError, _expand_grid, main, parse_config
+from vpequil.distmodels import polytrope
 
 RHO_MINUS_N1 = 2.0 ** 1.5 * math.pi ** 2
 A_N1 = math.sqrt(4.0 * math.pi * RHO_MINUS_N1)
@@ -295,7 +297,7 @@ def test_readme_run_schema_is_accepted():
     section = readme.split("### Config schema", 1)[1].split("\n### ", 1)[0]
     block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
     schema = json.loads(re.sub(r"//.*", "", block))
-    run = cli._validate_run(schema["run"])
+    run = cli._validate_run(schema["run"], polytrope(1.5))
     assert set(run) == set(schema["run"])
     missing = [key for key in sorted(cli._RUN_KEYS) if f'"{key}"' not in section]
     assert not missing
@@ -409,9 +411,9 @@ def test_solve_failure_leaves_no_summary(tmp_path, capsys):
     # r_max inside the startup radius, 1e-6 natural lengths (1e-6 / A_N1 here)
     path = write_config(tmp_path, solve_config(r_max=1e-9))
     out = tmp_path / "out"
-    assert main(["solve", "--config", path, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (f"error: the startup radius {1e-6 / A_N1:g} must lie "
-                                       "in (0, r_max = 1e-09)\n")
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: run.r_max = 1e-09 must exceed the "
+                                       f"startup radius {1e-6 / A_N1:g}\n")
     assert not (out / "summary.json").exists()
 
 
@@ -482,6 +484,118 @@ def test_kernel_overflow_names_l_and_the_term(tmp_path, capsys):
         "error: OverflowError: model.l = 300: omega ** 303 of the polytrope kernel g_300.5 "
         "overflows double precision at omega = 20\n")
     assert not (out / "summary.json").exists()
+
+KING = {"family": "truncated-exponential", "p": 0}
+POLYTROPE3 = {"family": "polytrope", "n": 3.0}
+
+
+@pytest.mark.parametrize("command, model, run, message", [
+    ("portrait", POLYTROPE3, {"orbits": [[0.5, 0.5, 1e-300]]},
+     "run.orbits[0] omega = 1e-300 lies outside the potential window (1e-12, 1e+12)"),
+    ("portrait", POLYTROPE3, {"orbits": [[0.6, 0.3, 0.3], [0.5, 0.5, 1.0 - 1e-16]]},
+     "run.orbits[1] omega = 9.0072e+15 lies outside the potential window (1e-12, 1e+12)"),
+    ("solve", {"family": "polytrope", "n": 1.0}, {"omega_c": 1.0, "r_max": 1e-9},
+     f"run.r_max = 1e-09 must exceed the startup radius {1e-6 / A_N1:g}"),
+    ("check", KING, {"omega_0": 5e-324},
+     "run.omega_0 = 4.94066e-324 puts the low end of the checked interval, 1e-10 times it, "
+     "below the index floor 1e-300"),
+    ("check", KING, {"omega_c": 5e-324},
+     "run.omega_c = 4.94066e-324 puts the low end of the checked interval, 1e-10 times it, "
+     "below the index floor 1e-300"),
+    ("solve", KING, {"omega_c": 1.0, "rel_tol": 1e-20},
+     "run.rel_tol must lie in [2.22045e-14, 0.01], got 1e-20"),
+    ("solve", KING, {"omega_c": 1.0, "rel_tol": 0.5},
+     "run.rel_tol must lie in [2.22045e-14, 0.01], got 0.5"),
+    ("solve", {"family": "polytrope", "n": 0.3}, {"omega_c": 1.0},
+     "model.n: polytrope exponent n must exceed 1/2, got 0.3"),
+], ids=["orbit-omega-1e-300", "orbit-Omega-1-1e-16", "r_max-1e-9", "check-omega_0-5e-324",
+        "check-omega_c-5e-324", "rel_tol-1e-20", "rel_tol-0.5", "model-n-0.3"])
+def test_invalid_value_exits_2_naming_its_key(tmp_path, capsys, command, model, run, message):
+    # each relation is checked once, in the library code that reads the value;
+    # the CLI names the key of the SettingError or ModelError, and writes no summary
+    path = write_config(tmp_path, {"model": model, "run": run})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out / "summary.json").exists()
+
+
+def test_other_commands_keys_are_checked_too(tmp_path, capsys):
+    # a portrait key of a config is checked when the config runs solve
+    path = write_config(tmp_path, {"model": KING, "run": {
+        "omega_c": 1.0, "orbits": [[0.5, 0.5, 1e-300]], "lambda_max": 20.0}})
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "run.orbits[0] omega = 1e-300" in capsys.readouterr().err
+
+
+FUZZ_SEED = 1020   # random.Random draws do not move with the code base's constants
+
+
+def fuzz_value(rng, lo, hi, log=False, sign=(-1.0, 1.0)):
+    """Mostly a value in [lo, hi], or in [10^lo, 10^hi]; else 0 or 5e-324
+    to 1e300 of a sign in ``sign``."""
+    if rng.random() < 0.94:
+        x = rng.uniform(lo, hi)
+        return 10.0 ** x if log else x
+    if rng.random() < 0.1:
+        return 0.0
+    return rng.choice(sign) * 10.0 ** rng.uniform(-323.3, 300.0)
+
+
+def fuzz_config(rng, table):
+    family = rng.choice(("polytrope", "truncated-exponential", "tabulated"))
+    model = {"family": family, "l": fuzz_value(rng, -0.99, 3.0)}
+    if family == "polytrope":
+        model.update(n=fuzz_value(rng, 0.3, 8.0), phi_minus=fuzz_value(rng, 1e-3, 1e3))
+    elif family == "truncated-exponential":
+        model["p"] = rng.choice((0, 1, 2, 5, -1, 170))
+    else:
+        model.update(table=table, k=fuzz_value(rng, -0.5, 3.0),
+                     holder_index=fuzz_value(rng, 0.1, 1.0))
+    grid = sorted(fuzz_value(rng, 0.05, 4.0) for _ in range(rng.randint(1, 3)))
+    omega = rng.choice((fuzz_value(rng, 0.001, 0.9),) * 4
+                       + (10.0 ** rng.uniform(-323.3, 0.0), 1.0 - 10.0 ** rng.uniform(-17.0, -1.0)))
+    run = {"omega_c": fuzz_value(rng, 0.05, 4.0), "omega_0": fuzz_value(rng, 0.05, 4.0),
+           "omega_grid": rng.choice((grid, {"start": grid[0], "stop": grid[-1], "count": 3})),
+           "rel_tol": fuzz_value(rng, -14.0, -1.5, log=True),
+           "abs_tol": fuzz_value(rng, -30.0, 0.0, log=True),
+           # r_max and lambda_max stay where a run finishes, or are invalid
+           "r_max": fuzz_value(rng, -12.0, 3.0, log=True, sign=(-1.0,)),
+           "lambda_max": fuzz_value(rng, 0.1, 40.0, sign=(-1.0,)),
+           "orbits": [[rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), omega]],
+           "backward": rng.random() < 0.5}
+    keep = rng.sample(sorted(run), rng.randint(1, len(run)))
+    return {"model": model, "run": {key: run[key] for key in keep}}
+
+
+def test_config_fuzz_exits_cleanly_with_one_line(tmp_path, capsys):
+    # fixed draws over the three families, every run key and values from
+    # 5e-324 to 1e300 of either sign: every command exits 0, 1 or 2 with
+    # nothing escaping main; exit 2 names a key, and exit 1 is one line that
+    # names its failure, not a bare ZeroDivisionError, math domain error or
+    # errno tuple
+    rng = random.Random(FUZZ_SEED)
+    table = tmp_path / "phi.csv"
+    table.write_text("\n".join(table31_rows()) + "\n")
+    codes = []
+    for i in range(400):
+        command = rng.choice(("solve", "sweep", "portrait", "check"))
+        cfg = fuzz_config(rng, str(table))
+        path = write_config(tmp_path, cfg)
+        code = main([command, "--config", path, "--out", str(tmp_path / f"out{i}")])
+        err = capsys.readouterr().err
+        case = (command, cfg, code, err)
+        assert code in (0, 1, 2), case
+        assert err.count("\n") == (code > 0), case
+        if code == 2:
+            assert err.startswith("config error: "), case
+            assert re.search(r"\b(model|run|output)\.\w", err), case
+        if code == 1:
+            assert err.startswith("error: ") and "ZeroDivisionError" not in err, case
+            assert not err.endswith("math domain error\n") and not re.search(r"\(\d+, '", err), case
+        codes.append(code)
+    assert {0, 1, 2} <= set(codes)
+
 
 # ------------------------------------------------------------------- sweep
 

@@ -153,6 +153,47 @@ def test_polytrope_rejects_bad_parameters():
         TruncatedExponential(p=1.5)
 
 
+def test_model_errors_name_their_parameter():
+    # the key the CLI prints as model.<key>; a table's own data has none
+    for make, key in ((lambda: polytrope(n=0.3), "n"), (lambda: polytrope(n=1, l=-1.5), "l"),
+                      (lambda: polytrope(n=1, phi_minus=0.0), "phi_minus"),
+                      (lambda: truncated_exponential(-1), "p"),
+                      (lambda: DistributionModel(l=-0.7, family=Polytrope(n=2.0),
+                                                 regularity=Regularity(k=0.5, holder_index=0.1)),
+                       "holder_index"),
+                      (lambda: tabulated_model([0, 1, 2, 3], [0, 1, 2, 3]), "k"),
+                      (lambda: tabulated_model([0, 1, 2, 3], [0, 1, 2, -3], k=1.0), None)):
+        with pytest.raises(ModelError) as info:
+            make()
+        assert info.value.key == key
+
+
+def test_dropped_models_leave_no_compiled_kernels_behind():
+    # a lowered kernel's generated source holds the model's own coefficients;
+    # nothing but the model's memo keeps what it compiles, so building and
+    # dropping 50 distinct models retains next to nothing
+    import gc
+    import tracemalloc
+
+    def build(i):
+        model = truncated_exponential(i % 3, l=-0.45 + 0.013 * i)
+        eval_dg(model, model.l + 0.5, 0.7)
+        eval_g(model, model.l + 1.5, 0.7)
+
+    build(999)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(50):
+            build(i)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 100_000
+
+
 def test_holder_metadata_required_for_anisotropic_l():
     # l < -1/2 needs a declared Hölder index exceeding -l - 1/2;
     # built-ins fill it automatically, an insufficient explicit one is rejected

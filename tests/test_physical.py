@@ -17,6 +17,7 @@ from scipy import integrate
 
 from vpequil import _ode, physical
 from vpequil.distmodels import (
+    EvaluationError,
     density,
     eval_n,
     polytrope,
@@ -96,6 +97,72 @@ def test_settings_resolution_rejects_r_max_inside_the_start():
     with pytest.raises(ValueError, match=r"r_max = "):
         SolveSettings(r_max=0.5 * start).resolved(model, omega_c=1.0)
     assert SolveSettings(r_max=2.0 * start).resolved(model, omega_c=1.0).r_max == 2.0 * start
+
+
+@pytest.mark.parametrize("make", [truncated_exponential, lambda l: polytrope(n=3.0, l=l)],
+                         ids=["king", "n3"])
+@pytest.mark.parametrize("l", [-0.5, -0.45, 0.0, 1.0, 2.5])
+def test_start_at_a_millionth_natural_length_for_l_from_minus_half(make, l):
+    # the start rule changes only below l = -1/2: above it the start is the
+    # float 1e-6 * natural_length, bit for bit
+    model = make(l)
+    for omega_c in (0.5, 1.0, 2.0):
+        start = integrate_physical(model, omega_c).r[0]
+        assert start == 1e-6 * natural_length(model, omega_c)
+        assert SolveSettings()._radii(model, omega_c)[0] == start
+
+
+@pytest.mark.parametrize("make", [lambda l: truncated_exponential(0, l),
+                                  lambda l: truncated_exponential(1, l),
+                                  lambda l: polytrope(n=1.0, l=l),
+                                  lambda l: polytrope(n=3.0, l=l)],
+                         ids=["king", "wilson", "n1", "n3"])
+def test_start_keeps_the_series_correction_small_as_l_nears_minus_one(make):
+    # the series' first correction goes as (r/L)^(2 + 2l): at a fixed 1e-6 L
+    # it would be 5.6 omega_c at l = -0.95 and 2,190 omega_c at -0.99; at
+    # L 1e-6 ** (1/(2 + 2l)) it stays near 1e-6, so omega never starts at or
+    # below the floor.  Where that start underflows the solve names l
+    for l in (-0.6, -0.75, -0.85, -0.9, -0.95, -0.97, -0.98, -0.99, -0.995):
+        model = make(l)
+        for omega_c in (0.5, 1.0, 2.0):
+            try:
+                start = SolveSettings()._radii(model, omega_c)[0]
+                _, omega = center_series(model, omega_c, start)
+                assert start ** (2.0 * l) < math.inf
+            except (EvaluationError, ArithmeticError):
+                with pytest.raises(EvaluationError, match=rf"^(l = {l:g}|natural_length)"):
+                    integrate_physical(model, omega_c)
+                continue
+            assert abs(omega / omega_c - 1.0) < 1e-4, (l, omega_c, omega)
+
+
+def test_king_near_l_minus_one_starts_where_its_series_holds():
+    # at l = -0.95 a start at 1e-6 natural lengths would have omega = 3.6
+    # omega_c and give a spurious FiniteRadius; the scaled start leaves it
+    # unbounded, as l = -0.85 is with either start
+    for l in (-0.95, -0.85):
+        profile = integrate_physical(truncated_exponential(0, l), 1.0)
+        assert profile.classification == INFINITE_UNDETERMINED
+        assert profile.omega[0] == pytest.approx(1.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("model, start", [
+    (truncated_exponential(0, -0.99), "0"),       # 1e-300 natural lengths underflow to 0
+    (polytrope(n=1.0, l=-0.97), "1.16886e-163"),   # r ** (2 l) overflows there
+], ids=["underflow", "power-overflow"])
+def test_start_radius_that_leaves_double_precision_names_l(model, start):
+    with pytest.raises(EvaluationError, match=rf"^l = {model.l:g}, omega_c = 1: the start leaves "
+                                              rf"double precision: \(r, m, omega\) = \({start}, "):
+        integrate_physical(model, 1.0)
+
+
+def test_centre_series_overflow_is_an_evaluation_error():
+    # g g' of the series' second term overflows: a nan start would stall the
+    # step loop
+    model = polytrope(n=2.4631169675838342, l=1.1810654395208215)
+    with pytest.raises(EvaluationError, match=r"omega_c = 1e\+60: the start leaves double "
+                                              r"precision: \(r, m, omega\) = \(1.9.*, nan, nan\)"):
+        integrate_physical(model, 1e60)
 
 
 def test_physical_state_record():
