@@ -28,11 +28,9 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .analysis import (
     _checked_grid,
-    _linspace,
     check_theorem1,
     check_theorem2,
     classify_solution,
-    omega_crit,
     sweep_omega_c,
     write_sweep_csv,
 )
@@ -59,7 +57,6 @@ from .physical import (
     SolveSettings,
     _check_amplitude,
     integrate_physical,
-    natural_length,
     write_csv,
     write_profile_csv,
 )
@@ -75,24 +72,23 @@ _MODEL_KEYS = {
     "truncated-exponential": {"l": 0.0, "p": ...},
     "tabulated": {"l": 0.0, "table": ..., "k": ..., "holder_index": None},
 }
-_SETTINGS_KEYS = ("rel_tol", "abs_tol", "r_max")
 # the run keys each command reads.  A config may hold the keys of every
 # command, and all are validated; a command sees, and its summary records,
 # only its own
 _COMMAND_KEYS = {
-    "solve": {"omega_c", *_SETTINGS_KEYS},
-    "sweep": {"omega_grid", *_SETTINGS_KEYS},
+    "solve": {"omega_c", "rel_tol"},
+    "sweep": {"omega_grid", "rel_tol"},
     "portrait": {"orbits", "rel_tol", "lambda_max", "backward"},
-    "check": {"omega_c", "omega_0"},
+    "check": {"omega_c"},
 }
 _RUN_KEYS = set().union(*_COMMAND_KEYS.values())
 _RUN_KEY = re.compile(r"\b(%s)\b" % "|".join(sorted(_RUN_KEYS)))
 
 
-def _run_error(exc: SettingError, suffix="") -> ConfigError:
+def _run_error(exc: SettingError) -> ConfigError:
     """The library's SettingError as a config error, every run key it names
     given its path: ``omega_grid[1] = ...`` reads ``run.omega_grid[1] = ...``."""
-    return ConfigError(_RUN_KEY.sub(r"run.\1", str(exc)) + suffix)
+    return ConfigError(_RUN_KEY.sub(r"run.\1", str(exc)))
 
 
 @dataclass
@@ -155,28 +151,6 @@ def _build_model(block, base_dir):
     return model, resolved
 
 
-def _expand_grid(value):
-    """The sweep grid from a list of numbers or a start/stop/count mapping;
-    `analysis._checked_grid` checks its nodes."""
-    if isinstance(value, list):
-        return [_require_number(w, f"run.omega_grid[{i}]") for i, w in enumerate(value)]
-    if not isinstance(value, dict):
-        raise ConfigError(f"run.omega_grid must be a list or start/stop/count mapping, "
-                          f"got {value!r}")
-    wrong = sorted(set(value) ^ {"start", "stop", "count"})
-    if wrong:
-        raise ConfigError(f"run.omega_grid.{wrong[0]} is "
-                          + ("not recognised" if wrong[0] in value else "required"))
-    start = _require_number(value["start"], "run.omega_grid.start")
-    stop = _require_number(value["stop"], "run.omega_grid.stop")
-    count = _require_number(value["count"], "run.omega_grid.count", integer=True)
-    if count < 2:
-        raise ConfigError(f"run.omega_grid.count must be at least 2, got {count}")
-    if not 0.0 < start < stop:
-        raise ConfigError("run.omega_grid needs 0 < start < stop")
-    return _linspace(start, stop, count)
-
-
 def _validate_run(block, model):
     """The run block: its form here (known keys, numbers where numbers go,
     orbit triples inside the cube), then each value through the library
@@ -188,11 +162,17 @@ def _validate_run(block, model):
         if key not in _RUN_KEYS:
             raise ConfigError(f"run.{key} is not a recognised key")
     run = dict(block)
-    for key in ("omega_c", "omega_0", "rel_tol", "abs_tol", "r_max", "lambda_max"):
+    for key in ("omega_c", "rel_tol", "lambda_max"):
         if key in run:
             run[key] = _require_number(run[key], f"run.{key}")
     if "backward" in run and not isinstance(run["backward"], bool):
         raise ConfigError("run.backward must be true or false")
+    if "omega_grid" in run:
+        grid = run["omega_grid"]
+        if not isinstance(grid, list):
+            raise ConfigError(f"run.omega_grid must be a list of numbers, got {grid!r}")
+        run["omega_grid"] = [_require_number(w, f"run.omega_grid[{i}]")
+                             for i, w in enumerate(grid)]
     orbits, starts = run.get("orbits", []), []
     if "orbits" in run and (not isinstance(orbits, list) or not orbits):
         raise ConfigError("run.orbits must be a non-empty list of [U, Q, Omega] triples")
@@ -205,18 +185,16 @@ def _validate_run(block, model):
         except ValueError as exc:
             raise ConfigError(f"run.orbits[{i}]: {exc}") from exc
     try:
-        for key in ("omega_c", "omega_0"):
-            if key in run:
-                _check_amplitude(model, key, run[key])
+        if "omega_c" in run:
+            _check_amplitude(model, "omega_c", run["omega_c"])
         if "omega_grid" in run:
-            run["omega_grid"] = _checked_grid(model, _expand_grid(run["omega_grid"]))
+            run["omega_grid"] = _checked_grid(model, run["omega_grid"])
         for cls in (SolveSettings, CompactSettings):   # each checks its fields when built
             _settings(cls, run)
         for i, start in enumerate(starts):
             _check_start(model, start, f"orbits[{i}]")
     except SettingError as exc:
-        mapped = exc.key.startswith("omega_grid") and isinstance(block["omega_grid"], dict)
-        raise _run_error(exc, " in the grid expanded from start/stop/count" * mapped) from exc
+        raise _run_error(exc) from exc
     return run
 
 
@@ -323,7 +301,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         "forward_label": labels.forward_label,
         "backward_label": labels.backward_label,
         "mass_convergent": labels.mass_convergent,
-        "natural_length": natural_length(cfg.model, omega_c),
+        "natural_length": profile.natural_length,
         "n_profile_points": len(profile.r),
         "diagnostics": {k: profile.diagnostics[k] for k in _SOLVE_DIAGNOSTICS},
     }
@@ -383,18 +361,14 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
 
 
 def cmd_check(cfg: RunConfig, args) -> int:
-    omega_c = cfg.run.get("omega_c")
-    omega_0 = cfg.run.get("omega_0", omega_c)
-    if omega_0 is None:
-        raise ConfigError("run.omega_c or run.omega_0 is required by the check command")
+    if "omega_c" not in cfg.run:
+        raise ConfigError("run.omega_c is required by the check command")
+    omega_c = cfg.run["omega_c"]
     _note(args, "computing critical amplitude")
-    # T2 first: it checks omega_c, which T1 reads when omega_0 is unset; its
-    # witness keeps the critical amplitude
-    t2 = check_theorem2(cfg.model, omega_c) if omega_c is not None else None
-    results = {"T1": asdict(check_theorem1(cfg.model, omega_0)),
-               "omega_crit": t2.witness["omega_crit"] if t2 else omega_crit(cfg.model)}
-    if t2:
-        results["T2"] = asdict(t2)
+    # T2 first: its amplitude check names omega_c, where T1's names its omega_0
+    t2 = check_theorem2(cfg.model, omega_c)
+    results = {"T1": asdict(check_theorem1(cfg.model, omega_c)), "T2": asdict(t2),
+               "omega_crit": t2.witness["omega_crit"]}
     _write_summary(args.out, cfg.resolved, results)
     return 0
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ._ode import Events, Field, bind, dop853
@@ -41,8 +41,9 @@ INFINITE_UNDETERMINED = "InfiniteUndetermined"
 MASS_DECADE_THRESHOLD = 1e-3
 
 _STARTUP_FRACTION = 1e-6      # startup radius in units of the natural length, l >= -1/2
-_CUTOFF_FRACTION = 1e6        # default outer radius in the same units
+_CUTOFF_FRACTION = 1e6        # outer radius in the same units
 _FLOOR_FRACTION = 1e-12       # omega floor in units of the central value
+_ABS_TOL = 1e-30              # absolute tolerance of the physical flow
 # rel_tol of both flows: below 100 eps (scipy's solve_ivp floor) a step asks
 # for digits a double does not hold, above 1e-2 for none
 _REL_TOL_RANGE = (100.0 * sys.float_info.epsilon, 1e-2)
@@ -65,13 +66,13 @@ class PhysicalState:
 
 def _check_settings(settings, positive):
     """Name the field of a settings record whose rel_tol lies outside
-    `_REL_TOL_RANGE`, or which of ``positive`` is not positive (None passes)."""
+    `_REL_TOL_RANGE`, or which of ``positive`` is not positive."""
     lo, hi = _REL_TOL_RANGE
     if not lo <= settings.rel_tol <= hi:
         raise SettingError("rel_tol", f"must lie in [{lo:g}, {hi:g}], got {settings.rel_tol!r}")
     for name in positive:
         value = getattr(settings, name)
-        if value is not None and not value > 0.0:
+        if not value > 0.0:
             raise SettingError(name, f"must be positive, got {value!r}")
 
 
@@ -94,36 +95,18 @@ def _check_amplitude(model: DistributionModel, key: str, omega: float, span=None
 
 @dataclass(frozen=True)
 class SolveSettings:
-    """Integration controls; an r_max of None is resolved from the model scale.
+    """Integration controls: the relative tolerance of the physical flow.
 
     A solve starts at `_STARTUP_FRACTION` natural lengths (less for
-    l < -1/2, see `_radii`) and stops at the surface where omega falls to
-    `_FLOOR_FRACTION` omega_c, or at r_max.
+    l < -1/2, see `_radii`), steps with absolute tolerance `_ABS_TOL`, and
+    stops at the surface where omega falls to `_FLOOR_FRACTION` omega_c, or
+    at `_CUTOFF_FRACTION` natural lengths.
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-30
-    r_max: float | None = None
 
     def __post_init__(self):
-        _check_settings(self, ("abs_tol", "r_max"))
-
-    def _radii(self, model: DistributionModel, omega_c: float) -> tuple:
-        """(start radius, r_max): L _STARTUP_FRACTION ** max(1, 1/(2 + 2l)), L
-        the natural length, so the series' first correction, of order
-        (r/L)^(2 + 2l), stays near _STARTUP_FRACTION as l nears -1; and
-        r_max, by default _CUTOFF_FRACTION L."""
-        length, l = natural_length(model, omega_c), model.l
-        start = length * (_STARTUP_FRACTION ** (1.0 / (2.0 + 2.0 * l)) if l < -0.5
-                          else _STARTUP_FRACTION)
-        r_max = self.r_max if self.r_max is not None else _CUTOFF_FRACTION * length
-        if not start < r_max:
-            raise SettingError("r_max", f"= {r_max:g} must exceed the startup radius {start:g}")
-        return start, r_max
-
-    def resolved(self, model: DistributionModel, omega_c: float) -> "SolveSettings":
-        """Fill r_max for a concrete (model, omega_c)."""
-        return replace(self, r_max=self._radii(model, omega_c)[1])
+        _check_settings(self, ())
 
 
 def density_scale(model: DistributionModel, omega: float) -> float:
@@ -143,6 +126,17 @@ def natural_length(model: DistributionModel, omega_c: float) -> float:
         raise EvaluationError(f"natural_length at omega_c = {omega_c:g} is {length:g}, "
                               "not a finite positive double")
     return length
+
+
+def _radii(model: DistributionModel, omega_c: float) -> tuple:
+    """(natural length L, start radius, cutoff) of a solve: the start is
+    L _STARTUP_FRACTION ** max(1, 1/(2 + 2l)), so the series' first
+    correction, of order (r/L)^(2 + 2l), stays near _STARTUP_FRACTION as l
+    nears -1; the cutoff is _CUTOFF_FRACTION L."""
+    length, l = natural_length(model, omega_c), model.l
+    start = length * (_STARTUP_FRACTION ** (1.0 / (2.0 + 2.0 * l)) if l < -0.5
+                      else _STARTUP_FRACTION)
+    return length, start, _CUTOFF_FRACTION * length
 
 
 def center_series(model: DistributionModel, omega_c: float, r: float):
@@ -198,10 +192,12 @@ class SolutionProfile:
 
     ``r``, ``m`` and ``omega`` are the step points, as ``array('d')``
     columns; ``np.asarray(profile.r)`` views one as a numpy array.
+    ``natural_length`` is the length the start and the cutoff scale with.
     """
 
     model: DistributionModel
     omega_c: float
+    natural_length: float
     r: array
     m: array
     omega: array
@@ -240,8 +236,7 @@ def integrate_physical(model: DistributionModel, omega_c: float,
     """Construct the equilibrium with central potential depth omega_c."""
     _check_amplitude(model, "omega_c", omega_c)
     st = settings or SolveSettings()
-    r0, r_max = st._radii(model, omega_c)
-    st = replace(st, r_max=r_max)
+    length, r0, r_max = _radii(model, omega_c)
     floor = _FLOOR_FRACTION * omega_c
     # a finite start lies far above the floor: the series' first correction
     # is at most about 1e-6 omega_c / ((3 + 2l)(2 + 2l)), its second positive
@@ -255,16 +250,16 @@ def integrate_physical(model: DistributionModel, omega_c: float,
                               f"precision: (r, m, omega) = ({r0:g}, {m0:g}, {w0:g})")
 
     try:
-        sol = dop853(_physical_field(model), r0, (m0, w0), st.r_max, st.rel_tol, st.abs_tol,
+        sol = dop853(_physical_field(model), r0, (m0, w0), r_max, st.rel_tol, _ABS_TOL,
                      events=bind(_FLOOR, floor))
     except OverflowError:
         # a float ``**`` of the step loop; for large l it is the density's
         # r ** (2 l), which is named here, so the loop carries no check
         try:
-            st.r_max ** (2.0 * model.l)
+            r_max ** (2.0 * model.l)
         except OverflowError:
             raise OverflowError(f"r ** (2 l) = r ** {2.0 * model.l:g} of the density "
-                                f"overflows double precision below r_max = {st.r_max:g}"
+                                f"overflows double precision below r_max = {r_max:g}"
                                 ) from None
         raise
     r_arr, m_arr, w_arr = sol.t, sol.y[0], sol.y[1]
@@ -293,7 +288,7 @@ def integrate_physical(model: DistributionModel, omega_c: float,
     # so far; later dense() calls add three calls per newly used step
     diagnostics["n_rhs_evals"] = sol.nfev
 
-    return SolutionProfile(model=model, omega_c=omega_c,
+    return SolutionProfile(model=model, omega_c=omega_c, natural_length=length,
                            r=r_arr, m=m_arr, omega=w_arr,
                            radius=radius, total_mass=total_mass,
                            classification=classification, settings=st,

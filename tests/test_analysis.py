@@ -27,6 +27,7 @@ from vpequil.analysis import (
     GUARANTEED,
     INCONCLUSIVE,
     _geomspace,
+    _linspace,
     check_theorem1,
     check_theorem2,
     classify_solution,
@@ -125,6 +126,17 @@ def test_theorem1_guaranteed_implies_finite_radius():
 
 
 # ----------------------------------------------------------- index grids
+
+def test_linspace_port_is_numpy_linspace_bit_for_bit():
+    rng = np.random.default_rng(25)
+    n = 10_000
+    starts = (10.0 ** rng.uniform(-12.0, 6.0, n)).tolist()
+    ratios = (10.0 ** rng.uniform(-6.0, 8.0, n)).tolist()
+    for start, ratio, count in zip(starts, ratios, rng.integers(2, 100, n).tolist()):
+        stop = start * (1.0 + ratio)
+        grid = _linspace(start, stop, count)
+        assert grid == np.linspace(start, stop, count).tolist(), (start, stop, count)
+
 
 def test_geomspace_port_is_numpy_geomspace_bit_for_bit_without_avx512():
     # with numpy's AVX-512 loops switched off np.geomspace is libm's 10.0 ** x
@@ -337,6 +349,27 @@ def test_labels_read_first_and_last_step_points(make_model, omega_c):
     assert [e.limit_label for e in sweep.entries] == [labels.forward_label]
 
 
+@pytest.mark.parametrize("first, last, labels", [
+    # the last point 0.01, then 0.1, from the corner (0,1,0); the corner radius is 0.05
+    ((0.75, 0.0, 0.9), (0.0, 0.99, 0.0), ("(0,1,0)", "L2")),
+    ((0.75, 0.0, 0.9), (0.0, 0.9, 0.0), ("unresolved", "L2")),
+    # the first point on U = (3 + 2l)/(4 + 2l) = 3/4 at Q = 0.01, then 0.1
+    ((0.75, 0.01, 0.9), (0.0, 0.99, 0.0), ("(0,1,0)", "L2")),
+    ((0.75, 0.1, 0.9), (0.0, 0.99, 0.0), ("(0,1,0)", "unresolved")),
+], ids=["last-0.01-from-corner", "last-0.1-from-corner", "first-Q-0.01", "first-Q-0.1"])
+def test_labels_hold_within_the_corner_radius_only(monkeypatch, first, last, labels):
+    # the two step points map to the given compact points: to_dimensionless
+    # returns x = c/(1 - c) for each coordinate c, and the labels map x back
+    # to x/(1 + x)
+    def mapped(model, state):
+        return [c / (1.0 - c) for c in (first if state.r == 1.0 else last)]
+    monkeypatch.setattr(analysis, "to_dimensionless", mapped)
+    profile = FakeProfile(1.0, 1.0, FINITE_RADIUS, r=np.array([1.0, 2.0]),
+                          m=np.array([1.0, 1.0]), omega=np.array([1.0, 1.0]))
+    found = classify_solution(polytrope(n=1), profile)
+    assert (found.forward_label, found.backward_label) == labels
+
+
 # ------------------------------------------------------------------ sweeps
 
 def test_sweep_power_law_scaling():
@@ -414,13 +447,16 @@ def test_sweep_critical_values_stable_under_refinement(monkeypatch):
 
 
 def test_sweep_detects_radius_spike(monkeypatch):
-    # spike visible only as a huge but finite radius at one grid node
-    omega_star = 0.700001
+    # spike visible only as a huge but finite radius at one grid node: at the
+    # node 0.7 the radius is 1.3e5 times its neighbours' median 7.5 for
+    # omega_star 0.700001, and 1.0e4 times it for 0.7 + 1/7.5e4, above the
+    # detection factor 1e3 by one decade
     grid = list(np.linspace(0.3, 1.1, 9))
-    monkeypatch.setattr(analysis, "integrate_physical", spike_solver(omega_star))
-    result = sweep_omega_c(polytrope(n=1), grid)
-    assert len(result.critical_values) == 1
-    assert result.critical_values[0] == pytest.approx(omega_star, rel=1e-4)
+    for omega_star in (0.700001, 0.7 + 1.0 / 7.5e4):
+        monkeypatch.setattr(analysis, "integrate_physical", spike_solver(omega_star))
+        result = sweep_omega_c(polytrope(n=1), grid)
+        assert len(result.critical_values) == 1, omega_star
+        assert result.critical_values[0] == pytest.approx(omega_star, rel=1e-4)
 
 
 def test_sweep_ignores_modest_bumps(monkeypatch):

@@ -16,12 +16,11 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import vpequil
 from vpequil import __version__
-from vpequil.cli import ConfigError, _expand_grid, main, parse_config
+from vpequil.cli import ConfigError, main, parse_config
 from vpequil.distmodels import polytrope
 
 RHO_MINUS_N1 = 2.0 ** 1.5 * math.pi ** 2
@@ -79,10 +78,13 @@ def test_parse_rejects_threads_key(tmp_path, capsys):
     assert "run.threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("omega_floor", 1e-9), ("startup_radius", 1e-5)])
+@pytest.mark.parametrize("key, value", [("omega_floor", 1e-9), ("startup_radius", 1e-5),
+                                        ("abs_tol", 1e-12), ("omega_0", 0.5)])
 def test_parse_rejects_removed_solve_overrides(tmp_path, capsys, key, value):
-    # the start and the surface floor scale with the model; a config that
-    # still sets either is refused, and no summary is written
+    # the start, the surface floor and the absolute tolerance are fixed by the
+    # model or by constants, and check reads omega_c for both criteria; a
+    # config that still sets one of these keys is refused, and no summary is
+    # written
     path = write_config(tmp_path, solve_config(**{key: value}))
     out = tmp_path / "out"
     assert main(["solve", "--config", path, "--out", str(out)]) == 2
@@ -275,17 +277,15 @@ def test_parse_rejects_foreign_family_key(tmp_path):
 
 
 def test_parse_omega_grid_forms(tmp_path):
+    # the grid is a list of numbers; a start/stop/count mapping is refused
     base = {"family": "polytrope", "n": 1}
     cfg = parse_config(write_config(tmp_path, {
-        "model": base, "run": {"omega_grid": {"start": 0.5, "stop": 2.0, "count": 4}}}))
-    assert cfg.run["omega_grid"] == pytest.approx([0.5, 1.0, 1.5, 2.0])
-    cfg = parse_config(write_config(tmp_path, {
-        "model": base, "run": {"omega_grid": [0.1, 0.7]}}, name="b.json"))
+        "model": base, "run": {"omega_grid": [0.1, 0.7]}}))
     assert cfg.run["omega_grid"] == [0.1, 0.7]
-    with pytest.raises(ConfigError, match="count"):
+    with pytest.raises(ConfigError, match=r"^run.omega_grid must be a list of numbers, got \{"):
         parse_config(write_config(tmp_path, {
-            "model": base, "run": {"omega_grid": {"start": 0.5, "stop": 2.0, "count": 1}}},
-            name="c.json"))
+            "model": base, "run": {"omega_grid": {"start": 0.5, "stop": 2.0, "count": 4}}},
+            name="b.json"))
 
 
 
@@ -309,8 +309,7 @@ def test_readme_run_schema_is_accepted():
     ([0.5, 0.3], r"run.omega_grid\[1\] = 0.3 must exceed run.omega_grid\[0\]"),
     ([0.5, 0.5], r"run.omega_grid\[1\] = 0.5 must exceed run.omega_grid\[0\]"),
     ({"start": 1.0, "stop": 1.0000000000000002, "count": 3},
-     r"run.omega_grid\[1\] = 1.0 must exceed run.omega_grid\[0\] = 1.0 in the grid "
-     r"expanded from start/stop/count"),
+     r"run.omega_grid must be a list of numbers"),
     ([0.5, "x"], r"run.omega_grid\[1\] must be a number"),
 ], ids=["empty", "negative", "decreasing", "repeated", "mapping-repeated", "element"])
 def test_invalid_omega_grid_exits_2_with_key_path(tmp_path, capsys, grid, key):
@@ -408,12 +407,12 @@ def test_solve_honors_precision(tmp_path):
 
 
 def test_solve_failure_leaves_no_summary(tmp_path, capsys):
-    # r_max inside the startup radius, 1e-6 natural lengths (1e-6 / A_N1 here)
+    # the cutoff is 1e6 natural lengths, no setting: a config that still sets
+    # r_max, here inside the start, is refused before any solve
     path = write_config(tmp_path, solve_config(r_max=1e-9))
     out = tmp_path / "out"
     assert main(["solve", "--config", path, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("config error: run.r_max = 1e-09 must exceed the "
-                                       f"startup radius {1e-6 / A_N1:g}\n")
+    assert capsys.readouterr().err == "config error: run.r_max is not a recognised key\n"
     assert not (out / "summary.json").exists()
 
 
@@ -494,11 +493,6 @@ POLYTROPE3 = {"family": "polytrope", "n": 3.0}
      "run.orbits[0] omega = 1e-300 lies outside the potential window (1e-12, 1e+12)"),
     ("portrait", POLYTROPE3, {"orbits": [[0.6, 0.3, 0.3], [0.5, 0.5, 1.0 - 1e-16]]},
      "run.orbits[1] omega = 9.0072e+15 lies outside the potential window (1e-12, 1e+12)"),
-    ("solve", {"family": "polytrope", "n": 1.0}, {"omega_c": 1.0, "r_max": 1e-9},
-     f"run.r_max = 1e-09 must exceed the startup radius {1e-6 / A_N1:g}"),
-    ("check", KING, {"omega_0": 5e-324},
-     "run.omega_0 = 4.94066e-324 puts the low end of the checked interval, 1e-10 times it, "
-     "below the index floor 1e-300"),
     ("check", KING, {"omega_c": 5e-324},
      "run.omega_c = 4.94066e-324 puts the low end of the checked interval, 1e-10 times it, "
      "below the index floor 1e-300"),
@@ -508,8 +502,7 @@ POLYTROPE3 = {"family": "polytrope", "n": 3.0}
      "run.rel_tol must lie in [2.22045e-14, 0.01], got 0.5"),
     ("solve", {"family": "polytrope", "n": 0.3}, {"omega_c": 1.0},
      "model.n: polytrope exponent n must exceed 1/2, got 0.3"),
-], ids=["orbit-omega-1e-300", "orbit-Omega-1-1e-16", "r_max-1e-9", "check-omega_0-5e-324",
-        "check-omega_c-5e-324", "rel_tol-1e-20", "rel_tol-0.5", "model-n-0.3"])
+], ids=["orbit-omega-1e-300", "orbit-Omega-1-1e-16", "check-omega_c-5e-324", "rel_tol-1e-20", "rel_tol-0.5", "model-n-0.3"])
 def test_invalid_value_exits_2_naming_its_key(tmp_path, capsys, command, model, run, message):
     # each relation is checked once, in the library code that reads the value;
     # the CLI names the key of the SettingError or ModelError, and writes no summary
@@ -555,12 +548,9 @@ def fuzz_config(rng, table):
     grid = sorted(fuzz_value(rng, 0.05, 4.0) for _ in range(rng.randint(1, 3)))
     omega = rng.choice((fuzz_value(rng, 0.001, 0.9),) * 4
                        + (10.0 ** rng.uniform(-323.3, 0.0), 1.0 - 10.0 ** rng.uniform(-17.0, -1.0)))
-    run = {"omega_c": fuzz_value(rng, 0.05, 4.0), "omega_0": fuzz_value(rng, 0.05, 4.0),
-           "omega_grid": rng.choice((grid, {"start": grid[0], "stop": grid[-1], "count": 3})),
+    run = {"omega_c": fuzz_value(rng, 0.05, 4.0), "omega_grid": grid,
            "rel_tol": fuzz_value(rng, -14.0, -1.5, log=True),
-           "abs_tol": fuzz_value(rng, -30.0, 0.0, log=True),
-           # r_max and lambda_max stay where a run finishes, or are invalid
-           "r_max": fuzz_value(rng, -12.0, 3.0, log=True, sign=(-1.0,)),
+           # lambda_max stays where a run finishes, or is invalid
            "lambda_max": fuzz_value(rng, 0.1, 40.0, sign=(-1.0,)),
            "orbits": [[rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), omega]],
            "backward": rng.random() < 0.5}
@@ -601,7 +591,7 @@ def test_config_fuzz_exits_cleanly_with_one_line(tmp_path, capsys):
 
 def test_sweep_command(tmp_path):
     cfg = {"model": {"family": "polytrope", "n": 1.0},
-           "run": {"omega_grid": {"start": 0.5, "stop": 2.0, "count": 4}}}
+           "run": {"omega_grid": [0.5, 1.0, 1.5, 2.0]}}
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["sweep", "--config", path, "--out", str(out)]) == 0
@@ -643,18 +633,16 @@ def test_check_wilson(tmp_path):
     assert res["T1"]["holds"] == "Inconclusive"
 
 
-@pytest.mark.parametrize("run", [{"omega_c": WILSON_OMEGA_CRIT / 2}, {"omega_0": 0.1}],
-                         ids=["omega_c", "omega_0"])
+@pytest.mark.parametrize("run", [{"omega_c": WILSON_OMEGA_CRIT / 2}], ids=["omega_c"])
 def test_check_computes_omega_crit_once(tmp_path, monkeypatch, run):
     # check_theorem2 finds omega_crit for its witness; the summary reuses it
-    from vpequil import analysis, cli
+    from vpequil import analysis
     real, calls = analysis.omega_crit, []
 
     def counted(model):
         calls.append(model)
         return real(model)
     monkeypatch.setattr(analysis, "omega_crit", counted)
-    monkeypatch.setattr(cli, "omega_crit", counted)
     path = write_config(tmp_path, {"model": {"family": "truncated-exponential", "p": 1},
                                    "run": run})
     out = tmp_path / "out"
@@ -742,13 +730,13 @@ def test_portrait_bound_index_outputs_deterministic(tmp_path, model):
 
 
 def test_portrait_ignores_and_drops_the_keys_of_other_commands(tmp_path):
-    # abs_tol and omega_c are solve keys: a portrait run validates them, writes
-    # the same orbit files as without them, and records neither
+    # omega_grid and omega_c are sweep and solve keys: a portrait run validates
+    # them, writes the same orbit files as without them, and records neither
     model = {"family": "polytrope", "n": 3.0}
     run = {"orbits": [[0.6, 0.3, 0.3], [0.5, 0.3, 0.4]], "lambda_max": 20.0}
     plain = write_config(tmp_path, {"model": model, "run": run}, name="plain.json")
     shared = write_config(tmp_path, {"model": model,
-                                     "run": {**run, "abs_tol": 0.001, "omega_c": 0.5}},
+                                     "run": {**run, "omega_grid": [0.3, 0.6], "omega_c": 0.5}},
                           name="shared.json")
     out1, out2 = tmp_path / "plain", tmp_path / "shared"
     assert main(["portrait", "--config", plain, "--out", str(out1)]) == 0
@@ -756,7 +744,7 @@ def test_portrait_ignores_and_drops_the_keys_of_other_commands(tmp_path):
     for name in ("orbit_000.csv", "orbit_001.csv", "fixed_lines.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert load_summary(out2)["config"]["run"] == load_summary(out1)["config"]["run"]
-    assert not {"abs_tol", "omega_c"} & set(load_summary(out2)["config"]["run"])
+    assert not {"omega_grid", "omega_c"} & set(load_summary(out2)["config"]["run"])
 
 
 @pytest.mark.parametrize("command, kept", [
@@ -823,17 +811,6 @@ def test_summary_records_the_table_as_written(tmp_path):
         summaries.append((folder / "out" / "summary.json").read_bytes())
     assert summaries[0] == summaries[1]
     assert json.loads(summaries[0])["config"]["model"]["table"] == "phi.csv"
-
-
-def test_expand_grid_is_numpy_linspace_bit_for_bit():
-    rng = np.random.default_rng(25)
-    n = 10_000
-    starts = (10.0 ** rng.uniform(-12.0, 6.0, n)).tolist()
-    ratios = (10.0 ** rng.uniform(-6.0, 8.0, n)).tolist()
-    for start, ratio, count in zip(starts, ratios, rng.integers(2, 100, n).tolist()):
-        stop = start * (1.0 + ratio)
-        grid = _expand_grid({"start": start, "stop": stop, "count": count})
-        assert grid == np.linspace(start, stop, count).tolist(), (start, stop, count)
 
 
 # ------------------------------------------------------------------- models

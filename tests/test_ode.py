@@ -54,15 +54,16 @@ A_N1 = math.sqrt(4.0 * math.pi * 2.0 ** 1.5 * math.pi ** 2)   # n=1, l=0, omega_
 
 
 def scipy_physical(model, omega_c):
-    st = SolveSettings().resolved(model, omega_c)
-    r0 = physical._STARTUP_FRACTION * natural_length(model, omega_c)
+    length = natural_length(model, omega_c)
+    r0 = physical._STARTUP_FRACTION * length
     m0, w0 = center_series(model, omega_c, r0)
 
     def floor(r, y):
         return y[1] - physical._FLOOR_FRACTION * omega_c
     floor.terminal, floor.direction = True, -1
-    return solve_ivp(lambda r, y: rhs_physical(model, r, y), (r0, st.r_max),
-                     [m0, w0], method="DOP853", rtol=st.rel_tol, atol=st.abs_tol,
+    return solve_ivp(lambda r, y: rhs_physical(model, r, y),
+                     (r0, physical._CUTOFF_FRACTION * length), [m0, w0], method="DOP853",
+                     rtol=SolveSettings().rel_tol, atol=physical._ABS_TOL,
                      events=[floor], dense_output=True)
 
 
@@ -197,7 +198,7 @@ def field_given_to_dop853(module, run):
 
 
 PHYSICAL_FIELDS = {name: field_given_to_dop853(
-    physical, lambda m=model: integrate_physical(m, 0.5, SolveSettings(r_max=1.0)))
+    physical, lambda m=model: integrate_physical(m, 0.5))
     for name, model in FIELD_MODELS.items()}
 COMPACT_FIELDS = {name: field_given_to_dop853(
     compactsys, lambda m=model: integrate_compact(m, CompactState(0.6, 0.3, 0.3),

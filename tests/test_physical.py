@@ -77,26 +77,20 @@ def test_natural_length_linear_model():
     assert natural_length(model, 7.3) == pytest.approx(1.0 / A_N1, rel=1e-14)
 
 
-def test_settings_resolution_defaults():
+def test_settings_resolution_defaults(plummer_profile):
+    # rel_tol is the one setting; abs_tol is 1e-30, and a solve runs from
+    # 1e-6 natural lengths to where omega falls through 1e-12 omega_c, or to
+    # 1e6 natural lengths; the profile keeps the length
     model = polytrope(n=1)
-    st = SolveSettings().resolved(model, omega_c=2.0)
     length = natural_length(model, 2.0)
-    assert st.r_max == pytest.approx(1e6 * length, rel=1e-14)
-    assert st.rel_tol == 1e-10
-    assert st.abs_tol == 1e-30
-    # the solve starts at 1e-6 natural lengths and ends where omega falls
-    # through 1e-12 omega_c
+    assert physical._radii(model, 2.0) == (length, 1e-6 * length, 1e6 * length)
+    assert SolveSettings().rel_tol == 1e-10
+    assert physical._ABS_TOL == 1e-30
     prof = integrate_physical(model, 2.0)
+    assert prof.natural_length == length
     assert prof.r[0] == 1e-6 * length
     assert prof.omega[-1] == pytest.approx(2e-12, abs=1e-14)
-
-
-def test_settings_resolution_rejects_r_max_inside_the_start():
-    model = polytrope(n=1)
-    start = 1e-6 * natural_length(model, 1.0)
-    with pytest.raises(ValueError, match=r"r_max = "):
-        SolveSettings(r_max=0.5 * start).resolved(model, omega_c=1.0)
-    assert SolveSettings(r_max=2.0 * start).resolved(model, omega_c=1.0).r_max == 2.0 * start
+    assert plummer_profile.r[-1] == 1e6 * natural_length(polytrope(n=5), 1.0)
 
 
 @pytest.mark.parametrize("make", [truncated_exponential, lambda l: polytrope(n=3.0, l=l)],
@@ -109,7 +103,7 @@ def test_start_at_a_millionth_natural_length_for_l_from_minus_half(make, l):
     for omega_c in (0.5, 1.0, 2.0):
         start = integrate_physical(model, omega_c).r[0]
         assert start == 1e-6 * natural_length(model, omega_c)
-        assert SolveSettings()._radii(model, omega_c)[0] == start
+        assert physical._radii(model, omega_c)[1] == start
 
 
 @pytest.mark.parametrize("make", [lambda l: truncated_exponential(0, l),
@@ -126,7 +120,7 @@ def test_start_keeps_the_series_correction_small_as_l_nears_minus_one(make):
         model = make(l)
         for omega_c in (0.5, 1.0, 2.0):
             try:
-                start = SolveSettings()._radii(model, omega_c)[0]
+                start = physical._radii(model, omega_c)[1]
                 _, omega = center_series(model, omega_c, start)
                 assert start ** (2.0 * l) < math.inf
             except (EvaluationError, ArithmeticError):
