@@ -38,8 +38,8 @@ from .physical import (
     INFINITE_FINITE_MASS,
     PhysicalState,
     SolutionProfile,
-    SolveSettings,
     _check_amplitude,
+    _check_rel_tol,
     integrate_physical,
     write_csv,
 )
@@ -141,11 +141,11 @@ def _grid_check(n_of, omega_hi: float, bound: float) -> dict:
     }
 
 
-def check_theorem1(model: DistributionModel, omega_0: float) -> TheoremVerdict:
-    """Finite radius and mass when n(omega) <= 3 + l up to omega_0."""
-    _check_amplitude(model, "omega_0", omega_0, _SPAN_RATIO)
+def check_theorem1(model: DistributionModel, omega_c: float) -> TheoremVerdict:
+    """Finite radius and mass when n(omega) <= 3 + l up to omega_c."""
+    _check_amplitude(model, "omega_c", omega_c, _SPAN_RATIO)
     bound = 3.0 + model.l
-    report = _grid_check(model._index, omega_0, bound)
+    report = _grid_check(model._index, omega_c, bound)
     holds = GUARANTEED if report.pop("verified") else INCONCLUSIVE
     report["bound"] = bound
     return TheoremVerdict(theorem="T1", holds=holds, witness=report)
@@ -269,13 +269,13 @@ _BISECT_REL_TOL = 1e-6
 _SOLVE_ERRORS = (ArithmeticError, RuntimeError, ValueError)
 
 
-def _bisect_transition(model, lo, hi, lo_is_finite, settings, failures):
+def _bisect_transition(model, lo, hi, lo_is_finite, rel_tol, failures):
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if hi - lo <= _BISECT_REL_TOL * mid:
             break
         try:
-            prof = integrate_physical(model, mid, settings=settings)
+            prof = integrate_physical(model, mid, rel_tol=rel_tol)
         except _SOLVE_ERRORS as exc:
             failures.append((mid, f"{type(exc).__name__}: {exc}"))
             return None
@@ -286,7 +286,7 @@ def _bisect_transition(model, lo, hi, lo_is_finite, settings, failures):
     return 0.5 * (lo + hi)
 
 
-def _refine_spike(model, a, b, settings, failures, threshold):
+def _refine_spike(model, a, b, rel_tol, failures, threshold):
     """Golden-section style maximisation of R(omega_c) between the grid
     neighbours of a spike; the spike counts as critical only when the
     refined radius keeps growing past the detection threshold."""
@@ -294,7 +294,7 @@ def _refine_spike(model, a, b, settings, failures, threshold):
 
     def radius_at(w):
         nonlocal best
-        prof = integrate_physical(model, w, settings=settings)
+        prof = integrate_physical(model, w, rel_tol=rel_tol)
         r = float(prof.radius)
         if prof.classification != FINITE_RADIUS:
             r = math.inf
@@ -325,7 +325,7 @@ def _median(values):
     return s[half] if len(s) % 2 else (s[half - 1] + s[half]) / 2
 
 
-def _find_critical_values(model, entries, settings, failures):
+def _find_critical_values(model, entries, rel_tol, failures):
     candidates = []
     for a, b in zip(entries, entries[1:]):
         fa = a.classification == FINITE_RADIUS
@@ -333,7 +333,7 @@ def _find_critical_values(model, entries, settings, failures):
         if fa == fb:
             continue
         value = _bisect_transition(model, a.omega_c, b.omega_c, fa,
-                                   settings, failures)
+                                   rel_tol, failures)
         if value is not None:
             candidates.append(value)
 
@@ -351,7 +351,7 @@ def _find_critical_values(model, entries, settings, failures):
         if not e.radius > _SPIKE_FACTOR * med:
             continue
         value = _refine_spike(model, entries[i - 1].omega_c,
-                              entries[i + 1].omega_c, settings,
+                              entries[i + 1].omega_c, rel_tol,
                               failures, threshold=_SPIKE_FACTOR * med)
         if value is not None:
             candidates.append(value)
@@ -379,20 +379,22 @@ def _checked_grid(model: DistributionModel, omega_grid) -> list:
 
 
 def sweep_omega_c(model: DistributionModel, omega_grid,
-                  settings: SolveSettings | None = None) -> SweepResult:
+                  rel_tol: float = 1e-10) -> SweepResult:
     """Solve the equilibrium over a grid of central amplitudes.
 
     Each grid point and each refinement probe is one `integrate_physical`
-    call with ``settings``.  Individual failures are recorded and skipped,
-    never fatal.  Adjacent finite/infinite pairs and confirmed radius spikes
+    call with ``rel_tol``, which is checked before the first: a bad one
+    raises, rather than fail every solve.  Individual failures are recorded
+    and skipped, never fatal.  Adjacent finite/infinite pairs and confirmed radius spikes
     are refined into critical amplitude estimates by bisection to a relative
     width of ``_BISECT_REL_TOL``.
     """
+    _check_rel_tol(rel_tol)
     grid = _checked_grid(model, omega_grid)
     entries, failures = [], []
     for w in grid:
         try:
-            prof = integrate_physical(model, w, settings=settings)
+            prof = integrate_physical(model, w, rel_tol=rel_tol)
         except _SOLVE_ERRORS as exc:
             failures.append((w, f"{type(exc).__name__}: {exc}"))
             continue
@@ -400,7 +402,7 @@ def sweep_omega_c(model: DistributionModel, omega_grid,
                                   total_mass=float(prof.total_mass),
                                   classification=prof.classification,
                                   limit_label=_end_labels(model, prof)[0]))
-    criticals = _find_critical_values(model, entries, settings, failures)
+    criticals = _find_critical_values(model, entries, rel_tol, failures)
     return SweepResult(entries=entries, critical_values=criticals,
                        failures=failures)
 

@@ -35,8 +35,8 @@ from .analysis import (
     write_sweep_csv,
 )
 from .compactsys import (
-    CompactSettings,
     CompactState,
+    _check_lambda_max,
     _check_start,
     fixed_lines,
     integrate_compact,
@@ -54,8 +54,8 @@ from .distmodels import (
     wilson_model,
 )
 from .physical import (
-    SolveSettings,
     _check_amplitude,
+    _check_rel_tol,
     integrate_physical,
     write_csv,
     write_profile_csv,
@@ -189,8 +189,10 @@ def _validate_run(block, model):
             _check_amplitude(model, "omega_c", run["omega_c"])
         if "omega_grid" in run:
             run["omega_grid"] = _checked_grid(model, run["omega_grid"])
-        for cls in (SolveSettings, CompactSettings):   # each checks its fields when built
-            _settings(cls, run)
+        if "rel_tol" in run:
+            _check_rel_tol(run["rel_tol"])
+        if "lambda_max" in run:
+            _check_lambda_max(run["lambda_max"])
         for i, start in enumerate(starts):
             _check_start(model, start, f"orbits[{i}]")
     except SettingError as exc:
@@ -263,11 +265,6 @@ def _write_summary(out_dir, config, results):
                 {"tool_version": __version__, "config": config, "results": results})
 
 
-def _settings(cls, run):
-    """SolveSettings or CompactSettings from the run keys that set its fields."""
-    return cls(**{k: run[k] for k in cls.__dataclass_fields__ if k in run})
-
-
 def _note(args, message):
     if args.verbose:
         print(f"[vpequil] {message}", file=sys.stderr)
@@ -287,7 +284,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     omega_c = cfg.run["omega_c"]
     _note(args, f"solving omega_c={omega_c:g}")
     try:
-        profile = integrate_physical(cfg.model, omega_c, settings=_settings(SolveSettings, cfg.run))
+        profile = integrate_physical(cfg.model, **cfg.run)
     except OverflowError as exc:   # a power of r or omega in a step, at large l
         raise OverflowError(f"model.l = {cfg.model.l:g}: {exc}") from None
     labels = classify_solution(cfg.model, profile)
@@ -313,8 +310,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if "omega_grid" not in cfg.run:
         raise ConfigError("run.omega_grid is required by the sweep command")
     _note(args, f"sweeping {len(cfg.run['omega_grid'])} amplitudes")
-    result = sweep_omega_c(cfg.model, cfg.run["omega_grid"],
-                           settings=_settings(SolveSettings, cfg.run))
+    result = sweep_omega_c(cfg.model, **cfg.run)
     write_sweep_csv(result, os.path.join(args.out, "sweep.csv"), cfg.output["precision"])
     results = {
         "n_entries": len(result.entries),
@@ -330,8 +326,7 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
     if "orbits" not in cfg.run:
         raise ConfigError("run.orbits is required by the portrait command")
     prec = cfg.output["precision"]
-    settings = _settings(CompactSettings, cfg.run)
-    backward = cfg.run.get("backward", False)
+    rest = {k: v for k, v in cfg.run.items() if k != "orbits"}
 
     lines = fixed_lines(cfg.model.l)
     write_csv(os.path.join(args.out, "fixed_lines.csv"),
@@ -342,8 +337,7 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
     records = []
     for i, (u, q, om) in enumerate(cfg.run["orbits"]):
         _note(args, f"orbit {i}: start=({u:g}, {q:g}, {om:g})")
-        orbit = integrate_compact(cfg.model, CompactState(U=u, Q=q, Omega=om),
-                                  settings, backward=backward)
+        orbit = integrate_compact(cfg.model, CompactState(U=u, Q=q, Omega=om), **rest)
         write_csv(os.path.join(args.out, f"orbit_{i:03d}.csv"),
                   "lambda,U,Q,Omega,xi,log_Z,Phi,S1",
                   zip(orbit.lam, orbit.U, orbit.Q, orbit.Omega, orbit.xi, orbit.log_Z,
@@ -356,7 +350,7 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
                         "n_rejected": orbit.diagnostics["n_rejected"],
                         "n_rhs_evals": orbit.diagnostics["n_rhs_evals"]})
     _write_summary(args.out, cfg.resolved, {"orbits": records,
-                                            "backward": backward})
+                                            "backward": rest.get("backward", False)})
     return 0
 
 
@@ -365,10 +359,9 @@ def cmd_check(cfg: RunConfig, args) -> int:
         raise ConfigError("run.omega_c is required by the check command")
     omega_c = cfg.run["omega_c"]
     _note(args, "computing critical amplitude")
-    # T2 first: its amplitude check names omega_c, where T1's names its omega_0
+    t1 = check_theorem1(cfg.model, omega_c)
     t2 = check_theorem2(cfg.model, omega_c)
-    results = {"T1": asdict(check_theorem1(cfg.model, omega_c)), "T2": asdict(t2),
-               "omega_crit": t2.witness["omega_crit"]}
+    results = {"T1": asdict(t1), "T2": asdict(t2), "omega_crit": t2.witness["omega_crit"]}
     _write_summary(args.out, cfg.resolved, results)
     return 0
 

@@ -37,7 +37,7 @@ from .distmodels import (
     density,
     eval_n,
 )
-from .physical import PhysicalState, _check_settings
+from .physical import PhysicalState, _check_rel_tol
 
 TRANSVERSELY_HYPERBOLIC_SOURCE = "TransverselyHyperbolicSource"
 TRANSVERSELY_HYPERBOLIC_SADDLE = "TransverselyHyperbolicSaddle"
@@ -74,15 +74,6 @@ class CompactState:
     @property
     def omega(self) -> float:
         return self.Omega / (1.0 - self.Omega)
-
-
-@dataclass(frozen=True)
-class CompactSettings:
-    rel_tol: float = 1e-10
-    lambda_max: float = 200.0
-
-    def __post_init__(self):
-        _check_settings(self, ("lambda_max",))
 
 
 @dataclass(frozen=True)
@@ -323,7 +314,7 @@ class CompactOrbit:
     log_q: array
     termination: str
     limit_label: str
-    settings: CompactSettings
+    rel_tol: float
     diagnostics: dict = field(default_factory=dict)
     _dense: Callable = None
 
@@ -387,9 +378,14 @@ def _check_start(model: DistributionModel, state: CompactState, key: str = "stat
     return ceiling
 
 
-def integrate_compact(model: DistributionModel, state0: CompactState,
-                      settings: CompactSettings | None = None,
-                      backward: bool = False) -> CompactOrbit:
+def _check_lambda_max(lambda_max: float):
+    """Name lambda_max if it is not positive."""
+    if not lambda_max > 0.0:
+        raise SettingError("lambda_max", f"must be positive, got {lambda_max!r}")
+
+
+def integrate_compact(model: DistributionModel, state0: CompactState, rel_tol: float = 1e-10,
+                      lambda_max: float = 200.0, backward: bool = False) -> CompactOrbit:
     """Follow the compact flow from state0 until a corner, the potential floor,
     ceiling or end of phi, or the lambda budget; xi accumulates the log radius.
     DOP853 integrates (log u, log q, x = log omega, xi) on `_ORBIT_FIELD`
@@ -398,7 +394,8 @@ def integrate_compact(model: DistributionModel, state0: CompactState,
     omega and r to relative accuracy rel_tol while their logs stay near 0,
     and the tolerance widens only slowly as an orbit runs deep into a
     corner."""
-    st = settings or CompactSettings()
+    _check_rel_tol(rel_tol)
+    _check_lambda_max(lambda_max)
     x_hi, w_hi = _omega_cap(model)   # w_hi: where a tabulated phi ends, if it does
     ceiling = _check_start(model, state0)
 
@@ -408,14 +405,14 @@ def integrate_compact(model: DistributionModel, state0: CompactState,
 
     events = bind(_ORBIT_EVENTS, math.log(_OMEGA_FLOOR), math.log(ceiling), _ATTRACTION_EPS,
                   x_hi, w_hi, math.exp, math.hypot, math.tanh)
-    lam_end = -st.lambda_max if backward else st.lambda_max
+    lam_end = -lambda_max if backward else lambda_max
     y0 = (_log_ratio(state0.U, _FACE), _log_ratio(state0.Q, _FACE), math.log(state0.omega),
           0.0)
     # the relative part is a quarter of rel_tol: the whole of it lets a log
     # of 30 drift by 31 rel_tol a step, and a Wilson orbit creeping into
     # (0,1,0) ends 2.7e-8 off in lambda; none costs backward orbits near
     # U = 1/100 10% more steps, a quarter 5%
-    sol = dop853(_orbit_field(model), 0.0, y0, lam_end, 0.25 * st.rel_tol, st.rel_tol,
+    sol = dop853(_orbit_field(model), 0.0, y0, lam_end, 0.25 * rel_tol, rel_tol,
                  events=events)
 
     def dense(lam):
@@ -436,4 +433,4 @@ def integrate_compact(model: DistributionModel, state0: CompactState,
                         log_u=array("d", map(_integrated_log, lu)),
                         log_q=array("d", map(_integrated_log, lq)),
                         termination=termination, limit_label=label,
-                        settings=st, diagnostics=diagnostics, _dense=dense)
+                        rel_tol=rel_tol, diagnostics=diagnostics, _dense=dense)

@@ -821,17 +821,19 @@ def _check_dg_args(model, m, omega):
 
 
 def _kernel_value(model, m, derivative, omega):
-    """g_m(omega) or dg_m/domega, finite; names a polytrope's omega ** (n + m - 1/2) overflow."""
-    what = f"{'dg' if derivative else 'g'}_{m:g}"
+    """g_m(omega) or dg_m/domega, finite; names a polytrope's omega ** (n + m - 1/2) overflow.
+    The kernel's name, g_m or dg_m, is formatted only for a message."""
     try:
         value = model.kernel(m, derivative)(omega)
     except OverflowError:
         if not isinstance(model.family, Polytrope):
             raise
-        raise OverflowError(f"omega ** {model.family.n + m - 0.5:g} of the polytrope kernel {what} "
-                            f"overflows double precision at omega = {omega:g}") from None
+        raise OverflowError(f"omega ** {model.family.n + m - 0.5:g} of the polytrope kernel "
+                            f"{'dg' if derivative else 'g'}_{m:g} overflows double precision "
+                            f"at omega = {omega:g}") from None
     if not math.isfinite(value):
-        raise EvaluationError(f"{what}(omega={omega:g}) is not finite in double precision")
+        raise EvaluationError(f"{'dg' if derivative else 'g'}_{m:g}(omega={omega:g}) is not "
+                              "finite in double precision")
     return value
 
 

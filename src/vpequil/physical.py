@@ -64,16 +64,11 @@ class PhysicalState:
             raise ValueError(f"enclosed mass must be non-negative, got {self.m}")
 
 
-def _check_settings(settings, positive):
-    """Name the field of a settings record whose rel_tol lies outside
-    `_REL_TOL_RANGE`, or which of ``positive`` is not positive."""
+def _check_rel_tol(rel_tol: float):
+    """Name rel_tol if it lies outside `_REL_TOL_RANGE`."""
     lo, hi = _REL_TOL_RANGE
-    if not lo <= settings.rel_tol <= hi:
-        raise SettingError("rel_tol", f"must lie in [{lo:g}, {hi:g}], got {settings.rel_tol!r}")
-    for name in positive:
-        value = getattr(settings, name)
-        if not value > 0.0:
-            raise SettingError(name, f"must be positive, got {value!r}")
+    if not lo <= rel_tol <= hi:
+        raise SettingError("rel_tol", f"must lie in [{lo:g}, {hi:g}], got {rel_tol!r}")
 
 
 def _check_amplitude(model: DistributionModel, key: str, omega: float, span=None):
@@ -91,22 +86,6 @@ def _check_amplitude(model: DistributionModel, key: str, omega: float, span=None
     else:
         return
     raise SettingError(key, problem)
-
-
-@dataclass(frozen=True)
-class SolveSettings:
-    """Integration controls: the relative tolerance of the physical flow.
-
-    A solve starts at `_STARTUP_FRACTION` natural lengths (less for
-    l < -1/2, see `_radii`), steps with absolute tolerance `_ABS_TOL`, and
-    stops at the surface where omega falls to `_FLOOR_FRACTION` omega_c, or
-    at `_CUTOFF_FRACTION` natural lengths.
-    """
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        _check_settings(self, ())
 
 
 def density_scale(model: DistributionModel, omega: float) -> float:
@@ -204,7 +183,7 @@ class SolutionProfile:
     radius: float
     total_mass: float
     classification: str
-    settings: SolveSettings
+    rel_tol: float
     diagnostics: dict = field(default_factory=dict)
     _dense: Callable = None
     _samples: dict | None = None
@@ -232,10 +211,17 @@ class SolutionProfile:
 
 
 def integrate_physical(model: DistributionModel, omega_c: float,
-                       settings: SolveSettings | None = None) -> SolutionProfile:
-    """Construct the equilibrium with central potential depth omega_c."""
+                       rel_tol: float = 1e-10) -> SolutionProfile:
+    """Construct the equilibrium with central potential depth omega_c.
+
+    A solve starts at `_STARTUP_FRACTION` natural lengths (less for
+    l < -1/2, see `_radii`), steps with relative tolerance rel_tol and
+    absolute tolerance `_ABS_TOL`, and stops at the surface where omega
+    falls to `_FLOOR_FRACTION` omega_c, or at `_CUTOFF_FRACTION` natural
+    lengths.
+    """
+    _check_rel_tol(rel_tol)
     _check_amplitude(model, "omega_c", omega_c)
-    st = settings or SolveSettings()
     length, r0, r_max = _radii(model, omega_c)
     floor = _FLOOR_FRACTION * omega_c
     # a finite start lies far above the floor: the series' first correction
@@ -250,7 +236,7 @@ def integrate_physical(model: DistributionModel, omega_c: float,
                               f"precision: (r, m, omega) = ({r0:g}, {m0:g}, {w0:g})")
 
     try:
-        sol = dop853(_physical_field(model), r0, (m0, w0), r_max, st.rel_tol, _ABS_TOL,
+        sol = dop853(_physical_field(model), r0, (m0, w0), r_max, rel_tol, _ABS_TOL,
                      events=bind(_FLOOR, floor))
     except OverflowError:
         # a float ``**`` of the step loop; for large l it is the density's
@@ -291,7 +277,7 @@ def integrate_physical(model: DistributionModel, omega_c: float,
     return SolutionProfile(model=model, omega_c=omega_c, natural_length=length,
                            r=r_arr, m=m_arr, omega=w_arr,
                            radius=radius, total_mass=total_mass,
-                           classification=classification, settings=st,
+                           classification=classification, rel_tol=rel_tol,
                            diagnostics=diagnostics, _dense=sol)
 
 

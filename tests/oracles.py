@@ -8,7 +8,7 @@ import numpy as np
 
 from vpequil._ode import Field, bind, brentq
 from vpequil._quadrature import QuadratureError, integrate_weighted
-from vpequil.compactsys import (CompactSettings, CompactState, _exp, _log_ratio, _log_Z,
+from vpequil.compactsys import (CompactState, _exp, _log_ratio, _log_Z,
                                 _omega_cap, _Phi, _pointwise, integrate_compact,
                                 to_dimensionless)
 from vpequil.distmodels import (DistributionModel, EvaluationError, _check_dg_args,
@@ -265,7 +265,7 @@ def compare_representations(model: DistributionModel, profile: SolutionProfile,
     m_lo, w_lo = profile.dense(r_lo)
     start = compactify(*to_dimensionless(
         model, PhysicalState(r=r_lo, m=m_lo, omega=w_lo)))
-    orbit = integrate_compact(model, start, CompactSettings())
+    orbit = integrate_compact(model, start)
     lam_a, lam_b = float(orbit.lam[0]), float(orbit.lam[-1])
     targets = np.log(radii / r_lo)
     if targets[-1] > float(orbit.xi[-1]) + 1e-12:

@@ -13,7 +13,6 @@ from scipy.special import gammaln
 
 from vpequil.analysis import omega_crit, sweep_omega_c
 from vpequil.compactsys import (
-    CompactSettings,
     CompactState,
     fixed_lines,
     integrate_compact,
@@ -126,21 +125,20 @@ def test_criterion_06_fixed_line_spectra():
 
 def test_criterion_07_monotone_monitors():
     rng = np.random.default_rng(20240817)
-    settings = CompactSettings()
     worst_up, worst_down, s1_ok, orbits = 0.0, 0.0, True, 0
     for model in (polytrope(n=2), king_model()):
         for _ in range(50):
             state = CompactState(U=rng.uniform(0.05, 0.95),
                                  Q=rng.uniform(0.05, 0.95),
                                  Omega=rng.uniform(0.005, 0.5))
-            orbit = integrate_compact(model, state, settings)
+            orbit = integrate_compact(model, state)
             orbits += 1
-            allow = 10.0 * (settings.rel_tol * np.abs(orbit.Omega[:-1]) + 1e-14)
+            allow = 10.0 * (orbit.rel_tol * np.abs(orbit.Omega[:-1]) + 1e-14)
             worst_up = max(worst_up, float(np.max(np.diff(orbit.Omega) + 0.0)))
             if np.any(np.diff(orbit.Omega) > allow):
                 worst_up = math.inf
             log_z = orbit.log_Z
-            allow_z = 10.0 * (settings.rel_tol * np.abs(log_z[:-1]) + 1e-12)
+            allow_z = 10.0 * (orbit.rel_tol * np.abs(log_z[:-1]) + 1e-12)
             dz = np.diff(log_z)
             worst_down = min(worst_down, float(np.min(dz)))
             if np.any(dz < -allow_z):

@@ -93,7 +93,7 @@ def plummer_profile():
 # -------------------------------------------------------------- theorem 1
 
 def test_theorem1_polytrope_inside_bound():
-    verdict = check_theorem1(polytrope(n=2), omega_0=1.0)
+    verdict = check_theorem1(polytrope(n=2), omega_c=1.0)
     assert verdict.theorem == "T1"
     assert verdict.holds == GUARANTEED
     assert verdict.witness["sup_excess"] < 0
@@ -101,19 +101,19 @@ def test_theorem1_polytrope_inside_bound():
 
 
 def test_theorem1_king_low_cutoff():
-    verdict = check_theorem1(truncated_exponential(0), omega_0=0.1)
+    verdict = check_theorem1(truncated_exponential(0), omega_c=0.1)
     assert verdict.holds == GUARANTEED
     assert verdict.witness["sup_excess"] == pytest.approx(-0.5, abs=0.05)
 
 
 def test_theorem1_polytrope_outside_bound():
-    assert check_theorem1(polytrope(n=4), omega_0=1.0).holds == INCONCLUSIVE
+    assert check_theorem1(polytrope(n=4), omega_c=1.0).holds == INCONCLUSIVE
 
 
 def test_theorem1_boundary_equality_is_inconclusive():
     # the hypothesis check runs with a strict numerical slack
-    assert check_theorem1(polytrope(n=3), omega_0=1.0).holds == INCONCLUSIVE
-    verdict = check_theorem1(index_model(lambda w: 3.0), omega_0=1.0)
+    assert check_theorem1(polytrope(n=3), omega_c=1.0).holds == INCONCLUSIVE
+    verdict = check_theorem1(index_model(lambda w: 3.0), omega_c=1.0)
     assert verdict.holds == INCONCLUSIVE
 
 
@@ -413,28 +413,31 @@ class FakeProfile:
     omega: np.ndarray = field(default_factory=lambda: np.array([1.0]))
 
 
-def transition_solver(omega_star):
-    def solve(model, omega_c, settings=None):
-        if omega_c > omega_star:
+def transition_solver(omega_star, omega_end=math.inf):
+    # unbounded on (omega_star, omega_end), a finite ball elsewhere
+    def solve(model, omega_c, rel_tol=1e-10):
+        if omega_star < omega_c < omega_end:
             return FakeProfile(math.inf, math.inf, INFINITE_UNDETERMINED)
         return FakeProfile(1.0 + omega_c, omega_c, FINITE_RADIUS)
     return solve
 
 
-def spike_solver(omega_star, cap=1e7):
-    def solve(model, omega_c, settings=None):
-        r = min(1.0 / abs(omega_c - omega_star), cap)
+def spike_solver(omega_star, cap=1e7, base=lambda w: 0.0):
+    def solve(model, omega_c, rel_tol=1e-10):
+        r = base(omega_c) + min(1.0 / abs(omega_c - omega_star), cap)
         return FakeProfile(r, omega_c, FINITE_RADIUS)
     return solve
 
 
 def test_sweep_locates_transition_by_bisection(monkeypatch):
-    omega_star = 1.2345
-    grid = list(np.linspace(0.5, 2.0, 7))
-    monkeypatch.setattr(analysis, "integrate_physical", transition_solver(omega_star))
-    result = sweep_omega_c(polytrope(n=1), grid)
-    assert len(result.critical_values) == 1
-    assert result.critical_values[0] == pytest.approx(omega_star, rel=1e-5)
+    # one transition; then two, into an unbounded window (1.0, 1.001) and
+    # out of it: 1e-3 apart relatively, which a merge of candidates closer
+    # than 1e-2 of their value would take for one
+    for ends, grid in (((1.2345,), list(np.linspace(0.5, 2.0, 7))),
+                       ((1.0, 1.001), [0.999, 1.0005, 1.002])):
+        monkeypatch.setattr(analysis, "integrate_physical", transition_solver(*ends))
+        result = sweep_omega_c(polytrope(n=1), grid)
+        assert result.critical_values == pytest.approx(list(ends), rel=1e-5), ends
 
 
 def test_sweep_critical_values_stable_under_refinement(monkeypatch):
@@ -450,17 +453,24 @@ def test_sweep_detects_radius_spike(monkeypatch):
     # spike visible only as a huge but finite radius at one grid node: at the
     # node 0.7 the radius is 1.3e5 times its neighbours' median 7.5 for
     # omega_star 0.700001, and 1.0e4 times it for 0.7 + 1/7.5e4, above the
-    # detection factor 1e3 by one decade
+    # detection factor 1e3 by one decade.  On a shoulder of radius 100 over
+    # |omega - 0.7| <= 0.15, the 8.0e4 at 0.7 is 1.4e3 times the median 58
+    # of the two entries either side, but only 730 times the shoulder's 110
+    # at the nearest two
+    def shoulder(w):
+        return 100.0 if abs(w - 0.7) <= 0.15 else 1.0
+
     grid = list(np.linspace(0.3, 1.1, 9))
-    for omega_star in (0.700001, 0.7 + 1.0 / 7.5e4):
-        monkeypatch.setattr(analysis, "integrate_physical", spike_solver(omega_star))
+    for omega_star, extra in ((0.700001, {}), (0.7 + 1.0 / 7.5e4, {}),
+                              (0.7 + 1.25e-5, {"base": shoulder})):
+        monkeypatch.setattr(analysis, "integrate_physical", spike_solver(omega_star, **extra))
         result = sweep_omega_c(polytrope(n=1), grid)
         assert len(result.critical_values) == 1, omega_star
         assert result.critical_values[0] == pytest.approx(omega_star, rel=1e-4)
 
 
 def test_sweep_ignores_modest_bumps(monkeypatch):
-    def bumpy(model, omega_c, settings=None):
+    def bumpy(model, omega_c, rel_tol=1e-10):
         r = 1.0 + (50.0 if abs(omega_c - 0.7) < 0.05 else 0.0)
         return FakeProfile(r, omega_c, FINITE_RADIUS)
     monkeypatch.setattr(analysis, "integrate_physical", bumpy)
@@ -469,7 +479,7 @@ def test_sweep_ignores_modest_bumps(monkeypatch):
 
 
 def test_sweep_records_failures_and_continues(monkeypatch):
-    def flaky(model, omega_c, settings=None):
+    def flaky(model, omega_c, rel_tol=1e-10):
         if abs(omega_c - 1.0) < 1e-12:
             raise RuntimeError("synthetic failure")
         return FakeProfile(1.0, omega_c, FINITE_RADIUS)
@@ -485,7 +495,7 @@ def test_sweep_records_failures_and_continues(monkeypatch):
 @pytest.mark.parametrize("exc", [TypeError, AttributeError])
 def test_sweep_propagates_programming_errors(monkeypatch, exc):
     # only numerical failures are recorded; a bug in the solver surfaces
-    def broken(model, omega_c, settings=None):
+    def broken(model, omega_c, rel_tol=1e-10):
         raise exc("synthetic bug")
     monkeypatch.setattr(analysis, "integrate_physical", broken)
     with pytest.raises(exc, match="synthetic bug"):
@@ -500,7 +510,7 @@ def test_forward_label_propagates_programming_errors(monkeypatch, plummer_profil
     with pytest.raises(exc, match="synthetic label bug"):
         classify_solution(polytrope(n=5), plummer_profile)
     monkeypatch.setattr(analysis, "integrate_physical",
-                        lambda m, w, settings=None: FakeProfile(1.0, w, FINITE_RADIUS))
+                        lambda m, w, rel_tol=1e-10: FakeProfile(1.0, w, FINITE_RADIUS))
     with pytest.raises(exc, match="synthetic label bug"):
         sweep_omega_c(polytrope(n=1), [0.5, 1.0])
 
@@ -523,7 +533,7 @@ def test_forward_label_numerical_failure_is_unresolved(monkeypatch, king_profile
     labels = classify_solution(model, king_profile)
     assert (labels.forward_label, labels.backward_label) == ("(0,1,0)", "unresolved")
     monkeypatch.setattr(analysis, "integrate_physical",
-                        lambda m, w, settings=None: king_profile)
+                        lambda m, w, rel_tol=1e-10: king_profile)
     sweep = sweep_omega_c(model, [0.5])
     assert sweep.entries[0].limit_label == "(0,1,0)"
 
@@ -535,10 +545,10 @@ def test_forward_label_numerical_failure_is_unresolved(monkeypatch, king_profile
 def test_refinement_probes_propagate_programming_errors(monkeypatch, make_solver, grid):
     solve = make_solver()
 
-    def probe_bug(model, omega_c, settings=None):
+    def probe_bug(model, omega_c, rel_tol=1e-10):
         if omega_c not in grid:
             raise TypeError("synthetic bug in a probe")
-        return solve(model, omega_c, settings)
+        return solve(model, omega_c, rel_tol)
     monkeypatch.setattr(analysis, "integrate_physical", probe_bug)
     with pytest.raises(TypeError, match="synthetic bug in a probe"):
         sweep_omega_c(polytrope(n=1), grid)

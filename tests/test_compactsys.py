@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from vpequil import compactsys
+from vpequil import analysis, compactsys
 from vpequil.compactsys import (
     DEGENERATE_TRIPLE_ZERO,
     TRANSVERSELY_HYPERBOLIC_SADDLE,
     TRANSVERSELY_HYPERBOLIC_SOURCE,
-    CompactSettings,
     CompactState,
     PolytropicIndexTable,
     fixed_lines,
@@ -32,6 +31,7 @@ from vpequil.compactsys import (
 )
 from vpequil.distmodels import (
     EvaluationError,
+    SettingError,
     eval_n,
     polytrope,
     tabulated_model,
@@ -249,7 +249,7 @@ def test_backward_orbit_shadows_regular_center_line(king_model, king_profile):
     # U = (3+2l)/(4+2l); the connection can only be shadowed for a
     # window ~ ln(1/rtol) before the transverse instability takes over
     start = state_at(king_model, king_profile, 0.3 * king_profile.radius)
-    orbit = integrate_compact(king_model, start, CompactSettings(lambda_max=10.0),
+    orbit = integrate_compact(king_model, start, lambda_max=10.0,
                               backward=True)
     assert orbit.termination == "lambda-max"
     assert orbit.lam[-1] == pytest.approx(-10.0)
@@ -263,7 +263,7 @@ def test_backward_orbit_generic_history_blows_up_potential():
     # off the regular-centre connection, histories deepen the potential
     # without bound: the run must stop at the ceiling, not cross Omega = 1
     orbit = integrate_compact(polytrope(n=3), CompactState(0.5, 0.3, 0.4),
-                              CompactSettings(lambda_max=80.0), backward=True)
+                              lambda_max=80.0, backward=True)
     assert orbit.termination == "omega-ceiling"
     assert orbit.limit_label == "unresolved"
     assert orbit.Omega[-1] > 1.0 - 1e-11
@@ -283,7 +283,7 @@ def test_backward_ceiling_end_is_stable_under_ulp_perturbation():
         for _ in range(abs(ulps)):
             U = math.nextafter(U, math.copysign(math.inf, ulps))
         orbit = integrate_compact(polytrope(n=3), CompactState(U, 0.3, 0.4),
-                                  CompactSettings(lambda_max=80.0), backward=True)
+                                  lambda_max=80.0, backward=True)
         assert orbit.termination == "omega-ceiling"
         ends.append(orbit.lam[-1])
     assert max(ends) - min(ends) < 1e-6
@@ -411,7 +411,7 @@ def test_orbits_match_an_independent_rhs_compact_integration(name, U, Q, Omega, 
     model, tol = REFERENCE_MODELS[name]
     tol = bound or tol
     orbit = integrate_compact(model, CompactState(U, Q, Omega),
-                              CompactSettings(lambda_max=80.0), backward=backward)
+                              lambda_max=80.0, backward=backward)
     termination, lam_end, xi_end = reference_orbit(model, (U, Q, Omega), backward, 80.0)
     assert orbit.termination == termination
     assert abs(orbit.lam[-1] - lam_end) <= tol
@@ -431,9 +431,9 @@ def test_orbits_match_the_same_integration_at_rel_tol_1e13(name, backward):
     rng = np.random.default_rng(11)
     for U, Q, Omega in rng.uniform((0.05, 0.05, 0.005), (0.95, 0.95, 0.5), (24, 3)).tolist():
         start = CompactState(U, Q, Omega)
-        orbit = integrate_compact(model, start, CompactSettings(lambda_max=80.0),
+        orbit = integrate_compact(model, start, lambda_max=80.0,
                                   backward=backward)
-        ref = integrate_compact(model, start, CompactSettings(rel_tol=1e-13, lambda_max=80.0),
+        ref = integrate_compact(model, start, rel_tol=1e-13, lambda_max=80.0,
                                 backward=backward)
         assert orbit.termination == ref.termination, start
         for got, want in ((orbit.lam[-1], ref.lam[-1]), (orbit.xi[-1], ref.xi[-1])):
@@ -480,7 +480,7 @@ def test_portrait_orbit_takes_half_the_steps(model, steps_before):
     # the King and polytrope portraits of the CI configs: the (U, Q)
     # integration took 72 and 85 accepted steps to the vacuum corner
     orbit = integrate_compact(model, CompactState(0.6, 0.3, 0.3),
-                              CompactSettings(lambda_max=20.0))
+                              lambda_max=20.0)
     assert orbit.termination == "corner-(0,1,0)"
     assert orbit.diagnostics["n_steps"] <= steps_before // 2
 
@@ -495,13 +495,25 @@ def test_tabulated_orbit_below_grid_end_four():
     assert np.all(np.diff(orbit.Omega) <= 0.0)
 
 
-def test_settings_validation(king_model):
-    with pytest.raises(ValueError):
-        integrate_compact(king_model, CompactState(0.5, 0.2, 0.3),
-                          CompactSettings(lambda_max=-1.0))
-    with pytest.raises(ValueError):
-        integrate_compact(king_model, CompactState(0.5, 0.2, 0.3),
-                          CompactSettings(rel_tol=0.0))
+def test_settings_validation(king_model, monkeypatch):
+    # each run value is checked where it is passed, naming its key; a sweep
+    # checks rel_tol before its first solve, so it raises rather than record
+    # one failure per grid point
+    start = CompactState(0.5, 0.2, 0.3)
+    solves = []
+    monkeypatch.setattr(analysis, "integrate_physical",
+                        lambda *args, **kwargs: solves.append(args))
+    cases = [(key, call, value) for value in (0.0, 1e-20, 0.5) for key, call in (
+        ("rel_tol", lambda v: integrate_physical(king_model, 0.5, rel_tol=v)),
+        ("rel_tol", lambda v: integrate_compact(king_model, start, rel_tol=v)),
+        ("rel_tol", lambda v: analysis.sweep_omega_c(king_model, [0.5, 1.0], rel_tol=v)))]
+    cases += [("lambda_max", lambda v: integrate_compact(king_model, start, lambda_max=v), value)
+              for value in (0.0, -1.0, -math.inf)]
+    for key, call, value in cases:
+        with pytest.raises(SettingError, match=f"^{key} must") as info:
+            call(value)
+        assert info.value.key == key, (key, value)
+    assert solves == []
 
 
 # --------------------------------------------------------------- monitors
@@ -578,7 +590,7 @@ def test_forward_orbits_keep_the_monitors_monotone(case, U, Q, Omega):
     # future invariant
     name, model = case
     orbit = integrate_compact(model, CompactState(U, Q, Omega))
-    rel_tol = orbit.settings.rel_tol
+    rel_tol = orbit.rel_tol
     allow = 10.0 * (rel_tol * np.abs(orbit.Omega[:-1]) + 1e-14)
     assert np.all(np.diff(orbit.Omega) <= allow), name
     if name != "wilson":
@@ -594,7 +606,7 @@ def test_forward_orbits_keep_the_monitors_monotone(case, U, Q, Omega):
 def test_Phi_conserved_on_critical_index_family(l):
     model = polytrope(n=5 + 3 * l, l=l)
     orbit = integrate_compact(model, CompactState(0.6, 0.2, 0.4),
-                              CompactSettings(lambda_max=12.0))
+                              lambda_max=12.0)
     phi = np.asarray(orbit.Phi)
     drift = np.max(np.abs(phi - phi[0])) / abs(phi[0])
     assert drift < 1e-8
@@ -602,7 +614,7 @@ def test_Phi_conserved_on_critical_index_family(l):
 
 def test_Phi_varies_off_critical_index():
     orbit = integrate_compact(polytrope(n=3), CompactState(0.6, 0.2, 0.4),
-                              CompactSettings(lambda_max=12.0))
+                              lambda_max=12.0)
     phi = np.asarray(orbit.Phi)
     assert np.max(np.abs(phi - phi[0])) / abs(phi[0]) > 1e-2
 

@@ -30,7 +30,7 @@ from scipy.integrate._ivp import dop853_coefficients
 from vpequil import compactsys, physical
 from vpequil import _ode
 from vpequil._ode import brentq, dop853
-from vpequil.compactsys import CompactSettings, CompactState, integrate_compact
+from vpequil.compactsys import CompactState, integrate_compact
 from vpequil.distmodels import (
     EvaluationError,
     king_model,
@@ -42,7 +42,6 @@ from vpequil.physical import (
     FINITE_RADIUS,
     INFINITE_FINITE_MASS,
     INFINITE_UNDETERMINED,
-    SolveSettings,
     center_series,
     integrate_physical,
     natural_length,
@@ -63,11 +62,11 @@ def scipy_physical(model, omega_c):
     floor.terminal, floor.direction = True, -1
     return solve_ivp(lambda r, y: rhs_physical(model, r, y),
                      (r0, physical._CUTOFF_FRACTION * length), [m0, w0], method="DOP853",
-                     rtol=SolveSettings().rel_tol, atol=physical._ABS_TOL,
+                     rtol=1e-10, atol=physical._ABS_TOL,
                      events=[floor], dense_output=True)
 
 
-def scipy_compact(model, start, backward=False, st=CompactSettings()):
+def scipy_compact(model, start, backward=False, rel_tol=1e-10, lambda_max=200.0):
     om_hi = math.nextafter(1.0, 0.0)
     floor_c = compactsys._OMEGA_FLOOR / (1.0 + compactsys._OMEGA_FLOOR)
     roof_c = compactsys._OMEGA_CEILING / (1.0 + compactsys._OMEGA_CEILING)
@@ -84,8 +83,8 @@ def scipy_compact(model, start, backward=False, st=CompactSettings()):
     for ev, direction in zip(events, (-1, -1, -1, 1)):
         ev.terminal, ev.direction = True, direction
     atol = [1e-30] * 3 + [1e-14]
-    sol = solve_ivp(rhs, (0.0, -st.lambda_max if backward else st.lambda_max),
-                    [*start, 0.0], method="DOP853", rtol=st.rel_tol, atol=atol,
+    sol = solve_ivp(rhs, (0.0, -lambda_max if backward else lambda_max),
+                    [*start, 0.0], method="DOP853", rtol=rel_tol, atol=atol,
                     events=events)
     fired = [i for i, te in enumerate(sol.t_events) if te.size]
     termination = {(): "lambda-max", (0,): "omega-floor", (1,): "corner-(0,1,0)",
@@ -202,7 +201,7 @@ PHYSICAL_FIELDS = {name: field_given_to_dop853(
     for name, model in FIELD_MODELS.items()}
 COMPACT_FIELDS = {name: field_given_to_dop853(
     compactsys, lambda m=model: integrate_compact(m, CompactState(0.6, 0.3, 0.3),
-                                                  CompactSettings(lambda_max=0.1)))
+                                                  lambda_max=0.1))
     for name, model in FIELD_MODELS.items()}
 
 
@@ -293,7 +292,7 @@ def test_fused_orbit_equals_generic_orbit(name, backward):
     for integrator in (dop853, plain_dop853):
         with mock.patch.object(compactsys, "dop853", integrator):
             orbit = integrate_compact(FIELD_MODELS[name], CompactState(0.6, 0.3, 0.3),
-                                      CompactSettings(lambda_max=30.0), backward=backward)
+                                      lambda_max=30.0, backward=backward)
         dense = [orbit.dense(v) for v in np.linspace(orbit.lam[0], orbit.lam[-1], 7)]
         runs.append(([getattr(orbit, k).tolist() for k in ("lam", "U", "Q", "Omega", "xi")],
                      dense, orbit.diagnostics, orbit.termination))
@@ -315,9 +314,8 @@ def test_compact_orbits_match_solve_ivp(model):
 
 def test_backward_orbit_matches_solve_ivp_labels():
     model, start = polytrope(n=3.0), (0.5, 0.3, 0.4)
-    st = CompactSettings(lambda_max=80.0)
-    orbit = integrate_compact(model, CompactState(*start), st, backward=True)
-    _, termination = scipy_compact(model, start, backward=True, st=st)
+    orbit = integrate_compact(model, CompactState(*start), lambda_max=80.0, backward=True)
+    _, termination = scipy_compact(model, start, backward=True, lambda_max=80.0)
     assert orbit.termination == termination == "omega-ceiling"
     assert orbit.limit_label == "unresolved"
 
@@ -325,7 +323,7 @@ def test_backward_orbit_matches_solve_ivp_labels():
 @pytest.mark.parametrize("backward", [False, True])
 def test_dense_returns_nodes_on_both_directions(backward):
     orbit = integrate_compact(king_model(), CompactState(0.6, 0.3, 0.3),
-                              CompactSettings(lambda_max=15.0), backward=backward)
+                              lambda_max=15.0, backward=backward)
     assert len(orbit.lam) > 10
     nodes = np.array([orbit.lam, orbit.U, orbit.Q, orbit.Omega, orbit.xi])
     for i in (0, 1, len(orbit.lam) // 2, len(orbit.lam) - 1):
@@ -356,7 +354,7 @@ def test_rejections_close_the_rhs_count():
     assert d["n_rejected"] > 0
     assert d["n_rhs_evals"] == 2 + 12 * (d["n_steps"] + d["n_rejected"]) + 3 * 1
     orbit = integrate_compact(king_model(), CompactState(0.6, 0.3, 0.3),
-                              CompactSettings(lambda_max=10.0))
+                              lambda_max=10.0)
     d = orbit.diagnostics
     assert orbit.termination == "lambda-max"
     assert d["n_rejected"] > 0
@@ -705,7 +703,7 @@ def test_flows_equal_reference_integrator(flow):
         module, run = physical, lambda: integrate_physical(king_model(), 0.5)
     else:
         module, run = compactsys, lambda: integrate_compact(
-            FIELD_MODELS["n3"], CompactState(0.5, 0.3, 0.4), CompactSettings(lambda_max=80.0),
+            FIELD_MODELS["n3"], CompactState(0.5, 0.3, 0.4), lambda_max=80.0,
             backward=flow == "compact-backward")
     calls = []
 

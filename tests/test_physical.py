@@ -29,7 +29,6 @@ from vpequil.physical import (
     INFINITE_FINITE_MASS,
     INFINITE_UNDETERMINED,
     PhysicalState,
-    SolveSettings,
     center_series,
     density_scale,
     integrate_physical,
@@ -84,10 +83,11 @@ def test_settings_resolution_defaults(plummer_profile):
     model = polytrope(n=1)
     length = natural_length(model, 2.0)
     assert physical._radii(model, 2.0) == (length, 1e-6 * length, 1e6 * length)
-    assert SolveSettings().rel_tol == 1e-10
+    assert integrate_physical.__defaults__ == (1e-10,)
     assert physical._ABS_TOL == 1e-30
     prof = integrate_physical(model, 2.0)
     assert prof.natural_length == length
+    assert prof.rel_tol == 1e-10
     assert prof.r[0] == 1e-6 * length
     assert prof.omega[-1] == pytest.approx(2e-12, abs=1e-14)
     assert plummer_profile.r[-1] == 1e6 * natural_length(polytrope(n=5), 1.0)

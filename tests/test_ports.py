@@ -247,7 +247,7 @@ def test_benchmark_tracer_patches_and_restores_its_hooks(monkeypatch):
     # one, trace a call, and uninstalling it must put every original back
     import vpequil.cli  # noqa: F401  (the tracer patches the loaded layers)
     from vpequil import _quadrature, compactsys, physical
-    from vpequil.compactsys import CompactSettings, CompactState
+    from vpequil.compactsys import CompactState
 
     path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -265,7 +265,7 @@ def test_benchmark_tracer_patches_and_restores_its_hooks(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        compactsys.integrate_compact(model, start, CompactSettings(lambda_max=5.0))
+        compactsys.integrate_compact(model, start, lambda_max=5.0)
         assert [s[0] for s in tracer.spans] == ["compactsys.integrate_compact"]
         patched = {(id(owner), attr) for owner, attr, _ in tracer._patches}
     finally:
