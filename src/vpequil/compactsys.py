@@ -94,7 +94,8 @@ def to_dimensionless(model: DistributionModel, state: PhysicalState):
     if not state.omega > 0.0:
         raise ValueError("homology variables need omega > 0")
     rho = density(model, state.r, state.omega)
-    u = 4.0 * math.pi * state.r ** 3 * rho / state.m
+    # r rho first: near l = -1 a centre sample's r ** 3 underflows, r ** (1 + 2l) not
+    u = 4.0 * math.pi * (rho * state.r) * state.r * state.r / state.m
     q = state.m / (state.r * state.omega)
     return u, q, state.omega
 

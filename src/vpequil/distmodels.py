@@ -53,6 +53,13 @@ a + 1: the index neither overflows nor needs P.  Below a + 1 it reads S off the 
 elementary form above.  A tabulated model's index is the quotient of its two
 kernels.
 
+A family's `series(m, omega, memo)` gives, one by one, the coefficients of
+g_m(omega w(s))/g_m(omega) for a power series w(s) = 1 + w_1 s + ..., in
+O(k) each from its closed form: J.C.P. Miller's power recurrence for a
+polytrope's w^(n+m-1/2), the same with f' = f + omega^(a-1)/Gamma(a) for a
+lowered exponential's f = e^omega P(a, omega), and for a table only the
+first, omega g'/g w_1.  The physical flow's centre series reads them.
+
 `eval_g` and `eval_dg` check their arguments and return the float of the
 model's memoized kernel.
 """
@@ -140,6 +147,22 @@ class Polytrope:
         n = self.n
         return lambda omega: n
 
+    def series(self, m, omega, memo):
+        """The coefficients c_k of g_m(omega w(s))/g_m(omega) = w^p,
+        p = n + m - 1/2 (see `DistributionModel.series`), by J.C.P. Miller's
+        recurrence for the power of a series with w_0 = 1:
+        k c_k = sum_{j=1}^k ((p + 1) j - k) w_j c_{k-j}."""
+        p1, p1jw = self.n + m + 0.5, []   # (p + 1) j w_j
+
+        def coefficient(w, c):
+            k = len(c)
+            p1jw.append(p1 * k * w[k])
+            total = 0.0
+            for p1jw_j, w_j, c_j in zip(p1jw, w[1:], reversed(c)):
+                total += (p1jw_j - k * w_j) * c_j
+            return total / k
+        return coefficient
+
 
 @dataclass(frozen=True, eq=False)
 class TruncatedExponential:
@@ -213,6 +236,34 @@ class TruncatedExponential:
     return n
 """
         return _compiled(source)(g)
+
+    def series(self, m, omega, memo):
+        """The coefficients of F(s) = f(omega w(s))/f(omega), f = e^omega P(a, omega),
+        a = p + m + 2 (see `DistributionModel.series`).  With
+        f' = f + omega^(a-1)/Gamma(a), F' = w' (omega F + eta H) for
+        H = w^(a-1) and eta = omega^a/(Gamma(a) f(omega)), so
+        k F_k = sum_{j=1}^k j w_j (omega F_{k-j} + eta H_{k-j}), and H_k comes
+        from the same w_j by `Polytrope.series`' recurrence, in the same
+        loop.  The function keeps the H_k and the sums z_k = omega F_k + eta H_k,
+        newest first, and the products j w_j and a j w_j."""
+        a = self.p + m + 2.0
+        eta = math.exp(math.lgamma(m + 1.0) + a * math.log(omega) - math.lgamma(a)
+                       - math.log(memo(m)(omega)))
+        h, z, jw, ajw = [1.0], [omega + eta], [], []
+
+        def coefficient(w, gamma):
+            k = len(gamma)
+            jw.append(k * w[k])
+            ajw.append(a * k * w[k])
+            total = power = 0.0
+            for jw_j, ajw_j, w_j, z_j, h_j in zip(jw, ajw, w[1:], z, h):
+                total += jw_j * z_j
+                power += (ajw_j - k * w_j) * h_j
+            f_k, h_k = total / k, power / k
+            h.insert(0, h_k)
+            z.insert(0, omega * f_k + eta * h_k)
+            return f_k
+        return coefficient
 
 
 def _fraction(a, x):
@@ -439,6 +490,13 @@ class Tabulated:
                     f"index undefined: g_{m:g}({omega:g}) at or below the floor")
             return -l + omega * dg(omega) / gv
         return n
+
+    def series(self, m, omega, memo):
+        """The first coefficient of g_m(omega w(s))/g_m(omega) only, omega
+        g_m'/g_m w_1: a piecewise phi has no closed form beyond it (see
+        `DistributionModel.series`)."""
+        ratio = omega * memo(m, True)(omega) / memo(m)(omega)
+        return lambda w, gamma: ratio * w[1] if len(gamma) == 1 else None
 
 
 class _Pchip:
@@ -721,6 +779,15 @@ class DistributionModel:
         if key not in self._kernels:
             self._kernels[key] = self.family.kernel(m, derivative, self.kernel)
         return self._kernels[key]
+
+    def series(self, omega):
+        """(w, gamma) -> gamma_k, k = len(gamma): the s^k coefficient of
+        g_{l+1/2}(omega w(s))/g_{l+1/2}(omega) for a power series w(s) of
+        which ``w`` holds w_0 = 1, w_1, ..., w_k and ``gamma`` the
+        coefficients before; None where the family's closed form gives no
+        more.  Each coefficient costs O(k), and the function may keep state:
+        call it for k = 1, 2, ... in turn."""
+        return self.family.series(self.l + 0.5, omega, self.kernel)
 
 
 def polytrope(n, l=0.0, phi_minus=1.0) -> DistributionModel:

@@ -4,7 +4,8 @@ The equilibrium satisfies
 
     dm/dr = 4 pi r^2 rho(r, omega),      domega/dr = -m / r^2,
 
-integrated outward from a series start near the centre.  The relative
+integrated outward from the power series of the regular centre, which the
+solver leaves where the series' tail falls to 1e-16.  The relative
 potential omega decreases monotonically; if it reaches zero at finite radius
 the state is a compact ball (FiniteRadius), otherwise the integration runs
 to a large cutoff and the mass growth over the final decade of radius
@@ -27,7 +28,6 @@ from .distmodels import (
     EvaluationError,
     SettingError,
     density,
-    eval_dg,
     eval_g,
     radial_pressure,
 )
@@ -40,8 +40,11 @@ INFINITE_UNDETERMINED = "InfiniteUndetermined"
 # unbounded state is declared to have converged total mass
 MASS_DECADE_THRESHOLD = 1e-3
 
-_STARTUP_FRACTION = 1e-6      # startup radius in units of the natural length, l >= -1/2
-_CUTOFF_FRACTION = 1e6        # outer radius in the same units
+_SERIES_ORDER = 10            # the centre series: m to s^10, omega to s^11, s = (r/L)^(2+2l)
+_SERIES_TAIL = 1e-16          # the solver starts where the tail is this share of the first term,
+_START_CAP = 0.5              # at most this many natural lengths out
+_CENTRE_FRACTION = 1e-6       # the centre sample: this share of the start in r, or s = this, the nearer
+_CUTOFF_FRACTION = 1e6        # outer radius in natural lengths
 _FLOOR_FRACTION = 1e-12       # omega floor in units of the central value
 _ABS_TOL = 1e-30              # absolute tolerance of the physical flow
 # rel_tol of both flows: below 100 eps (scipy's solve_ivp floor) a step asks
@@ -107,36 +110,61 @@ def natural_length(model: DistributionModel, omega_c: float) -> float:
     return length
 
 
-def _radii(model: DistributionModel, omega_c: float) -> tuple:
-    """(natural length L, start radius, cutoff) of a solve: the start is
-    L _STARTUP_FRACTION ** max(1, 1/(2 + 2l)), so the series' first
-    correction, of order (r/L)^(2 + 2l), stays near _STARTUP_FRACTION as l
-    nears -1; the cutoff is _CUTOFF_FRACTION L."""
-    length, l = natural_length(model, omega_c), model.l
-    start = length * (_STARTUP_FRACTION ** (1.0 / (2.0 + 2.0 * l)) if l < -0.5
-                      else _STARTUP_FRACTION)
-    return length, start, _CUTOFF_FRACTION * length
+def _tail_bound(c) -> float:
+    """The largest s at which the tail estimate of sum_k c_k s^k, its last
+    term times the ratio of its last two, is `_SERIES_TAIL` of its first."""
+    last = c[-1]
+    if last == 0.0:
+        return math.inf
+    return (_SERIES_TAIL * abs(c[0] * c[-2]) / (last * last)) ** (1.0 / len(c))
 
 
-def center_series(model: DistributionModel, omega_c: float, r: float):
-    """Two-term expansion (m, omega) about the regular centre, at radius r.
+def _centre_series(model: DistributionModel, omega_c: float, length: float):
+    """(state, r_c, r_0): the regular centre as a power series, the radius of
+    the centre sample and the radius where the solver starts on it.
 
-    Valid while the second-order correction is small; used only to step off
-    the coordinate singularity at r = 0.  These two floats fix every float
-    of a solve.
+    With x = r/L, a = 3 + 2l, b = 2 + 2l and s = x^b, the scaled solution is
+    omega/omega_c = sum_k w_k s^k (w_0 = 1) and m/(omega_c L x^a) =
+    sum_k mu_k s^k, where mu_k = gamma_k/(a + k b), w_{k+1} = -mu_k/((k+1) b)
+    and gamma_k is the s^k coefficient of the density's kernel ratio
+    (`DistributionModel.series`); K = `_SERIES_ORDER`, or fewer where the
+    family gives fewer gamma_k (a table gives gamma_1: the two-term series).
+    ``state(r)`` is (m, omega) there.  The start is the largest s at which
+    the tail of either series, its last term times the ratio of its last
+    two, is `_SERIES_TAIL` of its first term, at most `_START_CAP` natural
+    lengths.  The centre sample lies `_CENTRE_FRACTION` of the start inside
+    in r, or at s = `_CENTRE_FRACTION`, whichever is nearer the centre: there
+    the compact variables lie about that close to the fixed line L2, and for
+    l near -1 its r ** (2 l) is still a double.
     """
     l = model.l
-    c_l = model._prefactor
-    m_exp = l + 0.5
-    g0 = c_l * eval_g(model, m_exp, omega_c)
-    g1 = c_l * eval_dg(model, m_exp, omega_c)
-    four_pi = 4.0 * math.pi
     a, b = 3.0 + 2.0 * l, 2.0 + 2.0 * l
-    m = (four_pi * g0 * r ** a / a
-         - four_pi ** 2 * g0 * g1 * r ** (a + b) / (a * b * (a + b)))
-    omega = (omega_c - four_pi * g0 * r ** b / (a * b)
-             + four_pi ** 2 * g0 * g1 * r ** (2.0 * b) / (a * b * (a + b) * 2.0 * b))
-    return m, omega
+    coefficient = model.series(omega_c)
+    gamma, mu = [1.0], [1.0 / a]
+    w = [1.0, -mu[0] / b]
+    for k in range(1, _SERIES_ORDER + 1):
+        g_k = coefficient(w, gamma)
+        if g_k is None:
+            break
+        gamma.append(g_k)
+        mu.append(g_k / (a + k * b))
+        w.append(-mu[k] / ((k + 1) * b))
+    s_max = min(_START_CAP ** b, _tail_bound(w), _tail_bound(mu))
+    w.reverse()
+    mu.reverse()
+
+    def state(r):
+        x = r / length
+        s = x ** b
+        hw = hm = 0.0
+        for c in w:
+            hw = hw * s + c
+        for c in mu:
+            hm = hm * s + c
+        return omega_c * length * x ** a * hm, omega_c * hw
+    x_0 = s_max ** (1.0 / b)
+    x_c = min(_CENTRE_FRACTION * x_0, _CENTRE_FRACTION ** (1.0 / b))
+    return state, length * x_c, length * x_0
 
 
 def _field(kernel, names):
@@ -169,8 +197,9 @@ def _physical_field(model: DistributionModel):
 class SolutionProfile:
     """An integrated equilibrium with its classification and diagnostics.
 
-    ``r``, ``m`` and ``omega`` are the step points, as ``array('d')``
-    columns; ``np.asarray(profile.r)`` views one as a numpy array.
+    ``r``, ``m`` and ``omega`` are the centre sample, then the solver's
+    step points, as ``array('d')`` columns; ``np.asarray(profile.r)`` views
+    one as a numpy array.
     ``natural_length`` is the length the start and the cutoff scale with.
     """
 
@@ -186,14 +215,17 @@ class SolutionProfile:
     rel_tol: float
     diagnostics: dict = field(default_factory=dict)
     _dense: Callable = None
+    _centre: Callable = None
     _samples: dict | None = None
 
     def dense(self, r: float):
-        """Interpolated (m, omega) anywhere on the integrated range."""
+        """(m, omega) anywhere on the integrated range: the centre series
+        below the solver's first node, the interpolant above it."""
         lo, hi = self.r[0], self.r[-1]
         if not lo * (1.0 - 1e-12) <= r <= hi * (1.0 + 1e-12):
             raise ValueError(f"r={r:g} outside the integrated range [{lo:g}, {hi:g}]")
-        m, omega = self._dense(min(max(r, lo), hi))
+        r = min(max(r, lo), hi)
+        m, omega = (self._centre if r < self.r[1] else self._dense)(r)
         return m, omega
 
     @property
@@ -214,26 +246,33 @@ def integrate_physical(model: DistributionModel, omega_c: float,
                        rel_tol: float = 1e-10) -> SolutionProfile:
     """Construct the equilibrium with central potential depth omega_c.
 
-    A solve starts at `_STARTUP_FRACTION` natural lengths (less for
-    l < -1/2, see `_radii`), steps with relative tolerance rel_tol and
-    absolute tolerance `_ABS_TOL`, and stops at the surface where omega
-    falls to `_FLOOR_FRACTION` omega_c, or at `_CUTOFF_FRACTION` natural
-    lengths.
+    The regular centre is a power series of order `_SERIES_ORDER` in
+    s = (r/L)^(2 + 2l), L the natural length (`_centre_series`).  The
+    solver starts on it where its tail falls to `_SERIES_TAIL` of its first
+    term, at most `_START_CAP` L out, so a step is never spent climbing out
+    of the centre.  The profile's first node samples the series nearer the
+    centre, `_CENTRE_FRACTION` of the start inside in r or at
+    s = `_CENTRE_FRACTION`, and `dense` sums it below the solver's first
+    node.  The solver steps with relative
+    tolerance rel_tol and absolute tolerance `_ABS_TOL`, and stops at the
+    surface where omega falls to `_FLOOR_FRACTION` omega_c, or at
+    `_CUTOFF_FRACTION` L.
     """
     _check_rel_tol(rel_tol)
     _check_amplitude(model, "omega_c", omega_c)
-    length, r0, r_max = _radii(model, omega_c)
+    length = natural_length(model, omega_c)
+    r_max = _CUTOFF_FRACTION * length
     floor = _FLOOR_FRACTION * omega_c
-    # a finite start lies far above the floor: the series' first correction
-    # is at most about 1e-6 omega_c / ((3 + 2l)(2 + 2l)), its second positive
-    try:   # the powers of r0, the density's r0 ** (2 l) too, and g g'
-        m0, w0 = center_series(model, omega_c, r0)
-        r0 ** (2.0 * model.l)
-    except (OverflowError, ZeroDivisionError):   # 0 ** (2 l): r0 underflowed
-        m0 = w0 = math.nan
-    if not (r0 > 0.0 and math.isfinite(m0 + w0)):
+    centre, r_c, r0 = _centre_series(model, omega_c, length)
+    try:   # the powers of r/L, and the density's r_c ** (2 l) at the centre sample
+        m_c, w_c = centre(r_c)
+        m0, w0 = centre(r0)
+        r_c ** (2.0 * model.l)
+    except (OverflowError, ZeroDivisionError):   # 0 ** (2 l): r_c underflowed
+        m_c = w_c = m0 = w0 = math.nan
+    if not (r_c > 0.0 and math.isfinite(m_c + w_c + m0 + w0)):
         raise EvaluationError(f"l = {model.l:g}, omega_c = {omega_c:g}: the start leaves double "
-                              f"precision: (r, m, omega) = ({r0:g}, {m0:g}, {w0:g})")
+                              f"precision: (r, m, omega) = ({r_c:g}, {m_c:g}, {w_c:g})")
 
     try:
         sol = dop853(_physical_field(model), r0, (m0, w0), r_max, rel_tol, _ABS_TOL,
@@ -248,7 +287,10 @@ def integrate_physical(model: DistributionModel, omega_c: float,
                                 f"overflows double precision below r_max = {r_max:g}"
                                 ) from None
         raise
-    r_arr, m_arr, w_arr = sol.t, sol.y[0], sol.y[1]
+    # the centre sample, then the solver's nodes
+    r_arr = array("d", [r_c]) + sol.t
+    m_arr = array("d", [m_c]) + sol.y[0]
+    w_arr = array("d", [w_c]) + sol.y[1]
     diagnostics = {"n_steps": sol.n_steps, "n_rejected": sol.n_rejected}
 
     if sol.event is not None:   # surface: the potential ran out at finite radius
@@ -278,7 +320,7 @@ def integrate_physical(model: DistributionModel, omega_c: float,
                            r=r_arr, m=m_arr, omega=w_arr,
                            radius=radius, total_mass=total_mass,
                            classification=classification, rel_tol=rel_tol,
-                           diagnostics=diagnostics, _dense=sol)
+                           diagnostics=diagnostics, _dense=sol, _centre=centre)
 
 
 def write_csv(path, header: str, rows, precision: int = 17) -> None:

@@ -1,19 +1,22 @@
 """Oracles that only the tests run: Gauss-Jacobi quadrature of the kernels
-(scipy), the brute-force density, the physical and polynomial compact fields,
-the homology maps, monitors and trapped sets, and `compare_representations`."""
+(scipy), the brute-force density, the two-term centre series and the
+reference start, the physical and polynomial compact fields, the homology
+maps, monitors and trapped sets, and `compare_representations`."""
 
 import math
 
 import numpy as np
 
-from vpequil._ode import Field, bind, brentq
+from vpequil import physical
+from vpequil._ode import Field, bind, brentq, dop853
 from vpequil._quadrature import QuadratureError, integrate_weighted
 from vpequil.compactsys import (CompactState, _exp, _log_ratio, _log_Z,
                                 _omega_cap, _Phi, _pointwise, integrate_compact,
                                 to_dimensionless)
 from vpequil.distmodels import (DistributionModel, EvaluationError, _check_dg_args,
-                                _check_gm_args, eval_phi)
-from vpequil.physical import PhysicalState, SolutionProfile, _physical_field, density_scale
+                                _check_gm_args, eval_dg, eval_g, eval_phi)
+from vpequil.physical import (PhysicalState, SolutionProfile, _physical_field, density_scale,
+                              natural_length)
 
 DEFAULT_QUAD_TOL = 1e-10
 
@@ -106,6 +109,46 @@ def density_bruteforce(model: DistributionModel, r, omega) -> float:
     outer, _ = integrate.quad(lambda e: float(eval_phi(model, e)) * inner(e),
                               0.0, omega, epsabs=1e-300, epsrel=1e-9, limit=400)
     return 2.0 * math.pi / (r * r) * outer
+
+
+def center_series(model: DistributionModel, omega_c: float, r: float):
+    """Two-term expansion (m, omega) about the regular centre, at radius r,
+    from g_{l+1/2} and its derivative at omega_c alone; valid while the
+    second-order correction is small."""
+    l = model.l
+    c_l = model._prefactor
+    m_exp = l + 0.5
+    g0 = c_l * eval_g(model, m_exp, omega_c)
+    g1 = c_l * eval_dg(model, m_exp, omega_c)
+    four_pi = 4.0 * math.pi
+    a, b = 3.0 + 2.0 * l, 2.0 + 2.0 * l
+    m = (four_pi * g0 * r ** a / a
+         - four_pi ** 2 * g0 * g1 * r ** (a + b) / (a * b * (a + b)))
+    omega = (omega_c - four_pi * g0 * r ** b / (a * b)
+             + four_pi ** 2 * g0 * g1 * r ** (2.0 * b) / (a * b * (a + b) * 2.0 * b))
+    return m, omega
+
+
+def reference_start(model: DistributionModel, omega_c: float) -> PhysicalState:
+    """The two-term series at 1e-6 natural lengths, or, for l < -1/2, at
+    1e-6 ** (1/(2 + 2l)) of them, where its first correction is still about
+    1e-6: a start that shares no coefficient beyond the first two with the
+    solver's."""
+    b = 2.0 + 2.0 * model.l
+    r0 = natural_length(model, omega_c) * 1e-6 ** max(1.0, 1.0 / b)
+    return PhysicalState(r0, *center_series(model, omega_c, r0))
+
+
+def reference_solve(model: DistributionModel, omega_c: float, r_end: float | None = None,
+                    rel_tol: float = 1e-13):
+    """The physical flow from `reference_start` at rel_tol, with no absolute
+    tolerance, to r_end, or else to the surface or the cutoff of a solve: a
+    `Trajectory`."""
+    start = reference_start(model, omega_c)
+    if r_end is None:
+        r_end = physical._CUTOFF_FRACTION * natural_length(model, omega_c)
+    return dop853(_physical_field(model), start.r, (start.m, start.omega), r_end, rel_tol, 0.0,
+                  events=bind(physical._FLOOR, physical._FLOOR_FRACTION * omega_c))
 
 
 def rhs_physical(model: DistributionModel, r: float, state):

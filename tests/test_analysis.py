@@ -37,6 +37,7 @@ from vpequil.analysis import (
 )
 from vpequil.distmodels import (
     DistributionModel,
+    EvaluationError,
     Regularity,
     eval_n,
     polytrope,
@@ -231,6 +232,18 @@ def test_omega_crit_synthetic_multiple_crossings():
 def test_omega_crit_synthetic_never_below_bound():
     oc = omega_crit(index_model(lambda w: 6.0 + w))
     assert oc == 0.0
+
+
+def test_omega_crit_refuses_a_root_the_index_misses_by_more_than_1e_8():
+    # n = 5 + atan(k (omega - 1.3)) crosses the bound at 1.3.  At k = 1e8
+    # brentq's root, good to its xtol of 2e-12, leaves the index 1.0e-5 off
+    # the bound, between the residual check's 1e-8 and 1e-2, so the check
+    # refuses it; at k = 1e4 it is 0 off, and the root is 1.3
+    with pytest.raises(EvaluationError, match="^root refinement of the critical amplitude "
+                                              "did not converge$"):
+        omega_crit(index_model(lambda w: 5.0 + math.atan(1e8 * (w - 1.3))))
+    assert omega_crit(index_model(lambda w: 5.0 + math.atan(1e4 * (w - 1.3)))) == pytest.approx(
+        1.3, rel=1e-12)
 
 
 # -------------------------------------------------------------- theorem 2

@@ -433,12 +433,14 @@ def test_natural_length_out_of_range_exits_1(tmp_path, capsys, cfg):
 
 
 
-@pytest.mark.parametrize("model", [
-    {"family": "truncated-exponential", "p": 170},   # Gamma overflows building the model
-    {"family": "polytrope", "n": 3.0, "l": 300},       # a step of the solve overflows
+@pytest.mark.parametrize("model, omega_c", [
+    ({"family": "truncated-exponential", "p": 170}, 0.5),   # Gamma overflows building the model
+    # a step of the solve overflows: an n = 950 halo passes r = 3.27, where
+    # r ** 600 leaves double precision, with omega > 0
+    ({"family": "polytrope", "n": 950.0, "l": 300}, 1.0),
 ], ids=["p170", "l300"])
-def test_arithmetic_error_exits_1_without_traceback(tmp_path, capsys, model):
-    path = write_config(tmp_path, {"model": model, "run": {"omega_c": 0.5}})
+def test_arithmetic_error_exits_1_without_traceback(tmp_path, capsys, model, omega_c):
+    path = write_config(tmp_path, {"model": model, "run": {"omega_c": omega_c}})
     out = tmp_path / "out"
     assert main(["solve", "--config", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -460,9 +462,11 @@ def test_model_overflow_names_the_keys_and_the_kernel(tmp_path, capsys, model, m
 
 
 def test_step_overflow_names_l_and_the_term(tmp_path, capsys):
-    # r ** (2 l) overflows inside the step loop; the solve names the key and the term
-    path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 3, "l": 300},
-                                   "run": {"omega_c": 0.5}})
+    # r ** (2 l) overflows inside the step loop, at r = 3.27 on the way out of
+    # an n = 950 halo; the solve names the key and the term.  (The n = 3 ball
+    # at omega_c 0.5 ends at R = 1.386 and solves: test_physical)
+    path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 950, "l": 300},
+                                   "run": {"omega_c": 1.0}})
     out = tmp_path / "out"
     assert main(["solve", "--config", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err

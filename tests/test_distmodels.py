@@ -783,3 +783,47 @@ def test_phi_reduced_matches_mpmath(p):
         for e, value in zip(es, got):
             x = mpmath.mpf(float(e))
             assert_close(value, float(mp_phi_exp(p, x) / x ** (p + 1)), 1e-13)
+
+
+# a w(s) with alternating, falling coefficients, as a centre series has
+SERIES_W = [1.0, -0.31, 0.052, -0.0071, 0.00083, -8.7e-5, 8.1e-6, -6.9e-7, 5.3e-8, -3.9e-9,
+            2.6e-10]
+
+
+@pytest.mark.parametrize("model, omega", [
+    (polytrope(n=3.0), 0.7), (polytrope(n=1.3, l=-0.8), 2.0), (polytrope(n=4.5, l=2.5), 0.05),
+    (king_model(), 2.0), (truncated_exponential(1, l=-0.4), 0.3),
+    (truncated_exponential(2, l=1.5), 9.0), (king_model(l=-0.95), 1e-3),
+], ids=["n3", "n1.3-l-0.8", "n4.5-l2.5", "king", "wilson-l-0.4", "p2-l1.5", "king-l-0.95"])
+def test_series_coefficients_are_taylor_coefficients(model, omega):
+    # gamma_k of g_{l+1/2}(omega w(s))/g_{l+1/2}(omega), each from the ones
+    # before, against mpmath's Taylor coefficients of the closed form
+    # (omega^(n+l) for a polytrope, e^omega P(p + l + 5/2, omega) for a
+    # lowered exponential) at 40 digits, each to 1e-13
+    coefficient = model.series(omega)
+    gamma = [1.0]
+    for k in range(1, len(SERIES_W)):
+        gamma.append(coefficient(SERIES_W[:k + 1], gamma))
+    family, m = model.family, model.l + 0.5
+    with mpmath.workdps(40):
+        if isinstance(family, distmodels.Polytrope):
+            def g(x):
+                return x ** (family.n + model.l)
+        else:
+            def g(x):
+                return mpmath.exp(x) * mpmath.gammainc(family.p + m + 2, 0, x, regularized=True)
+        w0 = mpmath.mpf(omega)
+        want = mpmath.taylor(lambda s: g(w0 * mpmath.polyval(SERIES_W[::-1], s)) / g(w0), 0,
+                             len(SERIES_W) - 1)
+        for got, exact in zip(gamma, want):
+            assert got == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_table_series_gives_the_first_coefficient_only():
+    energies = np.linspace(0.0, 3.0, 61)
+    model = tabulated_model(energies, np.expm1(energies), l=0.3, k=1.0)
+    coefficient = model.series(1.7)
+    first = coefficient(SERIES_W[:2], [1.0])
+    assert first == pytest.approx(1.7 * eval_dg(model, 0.8, 1.7) / eval_g(model, 0.8, 1.7)
+                                  * SERIES_W[1], rel=1e-15)
+    assert coefficient(SERIES_W[:3], [1.0, first]) is None

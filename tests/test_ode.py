@@ -42,7 +42,6 @@ from vpequil.physical import (
     FINITE_RADIUS,
     INFINITE_FINITE_MASS,
     INFINITE_UNDETERMINED,
-    center_series,
     integrate_physical,
     natural_length,
 )
@@ -53,9 +52,10 @@ A_N1 = math.sqrt(4.0 * math.pi * 2.0 ** 1.5 * math.pi ** 2)   # n=1, l=0, omega_
 
 
 def scipy_physical(model, omega_c):
+    # the library's start: the same centre series and start radius
     length = natural_length(model, omega_c)
-    r0 = physical._STARTUP_FRACTION * length
-    m0, w0 = center_series(model, omega_c, r0)
+    centre, _, r0 = physical._centre_series(model, omega_c, length)
+    m0, w0 = centre(r0)
 
     def floor(r, y):
         return y[1] - physical._FLOOR_FRACTION * omega_c
@@ -663,6 +663,26 @@ def test_error_norm_of_a_vanishing_fifth_order_error_is_zero():
                [9.092516466997666e-159], -1.2594162232551624, 1e-11, 1e-12, [], levels(1))
     for plain in (False, True):
         assert check_generated_loop(problem, plain) == "steps"
+
+
+def test_rejected_attempt_far_off_is_clamped_to_a_fifth():
+    # y' = e^(400 t): an attempt after the first accepted steps is off by an
+    # error norm of 1.2e6, above (0.9/0.2)^8 = 1.7e5, so the clamp sets the
+    # next step to a fifth of it (MIN_FACTOR), not to 0.9 norm^(-1/8) of it;
+    # the loop takes the reference integrator's steps node for node
+    fun = _ode.bind(_ode.Field("tau", ("_",), ("return exp(400.0 * tau),",), ("exp",)), math.exp)
+    problem = (fun, 0.0, [1.0], 1.0, 1e-10, 1e-12, [], levels(1))
+    norms, attempt = [], reference_attempt
+
+    def recording(fun, t, h, t_new, y, f, atol, rtol):
+        out = attempt(fun, t, h, t_new, y, f, atol, rtol)
+        err5, err3 = out[3], out[4]
+        norms.append(abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * len(y)))
+        return out
+    with mock.patch(f"{__name__}.reference_attempt", recording):
+        for plain in (False, True):
+            assert check_generated_loop(problem, plain) == "steps"
+    assert max(norms) > (0.9 / 0.2) ** 8
 
 
 def check_generated_loop(problem, plain):
