@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 import sys
 from array import array
@@ -520,9 +521,6 @@ class Trajectory:
         self._pieces = pieces
         self.t = buf[::self._stride]
         self.y = [buf[j::self._stride] for j in range(1, 1 + n)]
-        sign = 1.0 if self.t[-1] >= self.t[0] else -1.0
-        self._keys = array("d", (sign * v for v in self.t))
-        self._sign = sign
         self.nfev = nfev
         self.n_rejected = n_rejected
         self.event = event
@@ -552,9 +550,10 @@ class Trajectory:
         return piece
 
     def __call__(self, t: float) -> list:
-        t = float(t)
-        i = bisect_left(self._keys, self._sign * t)
-        return _evaluate(self._piece(min(max(i - 1, 0), len(self._keys) - 2)), t)
+        t, nodes = float(t), self.t
+        i = (bisect_left(nodes, t) if nodes[-1] >= nodes[0]
+             else bisect_left(nodes, -t, key=operator.neg))
+        return _evaluate(self._piece(min(max(i - 1, 0), len(nodes) - 2)), t)
 
 
 def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol: float,

@@ -59,7 +59,7 @@ _SPAN_RATIO = 1e-10
 class TheoremVerdict:
     """Outcome of a finiteness check.
 
-    ``holds`` is ``"Guaranteed"`` only when the hypothesis was verified on
+    ``holds`` is ``"Guaranteed"`` only when the theorem's condition held on
     the sampled interval including the variation bound; ``"Inconclusive"``
     covers every other outcome.  ``witness`` records what was checked.
     """
@@ -116,7 +116,7 @@ def _geomspace(start: float, stop: float, num: int) -> list:
 def _grid_check(n_of, omega_hi: float, bound: float) -> dict:
     """Sample n(omega) on refining log grids over ten decades below omega_hi.
 
-    The hypothesis counts as verified when every node clears the bound by
+    The condition counts as verified when every node clears the bound by
     the slack, the per-cell excursion bound max(v_i, v_{i+1}) + |dv| does
     too, and the linear low-omega extrapolation confirms the trend.
     """

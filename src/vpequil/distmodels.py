@@ -13,8 +13,7 @@ function for polytropes, e^omega P(a, omega) (P the regularized lower
 incomplete gamma function, a = p + m + 2) for the lowered exponentials, and
 incomplete Beta integrals summed over the cubic pieces of a tabulated
 interpolant.  The module runs on floats and imports no numpy: the kernels,
-phi and a tabulated interpolant's build alike; `eval_phi` imports numpy
-only when it is given an array.
+phi and a tabulated interpolant's build alike.
 
 The lowered exponentials rest on two functions, with a = p + l + 5/2 or
 a = p + m + 2:
@@ -846,18 +845,9 @@ def load_tabulated(path, l=0.0, k=None, holder_index=None) -> DistributionModel:
 
 # ----------------------------------------------------------- evaluations
 
-def eval_phi(model: DistributionModel, energy):
-    """phi(E); exactly 0 for E <= 0.  A number gives a float.  An array or
-    a sequence gives a numpy array of its shape, phi taken elementwise: only
-    then is numpy imported."""
-    if isinstance(energy, (int, float)):
-        return model.family.phi(float(energy))
-    import numpy as np
-
-    e = np.asarray(energy, dtype=float)
-    if e.ndim == 0:
-        return model.family.phi(float(e))
-    return np.array([model.family.phi(x) for x in e.ravel().tolist()]).reshape(e.shape)
+def eval_phi(model: DistributionModel, energy: float) -> float:
+    """phi(E); exactly 0 for E <= 0."""
+    return model.family.phi(float(energy))
 
 
 def eval_g(model: DistributionModel, m, omega) -> float:

@@ -57,8 +57,8 @@ def eval_dg_quadrature(model: DistributionModel, m, omega,
     if m > 0.0:
         return m * eval_g_quadrature(model, m - 1.0, omega, rel_tol=rel_tol)[0]
     if m == 0.0:
-        return float(eval_phi(model, omega))
-    phi_w = float(eval_phi(model, omega))
+        return eval_phi(model, omega)
+    phi_w = eval_phi(model, omega)
     k = model.regularity.k
     try:
         # [0, 1/2]: phi(omega*x)(1-x)^(m-1) keeps only the x^k endpoint weight
@@ -69,7 +69,7 @@ def eval_dg_quadrature(model: DistributionModel, m, omega,
         # [1/2, 1]: difference quotient against the (1-x)^m weight
         def diff_quot(t):
             x = 0.5 * (1.0 + t)
-            return (phi_w - eval_phi(model, omega * x)) / (1.0 - x)
+            return (phi_w - _phi(model, omega * x)) / (1.0 - x)
         inner_b, _ = integrate_weighted(diff_quot, m, 0.0, rel_tol=rel_tol)
         piece_b = 0.5 ** (m + 1.0) * inner_b
     except QuadratureError as exc:
@@ -77,10 +77,14 @@ def eval_dg_quadrature(model: DistributionModel, m, omega,
     return omega ** m * phi_w - m * omega ** m * (piece_a + piece_b)
 
 
+def _phi(model: DistributionModel, e):
+    """phi at each of the nodes e, as an array."""
+    return np.array([eval_phi(model, x) for x in e.tolist()])
+
+
 def _reduced(model: DistributionModel, e):
     """phi(E)/E^k, k the declared exponent: the oracles' integrand (E > 0)."""
-    e = np.asarray(e, dtype=float)
-    return eval_phi(model, e) / e ** model.regularity.k
+    return _phi(model, e) / e ** model.regularity.k
 
 
 def density_bruteforce(model: DistributionModel, r, omega) -> float:
@@ -106,7 +110,7 @@ def density_bruteforce(model: DistributionModel, r, omega) -> float:
                                 weight="alg", wvar=(l, -0.5))
         return val * r
 
-    outer, _ = integrate.quad(lambda e: float(eval_phi(model, e)) * inner(e),
+    outer, _ = integrate.quad(lambda e: eval_phi(model, e) * inner(e),
                               0.0, omega, epsabs=1e-300, epsrel=1e-9, limit=400)
     return 2.0 * math.pi / (r * r) * outer
 

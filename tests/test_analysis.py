@@ -19,8 +19,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vpequil import analysis
 from vpequil.analysis import (
@@ -112,7 +110,7 @@ def test_theorem1_polytrope_outside_bound():
 
 
 def test_theorem1_boundary_equality_is_inconclusive():
-    # the hypothesis check runs with a strict numerical slack
+    # the theorem's condition is checked with a strict numerical slack
     assert check_theorem1(polytrope(n=3), omega_c=1.0).holds == INCONCLUSIVE
     verdict = check_theorem1(index_model(lambda w: 3.0), omega_c=1.0)
     assert verdict.holds == INCONCLUSIVE
@@ -263,7 +261,7 @@ def test_theorem2_wilson_above_critical():
 
 
 def test_theorem2_identically_critical_family():
-    # n identically equal to the bound violates the hypothesis
+    # n identically equal to the bound violates the theorem's condition
     assert check_theorem2(polytrope(n=5), omega_c=1.0).holds == INCONCLUSIVE
 
 
@@ -280,24 +278,25 @@ def test_theorem2_guaranteed_implies_finite_radius():
     assert integrate_physical(model, omega_c).classification == FINITE_RADIUS
 
 
-@st.composite
-def theorem_models(draw):
-    """A polytrope below the critical index 5 + 3l, or a lowered exponential,
-    with l in (-0.45, 2] and omega_c log-uniform in [0.05, 20]."""
-    l = draw(st.floats(-0.45, 2.0, exclude_min=True))
-    model = draw(st.one_of(
-        st.floats(0.6, 5.0 + 3.0 * l - 0.02, exclude_min=True).map(lambda n: polytrope(n, l=l)),
-        st.sampled_from([0, 1, 2]).map(lambda p: truncated_exponential(p, l=l))))
-    return model, math.exp(draw(st.floats(math.log(0.05), math.log(20.0))))
-
-
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(case=theorem_models())
-def test_guaranteed_verdict_implies_finite_radius(case):
-    model, omega_c = case
-    verdicts = (check_theorem1(model, omega_c).holds, check_theorem2(model, omega_c).holds)
-    if GUARANTEED in verdicts:
-        assert integrate_physical(model, omega_c).classification == FINITE_RADIUS, verdicts
+def test_guaranteed_verdict_implies_finite_radius():
+    # polytropes of n in (0.6, 5 + 3l - 0.02], below the critical index, and
+    # lowered exponentials of p in {0, 1, 2}, l in (-0.45, 2], omega_c in [0.05,
+    # 20]: each end (open ones as the next float inside), then 400 draws
+    cases = [(model, w) for l in (math.nextafter(-0.45, 1.0), 2.0) for w in (0.05, 20.0)
+             for model in (polytrope(math.nextafter(0.6, 1.0), l=l),
+                           polytrope(5.0 + 3.0 * l - 0.02, l=l),
+                           *(truncated_exponential(p, l=l) for p in (0, 1, 2)))]
+    rng = np.random.default_rng(294)
+    for _ in range(400):
+        l = rng.uniform(-0.45, 2.0)
+        model = (polytrope(rng.uniform(0.6, 5.0 + 3.0 * l - 0.02), l=l) if rng.random() < 0.5
+                 else truncated_exponential(int(rng.integers(3)), l=l))
+        cases.append((model, math.exp(rng.uniform(math.log(0.05), math.log(20.0)))))
+    for model, omega_c in cases:
+        verdicts = (check_theorem1(model, omega_c).holds, check_theorem2(model, omega_c).holds)
+        if GUARANTEED in verdicts:
+            assert (integrate_physical(model, omega_c).classification
+                    == FINITE_RADIUS), (model, omega_c, verdicts)
 
 
 # ---------------------------------------------------------- classification

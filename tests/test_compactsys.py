@@ -7,13 +7,12 @@ against their closed forms; the conserved quantity on the critical-index
 family and the algebraic monitors are exercised along real orbits.
 """
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -571,35 +570,37 @@ def test_log_Z_strictly_increasing_along_king(king_model, king_profile):
     assert np.all(np.diff(z) > 0)
 
 
-# (name, model).  King's index stays below 3 + l on the box's potentials and
-# so does every drawn polytrope's, so dZ > 0 and Z must not fall.  Wilson
-# l = 1/2 starts at n(0) = k + 3/2 = 3 + l and grows, so the (3 + l - n)
-# term of dZ is negative and Z falls into the vacuum corner; the same sign
-# turns the flow out of S1 on its boundary, but only where U < 0.07.
-MONITOR_MODELS = st.one_of(
-    st.sampled_from([("king", truncated_exponential(0)), ("wilson", wilson_model(l=0.5))]),
-    st.floats(0.6, 3.0).map(lambda n: (f"n={n!r}", polytrope(n=n))))
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(case=MONITOR_MODELS, U=st.floats(0.05, 0.95), Q=st.floats(0.05, 0.95),
-       Omega=st.floats(0.005, 0.5))
-def test_forward_orbits_keep_the_monitors_monotone(case, U, Q, Omega):
+def test_forward_orbits_keep_the_monitors_monotone():
     # criterion 7 over random starts in its box: Omega never increases, log Z
     # never decreases (where dZ > 0), within 10x the tolerance, and S1 is
-    # future invariant
-    name, model = case
-    orbit = integrate_compact(model, CompactState(U, Q, Omega))
-    rel_tol = orbit.rel_tol
-    allow = 10.0 * (rel_tol * np.abs(orbit.Omega[:-1]) + 1e-14)
-    assert np.all(np.diff(orbit.Omega) <= allow), name
-    if name != "wilson":
-        log_z = orbit.log_Z
-        allow_z = 10.0 * (rel_tol * np.abs(log_z[:-1]) + 1e-12)
-        assert np.all(np.diff(log_z) >= -allow_z), name
-    flags = orbit.S1
-    if np.any(flags):
-        assert np.all(flags[int(np.argmax(flags)):]), name
+    # future invariant.  King's index stays below 3 + l on the box's
+    # potentials and so does every polytrope's here, so dZ > 0 and Z must not
+    # fall.  Wilson l = 1/2 starts at n(0) = k + 3/2 = 3 + l and grows, so the
+    # (3 + l - n) term of dZ is negative and Z falls into the vacuum corner;
+    # the same sign turns the flow out of S1 on its boundary, but only where
+    # U < 0.07.  Each model starts at the box's eight corners (the polytropes
+    # at n = 0.6 and 3), then 60 draws of a model, n in [0.6, 3], and a start
+    box = ((0.05, 0.95), (0.05, 0.95), (0.005, 0.5))
+    named = [("king", truncated_exponential(0)), ("wilson", wilson_model(l=0.5))]
+    ends = [*named, ("n=0.6", polytrope(n=0.6)), ("n=3", polytrope(n=3.0))]
+    cases = list(itertools.product(ends, *box))
+    rng = random.Random(585)
+    for _ in range(60):
+        n = rng.uniform(0.6, 3.0)
+        case = rng.choice([*named, (f"n={n!r}", polytrope(n=n))])
+        cases.append((case, *(rng.uniform(*end) for end in box)))
+    for (name, model), U, Q, Omega in cases:
+        orbit = integrate_compact(model, CompactState(U, Q, Omega))
+        rel_tol = orbit.rel_tol
+        allow = 10.0 * (rel_tol * np.abs(orbit.Omega[:-1]) + 1e-14)
+        assert np.all(np.diff(orbit.Omega) <= allow), (name, U, Q, Omega)
+        if name != "wilson":
+            log_z = orbit.log_Z
+            allow_z = 10.0 * (rel_tol * np.abs(log_z[:-1]) + 1e-12)
+            assert np.all(np.diff(log_z) >= -allow_z), (name, U, Q, Omega)
+        flags = orbit.S1
+        if np.any(flags):
+            assert np.all(flags[int(np.argmax(flags)):]), (name, U, Q, Omega)
 
 
 @pytest.mark.parametrize("l", [0.0, 0.5])

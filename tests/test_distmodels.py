@@ -89,15 +89,6 @@ def test_phi_truncated_exponential_small_energy_is_stable():
     assert eval_phi(model, e) == pytest.approx(e ** 2 / 2.0, rel=1e-10)
 
 
-def test_phi_vectorized():
-    model = truncated_exponential(0)
-    es = np.array([-1.0, 0.0, 0.5, 2.0])
-    out = eval_phi(model, es)
-    assert out[0] == 0.0 and out[1] == 0.0
-    assert out[2] == pytest.approx(math.expm1(0.5))
-    assert out[3] == pytest.approx(math.expm1(2.0))
-
-
 
 def _pchip_grids():
     rng = np.random.default_rng(5)
@@ -275,7 +266,7 @@ def test_g_reference_quadrature_wilson():
     x = (t + 1.0) / 2.0
     w = w * 0.5 ** (m + k + 1.0)
     reference = omega ** (m + 1.0 + k) * (
-        w @ (eval_phi(model, omega * x) / x ** k))
+        w @ ([eval_phi(model, e) for e in omega * x] / x ** k))
     got = eval_g(model, m, omega)
     assert got == pytest.approx(reference, rel=1e-10)
     assert got == pytest.approx(raw_g(model, m, omega), rel=1e-10)

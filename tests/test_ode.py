@@ -10,6 +10,7 @@ the generated step loop and interpolant equal a plain Python integrator over
 that tableau.
 """
 
+import itertools
 import math
 import os
 import random
@@ -21,8 +22,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import optimize
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
@@ -180,7 +179,6 @@ FIELD_MODELS = {
     "wilson-l-0.4": wilson_model(l=-0.4),
     "table61": tabulated_model(TABLE_ENERGIES, np.expm1(TABLE_ENERGIES), k=1.0),
 }
-FIELD_SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
 
 
 def field_given_to_dop853(module, run):
@@ -213,28 +211,22 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-@FIELD_SETTINGS
-@given(name=st.sampled_from(sorted(FIELD_MODELS)),
-       r=st.floats(1e-6, 1e3),
-       m=st.floats(0.0, 10.0),
-       omega=st.one_of(st.floats(-1.0, 0.0), st.just(0.0), st.floats(1e-12, 2.9)))
-def test_fused_physical_field_is_rhs_physical(name, r, m, omega):
-    # omega <= 0 takes the vacuum branch, rho = 0
-    assert (outcome(PHYSICAL_FIELDS[name], r, [m, omega])
-            == outcome(rhs_physical, FIELD_MODELS[name], r, (m, omega)))
+def test_fused_physical_field_is_rhs_physical():
+    # omega <= 0 takes the vacuum branch, rho = 0.  Each model at the ends of
+    # r in [1e-6, 1e3], m in [0, 10] and omega in [-1, 0] or [1e-12, 2.9],
+    # then 300 draws, r log-uniform and omega in [-1, 0], 0 or [1e-12, 2.9]
+    names = sorted(FIELD_MODELS)
+    ends = itertools.product(names, (1e-6, 1e3), (0.0, 10.0), (-1.0, 0.0, 1e-12, 2.9))
+    rng = random.Random(217)
+    draws = [(rng.choice(names), 10.0 ** rng.uniform(-6.0, 3.0), rng.uniform(0.0, 10.0),
+              rng.choice((rng.uniform(-1.0, 0.0), 0.0, rng.uniform(1e-12, 2.9))))
+             for _ in range(300)]
+    for name, r, m, omega in [*ends, *draws]:
+        assert (outcome(PHYSICAL_FIELDS[name], r, [m, omega])
+                == outcome(rhs_physical, FIELD_MODELS[name], r, (m, omega))), (name, r, m, omega)
 
 
-@FIELD_SETTINGS
-@given(name=st.sampled_from(sorted(FIELD_MODELS)),
-       U=st.floats(0.0, 1.0),
-       Q=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-       Omega=st.one_of(st.floats(0.0, 1e-12, exclude_min=True),
-                       st.floats(1e-12, 0.74),
-                       st.floats(0.74, 1.0, exclude_max=True),   # at and past the table end
-                       st.sampled_from([0.75, math.nextafter(0.75, 1.0),
-                                        math.nextafter(1.0, 0.0)])),
-       xi=st.floats(-5.0, 5.0))
-def test_fused_compact_field_is_rhs_compact(name, U, Q, Omega, xi):
+def test_fused_compact_field_is_rhs_compact():
     # the integrator's closure carries (log u, log q, x = log omega, xi), a
     # face as -+DBL_MAX.  By the chain rule its derivatives times U (1 - U),
     # Q (1 - Q) and Omega (1 - Omega) are rhs_compact's dU, dQ and dOmega, and
@@ -244,26 +236,37 @@ def test_fused_compact_field_is_rhs_compact(name, U, Q, Omega, xi):
     # bounds the difference, plus one rounding each in the subnormal range.
     # Where rhs_compact raises (a table's index is undefined below omega =
     # 1e-300) the closure raises the same error; at Q = 0, where rhs_compact
-    # skips n and the closure reads it, the closure may raise alone
-    model = FIELD_MODELS[name]
-    logs = [compactsys._log_ratio(v, sys.float_info.max) for v in (U, Q)]
-    x = math.log(Omega / (1.0 - Omega))
-    fused = outcome(COMPACT_FIELDS[name], 0.0, [*logs, x, xi])
-    want = outcome(rhs_compact, model, (U, Q, Omega))
-    if len(fused) != 4 or len(want) != 3:
-        assert fused == want or Q == 0.0 and len(want) == 3
-        return
-    x_hi, w_hi = compactsys._omega_cap(model)
-    l = model.l
-    size = 1.0 + (3.0 + 2.0 * l) + (4.0 + 2.0 * l) + abs(
-        model._index(math.exp(x) if x < x_hi else w_hi) + l)
-    bound = 4.0 * sys.float_info.epsilon * size
-    dlu, dlq, dx, dxi = fused
-    for factor, chained, direct in ((U * (1.0 - U), dlu, want[0]),
-                                    (Q * (1.0 - Q), dlq, want[1]),
-                                    (Omega * (1.0 - Omega), dx, want[2]),
-                                    (1.0, dxi, (1.0 - U) * (1.0 - Q))):
-        assert abs(factor * chained - direct) <= bound * factor + 2.0 * math.ulp(0.0)
+    # skips n and the closure reads it, the closure may raise alone.  Each
+    # model at the ends of U, Q, xi and of Omega's three ranges, and at 0.75
+    # and the float after it (the table end), then 300 draws, Q = 0 in half
+    # and Omega log-uniform in (0, 1e-12]
+    names = sorted(FIELD_MODELS)
+    omegas = (5e-324, 1e-12, 0.74, 0.75, math.nextafter(0.75, 1.0), math.nextafter(1.0, 0.0))
+    ends = itertools.product(names, (0.0, 1.0), (0.0, 1.0), omegas, (-5.0, 5.0))
+    rng = random.Random(228)
+    draws = [(rng.choice(names), rng.uniform(0.0, 1.0), rng.choice((0.0, rng.uniform(0.0, 1.0))),
+              rng.choice((10.0 ** rng.uniform(-323.0, -12.0), rng.uniform(1e-12, 0.74),
+                          rng.uniform(0.74, 1.0))), rng.uniform(-5.0, 5.0)) for _ in range(300)]
+    for name, U, Q, Omega, xi in [*ends, *draws]:
+        model = FIELD_MODELS[name]
+        logs = [compactsys._log_ratio(v, sys.float_info.max) for v in (U, Q)]
+        x = math.log(Omega / (1.0 - Omega))
+        fused = outcome(COMPACT_FIELDS[name], 0.0, [*logs, x, xi])
+        want = outcome(rhs_compact, model, (U, Q, Omega))
+        if len(fused) != 4 or len(want) != 3:
+            assert fused == want or Q == 0.0 and len(want) == 3, (name, U, Q, Omega)
+            continue
+        x_hi, w_hi = compactsys._omega_cap(model)
+        l = model.l
+        size = 1.0 + (3.0 + 2.0 * l) + (4.0 + 2.0 * l) + abs(
+            model._index(math.exp(x) if x < x_hi else w_hi) + l)
+        bound = 4.0 * sys.float_info.epsilon * size
+        dlu, dlq, dx, dxi = fused
+        for factor, chained, direct in ((U * (1.0 - U), dlu, want[0]),
+                                        (Q * (1.0 - Q), dlq, want[1]),
+                                        (Omega * (1.0 - Omega), dx, want[2]),
+                                        (1.0, dxi, (1.0 - U) * (1.0 - Q))):
+            assert abs(factor * chained - direct) <= bound * factor + 2.0 * math.ulp(0.0)
 
 
 def plain_dop853(fun, *args, **kwargs):
@@ -634,9 +637,8 @@ def polynomial_solve(rng):
     return fun, t0, y0, t_end, rtol, atol, pairs, events
 
 
-# 200 fixed draws: hypothesis draws move with every constant of the code
-# base, and some turn a field stiff (millions of explicit steps in both
-# integrators)
+# 200 fixed draws: some turn a field stiff (millions of explicit steps in
+# both integrators)
 GENERATED_LOOP_SEED = 2026
 STIFF_NFEV = 50_000     # a reference past this many calls is not compared
 
@@ -778,17 +780,20 @@ def same_float(x, y):
     return math.isnan(x) and math.isnan(y) or struct.pack("d", x) == struct.pack("d", y)
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
-@given(a=st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
-       y=st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
-       yn=st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
-       rtol=st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)))
-def test_scale_line_is_max_of_abs(a, y, yn, rtol):
+def test_scale_line_is_max_of_abs():
     # the comparison form of the error scale gives the bits of the builtin
-    # form, in both argument orders: -0.0, subnormals, infinities and nan
+    # form, in both argument orders: -0.0, subnormals, infinities and nan.
+    # Every (a, y, yn, rtol) of the special floats and -+DBL_MAX, then 500
+    # draws of each from the special floats or random 64-bit patterns
     scale = scale_function()
-    for u, v in ((y, yn), (yn, y)):
-        assert same_float(scale(a, u, v, rtol), a + max(abs(u), abs(v)) * rtol)
+    rng = random.Random(786)
+    bits = struct.unpack("2000d", rng.getrandbits(128_000).to_bytes(16_000, "little"))
+    draws = [[rng.choice((x, rng.choice(SPECIAL_FLOATS))) for x in bits[k:k + 4]]
+             for k in range(0, 2000, 4)]
+    edges = SPECIAL_FLOATS + [sys.float_info.max, -sys.float_info.max]
+    for a, y, yn, rtol in [*itertools.product(edges, repeat=4), *draws]:
+        for u, v in ((y, yn), (yn, y)):
+            assert same_float(scale(a, u, v, rtol), a + max(abs(u), abs(v)) * rtol)
 
 
 def test_scale_line_on_special_pairs():

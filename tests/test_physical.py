@@ -7,13 +7,12 @@ finite mass), plus homology scaling relations and a mass-quadrature
 consistency check that is independent of the ODE right-hand side.
 """
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate
 
 from vpequil import _ode, physical
@@ -264,16 +263,20 @@ def test_rhs_physical_clamps_exhausted_potential():
     assert domega == pytest.approx(-0.125, rel=1e-15)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(n=st.floats(0.55, 8.0), l=st.floats(-0.45, 3.0), phi_minus=st.floats(1e-3, 1e3),
-       r=st.floats(1e-6, 1e3), m=st.floats(0.0, 10.0),
-       omega=st.one_of(st.floats(-1.0, 0.0), st.floats(1e-12, 50.0)))
-def test_inlined_polytrope_kernel_is_density(n, l, phi_minus, r, m, omega):
+def test_inlined_polytrope_kernel_is_density():
     # the physical field writes the polytrope's closed form into its source;
-    # its floats are those of 4 pi r^2 density(...), with rho = 0 for omega <= 0
-    model = polytrope(n=n, l=l, phi_minus=phi_minus)
-    rho = density(model, r, omega) if omega > 0.0 else 0.0
-    assert rhs_physical(model, r, (m, omega)) == (4.0 * math.pi * r * r * rho, -m / (r * r))
+    # its floats are those of 4 pi r^2 density(...), with rho = 0 for omega <= 0.
+    # Every end of the ranges, then 300 draws, phi_minus and r log-uniform
+    ends = itertools.product((0.55, 8.0), (-0.45, 3.0), (1e-3, 1e3), (1e-6, 1e3), (0.0, 10.0),
+                             (-1.0, 0.0, 1e-12, 50.0))
+    rng = random.Random(271)
+    draws = [(rng.uniform(0.55, 8.0), rng.uniform(-0.45, 3.0), 10.0 ** rng.uniform(-3.0, 3.0),
+              10.0 ** rng.uniform(-6.0, 3.0), rng.uniform(0.0, 10.0),
+              rng.choice((rng.uniform(-1.0, 0.0), rng.uniform(1e-12, 50.0)))) for _ in range(300)]
+    for n, l, phi_minus, r, m, omega in [*ends, *draws]:
+        model = polytrope(n=n, l=l, phi_minus=phi_minus)
+        rho = density(model, r, omega) if omega > 0.0 else 0.0
+        assert rhs_physical(model, r, (m, omega)) == (4.0 * math.pi * r * r * rho, -m / (r * r))
 
 
 def test_polytrope_solves_share_one_physical_loop():
@@ -409,25 +412,22 @@ def test_homology_scaling(n, l):
         assert mm == pytest.approx(base_m, rel=1e-8)
 
 
-@st.composite
-def polytrope_draws(draw):
-    l = draw(st.floats(-0.45, 1.0))
-    n = draw(st.floats(0.8, 4.6 + 3.0 * l))
-    return n, l, draw(st.floats(0.2, 5.0))
-
-
-@settings(derandomize=True, max_examples=25, deadline=None)
-@given(polytrope_draws())
-def test_homology_scaling_property(draw):
+def test_homology_scaling_property():
     """g_{l+1/2} ~ omega^(n+l), so omega(r) = omega_c w(omega_c^e r) with
-    e = (n+l-1)/(2+2l): R ~ omega_c^-e and M ~ omega_c^(1-e)."""
-    n, l, omega_c = draw
-    e = (n + l - 1.0) / (2.0 + 2.0 * l)
-    model = polytrope(n=n, l=l)
-    scaled, unit = integrate_physical(model, omega_c), integrate_physical(model, 1.0)
-    assert scaled.classification == unit.classification == FINITE_RADIUS
-    assert scaled.radius * omega_c ** e == pytest.approx(unit.radius, rel=1e-7)
-    assert scaled.total_mass * omega_c ** (e - 1.0) == pytest.approx(unit.total_mass, rel=1e-7)
+    e = (n+l-1)/(2+2l): R ~ omega_c^-e and M ~ omega_c^(1-e).  Every end of l in
+    [-0.45, 1], n in [0.8, 4.6 + 3l] and omega_c in [0.2, 5], then 25 draws."""
+    cases = [(n, l, w) for l in (-0.45, 1.0) for n in (0.8, 4.6 + 3.0 * l) for w in (0.2, 5.0)]
+    rng = random.Random(420)
+    for _ in range(25):
+        l = rng.uniform(-0.45, 1.0)
+        cases.append((rng.uniform(0.8, 4.6 + 3.0 * l), l, rng.uniform(0.2, 5.0)))
+    for n, l, omega_c in cases:
+        e = (n + l - 1.0) / (2.0 + 2.0 * l)
+        model = polytrope(n=n, l=l)
+        scaled, unit = integrate_physical(model, omega_c), integrate_physical(model, 1.0)
+        assert scaled.classification == unit.classification == FINITE_RADIUS
+        assert scaled.radius * omega_c ** e == pytest.approx(unit.radius, rel=1e-7)
+        assert scaled.total_mass * omega_c ** (e - 1.0) == pytest.approx(unit.total_mass, rel=1e-7)
 
 
 def test_king_finite_radius(king_profile):

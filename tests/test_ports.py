@@ -6,22 +6,23 @@ here to 1e-13 relative against 50-digit mpmath, and all but the index
 against ``scipy.special`` (the functions they replace), over each family's
 domain: p in {0, 1, 2}, l in (-1, 3] with 2l an integer as well as
 general l, omega in [1e-8, 700], random monotone tables (some starting
-below E = 0), and l in (-1, 5] for the prefactor.
+below E = 0), and l in (-1, 5] for the prefactor: the ends of each range,
+then draws from a seed written in this file.
 
 The benchmark's tracer (``perfbench/tracing.py``) patches names of the
 package; one test installs it and checks that it finds and restores them.
 """
 
 import importlib.util
+import itertools
 import math
+import random
 import sys
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 from scipy.special import beta, betainc, gammainc, gammaln
 
 from vpequil.distmodels import (
@@ -34,7 +35,6 @@ from vpequil.distmodels import (
 )
 
 REL = 1e-13
-SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
 
 def assert_rel(got, want, rel=REL):
@@ -56,19 +56,26 @@ def scipy_lowered(p, m, omega):
 
 
 HALF_INTEGER_L = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+LOG_OMEGA = (-8.0, math.log10(700.0))
 
 
-@SETTINGS
-@given(p=st.sampled_from([0, 1, 2]),
-       l=st.one_of(st.sampled_from(HALF_INTEGER_L), st.floats(-0.999, 3.0)),
-       shift=st.sampled_from([0.5, 1.5]),
-       log_omega=st.floats(-8.0, math.log10(700.0)))
-def test_lowered_kernel_matches_scipy_and_mpmath(p, l, shift, log_omega):
-    # m = l + 1/2 is the density kernel, m = l + 3/2 the pressure kernel
-    m, omega = l + shift, 10.0 ** log_omega
-    got = TruncatedExponential(p).kernel(m)(omega)
-    assert_rel(got, mp_lowered(p, m, omega))
-    assert_rel(got, scipy_lowered(p, m, omega))
+def lowered_cases(seed, shifts):
+    """(p, l, shift, log10 omega): each p, l in HALF_INTEGER_L or -0.999 and shift at both
+    ends of LOG_OMEGA, then 150 draws from `seed`, l in [-0.999, 3] in half of them."""
+    ends = itertools.product((0, 1, 2), (-0.999, *HALF_INTEGER_L), shifts, LOG_OMEGA)
+    rng = random.Random(seed)
+    return [*ends, *((rng.choice((0, 1, 2)),
+                      rng.choice((rng.choice(HALF_INTEGER_L), rng.uniform(-0.999, 3.0))),
+                      rng.choice(shifts), rng.uniform(*LOG_OMEGA)) for _ in range(150))]
+
+
+def test_lowered_kernel_matches_scipy_and_mpmath():
+    for p, l, shift, log_omega in lowered_cases(62, (0.5, 1.5)):
+        # m = l + 1/2 is the density kernel, m = l + 3/2 the pressure kernel
+        m, omega = l + shift, 10.0 ** log_omega
+        got = TruncatedExponential(p).kernel(m)(omega)
+        assert_rel(got, mp_lowered(p, m, omega))
+        assert_rel(got, scipy_lowered(p, m, omega))
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
@@ -92,15 +99,12 @@ def mp_lowered_index(p, l, omega):
         return float(-mpmath.mpf(l) + w + w ** a * mpmath.exp(-w) / mpmath.gammainc(a, 0, w))
 
 
-@SETTINGS
-@given(p=st.sampled_from([0, 1, 2]),
-       l=st.one_of(st.sampled_from(HALF_INTEGER_L), st.floats(-0.999, 3.0)),
-       log_omega=st.floats(-8.0, math.log10(700.0)))
-def test_lowered_index_over_its_domain(p, l, log_omega):
+def test_lowered_index_over_its_domain():
     # the ratio form n = -l + omega + 1/S on the kernel's Horner polynomial,
     # its elementary form and the continued fraction
-    omega = 10.0 ** log_omega
-    assert_rel(eval_n(truncated_exponential(p, l=l), omega), mp_lowered_index(p, l, omega))
+    for p, l, _, log_omega in lowered_cases(96, (0.5,)):
+        omega = 10.0 ** log_omega
+        assert_rel(eval_n(truncated_exponential(p, l=l), omega), mp_lowered_index(p, l, omega))
 
 
 def test_lowered_kernel_near_overflow():
@@ -112,16 +116,14 @@ def test_lowered_kernel_near_overflow():
 
 # ----------------------------------------------------- tabulated kernels
 
-@st.composite
-def monotone_tables(draw):
-    n = draw(st.integers(4, 40))
-    start = draw(st.floats(-1.0, 0.0))
-    steps = draw(st.lists(st.floats(0.02, 0.5), min_size=n - 1, max_size=n - 1))
-    rises = draw(st.lists(st.floats(0.0, 2.0), min_size=n - 1, max_size=n - 1))
-    energies = start + np.concatenate([[0.0], np.cumsum(steps)])
-    values = draw(st.floats(0.0, 1.0)) + np.concatenate([[0.0], np.cumsum(rises)])
-    assume(energies[-1] > 0.05)
-    return energies, values
+def random_table(rng):
+    """4 to 40 nodes from a start in [-1, 0] by steps in [0.02, 0.5], values from [0, 1]
+    rising by [0, 2]; the start lies above 0.06 less the steps, so E ends above 0.05."""
+    steps = [rng.uniform(0.02, 0.5) for _ in range(rng.randint(4, 40) - 1)]
+    rises = [rng.uniform(0.0, 2.0) for _ in steps]
+    start = rng.uniform(max(-1.0, 0.06 - sum(steps)), 0.0)
+    return (start + np.concatenate([[0.0], np.cumsum(steps)]),
+            rng.uniform(0.0, 1.0) + np.concatenate([[0.0], np.cumsum(rises)]))
 
 
 def mp_beta_u(j, m, u):
@@ -164,55 +166,51 @@ def around(x):
     return [math.nextafter(x, 0.0), x, math.nextafter(x, 2.0)]
 
 
-def tabulated_examples(test):
-    for omega in FORM_SWITCHES:
-        for w in around(omega / 2.0):
-            for l in (-0.5, 1.0):
-                test = example(table=EIGHTHS, l=l, where=w)(test)
-    return test
+def test_tabulated_kernels_match_scipy_and_mpmath():
+    # the eighths table on both sides of each form switch; two end tables (flat
+    # zero on 4 nodes from E = 0 by 0.02, and 40 nodes from E = -1 by 0.5
+    # rising by 2 from 1) at the ends of l in [-0.999, 3] and where in [1e-3,
+    # 1]; then 80 draws of a random table, l and where
+    cases = [(EIGHTHS, l, w) for omega in FORM_SWITCHES for w in around(omega / 2.0)
+             for l in (-0.5, 1.0)]
+    ends = ((0.02 * np.arange(4.0), np.zeros(4)),
+            (0.5 * np.arange(40.0) - 1.0, 1.0 + 2.0 * np.arange(40.0)))
+    cases += itertools.product(ends, (-0.999, 3.0), (1e-3, 1.0))
+    rng = random.Random(176)
+    cases += [(random_table(rng), rng.uniform(-0.999, 3.0), rng.uniform(1e-3, 1.0))
+              for _ in range(80)]
+    for (energies, values), l, where in cases:
+        model = tabulated_model(energies, values, l=l, k=0.0, holder_index=1.0)
+        family, m = model.family, model.l + 0.5
+        omega = where * float(energies[-1])
+        x0, x1 = np.array(family._pieces[0]), np.array(family._pieces[1])
+        coef, dcoef = (np.array(rows).T for rows in family._pieces[2:])
+        got = family.kernel(m)(omega)
+        got_d = family.kernel(m, derivative=True)(omega)
+        by_scipy, by_mpmath = reference_sums(x0, x1, coef, m, omega)
+        assert_rel(got, by_mpmath)
+        assert_rel(got, by_scipy)
+        # dg_m = phi(0+) omega^m + the same sums over phi', all terms non-negative
+        jump = float(coef[0, 0]) * omega ** m
+        d_scipy, d_mpmath = reference_sums(x0, x1, dcoef, m, omega)
+        assert_rel(got_d, jump + d_mpmath)
+        assert_rel(got_d, jump + d_scipy)
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(table=monotone_tables(), l=st.floats(-0.999, 3.0), where=st.floats(1e-3, 1.0))
-@tabulated_examples
-def test_tabulated_kernels_match_scipy_and_mpmath(table, l, where):
-    energies, values = table
-    model = tabulated_model(energies, values, l=l, k=0.0, holder_index=1.0)
-    family, m = model.family, model.l + 0.5
-    omega = where * float(energies[-1])
-    x0, x1 = np.array(family._pieces[0]), np.array(family._pieces[1])
-    coef, dcoef = (np.array(rows).T for rows in family._pieces[2:])
-    got = family.kernel(m)(omega)
-    got_d = family.kernel(m, derivative=True)(omega)
-    by_scipy, by_mpmath = reference_sums(x0, x1, coef, m, omega)
-    assert_rel(got, by_mpmath)
-    assert_rel(got, by_scipy)
-    # dg_m = phi(0+) omega^m + the same sums over phi', all terms non-negative
-    jump = float(coef[0, 0]) * omega ** m
-    d_scipy, d_mpmath = reference_sums(x0, x1, dcoef, m, omega)
-    assert_rel(got_d, jump + d_mpmath)
-    assert_rel(got_d, jump + d_scipy)
-
-
-def single_piece_examples(test):
-    # both sides of the recurrence / series cut at u = 1/4 (4/(m+1) for
-    # m > 15, past this range), and of the old one at u = 1/2; the
-    # recurrence at u = 10^-0.875 < 1/4 would be 2.8e-13 off for m = -1/2
-    for u in around(0.25) + around(0.5):
-        for m in (-0.999, -0.5, 0.5, 3.0, 10.0):
-            test = example(m=m, u=u)(test)
-    return example(m=-0.5, u=10.0 ** -0.875)(test)
-
-
-@SETTINGS
-@given(m=st.floats(-0.999, 10.0),
-       u=st.one_of(st.floats(-6.0, 0.0).map(lambda t: 10.0 ** t), st.floats(0.5, 1.0)))
-@single_piece_examples
-def test_single_piece_beta_integrals(m, u):
+def test_single_piece_beta_integrals():
     # omega = 1 against the piece [0, u]: the piece sum of the monomial t^j is
     # B_u(j+1, m+1), and against the piece [0, 1], which holds omega, the
-    # complete Beta column B(j+1, m+1)
-    for j in range(4):
+    # complete Beta column B(j+1, m+1).  Both sides of the recurrence / series
+    # cut at u = 1/4 (4/(m+1) for m > 15, past this range) and of the old one
+    # at u = 1/2 (the recurrence at u = 10^-0.875 would be 2.8e-13 off for
+    # m = -1/2), the ends of m in [-0.999, 10] and of u, then 150 draws
+    cases = [(m, u) for u in around(0.25) + around(0.5) for m in (-0.999, -0.5, 0.5, 3.0, 10.0)]
+    cases += [(-0.5, 10.0 ** -0.875), *itertools.product((-0.999, 10.0), (1e-6, 0.5, 1.0))]
+    rng = random.Random(208)
+    cases += [(rng.uniform(-0.999, 10.0),
+               rng.choice((10.0 ** rng.uniform(-6.0, 0.0), rng.uniform(0.5, 1.0))))
+              for _ in range(150)]
+    for (m, u), j in itertools.product(cases, range(4)):
         coef = ((0.0,) * j + (1.0,) + (0.0,) * (3 - j),)
         full = _piecewise_kernel((0.0,), (1.0,), coef, m)(1.0)
         got = _piecewise_kernel((0.0,), (u,), coef, m)(1.0)
@@ -226,16 +224,17 @@ def test_single_piece_beta_integrals(m, u):
 
 # ----------------------------------------------------------- prefactor
 
-@SETTINGS
-@given(l=st.floats(-0.999, 5.0))
-def test_density_prefactor_matches_scipy_and_mpmath(l):
-    got = density_prefactor(l)
-    assert_rel(got, 2.0 ** (l + 1.5) * math.pi ** 1.5
-               * math.exp(gammaln(l + 1.0) - gammaln(l + 1.5)))
-    with mpmath.workdps(50):
-        lm = mpmath.mpf(l)
-        want = 2 ** (lm + 1.5) * mpmath.pi ** 1.5 * mpmath.gamma(lm + 1) / mpmath.gamma(lm + 1.5)
-    assert_rel(got, float(want))
+def test_density_prefactor_matches_scipy_and_mpmath():
+    # both ends of l in [-0.999, 5], then 150 draws
+    rng = random.Random(230)
+    for l in [-0.999, 5.0, *(rng.uniform(-0.999, 5.0) for _ in range(150))]:
+        got = density_prefactor(l)
+        assert_rel(got, 2.0 ** (l + 1.5) * math.pi ** 1.5
+                   * math.exp(gammaln(l + 1.0) - gammaln(l + 1.5)))
+        with mpmath.workdps(50):
+            lm = mpmath.mpf(l)
+            want = 2 ** (lm + 1.5) * mpmath.pi ** 1.5 * mpmath.gamma(lm + 1) / mpmath.gamma(lm + 1.5)
+        assert_rel(got, float(want))
 
 
 # ------------------------------------------------------ benchmark tracer
