@@ -8,12 +8,11 @@ one-dimensional kernel integrals
 
 through which the mass density, the radial pressure, and the local
 polytropic index are computed.  Every family evaluates g_m and dg_m/domega
-in closed form for all m > -1, on floats with the standard library: a Beta
-function for polytropes, e^omega P(a, omega) (P the regularized lower
-incomplete gamma function, a = p + m + 2) for the lowered exponentials, and
-incomplete Beta integrals summed over the cubic pieces of a tabulated
-interpolant.  The module runs on floats and imports no numpy: the kernels,
-phi and a tabulated interpolant's build alike.
+in closed form for all m > -1: a Beta function for polytropes,
+e^omega P(a, omega) (P the regularized lower incomplete gamma function,
+a = p + m + 2) for the lowered exponentials, and incomplete Beta integrals
+summed over the cubic pieces of a tabulated interpolant.  The module runs
+on floats and imports no numpy: the kernels, phi and a table's build alike.
 
 The lowered exponentials rest on two functions, with a = p + l + 5/2 or
 a = p + m + 2:
@@ -22,35 +21,34 @@ a = p + m + 2:
     T(omega) = e^omega omega^-a Gamma(a, omega)        (continued fraction, DLMF 8.9.2),
 
 S below omega = a + 1 and T above it.  With them e^omega P(a, omega) is
-omega^a S/Gamma(a), or e^omega - omega^a T/Gamma(a); S is summed by
-Horner's rule on coefficients fixed when a kernel is built, written out as
-literals in the kernel's generated source.  Which form runs
-above the series depends on a only: when 2a is an integer (isotropic King
-and Wilson models among others) it is e^omega, or e^omega erf(sqrt(omega)),
-minus a finite sum, and the series gives way to it well below a + 1, where
-the difference stops cancelling.  phi itself is the kernel at a = p + 1.
+omega^a S/Gamma(a), or e^omega - omega^a T/Gamma(a).  A kernel's generated
+source writes both out when it is built, S by Horner's rule and T as a
+continued fraction of fixed depth evaluated bottom-up, each on literal
+coefficients, so no call runs a loop.  Which form runs above the series
+depends on a only: when 2a is an integer (isotropic King and Wilson models
+among others) it is e^omega, or e^omega erf(sqrt(omega)), minus a finite
+sum, and the series gives way to it well below a + 1, where the difference
+stops cancelling.  phi itself is the kernel at a = p + 1.
 
 A family is a kernel builder: `kernel(m, derivative, memo)` returns the
 float function omega -> g_m(omega), or dg_m/domega, and `index(l, kernel)`
 the local index n = -l + omega g'/g at m = l + 1/2; `memo` and `kernel`
 are the model's memoized `kernel` (a family that needs a kernel for a
 derivative or its index takes it from there, so none is built twice).
-Each family checks its own
-parameters when it is built and keeps no cache but a lowered exponential's
-phi kernel, built on first use.  The model holds the one
-memo, a kernel per (m, derivative) built on first use, and binds two float
-functions when it is built: the density kernel g_{l+1/2} (the memo's entry
-at m = l + 1/2) and the family's index.  Both flows and the criteria call
-these and nothing else per step.  A polytrope's kernel is compiled from
-one expression, `_POLYTROPE_KERNEL`, and carries it as ``kernel.source``
-(the expression, the names it reads and their values), so the physical
-flow writes the same closed form into its step loop.  A polytrope's index
-is the constant n.  A lowered exponential's index is taken in ratio form,
-g'/g = 1 + 1/(omega S), so n = -l + omega + 1/S, and T replaces S above
-a + 1: the index neither overflows nor needs P.  Below a + 1 it reads S off the memoized g_{l+1/2}
-(the same a): the kernel's Horner polynomial below its switch, its
-elementary form above.  A tabulated model's index is the quotient of its two
-kernels.
+Each family checks its own parameters when it is built and keeps no cache
+but a lowered exponential's phi kernel, built on first use.  The model
+holds the one memo, a kernel per (m, derivative) built on first use, and
+binds two float functions when it is built: the density kernel g_{l+1/2}
+(the memo's entry at m = l + 1/2) and the family's index.  Both flows and
+the criteria call these and nothing else per step.  A polytrope's kernel
+is compiled from one expression, `_POLYTROPE_KERNEL`, and carries it as
+``kernel.source`` (the expression, the names it reads and their values),
+so the physical flow writes the same closed form into its step loop.  A
+polytrope's index is the constant n.  A lowered exponential's index is
+taken in ratio form, g'/g = 1 + 1/(omega S), so n = -l + omega + 1/S, with
+T in place of S above a + 1 and S read off g_{l+1/2} below: it neither
+overflows nor needs P.  A tabulated model's index is the quotient of its
+two kernels.
 
 A family's `series(m, omega, memo)` gives, one by one, the coefficients of
 g_m(omega w(s))/g_m(omega) for a power series w(s) = 1 + w_1 s + ..., in
@@ -74,8 +72,6 @@ from dataclasses import dataclass
 
 _OMEGA_MIN = 1e-300   # below this the index n(omega) is refused, not extrapolated
 _LOG_MAX = math.log(sys.float_info.max)   # e^x is finite up to here
-_TINY = 1e-300             # modified Lentz: stand-in for a vanishing denominator
-_LENTZ_MAX_TERMS = 1000    # the continued fraction T needs < 100 terms above a + 1
 
 # g_m(omega) of a polytrope: the expression in omega and the names it reads,
 # compiled once into the factory of the bound kernel
@@ -216,12 +212,13 @@ class TruncatedExponential:
         1/S = scale omega^a/(Gamma(a) g).  scale/Gamma(a) is taken as a times
         H's constant term scale/Gamma(a+1), whose rounding every coefficient
         of H shares, so n tends to a - l as omega -> 0 up to one rounding.
-        Generated like the kernel: H is written out as the kernel's literal
-        polynomial, and every other number of the index is a literal too.
+        Generated like the kernel, with no loop: H is written out as the
+        kernel's literal polynomial, T as a fraction cut at the depth found
+        at a + 1, and every other number of the index is a literal too.
         """
         a = self.p + l + 2.5
         g = kernel(l + 0.5)
-        ratio = a * g.horner[-1]
+        ratio, t_expr = a * g.horner[-1], _continued_fraction(a, "omega", a + 1.0)
         source = f"""def bind(g):
     def n(omega):
         if omega <= {g.switch!r}:
@@ -231,7 +228,7 @@ class TruncatedExponential:
         # 1/S = E/(1 - E T) with E = omega^a e^-omega/Gamma(a); E
         # underflows to 0 for large omega, where n = omega - l exactly
         e = exp({a!r} * log(omega) - omega - {math.lgamma(a)!r})
-        return {-l!r} + omega + e / (1.0 - e * fraction({a!r}, omega))
+        return {-l!r} + omega + (e / (1.0 - e * {t_expr}) if e else 0.0)
     return n
 """
         return _compiled(source)(g)
@@ -265,28 +262,32 @@ class TruncatedExponential:
         return coefficient
 
 
-def _fraction(a, x):
-    """T(x) = e^x x^-a Gamma(a, x), for x > a + 1, by modified Lentz (DLMF 8.9.2).
+def _fraction_depth(a, low):
+    """The depth of `_continued_fraction` for x >= ``low``: the levels before
+    the first convergent step, at x = low, below 2^-53 of the sum, and two
+    more.  Steps are products, D_i = i(i - a) r_{i-1} r_i D_{i-1} with
+    r_i = 1/(x + 2i + 1 - a - i(i - a) r_{i-1}), so each is found to a few
+    ulp.  No bound is proved: the tests show the depth never grows with x."""
+    i, total, r, last = 1, low + 1.0 - a, 0.0, -1.0   # last = r_{i-1} D_{i-1}, -1 at i = 1
+    while True:
+        k = i * (i - a)
+        r = 1.0 / (low + (2 * i + 1 - a) - k * r)
+        step = k * r * last
+        if abs(step) <= 2.0 ** -53 * abs(total):
+            return i + 1
+        total, last, i = total + step, r * step, i + 1
 
-    e^x P(a, x) = e^x - x^a T(x) / Gamma(a).
-    """
-    b = x + 1.0 - a
-    c, d = 1.0 / _TINY, 1.0 / b
-    tail = d
-    for i in range(1, _LENTZ_MAX_TERMS):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) > _TINY else _TINY)
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        step = c * d
-        tail *= step
-        if abs(step - 1.0) <= 2.5e-16:   # one ulp of 1 from above
-            return tail
-    raise EvaluationError(f"continued fraction for Gamma({a:g}, x) did not converge "
-                          f"at x={x:g}")
+
+def _continued_fraction(a, var, low):
+    """T(x) = e^x x^-a Gamma(a, x) at x = ``var`` >= ``low`` as one expression,
+    the even part of DLMF 8.9.2, 1/(x + 1 - a - 1(1 - a)/(x + 3 - a - ...)),
+    cut at the depth `_fraction_depth` finds at ``low`` and so evaluated
+    bottom-up, with every i(i - a) and 2i + 1 - a a literal."""
+    depth = _fraction_depth(a, low)
+    expr = f"{var} + {2 * depth + 1 - a!r}"
+    for i in range(depth, 0, -1):
+        expr = f"{var} + {2 * i - 1 - a!r} - {i * (i - a)!r} / ({expr})"
+    return f"(1.0 / ({expr}))"
 
 
 def _horner(coefs, var):
@@ -303,11 +304,10 @@ def _horner(coefs, var):
 
 
 def _compiled(source):
-    """The factory ``bind`` of a generated kernel or index.  Nothing keeps it:
-    the source holds the model's own coefficients, so a cache of sources
-    would grow with every model built."""
+    """The factory ``bind`` of a generated kernel or index, in no cache: the
+    source holds the model's own coefficients, so a cache would grow."""
     namespace = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt, "erf": math.erf,
-                 "fraction": _fraction, "EvaluationError": EvaluationError}
+                 "EvaluationError": EvaluationError}
     exec(compile(source, "<lowered kernel>", "exec"), namespace)
     return namespace["bind"]
 
@@ -339,18 +339,17 @@ def _lowered_kernel(a, scale, what):
     e^x P = e^x (1 - x^a e^-x T(x)/Gamma(a)); that form also takes over
     where e^x overflows.  `what` names the kernel in the overflow errors.
 
-    The kernel is generated as straight-line source: both polynomials are
-    written out by `_horner` with their coefficients as literals, as are the
-    switch, the scale and every other constant, so a call runs no loop but
-    the continued fraction's.  The model's memo keeps the compiled kernel.
+    The kernel is generated as straight-line source, so a call runs no
+    loop: both polynomials are written out by `_horner` on literal
+    coefficients, T by `_continued_fraction` at the depth found at the
+    least x it takes, and the switch, the scale and every other constant
+    are literals.  The model's memo keeps the compiled kernel.
     """
     log_scale, log_gamma_a = math.log(scale), math.lgamma(a)
     big = _LOG_MAX - max(log_scale, 0.0)   # e^x and scale e^x are finite up to here
     elementary = (2.0 * a).is_integer()
-    if elementary:
-        switch = a * (1.0 - 1.0 / (9.0 * a) - 1.2816 / (3.0 * math.sqrt(a))) ** 3
-    else:
-        switch = a + 1.0
+    switch = (a * (1.0 - 1.0 / (9.0 * a) - 1.2816 / (3.0 * math.sqrt(a))) ** 3
+              if elementary else a + 1.0)
     coef, ratio, k = _series_head(a, scale, what), 1.0, 1.0
     series = [coef]
     while ratio > 1e-17:   # a term against the first, at the switch
@@ -371,7 +370,8 @@ def _lowered_kernel(a, scale, what):
                       f"    return {scale!r} * (exp(x) * erf(r) - r * ({finite}))"]
         else:
             lines.append(f"    return {scale!r} * (exp(x) - ({finite}))")
-    lines += [f"frac = 1.0 - exp({a!r} * log(x) - x - {log_gamma_a!r}) * fraction({a!r}, x)",
+    lines += [f"frac = 1.0 - exp({a!r} * log(x) - x - {log_gamma_a!r}) * "
+              + _continued_fraction(a, "x", max(switch, big) if elementary else switch),
               f"if x <= {big!r}:",
               f"    return {scale!r} * exp(x) * frac   # frac <= 1: cannot overflow",
               f"if x + {log_scale!r} + log(frac) <= {_LOG_MAX!r}:",

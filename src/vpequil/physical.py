@@ -253,11 +253,11 @@ def integrate_physical(model: DistributionModel, omega_c: float,
     of the centre.  The profile's first node samples the series nearer the
     centre, `_CENTRE_FRACTION` of the start inside in r or at
     s = `_CENTRE_FRACTION`, and `dense` sums it below the solver's first
-    node.  The solver steps with relative
-    tolerance rel_tol and absolute tolerance `_ABS_TOL`, and stops at the
-    surface where omega falls to `_FLOOR_FRACTION` omega_c, or at
-    `_CUTOFF_FRACTION` L.
+    node.  The solver steps with relative tolerance rel_tol and absolute
+    tolerance `_ABS_TOL`, and stops at the surface where omega falls to
+    `_FLOOR_FRACTION` omega_c, or at `_CUTOFF_FRACTION` L.
     """
+    omega_c = float(omega_c)
     _check_rel_tol(rel_tol)
     _check_amplitude(model, "omega_c", omega_c)
     length = natural_length(model, omega_c)

@@ -1,9 +1,11 @@
 """The files of the CI-config runs, byte for byte.
 
-Runs the 19 CLI runs of the ``no-dependencies`` CI job in process (King,
+Runs the 20 CLI runs of the ``no-dependencies`` CI job in process (King,
 Wilson l = -0.4, the 31-node ``expm1`` table and the n = 3 polytrope, each
-through solve, check, sweep and portrait, plus three backward portraits)
-and compares the SHA-256 of each file written with ``artifacts.sha256``.
+through solve, check, sweep and portrait, three backward portraits, and a
+King l = -0.4 solve at omega_c = 6, whose kernel runs the continued
+fraction above a + 1 = 3.1) and compares the SHA-256 of each file written
+with ``artifacts.sha256``.
 
 A change that moves an artifact on purpose rewrites the digest file with
 
@@ -42,11 +44,13 @@ CONFIGS = {
     # on the polytrope the potential runs up to the omega ceiling (near lambda -60)
     "polytrope-backward": {"model": _N3, "run": {"orbits": [[0.5, 0.3, 0.4]],
                                                  "lambda_max": 80.0, "backward": True}},
+    "king-l-0.4": {"model": {**_KING, "l": -0.4}, "run": {"omega_c": 6.0}},
 }
 RUNS = [(name, cmd) for name in ("king", "wilson", "tabulated", "polytrope")
         for cmd in ("solve", "check", "sweep", "portrait")]
 RUNS += [(name, "portrait") for name in ("king-backward", "tabulated-backward",
                                          "polytrope-backward")]
+RUNS += [("king-l-0.4", "solve")]
 
 
 def run_digests(name, cmd, workdir: Path) -> dict:
@@ -70,9 +74,9 @@ def read_digests() -> dict:
     return {path: digest for digest, path in pairs}
 
 
-def test_digest_file_covers_the_43_files_of_the_19_runs():
+def test_digest_file_covers_the_45_files_of_the_20_runs():
     digests = read_digests()
-    assert len(digests) == 43
+    assert len(digests) == 45
     assert {path.split("/")[0] for path in digests} == {f"{n}-{c}" for n, c in RUNS}
 
 

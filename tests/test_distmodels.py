@@ -7,6 +7,7 @@ production node count, the Gauss-Jacobi oracles of `oracles.py`
 (`eval_g_quadrature`, `eval_dg_quadrature`), and 50-digit mpmath quadrature.
 """
 
+import ast
 import bisect
 import functools
 import math
@@ -459,10 +460,20 @@ def test_lowered_index_is_omega_minus_l_at_large_omega():
         assert eval_n(king_model(l), 1e4) == pytest.approx(1e4 - l, rel=1e-15, abs=0.0)
 
 
+def loop_fraction(a, x, depth):
+    """T(x) = e^x x^-a Gamma(a, x) by the continued fraction cut at ``depth``,
+    summed bottom-up by a loop over its levels."""
+    t = 0.0
+    for i in range(depth, 0, -1):
+        t = i * (i - a) / (x + (2 * i + 1 - a) - t)
+    return 1.0 / (x + (1.0 - a) - t)
+
+
 def loop_lowered_kernel(a, scale):
-    """scale e^x P(a, x) with its polynomials summed by loops over their
-    coefficients: the kernel as written before it was generated as source.
-    Returns the kernel, its switch and its series (highest power first)."""
+    """scale e^x P(a, x) with its polynomials and its continued fraction
+    summed by loops: the kernel as written before it was generated as
+    source.  Returns the kernel, its switch and its series (highest power
+    first)."""
     log_scale, log_gamma_a = math.log(scale), math.lgamma(a)
     big = math.log(np.finfo(float).max) - max(log_scale, 0.0)
     elementary = (2.0 * a).is_integer()
@@ -478,6 +489,7 @@ def loop_lowered_kernel(a, scale):
         series.append(coef)
         k += 1.0
     series = tuple(reversed(series))
+    depth = distmodels._fraction_depth(a, max(switch, big) if elementary else switch)
     half = a != int(a)
     finite = tuple(1.0 / math.gamma(k + (1.5 if half else 1.0))
                    for k in range(int(a) - 1, -1, -1))
@@ -496,7 +508,7 @@ def loop_lowered_kernel(a, scale):
                 r = math.sqrt(x)
                 return scale * (math.exp(x) * math.erf(r) - r * s)
             return scale * (math.exp(x) - s)
-        frac = 1.0 - math.exp(a * math.log(x) - x - log_gamma_a) * distmodels._fraction(a, x)
+        frac = 1.0 - math.exp(a * math.log(x) - x - log_gamma_a) * loop_fraction(a, x, depth)
         return scale * math.exp(x) * frac
     return lowered, switch, series
 
@@ -507,6 +519,7 @@ def loop_lowered_index(p, l):
     g, switch, horner = loop_lowered_kernel(a, math.gamma(l + 1.5))
     ratio = a * horner[-1]
     log_gamma_a = math.lgamma(a)
+    depth = distmodels._fraction_depth(a, a + 1.0)
 
     def n(omega):
         if omega <= switch:
@@ -517,7 +530,9 @@ def loop_lowered_index(p, l):
         if omega <= a + 1.0:
             return -l + omega + ratio * omega ** a / g(omega)
         e = math.exp(a * math.log(omega) - omega - log_gamma_a)
-        return -l + omega + e / (1.0 - e * distmodels._fraction(a, omega))
+        if e == 0.0:
+            return -l + omega
+        return -l + omega + e / (1.0 - e * loop_fraction(a, omega, depth))
     return n
 
 
@@ -536,6 +551,29 @@ def test_generated_lowered_kernels_equal_the_loops_bit_for_bit(p, l):
         assert eval_phi(model, omega).hex() == want_phi(omega).hex(), omega
         assert model._kernel(omega).hex() == want_g(omega).hex(), omega
         assert model._index(omega).hex() == want_n(omega).hex(), omega
+
+
+def test_generated_lowered_sources_run_no_loop(monkeypatch):
+    # each lowered kernel and index, the continued fraction included, is
+    # straight-line source: no loop, and no call but exp, log, sqrt, erf,
+    # the index's kernel g and the overflow error
+    sources = []
+    compiled = distmodels._compiled
+    monkeypatch.setattr(distmodels, "_compiled",
+                        lambda source: sources.append(source) or compiled(source))
+    for p, l in [(0, 0.0), (1, 0.0), (0, -0.4), (2, 1.0), (0, 148.5)]:
+        model = truncated_exponential(p, l=l)
+        eval_phi(model, 1.0)
+        model.kernel(l + 1.5)
+        # E = omega^a e^-omega/Gamma(a) underflows to 0: n is omega - l exactly
+        assert eval_n(model, 1e4) == 1e4 - l
+    assert len(sources) == 20   # g_{l+1/2}, the index, phi and g_{l+3/2} per model
+    for source in sources:
+        nodes = list(ast.walk(ast.parse(source)))
+        assert not [node for node in nodes
+                    if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+        called = {node.func.id for node in nodes if isinstance(node, ast.Call)}
+        assert called <= {"exp", "log", "sqrt", "erf", "g", "EvaluationError"}, called
 
 
 def test_bound_kernels_are_the_closed_forms_bit_for_bit():

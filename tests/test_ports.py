@@ -7,7 +7,9 @@ against ``scipy.special`` (the functions they replace), over each family's
 domain: p in {0, 1, 2}, l in (-1, 3] with 2l an integer as well as
 general l, omega in [1e-8, 700], random monotone tables (some starting
 below E = 0), and l in (-1, 5] for the prefactor: the ends of each range,
-then draws from a seed written in this file.
+then draws from a seed written in this file.  The continued fraction of
+the lowered kernels is held to 4 ulp of 40-digit mpmath for a in (1, 170]
+and x in [a + 1, 745].
 
 The benchmark's tracer (``perfbench/tracing.py``) patches names of the
 package; one test installs it and checks that it finds and restores them.
@@ -27,6 +29,8 @@ from scipy.special import beta, betainc, gammainc, gammaln
 
 from vpequil.distmodels import (
     TruncatedExponential,
+    _continued_fraction,
+    _fraction_depth,
     _piecewise_kernel,
     density_prefactor,
     eval_n,
@@ -112,6 +116,50 @@ def test_lowered_kernel_near_overflow():
     kernel = TruncatedExponential(0).kernel(0.5)
     for omega in (700.0, 709.5, 709.8):
         assert_rel(kernel(omega), mp_lowered(0, 0.5, omega))
+
+
+def mp_fraction(a, x):
+    """T(x) = e^x x^-a Gamma(a, x) at 40 digits."""
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        return float(mpmath.exp(x) * x ** -a * mpmath.gammainc(a, x))
+
+
+def fraction_cases(seed):
+    """(a, x): a at both ends of (1, 170] with x = a + 1 and 745, then 150
+    draws from `seed`, x within 2 of a + 1 in half of them."""
+    ends = itertools.product((math.nextafter(1.0, 2.0), 170.0), (1.0, None))
+    rng = random.Random(seed)
+    draws = ((a, rng.choice((rng.uniform(1.0, 3.0), None)))
+             for a in (rng.uniform(1.0, 170.0) for _ in range(150)))
+    return [(a, a + shift if shift else 745.0) for a, shift in (*ends, *draws)]
+
+
+def test_continued_fraction_is_within_4_ulp_of_mpmath():
+    # the fraction as the index and a non-elementary kernel write it: cut
+    # at the depth found at a + 1, evaluated bottom-up
+    for a, x in fraction_cases(233):
+        fraction = eval(f"lambda x: {_continued_fraction(a, 'x', a + 1.0)}")
+        got, want = fraction(x), mp_fraction(a, x)
+        assert abs(got - want) <= 4.0 * math.ulp(want), (a, x, (got - want) / math.ulp(want))
+
+
+def test_fraction_depth_never_grows_with_x():
+    # the depth is found once, at the least x the fraction takes (a + 1, or
+    # for 2a an integer the larger of the kernel's switch and where scale
+    # e^x overflows); no larger x finds a larger one.  The depths from a + 1
+    # pin the 2^-53 step test and the two levels past it
+    rng = random.Random(234)
+    for a in (1.0001, 2.1, 2.5, 10.3, 50.7, 151.0, 169.9,
+              *(rng.uniform(1.0, 170.0) for _ in range(60))):
+        switch = a * (1.0 - 1.0 / (9.0 * a) - 1.2816 / (3.0 * math.sqrt(a))) ** 3
+        low = min(switch, a + 1.0)
+        xs = sorted([low + 0.02 * k for k in range(200)]
+                    + [rng.uniform(low, 745.0) for _ in range(40)])
+        depths = [_fraction_depth(a, x) for x in xs]
+        assert all(d1 >= d2 for d1, d2 in zip(depths, depths[1:])), a
+    depths = [_fraction_depth(a, a + 1.0) for a in (1.1, 2.1, 3.1, 10.3, 50.7, 169.9)]
+    assert depths == [43, 30, 24, 16, 31, 49]
 
 
 # ----------------------------------------------------- tabulated kernels
