@@ -12,7 +12,6 @@ from .distmodels import (  # noqa: F401
     EvaluationError,
     ModelError,
     Polytrope,
-    Regularity,
     SettingError,
     Tabulated,
     TruncatedExponential,

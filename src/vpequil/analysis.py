@@ -36,7 +36,6 @@ from .distmodels import DistributionModel, EvaluationError, SettingError
 from .physical import (
     FINITE_RADIUS,
     INFINITE_FINITE_MASS,
-    PhysicalState,
     SolutionProfile,
     _check_amplitude,
     _check_rel_tol,
@@ -232,8 +231,8 @@ def _end_labels(model: DistributionModel, profile) -> tuple:
     ends = []
     for i in (0, -1):
         try:
-            state = PhysicalState(r=profile.r[i], m=profile.m[i], omega=profile.omega[i])
-            ends.append([x / (1.0 + x) for x in to_dimensionless(model, state)])
+            point = to_dimensionless(model, profile.r[i], profile.m[i], profile.omega[i])
+            ends.append([x / (1.0 + x) for x in point])
         except _SOLVE_ERRORS:
             ends.append([math.nan] * 3)
     (U0, Q0, _), last = ends

@@ -81,6 +81,9 @@ _COMMAND_KEYS = {
     "portrait": {"orbits", "rel_tol", "lambda_max", "backward"},
     "check": {"omega_c"},
 }
+# the one run key each command cannot run without
+_REQUIRED_KEY = {"solve": "omega_c", "sweep": "omega_grid", "portrait": "orbits",
+                 "check": "omega_c"}
 _RUN_KEYS = set().union(*_COMMAND_KEYS.values())
 _RUN_KEY = re.compile(r"\b(%s)\b" % "|".join(sorted(_RUN_KEYS)))
 
@@ -260,11 +263,6 @@ def _write_json(path, payload):
     os.replace(tmp, path)
 
 
-def _write_summary(out_dir, config, results):
-    _write_json(os.path.join(out_dir, "summary.json"),
-                {"tool_version": __version__, "config": config, "results": results})
-
-
 def _note(args, message):
     if args.verbose:
         print(f"[vpequil] {message}", file=sys.stderr)
@@ -278,9 +276,7 @@ _SOLVE_DIAGNOSTICS = ("n_steps", "n_rejected", "n_rhs_evals", "termination",
                       "decade_mass_ratio")
 
 
-def cmd_solve(cfg: RunConfig, args) -> int:
-    if "omega_c" not in cfg.run:
-        raise ConfigError("run.omega_c is required by the solve command")
+def cmd_solve(cfg: RunConfig, args) -> dict:
     omega_c = cfg.run["omega_c"]
     _note(args, f"solving omega_c={omega_c:g}")
     try:
@@ -290,7 +286,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     labels = classify_solution(cfg.model, profile)
     write_profile_csv(profile, os.path.join(args.out, "profile.csv"),
                       cfg.output["precision"])
-    results = {
+    return {
         "omega_c": omega_c,
         "radius": profile.radius,
         "total_mass": profile.total_mass,
@@ -302,29 +298,21 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         "n_profile_points": len(profile.r),
         "diagnostics": {k: profile.diagnostics[k] for k in _SOLVE_DIAGNOSTICS},
     }
-    _write_summary(args.out, cfg.resolved, results)
-    return 0
 
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
-    if "omega_grid" not in cfg.run:
-        raise ConfigError("run.omega_grid is required by the sweep command")
+def cmd_sweep(cfg: RunConfig, args) -> dict:
     _note(args, f"sweeping {len(cfg.run['omega_grid'])} amplitudes")
     result = sweep_omega_c(cfg.model, **cfg.run)
     write_sweep_csv(result, os.path.join(args.out, "sweep.csv"), cfg.output["precision"])
-    results = {
+    return {
         "n_entries": len(result.entries),
         "critical_values": list(result.critical_values),
         "failures": [{"omega_c": w, "error": msg} for w, msg in result.failures],
         "classifications": sorted({e.classification for e in result.entries}),
     }
-    _write_summary(args.out, cfg.resolved, results)
-    return 0
 
 
-def cmd_portrait(cfg: RunConfig, args) -> int:
-    if "orbits" not in cfg.run:
-        raise ConfigError("run.orbits is required by the portrait command")
+def cmd_portrait(cfg: RunConfig, args) -> dict:
     prec = cfg.output["precision"]
     rest = {k: v for k, v in cfg.run.items() if k != "orbits"}
 
@@ -349,21 +337,15 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
                         "n_steps": orbit.diagnostics["n_steps"],
                         "n_rejected": orbit.diagnostics["n_rejected"],
                         "n_rhs_evals": orbit.diagnostics["n_rhs_evals"]})
-    _write_summary(args.out, cfg.resolved, {"orbits": records,
-                                            "backward": rest.get("backward", False)})
-    return 0
+    return {"orbits": records, "backward": rest.get("backward", False)}
 
 
-def cmd_check(cfg: RunConfig, args) -> int:
-    if "omega_c" not in cfg.run:
-        raise ConfigError("run.omega_c is required by the check command")
+def cmd_check(cfg: RunConfig, args) -> dict:
     omega_c = cfg.run["omega_c"]
     _note(args, "computing critical amplitude")
     t1 = check_theorem1(cfg.model, omega_c)
     t2 = check_theorem2(cfg.model, omega_c)
-    results = {"T1": asdict(t1), "T2": asdict(t2), "omega_crit": t2.witness["omega_crit"]}
-    _write_summary(args.out, cfg.resolved, results)
-    return 0
+    return {"T1": asdict(t1), "T2": asdict(t2), "omega_crit": t2.witness["omega_crit"]}
 
 
 _BUILTIN_MODELS = (
@@ -427,9 +409,15 @@ def main(argv=None) -> int:
         cfg.run = {k: v for k, v in cfg.run.items() if k in _COMMAND_KEYS[args.command]}
         cfg.resolved["run"] = cfg.run
         os.makedirs(args.out, exist_ok=True)
+        key = _REQUIRED_KEY[args.command]
+        if key not in cfg.run:
+            raise ConfigError(f"run.{key} is required by the {args.command} command")
         handler = {"solve": cmd_solve, "sweep": cmd_sweep,
                    "portrait": cmd_portrait, "check": cmd_check}[args.command]
-        return handler(cfg, args)
+        results = handler(cfg, args)   # the summary goes last: a failed run leaves none
+        _write_json(os.path.join(args.out, "summary.json"),
+                    {"tool_version": __version__, "config": cfg.resolved, "results": results})
+        return 0
     except (ConfigError, SettingError) as exc:   # a SettingError: a relation a command checks
         print(f"config error: {_run_error(exc) if isinstance(exc, SettingError) else exc}",
               file=sys.stderr)

@@ -37,7 +37,7 @@ from .distmodels import (
     density,
     eval_n,
 )
-from .physical import PhysicalState, _check_rel_tol
+from .physical import _check_rel_tol
 
 TRANSVERSELY_HYPERBOLIC_SOURCE = "TransverselyHyperbolicSource"
 TRANSVERSELY_HYPERBOLIC_SADDLE = "TransverselyHyperbolicSaddle"
@@ -89,15 +89,18 @@ class FixedLine:
 
 # ------------------------------------------------------------- coordinates
 
-def to_dimensionless(model: DistributionModel, state: PhysicalState):
-    """Homology variables (u, q, omega) of a physical point."""
-    if not state.omega > 0.0:
+def to_dimensionless(model: DistributionModel, r: float, m: float, omega: float):
+    """Homology variables (u, q, omega) of the physical point (r, m, omega);
+    raises ValueError unless r > 0 (in `density`), m >= 0 and omega > 0."""
+    if m < 0.0:
+        raise ValueError(f"enclosed mass must be non-negative, got {m}")
+    if not omega > 0.0:
         raise ValueError("homology variables need omega > 0")
-    rho = density(model, state.r, state.omega)
+    rho = density(model, r, omega)
     # r rho first: near l = -1 a centre sample's r ** 3 underflows, r ** (1 + 2l) not
-    u = 4.0 * math.pi * (rho * state.r) * state.r * state.r / state.m
-    q = state.m / (state.r * state.omega)
-    return u, q, state.omega
+    u = 4.0 * math.pi * (rho * r) * r * r / m
+    q = m / (r * omega)
+    return u, q, omega
 
 
 # ------------------------------------------------------------ vector field

@@ -119,8 +119,10 @@ class Polytrope:
         if not self.phi_minus > 0:
             raise ModelError("polytrope amplitude phi_minus must be positive", "phi_minus")
 
-    def default_regularity(self):
-        return Regularity(k=self.n - 1.5, holder_index=min(1.0, self.n - 0.5))
+    @property
+    def holder_index(self):
+        """The Hölder index of E phi(E) ~ E^(n - 1/2), at most 1."""
+        return min(1.0, self.n - 0.5)
 
     def phi(self, e):
         return self.phi_minus * max(e, _OMEGA_MIN) ** (self.n - 1.5) if e > 0.0 else 0.0
@@ -172,15 +174,13 @@ class TruncatedExponential:
     p: int
 
     energy_max = None
+    holder_index = 1.0   # E phi(E) is smooth
 
     def __post_init__(self):
         if self.p < 0 or int(self.p) != self.p:
             raise ModelError(f"truncation order p must be a non-negative integer, got {self.p}",
                              "p")
         _series_head(self.p + 1.0, 1.0, "phi")   # the kernel `phi` builds must exist
-
-    def default_regularity(self):
-        return Regularity(k=self.p + 1.0, holder_index=1.0)
 
     @functools.cached_property
     def _phi(self):
@@ -337,7 +337,10 @@ def _lowered_kernel(a, scale, what):
     (Wilson-Hilferty), below which the difference would cost more than a
     digit.  For any other a the switch is a + 1, and above it
     e^x P = e^x (1 - x^a e^-x T(x)/Gamma(a)); that form also takes over
-    where e^x overflows.  `what` names the kernel in the overflow errors.
+    where e^x overflows.  For a above about 140 x^a itself overflows below
+    the switch, before the kernel does: where it does, the series runs as
+    x^(a/2) times the sum times x^(a/2).  `what` names the kernel in the
+    overflow errors.
 
     The kernel is generated as straight-line source, so a call runs no
     loop: both polynomials are written out by `_horner` on literal
@@ -358,8 +361,19 @@ def _lowered_kernel(a, scale, what):
         series.append(coef)
         k += 1.0
     series = tuple(reversed(series))
-    lines = [f"if x <= {switch!r}:",
-             f"    return x ** {a!r} * ({_horner(series, 'x')})"]
+    overflow = f"raise EvaluationError('%s(omega=%g) overflows double precision' % ({what!r}, x))"
+    lines = [f"if x <= {switch!r}:"]
+    if a * math.log(switch) < _LOG_MAX - 1.0:   # x ** a is finite up to the switch, e to spare
+        lines.append(f"    return x ** {a!r} * ({_horner(series, 'x')})")
+    else:   # where x ** a alone overflows, x^(a/2) h x^(a/2) may not (large a only)
+        lines += [f"    h = {_horner(series, 'x')}",
+                  "    try:",
+                  f"        return x ** {a!r} * h",
+                  "    except OverflowError:",
+                  f"        h = x ** {a / 2.0!r} * h * x ** {a / 2.0!r}",
+                  f"    if h <= {sys.float_info.max!r}:",
+                  "        return h",
+                  "    " + overflow]
     if elementary:
         half = a != int(a)
         finite = _horner([1.0 / math.gamma(k + (1.5 if half else 1.0))
@@ -376,7 +390,7 @@ def _lowered_kernel(a, scale, what):
               f"    return {scale!r} * exp(x) * frac   # frac <= 1: cannot overflow",
               f"if x + {log_scale!r} + log(frac) <= {_LOG_MAX!r}:",
               f"    return exp(x + {log_scale!r} + log(frac))",
-              f"raise EvaluationError('%s(omega=%g) overflows double precision' % ({what!r}, x))"]
+              overflow]
     lowered = _compiled("def bind():\n    def lowered(x):\n        "
                         + "\n        ".join(lines) + "\n    return lowered\n")()
     # what the index reads: below the switch the kernel is x^a H(x), with H
@@ -389,17 +403,22 @@ def _lowered_kernel(a, scale, what):
 class Tabulated:
     """phi given as (E, phi) samples, interpolated monotone piecewise-cubic.
 
-    The low-energy exponent k is user-declared metadata (through the model's
-    Regularity record), never inferred from the data.  The grid must start
-    at or below E = 0; queries beyond its end raise instead of
-    extrapolating; values are clamped at zero.  Every sample must be finite;
-    both grids are kept as ``array('d')``.
+    The low-energy exponent k of phi ~ E^k (k > -1) and the Hölder index of
+    E phi(E) are declared with the samples, never inferred from them; k is
+    required, the index only where l < -1/2 or a derivative needs it.  The
+    grid must start at or below E = 0; queries beyond its end raise instead
+    of extrapolating; values are clamped at zero.  Every sample must be
+    finite; both grids are kept as ``array('d')``.
     """
 
     energies: array
     values: array
+    k: float | None = None
+    holder_index: float | None = None
 
     def __post_init__(self):
+        if self.k is None:
+            raise ModelError("tabulated models require the declared low-energy exponent k", "k")
         try:
             e, v = array("d", self.energies), array("d", self.values)
         except TypeError:   # not a flat sequence of numbers
@@ -415,6 +434,9 @@ class Tabulated:
         if e[0] > 0.0:
             raise ModelError(f"tabulated energy grid must start at or below E = 0, "
                              f"got first energy {e[0]:g}")
+        object.__setattr__(self, "k", float(self.k))
+        if not self.k > -1.0:
+            raise ModelError(f"low-energy exponent k must exceed -1, got {self.k}", "k")
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "values", v)
         interp = _Pchip(e, v)
@@ -435,9 +457,6 @@ class Tabulated:
         dcoefs = tuple((c1, 2.0 * c2, 3.0 * c3) for _, c1, c2, c3 in coefs)
         object.__setattr__(self, "_pieces", (starts, ends, coefs, dcoefs))
         object.__setattr__(self, "_energy_max", e[-1])
-
-    def default_regularity(self):
-        return None   # k is declarative: the caller must supply it
 
     def phi(self, e):
         self._check_range(e)
@@ -729,37 +748,19 @@ def _binomial_weights(m, z):
         weights.append(w)
 
 
-@dataclass(frozen=True)
-class Regularity:
-    """Low-energy behaviour metadata: phi ~ E^k, Hölder index of E*phi."""
-
-    k: float
-    holder_index: float | None = None
-
-    def __post_init__(self):
-        if not self.k > -1.0:
-            raise ModelError(f"low-energy exponent k must exceed -1, got {self.k}", "k")
-
-
 @dataclass(frozen=True, eq=False)
 class DistributionModel:
-    """The pair (l, phi) with regularity metadata; immutable once built."""
+    """The pair (l, phi); immutable once built.  For l < -1/2 the family's
+    Hölder index of E phi(E) must exceed -l - 1/2."""
 
     l: float
     family: Polytrope | TruncatedExponential | Tabulated
-    regularity: Regularity | None = None
 
     def __post_init__(self):
         if not self.l > -1.0:
             raise ModelError(f"anisotropy exponent l must exceed -1, got {self.l}", "l")
-        if self.regularity is None:
-            reg = self.family.default_regularity()
-            if reg is None:
-                raise ModelError("tabulated models require an explicit Regularity record "
-                                 "(the low-energy exponent k is declared, not inferred)", "k")
-            object.__setattr__(self, "regularity", reg)
         if self.l < -0.5:
-            h = self.regularity.holder_index
+            h = self.family.holder_index
             if h is None:
                 raise ModelError("models with l < -1/2 require a Hölder index for E*phi(E)",
                                  "holder_index")
@@ -808,10 +809,7 @@ def wilson_model(l=0.0) -> DistributionModel:
 
 
 def tabulated_model(energies, values, l=0.0, k=None, holder_index=None) -> DistributionModel:
-    if k is None:
-        raise ModelError("tabulated models require the declared low-energy exponent k", "k")
-    return DistributionModel(l=float(l), family=Tabulated(energies, values),
-                             regularity=Regularity(k=float(k), holder_index=holder_index))
+    return DistributionModel(l=float(l), family=Tabulated(energies, values, k, holder_index))
 
 
 def load_tabulated(path, l=0.0, k=None, holder_index=None) -> DistributionModel:
@@ -870,7 +868,7 @@ def _check_dg_args(model, m, omega):
     if omega <= 0.0:
         raise ValueError("derivative requires omega > 0")
     if m < 0.0:
-        holder = model.regularity.holder_index
+        holder = model.family.holder_index
         if holder is None or not holder > -m:
             raise EvaluationError(
                 f"derivative of g_{m:g} needs a Hölder index above {-m:g}; "

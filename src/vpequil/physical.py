@@ -52,21 +52,6 @@ _ABS_TOL = 1e-30              # absolute tolerance of the physical flow
 _REL_TOL_RANGE = (100.0 * sys.float_info.epsilon, 1e-2)
 
 
-@dataclass(frozen=True)
-class PhysicalState:
-    """One point (r, m, omega) along a solution."""
-
-    r: float
-    m: float
-    omega: float
-
-    def __post_init__(self):
-        if not self.r > 0.0:
-            raise ValueError(f"radius must be positive, got {self.r}")
-        if self.m < 0.0:
-            raise ValueError(f"enclosed mass must be non-negative, got {self.m}")
-
-
 def _check_rel_tol(rel_tol: float):
     """Name rel_tol if it lies outside `_REL_TOL_RANGE`."""
     lo, hi = _REL_TOL_RANGE

@@ -13,10 +13,10 @@ from vpequil._quadrature import QuadratureError, integrate_weighted
 from vpequil.compactsys import (CompactState, _exp, _log_ratio, _log_Z,
                                 _omega_cap, _Phi, _pointwise, integrate_compact,
                                 to_dimensionless)
-from vpequil.distmodels import (DistributionModel, EvaluationError, _check_dg_args,
-                                _check_gm_args, eval_dg, eval_g, eval_phi)
-from vpequil.physical import (PhysicalState, SolutionProfile, _physical_field, density_scale,
-                              natural_length)
+from vpequil.distmodels import (DistributionModel, EvaluationError, Polytrope,
+                                TruncatedExponential, _check_dg_args, _check_gm_args, eval_dg,
+                                eval_g, eval_phi)
+from vpequil.physical import SolutionProfile, _physical_field, density_scale, natural_length
 
 DEFAULT_QUAD_TOL = 1e-10
 
@@ -26,13 +26,13 @@ def eval_g_quadrature(model: DistributionModel, m, omega,
     """(g_m(omega), relative error estimate) by singularity-adapted quadrature.
 
     After x = E/omega both endpoint singularities are algebraic with exponents
-    known from model metadata (x^k at 0, (1-x)^m at 1), so Gauss-Jacobi rules
+    known from the family (x^k at 0, (1-x)^m at 1), so Gauss-Jacobi rules
     absorb them; the error estimate is certified by the N-vs-2N comparison.
     """
     _check_gm_args(m, omega)
     if omega == 0.0:
         return 0.0, 0.0
-    k = model.regularity.k
+    k = low_energy_exponent(model)
     try:
         raw, err = integrate_weighted(lambda x: _reduced(model, omega * x),
                                       m, k, rel_tol=rel_tol)
@@ -59,7 +59,7 @@ def eval_dg_quadrature(model: DistributionModel, m, omega,
     if m == 0.0:
         return eval_phi(model, omega)
     phi_w = eval_phi(model, omega)
-    k = model.regularity.k
+    k = low_energy_exponent(model)
     try:
         # [0, 1/2]: phi(omega*x)(1-x)^(m-1) keeps only the x^k endpoint weight
         inner_a, _ = integrate_weighted(
@@ -77,14 +77,25 @@ def eval_dg_quadrature(model: DistributionModel, m, omega,
     return omega ** m * phi_w - m * omega ** m * (piece_a + piece_b)
 
 
+def low_energy_exponent(model: DistributionModel) -> float:
+    """k of phi ~ E^k as E -> 0: n - 3/2 for a polytrope, p + 1 for a lowered
+    exponential, and a table's declared k."""
+    family = model.family
+    if isinstance(family, Polytrope):
+        return family.n - 1.5
+    if isinstance(family, TruncatedExponential):
+        return family.p + 1.0
+    return family.k
+
+
 def _phi(model: DistributionModel, e):
     """phi at each of the nodes e, as an array."""
     return np.array([eval_phi(model, x) for x in e.tolist()])
 
 
 def _reduced(model: DistributionModel, e):
-    """phi(E)/E^k, k the declared exponent: the oracles' integrand (E > 0)."""
-    return _phi(model, e) / e ** model.regularity.k
+    """phi(E)/E^k, k the low-energy exponent: the oracles' integrand (E > 0)."""
+    return _phi(model, e) / e ** low_energy_exponent(model)
 
 
 def density_bruteforce(model: DistributionModel, r, omega) -> float:
@@ -133,14 +144,14 @@ def center_series(model: DistributionModel, omega_c: float, r: float):
     return m, omega
 
 
-def reference_start(model: DistributionModel, omega_c: float) -> PhysicalState:
-    """The two-term series at 1e-6 natural lengths, or, for l < -1/2, at
-    1e-6 ** (1/(2 + 2l)) of them, where its first correction is still about
-    1e-6: a start that shares no coefficient beyond the first two with the
-    solver's."""
+def reference_start(model: DistributionModel, omega_c: float) -> tuple:
+    """(r, m, omega) of the two-term series at 1e-6 natural lengths, or, for
+    l < -1/2, at 1e-6 ** (1/(2 + 2l)) of them, where its first correction is
+    still about 1e-6: a start that shares no coefficient beyond the first two
+    with the solver's."""
     b = 2.0 + 2.0 * model.l
     r0 = natural_length(model, omega_c) * 1e-6 ** max(1.0, 1.0 / b)
-    return PhysicalState(r0, *center_series(model, omega_c, r0))
+    return (r0, *center_series(model, omega_c, r0))
 
 
 def reference_solve(model: DistributionModel, omega_c: float, r_end: float | None = None,
@@ -148,10 +159,10 @@ def reference_solve(model: DistributionModel, omega_c: float, r_end: float | Non
     """The physical flow from `reference_start` at rel_tol, with no absolute
     tolerance, to r_end, or else to the surface or the cutoff of a solve: a
     `Trajectory`."""
-    start = reference_start(model, omega_c)
+    r0, m0, w0 = reference_start(model, omega_c)
     if r_end is None:
         r_end = physical._CUTOFF_FRACTION * natural_length(model, omega_c)
-    return dop853(_physical_field(model), start.r, (start.m, start.omega), r_end, rel_tol, 0.0,
+    return dop853(_physical_field(model), r0, (m0, w0), r_end, rel_tol, 0.0,
                   events=bind(physical._FLOOR, physical._FLOOR_FRACTION * omega_c))
 
 
@@ -170,13 +181,14 @@ def compactify(u: float, q: float, omega: float) -> CompactState:
     return CompactState(U=u / (1.0 + u), Q=q / (1.0 + q), Omega=omega / (1.0 + omega))
 
 
-def from_compact(model: DistributionModel, state: CompactState) -> PhysicalState:
-    """Invert the homology map; well defined off the faces."""
+def from_compact(model: DistributionModel, state: CompactState) -> tuple:
+    """(r, m, omega) of a compact point: the homology map inverted, well
+    defined off the faces."""
     u = state.U / (1.0 - state.U)
     q = state.Q / (1.0 - state.Q)
     omega = state.omega
     r = (u * q * omega / density_scale(model, omega)) ** (1.0 / (2.0 + 2.0 * model.l))
-    return PhysicalState(r=r, m=q * r * omega, omega=omega)
+    return r, q * r * omega, omega
 
 
 def map_profile(model: DistributionModel, profile: SolutionProfile):
@@ -310,8 +322,7 @@ def compare_representations(model: DistributionModel, profile: SolutionProfile,
     radii = np.geomspace(r_lo, r_hi, n_points)
 
     m_lo, w_lo = profile.dense(r_lo)
-    start = compactify(*to_dimensionless(
-        model, PhysicalState(r=r_lo, m=m_lo, omega=w_lo)))
+    start = compactify(*to_dimensionless(model, r_lo, m_lo, w_lo))
     orbit = integrate_compact(model, start)
     lam_a, lam_b = float(orbit.lam[0]), float(orbit.lam[-1])
     targets = np.log(radii / r_lo)
@@ -327,8 +338,7 @@ def compare_representations(model: DistributionModel, profile: SolutionProfile,
             lam_t = brentq(lambda s: orbit.dense(s)[3] - xi_t, lam_a, lam_b)
         point = orbit.dense(lam_t)
         m_r, w_r = profile.dense(float(r))
-        cp = compactify(*to_dimensionless(
-            model, PhysicalState(r=float(r), m=m_r, omega=w_r)))
+        cp = compactify(*to_dimensionless(model, float(r), m_r, w_r))
         errors[i] = max(abs(point[0] - cp.U), abs(point[1] - cp.Q),
                         abs(point[2] - cp.Omega))
     return {"n_points": int(n_points), "radii": radii, "errors": errors,

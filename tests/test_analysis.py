@@ -36,7 +36,6 @@ from vpequil.analysis import (
 from vpequil.distmodels import (
     DistributionModel,
     EvaluationError,
-    Regularity,
     eval_n,
     polytrope,
     tabulated_model,
@@ -62,9 +61,7 @@ class IndexFamily:
     n_of: object
 
     energy_max = None
-
-    def default_regularity(self):
-        return Regularity(k=0.0, holder_index=1.0)
+    holder_index = 1.0
 
     def kernel(self, m, derivative=False, memo=None):
         def unused(omega):
@@ -373,8 +370,8 @@ def test_labels_hold_within_the_corner_radius_only(monkeypatch, first, last, lab
     # the two step points map to the given compact points: to_dimensionless
     # returns x = c/(1 - c) for each coordinate c, and the labels map x back
     # to x/(1 + x)
-    def mapped(model, state):
-        return [c / (1.0 - c) for c in (first if state.r == 1.0 else last)]
+    def mapped(model, r, m, omega):
+        return [c / (1.0 - c) for c in (first if r == 1.0 else last)]
     monkeypatch.setattr(analysis, "to_dimensionless", mapped)
     profile = FakeProfile(1.0, 1.0, FINITE_RADIUS, r=np.array([1.0, 2.0]),
                           m=np.array([1.0, 1.0]), omega=np.array([1.0, 1.0]))
@@ -516,7 +513,7 @@ def test_sweep_propagates_programming_errors(monkeypatch, exc):
 
 @pytest.mark.parametrize("exc", [TypeError, AttributeError])
 def test_forward_label_propagates_programming_errors(monkeypatch, plummer_profile, exc):
-    def broken(model, state):
+    def broken(model, r, m, omega):
         raise exc("synthetic label bug")
     monkeypatch.setattr(analysis, "to_dimensionless", broken)
     with pytest.raises(exc, match="synthetic label bug"):
@@ -532,10 +529,10 @@ def test_forward_label_numerical_failure_is_unresolved(monkeypatch, king_profile
     real = analysis.to_dimensionless
 
     def failing_at(radius):
-        def mapped(model, state):
-            if state.r == radius:
+        def mapped(model, r, m, omega):
+            if r == radius:
                 raise FloatingPointError("synthetic overflow")
-            return real(model, state)
+            return real(model, r, m, omega)
         return mapped
     # a failure at one end leaves that label unresolved and the other intact
     monkeypatch.setattr(analysis, "to_dimensionless", failing_at(king_profile.r[-1]))

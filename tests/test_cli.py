@@ -488,8 +488,36 @@ def test_kernel_overflow_names_l_and_the_term(tmp_path, capsys):
         "overflows double precision at omega = 20\n")
     assert not (out / "summary.json").exists()
 
+
+def test_lowered_kernel_overflow_names_the_kernel(tmp_path, capsys):
+    # King l = 148.5 at omega_c 120: g_149 = 1.76e310 overflows in the natural
+    # length, where omega ** 151 alone leaves double precision first; the
+    # solve names the kernel, with no errno text
+    path = write_config(tmp_path, {"model": {"family": "truncated-exponential", "p": 0,
+                                             "l": 148.5}, "run": {"omega_c": 120}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: g_149(omega=120) overflows double precision\n"
+    assert not (out / "summary.json").exists()
+
+
 KING = {"family": "truncated-exponential", "p": 0}
 POLYTROPE3 = {"family": "polytrope", "n": 3.0}
+
+
+@pytest.mark.parametrize("command, key", [("solve", "omega_c"), ("sweep", "omega_grid"),
+                                          ("portrait", "orbits"), ("check", "omega_c")])
+def test_each_command_names_its_required_key(tmp_path, capsys, command, key):
+    # a run block without the command's one required key (it holds the
+    # others') exits 2 naming it, and writes no summary
+    run = {"omega_c": 0.5, "omega_grid": [0.5], "orbits": [[0.6, 0.3, 0.3]]}
+    del run[key]
+    path = write_config(tmp_path, {"model": KING, "run": run})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: run.{key} is required by the "
+                                       f"{command} command\n")
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("command, model, run, message", [

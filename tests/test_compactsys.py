@@ -37,7 +37,7 @@ from vpequil.distmodels import (
     truncated_exponential,
     wilson_model,
 )
-from vpequil.physical import PhysicalState, integrate_physical
+from vpequil.physical import integrate_physical
 
 import oracles
 from oracles import (_compact_field, compactify, from_compact, in_S2, in_S3,
@@ -57,7 +57,7 @@ def king_profile(king_model):
 
 def state_at(model, profile, r):
     m, omega = profile.dense(r)
-    u, q, w = to_dimensionless(model, PhysicalState(r=r, m=m, omega=omega))
+    u, q, w = to_dimensionless(model, r, m, omega)
     return compactify(u, q, w)
 
 
@@ -76,9 +76,19 @@ def test_from_compact_inverts_profile_mapping(king_model, king_profile):
     m, omega = king_profile.dense(r)
     st = state_at(king_model, king_profile, r)
     back = from_compact(king_model, st)
-    assert back.r == pytest.approx(r, rel=1e-12)
-    assert back.m == pytest.approx(m, rel=1e-12)
-    assert back.omega == pytest.approx(omega, rel=1e-12)
+    assert back == pytest.approx((r, m, omega), rel=1e-12)
+
+
+def test_to_dimensionless_refuses_points_off_a_solution(king_model):
+    # a physical point has r > 0 (refused by density), m >= 0 and omega > 0
+    assert to_dimensionless(king_model, 1.5, 0.3, 0.8)[1:] == (0.3 / (1.5 * 0.8), 0.8)
+    for r, m, omega, message in ((0.0, 0.1, 0.5, "density requires r > 0"),
+                                 (-1.0, 0.1, 0.5, "density requires r > 0"),
+                                 (1.0, -0.1, 0.5, "mass must be non-negative"),
+                                 (1.0, 0.1, 0.0, "need omega > 0"),
+                                 (1.0, 0.1, -0.5, "need omega > 0")):
+        with pytest.raises(ValueError, match=message):
+            to_dimensionless(king_model, r, m, omega)
 
 
 def test_compact_state_validation():

@@ -25,7 +25,6 @@ from vpequil.distmodels import (
     EvaluationError,
     ModelError,
     Polytrope,
-    Regularity,
     Tabulated,
     TruncatedExponential,
     density,
@@ -150,9 +149,7 @@ def test_model_errors_name_their_parameter():
     for make, key in ((lambda: polytrope(n=0.3), "n"), (lambda: polytrope(n=1, l=-1.5), "l"),
                       (lambda: polytrope(n=1, phi_minus=0.0), "phi_minus"),
                       (lambda: truncated_exponential(-1), "p"),
-                      (lambda: DistributionModel(l=-0.7, family=Polytrope(n=2.0),
-                                                 regularity=Regularity(k=0.5, holder_index=0.1)),
-                       "holder_index"),
+                      (lambda: polytrope(n=0.6, l=-0.7), "holder_index"),
                       (lambda: tabulated_model([0, 1, 2, 3], [0, 1, 2, 3]), "k"),
                       (lambda: tabulated_model([0, 1, 2, 3], [0, 1, 2, -3], k=1.0), None)):
         with pytest.raises(ModelError) as info:
@@ -187,23 +184,32 @@ def test_dropped_models_leave_no_compiled_kernels_behind():
 
 
 def test_holder_metadata_required_for_anisotropic_l():
-    # l < -1/2 needs a declared Hölder index exceeding -l - 1/2;
-    # built-ins fill it automatically, an insufficient explicit one is rejected
-    model = polytrope(n=2, l=-0.7)
-    assert model.regularity.holder_index > 0.2
-    with pytest.raises(ModelError):
-        DistributionModel(l=-0.7, family=Polytrope(n=2.0),
-                          regularity=Regularity(k=0.5, holder_index=0.1))
+    # l < -1/2 needs the family's Hölder index of E phi(E) above -l - 1/2,
+    # 0.2 at l = -0.7: a polytrope's is min(1, n - 1/2), a lowered
+    # exponential's 1, and a table declares its own or has none
+    es = np.linspace(0.0, 2.0, 30)
+    for make, message in ((lambda: polytrope(n=0.6, l=-0.7), "index 0.1 insufficient"),
+                          (lambda: tabulated_model(es, es, l=-0.7, k=1.0), "require a Hölder"),
+                          (lambda: tabulated_model(es, es, l=-0.7, k=1.0, holder_index=0.1),
+                           "index 0.1 insufficient")):
+        with pytest.raises(ModelError, match=message) as info:
+            make()
+        assert info.value.key == "holder_index"
+    for model, holder in ((polytrope(n=0.75, l=-0.7), 0.25),
+                          (truncated_exponential(0, l=-0.7), 1.0),
+                          (truncated_exponential(1, l=-0.7), 1.0),
+                          (tabulated_model(es, es, l=-0.7, k=1.0, holder_index=0.3), 0.3)):
+        assert model.family.holder_index == holder
+        assert math.isfinite(eval_n(model, 0.5))
 
 
 def test_tabulated_requires_k_and_range():
     es = np.linspace(0.0, 2.0, 50)
-    with pytest.raises(ModelError):
-        DistributionModel(l=0.0, family=Tabulated(es, es.copy()),
-                          regularity=None)
-    model = DistributionModel(
-        l=0.0, family=Tabulated(es, es.copy()),
-        regularity=Regularity(k=1.0))
+    for k, message in ((None, "require the declared"), (-1.0, "must exceed -1, got -1.0")):
+        with pytest.raises(ModelError, match=message) as info:
+            Tabulated(es, es.copy(), k=k)
+        assert info.value.key == "k"
+    model = DistributionModel(l=0.0, family=Tabulated(es, es.copy(), k=1.0))
     with pytest.raises(EvaluationError):
         eval_phi(model, 2.5)   # beyond the grid: no extrapolation
     for fn in (eval_g, eval_dg):   # the kernels refuse the same queries
@@ -214,7 +220,7 @@ def test_tabulated_requires_k_and_range():
     # a grid that starts above E = 0 leaves phi undefined on (0, E_0): the
     # family refuses it when it is built, naming the first energy
     with pytest.raises(ModelError, match="first energy 0.5"):
-        Tabulated(es + 0.5, es.copy())
+        Tabulated(es + 0.5, es.copy(), k=1.0)
 
 
 @pytest.mark.parametrize("grid, value", [(0, math.nan), (0, math.inf), (1, math.nan),
@@ -298,9 +304,7 @@ def test_g_tabulated_linear_phi_matches_polytrope():
     # phi(E) = E sampled on a grid: monotone cubic interpolation reproduces it
     # exactly, so the piecewise kernel must match the n=5/2 closed form
     es = np.linspace(0.0, 3.0, 41)
-    model = DistributionModel(
-        l=0.0, family=Tabulated(es, es.copy()),
-        regularity=Regularity(k=1.0))
+    model = DistributionModel(l=0.0, family=Tabulated(es, es.copy(), k=1.0))
     got = eval_g(model, 0.5, 2.0)
     assert got == pytest.approx(closed_form_g(2.5, 0.5, 2.0), rel=1e-9)
 
@@ -334,9 +338,7 @@ def test_dg_matches_finite_differences(model_fn, m, omega):
 
 def test_dg_holder_regime_needs_metadata():
     es = np.linspace(0.0, 2.0, 30)
-    model = DistributionModel(
-        l=0.0, family=Tabulated(es, es.copy()),
-        regularity=Regularity(k=1.0))  # no holder_index
+    model = DistributionModel(l=0.0, family=Tabulated(es, es.copy(), k=1.0))  # no holder_index
     for fn in (eval_dg, eval_dg_quadrature):
         with pytest.raises(EvaluationError, match="Hölder"):
             fn(model, -0.25, 1.0)

@@ -29,7 +29,6 @@ from vpequil.physical import (
     FINITE_RADIUS,
     INFINITE_FINITE_MASS,
     INFINITE_UNDETERMINED,
-    PhysicalState,
     density_scale,
     integrate_physical,
     natural_length,
@@ -180,7 +179,7 @@ def test_start_at_a_millionth_natural_length_for_l_from_minus_half(make, l):
     # state to 1e-12
     model = make(l)
     for omega_c in (0.5, 1.0, 2.0):
-        assert reference_start(model, omega_c).r == 1e-6 * natural_length(model, omega_c)
+        assert reference_start(model, omega_c)[0] == 1e-6 * natural_length(model, omega_c)
         profile = integrate_physical(model, omega_c)
         reference = reference_solve(model, omega_c, r_end=profile.r[1])
         assert profile.m[1] == pytest.approx(reference.y[0][-1], rel=1e-12)
@@ -249,15 +248,6 @@ def test_start_is_homologous_where_the_two_term_series_overflowed():
         starts.append((profile.r[0] / scale, profile.r[1] / scale,
                        profile.m[1] / (omega_c * scale), profile.omega[1] / omega_c))
     assert starts[1] == pytest.approx(starts[0], rel=1e-14)
-
-
-def test_physical_state_record():
-    st = PhysicalState(r=1.5, m=0.25, omega=0.8)
-    assert (st.r, st.m, st.omega) == (1.5, 0.25, 0.8)
-    with pytest.raises(ValueError):
-        PhysicalState(r=0.0, m=0.1, omega=0.5)
-    with pytest.raises(ValueError):
-        PhysicalState(r=1.0, m=-0.1, omega=0.5)
 
 
 def test_rhs_physical_closed_form():

@@ -28,6 +28,7 @@ import pytest
 from scipy.special import beta, betainc, gammainc, gammaln
 
 from vpequil.distmodels import (
+    EvaluationError,
     TruncatedExponential,
     _continued_fraction,
     _fraction_depth,
@@ -116,6 +117,17 @@ def test_lowered_kernel_near_overflow():
     kernel = TruncatedExponential(0).kernel(0.5)
     for omega in (700.0, 709.5, 709.8):
         assert_rel(kernel(omega), mp_lowered(0, 0.5, omega))
+
+
+def test_lowered_kernel_where_its_power_overflows():
+    # King l = 148.5: the series of g_149 (a = 151, switch 135.48) holds
+    # x ** 151, which leaves double precision above x = 110.007 while the
+    # kernel, 1.76e310 at x = 120, does so only above 116.4
+    kernel = TruncatedExponential(0).kernel(149.0)
+    for x in (110.0, 110.01, 112.0, 115.0, 116.4):
+        assert_rel(kernel(x), mp_lowered(0, 149.0, x))
+    with pytest.raises(EvaluationError, match=r"^g_149\(omega=120\) overflows double precision$"):
+        kernel(120.0)
 
 
 def mp_fraction(a, x):
