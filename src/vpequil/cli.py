@@ -107,6 +107,8 @@ class RunConfig:
 def _require_number(value, path, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:   # json reads any integer
+        raise ConfigError(f"{path} is an integer beyond the range of a double")
     if not math.isfinite(value):   # json reads NaN and Infinity
         raise ConfigError(f"{path} must be finite, got {value!r}")
     if integer:
@@ -147,8 +149,11 @@ def _build_model(block, base_dir):
             except OverflowError as exc:   # a Gamma function of p and l
                 raise OverflowError(f"model.p = {r['p']}, model.l = {r['l']:g}: {exc}") from None
         else:
-            model = load_tabulated(os.path.join(base_dir, r["table"]), l=r["l"], k=r["k"],
-                                   holder_index=r["holder_index"])
+            table = os.path.join(base_dir, r["table"])
+            try:
+                model = load_tabulated(table, l=r["l"], k=r["k"], holder_index=r["holder_index"])
+            except OSError as exc:
+                raise ConfigError(f"model.table: cannot read {table}: {exc.strerror}") from exc
     except ModelError as exc:   # a table's own data has no key: its file and line
         raise ConfigError(f"model{'.' + exc.key if exc.key else ''}: {exc}") from exc
     return model, resolved
@@ -212,6 +217,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error in {path} at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:   # not UTF-8 text, or an integer past the digit limit
+        raise ConfigError(f"parse error in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     for key in data:

@@ -209,20 +209,27 @@ class TruncatedExponential:
         (the same a, and scale = Gamma(l+3/2)): below its switch
         g = omega^a H(omega), so 1/S = scale/(Gamma(a) H) needs no power of
         omega, and between the switch and a + 1 (2a an integer)
-        1/S = scale omega^a/(Gamma(a) g).  scale/Gamma(a) is taken as a times
+        1/S = scale omega^a/(Gamma(a) g).  Where omega^a or g can leave double
+        precision below a + 1 (a above about 142), H's series is summed up
+        to a + 1 instead, as it is when 2a is not an integer, and the middle
+        branch is never reached.  scale/Gamma(a) is taken as a times
         H's constant term scale/Gamma(a+1), whose rounding every coefficient
         of H shares, so n tends to a - l as omega -> 0 up to one rounding.
-        Generated like the kernel, with no loop: H is written out as the
-        kernel's literal polynomial, T as a fraction cut at the depth found
+        Generated like the kernel, with no loop: H is written out as a
+        literal polynomial, T as a fraction cut at the depth found
         at a + 1, and every other number of the index is a literal too.
         """
-        a = self.p + l + 2.5
-        g = kernel(l + 0.5)
-        ratio, t_expr = a * g.horner[-1], _continued_fraction(a, "omega", a + 1.0)
+        a, m = self.p + l + 2.5, l + 0.5
+        g = kernel(m)
+        switch, horner = g.switch, g.horner
+        scale = math.gamma(m + 1.0)
+        if max(a * math.log(a + 1.0), math.log(scale) + a + 1.0) >= _LOG_MAX - 1.0:
+            switch, horner = a + 1.0, _lowered_series(a, scale, f"g_{m:g}", a + 1.0)
+        ratio, t_expr = a * horner[-1], _continued_fraction(a, "omega", a + 1.0)
         source = f"""def bind(g):
     def n(omega):
-        if omega <= {g.switch!r}:
-            return {-l!r} + omega + {ratio!r} / ({_horner(g.horner, "omega")})
+        if omega <= {switch!r}:
+            return {-l!r} + omega + {ratio!r} / ({_horner(horner, "omega")})
         if omega <= {a + 1.0!r}:
             return {-l!r} + omega + {ratio!r} * omega ** {a!r} / g(omega)
         # 1/S = E/(1 - E T) with E = omega^a e^-omega/Gamma(a); E
@@ -321,6 +328,20 @@ def _series_head(a, scale, what):
                             "precision") from None
 
 
+def _lowered_series(a, scale, what, top):
+    """The coefficients scale/Gamma(a+j+1) of the series of `_lowered_kernel`,
+    highest power first, up to the first whose term at x = ``top`` is below
+    1e-17 of the first term."""
+    coef, ratio, k = _series_head(a, scale, what), 1.0, 1.0
+    series = [coef]
+    while ratio > 1e-17:
+        coef /= a + k
+        ratio *= top / (a + k)
+        series.append(coef)
+        k += 1.0
+    return tuple(reversed(series))
+
+
 def _lowered_kernel(a, scale, what):
     """x -> scale * e^x P(a, x) for x > 0, P the regularized lower incomplete gamma.
 
@@ -353,14 +374,7 @@ def _lowered_kernel(a, scale, what):
     elementary = (2.0 * a).is_integer()
     switch = (a * (1.0 - 1.0 / (9.0 * a) - 1.2816 / (3.0 * math.sqrt(a))) ** 3
               if elementary else a + 1.0)
-    coef, ratio, k = _series_head(a, scale, what), 1.0, 1.0
-    series = [coef]
-    while ratio > 1e-17:   # a term against the first, at the switch
-        coef /= a + k
-        ratio *= switch / (a + k)
-        series.append(coef)
-        k += 1.0
-    series = tuple(reversed(series))
+    series = _lowered_series(a, scale, what, switch)
     overflow = f"raise EvaluationError('%s(omega=%g) overflows double precision' % ({what!r}, x))"
     lines = [f"if x <= {switch!r}:"]
     if a * math.log(switch) < _LOG_MAX - 1.0:   # x ** a is finite up to the switch, e to spare

@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,8 @@ RHO_MINUS_N1 = 2.0 ** 1.5 * math.pi ** 2
 A_N1 = math.sqrt(4.0 * math.pi * RHO_MINUS_N1)
 RADIUS_N1 = math.pi / A_N1
 WILSON_OMEGA_CRIT = 3.9023231626784796
+KING = {"family": "truncated-exponential", "p": 0}
+POLYTROPE3 = {"family": "polytrope", "n": 3.0}
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -200,6 +203,27 @@ def test_malformed_table_exits_2_naming_file_and_line(tmp_path, capsys, edit, li
     assert not out.exists()
 
 
+def test_missing_table_exits_2_naming_the_key_and_the_path(tmp_path, capsys):
+    # the table path is read relative to the config's directory
+    path = write_config(tmp_path, {"model": {"family": "tabulated", "table": "nope.csv",
+                                             "k": 1.0}, "run": {"omega_c": 0.5}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: model.table: cannot read "
+                                       f"{tmp_path / 'nope.csv'}: No such file or directory\n")
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    # an output directory that cannot be made is no config error
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = write_config(tmp_path, solve_config())
+    assert main(["solve", "--config", path, "--out", str(blocker / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_table_comments_and_blank_lines_are_skipped(tmp_path):
     # numpy's loadtxt rules: `#` starts a comment, blank lines are skipped
     plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
@@ -270,6 +294,27 @@ def test_parse_rejects_non_finite_numbers(tmp_path, capsys, cfg, key):
     assert not (out / "summary.json").exists()
 
 
+HUGE = 10 ** 400   # json reads an integer of any length; no double holds this one
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("solve", {"model": {"family": "polytrope", "n": HUGE}, "run": {"omega_c": 0.5}},
+     "model.n"),
+    ("solve", {"model": POLYTROPE3, "run": {"omega_c": HUGE}}, "run.omega_c"),
+    ("sweep", {"model": POLYTROPE3, "run": {"omega_grid": [0.3, HUGE]}}, "run.omega_grid[1]"),
+    ("portrait", {"model": POLYTROPE3, "run": {"orbits": [[0.6, HUGE, 0.3]]}},
+     "run.orbits[0]"),
+    ("solve", {"model": POLYTROPE3, "run": {"omega_c": 0.5}, "output": {"precision": HUGE}},
+     "output.precision"),
+], ids=["model-n", "omega_c", "omega_grid", "orbits", "precision"])
+def test_huge_integer_exits_2_naming_its_key(tmp_path, capsys, command, cfg, key):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: {key} is an integer beyond the range "
+                                       "of a double\n")
+    assert not (out / "summary.json").exists()
+
+
 def test_parse_rejects_foreign_family_key(tmp_path):
     path = write_config(tmp_path, {"model": {"family": "polytrope", "n": 1, "p": 0}})
     with pytest.raises(ConfigError, match="model.p"):
@@ -336,6 +381,16 @@ def test_malformed_config_reports_line(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_config_that_is_not_text_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: parse error in {path}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- solve
 
 def solve_config(omega_c=1.0, **run_extra):
@@ -360,6 +415,22 @@ def test_solve_linear_model(tmp_path):
     lines = (out / "profile.csv").read_text().splitlines()
     assert lines[0] == "r,m,omega,rho,p_rad"
     assert len(lines) > 10
+
+
+@pytest.mark.parametrize("model", [
+    {"family": "truncated-exponential", "p": 0, "l": -0.95},
+    {"family": "polytrope", "n": 3.0, "l": 2},
+], ids=["king-l-0.95", "n3-l2"])
+def test_one_start_rule_labels_the_centre_L2(tmp_path, model):
+    # the solver starts on the centre series for every l, and the profile's
+    # first row samples it near the line of regular centres: the solve
+    # exits 0 with no warning and labels its centre L2
+    path = write_config(tmp_path, {"model": model, "run": {"omega_c": 0.5}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    assert load_summary(out)["results"]["backward_label"] == "L2"
 
 
 def test_solve_outputs_deterministic(tmp_path):
@@ -501,8 +572,17 @@ def test_lowered_kernel_overflow_names_the_kernel(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-KING = {"family": "truncated-exponential", "p": 0}
-POLYTROPE3 = {"family": "polytrope", "n": 3.0}
+def test_check_past_the_kernel_switch_at_large_l(tmp_path):
+    # King l = 148.5 (a = 151): between g_149's switch, 135.48, and a + 1
+    # both omega ** 151 and g_149 leave double precision, and the index sums
+    # its series there instead; T1 and T2 at omega_c 140 both hold
+    path = write_config(tmp_path, {"model": {**KING, "l": 148.5}, "run": {"omega_c": 140.0}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--config", path, "--out", str(out)]) == 0
+    results = load_summary(out)["results"]
+    assert (results["T1"]["holds"], results["T2"]["holds"]) == ("Guaranteed", "Guaranteed")
 
 
 @pytest.mark.parametrize("command, key", [("solve", "omega_c"), ("sweep", "omega_grid"),

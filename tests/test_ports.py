@@ -112,6 +112,19 @@ def test_lowered_index_over_its_domain():
         assert_rel(eval_n(truncated_exponential(p, l=l), omega), mp_lowered_index(p, l, omega))
 
 
+def test_lowered_index_past_the_switch_at_large_l():
+    # King l = 148.5 (a = 151): omega ** 151 and g_149 leave double precision
+    # between the kernel's switch, 135.48, and a + 1, so the index sums its
+    # series up to a + 1 instead of dividing by the kernel
+    model = truncated_exponential(0, l=148.5)
+    switch = model.kernel(149.0).switch
+    omegas = [math.nextafter(switch, 200.0), 136.0, 140.0, 150.0,
+              math.nextafter(152.0, 0.0), 152.0]
+    omegas += [float(omega) for omega in np.linspace(switch, 152.0, 30)[1:-1]]
+    for omega in omegas:
+        assert_rel(eval_n(model, omega), mp_lowered_index(0, 148.5, omega))
+
+
 def test_lowered_kernel_near_overflow():
     # Gamma(m+1) < 1 for m = 1/2 keeps g finite a little past e^omega's overflow
     kernel = TruncatedExponential(0).kernel(0.5)
