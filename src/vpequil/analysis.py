@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from ._ode import brentq
 from .compactsys import CORNERS, to_dimensionless
@@ -54,8 +54,7 @@ _GRID_LEVELS = (65, 129, 257, 513, 1025)
 _SPAN_RATIO = 1e-10
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(namedtuple("TheoremVerdict", "theorem holds witness")):
     """Outcome of a finiteness check.
 
     ``holds`` is ``"Guaranteed"`` only when the theorem's condition held on
@@ -63,33 +62,26 @@ class TheoremVerdict:
     covers every other outcome.  ``witness`` records what was checked.
     """
 
-    theorem: str
-    holds: str
-    witness: dict
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SolutionLabels:
-    classification: str
-    forward_label: str
-    backward_label: str
-    mass_convergent: bool
+class SolutionLabels(namedtuple("SolutionLabels",
+                                "classification forward_label backward_label mass_convergent")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    omega_c: float
-    radius: float
-    total_mass: float
-    classification: str
-    limit_label: str
+class SweepEntry(namedtuple("SweepEntry",
+                            "omega_c radius total_mass classification limit_label")):
+    __slots__ = ()
 
 
-@dataclass
 class SweepResult:
-    entries: list = field(default_factory=list)
-    critical_values: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+    """The entries of a sweep, its refined critical values, and its
+    failures as (omega_c, message) pairs; each a new list by default."""
+
+    def __init__(self, entries=(), critical_values=(), failures=()):
+        self.entries, self.critical_values = list(entries), list(critical_values)
+        self.failures = list(failures)
 
 
 # ------------------------------------------------------------ index grids
@@ -408,6 +400,4 @@ def sweep_omega_c(model: DistributionModel, omega_grid,
 
 def write_sweep_csv(result: SweepResult, path, precision: int = 17) -> None:
     """Deterministic five-column CSV of the sweep entries."""
-    write_csv(path, "omega_c,R,M,class,label",
-              [(e.omega_c, e.radius, e.total_mass, e.classification, e.limit_label)
-               for e in result.entries], precision)
+    write_csv(path, "omega_c,R,M,class,label", result.entries, precision)

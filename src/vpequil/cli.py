@@ -1,12 +1,27 @@
-"""Configuration-driven command-line frontend.
+"""The vpequil command line: spherical equilibria from a JSON run configuration.
 
-Subcommands
------------
+usage: vpequil COMMAND [--config PATH] [--out DIR] [--verbose]
+       vpequil -h | --help | --version
+
+Commands
+--------
 solve      integrate one equilibrium and write its profile CSV
 sweep      map a grid of central amplitudes to radii, masses, and critical values
 portrait   integrate a bundle of compact orbits and dump plot-ready data
 check      run the finiteness criteria and report verdicts
-models     list the built-in distribution families
+models     list the built-in distribution families; reads no config
+
+Options
+-------
+--config PATH   the JSON run configuration (also --config=PATH)
+--out DIR       the output directory, made if needed; by default the
+                current one, and for models none (no models.json)
+--verbose       progress notes on stderr
+
+Each option is spelt in full: a prefix such as --conf is refused.  The
+exit status is 0 on success, 2 for a malformed command line (the usage
+line, then one line naming the argument) or an invalid config (one line
+naming the key), and 1 for a failed run.
 
 All numeric output uses fixed significant-digit formatting, so a repeated
 invocation with the same config produces byte-identical files.  The JSON
@@ -17,13 +32,12 @@ run never leaves a partial summary behind.  Units are gravitational
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 from . import __version__
 from .analysis import (
@@ -42,7 +56,6 @@ from .compactsys import (
     integrate_compact,
 )
 from .distmodels import (
-    DistributionModel,
     EvaluationError,
     ModelError,
     SettingError,
@@ -72,36 +85,20 @@ _MODEL_KEYS = {
     "truncated-exponential": {"l": 0.0, "p": ...},
     "tabulated": {"l": 0.0, "table": ..., "k": ..., "holder_index": None},
 }
-# the run keys each command reads.  A config may hold the keys of every
-# command, and all are validated; a command sees, and its summary records,
-# only its own
-_COMMAND_KEYS = {
-    "solve": {"omega_c", "rel_tol"},
-    "sweep": {"omega_grid", "rel_tol"},
-    "portrait": {"orbits", "rel_tol", "lambda_max", "backward"},
-    "check": {"omega_c"},
-}
-# the one run key each command cannot run without
-_REQUIRED_KEY = {"solve": "omega_c", "sweep": "omega_grid", "portrait": "orbits",
-                 "check": "omega_c"}
-_RUN_KEYS = set().union(*_COMMAND_KEYS.values())
-_RUN_KEY = re.compile(r"\b(%s)\b" % "|".join(sorted(_RUN_KEYS)))
 
 
 def _run_error(exc: SettingError) -> ConfigError:
     """The library's SettingError as a config error, every run key it names
-    given its path: ``omega_grid[1] = ...`` reads ``run.omega_grid[1] = ...``."""
+    (`_RUN_KEY`, from the command table) given its path:
+    ``omega_grid[1] = ...`` reads ``run.omega_grid[1] = ...``."""
     return ConfigError(_RUN_KEY.sub(r"run.\1", str(exc)))
 
 
-@dataclass
 class RunConfig:
     """Validated configuration: built model plus resolved key/value blocks."""
 
-    model: DistributionModel
-    run: dict
-    output: dict
-    resolved: dict
+    def __init__(self, model, run, output, resolved):
+        self.model, self.run, self.output, self.resolved = model, run, output, resolved
 
 
 def _require_number(value, path, integer=False):
@@ -212,12 +209,14 @@ def parse_config(path) -> RunConfig:
     """Load and validate a JSON config; raise ConfigError with the key path."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            # an integer past int()'s digit limit is read as its first 400
+            # characters: as far beyond a double, so its key is named
+            data = json.load(fh, parse_int=lambda digits: int(digits[:400]))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error in {path} at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:   # not UTF-8 text, or an integer past the digit limit
+    except ValueError as exc:   # not UTF-8 text
         raise ConfigError(f"parse error in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
@@ -352,7 +351,7 @@ def cmd_check(cfg: RunConfig, args) -> dict:
     _note(args, "computing critical amplitude")
     t1 = check_theorem1(cfg.model, omega_c)
     t2 = check_theorem2(cfg.model, omega_c)
-    return {"T1": asdict(t1), "T2": asdict(t2), "omega_crit": t2.witness["omega_crit"]}
+    return {"T1": t1._asdict(), "T2": t2._asdict(), "omega_crit": t2.witness["omega_crit"]}
 
 
 _BUILTIN_MODELS = (
@@ -375,7 +374,7 @@ def cmd_models(args) -> int:
     print("tabulated models load from a two-column (E, phi) CSV via the "
           "config keys model.table and model.k")
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out(args.out)
         _write_json(os.path.join(args.out, "models.json"),
                     {"tool_version": __version__, "families": rows})
     return 0
@@ -383,44 +382,84 @@ def cmd_models(args) -> int:
 
 # ------------------------------------------------------------------ driver
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vpequil",
-        description="Spherical equilibria of self-gravitating collisionless "
-                    "matter: solve, sweep, classify, and check finiteness criteria.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command's handler, the run keys it reads, and the one it cannot run
+# without.  A config may hold the keys of every command, and all are
+# validated; a command sees, and its summary records, only its own.
+# `models` reads no config
+_COMMANDS = {
+    "solve": (cmd_solve, {"omega_c", "rel_tol"}, "omega_c"),
+    "sweep": (cmd_sweep, {"omega_grid", "rel_tol"}, "omega_grid"),
+    "portrait": (cmd_portrait, {"orbits", "rel_tol", "lambda_max", "backward"}, "orbits"),
+    "check": (cmd_check, {"omega_c"}, "omega_c"),
+    "models": (cmd_models, set(), None),
+}
+_RUN_KEYS = set().union(*(keys for _, keys, _ in _COMMANDS.values()))
+_RUN_KEY = re.compile(r"\b(%s)\b" % "|".join(sorted(_RUN_KEYS)))
+_USAGE = "usage: vpequil COMMAND [--config PATH] [--out DIR] [--verbose]"
 
-    def add_common(sp, config_required=True, out_default="."):
-        sp.add_argument("--config", required=config_required, default=None,
-                        help="path to the JSON run configuration")
-        sp.add_argument("--out", default=out_default, help="output directory")
-        sp.add_argument("--verbose", action="store_true",
-                        help="progress notes on stderr")
 
-    add_common(sub.add_parser("solve", help="integrate one equilibrium"))
-    add_common(sub.add_parser("sweep", help="scan a grid of central amplitudes"))
-    add_common(sub.add_parser("portrait", help="integrate compact orbits"))
-    add_common(sub.add_parser("check", help="run the finiteness criteria"))
-    add_common(sub.add_parser("models", help="list built-in families"),
-               config_required=False, out_default=None)
-    return parser
+def _parse_args(argv):
+    """The command line as a namespace of command, config, out and verbose,
+    or the text that --help (this module's docstring) or --version prints.
+    A malformed one raises ValueError naming the argument; options are
+    spelt in full."""
+    args = SimpleNamespace(command=None, config=None, out=None, verbose=False)
+    argv = iter(argv)
+    for arg in argv:
+        option, eq, value = arg.partition("=")
+        if arg in ("-h", "--help"):
+            return (__doc__ or _USAGE).rstrip()
+        if args.command is None:
+            if arg == "--version":
+                return __version__
+            if arg not in _COMMANDS:
+                raise ValueError(f"{arg!r} is not a command: choose one of "
+                                 f"{', '.join(_COMMANDS)}")
+            args.command, args.out = arg, None if arg == "models" else "."
+        elif arg == "--verbose":
+            args.verbose = True
+        elif option in ("--config", "--out"):
+            if not eq:
+                value = next(argv, None)
+                if value is None or value.startswith("-"):
+                    raise ValueError(f"{option} needs a value")
+            setattr(args, option[2:], value)
+        else:
+            raise ValueError(f"{arg!r} is not an option: use --config, --out or --verbose")
+    if args.command is None:
+        raise ValueError(f"no command given: choose one of {', '.join(_COMMANDS)}")
+    if args.config is None and args.command != "models":
+        raise ValueError(f"{args.command} needs --config PATH")
+    return args
+
+
+def _make_out(out):
+    """Make the output directory; an OSError names --out, the path and the reason."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"--out {out}: cannot make the directory: {exc.strerror}") from None
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:   # a malformed command line
+        print(f"{_USAGE}\nerror: {exc}", file=sys.stderr)
+        return 2
+    if isinstance(args, str):   # --help or --version
+        print(args)
+        return 0
+    handler, keys, required = _COMMANDS[args.command]
     try:
         if args.command == "models":
-            return cmd_models(args)
+            return handler(args)
         cfg = parse_config(args.config)
-        cfg.run = {k: v for k, v in cfg.run.items() if k in _COMMAND_KEYS[args.command]}
+        cfg.run = {k: v for k, v in cfg.run.items() if k in keys}
         cfg.resolved["run"] = cfg.run
-        os.makedirs(args.out, exist_ok=True)
-        key = _REQUIRED_KEY[args.command]
-        if key not in cfg.run:
-            raise ConfigError(f"run.{key} is required by the {args.command} command")
-        handler = {"solve": cmd_solve, "sweep": cmd_sweep,
-                   "portrait": cmd_portrait, "check": cmd_check}[args.command]
+        _make_out(args.out)
+        if required not in cfg.run:
+            raise ConfigError(f"run.{required} is required by the {args.command} command")
         results = handler(cfg, args)   # the summary goes last: a failed run leaves none
         _write_json(os.path.join(args.out, "summary.json"),
                     {"tool_version": __version__, "config": cfg.resolved, "results": results})

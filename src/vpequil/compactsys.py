@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import namedtuple
 
 from ._ode import Events, Field, bind, dop853
 from .distmodels import (
@@ -55,36 +54,29 @@ _OMEGA_CEILING = 1e12
 _ATTRACTION_EPS = 1e-4
 
 
-@dataclass(frozen=True)
-class CompactState:
+class CompactState(namedtuple("CompactState", "U Q Omega")):
     """A point of the open cube; U, Q may sit on their faces, Omega may not."""
 
-    U: float
-    Q: float
-    Omega: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.U <= 1.0:
-            raise ValueError(f"U must lie in [0, 1], got {self.U}")
-        if not 0.0 <= self.Q <= 1.0:
-            raise ValueError(f"Q must lie in [0, 1], got {self.Q}")
-        if not 0.0 < self.Omega < 1.0:
-            raise ValueError(f"Omega must lie strictly inside (0, 1), got {self.Omega}")
+    def __new__(cls, U, Q, Omega):
+        if not 0.0 <= U <= 1.0:
+            raise ValueError(f"U must lie in [0, 1], got {U}")
+        if not 0.0 <= Q <= 1.0:
+            raise ValueError(f"Q must lie in [0, 1], got {Q}")
+        if not 0.0 < Omega < 1.0:
+            raise ValueError(f"Omega must lie strictly inside (0, 1), got {Omega}")
+        return super().__new__(cls, U, Q, Omega)
 
     @property
     def omega(self) -> float:
         return self.Omega / (1.0 - self.Omega)
 
 
-@dataclass(frozen=True)
-class FixedLine:
+class FixedLine(namedtuple("FixedLine", "name U Q eigenvalues kind")):
     """One line of equilibria with its transverse eigenvalues."""
 
-    name: str
-    U: float
-    Q: float
-    eigenvalues: tuple
-    kind: str
+    __slots__ = ()
 
 
 # ------------------------------------------------------------- coordinates
@@ -297,7 +289,6 @@ class PolytropicIndexTable:
 
 # ------------------------------------------------------------------- orbits
 
-@dataclass
 class CompactOrbit:
     """One integrated orbit with monitors and its asymptotic label.
 
@@ -305,22 +296,15 @@ class CompactOrbit:
     variables, -inf or +inf on a face; U, Q and the monitors are formed
     from them on floats.  Each column is an ``array('d')``, which
     ``np.asarray`` views as a numpy array; ``S1`` is a list of bools.
+    ``_dense`` is lambda -> (U, Q, Omega, xi), which `dense` range-checks.
     """
 
-    model: DistributionModel
-    initial: CompactState
-    lam: array
-    U: array
-    Q: array
-    Omega: array
-    xi: array
-    log_u: array
-    log_q: array
-    termination: str
-    limit_label: str
-    rel_tol: float
-    diagnostics: dict = field(default_factory=dict)
-    _dense: Callable = None
+    def __init__(self, model, initial, lam, U, Q, Omega, xi, log_u, log_q, termination,
+                 limit_label, rel_tol, diagnostics=None, _dense=None):
+        self.model, self.initial, self.lam = model, initial, lam
+        self.U, self.Q, self.Omega, self.xi, self.log_u, self.log_q = U, Q, Omega, xi, log_u, log_q
+        self.termination, self.limit_label, self.rel_tol = termination, limit_label, rel_tol
+        self.diagnostics, self._dense = {} if diagnostics is None else diagnostics, _dense
 
     def dense(self, lam: float) -> tuple:
         """(U, Q, Omega, xi) anywhere on the integrated lambda range: the

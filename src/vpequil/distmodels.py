@@ -68,7 +68,6 @@ import math
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 _OMEGA_MIN = 1e-300   # below this the index n(omega) is refused, not extrapolated
 _LOG_MAX = math.log(sys.float_info.max)   # e^x is finite up to here
@@ -104,20 +103,34 @@ class EvaluationError(RuntimeError):
 
 # --------------------------------------------------------------- families
 
-@dataclass(frozen=True, eq=False)
-class Polytrope:
-    """Power-law profile phi(E) = phi_minus * E^(n - 3/2) for E > 0."""
+class _ReadOnly:
+    """Attributes set once, by the constructor through ``vars(self)``:
+    assigning or deleting one raises AttributeError.  Equality is identity;
+    the repr lists the public fields in the order the constructor set them."""
 
-    n: float
-    phi_minus: float = 1.0
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items()
+                           if not name.startswith("_"))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Polytrope(_ReadOnly):
+    """Power-law profile phi(E) = phi_minus * E^(n - 3/2) for E > 0."""
 
     energy_max = None   # the largest energy phi accepts; None: unbounded
 
-    def __post_init__(self):
-        if not self.n > 0.5:
-            raise ModelError(f"polytrope exponent n must exceed 1/2, got {self.n}", "n")
-        if not self.phi_minus > 0:
+    def __init__(self, n, phi_minus=1.0):
+        if not n > 0.5:
+            raise ModelError(f"polytrope exponent n must exceed 1/2, got {n}", "n")
+        if not phi_minus > 0:
             raise ModelError("polytrope amplitude phi_minus must be positive", "phi_minus")
+        vars(self).update(n=n, phi_minus=phi_minus)
 
     @property
     def holder_index(self):
@@ -161,8 +174,7 @@ class Polytrope:
         return coefficient
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedExponential:
+class TruncatedExponential(_ReadOnly):
     """phi_p(E) = e^E - sum_{j<=p} E^j/j!  (p=0: King-type; p=1: Wilson).
 
     Evaluated as e^E P(p+1, E), with P the regularized lower incomplete
@@ -171,16 +183,14 @@ class TruncatedExponential:
     at small E.
     """
 
-    p: int
-
     energy_max = None
     holder_index = 1.0   # E phi(E) is smooth
 
-    def __post_init__(self):
-        if self.p < 0 or int(self.p) != self.p:
-            raise ModelError(f"truncation order p must be a non-negative integer, got {self.p}",
-                             "p")
-        _series_head(self.p + 1.0, 1.0, "phi")   # the kernel `phi` builds must exist
+    def __init__(self, p):
+        if p < 0 or int(p) != p:
+            raise ModelError(f"truncation order p must be a non-negative integer, got {p}", "p")
+        _series_head(p + 1.0, 1.0, "phi")   # the kernel `phi` builds must exist
+        vars(self)["p"] = p
 
     @functools.cached_property
     def _phi(self):
@@ -413,8 +423,7 @@ def _lowered_kernel(a, scale, what):
     return lowered
 
 
-@dataclass(frozen=True, eq=False)
-class Tabulated:
+class Tabulated(_ReadOnly):
     """phi given as (E, phi) samples, interpolated monotone piecewise-cubic.
 
     The low-energy exponent k of phi ~ E^k (k > -1) and the Hölder index of
@@ -425,16 +434,11 @@ class Tabulated:
     finite; both grids are kept as ``array('d')``.
     """
 
-    energies: array
-    values: array
-    k: float | None = None
-    holder_index: float | None = None
-
-    def __post_init__(self):
-        if self.k is None:
+    def __init__(self, energies, values, k=None, holder_index=None):
+        if k is None:
             raise ModelError("tabulated models require the declared low-energy exponent k", "k")
         try:
-            e, v = array("d", self.energies), array("d", self.values)
+            e, v = array("d", energies), array("d", values)
         except TypeError:   # not a flat sequence of numbers
             e = v = ()
         if len(e) != len(v) or len(e) < 4:
@@ -448,13 +452,10 @@ class Tabulated:
         if e[0] > 0.0:
             raise ModelError(f"tabulated energy grid must start at or below E = 0, "
                              f"got first energy {e[0]:g}")
-        object.__setattr__(self, "k", float(self.k))
-        if not self.k > -1.0:
-            raise ModelError(f"low-energy exponent k must exceed -1, got {self.k}", "k")
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "values", v)
+        k = float(k)
+        if not k > -1.0:
+            raise ModelError(f"low-energy exponent k must exceed -1, got {k}", "k")
         interp = _Pchip(e, v)
-        object.__setattr__(self, "_interp", interp)
         # pieces phi = sum_j c_j (E - x0)^j on the cells reaching E > 0, on
         # floats: the cell straddling E = 0 re-expanded about 0 so every
         # piece starts at x0 >= 0
@@ -469,8 +470,8 @@ class Tabulated:
             cells[0] = 0.0, x1, tuple(shifted)
         starts, ends, coefs = zip(*cells)
         dcoefs = tuple((c1, 2.0 * c2, 3.0 * c3) for _, c1, c2, c3 in coefs)
-        object.__setattr__(self, "_pieces", (starts, ends, coefs, dcoefs))
-        object.__setattr__(self, "_energy_max", e[-1])
+        vars(self).update(energies=e, values=v, k=k, holder_index=holder_index, _interp=interp,
+                          _pieces=(starts, ends, coefs, dcoefs), _energy_max=e[-1])
 
     def phi(self, e):
         self._check_range(e)
@@ -762,30 +763,26 @@ def _binomial_weights(m, z):
         weights.append(w)
 
 
-@dataclass(frozen=True, eq=False)
-class DistributionModel:
-    """The pair (l, phi); immutable once built.  For l < -1/2 the family's
-    Hölder index of E phi(E) must exceed -l - 1/2."""
+class DistributionModel(_ReadOnly):
+    """The pair (l, phi), ``family`` a Polytrope, TruncatedExponential or
+    Tabulated; immutable once built.  For l < -1/2 the family's Hölder
+    index of E phi(E) must exceed -l - 1/2."""
 
-    l: float
-    family: Polytrope | TruncatedExponential | Tabulated
-
-    def __post_init__(self):
-        if not self.l > -1.0:
-            raise ModelError(f"anisotropy exponent l must exceed -1, got {self.l}", "l")
-        if self.l < -0.5:
-            h = self.family.holder_index
+    def __init__(self, l, family):
+        if not l > -1.0:
+            raise ModelError(f"anisotropy exponent l must exceed -1, got {l}", "l")
+        if l < -0.5:
+            h = family.holder_index
             if h is None:
                 raise ModelError("models with l < -1/2 require a Hölder index for E*phi(E)",
                                  "holder_index")
-            if not h > -self.l - 0.5:
-                raise ModelError(f"Hölder index {h:g} insufficient: needs > {-self.l - 0.5:g} "
-                                 f"for l={self.l:g}", "holder_index")
-        object.__setattr__(self, "_prefactor", density_prefactor(self.l))
-        object.__setattr__(self, "_kernels", {})   # (m, derivative) -> kernel
+            if not h > -l - 0.5:
+                raise ModelError(f"Hölder index {h:g} insufficient: needs > {-l - 0.5:g} "
+                                 f"for l={l:g}", "holder_index")
+        vars(self).update(l=l, family=family, _prefactor=density_prefactor(l),
+                          _kernels={})   # (m, derivative) -> kernel
         # the per-step functions of omega, bound once: g_{l+1/2} and n
-        object.__setattr__(self, "_kernel", self.kernel(self.l + 0.5))
-        object.__setattr__(self, "_index", self.family.index(self.l, self.kernel))
+        vars(self).update(_kernel=self.kernel(l + 0.5), _index=family.index(l, self.kernel))
 
     def kernel(self, m, derivative=False):
         """omega -> g_m(omega), or dg_m/domega; the family builds each once per model."""

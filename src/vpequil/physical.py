@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
-from typing import Callable
 
 from ._ode import Events, Field, bind, dop853
 from .distmodels import (
@@ -178,7 +176,6 @@ def _physical_field(model: DistributionModel):
     return bind(_field(expr, names), model._prefactor, 2.0 * model.l, *values, 4.0 * math.pi)
 
 
-@dataclass
 class SolutionProfile:
     """An integrated equilibrium with its classification and diagnostics.
 
@@ -186,22 +183,18 @@ class SolutionProfile:
     step points, as ``array('d')`` columns; ``np.asarray(profile.r)`` views
     one as a numpy array.
     ``natural_length`` is the length the start and the cutoff scale with.
+    ``_dense`` and ``_centre`` are the solver's interpolant and the centre
+    series, each r -> (m, omega); ``_samples`` caches `samples`.
     """
 
-    model: DistributionModel
-    omega_c: float
-    natural_length: float
-    r: array
-    m: array
-    omega: array
-    radius: float
-    total_mass: float
-    classification: str
-    rel_tol: float
-    diagnostics: dict = field(default_factory=dict)
-    _dense: Callable = None
-    _centre: Callable = None
-    _samples: dict | None = None
+    def __init__(self, model, omega_c, natural_length, r, m, omega, radius, total_mass,
+                 classification, rel_tol, diagnostics=None, _dense=None, _centre=None,
+                 _samples=None):
+        self.model, self.omega_c, self.natural_length = model, omega_c, natural_length
+        self.r, self.m, self.omega = r, m, omega
+        self.radius, self.total_mass, self.classification = radius, total_mass, classification
+        self.rel_tol, self.diagnostics = rel_tol, {} if diagnostics is None else diagnostics
+        self._dense, self._centre, self._samples = _dense, _centre, _samples
 
     def dense(self, r: float):
         """(m, omega) anywhere on the integrated range: the centre series

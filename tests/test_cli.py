@@ -215,13 +215,16 @@ def test_missing_table_exits_2_naming_the_key_and_the_path(tmp_path, capsys):
 
 
 def test_unwritable_out_exits_1(tmp_path, capsys):
-    # an output directory that cannot be made is no config error
+    # an output directory that cannot be made is no config error: one line
+    # names --out, the path and the OS reason, with no errno text
     blocker = tmp_path / "file"
     blocker.write_text("")
-    path = write_config(tmp_path, solve_config())
-    assert main(["solve", "--config", path, "--out", str(blocker / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    path, out = write_config(tmp_path, solve_config()), str(blocker / "out")
+    for command in ("solve", "models"):
+        assert main([command, "--config", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out}: cannot make the directory: Not a directory\n"
+        assert "[Errno" not in err
 
 
 def test_table_comments_and_blank_lines_are_skipped(tmp_path):
@@ -295,6 +298,9 @@ def test_parse_rejects_non_finite_numbers(tmp_path, capsys, cfg, key):
 
 
 HUGE = 10 ** 400   # json reads an integer of any length; no double holds this one
+# past the 4300 digits that int() converts from text on Python 3.11 and later;
+# written into the config in place of the string "DIGITS_5001"
+DIGITS_5001 = "1" + "0" * 5000
 
 
 @pytest.mark.parametrize("command, cfg, key", [
@@ -306,10 +312,14 @@ HUGE = 10 ** 400   # json reads an integer of any length; no double holds this o
      "run.orbits[0]"),
     ("solve", {"model": POLYTROPE3, "run": {"omega_c": 0.5}, "output": {"precision": HUGE}},
      "output.precision"),
-], ids=["model-n", "omega_c", "omega_grid", "orbits", "precision"])
+    ("solve", {"model": {"family": "polytrope", "n": "DIGITS_5001"}, "run": {"omega_c": 0.5}},
+     "model.n"),
+], ids=["model-n", "omega_c", "omega_grid", "orbits", "precision", "model-n-5001-digits"])
 def test_huge_integer_exits_2_naming_its_key(tmp_path, capsys, command, cfg, key):
     out = tmp_path / "out"
-    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    path = Path(write_config(tmp_path, cfg))
+    path.write_text(path.read_text().replace('"DIGITS_5001"', DIGITS_5001))
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"config error: {key} is an integer beyond the range "
                                        "of a double\n")
     assert not (out / "summary.json").exists()
@@ -939,7 +949,68 @@ def test_models_listing(tmp_path, capsys):
     assert "polytrope" in families
 
 
+# ------------------------------------------------------------ command line
+
+USAGE = re.escape("usage: vpequil COMMAND [--config PATH] [--out DIR] [--verbose]\n")
+
+
+# argv with CFG and OUT standing for a solve config and an output directory,
+# the exit status, and regular expressions that stdout and stderr match whole
+@pytest.mark.parametrize("argv, code, out, err", [
+    ([], 2, "", USAGE + "error: no command given: choose one of solve, .*\n"),
+    (["solver", "--config", "CFG"], 2, "", USAGE + "error: 'solver' is not a command: .*\n"),
+    (["solve", "--out", "OUT"], 2, "", USAGE + "error: solve needs --config PATH\n"),
+    (["solve", "--config"], 2, "", USAGE + "error: --config needs a value\n"),
+    (["solve", "--config", "--verbose"], 2, "", USAGE + "error: --config needs a value\n"),
+    (["solve", "--config", "CFG", "--force"], 2, "",
+     USAGE + "error: '--force' is not an option: .*\n"),
+    (["solve", "--conf", "CFG"], 2, "", USAGE + "error: '--conf' is not an option: .*\n"),
+    (["solve", "--config", "CFG", "--verbose=1"], 2, "",
+     USAGE + "error: '--verbose=1' is not an option: .*\n"),
+    (["--config", "CFG", "solve"], 2, "", USAGE + "error: '--config' is not a command: .*\n"),
+    (["solve", "--config=CFG", "--out=OUT"], 0, "", ""),
+    (["solve", "--out", "OUT", "--config", "CFG", "--verbose"], 0, "",
+     r"(\[vpequil\] .*\n)+"),
+    (["models"], 0, r"polytrope .*n0=.*\n.*tabulated models load .*\n", ""),
+    (["--help"], 0, r"The vpequil command line: .*\n\n" + USAGE + r".*\n", ""),
+    (["check", "--help"], 0, r"The vpequil command line: .*\n\n" + USAGE + r".*\n", ""),
+    (["--version"], 0, re.escape(__version__ + "\n"), ""),
+], ids=["no-arguments", "unknown-command", "no-config", "config-without-value",
+        "config-before-option", "unknown-option", "prefix", "verbose-with-value",
+        "option-before-command", "equals-form", "verbose", "models", "help", "command-help",
+        "version"])
+def test_command_line_grammar(tmp_path, capsys, argv, code, out, err):
+    # exit 2 on a malformed line, with the usage line and one line naming
+    # the argument; options are spelt in full, so --conf is refused
+    substitutes = {"CFG": write_config(tmp_path, solve_config()), "OUT": str(tmp_path / "out")}
+    argv = [re.sub("CFG|OUT", lambda m: substitutes[m[0]], arg) for arg in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert re.fullmatch(out, captured.out, re.DOTALL), captured.out
+    assert re.fullmatch(err, captured.err, re.DOTALL), captured.err
+    assert (tmp_path / "out" / "summary.json").exists() == (code == 0 and argv[0] == "solve")
+
+
 # ------------------------------------------------------------- import graph
+
+def test_cli_start_up_loads_no_argparse_dataclasses_or_typing():
+    # a fresh interpreter: importing the CLI and listing the models loads
+    # none of these modules (argparse brings gettext and locale, dataclasses
+    # brings inspect), unless the interpreter had them before
+    script = textwrap.dedent(f"""
+        import json, sys
+        sys.path.insert(0, {str(Path(vpequil.__file__).parents[1])!r})
+        before = set(sys.modules)
+        import vpequil.cli
+        vpequil.cli.main(["models"])
+        print(json.dumps(sorted(set(sys.modules) - before)))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "vpequil.cli" in loaded
+    assert not {"argparse", "gettext", "locale", "dataclasses", "inspect", "typing"} & set(loaded)
+
 
 def test_run_path_loads_no_scipy(tmp_path):
     # a fresh interpreter: importing the CLI, and running every subcommand,

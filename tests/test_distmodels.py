@@ -40,6 +40,7 @@ from vpequil.distmodels import (
     truncated_exponential,
 )
 from vpequil import distmodels
+from vpequil.compactsys import CompactState
 from vpequil.distmodels import _Pchip
 
 from oracles import _reduced, density_bruteforce, eval_dg_quadrature, eval_g_quadrature
@@ -155,6 +156,29 @@ def test_model_errors_name_their_parameter():
         with pytest.raises(ModelError) as info:
             make()
         assert info.value.key == key
+
+
+@pytest.mark.parametrize("make, attr", [
+    (lambda: polytrope(3.0), "l"),
+    (lambda: polytrope(3.0), "_kernels"),
+    (lambda: polytrope(3.0), "extra"),
+    (lambda: polytrope(3.0).family, "n"),
+    (lambda: king_model().family, "p"),
+    (lambda: tabulated_model([0, 1, 2, 3], [0, 1, 2, 3], k=1.0).family, "energies"),
+    (lambda: CompactState(0.6, 0.3, 0.3), "U"),
+    (lambda: CompactState(0.6, 0.3, 0.3), "extra"),
+], ids=["model-l", "model-kernels", "model-new", "polytrope-n", "king-p", "table-energies",
+        "state-U", "state-new"])
+def test_models_and_compact_states_are_read_only(make, attr):
+    # a model, its family and a CompactState refuse to set or delete an
+    # attribute, an existing one or a new one, and keep what they hold
+    obj = make()
+    before = getattr(obj, attr, None)
+    with pytest.raises(AttributeError):
+        setattr(obj, attr, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(obj, attr)
+    assert getattr(obj, attr, None) is before
 
 
 def test_dropped_models_leave_no_compiled_kernels_behind():
