@@ -239,42 +239,39 @@ def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol) -> float:
 
 
 def _dot(coefs, j):
-    """``0.0 + c0*k0_j + c1*k1_j + ...`` over the nonzero coefficients.
+    """``0.0 + c0*_k0_j + c1*_k1_j + ...`` over the nonzero coefficients.
 
     The products are added left to right from 0.0, as ``sum()`` adds a
     sequence of floats on 3.11; a dropped ``0.0*k`` adds a zero, which
     changes no partial sum of finite stages (none is -0.0).
     """
-    return " + ".join(["0.0", *(f"{c!r} * k{i}_{j}" for i, c in enumerate(coefs) if c != 0.0)])
+    return " + ".join(["0.0", *(f"{c!r} * _k{i}_{j}" for i, c in enumerate(coefs) if c != 0.0)])
 
 
 def _scale(j):
-    """``sc_j = atol + max(abs(y_j), abs(yn_j)) * rtol`` as two sign tests,
+    """``_sc_j = _atol + max(abs(_y_j), abs(_yn_j)) * _rtol`` as two sign tests,
     then one comparison.  ``v if v > 0.0 else 0.0 - v`` is ``abs(v)``, -0.0
     included; the comparison keeps the first argument unless the second is
     greater, as ``max`` does, nan included."""
-    return [f"sc_{j} = y_{j} if y_{j} > 0.0 else 0.0 - y_{j}",
-            f"sn_{j} = yn_{j} if yn_{j} > 0.0 else 0.0 - yn_{j}",
-            f"sc_{j} = atol + (sn_{j} if sn_{j} > sc_{j} else sc_{j}) * rtol"]
+    return [f"_sc_{j} = _y_{j} if _y_{j} > 0.0 else 0.0 - _y_{j}",
+            f"_sn_{j} = _yn_{j} if _yn_{j} > 0.0 else 0.0 - _yn_{j}",
+            f"_sc_{j} = _atol + (_sn_{j} if _sn_{j} > _sc_{j} else _sc_{j}) * _rtol"]
 
 
 def _names(prefix, n):
-    """``prefix_0, prefix_1, ..., `` as an unpacking target or tuple items."""
-    return "".join(f"{prefix}_{j}, " for j in range(n))
+    """``_prefix_0, _prefix_1, ..., `` as an unpacking target or tuple items."""
+    return "".join(f"_{prefix}_{j}, " for j in range(n))
 
 
 # A right-hand side as source: ``def f(var, y)``, ``y`` unpacked to
 # ``states``, then ``body``, whose last line returns the n derivatives;
 # ``consts`` name the values `bind` gives.  A variable the body does not read
-# is named ``_``, and no stage computes it.  The var, the states, the consts
-# and the names the body assigns must not be the loop's own names: ``t``,
-# ``h``, ``y``, ``f``, ``g``, ``buf``, ``atol``, ``rtol``, ``direction``,
-# ``toward``, ``rejected``, ``factor``, ``enumerate``, ``field``, ``loop``,
-# ``interpolant``, ``inf``, ``sqrt``, ``nextafter``, ``EvaluationError``,
-# ``pack_step``, ``pack_last`` and names that start with ``h_``, ``t_``,
-# ``n_``, ``min_``, ``err`` or end in ``_new``, ``_old`` or ``_<j>``; and a
-# name the field or the events assign must not be a const of either.
-# Generating the loop raises ValueError naming the clash (`_check_names`).
+# is named ``_``, and no stage computes it.  Every name the generated field,
+# loop and interpolant write for themselves starts with ``_``, so the var,
+# the states, the consts and the names the body assigns may be any other
+# identifier (``_`` itself aside); a name the field or the events assign
+# must not be a const of either.  Generating the loop raises ValueError
+# naming the clash (`_check_names`).
 Field = namedtuple("Field", "var states body consts")
 
 # Terminal events as source: a `Field` whose body returns one value per
@@ -290,33 +287,25 @@ def _generic(n):
     return Field("tau", z, (f"return fun(tau, [{', '.join(z)}])",), ("fun",))
 
 
-_LOOP_NAMES = frozenset((
-    "t", "h", "y", "f", "g", "buf", "atol", "rtol", "direction", "toward", "rejected",
-    "factor", "enumerate", "field", "loop", "interpolant", "inf", "sqrt", "nextafter",
-    "EvaluationError", "pack_step", "pack_last"))
-
-
-def _reserved(name):
-    return (name in _LOOP_NAMES or name.startswith(("h_", "t_", "n_", "min_", "err"))
-            or name.endswith(("_new", "_old")) or name.rpartition("_")[2].isdigit())
-
-
 def _check_names(*sources):
     """Raise ValueError when a source's var, a state, a const or a name its
-    body assigns is one of the loop's own names (see `Field`), or when a name
-    one source assigns is a const of either: written into the loop, it would
-    silently replace the loop's value."""
+    body assigns starts with ``_``, as the loop's own names do (see `Field`),
+    or when a name one source assigns is a const of either: written into the
+    loop, it would silently replace the loop's value."""
     consts = {name for source in sources for name in source.consts}
+
+    def check(role, names):
+        for name in names:
+            if name != "_" and name.startswith("_"):
+                raise ValueError(f"{role} {name!r} starts with '_', as the step loop's names do")
+            if role != "const" and name in consts:
+                raise ValueError(f"{role} {name!r} is also a bound const")
     for source in sources:
+        check("variable", (source.var,))
+        check("state", source.states)
+        check("const", source.consts)
         code = _compiled(source, "field")(*[None] * len(source.consts)).__code__
-        body = {*code.co_varnames[2:], *code.co_cellvars} - {*source.states}
-        for role, names in (("variable", (source.var,)), ("state", source.states),
-                            ("const", source.consts), ("body name", body)):
-            for name in names:
-                if name != "_" and _reserved(name):
-                    raise ValueError(f"{role} {name!r} is one of the step loop's own names")
-                if role != "const" and name in consts:
-                    raise ValueError(f"{role} {name!r} is also a bound const")
+        check("body name", {*code.co_varnames[2:], *code.co_cellvars} - {*source.states})
 
 
 def _inline(source, var, args, targets):
@@ -329,10 +318,10 @@ def _inline(source, var, args, targets):
 
 
 def _stage(s, t, field, a=None):
-    """The field's body at t and at the state of tableau row a (y_new for
-    None), its return bound to ``k{s}_0, k{s}_1, ...``."""
+    """The field's body at t and at the state of tableau row a (_yn for
+    None), its return bound to ``_k{s}_0, _k{s}_1, ...``."""
     n = len(field.states)
-    args = [f"yn_{j}" if a is None else f"y_{j} + ({_dot(a, j)}) * h" for j in range(n)]
+    args = [f"_yn_{j}" if a is None else f"_y_{j} + ({_dot(a, j)}) * _h" for j in range(n)]
     return _inline(field, t, args, _names(f"k{s}", n))
 
 
@@ -341,136 +330,135 @@ def _indent(depth, lines):
 
 
 def _source(field, name, events=None):
-    """Source of ``bind(*consts)``, which returns ``name`` bound.
+    """Source of ``_bind(*consts)``, which returns ``_<name>`` bound.
 
-    ``field(var, y)`` is the field (or the events) itself, with consts
-    ``field.consts``.  ``loop(t, y, f, g, h_abs, t_end, direction, atol,
-    rtol, buf)`` binds the field's consts, then those of ``events`` the
-    field does not bind (ValueError here when a name of either clashes
-    with the loop's own, see `Field`).  It takes accepted steps from (t,
-    y), f the field and g the event values there, and writes to ``buf`` the
-    13 stages of each step (component by component) and the node it ends
-    at, in one packed write per step (``buf.frombytes(pack_step(...))``).
-    It returns at the step that reaches t_end or on which an event fires,
-    with that step's stages written (``pack_last``) and its node not:
-    ``(t, h, t_new, y, y_new, hits, n_rejected)``, hits the indices of the
-    events that fired.  It
-    raises EvaluationError when the step size falls below ten spacings of
-    floating-point numbers at t.  ``interpolant(t_old, h, y_old, y_new, K)``
-    gives the three extra stages of a step and the piece ``_evaluate``
-    reads.
+    ``_field(var, _y)`` is the field (or the events) itself, with consts
+    ``field.consts``.  ``_loop(_t, _y, _f, _g, _h_abs, _t_end, _direction,
+    _atol, _rtol, _buf)`` binds the field's consts, then those of ``events``
+    the field does not bind (ValueError here when a name of either clashes,
+    see `Field`).  It takes accepted steps from (t, y), f the field and g
+    the event values there, and writes to ``_buf`` the 13 stages of each
+    step (component by component) and the node it ends at, in one packed
+    write per step (``_buf.frombytes(_pack_step(...))``).  It returns at the
+    step that reaches t_end or on which an event fires, with that step's
+    stages written (``_pack_last``) and its node not: ``(t, h, t_new, y,
+    y_new, hits, n_rejected)``, hits the indices of the events that fired.
+    It raises EvaluationError when the step size falls below ten spacings
+    of floating-point numbers at t.  ``_interpolant(t_old, h, y_old, y_new,
+    K)`` gives the three extra stages of a step and the piece ``_evaluate``
+    reads.  Every name the source writes for itself starts with ``_``.
     """
     n = len(field.states)
     rng = range(n)
-    stages = "".join(f"k{s}_{j}, " for j in rng for s in range(_N_K))   # buf's order
+    stages = "".join(f"_k{s}_{j}, " for j in rng for s in range(_N_K))   # buf's order
     consts = field.consts
     if name == "field":
-        lines = [f"def field({field.var}, y):", f"    {', '.join(field.states)}, = y",
+        lines = [f"def _field({field.var}, _y):", f"    {', '.join(field.states)}, = _y",
                  *(f"    {line}" for line in field.body)]
     elif name == "loop":
         _check_names(field, events)
         consts = tuple(dict.fromkeys((*field.consts, *events.consts)))   # each name once
         m = len(events.directions)
         # the event rule: a sign change in the event's direction over the step
-        fired = [f"g_{i} <= 0.0 <= gn_{i}" if d > 0 else f"g_{i} >= 0.0 >= gn_{i}"
+        fired = [f"_g_{i} <= 0.0 <= _gn_{i}" if d > 0 else f"_g_{i} >= 0.0 >= _gn_{i}"
                  for i, d in enumerate(events.directions)]
         attempt = [
-            "if h_abs < min_step:",
-            "    raise EvaluationError(",
-            '        f"step size collapsed below {min_step:.3g} at t={t:.17g}")',
-            "t_new = t + h_abs * direction",
-            "if direction * (t_new - t_end) > 0.0:",
-            "    t_new = t_end",
-            "h = t_new - t",
-            "h_abs = h * direction",                    # h has the sign of direction
+            "if _h_abs < _min_step:",
+            "    raise _EvaluationError(",
+            '        f"step size collapsed below {_min_step:.3g} at t={_t:.17g}")',
+            "_t_new = _t + _h_abs * _direction",
+            "if _direction * (_t_new - _t_end) > 0.0:",
+            "    _t_new = _t_end",
+            "_h = _t_new - _t",
+            "_h_abs = _h * _direction",                 # h has the sign of direction
             *(line for s in range(1, _N_STAGES)
-              for line in _stage(s, f"t + {_C[s]!r} * h", field, _A[s])),
-            *(f"yn_{j} = y_{j} + h * ({_dot(_B, j)})" for j in rng),
-            *_stage(12, "t_new", field),
+              for line in _stage(s, f"_t + {_C[s]!r} * _h", field, _A[s])),
+            *(f"_yn_{j} = _y_{j} + _h * ({_dot(_B, j)})" for j in rng),
+            *_stage(12, "_t_new", field),
             *(line for j in rng for line in (
                 *_scale(j),
-                f"e5_{j} = ({_dot(_E5, j)}) / sc_{j}",
-                f"e3_{j} = ({_dot(_E3, j)}) / sc_{j}")),
-            f"err5 = 0.0 + {' + '.join(f'e5_{j} * e5_{j}' for j in rng)}",
-            f"err3 = 0.0 + {' + '.join(f'e3_{j} * e3_{j}' for j in rng)}",
+                f"_e5_{j} = ({_dot(_E5, j)}) / _sc_{j}",
+                f"_e3_{j} = ({_dot(_E3, j)}) / _sc_{j}")),
+            f"_err5 = 0.0 + {' + '.join(f'_e5_{j} * _e5_{j}' for j in rng)}",
+            f"_err3 = 0.0 + {' + '.join(f'_e3_{j} * _e3_{j}' for j in rng)}",
             # the step-size control of scipy's DOP853, with max() and min()
             # written as the comparisons they make.  err5 = 0 gives the norm 0
             # whatever err3 is: where 0.01 err3 underflows, scipy divides 0 by
             # 0 (nan, a rejection), and a float division would raise
-            "if err5 == 0.0:",
-            "    err_norm = 0.0",
+            "if _err5 == 0.0:",
+            "    _err_norm = 0.0",
             "else:",
-            f"    err_norm = h_abs * err5 / sqrt((err5 + 0.01 * err3) * {n})",
-            "if err_norm < 1.0:",
-            "    if err_norm == 0.0:",
-            f"        factor = {MAX_FACTOR!r}",
+            f"    _err_norm = _h_abs * _err5 / _sqrt((_err5 + 0.01 * _err3) * {n})",
+            "if _err_norm < 1.0:",
+            "    if _err_norm == 0.0:",
+            f"        _factor = {MAX_FACTOR!r}",
             "    else:",
-            f"        factor = {SAFETY!r} * err_norm ** {_ERROR_EXPONENT!r}",
-            f"        if not factor < {MAX_FACTOR!r}:",
-            f"            factor = {MAX_FACTOR!r}",
-            "    if rejected and not factor < 1.0:",
-            "        factor = 1.0",
-            "    h_abs *= factor",
+            f"        _factor = {SAFETY!r} * _err_norm ** {_ERROR_EXPONENT!r}",
+            f"        if not _factor < {MAX_FACTOR!r}:",
+            f"            _factor = {MAX_FACTOR!r}",
+            "    if _rejected and not _factor < 1.0:",
+            "        _factor = 1.0",
+            "    _h_abs *= _factor",
             "    break",
-            f"factor = {SAFETY!r} * err_norm ** {_ERROR_EXPONENT!r}",
-            f"h_abs *= factor if factor > {MIN_FACTOR!r} else {MIN_FACTOR!r}",
-            "rejected = True",
-            "n_rejected += 1",
+            f"_factor = {SAFETY!r} * _err_norm ** {_ERROR_EXPONENT!r}",
+            f"_h_abs *= _factor if _factor > {MIN_FACTOR!r} else {MIN_FACTOR!r}",
+            "_rejected = True",
+            "_n_rejected += 1",
         ]
         lines = [
-            "def loop(t, y, f, g, h_abs, t_end, direction, atol, rtol, buf):",
-            f"    {_names('y', n)}= y",
-            f"    {_names('k0', n)}= f",
-            *([f"    {_names('g', m)}= g"] if m else []),
-            "    toward = direction * inf",
-            "    n_rejected = 0",
+            "def _loop(_t, _y, _f, _g, _h_abs, _t_end, _direction, _atol, _rtol, _buf):",
+            f"    {_names('y', n)}= _y",
+            f"    {_names('k0', n)}= _f",
+            *([f"    {_names('g', m)}= _g"] if m else []),
+            "    _toward = _direction * _inf",
+            "    _n_rejected = 0",
             "    while True:",
             # the spacing has the sign of direction: times it, its abs()
-            "        min_step = 10.0 * (direction * (nextafter(t, toward) - t))",
-            "        if min_step > h_abs:",
-            "            h_abs = min_step",
-            "        rejected = False",
+            "        _min_step = 10.0 * (_direction * (_nextafter(_t, _toward) - _t))",
+            "        if _min_step > _h_abs:",
+            "            _h_abs = _min_step",
+            "        _rejected = False",
             "        while True:",
             *_indent(3, attempt),
-            *(_indent(2, _inline(events, "t_new", [f"yn_{j}" for j in rng], _names("gn", m)))
+            *(_indent(2, _inline(events, "_t_new", [f"_yn_{j}" for j in rng], _names("gn", m)))
               if m else []),
-            f"        if {' or '.join(['direction * (t_new - t_end) >= 0.0', *fired])}:",
-            f"            buf.frombytes(pack_last({stages}))",
-            f"            return (t, h, t_new, [{_names('y', n)}], [{_names('yn', n)}], "
-            f"[i for i, hit in enumerate(({''.join(f'{c}, ' for c in fired)})) if hit], "
-            "n_rejected)",
-            f"        buf.frombytes(pack_step({stages}t_new, {_names('yn', n)}))",
-            "        t = t_new",
-            *(f"        y_{j} = yn_{j}" for j in rng),
-            *(f"        k0_{j} = k12_{j}" for j in rng),
-            *(f"        g_{i} = gn_{i}" for i in range(m)),
+            f"        if {' or '.join(['_direction * (_t_new - _t_end) >= 0.0', *fired])}:",
+            f"            _buf.frombytes(_pack_last({stages}))",
+            f"            return (_t, _h, _t_new, [{_names('y', n)}], [{_names('yn', n)}], "
+            f"[_i for _i, _hit in _enumerate(({''.join(f'{c}, ' for c in fired)})) if _hit], "
+            "_n_rejected)",
+            f"        _buf.frombytes(_pack_step({stages}_t_new, {_names('yn', n)}))",
+            "        _t = _t_new",
+            *(f"        _y_{j} = _yn_{j}" for j in rng),
+            *(f"        _k0_{j} = _k12_{j}" for j in rng),
+            *(f"        _g_{i} = _gn_{i}" for i in range(m)),
         ]
     else:
         lines = [
-            "def interpolant(t_old, h, y_old, y_new, K):",
-            f"    {_names('y', n)}= y_old",
-            f"    {stages}= K",
+            "def _interpolant(_t_old, _h, _y_old, _y_new, _K):",
+            f"    {_names('y', n)}= _y_old",
+            f"    {stages}= _K",
             *(f"    {line}" for s, (c, a) in enumerate(zip(_C_EXTRA, _A_EXTRA), start=_N_K)
-              for line in _stage(s, f"t_old + {c!r} * h", field, a)),
-            f"    {_names('yn', n)}= y_new",
-            *(f"    d_{j} = yn_{j} - y_{j}" for j in rng),
-            "    return t_old, h, y_old, [",
-            *(f"        (d_{j}, h * k0_{j} - d_{j}, 2.0 * d_{j} - h * (k12_{j} + k0_{j}), "
-              + ", ".join(f"h * ({_dot(d, j)})" for d in _D) + ")," for j in rng),
+              for line in _stage(s, f"_t_old + {c!r} * _h", field, a)),
+            f"    {_names('yn', n)}= _y_new",
+            *(f"    _d_{j} = _yn_{j} - _y_{j}" for j in rng),
+            "    return _t_old, _h, _y_old, [",
+            *(f"        (_d_{j}, _h * _k0_{j} - _d_{j}, 2.0 * _d_{j} - _h * (_k12_{j} + _k0_{j}), "
+              + ", ".join(f"_h * ({_dot(d, j)})" for d in _D) + ")," for j in rng),
             "    ]",
         ]
-    return "\n    ".join([f"def bind({', '.join(consts)}):", *lines,
-                           f"return {name}"]) + "\n"
+    return "\n    ".join([f"def _bind({', '.join(consts)}):", *lines,
+                           f"return _{name}"]) + "\n"
 
 
-# the loop's own names beside its consts
-_LOOP_GLOBALS = {"inf": math.inf, "nextafter": math.nextafter, "sqrt": math.sqrt,
-                 "EvaluationError": EvaluationError}
+# the names the generated sources read beside their consts
+_LOOP_GLOBALS = {"_inf": math.inf, "_nextafter": math.nextafter, "_sqrt": math.sqrt,
+                 "_EvaluationError": EvaluationError, "_enumerate": enumerate}
 
 
 @functools.cache
 def _compiled(field, name, events=None):
-    """``bind`` of ``_source(field, name, events)``, compiled on first use
+    """``_bind`` of ``_source(field, name, events)``, compiled on first use
     and on its own, so the compiler's peak memory is that of one function
     (about 1.2 MB for the compact flow's loop).  A loop gets the packs of
     its state size n: 14n + 1 native doubles for a step's stages and node,
@@ -478,10 +466,10 @@ def _compiled(field, name, events=None):
     namespace = dict(_LOOP_GLOBALS)
     if name == "loop":
         n = len(field.states)
-        namespace["pack_step"] = struct.Struct(f"{(_N_K + 1) * n + 1}d").pack
-        namespace["pack_last"] = struct.Struct(f"{_N_K * n}d").pack
+        namespace["_pack_step"] = struct.Struct(f"{(_N_K + 1) * n + 1}d").pack
+        namespace["_pack_last"] = struct.Struct(f"{_N_K * n}d").pack
     exec(compile(_source(field, name, events), f"<dop853 {name}>", "exec"), namespace)
-    return namespace["bind"]
+    return namespace["_bind"]
 
 
 def bind(field, *values):

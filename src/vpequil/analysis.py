@@ -280,11 +280,13 @@ def _bisect_transition(model, lo, hi, lo_is_finite, rel_tol, failures):
 def _refine_spike(model, a, b, rel_tol, failures, threshold):
     """Golden-section style maximisation of R(omega_c) between the grid
     neighbours of a spike; the spike counts as critical only when the
-    refined radius keeps growing past the detection threshold."""
-    best = -math.inf
+    refined radius keeps growing past the detection threshold.  A failed
+    probe is recorded at its own omega_c."""
+    best, probe = -math.inf, None
 
     def radius_at(w):
-        nonlocal best
+        nonlocal best, probe
+        probe = w
         prof = integrate_physical(model, w, rel_tol=rel_tol)
         r = float(prof.radius)
         if prof.classification != FINITE_RADIUS:
@@ -301,7 +303,7 @@ def _refine_spike(model, a, b, rel_tol, failures, threshold):
             else:
                 b = m2
     except _SOLVE_ERRORS as exc:
-        failures.append((0.5 * (a + b), f"{type(exc).__name__}: {exc}"))
+        failures.append((probe, f"{type(exc).__name__}: {exc}"))
         return None
     if best > threshold:
         return 0.5 * (a + b)
@@ -398,6 +400,6 @@ def sweep_omega_c(model: DistributionModel, omega_grid,
                        failures=failures)
 
 
-def write_sweep_csv(result: SweepResult, path, precision: int = 17) -> None:
+def write_sweep_csv(result: SweepResult, path) -> None:
     """Deterministic five-column CSV of the sweep entries."""
-    write_csv(path, "omega_c,R,M,class,label", result.entries, precision)
+    write_csv(path, "omega_c,R,M,class,label", result.entries)

@@ -23,11 +23,12 @@ exit status is 0 on success, 2 for a malformed command line (the usage
 line, then one line naming the argument) or an invalid config (one line
 naming the key), and 1 for a failed run.
 
-All numeric output uses fixed significant-digit formatting, so a repeated
+A config holds a model block and a run block.  Every CSV number is
+written at 17 significant digits, which round-trip a double, so a repeated
 invocation with the same config produces byte-identical files.  The JSON
-summary ({tool_version, config, results}) is always written last: a failed
-run never leaves a partial summary behind.  Units are gravitational
-(G = 1); there is no unit-conversion layer.
+summary ({tool_version, config, results}, config the resolved {model, run})
+is always written last: a failed run never leaves a partial summary
+behind.  Units are gravitational (G = 1); there is no unit-conversion layer.
 """
 
 from __future__ import annotations
@@ -92,13 +93,6 @@ def _run_error(exc: SettingError) -> ConfigError:
     (`_RUN_KEY`, from the command table) given its path:
     ``omega_grid[1] = ...`` reads ``run.omega_grid[1] = ...``."""
     return ConfigError(_RUN_KEY.sub(r"run.\1", str(exc)))
-
-
-class RunConfig:
-    """Validated configuration: built model plus resolved key/value blocks."""
-
-    def __init__(self, model, run, output, resolved):
-        self.model, self.run, self.output, self.resolved = model, run, output, resolved
 
 
 def _require_number(value, path, integer=False):
@@ -205,8 +199,9 @@ def _validate_run(block, model):
     return run
 
 
-def parse_config(path) -> RunConfig:
-    """Load and validate a JSON config; raise ConfigError with the key path."""
+def parse_config(path) -> tuple:
+    """Load and validate a JSON config: (the built model, the resolved
+    ``{model, run}`` blocks); raise ConfigError with the key path."""
     try:
         with open(path) as fh:
             # an integer past int()'s digit limit is read as its first 400
@@ -221,27 +216,12 @@ def parse_config(path) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     for key in data:
-        if key not in ("model", "run", "output"):
+        if key not in ("model", "run"):
             raise ConfigError(f"'{key}' is not a recognised top-level key")
     if "model" not in data:
         raise ConfigError("model block is required")
     model, model_resolved = _build_model(data["model"], os.path.dirname(os.path.abspath(path)))
-    run = _validate_run(data.get("run", {}), model)
-
-    output = data.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output block must be a mapping")
-    for key in output:
-        if key != "precision":
-            raise ConfigError(f"output.{key} is not a recognised key")
-    precision = _require_number(output.get("precision", 17), "output.precision",
-                                integer=True)
-    if not 1 <= precision <= 17:
-        raise ConfigError(f"output.precision must be in [1, 17], got {precision}")
-    output = {"precision": precision}
-
-    resolved = {"model": model_resolved, "run": run, "output": output}
-    return RunConfig(model=model, run=run, output=output, resolved=resolved)
+    return model, {"model": model_resolved, "run": _validate_run(data.get("run", {}), model)}
 
 
 # ----------------------------------------------------------------- output
@@ -282,16 +262,15 @@ _SOLVE_DIAGNOSTICS = ("n_steps", "n_rejected", "n_rhs_evals", "termination",
                       "decade_mass_ratio")
 
 
-def cmd_solve(cfg: RunConfig, args) -> dict:
-    omega_c = cfg.run["omega_c"]
+def cmd_solve(model, run, args) -> dict:
+    omega_c = run["omega_c"]
     _note(args, f"solving omega_c={omega_c:g}")
     try:
-        profile = integrate_physical(cfg.model, **cfg.run)
+        profile = integrate_physical(model, **run)
     except OverflowError as exc:   # a power of r or omega in a step, at large l
-        raise OverflowError(f"model.l = {cfg.model.l:g}: {exc}") from None
-    labels = classify_solution(cfg.model, profile)
-    write_profile_csv(profile, os.path.join(args.out, "profile.csv"),
-                      cfg.output["precision"])
+        raise OverflowError(f"model.l = {model.l:g}: {exc}") from None
+    labels = classify_solution(model, profile)
+    write_profile_csv(profile, os.path.join(args.out, "profile.csv"))
     return {
         "omega_c": omega_c,
         "radius": profile.radius,
@@ -306,10 +285,10 @@ def cmd_solve(cfg: RunConfig, args) -> dict:
     }
 
 
-def cmd_sweep(cfg: RunConfig, args) -> dict:
-    _note(args, f"sweeping {len(cfg.run['omega_grid'])} amplitudes")
-    result = sweep_omega_c(cfg.model, **cfg.run)
-    write_sweep_csv(result, os.path.join(args.out, "sweep.csv"), cfg.output["precision"])
+def cmd_sweep(model, run, args) -> dict:
+    _note(args, f"sweeping {len(run['omega_grid'])} amplitudes")
+    result = sweep_omega_c(model, **run)
+    write_sweep_csv(result, os.path.join(args.out, "sweep.csv"))
     return {
         "n_entries": len(result.entries),
         "critical_values": list(result.critical_values),
@@ -318,25 +297,23 @@ def cmd_sweep(cfg: RunConfig, args) -> dict:
     }
 
 
-def cmd_portrait(cfg: RunConfig, args) -> dict:
-    prec = cfg.output["precision"]
-    rest = {k: v for k, v in cfg.run.items() if k != "orbits"}
+def cmd_portrait(model, run, args) -> dict:
+    rest = {k: v for k, v in run.items() if k != "orbits"}
 
-    lines = fixed_lines(cfg.model.l)
+    lines = fixed_lines(model.l)
     write_csv(os.path.join(args.out, "fixed_lines.csv"),
               "name,U,Q,eig1,eig2,eig3,kind",
               [(line.name, line.U, line.Q, *line.eigenvalues, line.kind)
-               for line in lines], prec)
+               for line in lines])
 
     records = []
-    for i, (u, q, om) in enumerate(cfg.run["orbits"]):
+    for i, (u, q, om) in enumerate(run["orbits"]):
         _note(args, f"orbit {i}: start=({u:g}, {q:g}, {om:g})")
-        orbit = integrate_compact(cfg.model, CompactState(U=u, Q=q, Omega=om), **rest)
+        orbit = integrate_compact(model, CompactState(U=u, Q=q, Omega=om), **rest)
         write_csv(os.path.join(args.out, f"orbit_{i:03d}.csv"),
                   "lambda,U,Q,Omega,xi,log_Z,Phi,S1",
                   zip(orbit.lam, orbit.U, orbit.Q, orbit.Omega, orbit.xi, orbit.log_Z,
-                      orbit.Phi, ["1" if v else "0" for v in orbit.S1]),
-                  prec)
+                      orbit.Phi, ["1" if v else "0" for v in orbit.S1]))
         records.append({"initial": [u, q, om], "termination": orbit.termination,
                         "limit_label": orbit.limit_label,
                         "n_samples": len(orbit.lam),
@@ -346,11 +323,11 @@ def cmd_portrait(cfg: RunConfig, args) -> dict:
     return {"orbits": records, "backward": rest.get("backward", False)}
 
 
-def cmd_check(cfg: RunConfig, args) -> dict:
-    omega_c = cfg.run["omega_c"]
+def cmd_check(model, run, args) -> dict:
+    omega_c = run["omega_c"]
     _note(args, "computing critical amplitude")
-    t1 = check_theorem1(cfg.model, omega_c)
-    t2 = check_theorem2(cfg.model, omega_c)
+    t1 = check_theorem1(model, omega_c)
+    t2 = check_theorem2(model, omega_c)
     return {"T1": t1._asdict(), "T2": t2._asdict(), "omega_crit": t2.witness["omega_crit"]}
 
 
@@ -454,15 +431,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "models":
             return handler(args)
-        cfg = parse_config(args.config)
-        cfg.run = {k: v for k, v in cfg.run.items() if k in keys}
-        cfg.resolved["run"] = cfg.run
-        _make_out(args.out)
-        if required not in cfg.run:
+        model, config = parse_config(args.config)
+        run = config["run"] = {k: v for k, v in config["run"].items() if k in keys}
+        if required not in run:
             raise ConfigError(f"run.{required} is required by the {args.command} command")
-        results = handler(cfg, args)   # the summary goes last: a failed run leaves none
+        _make_out(args.out)
+        results = handler(model, run, args)   # the summary goes last: a failed run leaves none
         _write_json(os.path.join(args.out, "summary.json"),
-                    {"tool_version": __version__, "config": cfg.resolved, "results": results})
+                    {"tool_version": __version__, "config": config, "results": results})
         return 0
     except (ConfigError, SettingError) as exc:   # a SettingError: a relation a command checks
         print(f"config error: {_run_error(exc) if isinstance(exc, SettingError) else exc}",

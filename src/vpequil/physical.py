@@ -301,8 +301,8 @@ def integrate_physical(model: DistributionModel, omega_c: float,
                            diagnostics=diagnostics, _dense=sol, _centre=centre)
 
 
-def write_csv(path, header: str, rows, precision: int = 17) -> None:
-    """CSV with numbers at `precision` significant digits; strings pass through.
+def write_csv(path, header: str, rows) -> None:
+    """CSV with numbers at 17 significant digits; strings pass through.
 
     The first row's column types fix one %-template for the whole file, so
     every row must hold a string where the first one does.
@@ -311,15 +311,15 @@ def write_csv(path, header: str, rows, precision: int = 17) -> None:
     first = next(rows, None)
     lines = [header]
     if first is not None:
-        template = ",".join("%s" if isinstance(x, str) else f"%.{precision}g" for x in first)
+        template = ",".join("%s" if isinstance(x, str) else "%.17g" for x in first)
         lines.append(template % tuple(first))
         lines += [template % tuple(row) for row in rows]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_profile_csv(profile: SolutionProfile, path, precision: int = 17) -> None:
+def write_profile_csv(profile: SolutionProfile, path) -> None:
     """Deterministic five-column CSV of the step points."""
     s = profile.samples
     write_csv(path, "r,m,omega,rho,p_rad",
-              zip(*(s[k] for k in ("r", "m", "omega", "rho", "p_rad"))), precision)
+              zip(*(s[k] for k in ("r", "m", "omega", "rho", "p_rad"))))

@@ -563,6 +563,46 @@ def test_refinement_probes_propagate_programming_errors(monkeypatch, make_solver
         sweep_omega_c(polytrope(n=1), grid)
 
 
+@pytest.mark.parametrize("make_solver, grid", [
+    (lambda: transition_solver(1.2345), list(np.linspace(0.5, 2.0, 7))),
+    (lambda: spike_solver(0.700001), list(np.linspace(0.3, 1.1, 9))),
+], ids=["bisection", "spike"])
+def test_refinement_probe_failure_is_recorded_at_its_omega(monkeypatch, make_solver, grid):
+    # a numerical failure in the first refinement probe ends that
+    # refinement: the failure names the probe's omega_c, and the sweep
+    # returns its grid entries with no critical value
+    solve, probes = make_solver(), []
+
+    def probe_fails(model, omega_c, rel_tol=1e-10):
+        if omega_c not in grid:
+            probes.append(omega_c)
+            raise RuntimeError("synthetic probe failure")
+        return solve(model, omega_c, rel_tol)
+    monkeypatch.setattr(analysis, "integrate_physical", probe_fails)
+    result = sweep_omega_c(polytrope(n=1), grid)
+    assert [e.omega_c for e in result.entries] == grid
+    assert result.critical_values == []
+    assert len(probes) == 1
+    assert result.failures == [(probes[0], "RuntimeError: synthetic probe failure")]
+
+
+def test_one_node_radius_glitch_refines_to_no_critical_value(monkeypatch):
+    # radius 1e6 at exactly one grid node and 1 everywhere else: the node is
+    # a spike, 1e6 times its neighbours' median, but no refinement probe
+    # between its neighbours finds a radius past the threshold
+    grid = list(np.linspace(0.3, 1.1, 9))
+    probes = []
+
+    def glitch(model, omega_c, rel_tol=1e-10):
+        if omega_c not in grid:
+            probes.append(omega_c)
+        return FakeProfile(1e6 if omega_c == grid[4] else 1.0, omega_c, FINITE_RADIUS)
+    monkeypatch.setattr(analysis, "integrate_physical", glitch)
+    result = sweep_omega_c(polytrope(n=1), grid)
+    assert probes and all(grid[3] < w < grid[5] for w in probes)
+    assert result.critical_values == [] and result.failures == []
+
+
 def test_write_sweep_csv(tmp_path):
     result = sweep_omega_c(polytrope(n=6), [0.5, 1.0])
     path = tmp_path / "sweep.csv"
@@ -576,8 +616,7 @@ def test_write_sweep_csv(tmp_path):
     assert fields[3] == INFINITE_UNDETERMINED
     write_sweep_csv(result, tmp_path / "sweep2.csv")
     assert (tmp_path / "sweep2.csv").read_bytes() == path.read_bytes()
-    write_sweep_csv(result, tmp_path / "sweep3.csv", precision=3)
-    row = (tmp_path / "sweep3.csv").read_text().splitlines()[2].split(",")
+    row = lines[2].split(",")
     assert row[:3] == ["1", "inf", "inf"]
     assert row[3] == INFINITE_UNDETERMINED
 

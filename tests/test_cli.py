@@ -46,10 +46,12 @@ def load_summary(out_dir):
 # ------------------------------------------------------------ config parsing
 
 def test_parse_minimal_polytrope(tmp_path):
-    cfg = parse_config(write_config(tmp_path, {"model": {"family": "polytrope", "n": 1.0}}))
-    assert cfg.model.l == 0.0
-    assert cfg.model.family.n == 1.0
-    assert cfg.output["precision"] == 17
+    model, config = parse_config(write_config(tmp_path, {"model": {"family": "polytrope",
+                                                                   "n": 1.0}}))
+    assert model.l == 0.0
+    assert model.family.n == 1.0
+    assert config == {"model": {"family": "polytrope", "l": 0.0, "n": 1.0, "phi_minus": 1.0},
+                      "run": {}}
 
 
 def test_parse_rejects_unknown_top_key(tmp_path):
@@ -95,15 +97,41 @@ def test_parse_rejects_removed_solve_overrides(tmp_path, capsys, key, value):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("precision, code", [(17, 0), (18, 2), (0, 2)])
-def test_precision_bounds(tmp_path, capsys, precision, code):
-    cfg = solve_config()
-    cfg["output"] = {"precision": precision}
+ORBIT = [0.6, 0.3, 0.3]
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"model": {"family": "truncated-exponential", "p": 1.5}},
+     "model.p must be an integer, got 1.5"),
+    ({"model": [POLYTROPE3]}, "model block must be a mapping"),
+    ({"model": {"family": "plummer"}},
+     "model.family must be one of polytrope, truncated-exponential, tabulated, "
+     "got 'plummer'"),
+    ({"model": {"family": "tabulated", "table": 3, "k": 1.0}},
+     "model.table must be a path string, got 3"),
+    ({"model": POLYTROPE3, "run": [ORBIT]}, "run block must be a mapping"),
+    ({"model": POLYTROPE3, "run": {"orbits": [ORBIT], "backward": 1}},
+     "run.backward must be true or false"),
+    ({"model": POLYTROPE3, "run": {"orbits": []}},
+     "run.orbits must be a non-empty list of [U, Q, Omega] triples"),
+    ({"model": POLYTROPE3, "run": {"orbits": ORBIT[0]}},
+     "run.orbits must be a non-empty list of [U, Q, Omega] triples"),
+    ({"model": POLYTROPE3, "run": {"orbits": [ORBIT, ORBIT[:2]]}},
+     "run.orbits[1] must be a [U, Q, Omega] triple"),
+    ([POLYTROPE3], "config root must be a mapping"),
+    ({"run": {"omega_c": 0.5}}, "model block is required"),
+    ({"model": POLYTROPE3, "run": {"omega_c": 0.5}, "output": {"precision": 17}},
+     "'output' is not a recognised top-level key"),
+], ids=["p-not-integer", "model-not-mapping", "unknown-family", "table-not-string",
+        "run-not-mapping", "backward-not-bool", "orbits-empty", "orbits-not-list",
+        "orbit-not-triple", "root-not-mapping", "no-model", "output-block"])
+def test_config_shape_exits_2_with_one_line(tmp_path, capsys, cfg, message):
+    # every CSV is written at 17 digits: a config that still sets the
+    # output block is refused like any other unknown top-level key
     out = tmp_path / "out"
-    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == code
-    if code:
-        assert "output.precision must be in [1, 17]" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_parse_rejects_k_prime_key(tmp_path, capsys):
@@ -143,7 +171,7 @@ def test_parse_rejects_amplitude_past_table_end(tmp_path, capsys):
     table.write_text("0.0,0.0\n1.0,1.7\n2.0,6.4\n3.0,19.1\n")
     model = {"family": "tabulated", "table": str(table), "k": 1.0}
     ok = write_config(tmp_path, {"model": model, "run": {"omega_c": 3.0}}, name="ok.json")
-    assert parse_config(ok).run["omega_c"] == 3.0   # the grid end itself is allowed
+    assert parse_config(ok)[1]["run"]["omega_c"] == 3.0   # the grid end itself is allowed
     for run, key in (({"omega_c": 4.98}, "run.omega_c"),
                      ({"omega_grid": [0.5, 3.5]}, r"run.omega_grid\[1\]")):
         path = write_config(tmp_path, {"model": model, "run": run})
@@ -236,7 +264,7 @@ def test_table_comments_and_blank_lines_are_skipped(tmp_path):
                          + "\n".join(rows[5:]) + "\n")
     models = [parse_config(write_config(tmp_path, {"model": {"family": "tabulated",
                                                              "table": str(table), "k": 1.0}},
-                                        name=f"{table.stem}.json")).model
+                                        name=f"{table.stem}.json"))[0]
               for table in (plain, commented)]
     assert models[0].family.energies == models[1].family.energies
     assert models[0].family.values == models[1].family.values
@@ -266,7 +294,7 @@ def test_parse_rejects_orbit_potential_past_table_end(tmp_path, capsys):
     model = {"family": "tabulated", "table": str(table), "k": 1.0}
     ok = write_config(tmp_path, {"model": model, "run": {"orbits": [[0.5, 0.5, 0.7]]}},
                       name="ok.json")   # omega = 7/3, below the grid end
-    assert parse_config(ok).run["orbits"] == [[0.5, 0.5, 0.7]]
+    assert parse_config(ok)[1]["run"]["orbits"] == [[0.5, 0.5, 0.7]]
     # an orbit stops at the grid end, so none starts at it (omega = 3) or past it
     for far in (0.75, 0.8):
         path = write_config(tmp_path, {"model": model,
@@ -278,8 +306,7 @@ def test_parse_rejects_orbit_potential_past_table_end(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cfg, key", [
-    ({"model": {"family": "polytrope", "n": 1.0}, "output": {"precision": math.inf}},
-     "output.precision"),
+    ({"model": {"family": "polytrope", "n": 1.0, "l": -math.inf}}, "model.l"),
     ({"model": {"family": "truncated-exponential", "p": math.nan}}, "model.p"),
     ({"model": {"family": "polytrope", "n": math.inf}}, "model.n"),
     ({"model": {"family": "polytrope", "n": 1.0}, "run": {"omega_c": math.inf}},
@@ -310,11 +337,9 @@ DIGITS_5001 = "1" + "0" * 5000
     ("sweep", {"model": POLYTROPE3, "run": {"omega_grid": [0.3, HUGE]}}, "run.omega_grid[1]"),
     ("portrait", {"model": POLYTROPE3, "run": {"orbits": [[0.6, HUGE, 0.3]]}},
      "run.orbits[0]"),
-    ("solve", {"model": POLYTROPE3, "run": {"omega_c": 0.5}, "output": {"precision": HUGE}},
-     "output.precision"),
     ("solve", {"model": {"family": "polytrope", "n": "DIGITS_5001"}, "run": {"omega_c": 0.5}},
      "model.n"),
-], ids=["model-n", "omega_c", "omega_grid", "orbits", "precision", "model-n-5001-digits"])
+], ids=["model-n", "omega_c", "omega_grid", "orbits", "model-n-5001-digits"])
 def test_huge_integer_exits_2_naming_its_key(tmp_path, capsys, command, cfg, key):
     out = tmp_path / "out"
     path = Path(write_config(tmp_path, cfg))
@@ -334,9 +359,9 @@ def test_parse_rejects_foreign_family_key(tmp_path):
 def test_parse_omega_grid_forms(tmp_path):
     # the grid is a list of numbers; a start/stop/count mapping is refused
     base = {"family": "polytrope", "n": 1}
-    cfg = parse_config(write_config(tmp_path, {
+    _, config = parse_config(write_config(tmp_path, {
         "model": base, "run": {"omega_grid": [0.1, 0.7]}}))
-    assert cfg.run["omega_grid"] == [0.1, 0.7]
+    assert config["run"]["omega_grid"] == [0.1, 0.7]
     with pytest.raises(ConfigError, match=r"^run.omega_grid must be a list of numbers, got \{"):
         parse_config(write_config(tmp_path, {
             "model": base, "run": {"omega_grid": {"start": 0.5, "stop": 2.0, "count": 4}}},
@@ -477,16 +502,6 @@ def test_solve_profile_matches_library_writer(tmp_path):
     assert (out / "profile.csv").read_bytes() == ref.read_bytes()
 
 
-def test_solve_honors_precision(tmp_path):
-    cfg = solve_config()
-    cfg["output"] = {"precision": 8}
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
-    assert main(["solve", "--config", path, "--out", str(out)]) == 0
-    row = (out / "profile.csv").read_text().splitlines()[1].split(",")
-    assert row[0] == f"{float(row[0]):.8g}"
-
-
 def test_solve_failure_leaves_no_summary(tmp_path, capsys):
     # the cutoff is 1e6 natural lengths, no setting: a config that still sets
     # r_max, here inside the start, is refused before any solve
@@ -599,7 +614,7 @@ def test_check_past_the_kernel_switch_at_large_l(tmp_path):
                                           ("portrait", "orbits"), ("check", "omega_c")])
 def test_each_command_names_its_required_key(tmp_path, capsys, command, key):
     # a run block without the command's one required key (it holds the
-    # others') exits 2 naming it, and writes no summary
+    # others') exits 2 naming it, before the output directory is made
     run = {"omega_c": 0.5, "omega_grid": [0.5], "orbits": [[0.6, 0.3, 0.3]]}
     del run[key]
     path = write_config(tmp_path, {"model": KING, "run": run})
@@ -607,7 +622,7 @@ def test_each_command_names_its_required_key(tmp_path, capsys, command, key):
     assert main([command, "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"config error: run.{key} is required by the "
                                        f"{command} command\n")
-    assert not (out / "summary.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, model, run, message", [
@@ -701,7 +716,7 @@ def test_config_fuzz_exits_cleanly_with_one_line(tmp_path, capsys):
         assert err.count("\n") == (code > 0), case
         if code == 2:
             assert err.startswith("config error: "), case
-            assert re.search(r"\b(model|run|output)\.\w", err), case
+            assert re.search(r"\b(model|run)\.\w", err), case
         if code == 1:
             assert err.startswith("error: ") and "ZeroDivisionError" not in err, case
             assert not err.endswith("math domain error\n") and not re.search(r"\(\d+, '", err), case
@@ -731,12 +746,12 @@ def test_sweep_matches_library_writer(tmp_path):
     from vpequil.distmodels import polytrope
 
     cfg = {"model": {"family": "polytrope", "n": 1.0},
-           "run": {"omega_grid": [0.5, 1.25]}, "output": {"precision": 7}}
+           "run": {"omega_grid": [0.5, 1.25]}}
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["sweep", "--config", path, "--out", str(out)]) == 0
     ref = tmp_path / "ref.csv"
-    write_sweep_csv(sweep_omega_c(polytrope(n=1.0), [0.5, 1.25]), ref, precision=7)
+    write_sweep_csv(sweep_omega_c(polytrope(n=1.0), [0.5, 1.25]), ref)
     assert (out / "sweep.csv").read_bytes() == ref.read_bytes()
 
 

@@ -433,6 +433,21 @@ def test_step_size_collapse_raises():
         dop853(lambda t, y: [y[0] * y[0]], 0.0, [1.0], 2.0, 1e-10, 1e-30, levels(1))
 
 
+def test_derivative_too_large_for_the_step_control_raises():
+    # f = 1e308 over an error scale of 1e-10 overflows the initial-step norm
+    with pytest.raises(EvaluationError, match="too large for the step control"):
+        dop853(lambda t, y: [1e308], 0.0, [1.0], 1.0, 1e-10, 1e-12, levels(1))
+
+
+def test_field_and_events_binding_a_const_differently_raises():
+    # a const the field and the events share is bound once in the loop
+    field = polynomial_field(1, 1)
+    events = _ode.Events("tau", ("u0",), ("return u0 - c[0][0],",), ("c",), (1,))
+    fun = _ode.bind(field, [[0.0, 1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="bind c to different values"):
+        dop853(fun, 0.0, [0.0], 1.0, 1e-10, 1e-12, _ode.bind(events, [[0.5, 0.0, 0.0, 0.0]]))
+
+
 def test_bad_event_direction_rejected():
     with pytest.raises(ValueError, match="direction"):
         dop853(oscillator, 0.0, [0.0, 1.0], 1.0, 1e-8, 1e-8, levels(2, (0, 0.0, 0)))
@@ -768,7 +783,7 @@ def scale_function():
     """The loop's error-scale lines for one component as a function."""
     lines = "".join(f"    {line}\n" for line in _ode._scale(0))
     namespace = {}
-    exec(f"def scale(atol, y_0, yn_0, rtol):\n{lines}    return sc_0\n", namespace)
+    exec(f"def scale(_atol, _y_0, _yn_0, _rtol):\n{lines}    return _sc_0\n", namespace)
     return namespace["scale"]
 
 
@@ -818,14 +833,14 @@ SHIPPED_SOURCES = {
 def test_flow_loops_call_no_builtin():
     # the loops of both flows, the physical one with the polytrope's kernel
     # written in and with the call kernel(omega): the loop's own calls are
-    # nextafter, the packs and frombytes
+    # _nextafter, the packs and frombytes
     assert "kernel(omega)" in "".join(SHIPPED_SOURCES["physical kernel(omega)"][0].body)
     for name in ("physical polytrope", "physical kernel(omega)", "compact"):
         field, events = SHIPPED_SOURCES[name]
         consts = dict.fromkeys((*field.consts, *events.consts))
         names = set(_ode._compiled(field, "loop", events)(*consts).__code__.co_names)
         assert not names & {"abs", "max", "min", "sum", "len", "extend"}, name
-        assert {"nextafter", "pack_step", "pack_last", "frombytes"} <= names, name
+        assert {"_nextafter", "_pack_step", "_pack_last", "frombytes"} <= names, name
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_SOURCES))
@@ -839,15 +854,38 @@ def one_state(var="tau", states=("z",), body=("return 2.0 * z,",), consts=()):
     return _ode.Field(var, states, body, consts)
 
 
+# the step loop's names before they all began with "_": t the var, buf and
+# pack_step consts, y_0 a state, h_x a body name, and factor the events' const
+FORMER_LOOP_NAMES = (
+    _ode.Field("t", ("y_0", "z"), ("h_x = buf * y_0 + pack_step * t", "return h_x, -y_0 * z"),
+               ("buf", "pack_step")),
+    _ode.Events("t", ("y_0", "_"), ("return y_0 - factor,",), ("factor",), (1,)))
+RENAMED = (
+    _ode.Field("tau", ("u", "z"), ("w = a * u + b * tau", "return w, -u * z"), ("a", "b")),
+    _ode.Events("tau", ("u", "_"), ("return u - level,",), ("level",), (1,)))
+
+
+def test_former_loop_names_integrate_like_a_renamed_copy():
+    solves = []
+    for field, events in (FORMER_LOOP_NAMES, RENAMED):
+        sol = dop853(_ode.bind(field, 0.3, -0.2), 0.0, [1.0, 1.0], 5.0, 1e-10, 1e-12,
+                     _ode.bind(events, 1.2))
+        solves.append((sol._buf.tobytes(), sol.nfev, sol.n_rejected, sol.event, sol(0.1)))
+    assert solves[0] == solves[1]
+    assert solves[0][3] == 0
+
+
 @pytest.mark.parametrize("field, events, clash", [
-    (one_state(consts=("buf",), body=("return buf * z,",)), None, "buf"),
-    (one_state(states=("y_0",), body=("return 2.0 * y_0,",)), None, "y_0"),
-    (one_state(body=("h_x = 2.0 * z", "return h_x,")), None, "h_x"),
-    (one_state(var="t"), None, "t"),
-    (one_state(consts=("pack_step",), body=("return pack_step * z,",)), None, "pack_step"),
+    (one_state(var="_y"), None, "_y"),
+    (one_state(states=("_z",), body=("return 2.0 * _z,",)), None, "_z"),
+    (one_state(consts=("_c",), body=("return _c * z,",)), None, "_c"),
+    (one_state(body=("_w = 2.0 * z", "return _w,")), None, "_w"),
     (one_state(body=("w = 2.0 * z", "return w,")),
      _ode.Events("tau", ("z",), ("return z - w,",), ("w",), (1,)), "w"),
-])
+    (one_state(consts=("w",), body=("return w * z,",)),
+     _ode.Events("tau", ("z",), ("w = 2.0 * z", "return z - w,"), (), (1,)), "w"),
+], ids=["underscore-var", "underscore-state", "underscore-const", "underscore-body-name",
+        "field-assigns-events-const", "events-assign-field-const"])
 def test_loop_name_clash_raises(field, events, clash):
     events = events or level_events(1, [(0, 1)])
     with pytest.raises(ValueError, match=f"'{clash}'"):

@@ -573,7 +573,3 @@ def test_write_profile_csv(tmp_path, king_profile):
     path2 = tmp_path / "profile2.csv"
     write_profile_csv(king_profile, path2)
     assert path.read_bytes() == path2.read_bytes()
-    write_profile_csv(king_profile, path2, precision=6)
-    lines = path2.read_text().splitlines()
-    assert len(lines) == 1 + len(king_profile.r)
-    assert lines[5].split(",")[0] == f"{king_profile.r[4]:.6g}"
