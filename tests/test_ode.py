@@ -875,17 +875,31 @@ def test_former_loop_names_integrate_like_a_renamed_copy():
     assert solves[0][3] == 0
 
 
+# a source's var, state or body name that is also one of its own consts: the
+# loop would bind it to the const's value and then overwrite it (ids from
+# pytest, the named cases below give their own)
 @pytest.mark.parametrize("field, events, clash", [
-    (one_state(var="_y"), None, "_y"),
-    (one_state(states=("_z",), body=("return 2.0 * _z,",)), None, "_z"),
-    (one_state(consts=("_c",), body=("return _c * z,",)), None, "_c"),
-    (one_state(body=("_w = 2.0 * z", "return _w,")), None, "_w"),
-    (one_state(body=("w = 2.0 * z", "return w,")),
-     _ode.Events("tau", ("z",), ("return z - w,",), ("w",), (1,)), "w"),
-    (one_state(consts=("w",), body=("return w * z,",)),
-     _ode.Events("tau", ("z",), ("w = 2.0 * z", "return z - w,"), (), (1,)), "w"),
-], ids=["underscore-var", "underscore-state", "underscore-const", "underscore-body-name",
-        "field-assigns-events-const", "events-assign-field-const"])
+    (one_state(consts=("buf",), body=("buf = 2.0 * z", "return buf,")), None, "buf"),
+    (one_state(states=("y_0",), body=("return 2.0 * y_0,",), consts=("y_0",)), None, "y_0"),
+    (one_state(body=("h_x = 2.0 * z", "return (lambda: h_x)(),"), consts=("h_x",)), None,
+     "h_x"),
+    (one_state(var="t", consts=("t",)), None, "t"),
+    (one_state(consts=("pack_step",), body=("pack_step *= z", "return pack_step,")), None,
+     "pack_step"),
+    pytest.param(one_state(var="_y"), None, "_y", id="underscore-var"),
+    pytest.param(one_state(states=("_z",), body=("return 2.0 * _z,",)), None, "_z",
+                 id="underscore-state"),
+    pytest.param(one_state(consts=("_c",), body=("return _c * z,",)), None, "_c",
+                 id="underscore-const"),
+    pytest.param(one_state(body=("_w = 2.0 * z", "return _w,")), None, "_w",
+                 id="underscore-body-name"),
+    pytest.param(one_state(body=("w = 2.0 * z", "return w,")),
+                 _ode.Events("tau", ("z",), ("return z - w,",), ("w",), (1,)), "w",
+                 id="field-assigns-events-const"),
+    pytest.param(one_state(consts=("w",), body=("return w * z,",)),
+                 _ode.Events("tau", ("z",), ("w = 2.0 * z", "return z - w,"), (), (1,)), "w",
+                 id="events-assign-field-const"),
+])
 def test_loop_name_clash_raises(field, events, clash):
     events = events or level_events(1, [(0, 1)])
     with pytest.raises(ValueError, match=f"'{clash}'"):
