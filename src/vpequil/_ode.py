@@ -10,15 +10,15 @@ event rule (a sign change in the event's direction over an accepted step,
 then ``brentq`` on the interpolant with ``xtol = rtol = 4 eps``).
 ``brentq`` is a port of scipy's, so roots agree to the bit; the module
 imports nothing from scipy, nor numpy.  The states here have two to four
-components, so every step runs on floats and lists, and a solve's nodes
-come back as ``array('d')`` columns of its packed buffer.
+components, so every step runs on floats and lists.
 
-The interpolant of a step needs three extra right-hand-side calls.  They
-are made only for a step that an event root or a ``dense`` query lands in;
-every accepted step writes its 13 stages and its node into one packed float
-buffer, in one packed write (a ``struct`` pack, then ``array.frombytes``:
-the same 8 bytes per float as ``array('d')``), so any step can build its
-interpolant later.
+A solve keeps only its nodes, as ``array('d')`` columns of one buffer that
+each accepted step extends by one packed write (a ``struct`` pack, then
+``array.frombytes``).  A step's interpolant, from its 13 stages and three
+extra calls, is built only where an event root or a ``dense`` query lands:
+at an event from the stages the loop returns with, else by running the
+step again through the loop, clamped to its end node, which gives the same
+stages bit for bit for 1 + 12 more calls.
 
 One step loop per flow and one interpolant are straight-line code generated
 from the tableau, from a `Field`, the source of a right-hand side, and from
@@ -26,20 +26,20 @@ an `Events` source, the terminal events' values.  `bind` compiles a flow's
 field or events from its source, and `dop853` runs the loop with both
 bodies written in: the field's into each of the 12 stages of an attempt,
 the events' once after each accepted step, with the step-size control, the
-minimum step and the node buffer, so a step calls no Python function and
-no builtin: its own calls are ``nextafter``, the pack and ``frombytes``.
-A field that is any other callable is ``return fun(t, [...])``: the same
-generator, one call per stage.  Each function is compiled on the first
-solve that needs it (milliseconds; the cache holds functions, no results).
-Each stage of each component is a local name and each coefficient a
-literal, so a step makes no call or list of its own, indexes no list and
-calls no ``sum()``, and zero entries of the tableau are left out.  Every weighted sum of stages
-is written ``0.0 + c0*k0 + c1*k1 + ...``, left to right, the order in which
-Python 3.11's ``sum()`` adds the products, and each ``abs()``, ``max()``
-or ``min()`` of the error scale and the step control as the comparison it
-makes; so the floats, steps and roots are those of a loop over the tableau
-calling the field, bit for bit for finite stages, on any Python version
-(3.12 made ``sum()`` of floats compensated).
+minimum step, the attempt budget and the node buffer, so a step calls no
+Python function and no builtin: its own calls are ``nextafter``, the pack
+and ``frombytes``.  A field that is any other callable is ``return fun(t,
+[...])``: the same generator, one call per stage.  Each function is
+compiled on the first solve that needs it (milliseconds; the cache holds
+functions, no results).  Each stage of each component is a local name and
+each coefficient a literal, so a step indexes no list, and zero entries of
+the tableau are left out.  Every weighted sum of stages is written ``0.0 +
+c0*k0 + c1*k1 + ...``, left to right, the order in which Python 3.11's
+``sum()`` adds the products, and each ``abs()``, ``max()`` or ``min()`` of
+the error scale and the step control as the comparison it makes; so the
+floats, steps and roots are those of a loop over the tableau calling the
+field, bit for bit for finite stages, on any Python version (3.12 made
+``sum()`` of floats compensated).
 """
 
 from __future__ import annotations
@@ -147,6 +147,7 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / 8.0                      # error estimator of order 7
+MAX_ATTEMPTS = 100_000                            # step attempts of one solve
 _ROOT_TOL = 4.0 * sys.float_info.epsilon
 
 
@@ -334,23 +335,22 @@ def _source(field, name, events=None):
 
     ``_field(var, _y)`` is the field (or the events) itself, with consts
     ``field.consts``.  ``_loop(_t, _y, _f, _g, _h_abs, _t_end, _direction,
-    _atol, _rtol, _buf)`` binds the field's consts, then those of ``events``
-    the field does not bind (ValueError here when a name of either clashes,
-    see `Field`).  It takes accepted steps from (t, y), f the field and g
-    the event values there, and writes to ``_buf`` the 13 stages of each
-    step (component by component) and the node it ends at, in one packed
-    write per step (``_buf.frombytes(_pack_step(...))``).  It returns at the
-    step that reaches t_end or on which an event fires, with that step's
-    stages written (``_pack_last``) and its node not: ``(t, h, t_new, y,
-    y_new, hits, n_rejected)``, hits the indices of the events that fired.
-    It raises EvaluationError when the step size falls below ten spacings
-    of floating-point numbers at t.  ``_interpolant(t_old, h, y_old, y_new,
-    K)`` gives the three extra stages of a step and the piece ``_evaluate``
-    reads.  Every name the source writes for itself starts with ``_``.
+    _atol, _rtol, _buf, _max_attempts)`` binds the field's consts, then
+    those of ``events`` the field does not bind (ValueError here when a name
+    of either clashes, see `Field`).  It takes accepted steps from (t, y), f
+    the field and g the event values there, and writes the end node of each
+    step to ``_buf`` (``_buf.frombytes(_pack_step(...))``), except the step
+    that reaches t_end or fires an event, where it returns ``(t, h, t_new,
+    y, y_new, hits, attempts, K)``: hits the events fired, K the step's 13
+    stages, component by component.  It raises EvaluationError when the
+    step size falls below ten spacings of floats at t, or at attempt
+    ``_max_attempts + 1``.  ``_interpolant(t_old, h, y_old, y_new, K)``
+    gives the piece ``_evaluate`` reads.  Every name the source writes for
+    itself starts with ``_``.
     """
     n = len(field.states)
     rng = range(n)
-    stages = "".join(f"_k{s}_{j}, " for j in rng for s in range(_N_K))   # buf's order
+    stages = "".join(f"_k{s}_{j}, " for j in rng for s in range(_N_K))   # K's order
     consts = field.consts
     if name == "field":
         lines = [f"def _field({field.var}, _y):", f"    {', '.join(field.states)}, = _y",
@@ -366,6 +366,10 @@ def _source(field, name, events=None):
             "if _h_abs < _min_step:",
             "    raise _EvaluationError(",
             '        f"step size collapsed below {_min_step:.3g} at t={_t:.17g}")',
+            "_attempts += 1",
+            "if _attempts > _max_attempts:",
+            "    raise _EvaluationError(",
+            '        f"step budget of {_max_attempts} attempts exhausted at t={_t:.17g}")',
             "_t_new = _t + _h_abs * _direction",
             "if _direction * (_t_new - _t_end) > 0.0:",
             "    _t_new = _t_end",
@@ -403,15 +407,15 @@ def _source(field, name, events=None):
             f"_factor = {SAFETY!r} * _err_norm ** {_ERROR_EXPONENT!r}",
             f"_h_abs *= _factor if _factor > {MIN_FACTOR!r} else {MIN_FACTOR!r}",
             "_rejected = True",
-            "_n_rejected += 1",
         ]
         lines = [
-            "def _loop(_t, _y, _f, _g, _h_abs, _t_end, _direction, _atol, _rtol, _buf):",
+            "def _loop(_t, _y, _f, _g, _h_abs, _t_end, _direction, _atol, _rtol, _buf, "
+            "_max_attempts):",
             f"    {_names('y', n)}= _y",
             f"    {_names('k0', n)}= _f",
             *([f"    {_names('g', m)}= _g"] if m else []),
             "    _toward = _direction * _inf",
-            "    _n_rejected = 0",
+            "    _attempts = 0",
             "    while True:",
             # the spacing has the sign of direction: times it, its abs()
             "        _min_step = 10.0 * (_direction * (_nextafter(_t, _toward) - _t))",
@@ -423,11 +427,10 @@ def _source(field, name, events=None):
             *(_indent(2, _inline(events, "_t_new", [f"_yn_{j}" for j in rng], _names("gn", m)))
               if m else []),
             f"        if {' or '.join(['_direction * (_t_new - _t_end) >= 0.0', *fired])}:",
-            f"            _buf.frombytes(_pack_last({stages}))",
             f"            return (_t, _h, _t_new, [{_names('y', n)}], [{_names('yn', n)}], "
             f"[_i for _i, _hit in _enumerate(({''.join(f'{c}, ' for c in fired)})) if _hit], "
-            "_n_rejected)",
-            f"        _buf.frombytes(_pack_step({stages}_t_new, {_names('yn', n)}))",
+            f"_attempts, ({stages}))",
+            f"        _buf.frombytes(_pack_step(_t_new, {_names('yn', n)}))",
             "        _t = _t_new",
             *(f"        _y_{j} = _yn_{j}" for j in rng),
             *(f"        _k0_{j} = _k12_{j}" for j in rng),
@@ -460,14 +463,11 @@ _LOOP_GLOBALS = {"_inf": math.inf, "_nextafter": math.nextafter, "_sqrt": math.s
 def _compiled(field, name, events=None):
     """``_bind`` of ``_source(field, name, events)``, compiled on first use
     and on its own, so the compiler's peak memory is that of one function
-    (about 1.2 MB for the compact flow's loop).  A loop gets the packs of
-    its state size n: 14n + 1 native doubles for a step's stages and node,
-    13n for the stages of the step it returns on."""
+    (about 1.2 MB for the compact flow's loop).  A loop gets the pack of a
+    node of its state size n: n + 1 native doubles."""
     namespace = dict(_LOOP_GLOBALS)
     if name == "loop":
-        n = len(field.states)
-        namespace["_pack_step"] = struct.Struct(f"{(_N_K + 1) * n + 1}d").pack
-        namespace["_pack_last"] = struct.Struct(f"{_N_K * n}d").pack
+        namespace["_pack_step"] = struct.Struct(f"{len(field.states) + 1}d").pack
     exec(compile(_source(field, name, events), f"<dop853 {name}>", "exec"), namespace)
     return namespace["_bind"]
 
@@ -492,49 +492,43 @@ def _evaluate(piece, t):
 class Trajectory:
     """Accepted-step nodes of one solve and its dense output.
 
-    ``t`` and the n columns of ``y`` are the nodes, each an ``array('d')``
-    sliced out of the packed buffer; the last node is the
-    event point when ``event`` (the index of the terminal event that fired)
-    is not None.  ``nfev`` counts right-hand-side calls so far, including
-    the extra stages of every interpolant built, ``n_rejected`` the
-    rejected step attempts.  Calling the trajectory at ``t`` returns the
+    ``t`` and the n columns of ``y`` are the nodes, each an ``array('d')``;
+    the last node is the event point when ``event`` (the index of the
+    terminal event that fired) is not None.  ``nfev`` counts right-hand-side
+    calls so far, including those of every interpolant built, ``n_rejected``
+    the rejected step attempts.  Calling the trajectory at ``t`` returns the
     interpolated state as a list; at a node the step ending there is used.
     """
 
-    def __init__(self, interpolant, n, buf, pieces, nfev, n_rejected, event):
-        self._interpolant = interpolant
-        self._n = n
-        self._stride = 1 + n + _N_K * n
-        self._buf = buf
-        self._pieces = pieces
-        self.t = buf[::self._stride]
-        self.y = [buf[j::self._stride] for j in range(1, 1 + n)]
-        self.nfev = nfev
-        self.n_rejected = n_rejected
-        self.event = event
+    __slots__ = ("t", "y", "nfev", "n_rejected", "event", "_pieces", "_fun", "_events",
+                 "_atol", "_rtol")
+
+    def __init__(self, t, y, nfev, n_rejected, event, pieces, fun, events, atol, rtol):
+        self.t, self.y, self.nfev, self.n_rejected, self.event = t, y, nfev, n_rejected, event
+        self._pieces, self._fun, self._events = pieces, fun, events
+        self._atol, self._rtol = atol, rtol
 
     @property
     def n_steps(self) -> int:
         return len(self.t) - 1
 
-    @property
-    def n_interpolants(self) -> int:
-        """Steps whose extra stages have been computed."""
-        return len(self._pieces)
+    def _step(self, i):
+        """Step i run again, clamped to its end node: ``(t, h, y, y_new, K)``
+        of one attempt, accepted as before (g may be anything: the loop
+        returns at t_end whatever fires).  An event's step ends at its root."""
+        fun, t_old, t_new = self._fun, self.t[i], self.t[i + 1]
+        y = [column[i] for column in self.y]
+        t, h, _, y, y_new, _, _, K = _bound_loop(fun, self._events, len(y))(
+            t_old, y, fun(t_old, y), [0.0] * len(self._events[0].directions), math.inf,
+            t_new, 1.0 if t_new > t_old else -1.0, self._atol, self._rtol, None, 1)
+        return t, h, y, y_new, K
 
     def _piece(self, i):
         piece = self._pieces.get(i)
         if piece is None:
-            n, stride, buf = self._n, self._stride, self._buf
-            base = i * stride
-            t_old = buf[base]
-            y_old = buf[base + 1:base + 1 + n].tolist()
-            y_new = buf[base + stride + 1:base + stride + 1 + n]
-            k0 = base + 1 + n
-            piece = self._interpolant(t_old, buf[base + stride] - t_old,
-                                      y_old, y_new, buf[k0:k0 + _N_K * n])
-            self.nfev += 3
-            self._pieces[i] = piece
+            interpolant = _compiled(_generic(len(self.y)), "interpolant")(self._fun)
+            piece = self._pieces[i] = interpolant(*self._step(i))
+            self.nfev += 1 + _N_STAGES + 3
         return piece
 
     def __call__(self, t: float) -> list:
@@ -542,6 +536,18 @@ class Trajectory:
         i = (bisect_left(nodes, t) if nodes[-1] >= nodes[0]
              else bisect_left(nodes, -t, key=operator.neg))
         return _evaluate(self._piece(min(max(i - 1, 0), len(nodes) - 2)), t)
+
+
+def _bound_loop(fun, events, n):
+    """The step loop of ``fun`` on n states and of ``events``, the ``field``
+    of bound events, with both's consts bound: ValueError if they differ."""
+    field, values = getattr(fun, "field", None) or (_generic(n), (fun,))
+    source, event_values = events
+    consts = dict(zip(field.consts, values))
+    for name, value in zip(source.consts, event_values):
+        if consts.setdefault(name, value) is not value and consts[name] != value:
+            raise ValueError(f"the field and the events bind {name} to different values")
+    return _compiled(field, "loop", source)(*consts.values())
 
 
 def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol: float,
@@ -555,43 +561,33 @@ def dop853(fun, t0: float, y0, t_end: float, rtol: float, atol: float,
     events, with the events' body written into it, and the field's too
     when ``fun`` is made by `bind`; any other ``fun`` is called once per
     stage.  Raises EvaluationError when the step size falls below ten
-    spacings of floating-point numbers at t.
+    spacings of floating-point numbers at t, or when the solve would make
+    more than ``MAX_ATTEMPTS`` step attempts.
     """
     y = [float(v) for v in y0]
     n = len(y)
-    field, values = getattr(fun, "field", None) or (_generic(n), (fun,))
-    source, event_values = events.field
-    if any(d not in (1, -1) for d in source.directions):
+    if any(d not in (1, -1) for d in events.field[0].directions):
         raise ValueError("event directions must be +1 or -1")
-    consts = dict(zip(field.consts, values))
-    for name, value in zip(source.consts, event_values):
-        if consts.setdefault(name, value) is not value and consts[name] != value:
-            raise ValueError(f"the field and the events bind {name} to different values")
-
+    loop = _bound_loop(fun, events.field, n)
     direction = 1.0 if t_end > t0 else -1.0
     t = float(t0)
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_end, direction, rtol, atol)
     buf = array("d", [t, *y])
-    loop = _compiled(field, "loop", source)(*consts.values())
-    t, h, t_new, y, y_new, hits, n_rejected = loop(
-        t, y, f, events(t, y), h_abs, t_end, direction, atol, rtol, buf)
-    step = len(buf) // (1 + n + _N_K * n) - 1          # accepted steps before the last
-    nfev = 2 + _N_STAGES * (step + 1 + n_rejected)
-    interpolant = _compiled(_generic(n), "interpolant")(fun)
-    pieces = {}
-    event = None
+    t, h, t_new, y, y_new, hits, attempts, K = loop(
+        t, y, f, events(t, y), h_abs, t_end, direction, atol, rtol, buf, MAX_ATTEMPTS)
+    step = len(buf) // (n + 1) - 1          # accepted steps before the last
+    nfev = 2 + _N_STAGES * attempts
+    pieces, event = {}, None
     if hits:
-        piece = interpolant(t, h, y, y_new, buf[-_N_K * n:])
+        piece = pieces[step] = _compiled(_generic(n), "interpolant")(fun)(t, h, y, y_new, K)
         nfev += 3
-        pieces[step] = piece
         roots = [brentq(lambda s, i=i: events(s, _evaluate(piece, s))[i],
                         t, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in hits]
         first = min(range(len(hits)), key=lambda k: direction * roots[k])
         event = hits[first]
         t_new = roots[first]
         y_new = _evaluate(piece, t_new)
-    buf.append(t_new)
-    buf.extend(y_new)
-    buf.extend([0.0] * (_N_K * n))   # the last node starts no step
-    return Trajectory(interpolant, n, buf, pieces, nfev, n_rejected, event)
+    buf.extend([t_new, *y_new])
+    return Trajectory(buf[::n + 1], [buf[j::n + 1] for j in range(1, n + 1)], nfev,
+                      attempts - step - 1, event, pieces, fun, events.field, atol, rtol)

@@ -428,6 +428,7 @@ def main(argv=None) -> int:
         print(args)
         return 0
     handler, keys, required = _COMMANDS[args.command]
+    new_out = args.out is not None and not os.path.isdir(args.out)
     try:
         if args.command == "models":
             return handler(args)
@@ -443,13 +444,16 @@ def main(argv=None) -> int:
     except (ConfigError, SettingError) as exc:   # a SettingError: a relation a command checks
         print(f"config error: {_run_error(exc) if isinstance(exc, SettingError) else exc}",
               file=sys.stderr)
-        return 2
+        code = 2
     except (ModelError, EvaluationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except ArithmeticError as exc:   # an overflow, say, in building a model or in a step
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        code = 1
+    if new_out and os.path.isdir(args.out) and not os.listdir(args.out):
+        os.rmdir(args.out)   # a failed command removes the --out it made while that is empty
+    return code
 
 
 if __name__ == "__main__":

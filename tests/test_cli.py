@@ -255,6 +255,28 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
         assert "[Errno" not in err
 
 
+@pytest.mark.parametrize("command, code", [("check", 2), ("solve", 1)])
+def test_failed_command_removes_the_empty_out_it_made(tmp_path, capsys, command, code):
+    # King at omega_c = 5e-324 fails inside the command, after --out is made:
+    # check's interval falls below the index floor (exit 2), solve's natural
+    # length overflows (exit 1)
+    path = write_config(tmp_path, {"model": KING, "run": {"omega_c": 5e-324}})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_failed_command_keeps_an_out_that_existed(tmp_path):
+    # an empty directory made before the run stays, whatever fails
+    path = write_config(tmp_path, {"model": KING, "run": {"omega_c": 5e-324}})
+    out = tmp_path / "out"
+    out.mkdir()
+    for command, code in (("check", 2), ("solve", 1)):
+        assert main([command, "--config", path, "--out", str(out)]) == code
+        assert out.is_dir() and not any(out.iterdir())
+
+
 def test_table_comments_and_blank_lines_are_skipped(tmp_path):
     # numpy's loadtxt rules: `#` starts a comment, blank lines are skipped
     plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
@@ -485,8 +507,10 @@ def test_solve_outputs_deterministic(tmp_path):
                              "decade_mass_ratio"}
         assert diag["termination"] == termination
         assert diag["n_rhs_evals"] >= 12 * diag["n_steps"] > 0
-        # one interpolant: the surface step, or the step of the mass-decade query
-        assert diag["n_rhs_evals"] == 2 + 12 * (diag["n_steps"] + diag["n_rejected"]) + 3
+        # one interpolant: the surface step (3 extra stages), or the step of
+        # the mass-decade query, run again (f at its start, 12 stages, 3 extra)
+        extra = 3 if termination == "surface" else 16
+        assert diag["n_rhs_evals"] == 2 + 12 * (diag["n_steps"] + diag["n_rejected"]) + extra
         assert (diag["decade_mass_ratio"] is None) == (termination == "surface")
 
 

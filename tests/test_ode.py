@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -461,13 +462,14 @@ def test_dense_stages_are_lazy():
         return oscillator(t, y)
     sol = dop853(counted, 0.0, [0.0, 1.0], 30.0, 1e-10, 1e-12, levels(2))
     accepted_and_rejected = 2 + 12 * (sol.n_steps + sol.n_rejected)
-    assert sol.n_interpolants == 0
+    assert len(sol._pieces) == 0
     assert sol.nfev == len(calls) == accepted_and_rejected
     assert sol.nfev <= 13 * sol.n_steps + 12 * sol.n_rejected
     for t in (1.0, 1.01, 17.0):
         assert sol(t)[0] == pytest.approx(math.sin(t), rel=1e-8)
-    assert sol.nfev == len(calls) == accepted_and_rejected + 3 * sol.n_interpolants
-    assert 1 <= sol.n_interpolants <= 3
+    # each step queried runs again: f at its start, 12 stages, 3 extra stages
+    assert sol.nfev == len(calls) == accepted_and_rejected + 16 * len(sol._pieces)
+    assert 1 <= len(sol._pieces) <= 3
 
 
 @pytest.mark.parametrize("model, omega_c", [(polytrope(n=3.0), 1.0), (king_model(), 1.5),
@@ -475,11 +477,13 @@ def test_dense_stages_are_lazy():
 def test_solve_pays_dense_stages_only_where_used(model, omega_c):
     prof = integrate_physical(model, omega_c)
     sol = prof._dense
-    # one interpolant: the surface step or the mass-decade query
-    assert sol.n_interpolants == 1
-    assert prof.diagnostics["n_rhs_evals"] == 2 + 12 * (sol.n_steps + sol.n_rejected) + 3
+    # one interpolant: the surface step, from the stages the loop returns
+    # with (3 calls), or the step of the mass-decade query, run again (16)
+    assert len(sol._pieces) == 1
+    extra = 3 if prof.diagnostics["termination"] == "surface" else 16
+    assert prof.diagnostics["n_rhs_evals"] == 2 + 12 * (sol.n_steps + sol.n_rejected) + extra
     assert (prof.diagnostics["n_rhs_evals"]
-            <= 13 * sol.n_steps + 3 * sol.n_interpolants + 12 * sol.n_rejected)
+            <= 13 * sol.n_steps + extra * len(sol._pieces) + 12 * sol.n_rejected)
 
 
 # ------------------------------------------------- scipy as the bit oracle
@@ -573,9 +577,10 @@ def reference_evaluate(piece, t):
 def reference_dop853(fun, t0, y0, t_end, rtol, atol, events, max_nfev=math.inf):
     """A plain Python DOP853 integrator on `reference_attempt`: scipy's step
     control and minimum step, event pairs checked after each accepted step,
-    `brentq` on `reference_interpolant` for a hit.  Returns the trajectory's
-    packed buffer, nfev, n_rejected, the event and the dense-output pieces it
-    built, or the EvaluationError it raised; None past max_nfev calls."""
+    `brentq` on `reference_interpolant` for a hit.  Returns the nodes, each
+    t then y, the 13 stages of each accepted step, component by component,
+    nfev, n_rejected, the event and the dense-output pieces it built, or the
+    EvaluationError it raised; None past max_nfev calls."""
     y, n = list(y0), len(y0)
     direction = 1.0 if t_end > t0 else -1.0
     t = t0
@@ -583,7 +588,7 @@ def reference_dop853(fun, t0, y0, t_end, rtol, atol, events, max_nfev=math.inf):
     h_abs = _ode._initial_step(fun, t, y, f, t_end, direction, rtol, atol)
     nfev, n_rejected = 2, 0
     g = [fn(t, y) for fn, _ in events]
-    buf, pieces, event = [t, *y], {}, None
+    nodes, stages, pieces, event = [t, *y], [], {}, None
     while True:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -606,26 +611,25 @@ def reference_dop853(fun, t0, y0, t_end, rtol, atol, events, max_nfev=math.inf):
             h_abs *= max(0.2, 0.9 * norm ** (-1.0 / 8.0))
             rejected = True
             n_rejected += 1
-        buf += [k for Kj in K for k in Kj]
+        stages.append([k for Kj in K for k in Kj])
         g_new = [fn(t_new, y_new) for fn, _ in events]
         hits = [i for i, (_, d) in enumerate(events)
                 if (g[i] <= 0.0 <= g_new[i] if d > 0 else g[i] >= 0.0 >= g_new[i])]
         if hits:
             piece = (t, h, y, reference_interpolant(fun, t, h, y, y_new, K))
             nfev += 3
-            pieces[len(buf) // (1 + 14 * n) - 1] = piece
+            pieces[len(stages) - 1] = piece
             roots = [brentq(lambda s, fn=events[i][0]: fn(s, reference_evaluate(piece, s)),
                             t, t_new, xtol=_ode._ROOT_TOL, rtol=_ode._ROOT_TOL) for i in hits]
             first = min(range(len(hits)), key=lambda k: direction * roots[k])
             event = hits[first]
-            buf += [roots[first], *reference_evaluate(piece, roots[first])]
+            nodes += [roots[first], *reference_evaluate(piece, roots[first])]
             break
-        buf += [t_new, *y_new]
+        nodes += [t_new, *y_new]
         if direction * (t_new - t_end) >= 0.0:
             break
         t, y, f, g = t_new, y_new, f_new, g_new
-    buf += [0.0] * (13 * n)
-    return buf, nfev, n_rejected, event, pieces
+    return nodes, stages, nfev, n_rejected, event, pieces
 
 
 def polynomial_solve(rng):
@@ -660,9 +664,9 @@ STIFF_NFEV = 50_000     # a reference past this many calls is not compared
 
 def test_generated_loop_equals_reference_integrator():
     # the generated loop, with the field's body inlined or one call per
-    # stage, gives the nodes, the packed stages, nfev, n_rejected, event,
-    # root and dense output of a plain Python integrator on loops over the
-    # tableau
+    # stage, gives the nodes, nfev, n_rejected, event and root of a plain
+    # Python integrator on loops over the tableau, and each step run again
+    # gives its stages and dense output
     rng = random.Random(GENERATED_LOOP_SEED)
     outcomes = []
     for _ in range(200):
@@ -713,23 +717,30 @@ def check_generated_loop(problem, plain):
     except EvaluationError as exc:
         assert ref == (EvaluationError, str(exc))
         return "collapse"
-    buf, nfev, n_rejected, event, pieces = ref
-    assert sol._buf.tolist() == buf
-    assert sol._buf.tobytes() == array("d", buf).tobytes()     # signs of zero too
+    nodes, stages, nfev, n_rejected, event, pieces = ref
     assert (sol.nfev, sol.n_rejected, sol.event) == (nfev, n_rejected, event)
-    assert sol.t[-1] == buf[-1 - 14 * len(y0)]                # the root when an event fired
-    i = sol.n_steps // 2
-    mid = 0.5 * (sol.t[i] + sol.t[i + 1])
-    if i not in pieces:
-        stride = 1 + 14 * len(y0)
-        row = buf[i * stride:(i + 2) * stride]
-        n = len(y0)
-        K = [row[1 + n + 13 * j:1 + n + 13 * (j + 1)] for j in range(n)]
-        pieces[i] = (row[0], row[stride] - row[0], row[1:1 + n],
-                     reference_interpolant(fun, row[0], row[stride] - row[0], row[1:1 + n],
-                                           row[stride + 1:stride + 1 + n], K))
-    assert sol(mid) == reference_evaluate(pieces[i], mid)
+    check_every_step(sol, fun, nodes, stages, pieces)
     return "steps"
+
+
+def check_every_step(sol, fun, nodes, stages, pieces):
+    """The solve's nodes are the reference's, bit for bit (the root when an
+    event fired), and at every step the piece it builds, and the stages of
+    the step run again, are those of the reference's step."""
+    n = len(sol.y)
+    assert sol.n_steps == len(stages)
+    for j, column in enumerate((sol.t, *sol.y)):
+        assert column.tobytes() == array("d", nodes[j::n + 1]).tobytes()   # signs of zero too
+    rows = [nodes[k:k + n + 1] for k in range(0, len(nodes), n + 1)]
+    for i, K in enumerate(stages):
+        (t, *y), (t_new, *y_new) = rows[i:i + 2]
+        if i not in pieces:       # the step of an event keeps the piece of its solve
+            assert array("d", sol._step(i)[4]).tobytes() == array("d", K).tobytes()
+            pieces[i] = (t, t_new - t, y, reference_interpolant(
+                fun, t, t_new - t, y, y_new, [K[13 * j:13 * (j + 1)] for j in range(n)]))
+        mid = 0.5 * (t + t_new)
+        assert sol._piece(i) == pieces[i]
+        assert sol(mid) == reference_evaluate(pieces[i], mid)
 
 
 @pytest.mark.parametrize("flow", ["physical", "compact", "compact-backward"])
@@ -753,12 +764,67 @@ def test_flows_equal_reference_integrator(flow):
     pairs = [(lambda t, y, i=i: events(t, y)[i], d)
              for i, d in enumerate(events.field[0].directions)]
     sol = dop853(fun, t0, y0, t_end, rtol, atol, events=events)
-    buf, nfev, n_rejected, event, _ = reference_dop853(fun, t0, list(y0), t_end, rtol, atol,
-                                                       pairs)
+    nodes, stages, nfev, n_rejected, event, pieces = reference_dop853(
+        fun, t0, list(y0), t_end, rtol, atol, pairs)
     assert sol.n_rejected == n_rejected > 0
     assert sol.event == event is not None
-    assert (sol._buf.tolist(), sol.nfev) == (buf, nfev)
-    assert sol._buf.tobytes() == array("d", buf).tobytes()
+    assert sol.nfev == nfev
+    check_every_step(sol, fun, nodes, stages, pieces)
+
+
+def trajectory_of(module, run):
+    """The trajectory that `module`'s integrator gets from dop853 in `run()`."""
+    sols = []
+
+    def spy(*args, **kwargs):
+        sols.append(dop853(*args, **kwargs))
+        return sols[-1]
+    with mock.patch.object(module, "dop853", spy):
+        run()
+    return sols[0]
+
+
+FLOW_RUNS = {
+    "king-surface": (physical, lambda: integrate_physical(king_model(), 1.5)),
+    "n6-halo": (physical, lambda: integrate_physical(polytrope(n=6.0), 1.0)),
+    "table-surface": (physical, lambda: integrate_physical(FIELD_MODELS["table61"], 0.5)),
+    **{f"{name}-orbit{'-backward' * back}": (compactsys, lambda m=FIELD_MODELS[name], b=back:
+                                              integrate_compact(m, CompactState(0.5, 0.3, 0.4),
+                                                                lambda_max=80.0, backward=b))
+       for name in ("n3", "table61") for back in (False, True)},
+}
+
+
+@pytest.mark.parametrize("flow", sorted(FLOW_RUNS))
+def test_each_step_run_again_ends_on_its_node(flow):
+    # a step run again from its first node with the step clamped to its
+    # last is accepted at once (the budget of one attempt would raise) and
+    # lands on that node bit for bit; the step of an event ends at its root
+    # and keeps the piece of the solve
+    sol = trajectory_of(*FLOW_RUNS[flow])
+    assert sol.n_steps > 10
+    nodes = [array("d", [t, *y]) for t, *y in zip(sol.t, *sol.y)]
+    for i in range(sol.n_steps - (sol.event is not None)):
+        t, h, y, y_new, _ = sol._step(i)
+        assert array("d", [t, *y]).tobytes() == nodes[i].tobytes(), i
+        assert array("d", [sol.t[i + 1], *y_new]).tobytes() == nodes[i + 1].tobytes(), i
+        assert h == sol.t[i + 1] - sol.t[i]
+
+
+def test_step_budget_lets_that_many_attempts_finish(monkeypatch):
+    # a solve of K attempts, accepted or rejected, finishes with a budget of
+    # K and raises at its K-th attempt with K - 1, naming the budget and the
+    # start of the last step
+    prof = integrate_physical(polytrope(n=1.0), 1.5)
+    attempts = prof.diagnostics["n_steps"] + prof.diagnostics["n_rejected"]
+    assert prof.diagnostics["n_rejected"] > 0
+    monkeypatch.setattr(_ode, "MAX_ATTEMPTS", attempts)
+    again = integrate_physical(polytrope(n=1.0), 1.5)
+    assert (again.r.tobytes(), again.diagnostics) == (prof.r.tobytes(), prof.diagnostics)
+    monkeypatch.setattr(_ode, "MAX_ATTEMPTS", attempts - 1)
+    message = f"budget of {attempts - 1} attempts exhausted at t={prof.r[-2]:.17g}"
+    with pytest.raises(EvaluationError, match=f"{re.escape(message)}$"):
+        integrate_physical(polytrope(n=1.0), 1.5)
 
 
 def test_bound_field_is_stepped_inline():
@@ -774,9 +840,11 @@ def test_bound_field_is_stepped_inline():
     counted.field = fun.field
     sol = dop853(counted, 0.0, [0.1, 0.2], 3.0, 1e-12, 1e-14, levels(2))
     sol(1.5)
-    assert sol.n_steps > 3 and sol.n_interpolants == 1
-    assert len(calls) == 2 + 3 * sol.n_interpolants
-    assert sol.nfev == 2 + 12 * (sol.n_steps + sol.n_rejected) + 3 * sol.n_interpolants
+    assert sol.n_steps > 3 and len(sol._pieces) == 1
+    # the step queried runs again: the closure gives f at its start and the
+    # 3 extra stages, the loop its 12 stages inline
+    assert len(calls) == 2 + 4 * len(sol._pieces)
+    assert sol.nfev == 2 + 12 * (sol.n_steps + sol.n_rejected) + 16 * len(sol._pieces)
 
 
 def scale_function():
@@ -833,14 +901,14 @@ SHIPPED_SOURCES = {
 def test_flow_loops_call_no_builtin():
     # the loops of both flows, the physical one with the polytrope's kernel
     # written in and with the call kernel(omega): the loop's own calls are
-    # _nextafter, the packs and frombytes
+    # _nextafter, the pack of a node and frombytes
     assert "kernel(omega)" in "".join(SHIPPED_SOURCES["physical kernel(omega)"][0].body)
     for name in ("physical polytrope", "physical kernel(omega)", "compact"):
         field, events = SHIPPED_SOURCES[name]
         consts = dict.fromkeys((*field.consts, *events.consts))
         names = set(_ode._compiled(field, "loop", events)(*consts).__code__.co_names)
         assert not names & {"abs", "max", "min", "sum", "len", "extend"}, name
-        assert {"_nextafter", "_pack_step", "_pack_last", "frombytes"} <= names, name
+        assert {"_nextafter", "_pack_step", "frombytes"} <= names, name
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_SOURCES))
@@ -870,7 +938,8 @@ def test_former_loop_names_integrate_like_a_renamed_copy():
     for field, events in (FORMER_LOOP_NAMES, RENAMED):
         sol = dop853(_ode.bind(field, 0.3, -0.2), 0.0, [1.0, 1.0], 5.0, 1e-10, 1e-12,
                      _ode.bind(events, 1.2))
-        solves.append((sol._buf.tobytes(), sol.nfev, sol.n_rejected, sol.event, sol(0.1)))
+        solves.append(([c.tobytes() for c in (sol.t, *sol.y)], sol.nfev, sol.n_rejected,
+                       sol.event, sol(0.1)))
     assert solves[0] == solves[1]
     assert solves[0][3] == 0
 
